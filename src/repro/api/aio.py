@@ -23,33 +23,20 @@ wraps it in ``asyncio.run`` for sync callers (the CLI's ``loadgen --async-client
 from __future__ import annotations
 
 import asyncio
-import json
-import random
 import socket
 import time
-import uuid
 
+from repro.api import core
 from repro.api.envelopes import (
     BatchResult,
     ErrorEnvelope,
     MetricsSnapshot,
     QueryResponse,
     as_request,
-    parse_response,
-    wire_error_message,
-    wire_result,
-)
-from repro.api.remote import (
-    negotiated_version_from,
-    recording_start_body,
-    trace_from_stop_payload,
-    validate_pinned_version,
 )
 from repro.errors import ProtocolError, ServerError, WorkloadError
-from repro.obs.recorder import get_recorder
-from repro.obs.trace import Span, TraceContext, new_span_id, new_trace_id
 from repro.query_model import QueryType
-from repro.workload.replay import ReplayEvent, ReplayResult, with_serving_fields
+from repro.workload.replay import ReplayEvent, ReplayResult, replay_queries
 from repro.workload.workload import Workload
 
 
@@ -62,9 +49,9 @@ class _Connection:
         self.reader = reader
         self.writer = writer
 
-    async def request(self, method: str, path: str, host_header: str,
-                      body: bytes | None = None) -> tuple[int, dict, bool]:
-        """One request/response exchange; returns (status, payload, reusable)."""
+    async def begin(self, method: str, path: str, host_header: str,
+                    body: bytes | None = None) -> tuple[int, dict[str, str]]:
+        """Send one request and read the response head: (status, headers)."""
         head = [f"{method} {path} HTTP/1.1", f"Host: {host_header}"]
         if body is not None:
             head.append("Content-Type: application/json")
@@ -81,7 +68,6 @@ class _Connection:
         parts = status_line.split(None, 2)
         if len(parts) < 2 or not parts[0].startswith(b"HTTP/"):
             raise ProtocolError(f"malformed HTTP status line: {status_line!r}")
-        status = int(parts[1])
         headers: dict[str, str] = {}
         while True:
             line = await self.reader.readline()
@@ -91,11 +77,19 @@ class _Connection:
                 raise ConnectionError("connection closed mid-headers")
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        return int(parts[1]), headers
+
+    async def body(self, headers: dict[str, str]) -> bytes:
+        """The ``Content-Length``-framed response body that follows the head."""
         length = int(headers.get("content-length", "0"))
-        data = await self.reader.readexactly(length) if length else b""
-        payload = json.loads(data) if data else {}
+        return await self.reader.readexactly(length) if length else b""
+
+    async def request(self, method: str, path: str, host_header: str,
+                      body: bytes | None = None) -> tuple[int, bytes, bool]:
+        """One request/response exchange; returns (status, body, reusable)."""
+        status, headers = await self.begin(method, path, host_header, body)
         reusable = headers.get("connection", "keep-alive").lower() != "close"
-        return status, payload, reusable
+        return status, await self.body(headers), reusable
 
     def close(self) -> None:
         try:
@@ -104,7 +98,7 @@ class _Connection:
             pass
 
 
-class AsyncRemoteGraphService:
+class AsyncRemoteGraphService(core.ClientCore):
     """Async HTTP :class:`GraphService` backend with a connection pool."""
 
     backend = "remote-async"
@@ -120,18 +114,11 @@ class AsyncRemoteGraphService:
     ) -> None:
         if max_connections < 1:
             raise ServerError("max_connections must be at least 1")
-        validate_pinned_version(protocol_version)
-        if not (0.0 <= trace_sample_rate <= 1.0):
-            raise ProtocolError("trace_sample_rate must be between 0 and 1")
+        super().__init__(protocol_version, trace_sample_rate)
         self.host = host
         self.port = port
         self.timeout = timeout
         self.max_connections = max_connections
-        #: Fraction of queries this client originates a trace for (v2 only).
-        self.trace_sample_rate = trace_sample_rate
-        # dedicated RNG: sampling must not perturb seeded workload streams
-        self._sample_rng = random.Random(uuid.uuid4().int)
-        self._version = protocol_version
         self._version_lock: asyncio.Lock | None = None  # bound to the running loop
         self._idle: list[_Connection] = []
         self._capacity: asyncio.Semaphore | None = None  # bound to the running loop
@@ -175,27 +162,25 @@ class AsyncRemoteGraphService:
         if self._closed:
             raise ServerError("async client is closed")
         await self._semaphore().acquire()
-        if self._idle:
-            return self._idle.pop()
         try:
-            return await self._open()
+            connection = self._idle.pop() if self._idle else await self._open()
         except BaseException:
             self._semaphore().release()
             raise
+        # counted only while a connection is held: waiters queued on the
+        # pool semaphore are not "in flight" (peak stays <= pool size)
+        self.in_flight += 1
+        self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
+        return connection
 
     def _release(self, connection: _Connection, reusable: bool) -> None:
+        self.in_flight -= 1
         if reusable and not self._closed:
             self._idle.append(connection)
         else:
             connection.close()
             self.open_connections -= 1
         self._semaphore().release()
-
-    def _discard(self, connection: _Connection) -> None:
-        """Drop a broken connection; the capacity slot is NOT touched here —
-        every caller releases (or re-acquires) the semaphore itself."""
-        connection.close()
-        self.open_connections -= 1
 
     async def warm(self, count: int, concurrency: int = 64) -> int:
         """Pre-open ``count`` keep-alive connections and park them idle.
@@ -247,48 +232,44 @@ class AsyncRemoteGraphService:
     # ------------------------------------------------------------------ #
     # transport
     # ------------------------------------------------------------------ #
-    async def _request(self, method: str, path: str,
-                       body: dict | None = None) -> tuple[int, dict]:
-        payload = json.dumps(body).encode("utf-8") if body is not None else None
+    async def _exchange(self, method: str, path: str,
+                        body: bytes | None = None) -> tuple[int, bytes]:
+        """One bytes-level request/response over a pooled connection."""
         host_header = f"{self.host}:{self.port}"
         for attempt in (0, 1):
             connection = await self._acquire()
-            # counted only while a connection is held: waiters queued on the
-            # pool semaphore are not "in flight" (peak stays <= pool size)
-            self.in_flight += 1
-            self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
             try:
-                status, response, reusable = await asyncio.wait_for(
-                    connection.request(method, path, host_header, payload),
+                status, data, reusable = await asyncio.wait_for(
+                    connection.request(method, path, host_header, body),
                     timeout=self.timeout,
                 )
             except asyncio.TimeoutError:
                 # the server may still be executing the request: retrying
                 # would run the query twice, so timeouts always propagate
-                self._discard(connection)
-                self._semaphore().release()
+                self._release(connection, reusable=False)
                 raise TimeoutError(f"{method} {path} timed out") from None
             except (ConnectionError, asyncio.IncompleteReadError, OSError):
                 # stale keep-alive connection (server closed it between
                 # requests, before processing anything): retry once
-                self._discard(connection)
-                self._semaphore().release()
+                self._release(connection, reusable=False)
                 self.reconnects += 1
                 if attempt:
                     raise
             except BaseException:
                 # anything else (malformed response, cancellation): the
                 # connection state is unknown — drop it, free the slot
-                self._discard(connection)
-                self._semaphore().release()
+                self._release(connection, reusable=False)
                 raise
             else:
                 self.requests_sent += 1
                 self._release(connection, reusable)
-                return status, response
-            finally:
-                self.in_flight -= 1
+                return status, data
         raise ServerError("unreachable")  # pragma: no cover
+
+    async def _request(self, method: str, path: str,
+                       body: dict | None = None) -> tuple[int, dict]:
+        status, data = await self._exchange(method, path, core.encode_body(body))
+        return status, core.decode_body(data)
 
     async def request(self, method: str, path: str,
                       body: dict | None = None) -> tuple[int, dict]:
@@ -301,13 +282,15 @@ class AsyncRemoteGraphService:
         """
         return await self._request(method, path, body)
 
+    async def _ok(self, method: str, path: str, body: dict | None = None) -> dict:
+        return core.expect_ok(path, *await self._request(method, path, body))
+
     # ------------------------------------------------------------------ #
     # protocol negotiation
     # ------------------------------------------------------------------ #
     async def negotiate(self) -> int:
         """Pick the highest protocol version both sides speak (404 = v1)."""
-        status, payload = await self._request("GET", "/protocol")
-        return negotiated_version_from(status, payload)
+        return core.negotiated_version_from(*await self._request("GET", "/protocol"))
 
     async def _protocol_version(self) -> int:
         if self._version is None:
@@ -323,47 +306,22 @@ class AsyncRemoteGraphService:
     # ------------------------------------------------------------------ #
     # GraphService surface (await-shaped)
     # ------------------------------------------------------------------ #
-    def _sampled(self) -> bool:
-        rate = self.trace_sample_rate
-        if rate <= 0.0:
-            return False
-        return rate >= 1.0 or self._sample_rng.random() < rate
-
     async def send(self, query,
                    query_type: QueryType | str = QueryType.SUBGRAPH) -> tuple[int, dict]:
         """POST one query; returns the raw ``(http_status, payload)``.
 
-        Client-side sampling mirrors the sync backend: a sampled query
-        originates a trace (``client.request`` root span in the local
-        recorder) whose context rides the v2 envelope.
+        A sampled query originates a trace around the exchange (see
+        :meth:`ClientCore._client_span`), exactly as in the sync backend.
         """
         request = as_request(query, query_type)
         version = await self._protocol_version()
-        context = None
-        if request.trace is None and version >= 2 and self._sampled():
-            context = TraceContext(trace_id=new_trace_id(), span_id=new_span_id())
-            request.trace = context
-        started_wall = time.time()
-        started = time.perf_counter()
-        try:
+        with self._client_span(request, version):
             return await self._request("POST", "/query", request.to_wire(version))
-        finally:
-            if context is not None:
-                get_recorder().record(Span(
-                    trace_id=context.trace_id, span_id=context.span_id,
-                    name="client.request", start=started_wall,
-                    duration_seconds=time.perf_counter() - started,
-                    attributes={"request_id": request.request_id},
-                ))
 
     async def run(self, query,
                   query_type: QueryType | str = QueryType.SUBGRAPH) -> QueryResponse:
         """Execute one query, raising the typed error on any failure."""
-        status, payload = await self.send(query, query_type)
-        outcome = parse_response(payload, http_status=status)
-        if isinstance(outcome, ErrorEnvelope):
-            raise outcome.to_exception()
-        return outcome
+        return core.response_from(*await self.send(query, query_type))
 
     async def run_batch(self, queries, concurrency: int | None = None) -> BatchResult:
         """Execute queries concurrently over the pool; per-item outcomes."""
@@ -395,95 +353,35 @@ class AsyncRemoteGraphService:
         connection is checked out of the pool for the whole stream and
         dropped (never re-parked) afterwards.
         """
-        version = await self._protocol_version()
-        if version < 2:
-            raise ProtocolError(
-                "streamed batch submission needs protocol v2; "
-                "the server only speaks v1"
-            )
-        requests = []
-        for query in queries:
-            request = as_request(query)
-            if deadline_seconds is not None and request.deadline_seconds is None:
-                request.deadline_seconds = deadline_seconds
-            if priority is not None and not request.priority:
-                request.priority = priority
-            requests.append(request)
-        body = json.dumps({
-            "version": version,
-            "queries": [request.to_wire(version) for request in requests],
-        }).encode("utf-8")
+        body = core.batch_body(queries, await self._protocol_version(),
+                               deadline_seconds, priority)
         connection = await self._acquire()
-        self.in_flight += 1
-        self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
         try:
-            head = (
-                f"POST /batch HTTP/1.1\r\nHost: {self.host}:{self.port}\r\n"
-                f"Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n\r\n"
-            ).encode("ascii")
-            connection.writer.write(head + body)
-            await connection.writer.drain()
-            status_line = await asyncio.wait_for(
-                connection.reader.readline(), timeout=self.timeout)
-            parts = status_line.split(None, 2)
-            if len(parts) < 2 or not parts[0].startswith(b"HTTP/"):
-                raise ProtocolError(f"malformed HTTP status line: {status_line!r}")
-            status = int(parts[1])
-            headers: dict[str, str] = {}
-            while True:
-                line = await asyncio.wait_for(
-                    connection.reader.readline(), timeout=self.timeout)
-                if line in (b"\r\n", b"\n"):
-                    break
-                if not line:
-                    raise ConnectionError("connection closed mid-headers")
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
+            status, headers = await asyncio.wait_for(
+                connection.begin("POST", "/batch", f"{self.host}:{self.port}", body),
+                timeout=self.timeout)
             if status != 200:
-                length = int(headers.get("content-length", "0"))
-                data = (await connection.reader.readexactly(length)
-                        if length else b"")
-                payload = json.loads(data) if data else {}
-                outcome = parse_response(payload, http_status=status)
-                if isinstance(outcome, ErrorEnvelope):
-                    raise outcome.to_exception()
-                raise ServerError(f"/batch replied {status}: {payload}")
+                core.raise_batch_refusal(status, await connection.body(headers))
             self.requests_sent += 1
             while True:
                 line = await asyncio.wait_for(
                     connection.reader.readline(), timeout=self.timeout)
                 if not line:  # EOF: server closed — the batch is complete
                     break
-                line = line.strip()
-                if not line:
-                    continue
-                payload = json.loads(line)
-                index = payload.pop("index", None)
-                if not isinstance(index, int):
-                    raise ProtocolError(
-                        f"batch result line without an index: {payload!r}")
-                yield index, parse_response(payload)
+                pair = core.batch_line(line)
+                if pair is not None:
+                    yield pair
         finally:
-            self.in_flight -= 1
-            self._discard(connection)  # close-framed: never reuse
-            self._semaphore().release()
+            self._release(connection, reusable=False)  # close-framed: never reuse
 
     async def run_batch_streamed(self, queries,
                                  deadline_seconds: float | None = None,
                                  priority: int | None = None) -> BatchResult:
         """:meth:`stream_batch`, gathered back into submission order."""
         queries = list(queries)
-        items: list = [None] * len(queries)
-        async for index, outcome in self.stream_batch(
-                queries, deadline_seconds=deadline_seconds, priority=priority):
-            if 0 <= index < len(items):
-                items[index] = outcome
-        for index, item in enumerate(items):
-            if item is None:  # the server never answered this index
-                items[index] = ErrorEnvelope.from_exception(
-                    ServerError(f"no batch result line for index {index}"))
-        return BatchResult(items=items)
+        return core.gather_batch(len(queries), [
+            pair async for pair in self.stream_batch(
+                queries, deadline_seconds=deadline_seconds, priority=priority)])
 
     async def metrics(self) -> MetricsSnapshot:
         return MetricsSnapshot.from_wire(await self._ok("GET", "/metrics"))
@@ -497,17 +395,12 @@ class AsyncRemoteGraphService:
     async def debug_traces(self, trace_id: str | None = None,
                            sort: str = "recent", count: int = 10) -> dict:
         """Fetch span trees from ``GET /debug/traces``."""
-        if trace_id is not None:
-            path = f"/debug/traces?trace_id={trace_id}"
-        else:
-            path = f"/debug/traces?sort={sort}&count={int(count)}"
-        return await self._ok("GET", path)
+        return await self._ok("GET", core.debug_traces_path(trace_id, sort, count))
 
-    async def _ok(self, method: str, path: str, body: dict | None = None) -> dict:
-        status, payload = await self._request(method, path, body)
-        if status != 200:
-            raise ServerError(f"{path} replied {status}: {payload}")
-        return payload
+    async def metrics_text(self) -> str:
+        """The Prometheus-style text exposition (``/metrics?format=text``)."""
+        path = core.METRICS_TEXT_PATH
+        return core.text_from(path, *await self._exchange("GET", path))
 
     # ------------------------------------------------------------------ #
     # server-side trace recording
@@ -515,10 +408,10 @@ class AsyncRemoteGraphService:
     async def start_recording(self, name: str | None = None,
                               path: str | None = None) -> dict:
         return await self._ok("POST", "/record/start",
-                              recording_start_body(name, path))
+                              core.recording_start_body(name, path))
 
     async def stop_recording(self) -> Workload:
-        return trace_from_stop_payload(await self._ok("POST", "/record/stop", {}))
+        return core.trace_from_stop_payload(await self._ok("POST", "/record/stop", {}))
 
 
 # ---------------------------------------------------------------------- #
@@ -547,10 +440,7 @@ async def replay_trace_async(
     every request exactly as in the sync replay (same deterministic
     priority assignment).
     """
-    if target_qps is not None and target_qps <= 0:
-        raise WorkloadError("target_qps must be positive (or None for closed-loop)")
-    queries = with_serving_fields(list(trace), deadline_seconds=deadline_seconds,
-                                  priority_mix=priority_mix)
+    queries = replay_queries(trace, target_qps, deadline_seconds, priority_mix)
     limit = service.max_connections if concurrency is None else concurrency
     if limit < 1:
         raise WorkloadError("concurrency must be at least 1")
@@ -567,30 +457,12 @@ async def replay_trace_async(
                 await asyncio.sleep(delay)
         async with gate:
             sent = time.perf_counter()
-            priority = getattr(queries[index], "priority", None)
             try:
-                status, payload = await service.send(queries[index])
-            except Exception as exc:  # transport failure, not a server verdict
-                events[index] = ReplayEvent(
-                    index=index, status=-1,
-                    latency_seconds=time.perf_counter() - sent,
-                    error=f"{type(exc).__name__}: {exc}",
-                    priority=priority,
-                )
-                return
-            latency = time.perf_counter() - sent
-            body = wire_result(payload) if status == 200 else {}
-            server_meta = body.get("server", {})
-            events[index] = ReplayEvent(
-                index=index,
-                status=status,
-                latency_seconds=latency,
-                answer=frozenset(body["answer"]) if status == 200 else None,
-                batch_size=server_meta.get("batch_size"),
-                queue_seconds=server_meta.get("queue_seconds"),
-                error=None if status == 200 else wire_error_message(payload),
-                priority=priority,
-            )
+                outcome = await service.send(queries[index])
+            except Exception as exc:
+                outcome = exc
+            events[index] = ReplayEvent.observed(
+                index, queries[index], time.perf_counter() - sent, outcome)
 
     await asyncio.gather(*(one(index) for index in range(len(queries))))
     return ReplayResult(

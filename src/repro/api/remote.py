@@ -18,82 +18,32 @@ taxonomy — a 429 raises :class:`AdmissionRejectedError` with its
 from __future__ import annotations
 
 import http.client
-import json
-import random
 import threading
-import time
-import uuid
-from urllib.parse import urlencode
+from typing import TYPE_CHECKING
 
+from repro.api import core
+from repro.api.core import (  # noqa: F401 - the wire helpers' long-standing import path
+    ClientCore,
+    negotiated_version_from,
+    recording_start_body,
+    trace_from_stop_payload,
+    validate_pinned_version,
+)
 from repro.api.envelopes import (
     BatchResult,
     ErrorEnvelope,
     MetricsSnapshot,
     QueryResponse,
-    SUPPORTED_VERSIONS,
     as_request,
-    negotiate_version,
-    parse_response,
 )
-from repro.errors import ProtocolError, ServerError
-from repro.obs.recorder import get_recorder
-from repro.obs.trace import Span, TraceContext, new_span_id, new_trace_id
+from repro.errors import ServerError
 from repro.query_model import QueryType
-
-from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - runtime import is lazy (replay.py imports us)
     from repro.workload.workload import Workload
 
 
-# ---------------------------------------------------------------------- #
-# wire logic shared by the sync and async transports — one definition, so
-# a protocol change cannot silently skew one backend against the other
-# ---------------------------------------------------------------------- #
-def validate_pinned_version(protocol_version: int | None) -> None:
-    """Reject pinning a wire version this library cannot speak."""
-    if protocol_version is not None and protocol_version not in SUPPORTED_VERSIONS:
-        raise ProtocolError(
-            f"cannot pin unsupported protocol version {protocol_version!r}; "
-            f"supported: {', '.join(str(v) for v in SUPPORTED_VERSIONS)}"
-        )
-
-
-def negotiated_version_from(status: int, payload: dict) -> int:
-    """Interpret a ``GET /protocol`` reply (404 = pre-envelope v1-only)."""
-    if status == 404:
-        return 1
-    if status != 200:
-        raise ServerError(f"/protocol replied {status}: {payload}")
-    versions = payload.get("versions")
-    if not isinstance(versions, list) or not versions:
-        raise ProtocolError(f"malformed /protocol payload: {payload!r}")
-    return negotiate_version(versions)
-
-
-def recording_start_body(name: str | None, path: str | None) -> dict:
-    """The ``POST /record/start`` request body."""
-    body: dict = {}
-    if name is not None:
-        body["name"] = name
-    if path is not None:
-        body["path"] = str(path)
-    return body
-
-
-def trace_from_stop_payload(payload: dict) -> "Workload":
-    """The recorded trace a ``POST /record/stop`` reply describes."""
-    from repro.workload.workload import Workload
-
-    if payload.get("trace") is not None:
-        return Workload.from_dict(payload["trace"])
-    path = payload.get("path")
-    if path is None:
-        raise ServerError(f"malformed /record/stop payload: {payload!r}")
-    return Workload.load(path)
-
-
-class RemoteGraphService:
+class RemoteGraphService(ClientCore):
     """Sync HTTP :class:`GraphService` backend (keep-alive per thread)."""
 
     backend = "remote-sync"
@@ -106,27 +56,17 @@ class RemoteGraphService:
         protocol_version: int | None = None,
         trace_sample_rate: float = 0.0,
     ) -> None:
-        validate_pinned_version(protocol_version)
-        if not (0.0 <= trace_sample_rate <= 1.0):
-            raise ProtocolError("trace_sample_rate must be between 0 and 1")
+        super().__init__(protocol_version, trace_sample_rate)
         self.host = host
         self.port = port
         self.timeout = timeout
-        #: Fraction of queries this client originates a trace for (v2 wire
-        #: only — a v1 server never sees the context).  The sampled trace
-        #: ids come back on the response, so callers can correlate with the
-        #: server's ``/debug/traces``.
-        self.trace_sample_rate = trace_sample_rate
-        # dedicated RNG: sampling must not perturb seeded workload streams
-        self._sample_rng = random.Random(uuid.uuid4().int)
         self._local = threading.local()
-        self._version = protocol_version
         self._version_lock = threading.Lock()
 
     @classmethod
-    def for_server(cls, server, timeout: float = 60.0, **kwargs) -> "RemoteGraphService":
+    def for_server(cls, server, **kwargs) -> "RemoteGraphService":
         """Client bound to an in-process :class:`QueryServer`."""
-        return cls(server.host, server.port, timeout=timeout, **kwargs)
+        return cls(server.host, server.port, **kwargs)
 
     # ------------------------------------------------------------------ #
     # transport
@@ -140,16 +80,16 @@ class RemoteGraphService:
             self._local.connection = connection
         return connection
 
-    def _request(self, method: str, path: str, body: dict | None = None) -> tuple[int, dict]:
-        payload = json.dumps(body).encode("utf-8") if body is not None else None
-        headers = {"Content-Type": "application/json"} if payload else {}
+    def _exchange(self, method: str, path: str,
+                  body: bytes | None = None) -> tuple[int, bytes]:
+        """One bytes-level request/response over this thread's connection."""
+        headers = {"Content-Type": "application/json"} if body else {}
         for attempt in (0, 1):
             connection = self._connection()
             try:
-                connection.request(method, path, body=payload, headers=headers)
+                connection.request(method, path, body=body, headers=headers)
                 response = connection.getresponse()
-                data = response.read()
-                return response.status, json.loads(data) if data else {}
+                return response.status, response.read()
             except TimeoutError:
                 # the server may still be executing the request: retrying a
                 # POST would run the query twice (double-counted statistics),
@@ -163,6 +103,13 @@ class RemoteGraphService:
                 if attempt:
                     raise
         raise ServerError("unreachable")  # pragma: no cover - loop always returns
+
+    def _request(self, method: str, path: str, body: dict | None = None) -> tuple[int, dict]:
+        status, data = self._exchange(method, path, core.encode_body(body))
+        return status, core.decode_body(data)
+
+    def _ok(self, method: str, path: str, body: dict | None = None) -> dict:
+        return core.expect_ok(path, *self._request(method, path, body))
 
     def close(self) -> None:
         """Drop this thread's connection (others close on their own threads)."""
@@ -195,52 +142,25 @@ class RemoteGraphService:
         A server without a ``/protocol`` endpoint (pre-envelope builds)
         answers 404 and is treated as v1-only.
         """
-        status, payload = self._request("GET", "/protocol")
-        return negotiated_version_from(status, payload)
+        return negotiated_version_from(*self._request("GET", "/protocol"))
 
     # ------------------------------------------------------------------ #
     # GraphService surface
     # ------------------------------------------------------------------ #
-    def _sampled(self) -> bool:
-        rate = self.trace_sample_rate
-        if rate <= 0.0:
-            return False
-        return rate >= 1.0 or self._sample_rng.random() < rate
-
     def send(self, query, query_type: QueryType | str = QueryType.SUBGRAPH) -> tuple[int, dict]:
         """POST one query; returns the raw ``(http_status, payload)``.
 
-        When client-side sampling fires (and the query doesn't already carry
-        a context) a fresh trace is originated: a ``client.request`` root
-        span lands in the local span recorder and the context rides the v2
-        envelope so the server parents its own spans under it.
+        A sampled query originates a trace around the exchange (see
+        :meth:`ClientCore._client_span`).
         """
         request = as_request(query, query_type)
         version = self.protocol_version
-        context = None
-        if request.trace is None and version >= 2 and self._sampled():
-            context = TraceContext(trace_id=new_trace_id(), span_id=new_span_id())
-            request.trace = context
-        started_wall = time.time()
-        started = time.perf_counter()
-        try:
+        with self._client_span(request, version):
             return self._request("POST", "/query", request.to_wire(version))
-        finally:
-            if context is not None:
-                get_recorder().record(Span(
-                    trace_id=context.trace_id, span_id=context.span_id,
-                    name="client.request", start=started_wall,
-                    duration_seconds=time.perf_counter() - started,
-                    attributes={"request_id": request.request_id},
-                ))
 
     def run(self, query, query_type: QueryType | str = QueryType.SUBGRAPH) -> QueryResponse:
         """Execute one query, raising the typed error on any failure."""
-        status, payload = self.send(query, query_type)
-        outcome = parse_response(payload, http_status=status)
-        if isinstance(outcome, ErrorEnvelope):
-            raise outcome.to_exception()
-        return outcome
+        return core.response_from(*self.send(query, query_type))
 
     def run_batch(self, queries) -> BatchResult:
         """Execute queries sequentially over the keep-alive connection."""
@@ -266,24 +186,8 @@ class RemoteGraphService:
         own.  Uses a dedicated connection (the response is framed by
         connection close, so the thread-local keep-alive one stays usable).
         """
-        version = self.protocol_version
-        if version < 2:
-            raise ProtocolError(
-                "streamed batch submission needs protocol v2; "
-                "the server only speaks v1"
-            )
-        requests = []
-        for query in queries:
-            request = as_request(query)
-            if deadline_seconds is not None and request.deadline_seconds is None:
-                request.deadline_seconds = deadline_seconds
-            if priority is not None and not request.priority:
-                request.priority = priority
-            requests.append(request)
-        body = json.dumps({
-            "version": version,
-            "queries": [request.to_wire(version) for request in requests],
-        }).encode("utf-8")
+        body = core.batch_body(queries, self.protocol_version,
+                               deadline_seconds, priority)
         connection = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout
         )
@@ -292,25 +196,12 @@ class RemoteGraphService:
                                headers={"Content-Type": "application/json"})
             response = connection.getresponse()
             if response.status != 200:
-                data = response.read()
-                payload = json.loads(data) if data else {}
-                outcome = parse_response(payload, http_status=response.status)
-                if isinstance(outcome, ErrorEnvelope):
-                    raise outcome.to_exception()
-                raise ServerError(f"/batch replied {response.status}: {payload}")
-            while True:
-                line = response.readline()
-                if not line:  # EOF: the server closed — the batch is complete
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                payload = json.loads(line)
-                index = payload.pop("index", None)
-                if not isinstance(index, int):
-                    raise ProtocolError(f"batch result line without an index: "
-                                        f"{payload!r}")
-                yield index, parse_response(payload)
+                core.raise_batch_refusal(response.status, response.read())
+            # EOF: the server closed — the batch is complete
+            for line in iter(response.readline, b""):
+                pair = core.batch_line(line)
+                if pair is not None:
+                    yield pair
         finally:
             connection.close()
 
@@ -318,16 +209,8 @@ class RemoteGraphService:
                            priority: int | None = None) -> BatchResult:
         """:meth:`stream_batch`, gathered back into submission order."""
         queries = list(queries)
-        items: list = [None] * len(queries)
-        for index, outcome in self.stream_batch(
-                queries, deadline_seconds=deadline_seconds, priority=priority):
-            if 0 <= index < len(items):
-                items[index] = outcome
-        for index, item in enumerate(items):
-            if item is None:  # the server never answered this index
-                items[index] = ErrorEnvelope.from_exception(
-                    ServerError(f"no batch result line for index {index}"))
-        return BatchResult(items=items)
+        return core.gather_batch(len(queries), self.stream_batch(
+            queries, deadline_seconds=deadline_seconds, priority=priority))
 
     def metrics(self) -> MetricsSnapshot:
         return MetricsSnapshot.from_wire(self._ok("GET", "/metrics"))
@@ -341,27 +224,12 @@ class RemoteGraphService:
     def debug_traces(self, trace_id: str | None = None, sort: str = "recent",
                      count: int = 10) -> dict:
         """Fetch span trees from ``GET /debug/traces``."""
-        if trace_id is not None:
-            query = urlencode({"trace_id": trace_id})
-        else:
-            query = urlencode({"sort": sort, "count": count})
-        return self._ok("GET", f"/debug/traces?{query}")
+        return self._ok("GET", core.debug_traces_path(trace_id, sort, count))
 
     def metrics_text(self) -> str:
         """The Prometheus-style text exposition (``/metrics?format=text``)."""
-        connection = self._connection()
-        connection.request("GET", "/metrics?format=text")
-        response = connection.getresponse()
-        data = response.read()
-        if response.status != 200:
-            raise ServerError(f"/metrics?format=text replied {response.status}")
-        return data.decode("utf-8")
-
-    def _ok(self, method: str, path: str, body: dict | None = None) -> dict:
-        status, payload = self._request(method, path, body)
-        if status != 200:
-            raise ServerError(f"{path} replied {status}: {payload}")
-        return payload
+        path = core.METRICS_TEXT_PATH
+        return core.text_from(path, *self._exchange("GET", path))
 
     # ------------------------------------------------------------------ #
     # server-side trace recording

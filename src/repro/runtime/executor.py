@@ -110,28 +110,4 @@ class QueryExecutor:
         return Query(graph=query, query_type=QueryType.parse(query_type or QueryType.SUBGRAPH))
 
     def _record(self, report: QueryReport) -> None:
-        record = QueryRecord(
-            query_id=report.query.query_id,
-            query_type=report.query.query_type,
-            num_vertices=report.query.num_vertices,
-            num_edges=report.query.num_edges,
-            exact_hit=report.exact_hit_entry is not None,
-            sub_hits=len(report.sub_hit_entries),
-            super_hits=len(report.super_hit_entries),
-            cache_population=report.cache_population,
-            method_candidates=len(report.method_candidates),
-            guaranteed_answers=len(report.guaranteed_answers),
-            guaranteed_non_answers=len(report.guaranteed_non_answers),
-            verified_candidates=len(report.verified_candidates),
-            answer_size=len(report.answer),
-            dataset_tests=report.dataset_tests,
-            probe_tests=report.probe_tests,
-            filter_seconds=report.filter_seconds,
-            probe_seconds=report.probe_seconds,
-            verify_seconds=report.verify_seconds,
-            total_seconds=report.total_seconds,
-            baseline_tests=report.baseline_tests,
-            baseline_seconds=report.baseline_seconds,
-            stage_seconds=dict(report.stage_seconds),
-        )
-        self.statistics.record(record)
+        self.statistics.record(QueryRecord.from_report(report))

@@ -1,10 +1,12 @@
 """QueryServer: an embedded HTTP serving boundary over a GraphCacheSystem.
 
-Stdlib only (``http.server`` + ``threading``).  The server owns one shared
-:class:`GraphCacheSystem` — thread-safe cache, staged pipeline, optional
-async maintenance worker — and fronts it with a :class:`RequestBatcher`
-(bounded admission queue + batch coalescing).  It speaks the versioned
-envelope protocol of :mod:`repro.api.envelopes` natively: v2 requests get v2
+Stdlib only.  The server owns one shared :class:`GraphCacheSystem` —
+thread-safe cache, staged pipeline, optional async maintenance worker — and
+fronts it with a :class:`RequestBatcher` (bounded admission queue + batch
+coalescing).  It is a :class:`~repro.server.adapter.RoutedApp`: a route
+table of endpoints that return ``(status, body)`` and never see a socket;
+:class:`~repro.server.adapter.HTTPAdapter` is the transport.  It speaks the
+versioned envelope protocol of :mod:`repro.api.envelopes`: v2 requests get v2
 responses, legacy v1 payloads are auto-upgraded on the way in and answered
 in v1 shapes, and every error is classified through the
 :mod:`repro.api.taxonomy` table (stable ``code`` + HTTP status — never
@@ -40,7 +42,6 @@ server pointed at the same snapshot path starts *warm*.
 
 from __future__ import annotations
 
-import json
 import random
 import threading
 import time
@@ -48,9 +49,7 @@ import uuid
 from concurrent.futures import FIRST_COMPLETED
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures import wait as futures_wait
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from urllib.parse import parse_qs, urlsplit
 
 from repro import __version__
 from repro.api.envelopes import (
@@ -59,6 +58,7 @@ from repro.api.envelopes import (
     PROTOCOL_VERSION,
     SUPPORTED_VERSIONS,
     parse_request,
+    wire_version,
 )
 from repro.api.recording import TraceRecorder
 from repro.cache.statistics import json_safe
@@ -77,25 +77,14 @@ from repro.obs.metrics import COUNTER, GAUGE, MetricsRegistry, Sample
 from repro.obs.recorder import configure_recorder
 from repro.obs.trace import Span, TraceContext, new_span_id, new_trace_id, wall_at
 from repro.runtime.config import GCConfig
+from repro.server.adapter import HTTPAdapter, Reply, RoutedApp
 from repro.server.batcher import RequestBatcher
 from repro.sharding import make_system
 
 logger = get_logger("server")
 
 
-class _HTTPServer(ThreadingHTTPServer):
-    """The transport: one thread per connection, sized for thousands.
-
-    The async client opens connections in bursts, so the listen backlog must
-    be far deeper than :mod:`socketserver`'s default of 5 or a warm-up wave
-    gets connection-refused before a single request is sent.
-    """
-
-    daemon_threads = True
-    request_queue_size = 1024
-
-
-class QueryServer:
+class QueryServer(RoutedApp):
     """Embedded graph-query server: batching, backpressure, live metrics.
 
     With ``config.num_shards > 1`` the server fronts a
@@ -110,6 +99,23 @@ class QueryServer:
     zero-argument factory (each shard builds its own Method M over its
     partition); a built instance only fits one shard.
     """
+
+    server_version = f"GraphCacheServer/{__version__}"
+
+    routes = {
+        ("POST", "/query"): lambda self, params, payload: self.serve_query(payload),
+        ("POST", "/batch"): lambda self, params, payload: self._serve_batch(payload),
+        ("POST", "/record/start"): lambda self, params, payload: self.record_start(
+            payload if isinstance(payload, dict) else {}),
+        ("POST", "/record/stop"): lambda self, params, payload: self.record_stop(),
+        ("GET", "/metrics"): lambda self, params, payload: (
+            200, self.metrics_text() if params.get("format", [""])[0] == "text"
+            else self.metrics()),
+        ("GET", "/stats"): lambda self, params, payload: (200, self.stats()),
+        ("GET", "/health"): lambda self, params, payload: (200, self.health()),
+        ("GET", "/protocol"): lambda self, params, payload: (200, self.protocol()),
+        ("GET", "/debug/traces"): lambda self, params, payload: self.debug_traces(params),
+    }
 
     def __init__(
         self,
@@ -130,7 +136,7 @@ class QueryServer:
         try:
             # bind before spawning the batcher thread or touching the
             # snapshot: a failed bind (port in use) must not leak either
-            self._httpd = _HTTPServer((host, port), _make_handler(self))
+            self._httpd = HTTPAdapter((host, port), self)
         except OSError:
             self.system.close()
             raise
@@ -226,8 +232,10 @@ class QueryServer:
         self.batcher.close(drain=drain)
         if self.snapshot_path is not None:
             self.system.save_snapshot(self.snapshot_path)
-        self._httpd.shutdown()
         if self._thread is not None:
+            # shutdown() waits for a running serve loop: never started, it
+            # would wait forever
+            self._httpd.shutdown()
             self._thread.join()
         self._httpd.server_close()
         self.system.close()
@@ -327,29 +335,51 @@ class QueryServer:
     def serve_query(self, payload: dict) -> tuple[int, dict]:
         """Admit, batch and execute one query payload (v1 or v2 envelope)."""
         started = time.perf_counter()
+        admitted, refusal = self._admit(payload, in_batch=False)
+        if admitted is None:
+            return refusal
+        future, request, version, scope = admitted
+        wait = self.request_timeout_seconds
+        if request.deadline_seconds is not None:
+            # don't hold the connection past the caller's own budget
+            wait = min(wait, request.deadline_seconds)
+        return self._outcome(future, request, version, scope, started, wait)
+
+    def _admit(self, payload: object, in_batch: bool):
+        """Parse, record and submit one request envelope.
+
+        Returns ``((future, request, version, trace scope), None)`` once the
+        batcher accepted the request, or ``(None, (status, wire))`` when it
+        was refused before admission.  A payload that cannot be parsed is
+        answered in the version it *declares* (``"version" >= 2`` clearly
+        speaks envelopes); an undeclared one gets v1 strings on ``/query``
+        and v2 envelopes inside a ``/batch`` (itself a v2-only endpoint).
+        Batch items carry no ``server.request`` span of their own.
+        """
         try:
             request, version = parse_request(payload)
         except ProtocolError as exc:
-            # a payload that *declares* version >= 2 gets a v2-shaped error
-            # (it clearly speaks envelopes); anything else — bare legacy
-            # payloads and explicit "version": 1 alike — gets v1 strings
-            declared = payload.get("version", 1) if isinstance(payload, dict) else 1
-            spoke_v2 = (isinstance(declared, int)
-                        and not isinstance(declared, bool) and declared >= 2)
             self._request_outcomes["protocol-error"].inc()
-            return self._error(exc, PROTOCOL_VERSION if spoke_v2 else 1)
+            return None, self._error(
+                exc, PROTOCOL_VERSION if in_batch else wire_version(payload))
         self.recorder.record(request)
-        scope = self._begin_request_trace(request)
+        scope = None if in_batch else self._begin_request_trace(request)
         try:
             future = self.batcher.submit(request)
         except Exception as exc:  # admission rejected / draining
             self._request_outcomes["rejected"].inc()
             self._finish_request_trace(scope, outcome="rejected")
-            return self._error(exc, version, request.request_id)
-        wait = self.request_timeout_seconds
-        if request.deadline_seconds is not None:
-            # don't hold the connection past the caller's own budget
-            wait = min(wait, request.deadline_seconds)
+            return None, self._error(exc, version, request.request_id)
+        return (future, request, version, scope), None
+
+    def _outcome(self, future, request, version: int, scope: dict | None,
+                 started: float, wait: float | None) -> tuple[int, dict]:
+        """Wait up to ``wait`` seconds for one admitted request; account it.
+
+        The one place a request's terminal outcome is decided — counters,
+        latency histograms, trace closure and the wire body — for ``/query``
+        and for every ``/batch`` line alike.
+        """
         try:
             served = future.result(timeout=wait)
         except FutureTimeoutError:
@@ -410,24 +440,11 @@ class QueryServer:
         immediate: list[dict] = []
         for index, item in enumerate(queries):
             started = time.perf_counter()
-            try:
-                request, version = parse_request(item)
-            except ProtocolError as exc:
-                self._request_outcomes["protocol-error"].inc()
-                immediate.append({"index": index,
-                                  **self._error(exc, PROTOCOL_VERSION)[1]})
-                continue
-            self.recorder.record(request)
-            try:
-                future = self.batcher.submit(request)
-            except Exception as exc:  # admission rejected / draining
-                self._request_outcomes["rejected"].inc()
-                immediate.append({
-                    "index": index,
-                    **self._error(exc, version, request.request_id)[1],
-                })
-                continue
-            futures[future] = (index, request, version, started)
+            admitted, refusal = self._admit(item, in_batch=True)
+            if admitted is None:
+                immediate.append({"index": index, **refusal[1]})
+            else:
+                futures[admitted[0]] = (index, admitted, started)
         yield from immediate
         limit = time.monotonic() + self.request_timeout_seconds
         pending = set(futures)
@@ -437,46 +454,27 @@ class QueryServer:
                 break
             done, pending = futures_wait(pending, timeout=remaining,
                                          return_when=FIRST_COMPLETED)
-            if not done:
-                break
             for future in done:
-                index, request, version, started = futures[future]
+                index, admitted, started = futures[future]
                 yield {"index": index,
-                       **self._batch_outcome(future, request, version, started)}
+                       **self._outcome(*admitted, started, wait=None)[1]}
         for future in pending:  # request timeout: shed the zombie work
-            index, request, version, _ = futures[future]
-            self.batcher.abandon(future, request_id=request.request_id)
-            self._request_outcomes["timeout"].inc()
-            envelope = ErrorEnvelope.timeout(
-                "query timed out in the serving pipeline",
-                request_id=request.request_id,
-            )
-            yield {"index": index, **envelope.to_wire(version)}
+            index, admitted, started = futures[future]
+            yield {"index": index,
+                   **self._outcome(*admitted, started, wait=0)[1]}
 
-    def _batch_outcome(self, future, request, version: int,
-                       started: float) -> dict:
-        """The wire body for one completed batch future."""
+    def _serve_batch(self, payload: object) -> Reply:
         try:
-            served = future.result()
-        except DeadlineExceededError as exc:  # shed in the admission queue
-            self._request_outcomes["timeout"].inc()
-            return self._error(exc, version, request.request_id)[1]
-        except Exception as exc:
-            self._request_outcomes["error"].inc()
-            logger.warning("query %s failed in the pipeline: %s: %s",
-                           request.request_id, type(exc).__name__, exc)
-            return self._error(exc, version, request.request_id)[1]
-        self._request_outcomes["ok"].inc()
-        self._request_latency.observe(time.perf_counter() - started)
-        self._queue_latency.observe(served.queue_seconds)
-        return served.to_response(request_id=request.request_id).to_wire(version)
+            return 200, self.batch_stream(payload)
+        except ProtocolError as exc:
+            return self._error(exc, PROTOCOL_VERSION)
 
     def protocol(self) -> dict:
         """The ``/protocol`` payload: wire versions this server speaks."""
         return {
             "versions": list(SUPPORTED_VERSIONS),
             "preferred": PROTOCOL_VERSION,
-            "server": f"GraphCacheServer/{__version__}",
+            "server": self.server_version,
         }
 
     # ------------------------------------------------------------------ #
@@ -631,106 +629,3 @@ class QueryServer:
                 forward()
             except Exception as exc:  # a dying worker must not fail /health
                 logger.warning("worker log drain failed: %s", exc)
-
-
-def _make_handler(server: QueryServer) -> type[BaseHTTPRequestHandler]:
-    """Build the request handler class bound to one :class:`QueryServer`."""
-
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"  # keep-alive: load generators reuse connections
-        server_version = f"GraphCacheServer/{__version__}"
-        # headers and body flush as separate small writes; without NODELAY,
-        # Nagle + delayed ACK can stall responses ~40ms even on loopback
-        disable_nagle_algorithm = True
-
-        def do_POST(self) -> None:
-            # always consume the body: keep-alive framing breaks otherwise
-            try:
-                length = int(self.headers.get("Content-Length", "0"))
-                raw = self.rfile.read(length)
-            except ValueError:
-                self._reply(400, {"error": "bad Content-Length header"})
-                return
-            try:
-                payload = json.loads(raw or b"{}")
-            except json.JSONDecodeError as exc:
-                self._reply(400, {"error": f"malformed JSON body: {exc}"})
-                return
-            if self.path == "/query":
-                status, body = server.serve_query(payload)
-            elif self.path == "/batch":
-                try:
-                    lines = server.batch_stream(payload)
-                except ProtocolError as exc:
-                    status, body = server._error(exc, PROTOCOL_VERSION)
-                    self._reply(status, body)
-                    return
-                self._reply_stream(lines)
-                return
-            elif self.path == "/record/start":
-                status, body = server.record_start(
-                    payload if isinstance(payload, dict) else {}
-                )
-            elif self.path == "/record/stop":
-                status, body = server.record_stop()
-            else:
-                status, body = 404, {"error": f"unknown path {self.path!r}"}
-            self._reply(status, body)
-
-        def do_GET(self) -> None:
-            parsed = urlsplit(self.path)
-            params = parse_qs(parsed.query)
-            if parsed.path == "/metrics":
-                if params.get("format", [""])[0] == "text":
-                    self._reply_text(200, server.metrics_text())
-                else:
-                    self._reply(200, server.metrics())
-            elif parsed.path == "/stats":
-                self._reply(200, server.stats())
-            elif parsed.path == "/health":
-                self._reply(200, server.health())
-            elif parsed.path == "/protocol":
-                self._reply(200, server.protocol())
-            elif parsed.path == "/debug/traces":
-                status, body = server.debug_traces(params)
-                self._reply(status, body)
-            else:
-                self._reply(404, {"error": f"unknown path {self.path!r}"})
-
-        def _reply(self, status: int, payload: dict) -> None:
-            body = json.dumps(payload).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def _reply_stream(self, lines) -> None:
-            """Stream NDJSON result lines as they complete (``POST /batch``).
-
-            Results arrive in completion order, so Content-Length is unknown
-            up front: the response is framed by connection close instead —
-            the one framing every HTTP/1.x client understands without
-            chunked-decoding support.
-            """
-            self.send_response(200)
-            self.send_header("Content-Type", "application/x-ndjson")
-            self.send_header("Connection", "close")
-            self.end_headers()
-            self.close_connection = True
-            for item in lines:
-                self.wfile.write(json.dumps(item).encode("utf-8") + b"\n")
-                self.wfile.flush()
-
-        def _reply_text(self, status: int, text: str) -> None:
-            body = text.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "text/plain; version=0.0.4")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, format: str, *args) -> None:  # noqa: A002
-            pass  # requests are accounted in BatcherStats, not on stderr
-
-    return Handler

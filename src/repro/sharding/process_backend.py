@@ -40,12 +40,8 @@ import threading
 from collections.abc import Callable, Sequence
 
 from repro.api.aio import AsyncRemoteGraphService
-from repro.api.envelopes import (
-    ErrorEnvelope,
-    QueryRequest,
-    parse_response,
-    wire_result,
-)
+from repro.api.core import expect_ok, response_from
+from repro.api.envelopes import QueryRequest, wire_result
 from repro.cache.statistics import QueryRecord, StatisticsManager
 from repro.errors import (
     ConfigurationError,
@@ -139,17 +135,17 @@ class ProcessShardBackend:
         self._loop_thread.start()
 
         self._handles: list[_WorkerHandle] = []
+        started: list[tuple] = []
         try:
             # start every worker first, then collect handshakes: startup
             # (imports + index build) overlaps across workers
-            started = [self._start_process(index)
-                       for index in range(len(self._dataset_payloads))]
+            for index in range(len(self._dataset_payloads)):
+                started.append(self._start_process(index))
             for index, (process, ready) in enumerate(started):
                 port, describe = self._await_ready(index, process, ready)
                 self._handles.append(self._make_handle(index, process, port, describe))
         except Exception:
-            self._teardown(started=self._handles,
-                           raw=started[len(self._handles):] if started else [])
+            self._teardown(started)
             raise
 
         self.clients = [
@@ -224,64 +220,29 @@ class ProcessShardBackend:
 
     def call(self, index: int, method: str, path: str,
              body: dict | None = None) -> tuple[int, dict]:
-        """One request to shard ``index``'s worker, with crash recovery.
+        """One request to shard ``index``'s worker, with crash recovery."""
+        return self._call_many(index, [(method, path, body)], 1)[0]
 
-        A transport failure against a *dead* worker spends respawn budget,
-        brings up a cold replacement and retries the request there (all the
-        endpoints driven through here are answer-safe to re-execute); a
-        transport failure against a live worker propagates — the async pool
-        already retried stale keep-alive connections once, and timeouts must
-        never re-run a query that may still be executing.
+    def _call_many(self, index: int, requests: list[tuple],
+                   concurrency: int) -> list[tuple[int, dict]]:
+        """``(method, path, body)`` requests to one worker, with crash recovery.
+
+        Outcomes return in submission order.  A transport failure against a
+        *dead* worker spends respawn budget, brings up a cold replacement
+        and re-issues only the failed positions there (every endpoint driven
+        through here is answer-safe to re-execute) — completed answers are
+        kept exactly once, so a crash can neither drop nor duplicate an
+        answer.  A transport failure against a live worker propagates — the
+        async pool already retried stale keep-alive connections once, and
+        timeouts must never re-run a query that may still be executing.
         """
-        attempts = 0
-        while True:
-            handle = self._handle(index)
-            try:
-                return self._submit(handle.service.request(method, path, body))
-            except TimeoutError as exc:
-                if handle.process.is_alive():
-                    raise
-                self._recover(index, handle, "worker died mid-request", cause=exc)
-            except (OSError, EOFError) as exc:
-                self._recover(index, handle, f"{type(exc).__name__}: {exc}", cause=exc)
-            attempts += 1
-            if attempts > self._respawn_limit + 1:  # pragma: no cover - safety net
-                raise ShardWorkerError(index, "worker kept failing after respawn",
-                                       self.respawns_performed)
-
-    def admin(self, index: int, path: str, body: dict | None = None) -> dict:
-        """POST an admin endpoint and insist on a 200 payload."""
-        status, payload = self.call(index, "POST", path, body or {})
-        if status != 200:
-            raise ServerError(f"shard {index} {path} replied {status}: {payload}")
-        return payload
-
-    def describe(self, index: int) -> dict:
-        """A *live* describe of shard ``index``'s worker (memory, cache)."""
-        status, payload = self.call(index, "GET", "/describe")
-        if status != 200:
-            raise ServerError(f"shard {index} /describe replied {status}: {payload}")
-        return payload
-
-    def query(self, index: int, body: dict) -> tuple[int, dict]:
-        """POST one query envelope to shard ``index``."""
-        return self.call(index, "POST", "/query", body)
-
-    def query_batch(self, index: int, bodies: list[dict],
-                    concurrency: int) -> list[tuple[int, dict]]:
-        """POST a batch concurrently; outcomes return in submission order.
-
-        On a worker crash mid-batch, only the failed positions are re-issued
-        against the respawned worker — completed answers are kept exactly
-        once, so a crash can neither drop nor duplicate an answer.
-        """
-        results: list[tuple[int, dict] | None] = [None] * len(bodies)
-        pending = list(range(len(bodies)))
+        results: list[tuple[int, dict] | None] = [None] * len(requests)
+        pending = list(range(len(requests)))
         attempts = 0
         while pending:
             handle = self._handle(index)
             outcomes = self._submit(
-                self._gather(handle.service, [bodies[i] for i in pending], concurrency)
+                self._gather(handle.service, [requests[i] for i in pending], concurrency)
             )
             failed: list[int] = []
             first_failure: BaseException | None = None
@@ -302,8 +263,8 @@ class ProcessShardBackend:
                 break
             self._recover(
                 index, handle,
-                f"worker lost {len(failed)} in-flight queries "
-                f"({type(first_failure).__name__})",
+                f"worker lost {len(failed)} in-flight request(s) "
+                f"({type(first_failure).__name__}: {first_failure})",
                 cause=first_failure,
             )
             pending = failed
@@ -314,16 +275,40 @@ class ProcessShardBackend:
         return results  # type: ignore[return-value]
 
     @staticmethod
-    async def _gather(service: AsyncRemoteGraphService, bodies: list[dict],
+    async def _gather(service: AsyncRemoteGraphService, requests: list[tuple],
                       concurrency: int):
         gate = asyncio.Semaphore(max(1, concurrency))
 
-        async def one(body: dict):
+        async def one(request: tuple):
             async with gate:
-                return await service.request("POST", "/query", body)
+                return await service.request(*request)
 
-        return await asyncio.gather(*(one(body) for body in bodies),
+        return await asyncio.gather(*(one(request) for request in requests),
                                     return_exceptions=True)
+
+    def expect(self, index: int, method: str, path: str,
+               body: dict | None = None) -> dict:
+        """:meth:`call`, insisting on a 200 payload."""
+        return expect_ok(f"shard {index} {path}",
+                         *self.call(index, method, path, body))
+
+    def admin(self, index: int, path: str, body: dict | None = None) -> dict:
+        """POST an admin endpoint and insist on a 200 payload."""
+        return self.expect(index, "POST", path, body or {})
+
+    def describe(self, index: int) -> dict:
+        """A *live* describe of shard ``index``'s worker (memory, cache)."""
+        return self.expect(index, "GET", "/describe")
+
+    def query(self, index: int, body: dict) -> tuple[int, dict]:
+        """POST one query envelope to shard ``index``."""
+        return self.call(index, "POST", "/query", body)
+
+    def query_batch(self, index: int, bodies: list[dict],
+                    concurrency: int) -> list[tuple[int, dict]]:
+        """POST a batch of query envelopes concurrently (submission order)."""
+        return self._call_many(
+            index, [("POST", "/query", body) for body in bodies], concurrency)
 
     # ------------------------------------------------------------------ #
     # crash recovery
@@ -417,20 +402,14 @@ class ProcessShardBackend:
         except Exception:  # pragma: no cover - best-effort socket teardown
             pass
 
-    def _teardown(self, started: list[_WorkerHandle], raw: list) -> None:
-        """Startup-failure cleanup: kill everything already running."""
-        for handle in started:
+    def _teardown(self, started: list[tuple]) -> None:
+        """Startup-failure cleanup: kill every spawned worker, stop the loop."""
+        for handle in self._handles:
             self._close_service(handle.service)
-            handle.process.terminate()
-        for process, ready in raw:
-            try:
-                ready.close()
-            except Exception:
-                pass
+        for process, ready in started:
+            ready.close()  # a no-op once the handshake already closed it
             process.terminate()
-        for handle in started:
-            handle.process.join(timeout=2.0)
-        for process, _ in raw:
+        for process, _ in started:
             process.join(timeout=2.0)
         self._stop_loop()
 
@@ -505,9 +484,7 @@ class ProcessShardClient:
         return request.to_wire(2)
 
     def _report_from(self, query: Query, status: int, payload: dict) -> QueryReport:
-        outcome = parse_response(payload, http_status=status)
-        if isinstance(outcome, ErrorEnvelope):
-            raise outcome.to_exception()
+        response_from(status, payload)  # a failure raises its typed error
         section = wire_result(payload).get("report")
         if not isinstance(section, dict):
             raise ProtocolError(
@@ -561,12 +538,13 @@ class ProcessShardClient:
         self._backend.admin(self.index, "/admin/reset-statistics")
 
     def save_snapshot(self, path) -> int:
-        payload = self._backend.admin(self.index, "/admin/snapshot/save",
-                                      {"path": str(path)})
-        return int(payload.get("entries", 0))
+        return self._snapshot("save", path)
 
     def restore_snapshot(self, path) -> int:
-        payload = self._backend.admin(self.index, "/admin/snapshot/restore",
+        return self._snapshot("restore", path)
+
+    def _snapshot(self, action: str, path) -> int:
+        payload = self._backend.admin(self.index, f"/admin/snapshot/{action}",
                                       {"path": str(path)})
         return int(payload.get("entries", 0))
 
@@ -577,27 +555,22 @@ class ProcessShardClient:
 
     def registry_snapshot(self) -> dict:
         """The worker's own :class:`MetricsRegistry` snapshot (for fan-in)."""
-        status, payload = self._backend.call(self.index, "GET", "/obs/registry")
-        if status != 200:
-            raise ServerError(
-                f"shard {self.index} /obs/registry replied {status}: {payload}"
-            )
-        return payload
+        return self._backend.expect(self.index, "GET", "/obs/registry")
 
     def drain_logs(self) -> dict:
         """Pop the worker's buffered warning/error log entries."""
         return self._backend.admin(self.index, "/admin/logs/drain")
 
     def cache_memory_bytes(self) -> int:
-        try:
-            return int(self.remote_describe().get("cache_memory_bytes", 0))
-        except Exception:  # metrics must not mask a serving-path failure
-            return 0
+        return self._described_bytes("cache_memory_bytes")
 
     def index_memory_bytes(self) -> int:
+        return self._described_bytes("index_memory_bytes")
+
+    def _described_bytes(self, key: str) -> int:
         try:
-            return int(self.remote_describe().get("index_memory_bytes", 0))
-        except Exception:
+            return int(self.remote_describe().get(key, 0))
+        except Exception:  # metrics must not mask a serving-path failure
             return 0
 
     def close(self) -> None:

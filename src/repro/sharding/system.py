@@ -87,6 +87,12 @@ def _observe_discarded(future) -> None:
                      type(exc).__name__, exc)
 
 
+def _as_query(query: Query | Graph, query_type: QueryType | str) -> Query:
+    if isinstance(query, Query):
+        return query
+    return Query(graph=query, query_type=QueryType.parse(query_type))
+
+
 def shard_snapshot_path(path: str | Path, shard: int) -> Path:
     """The per-shard snapshot file derived from the base snapshot path."""
     base = Path(path)
@@ -302,8 +308,7 @@ class ShardedGraphCacheSystem:
         the execution pass, consumed) so a cost-admitted query is not
         feature-extracted and seal-checked twice on the serving hot path.
         """
-        if not isinstance(query, Query):
-            query = Query(graph=query, query_type=QueryType.parse(query_type))
+        query = _as_query(query, query_type)
         cached = query.metadata.get("scatter_plan")
         if isinstance(cached, ScatterPlan):
             if record:
@@ -326,8 +331,7 @@ class ShardedGraphCacheSystem:
         is what cost-based shard-aware admission charges against per-shard
         budgets.
         """
-        if not isinstance(query, Query):
-            query = Query(graph=query, query_type=QueryType.parse(query_type))
+        query = _as_query(query, query_type)
         plan = self.plan_query(query, record=False)
         # stash for the execution pass: the same Query object flows from
         # admission into the batch, so planning happens once per query
@@ -486,9 +490,12 @@ class ShardedGraphCacheSystem:
         self, query: Query | Graph, query_type: QueryType | str = QueryType.SUBGRAPH
     ) -> QueryReport:
         """Scatter one query to every shard and merge the answers."""
-        if not isinstance(query, Query):
-            query = Query(graph=query, query_type=QueryType.parse(query_type))
-        return self._scatter_one(query, query.query_type)
+        query = _as_query(query, query_type)
+        return self._scatter(
+            [query],
+            lambda shard, queries: [self.shards[shard].run_query(
+                queries[0], query.query_type)],
+        )[0]
 
     def run_queries(
         self,
@@ -520,13 +527,21 @@ class ShardedGraphCacheSystem:
         workers = self.config.max_workers if max_workers is None else max_workers
         if workers < 1:
             raise ConfigurationError("max_workers must be at least 1")
-        query_list = [
-            query if isinstance(query, Query)
-            else Query(graph=query, query_type=QueryType.parse(query_type))
-            for query in queries
-        ]
+        query_list = [_as_query(query, query_type) for query in queries]
         if not query_list:
             return []
+        return self._scatter(
+            query_list,
+            lambda shard, queries: self.shards[shard].run_queries_concurrent(
+                queries, query_type, workers),
+        )
+
+    def _scatter(self, query_list: list[Query], run_on_shard) -> list[QueryReport]:
+        """Plan → submit → gather → merge, for one query or a whole batch.
+
+        ``run_on_shard(shard, queries)`` executes a shard's share of the
+        batch (on the scatter pool) and returns its reports in order.
+        """
         plans = [self.plan_query(query) for query in query_list]
         scopes = []
         for query, plan in zip(query_list, plans):
@@ -540,25 +555,18 @@ class ShardedGraphCacheSystem:
                 shard_positions[shard].append(position)
         futures = {
             shard: self._submit_timed(
-                self.shards[shard].run_queries_concurrent,
-                [query_list[position] for position in positions],
-                query_type,
-                workers,
-            )
+                run_on_shard, shard, [query_list[position] for position in positions])
             for shard, positions in enumerate(shard_positions)
             if positions
         }
 
         def resubmit(shard: int):
-            # the hedge re-runs the shard's whole sub-batch on cloned
-            # queries: the originals are racing on the primary attempt
+            # the hedge re-runs the shard's whole share on cloned queries:
+            # the originals are racing on the primary attempt
             return self._submit_timed(
-                self.shards[shard].run_queries_concurrent,
+                run_on_shard, shard,
                 [self._hedge_clone(query_list[position])
-                 for position in shard_positions[shard]],
-                query_type,
-                workers,
-            )
+                 for position in shard_positions[shard]])
 
         shard_reports = self._gather_hedged(
             futures, resubmit,
@@ -604,24 +612,6 @@ class ShardedGraphCacheSystem:
                 reset_remote = getattr(shard, "reset_remote_statistics", None)
                 if reset_remote is not None:
                     reset_remote()
-
-    def _scatter_one(self, query: Query, query_type: QueryType | str) -> QueryReport:
-        plan = self.plan_query(query)
-        query.metadata["scatter"] = plan.to_dict()
-        scope = self._begin_trace_scope(query)
-        futures = {
-            shard: self._submit_timed(self.shards[shard].run_query, query, query_type)
-            for shard in plan.targets
-        }
-
-        def resubmit(shard: int):
-            return self._submit_timed(
-                self.shards[shard].run_query, self._hedge_clone(query), query_type
-            )
-
-        reports = self._gather_hedged(futures, resubmit, span_scope=scope)
-        return self._merge(query, [reports[shard] for shard in plan.targets],
-                           plan=plan, trace_scope=scope)
 
     # ------------------------------------------------------------------ #
     # distributed tracing of the scatter-gather hop
@@ -763,12 +753,8 @@ class ShardedGraphCacheSystem:
             for report in shard_reports:
                 merged.spans.extend(report.spans)
             merged.spans.extend(scatter_spans)
-        self.statistics.record(self._record_from(merged))
+        self.statistics.record(QueryRecord.from_report(merged))
         return merged
-
-    @staticmethod
-    def _record_from(report: QueryReport) -> QueryRecord:
-        return QueryRecord.from_report(report)
 
     # ------------------------------------------------------------------ #
     # snapshots (fan out to per-shard files + a manifest)

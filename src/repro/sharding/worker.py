@@ -27,11 +27,9 @@ graceful shutdown.
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro import __version__
 from repro.api.envelopes import (
@@ -41,6 +39,7 @@ from repro.api.envelopes import (
     MetricsSnapshot,
     QueryResponse,
     parse_request,
+    wire_version,
 )
 from repro.cache.statistics import json_safe
 from repro.obs.collectors import recorder_samples, system_samples
@@ -52,6 +51,7 @@ from repro.query_model import Query
 from repro.runtime.config import GCConfig
 from repro.runtime.report import QueryReport
 from repro.runtime.system import GraphCacheSystem
+from repro.server.adapter import HTTPAdapter, Reply, RoutedApp
 
 logger = get_logger("sharding.worker")
 
@@ -122,15 +122,31 @@ def report_from_wire(query: Query, payload: dict) -> QueryReport:
 # ---------------------------------------------------------------------- #
 # the worker HTTP app
 # ---------------------------------------------------------------------- #
-class _WorkerHTTPServer(ThreadingHTTPServer):
-    """Loopback transport: one thread per coordinator connection."""
-
-    daemon_threads = True
-    request_queue_size = 128
-
-
-class ShardWorkerApp:
+class ShardWorkerApp(RoutedApp):
     """HTTP-agnostic request handling for one shard worker."""
+
+    server_version = f"GraphCacheShardWorker/{__version__}"
+
+    routes = {
+        ("POST", "/query"): lambda self, params, payload: self.serve_query(payload),
+        ("POST", "/admin/flush-window"): lambda self, params, payload: self.flush_window(),
+        ("POST", "/admin/reset-statistics"): lambda self, params, payload: (
+            self.reset_statistics()),
+        ("POST", "/admin/snapshot/save"): lambda self, params, payload: (
+            self.snapshot(self.system.save_snapshot, payload)),
+        ("POST", "/admin/snapshot/restore"): lambda self, params, payload: (
+            self.snapshot(self.system.restore_snapshot, payload)),
+        ("POST", "/admin/logs/drain"): lambda self, params, payload: self.drain_logs(),
+        ("POST", "/admin/shutdown"): lambda self, params, payload: self.shutdown(),
+        ("GET", "/protocol"): lambda self, params, payload: (200, self.protocol()),
+        ("GET", "/health"): lambda self, params, payload: (
+            200, {"status": "ok", "shard": self.shard_index}),
+        ("GET", "/describe"): lambda self, params, payload: (200, self.describe()),
+        ("GET", "/metrics"): lambda self, params, payload: (
+            200, MetricsSnapshot.from_system(self.system).to_wire()),
+        ("GET", "/obs/registry"): lambda self, params, payload: (
+            200, self.registry.snapshot()),
+    }
 
     def __init__(self, system: GraphCacheSystem, shard_index: int,
                  log_handler: BufferedLogHandler | None = None) -> None:
@@ -139,6 +155,9 @@ class ShardWorkerApp:
         #: The worker's buffered warning/error log, drained by the
         #: coordinator over ``POST /admin/logs/drain``.
         self.log_handler = log_handler
+        #: Stops the transport serving this app (``POST /admin/shutdown``);
+        #: whoever binds the app to a transport sets it.
+        self.stop_serving = lambda: None
         #: This worker's own telemetry registry, fanned into the
         #: coordinator's text exposition under a ``shard`` label.
         self.registry = MetricsRegistry()
@@ -169,7 +188,7 @@ class ShardWorkerApp:
         return {
             "versions": list(SUPPORTED_VERSIONS),
             "preferred": PROTOCOL_VERSION,
-            "server": f"GraphCacheShardWorker/{__version__}",
+            "server": self.server_version,
         }
 
     def serve_query(self, payload: dict) -> tuple[int, dict]:
@@ -179,7 +198,8 @@ class ShardWorkerApp:
         except Exception as exc:
             self._request_errors.inc()
             envelope = ErrorEnvelope.from_exception(exc)
-            return envelope.http_status, envelope.to_wire(PROTOCOL_VERSION)
+            # same rule as the public server: answer in the declared version
+            return envelope.http_status, envelope.to_wire(wire_version(payload))
         self._requests.inc()
         query = request.to_query()
         carrier = query.metadata.get(TRACE_KEY)
@@ -207,92 +227,33 @@ class ShardWorkerApp:
             wire["result"]["report"] = report_to_wire(report)
         return 200, wire
 
-    def admin(self, path: str, payload: dict) -> tuple[int, dict]:
-        """Shard lifecycle endpoints the coordinator drives."""
-        if path == "/admin/flush-window":
-            self.system.flush_window()
-            return 200, {"ok": True}
-        if path == "/admin/reset-statistics":
-            self.system.statistics.reset()
-            return 200, {"ok": True}
-        if path == "/admin/snapshot/save":
-            target = payload.get("path")
-            if not isinstance(target, str) or not target:
-                return 400, {"error": "'path' must be a non-empty string"}
-            return 200, {"entries": self.system.save_snapshot(target)}
-        if path == "/admin/snapshot/restore":
-            target = payload.get("path")
-            if not isinstance(target, str) or not target:
-                return 400, {"error": "'path' must be a non-empty string"}
-            return 200, {"entries": self.system.restore_snapshot(target)}
-        if path == "/admin/logs/drain":
-            if self.log_handler is None:
-                return 200, {"entries": [], "dropped": 0}
-            return 200, self.log_handler.drain()
-        return 404, {"error": f"unknown path {path!r}"}
+    # -- shard lifecycle endpoints the coordinator drives ----------------- #
+    def flush_window(self) -> Reply:
+        self.system.flush_window()
+        return 200, {"ok": True}
 
+    def reset_statistics(self) -> Reply:
+        self.system.statistics.reset()
+        return 200, {"ok": True}
 
-def _make_handler(app: ShardWorkerApp, httpd: _WorkerHTTPServer) -> type[BaseHTTPRequestHandler]:
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"  # keep-alive: the pool reuses connections
-        server_version = f"GraphCacheShardWorker/{__version__}"
-        # headers and body flush as separate small writes; without NODELAY,
-        # Nagle + delayed ACK stalls every response ~40ms even on loopback
-        disable_nagle_algorithm = True
+    @staticmethod
+    def snapshot(action, payload: object) -> Reply:
+        """Save or restore (``action``) the snapshot file the body names."""
+        target = payload.get("path") if isinstance(payload, dict) else None
+        if not isinstance(target, str) or not target:
+            return 400, {"error": "'path' must be a non-empty string"}
+        return 200, {"entries": action(target)}
 
-        def do_POST(self) -> None:
-            try:
-                length = int(self.headers.get("Content-Length", "0"))
-                raw = self.rfile.read(length)
-            except ValueError:
-                self._reply(400, {"error": "bad Content-Length header"})
-                return
-            try:
-                payload = json.loads(raw or b"{}")
-            except json.JSONDecodeError as exc:
-                self._reply(400, {"error": f"malformed JSON body: {exc}"})
-                return
-            if not isinstance(payload, dict):
-                payload = {}
-            if self.path == "/query":
-                status, body = app.serve_query(payload)
-            elif self.path == "/admin/shutdown":
-                # reply first, then stop serve_forever off-thread (shutdown
-                # from a handler thread would deadlock the serve loop)
-                status, body = 200, {"ok": True}
-                threading.Thread(target=httpd.shutdown, daemon=True).start()
-            elif self.path.startswith("/admin/"):
-                status, body = app.admin(self.path, payload)
-            else:
-                status, body = 404, {"error": f"unknown path {self.path!r}"}
-            self._reply(status, body)
+    def drain_logs(self) -> Reply:
+        if self.log_handler is None:
+            return 200, {"entries": [], "dropped": 0}
+        return 200, self.log_handler.drain()
 
-        def do_GET(self) -> None:
-            if self.path == "/protocol":
-                self._reply(200, app.protocol())
-            elif self.path == "/health":
-                self._reply(200, {"status": "ok", "shard": app.shard_index})
-            elif self.path == "/describe":
-                self._reply(200, app.describe())
-            elif self.path == "/metrics":
-                self._reply(200, MetricsSnapshot.from_system(app.system).to_wire())
-            elif self.path == "/obs/registry":
-                self._reply(200, app.registry.snapshot())
-            else:
-                self._reply(404, {"error": f"unknown path {self.path!r}"})
-
-        def _reply(self, status: int, payload: dict) -> None:
-            body = json.dumps(payload).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, format: str, *args) -> None:  # noqa: A002
-            pass  # the coordinator accounts requests; workers stay silent
-
-    return Handler
+    def shutdown(self) -> Reply:
+        # reply first, then stop the serve loop off-thread (stopping it from
+        # a handler thread would deadlock the loop waiting on that handler)
+        threading.Thread(target=self.stop_serving, daemon=True).start()
+        return 200, {"ok": True}
 
 
 def worker_main(
@@ -328,8 +289,8 @@ def worker_main(
         method = method_factory() if method_factory is not None else None
         system = GraphCacheSystem(dataset, config, method=method)
         app = ShardWorkerApp(system, shard_index, log_handler=log_handler)
-        httpd = _WorkerHTTPServer(("127.0.0.1", 0), None)
-        httpd.RequestHandlerClass = _make_handler(app, httpd)
+        httpd = HTTPAdapter(("127.0.0.1", 0), app)
+        app.stop_serving = httpd.shutdown
     except Exception as exc:
         try:
             ready.send({"error": f"{type(exc).__name__}: {exc}"})

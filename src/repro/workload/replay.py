@@ -158,6 +158,32 @@ class ReplayEvent:
     #: Priority band the replayed request carried (None when unset).
     priority: int | None = None
 
+    @classmethod
+    def observed(cls, index: int, query, latency_seconds: float,
+                 outcome) -> "ReplayEvent":
+        """The event for one ``send``: its ``(status, payload)`` or what it raised.
+
+        An exception is a transport failure, not a server verdict: status -1.
+        """
+        priority = getattr(query, "priority", None)
+        if isinstance(outcome, BaseException):
+            return cls(index=index, status=-1, latency_seconds=latency_seconds,
+                       error=f"{type(outcome).__name__}: {outcome}",
+                       priority=priority)
+        status, payload = outcome
+        body = wire_result(payload) if status == 200 else {}
+        server_meta = body.get("server", {})
+        return cls(
+            index=index,
+            status=status,
+            latency_seconds=latency_seconds,
+            answer=frozenset(body["answer"]) if status == 200 else None,
+            batch_size=server_meta.get("batch_size"),
+            queue_seconds=server_meta.get("queue_seconds"),
+            error=None if status == 200 else wire_error_message(payload),
+            priority=priority,
+        )
+
 
 @dataclass
 class ReplayResult:
@@ -241,6 +267,15 @@ class ReplayResult:
         }
 
 
+def replay_queries(trace: Workload, target_qps: float | None,
+                   deadline_seconds: float | None, priority_mix) -> list:
+    """What a replay sends: the trace's queries with serving fields stamped."""
+    if target_qps is not None and target_qps <= 0:
+        raise WorkloadError("target_qps must be positive (or None for closed-loop)")
+    return with_serving_fields(list(trace), deadline_seconds=deadline_seconds,
+                               priority_mix=priority_mix)
+
+
 def replay_trace(
     client: RemoteGraphService,
     trace: Workload,
@@ -268,12 +303,9 @@ def replay_trace(
     ``[(priority, weight), ...]`` — assigns priority bands deterministically
     (v2 envelope fields; a v1-pinned client drops them on the wire).
     """
-    if target_qps is not None and target_qps <= 0:
-        raise WorkloadError("target_qps must be positive (or None for closed-loop)")
     if num_threads < 1:
         raise WorkloadError("num_threads must be at least 1")
-    queries = with_serving_fields(list(trace), deadline_seconds=deadline_seconds,
-                                  priority_mix=priority_mix)
+    queries = replay_queries(trace, target_qps, deadline_seconds, priority_mix)
     events: list[ReplayEvent | None] = [None] * len(queries)
     cursor = iter(range(len(queries)))
     cursor_lock = threading.Lock()
@@ -292,30 +324,12 @@ def replay_trace(
                 if delay > 0:
                     time.sleep(delay)
             sent = time.perf_counter()
-            priority = getattr(queries[index], "priority", None)
             try:
-                status, payload = client.send(queries[index])
-            except Exception as exc:  # transport failure, not a server verdict
-                events[index] = ReplayEvent(
-                    index=index, status=-1,
-                    latency_seconds=time.perf_counter() - sent,
-                    error=f"{type(exc).__name__}: {exc}",
-                    priority=priority,
-                )
-                continue
-            latency = time.perf_counter() - sent
-            body = wire_result(payload) if status == 200 else {}
-            server_meta = body.get("server", {})
-            events[index] = ReplayEvent(
-                index=index,
-                status=status,
-                latency_seconds=latency,
-                answer=frozenset(body["answer"]) if status == 200 else None,
-                batch_size=server_meta.get("batch_size"),
-                queue_seconds=server_meta.get("queue_seconds"),
-                error=None if status == 200 else wire_error_message(payload),
-                priority=priority,
-            )
+                outcome = client.send(queries[index])
+            except Exception as exc:
+                outcome = exc
+            events[index] = ReplayEvent.observed(
+                index, queries[index], time.perf_counter() - sent, outcome)
 
     threads = [
         threading.Thread(target=worker, name=f"gc-loadgen-{i}", daemon=True)
