@@ -25,8 +25,13 @@ from benchmarks.harness import rows_to_report, standard_dataset
 @pytest.fixture(scope="module")
 def favourable_setting():
     # larger, label-homogeneous-ish molecules make sub-iso verification the
-    # dominant cost, which is the regime the paper's headline targets
-    dataset = standard_dataset(80, seed=404, min_vertices=20, max_vertices=50)
+    # dominant cost, which is the regime the paper's headline targets.  The
+    # dataset size keeps the experiment at that operating point: Method M
+    # spends ~0.2 s on the 60 queries and the cache's probing ~11-14 % of
+    # that.  PR 15 made a sub-iso test ~8x cheaper, so the 80 graphs that
+    # gave this point before give a 0.4 ms Method M now (break-even for any
+    # cache, time speedup 0.7); 8x the graphs restore it (see CHANGES.md)
+    dataset = standard_dataset(640, seed=404, min_vertices=20, max_vertices=50)
     generator = WorkloadGenerator(dataset, rng=405)
     mix = WorkloadMix(repeat_fraction=0.35, shrink_fraction=0.3, extend_fraction=0.25,
                       fresh_fraction=0.1, zipf_alpha=1.0, pool_size=15,

@@ -49,7 +49,10 @@ class FeatureExtractor(abc.ABC):
         feature definition) ``features(a) ⊆ features(b)`` as multisets; the
         contrapositive is what filtering uses.
         """
-        return all(container.get(key, 0) >= count for key, count in contained.items())
+        for key, count in contained.items():
+            if container.get(key, 0) < count:
+                return False
+        return True
 
     @staticmethod
     def missing_features(

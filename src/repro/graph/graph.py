@@ -25,6 +25,7 @@ from repro.errors import (
     GraphError,
     VertexNotFoundError,
 )
+from repro.graph.compiled import CompiledGraph
 
 VertexId = Hashable
 Label = str
@@ -56,7 +57,9 @@ class Graph:
     (2, 1)
     """
 
-    __slots__ = ("graph_id", "name", "_labels", "_adj", "_edge_labels", "_num_edges")
+    __slots__ = (
+        "graph_id", "name", "_labels", "_adj", "_edge_labels", "_num_edges", "_compiled",
+    )
 
     def __init__(self, graph_id: int | str | None = None, name: str | None = None) -> None:
         self.graph_id = graph_id
@@ -65,6 +68,8 @@ class Graph:
         self._adj: dict[VertexId, set[VertexId]] = {}
         self._edge_labels: dict[tuple[VertexId, VertexId], Label] = {}
         self._num_edges = 0
+        #: Derived bitset form (see :meth:`compiled`); every mutator drops it.
+        self._compiled: CompiledGraph | None = None
 
     # ------------------------------------------------------------------ #
     # basic mutation
@@ -75,6 +80,7 @@ class Graph:
             raise DuplicateVertexError(vertex)
         self._labels[vertex] = label
         self._adj[vertex] = set()
+        self._compiled = None
 
     def add_vertices(self, items: Iterable[tuple[VertexId, Label]]) -> None:
         """Add many ``(vertex, label)`` pairs at once."""
@@ -86,6 +92,7 @@ class Graph:
         if vertex not in self._labels:
             raise VertexNotFoundError(vertex)
         self._labels[vertex] = label
+        self._compiled = None
 
     def add_edge(self, u: VertexId, v: VertexId, label: Label | None = None) -> None:
         """Add an undirected edge between two existing vertices.
@@ -106,6 +113,7 @@ class Graph:
             self._num_edges += 1
         if label is not None:
             self._edge_labels[_edge_key(u, v)] = label
+        self._compiled = None
 
     def add_edges(self, edges: Iterable[tuple[VertexId, VertexId]]) -> None:
         """Add many unlabelled edges at once."""
@@ -120,6 +128,7 @@ class Graph:
         self._adj[v].discard(u)
         self._edge_labels.pop(_edge_key(u, v), None)
         self._num_edges -= 1
+        self._compiled = None
 
     def remove_vertex(self, vertex: VertexId) -> None:
         """Remove a vertex and all its incident edges."""
@@ -129,6 +138,7 @@ class Graph:
             self.remove_edge(vertex, neighbor)
         del self._adj[vertex]
         del self._labels[vertex]
+        self._compiled = None
 
     # ------------------------------------------------------------------ #
     # basic queries
@@ -311,6 +321,35 @@ class Graph:
         return out
 
     # ------------------------------------------------------------------ #
+    # compiled form
+    # ------------------------------------------------------------------ #
+    def compiled(self) -> CompiledGraph:
+        """The bitset form of the graph as it is now, built on first use.
+
+        Vertices are numbered in :meth:`vertices` order.  Two threads may both
+        find the slot empty and compile; they store equal values, so whichever
+        store lands last is as good as the other.
+        """
+        compiled = self._compiled
+        if compiled is None:
+            compiled = self._compiled = CompiledGraph(self._labels, self._adj, self._edge_labels)
+        return compiled
+
+    def __getstate__(self) -> tuple:
+        # the compiled form is derived data: never pickled (or deep-copied)
+        return (
+            self.graph_id, self.name, self._labels, self._adj,
+            self._edge_labels, self._num_edges,
+        )
+
+    def __setstate__(self, state: tuple) -> None:
+        (
+            self.graph_id, self.name, self._labels, self._adj,
+            self._edge_labels, self._num_edges,
+        ) = state
+        self._compiled = None
+
+    # ------------------------------------------------------------------ #
     # hashing / equality screening
     # ------------------------------------------------------------------ #
     def size_signature(self) -> tuple[int, int]:
@@ -323,7 +362,16 @@ class Graph:
         Two isomorphic graphs always produce the same hash; different hashes
         therefore prove non-isomorphism, which the cache uses to screen
         exact-match candidates before running a full isomorphism check.
+        The last hash computed is memoised with the compiled form (a cache
+        probe and the admission offer ask for the same one).
         """
+        compiled = self.compiled()
+        memo = compiled.wl
+        if memo is None or memo[0] != iterations:
+            memo = compiled.wl = (iterations, self._wl_hash(iterations))
+        return memo[1]
+
+    def _wl_hash(self, iterations: int) -> str:
         colors: dict[VertexId, str] = {
             vertex: _short_hash(label) for vertex, label in self._labels.items()
         }
@@ -406,7 +454,7 @@ class Graph:
     def structural_equal(self, other: "Graph") -> bool:
         """Exact equality of vertex ids, labels and edges (not isomorphism)."""
         if not isinstance(other, Graph):
-            return NotImplemented
+            return False
         return (
             self._labels == other._labels
             and {vertex: frozenset(adj) for vertex, adj in self._adj.items()}

@@ -18,8 +18,9 @@ from __future__ import annotations
 import abc
 import sys
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Hashable, Iterable, Mapping
 
+from repro.features.base import FeatureExtractor
 from repro.graph.graph import Graph
 from repro.query_model import QueryType
 
@@ -37,6 +38,60 @@ def graph_id_sort_key(graph_id: GraphId) -> tuple[int, int | str]:
     if isinstance(graph_id, str):
         return (1, graph_id)
     return (0, graph_id)
+
+
+def graphs_meeting_postings(
+    requirements: list[tuple[Mapping[GraphId, int] | None, int]],
+    graph_ids: Iterable[GraphId],
+) -> set[GraphId]:
+    """Graphs whose posting count reaches ``needed`` for every requirement.
+
+    ``requirements`` pairs each query feature's posting (graph id → count;
+    ``None`` or empty when no graph has the feature) with the count the query
+    needs.  Only the smallest posting is scanned; the others are probed for
+    the shrinking set of survivors.  A query without features keeps every
+    graph in ``graph_ids``.
+    """
+    if not requirements:
+        return set(graph_ids)
+    ordered = sorted(requirements, key=lambda item: len(item[0]) if item[0] else 0)
+    smallest, needed = ordered[0]
+    if not smallest:
+        return set()
+    survivors = {graph_id for graph_id, count in smallest.items() if count >= needed}
+    for posting, needed in ordered[1:]:
+        if not survivors:
+            break
+        survivors = {
+            graph_id for graph_id in survivors if posting.get(graph_id, 0) >= needed
+        }
+    return survivors
+
+
+def feature_size(features: Mapping[Hashable, int]) -> tuple[int, int]:
+    """``(distinct keys, total count)`` of a feature multiset."""
+    return (len(features), sum(features.values()))
+
+
+def graphs_within_features(
+    query_features: Mapping[Hashable, int],
+    graph_features: Mapping[GraphId, Mapping[Hashable, int]],
+    graph_sizes: Mapping[GraphId, tuple[int, int]],
+) -> set[GraphId]:
+    """Graphs whose feature multiset is contained in the query's.
+
+    ``graph_sizes`` holds :func:`feature_size` of every graph (computed at
+    build time): a graph with more distinct keys or a larger total than the
+    query cannot be contained in it and is skipped without a comparison.
+    """
+    max_keys, max_total = feature_size(query_features)
+    contains = FeatureExtractor.multiset_contains
+    return {
+        graph_id
+        for graph_id, (keys, total) in graph_sizes.items()
+        if keys <= max_keys and total <= max_total
+        and contains(query_features, graph_features[graph_id])
+    }
 
 
 class DatasetIndex(abc.ABC):

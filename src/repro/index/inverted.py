@@ -21,7 +21,14 @@ from collections.abc import Iterable
 from repro.errors import IndexError_
 from repro.features.base import FeatureExtractor, FeatureKey
 from repro.graph.graph import Graph
-from repro.index.base import DatasetIndex, GraphId, estimate_object_bytes
+from repro.index.base import (
+    DatasetIndex,
+    GraphId,
+    estimate_object_bytes,
+    feature_size,
+    graphs_meeting_postings,
+    graphs_within_features,
+)
 from repro.query_model import QueryType
 
 
@@ -34,6 +41,7 @@ class InvertedFeatureIndex(DatasetIndex):
         self.extractor = extractor
         self._postings: dict[FeatureKey, dict[GraphId, int]] = {}
         self._graph_features: dict[GraphId, Counter[FeatureKey]] = {}
+        self._feature_sizes: dict[GraphId, tuple[int, int]] = {}
         self._graph_ids: list[GraphId] = []
         self._built = False
 
@@ -51,6 +59,7 @@ class InvertedFeatureIndex(DatasetIndex):
             features = self.extractor.extract(graph)
             self._graph_ids.append(graph_id)
             self._graph_features[graph_id] = features
+            self._feature_sizes[graph_id] = feature_size(features)
             for key, count in features.items():
                 self._postings.setdefault(key, {})[graph_id] = count
         self._built = True
@@ -68,27 +77,13 @@ class InvertedFeatureIndex(DatasetIndex):
         return self._supergraph_candidates(query_features)
 
     def _subgraph_candidates(self, query_features: Counter[FeatureKey]) -> set[GraphId]:
-        survivors = set(self._graph_ids)
-        # intersect rarest-feature postings first for early termination
-        ordered = sorted(
-            query_features.items(), key=lambda item: len(self._postings.get(item[0], {}))
+        return graphs_meeting_postings(
+            [(self._postings.get(key), needed) for key, needed in query_features.items()],
+            self._graph_ids,
         )
-        for key, needed in ordered:
-            postings = self._postings.get(key)
-            if not postings:
-                return set()
-            survivors &= {graph_id for graph_id, count in postings.items() if count >= needed}
-            if not survivors:
-                return set()
-        return survivors
 
     def _supergraph_candidates(self, query_features: Counter[FeatureKey]) -> set[GraphId]:
-        survivors: set[GraphId] = set()
-        for graph_id in self._graph_ids:
-            graph_features = self._graph_features[graph_id]
-            if FeatureExtractor.multiset_contains(query_features, graph_features):
-                survivors.add(graph_id)
-        return survivors
+        return graphs_within_features(query_features, self._graph_features, self._feature_sizes)
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -134,8 +129,10 @@ class InvertedFeatureIndex(DatasetIndex):
 
     def memory_bytes(self) -> int:
         """Approximate memory footprint of the postings and per-graph multisets."""
-        return estimate_object_bytes(self._postings) + estimate_object_bytes(
-            self._graph_features
+        return (
+            estimate_object_bytes(self._postings)
+            + estimate_object_bytes(self._graph_features)
+            + estimate_object_bytes(self._feature_sizes)
         )
 
     def describe(self) -> dict[str, object]:

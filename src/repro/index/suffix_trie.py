@@ -19,10 +19,16 @@ from collections import Counter
 from collections.abc import Iterable
 
 from repro.errors import IndexError_
-from repro.features.base import FeatureExtractor
 from repro.features.paths import PathFeatureExtractor
 from repro.graph.graph import Graph
-from repro.index.base import DatasetIndex, GraphId, estimate_object_bytes
+from repro.index.base import (
+    DatasetIndex,
+    GraphId,
+    estimate_object_bytes,
+    feature_size,
+    graphs_meeting_postings,
+    graphs_within_features,
+)
 from repro.query_model import QueryType
 
 
@@ -55,6 +61,7 @@ class SuffixTrieIndex(DatasetIndex):
         self.extractor = PathFeatureExtractor(max_length=max_path_length)
         self._root = _TrieNode()
         self._graph_features: dict[GraphId, Counter] = {}
+        self._feature_sizes: dict[GraphId, tuple[int, int]] = {}
         self._graph_ids: list[GraphId] = []
         self._num_nodes = 1
         self._built = False
@@ -73,6 +80,7 @@ class SuffixTrieIndex(DatasetIndex):
             features = self.extractor.extract(graph)
             self._graph_ids.append(graph_id)
             self._graph_features[graph_id] = features
+            self._feature_sizes[graph_id] = feature_size(features)
             for key, count in features.items():
                 self._insert(key, graph_id, count)
         self._built = True
@@ -104,20 +112,11 @@ class SuffixTrieIndex(DatasetIndex):
         query_type = QueryType.parse(query_type)
         query_features = self.extractor.extract(query)
         if query_type is QueryType.SUBGRAPH:
-            survivors = set(self._graph_ids)
-            for key, needed in sorted(query_features.items(), key=lambda item: -len(item[0])):
-                counts = self._lookup(key)
-                if not counts:
-                    return set()
-                survivors &= {graph_id for graph_id, count in counts.items() if count >= needed}
-                if not survivors:
-                    return set()
-            return survivors
-        survivors = set()
-        for graph_id in self._graph_ids:
-            if FeatureExtractor.multiset_contains(query_features, self._graph_features[graph_id]):
-                survivors.add(graph_id)
-        return survivors
+            return graphs_meeting_postings(
+                [(self._lookup(key), needed) for key, needed in query_features.items()],
+                self._graph_ids,
+            )
+        return graphs_within_features(query_features, self._graph_features, self._feature_sizes)
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -134,6 +133,7 @@ class SuffixTrieIndex(DatasetIndex):
     def memory_bytes(self) -> int:
         """Approximate footprint of the trie plus the per-graph multisets."""
         total = estimate_object_bytes(self._graph_features)
+        total += estimate_object_bytes(self._feature_sizes)
         stack = [self._root]
         while stack:
             node = stack.pop()

@@ -93,19 +93,14 @@ def trivially_impossible(query: Graph, target: Graph) -> bool:
     """Cheap necessary-condition screen shared by every engine.
 
     Returns True when the query certainly cannot embed into the target
-    (size, label multiset, or degree bounds are violated).
+    (size, label multiset, or degree bounds are violated).  Reads the graphs'
+    compiled invariants, so a query screened against many targets pays for
+    its own side once.
     """
     if query.num_vertices > target.num_vertices or query.num_edges > target.num_edges:
         return True
-    target_counts = target.label_counts()
-    for label, count in query.label_counts().items():
-        if target_counts.get(label, 0) < count:
-            return True
-    if query.num_vertices and max(query.degree_sequence(), default=0) > max(
-        target.degree_sequence(), default=0
-    ):
-        return True
-    return False
+    pattern, host = query.compiled(), target.compiled()
+    return pattern.max_degree > host.max_degree or not pattern.labels_fit(host)
 
 
 class timed:

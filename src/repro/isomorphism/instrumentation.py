@@ -9,7 +9,7 @@ underlying engine, and is what the query runtime actually hands to Method M.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.graph.graph import Graph, VertexId
 from repro.isomorphism.base import MatchResult, SubgraphMatcher
@@ -24,7 +24,6 @@ class VerifierTally:
     negatives: int = 0
     states_visited: int = 0
     total_seconds: float = 0.0
-    per_test_seconds: list[float] = field(default_factory=list)
 
     def record(self, result: MatchResult) -> None:
         """Fold one test outcome into the tally."""
@@ -35,7 +34,6 @@ class VerifierTally:
             self.negatives += 1
         self.states_visited += result.stats.states_visited
         self.total_seconds += result.stats.elapsed_seconds
-        self.per_test_seconds.append(result.stats.elapsed_seconds)
 
     @property
     def average_seconds(self) -> float:
@@ -51,7 +49,6 @@ class VerifierTally:
         self.negatives = 0
         self.states_visited = 0
         self.total_seconds = 0.0
-        self.per_test_seconds.clear()
 
     def snapshot(self) -> dict[str, float]:
         """Return the tally as a plain dictionary (for dashboards/reports)."""
@@ -88,11 +85,12 @@ class CountingMatcher(SubgraphMatcher):
     ) -> list[dict[VertexId, VertexId]]:
         """Delegate enumeration to the inner matcher (counted as one test)."""
         embeddings = self.inner.find_all_embeddings(query, target, limit=limit)
-        self.tally.tests += 1
-        if embeddings:
-            self.tally.positives += 1
-        else:
-            self.tally.negatives += 1
+        with self._lock:
+            self.tally.tests += 1
+            if embeddings:
+                self.tally.positives += 1
+            else:
+                self.tally.negatives += 1
         return embeddings
 
     def reset(self) -> None:

@@ -7,6 +7,14 @@ while extra target edges between mapped vertices are allowed.  Vertex labels
 must match exactly; query edge labels, when present, must match the target
 edge labels.
 
+The search runs on compiled graphs (:mod:`repro.graph.compiled`): the
+pattern's :class:`~repro.graph.compiled.MatchPlan` fixes the placement order
+and what each step requires, and the kernel computes a step's *whole*
+candidate set with a few ``&`` over the target's bitsets instead of testing
+target vertices one at a time.  Both sides are compiled once per graph, so a
+query verified against its ~30 candidates — or a dataset graph verified for
+the life of the process — pays for order, labels and degrees once.
+
 The engine records :class:`~repro.isomorphism.base.MatchStats` (states
 visited, backtracks, wall-clock time); the PINC replacement policy and the
 Demonstrator's cost accounting are driven by these counters.
@@ -53,187 +61,113 @@ class VF2Matcher(SubgraphMatcher):
         """Find one embedding of ``query`` into ``target`` (or report none)."""
         stats = MatchStats()
         with timed(stats):
-            if query.num_vertices == 0:
-                return MatchResult(found=True, mapping={}, stats=stats)
-            if trivially_impossible(query, target):
-                return MatchResult(found=False, mapping=None, stats=stats)
-            state = _SearchState(query, target, self.induced, self.node_budget, stats)
-            mapping = state.search_one()
+            found = _search(query, target, self.induced, self.node_budget, 1, stats)
+        mapping = found[0] if found else None
         return MatchResult(found=mapping is not None, mapping=mapping, stats=stats)
 
     def find_all_embeddings(
         self, query: Graph, target: Graph, limit: int | None = None
     ) -> list[dict[VertexId, VertexId]]:
         """Enumerate (up to ``limit``) embeddings of ``query`` into ``target``."""
-        stats = MatchStats()
-        if query.num_vertices == 0:
-            return [{}]
-        if trivially_impossible(query, target):
-            return []
-        state = _SearchState(query, target, self.induced, self.node_budget, stats)
-        return state.search_all(limit)
+        return _search(query, target, self.induced, self.node_budget, limit, MatchStats())
 
 
-class _SearchState:
-    """Mutable VF2 search state for one (query, target) pair."""
+def _search(
+    query: Graph,
+    target: Graph,
+    induced: bool,
+    node_budget: int | None,
+    limit: int | None,
+    stats: MatchStats,
+) -> list[dict[VertexId, VertexId]]:
+    """The match kernel: depth-first placement along the pattern's plan.
 
-    def __init__(
-        self,
-        query: Graph,
-        target: Graph,
-        induced: bool,
-        node_budget: int | None,
-        stats: MatchStats,
-    ) -> None:
-        self.query = query
-        self.target = target
-        self.induced = induced
-        self.node_budget = node_budget
-        self.stats = stats
-        self.core_query: dict[VertexId, VertexId] = {}
-        self.core_target: dict[VertexId, VertexId] = {}
-        self.query_order = self._compute_query_order()
-        # per-query-vertex candidate label sets precomputed for speed
-        self.candidates_by_label: dict[str, list[VertexId]] = {}
-        for t_vertex in target.vertices():
-            self.candidates_by_label.setdefault(target.label(t_vertex), []).append(t_vertex)
+    A *state* is one candidate target vertex tried at one plan position.
+    ``pending[depth]`` holds the not-yet-tried candidates of each open
+    position, so backtracking is popping an int.
+    """
+    if query.num_vertices == 0:
+        return [{}]
+    # also what keeps the pattern's degrees inside ``degree_at_least``
+    if trivially_impossible(query, target):
+        return []
+    plan = query.compiled().plan(induced)
+    labels, min_degrees, back = plan.labels, plan.min_degrees, plan.back
+    forward_needs, back_edge_labels, non_back = (
+        plan.forward_needs, plan.back_edge_labels, plan.non_back,
+    )
+    host = target.compiled()
+    adj, label_bits, at_least = host.adj_bits, host.label_bits, host.degree_at_least
+    host_edge_labels = host.edge_labels or {}
 
-    # ------------------------------------------------------------------ #
-    # ordering heuristics
-    # ------------------------------------------------------------------ #
-    def _compute_query_order(self) -> list[VertexId]:
-        """Order query vertices: rarest label & highest degree first, then by
-        connectivity to already-ordered vertices (a connected expansion order
-        dramatically reduces backtracking)."""
-        query = self.query
-        target_label_counts = self.target.label_counts()
-
-        def rarity(vertex: VertexId) -> tuple[int, int]:
-            return (
-                target_label_counts.get(query.label(vertex), 0),
-                -query.degree(vertex),
-            )
-
-        remaining = set(query.vertices())
-        if not remaining:
-            return []
-        order: list[VertexId] = []
-        start = min(remaining, key=rarity)
-        order.append(start)
-        remaining.discard(start)
-        while remaining:
-            frontier = [v for v in remaining if any(n in order for n in query.neighbors(v))]
-            pool = frontier or list(remaining)
-            nxt = min(
-                pool,
-                key=lambda v: (
-                    -sum(1 for n in query.neighbors(v) if n in order),
-                    rarity(v),
-                ),
-            )
-            order.append(nxt)
-            remaining.discard(nxt)
-        return order
-
-    # ------------------------------------------------------------------ #
-    # search
-    # ------------------------------------------------------------------ #
-    def search_one(self) -> dict[VertexId, VertexId] | None:
-        return self._recurse(0, None)
-
-    def search_all(self, limit: int | None) -> list[dict[VertexId, VertexId]]:
-        found: list[dict[VertexId, VertexId]] = []
-        self._recurse(0, found, limit=limit)
-        return found
-
-    def _recurse(
-        self,
-        depth: int,
-        collector: list[dict[VertexId, VertexId]] | None,
-        limit: int | None = None,
-    ) -> dict[VertexId, VertexId] | None:
-        if depth == len(self.query_order):
-            mapping = dict(self.core_query)
-            if collector is None:
-                return mapping
-            collector.append(mapping)
-            return None
-        q_vertex = self.query_order[depth]
-        for t_vertex in self._candidate_targets(q_vertex):
-            self.stats.states_visited += 1
-            if self.node_budget is not None and self.stats.states_visited > self.node_budget:
-                raise BudgetExceededError(self.node_budget)
-            if not self._feasible(q_vertex, t_vertex):
+    size = len(labels)
+    image = [0] * size
+    pending = [0] * size
+    found: list[dict[VertexId, VertexId]] = []
+    used = 0
+    depth = 0
+    states = backtracks = 0
+    candidates = label_bits.get(labels[0], 0) & at_least[min_degrees[0]]
+    try:
+        while True:
+            if not candidates:
+                if depth == 0:
+                    return found
+                depth -= 1
+                used ^= 1 << image[depth]
+                backtracks += 1
+                candidates = pending[depth]
                 continue
-            self.core_query[q_vertex] = t_vertex
-            self.core_target[t_vertex] = q_vertex
-            result = self._recurse(depth + 1, collector, limit)
-            if collector is None and result is not None:
-                return result
-            del self.core_query[q_vertex]
-            del self.core_target[t_vertex]
-            self.stats.backtracks += 1
-            if collector is not None and limit is not None and len(collector) >= limit:
-                return None
-        return None
+            low = candidates & -candidates
+            candidates ^= low
+            vertex = low.bit_length() - 1
+            states += 1
+            if node_budget is not None and states > node_budget:
+                raise BudgetExceededError(node_budget)
 
-    def _candidate_targets(self, q_vertex: VertexId) -> list[VertexId]:
-        """Candidate target vertices for ``q_vertex``.
+            # one-step look-ahead: enough free neighbours of each label the
+            # pattern vertex's unplaced neighbours carry
+            feasible = True
+            needs = forward_needs[depth]
+            if needs:
+                free = adj[vertex] & ~used
+                for label, count in needs:
+                    if (free & label_bits.get(label, 0)).bit_count() < count:
+                        feasible = False
+                        break
+            if feasible and back_edge_labels is not None:
+                for position, edge_label in back_edge_labels[depth]:
+                    other = image[position]
+                    edge = (vertex, other) if vertex < other else (other, vertex)
+                    if host_edge_labels.get(edge) != edge_label:
+                        feasible = False
+                        break
+            if not feasible:
+                continue
 
-        If the query vertex has an already-mapped neighbour, candidates are
-        restricted to the target neighbours of that neighbour's image —
-        the core VF2 "connected extension" optimisation.
-        """
-        label = self.query.label(q_vertex)
-        mapped_neighbors = [n for n in self.query.neighbors(q_vertex) if n in self.core_query]
-        if mapped_neighbors:
-            anchor = min(
-                mapped_neighbors,
-                key=lambda n: len(self.target.neighbors(self.core_query[n])),
-            )
-            pool = self.target.neighbors(self.core_query[anchor])
-            return [t for t in pool if t not in self.core_target and self.target.label(t) == label]
-        return [t for t in self.candidates_by_label.get(label, []) if t not in self.core_target]
+            image[depth] = vertex
+            pending[depth] = candidates
+            used |= low
+            depth += 1
+            if depth == size:
+                query_ids, target_ids = query.vertices(), target.vertices()
+                found.append({
+                    query_ids[plan.order[position]]: target_ids[image[position]]
+                    for position in range(size)
+                })
+                if limit is not None and len(found) >= limit:
+                    return found
+                depth -= 1
+                used ^= low
+                backtracks += 1
+                continue
 
-    def _feasible(self, q_vertex: VertexId, t_vertex: VertexId) -> bool:
-        query, target = self.query, self.target
-        if target.degree(t_vertex) < query.degree(q_vertex):
-            return False
-        # consistency with already-mapped neighbours
-        for q_neighbor in query.neighbors(q_vertex):
-            if q_neighbor in self.core_query:
-                t_neighbor = self.core_query[q_neighbor]
-                if not target.has_edge(t_vertex, t_neighbor):
-                    return False
-                q_edge_label = query.edge_label(q_vertex, q_neighbor)
-                if q_edge_label is not None:
-                    if target.edge_label(t_vertex, t_neighbor) != q_edge_label:
-                        return False
-        if self.induced:
-            # non-adjacent mapped query vertices must stay non-adjacent
-            for q_other, t_other in self.core_query.items():
-                if q_other == q_vertex:
-                    continue
-                if not query.has_edge(q_vertex, q_other) and target.has_edge(t_vertex, t_other):
-                    return False
-        # 1-look-ahead: unmapped query neighbours need enough unmapped,
-        # label-compatible target neighbours
-        unmapped_query_neighbors = [
-            n for n in query.neighbors(q_vertex) if n not in self.core_query
-        ]
-        if unmapped_query_neighbors:
-            unmapped_target_neighbors = [
-                n for n in target.neighbors(t_vertex) if n not in self.core_target
-            ]
-            if len(unmapped_target_neighbors) < len(unmapped_query_neighbors):
-                return False
-            target_labels: dict[str, int] = {}
-            for n in unmapped_target_neighbors:
-                target_labels[target.label(n)] = target_labels.get(target.label(n), 0) + 1
-            needed: dict[str, int] = {}
-            for n in unmapped_query_neighbors:
-                needed[query.label(n)] = needed.get(query.label(n), 0) + 1
-            for label, count in needed.items():
-                if target_labels.get(label, 0) < count:
-                    return False
-        return True
+            candidates = label_bits.get(labels[depth], 0) & at_least[min_degrees[depth]] & ~used
+            for position in back[depth]:
+                candidates &= adj[image[position]]
+            if non_back is not None:
+                for position in non_back[depth]:
+                    candidates &= ~adj[image[position]]
+    finally:
+        stats.states_visited += states
+        stats.backtracks += backtracks

@@ -242,6 +242,11 @@ class TestHashingAndConversion:
         other.remove_edge(0, 1)
         assert not triangle.structural_equal(other)
 
+    def test_structural_equal_is_false_for_a_non_graph(self, triangle):
+        # it used to return NotImplemented, which is truthy in an ``if``
+        assert triangle.structural_equal("triangle") is False
+        assert triangle.structural_equal(None) is False
+
     def test_repr_contains_sizes(self, triangle):
         assert "|V|=3" in repr(triangle)
         assert "|E|=3" in repr(triangle)

@@ -109,3 +109,29 @@ class TestCountingMatcher:
         counting.find_all_embeddings(path_graph(["C", "O"]), triangle)
         assert counting.tally.tests == 1
         assert counting.tally.positives == 1
+
+    def test_tally_keeps_no_per_test_history(self, triangle):
+        # a long-lived server records millions of tests: the tally must stay
+        # a handful of scalars however many it has seen
+        counting = CountingMatcher(VF2Matcher())
+        for _ in range(50):
+            counting.is_subgraph(path_graph(["C", "O"]), triangle)
+        assert counting.tally.tests == 50
+        assert all(isinstance(value, (int, float)) for value in vars(counting.tally).values())
+
+    def test_enumeration_updates_the_tally_under_the_lock(self, triangle):
+        counting = CountingMatcher(VF2Matcher())
+
+        class SpyLock:
+            entered = 0
+
+            def __enter__(self):
+                SpyLock.entered += 1
+
+            def __exit__(self, *exc_info):
+                return False
+
+        counting._lock = SpyLock()
+        counting.find_all_embeddings(path_graph(["C", "O"]), triangle)
+        assert SpyLock.entered == 1
+        assert counting.tally.tests == 1
