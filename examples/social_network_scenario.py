@@ -32,7 +32,7 @@ def main() -> None:
         cache_capacity=30,
         window_size=1,          # interactive session: every query is admitted immediately
         replacement_policy="HD",
-        method="grapes",
+        method="graphgrep-sx",
         method_options={"feature_size": 2},
     )
     system = GraphCacheSystem(dataset, config)

@@ -154,16 +154,9 @@ class GraphCache:
         if len(self.store) == 0:
             return lookup
         graph = query.graph
-        same_type_ids = {
-            entry.entry_id for entry in self.store if entry.query_type is query.query_type
-        }
-        if not same_type_ids:
-            return lookup
 
         # exact match first: a confirmed exact hit answers the query outright
-        for entry in self.query_index.exact_candidates(graph):
-            if entry.entry_id not in same_type_ids:
-                continue
+        for entry in self.query_index.exact_candidates(graph, query.query_type):
             decided = definitely_isomorphic(graph, entry.graph)
             if decided is None:
                 lookup.probe_tests += 1
@@ -179,20 +172,12 @@ class GraphCache:
             return lookup
         features = self.query_index.query_features(graph)
         sub_candidates = (
-            [
-                entry
-                for entry in self.query_index.sub_case_candidates(graph, features)
-                if entry.entry_id in same_type_ids
-            ]
+            self.query_index.sub_case_candidates(graph, features, query.query_type)
             if self.enable_sub_case
             else []
         )
         super_candidates = (
-            [
-                entry
-                for entry in self.query_index.super_case_candidates(graph, features)
-                if entry.entry_id in same_type_ids
-            ]
+            self.query_index.super_case_candidates(graph, features, query.query_type)
             if self.enable_super_case
             else []
         )
@@ -330,25 +315,21 @@ class GraphCache:
             worker.stop(drain=True)
 
     def _apply_replacement(self, batch: list[CacheEntry]) -> EvictionReport:
+        # The query index follows the store by the exact delta of this round.
+        # (The report's admitted/evicted lists are not that delta: an entry
+        # admitted earlier in the batch may be evicted again by a later one.)
+        before = set(self.store.entry_ids())
         report = self.policy.update_cache_items(self.store, batch, self.capacity)
-        # Reconcile the query index with the store: an entry admitted earlier
-        # in this batch may have been evicted again by a later incoming entry,
-        # so the report's admitted/evicted lists are not a reliable delta.
-        self._reconcile_query_index()
+        for entry_id in before.difference(self.store.entry_ids()):
+            self.query_index.remove(entry_id)
+        for entry in batch:
+            if entry.entry_id in self.store and entry.entry_id not in self.query_index:
+                self.query_index.add(entry)
         # The byte budget is checked after the index features are computed
         # (they are part of an entry's footprint).
         self._enforce_memory_budget(report)
         self._eviction_reports.append(report)
         return report
-
-    def _reconcile_query_index(self) -> None:
-        resident_ids = set(self.store.entry_ids())
-        for entry in list(self.query_index.entries()):
-            if entry.entry_id not in resident_ids:
-                self.query_index.remove(entry.entry_id)
-        for entry in self.store:
-            if entry.entry_id not in self.query_index:
-                self.query_index.add(entry)
 
     def _enforce_memory_budget(self, report: EvictionReport) -> None:
         """Evict least-useful residents until the byte budget is respected."""
@@ -361,8 +342,7 @@ class GraphCache:
                 break
             victim = residents[victim_positions[0]]
             self.store.remove(victim.entry_id)
-            if victim.entry_id in self.query_index:
-                self.query_index.remove(victim.entry_id)
+            self.query_index.remove(victim.entry_id)
             report.evicted.append(victim.entry_id)
 
     def warm(self, entries: list[CacheEntry]) -> None:

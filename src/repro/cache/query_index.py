@@ -1,9 +1,11 @@
 """Index over the *cached queries* (the iGQ component underpinning GC).
 
 GC must quickly find, among the cached queries, the ones that could be
-subgraphs or supergraphs of a newly arrived query.  This index keeps, per
-cached entry, its feature multiset and WL hash, plus an inverted
-feature→entries table, and answers three screening questions:
+subgraphs or supergraphs of a newly arrived query.  This is the dynamic
+instance of :class:`~repro.index.containment.ContainmentIndex`: resident
+entries are its members, grouped by query type (a cached subgraph query's
+answer says nothing about a supergraph query), and it answers three
+screening questions for entries of the new query's type:
 
 * which cached entries might *contain* the new query (sub-case candidates),
 * which cached entries might be *contained in* it (super-case candidates),
@@ -12,7 +14,7 @@ feature→entries table, and answers three screening questions:
 Screening is by feature-multiset containment (plus cheap invariants); the
 definitive answer is produced later with real sub-iso "probe" tests by the
 sub/super case processors.  Screening must therefore never reject a true
-hit — the same no-false-dismissal contract as the dataset indexes.
+hit — the same no-false-dismissal contract as the dataset filter.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from repro.errors import CacheError
 from repro.features.base import FeatureExtractor, FeatureKey
 from repro.graph.canonical import quick_containment_screen
 from repro.graph.graph import Graph
+from repro.index.base import estimate_object_bytes
+from repro.index.containment import ContainmentIndex
+from repro.query_model import QueryType
 
 
 class CachedQueryIndex:
@@ -31,8 +36,14 @@ class CachedQueryIndex:
 
     def __init__(self, extractor: FeatureExtractor) -> None:
         self.extractor = extractor
+        #: entry id → entry, in the order entries were added: screened
+        #: candidates keep it, because probing stops at ``max_hits``.
         self._entries: dict[int, CacheEntry] = {}
-        self._postings: dict[FeatureKey, set[int]] = {}
+        self._index = ContainmentIndex()
+        #: exact-match key → its entries (by id), oldest first.  Duplicates of
+        #: one pattern can be resident, and which one an exact hit credits
+        #: steers replacement.
+        self._exact: dict[tuple, dict[int, CacheEntry]] = {}
 
     # ------------------------------------------------------------------ #
     # maintenance
@@ -44,20 +55,19 @@ class CachedQueryIndex:
         if not entry.features:
             entry.features = self.extractor.extract(entry.graph)
         self._entries[entry.entry_id] = entry
-        for key in entry.features:
-            self._postings.setdefault(key, set()).add(entry.entry_id)
+        self._index.add(entry.entry_id, entry.features, group=entry.query_type)
+        self._exact.setdefault(_exact_key(entry), {})[entry.entry_id] = entry
 
     def remove(self, entry_id: int) -> None:
         """Remove a cached entry from the index."""
         entry = self._entries.pop(entry_id, None)
         if entry is None:
             raise CacheError(f"entry {entry_id} is not indexed")
-        for key in entry.features:
-            bucket = self._postings.get(key)
-            if bucket is not None:
-                bucket.discard(entry_id)
-                if not bucket:
-                    del self._postings[key]
+        self._index.remove(entry_id)
+        key = _exact_key(entry)
+        del self._exact[key][entry_id]
+        if not self._exact[key]:
+            del self._exact[key]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -77,51 +87,39 @@ class CachedQueryIndex:
         return self.extractor.extract(query_graph)
 
     def sub_case_candidates(
-        self, query_graph: Graph, query_features: Counter[FeatureKey]
+        self, query_graph: Graph, query_features: Counter[FeatureKey], query_type: QueryType
     ) -> list[CacheEntry]:
         """Cached entries that might *contain* the new query (query ⊆ entry)."""
-        candidates: list[CacheEntry] = []
-        for entry in self._entries.values():
-            if entry.num_vertices < query_graph.num_vertices:
-                continue
-            if not FeatureExtractor.multiset_contains(entry.features, query_features):
-                continue
-            if not quick_containment_screen(query_graph, entry.graph):
-                continue
-            candidates.append(entry)
-        return candidates
-
-    def super_case_candidates(
-        self, query_graph: Graph, query_features: Counter[FeatureKey]
-    ) -> list[CacheEntry]:
-        """Cached entries that might be *contained in* the new query (entry ⊆ query)."""
-        candidates: list[CacheEntry] = []
-        for entry in self._entries.values():
-            if entry.num_vertices > query_graph.num_vertices:
-                continue
-            if not FeatureExtractor.multiset_contains(query_features, entry.features):
-                continue
-            if not quick_containment_screen(entry.graph, query_graph):
-                continue
-            candidates.append(entry)
-        return candidates
-
-    def exact_candidates(self, query_graph: Graph) -> list[CacheEntry]:
-        """Cached entries that might be isomorphic to the new query."""
-        wl = query_graph.wl_hash()
-        signature = query_graph.size_signature()
+        screened = self._index.containing(query_features, group=query_type)
         return [
             entry
-            for entry in self._entries.values()
-            if entry.wl_hash == wl and entry.graph.size_signature() == signature
+            for entry_id, entry in self._entries.items()
+            if entry_id in screened and quick_containment_screen(query_graph, entry.graph)
         ]
+
+    def super_case_candidates(
+        self, query_graph: Graph, query_features: Counter[FeatureKey], query_type: QueryType
+    ) -> list[CacheEntry]:
+        """Cached entries that might be *contained in* the new query (entry ⊆ query)."""
+        screened = self._index.contained_in(query_features, group=query_type)
+        return [
+            entry
+            for entry_id, entry in self._entries.items()
+            if entry_id in screened and quick_containment_screen(entry.graph, query_graph)
+        ]
+
+    def exact_candidates(self, query_graph: Graph, query_type: QueryType) -> list[CacheEntry]:
+        """Cached entries that might be isomorphic to the new query, oldest first."""
+        key = (query_type, query_graph.wl_hash(), query_graph.size_signature())
+        return list(self._exact.get(key, {}).values())
 
     # ------------------------------------------------------------------ #
     # accounting
     # ------------------------------------------------------------------ #
     def memory_bytes(self) -> int:
-        """Approximate footprint of the postings (entries are owned by the store)."""
-        total = 0
-        for key, bucket in self._postings.items():
-            total += len(repr(key)) + 60 + 8 * len(bucket)
-        return total
+        """Measured footprint of the index tables (entries are owned by the store)."""
+        return self._index.memory_bytes() + estimate_object_bytes((self._entries, self._exact))
+
+
+def _exact_key(entry: CacheEntry) -> tuple:
+    return (entry.query_type, entry.wl_hash, entry.graph.size_signature())

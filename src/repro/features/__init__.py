@@ -2,7 +2,7 @@
 
 from repro.features.base import CompositeExtractor, FeatureExtractor, FeatureKey
 from repro.features.cycles import CycleFeatureExtractor, canonical_cycle_key
-from repro.features.fingerprint import Fingerprint
+from repro.features.fingerprint import HashedFeatureExtractor
 from repro.features.paths import EdgeFeatureExtractor, PathFeatureExtractor, canonical_path_key
 from repro.features.trees import StarFeatureExtractor
 
@@ -16,5 +16,5 @@ __all__ = [
     "StarFeatureExtractor",
     "CycleFeatureExtractor",
     "canonical_cycle_key",
-    "Fingerprint",
+    "HashedFeatureExtractor",
 ]

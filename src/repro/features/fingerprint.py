@@ -1,76 +1,43 @@
-"""Hashed bit-vector fingerprints over feature multisets.
+"""Hashed features: a fixed-width fingerprint of another feature family.
 
 CT-Index style methods do not store the feature multiset per graph; they hash
-the feature *set* into a fixed-width bit vector.  Filtering then becomes a
-bitwise containment test (``query_bits & ~graph_bits == 0``), which is very
-fast and very small, at the cost of (a) losing multiplicities and (b) hash
-collisions — both of which only ever *weaken* filtering, never make it
-unsound, because a bit set by the query that is also set by the graph can be
-a false sharing but a bit missing from the graph is a guaranteed missing
-feature.
+the feature *set* into ``num_bits`` positions.  As a feature family of its own
+— one key per position, every count 1 — that is still monotone under subgraph
+containment: losing multiplicities and hash collisions only ever *weaken*
+filtering (a position the query sets and the graph also sets can be a false
+sharing), never make it unsound (a position missing from the graph is a
+guaranteed missing feature).  So the containment index answers it unchanged.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from collections.abc import Iterable
 
 from repro.errors import IndexError_
-from repro.features.base import FeatureKey
+from repro.features.base import FeatureExtractor, FeatureKey
+from repro.graph.graph import Graph
 
 
-class Fingerprint:
-    """A fixed-width bitset over hashed features."""
+class HashedFeatureExtractor(FeatureExtractor):
+    """The set of hash positions of another extractor's feature keys."""
 
-    __slots__ = ("num_bits", "bits")
+    name = "hashed"
 
-    def __init__(self, num_bits: int = 1024, bits: int = 0) -> None:
+    def __init__(self, inner: FeatureExtractor, num_bits: int = 1024) -> None:
         if num_bits <= 0:
             raise IndexError_("num_bits must be positive")
+        self.inner = inner
         self.num_bits = num_bits
-        self.bits = bits
 
-    @classmethod
-    def from_features(
-        cls, features: Iterable[FeatureKey] | Counter[FeatureKey], num_bits: int = 1024
-    ) -> "Fingerprint":
-        """Hash every feature key into the bitset."""
-        fingerprint = cls(num_bits=num_bits)
-        keys = features.keys() if isinstance(features, Counter) else features
-        for key in keys:
-            fingerprint.add(key)
-        return fingerprint
+    def extract(self, graph: Graph) -> Counter[FeatureKey]:
+        """One feature of count 1 per hash position a key of ``graph`` maps to."""
+        return Counter({self.position(key): 1 for key in self.inner.extract(graph)})
 
-    def add(self, key: FeatureKey) -> None:
-        """Set the bit for one feature key."""
-        self.bits |= 1 << self._position(key)
-
-    def _position(self, key: FeatureKey) -> int:
+    def position(self, key: FeatureKey) -> int:
+        """The position ``key`` hashes to (stable across processes and runs)."""
         digest = hashlib.blake2b(repr(key).encode("utf-8"), digest_size=8).digest()
         return int.from_bytes(digest, "big") % self.num_bits
 
-    def contains_all(self, other: "Fingerprint") -> bool:
-        """True iff every bit of ``other`` is set in ``self``."""
-        if self.num_bits != other.num_bits:
-            raise IndexError_("fingerprints have different widths")
-        return (other.bits & ~self.bits) == 0
-
-    def popcount(self) -> int:
-        """Number of set bits."""
-        return bin(self.bits).count("1")
-
-    def size_bytes(self) -> int:
-        """Nominal storage size of the fingerprint in bytes."""
-        return self.num_bits // 8
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Fingerprint):
-            return NotImplemented
-        return self.num_bits == other.num_bits and self.bits == other.bits
-
-    def __hash__(self) -> int:  # pragma: no cover - trivial
-        return hash((self.num_bits, self.bits))
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"<Fingerprint bits={self.popcount()}/{self.num_bits}>"
+    def describe(self) -> dict[str, object]:
+        return {"name": self.name, "num_bits": self.num_bits, "inner": self.inner.describe()}

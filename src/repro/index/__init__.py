@@ -1,15 +1,11 @@
-"""Dataset indexes: the Filter component of Method M."""
+"""The containment index and the dataset filter built on it (Method M's Filter)."""
 
-from repro.index.base import DatasetIndex, GraphId, estimate_object_bytes
-from repro.index.bitmap import FingerprintIndex
-from repro.index.inverted import InvertedFeatureIndex
-from repro.index.suffix_trie import SuffixTrieIndex
+from repro.index.base import GraphId, estimate_object_bytes
+from repro.index.containment import ContainmentIndex, DatasetIndex
 
 __all__ = [
+    "ContainmentIndex",
     "DatasetIndex",
     "GraphId",
     "estimate_object_bytes",
-    "InvertedFeatureIndex",
-    "SuffixTrieIndex",
-    "FingerprintIndex",
 ]

@@ -3,7 +3,7 @@
 from repro.methods.base import MethodM, MethodResult, VerificationOutcome
 from repro.methods.ctindex import CTIndexMethod
 from repro.methods.direct import DirectSIMethod
-from repro.methods.grapes import GraphGrepSXMethod, GrapesMethod
+from repro.methods.grapes import GraphGrepSXMethod
 from repro.methods.registry import available_methods, make_method, register_method
 from repro.methods.verifier_pool import ParallelVerifier
 
@@ -14,7 +14,6 @@ __all__ = [
     "ParallelVerifier",
     "DirectSIMethod",
     "GraphGrepSXMethod",
-    "GrapesMethod",
     "CTIndexMethod",
     "register_method",
     "available_methods",

@@ -12,14 +12,15 @@ Verifier (a sub-iso engine).  GC never re-implements query answering; it only
 
 from __future__ import annotations
 
-import abc
 import time
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 
 from repro.errors import MethodError
+from repro.features.base import FeatureExtractor
 from repro.graph.graph import Graph
-from repro.index.base import DatasetIndex, GraphId, graph_id_sort_key
+from repro.index.base import GraphId, graph_id_sort_key
+from repro.index.containment import DatasetIndex
 from repro.isomorphism.base import SubgraphMatcher
 from repro.isomorphism.instrumentation import CountingMatcher
 from repro.isomorphism.vf2 import VF2Matcher
@@ -51,8 +52,13 @@ class MethodResult:
         return self.filter_seconds + self.verify_seconds
 
 
-class MethodM(abc.ABC):
-    """Base class for filter-then-verify (and plain SI) methods."""
+class MethodM:
+    """Filter-then-verify over one :class:`DatasetIndex`; plain SI without one.
+
+    A concrete method only chooses the feature family it filters with
+    (:meth:`_extractor`); a method that chooses none has no index and every
+    dataset graph is a candidate.
+    """
 
     name: str = "abstract"
 
@@ -64,6 +70,8 @@ class MethodM(abc.ABC):
         #: Shared batch verifier (GraphCache's thread resource management);
         #: candidate sub-iso tests of one query run through its worker pool.
         self.parallel_verifier = ParallelVerifier(threads=1)
+        #: The filter, built by :meth:`build` (``None``: no filtering).
+        self.index: DatasetIndex | None = None
         self._dataset: dict[GraphId, Graph] = {}
         self._graph_order: list[GraphId] = []
         self._built = False
@@ -91,16 +99,20 @@ class MethodM(abc.ABC):
                 raise MethodError(f"duplicate graph id {graph_id!r} in dataset")
             self._dataset[graph_id] = graph
             self._graph_order.append(graph_id)
-        self._build_filter(graphs)
+        extractor = self._extractor()
+        if extractor is not None:
+            self.index = DatasetIndex(extractor)
+            self.index.build(graphs)
         self._built = True
 
-    @abc.abstractmethod
-    def _build_filter(self, dataset: list[Graph]) -> None:
-        """Build the method-specific filter structure (may be a no-op)."""
+    def _extractor(self) -> FeatureExtractor | None:
+        """The feature family the filter indexes (``None``: no filter)."""
+        return None
 
-    @abc.abstractmethod
     def _filter_candidates(self, query: Graph, query_type: QueryType) -> set[GraphId]:
-        """Return the candidate ids produced by the method's filter."""
+        if self.index is None:
+            return set(self._graph_order)
+        return self.index.candidates(query, query_type)
 
     # ------------------------------------------------------------------ #
     # dataset access
@@ -182,10 +194,7 @@ class MethodM(abc.ABC):
     # ------------------------------------------------------------------ #
     def index_memory_bytes(self) -> int:
         """Memory footprint of the method's filter index (0 if none)."""
-        index = getattr(self, "index", None)
-        if isinstance(index, DatasetIndex):
-            return index.memory_bytes()
-        return 0
+        return self.index.memory_bytes() if self.index is not None else 0
 
     def describe(self) -> dict[str, object]:
         """Describe the method and its filter for reports."""
@@ -194,9 +203,8 @@ class MethodM(abc.ABC):
             "verifier": self.verifier.inner.name,
             "dataset_size": self.dataset_size,
         }
-        index = getattr(self, "index", None)
-        if isinstance(index, DatasetIndex):
-            description["index"] = index.describe()
+        if self.index is not None:
+            description["index"] = self.index.describe()
         return description
 
     def _require_built(self) -> None:

@@ -1,10 +1,10 @@
-"""CT-Index style FTV method: tree (star) + cycle features, hashed fingerprints.
+"""CT-Index style FTV method: tree (star) + cycle features, hashed.
 
 Represents the "different feature family, different space/filtering trade
 off" point in the Method M spectrum.  Features are star and cycle patterns
-(both monotone under subgraph containment) hashed into fixed-width
-fingerprints, so the index is tiny but filtering is weaker than the exact
-multiset indexes.
+(both monotone under subgraph containment) hashed into ``num_bits``
+positions, so the index is small but filtering is weaker than with the exact
+multisets.
 """
 
 from __future__ import annotations
@@ -12,13 +12,10 @@ from __future__ import annotations
 from repro.errors import MethodError
 from repro.features.base import CompositeExtractor
 from repro.features.cycles import CycleFeatureExtractor
+from repro.features.fingerprint import HashedFeatureExtractor
 from repro.features.trees import StarFeatureExtractor
-from repro.graph.graph import Graph
-from repro.index.base import GraphId
-from repro.index.bitmap import FingerprintIndex
 from repro.isomorphism.base import SubgraphMatcher
 from repro.methods.base import MethodM
-from repro.query_model import QueryType
 
 
 class CTIndexMethod(MethodM):
@@ -39,21 +36,17 @@ class CTIndexMethod(MethodM):
         self.max_leaves = max_leaves
         self.max_cycle_length = max_cycle_length
         self.num_bits = num_bits
-        self.index: FingerprintIndex | None = None
 
-    def _build_filter(self, dataset: list[Graph]) -> None:
-        extractor = CompositeExtractor(
-            [
-                StarFeatureExtractor(max_leaves=self.max_leaves),
-                CycleFeatureExtractor(max_length=self.max_cycle_length),
-            ]
+    def _extractor(self) -> HashedFeatureExtractor:
+        return HashedFeatureExtractor(
+            CompositeExtractor(
+                [
+                    StarFeatureExtractor(max_leaves=self.max_leaves),
+                    CycleFeatureExtractor(max_length=self.max_cycle_length),
+                ]
+            ),
+            num_bits=self.num_bits,
         )
-        self.index = FingerprintIndex(extractor, num_bits=self.num_bits)
-        self.index.build(dataset)
-
-    def _filter_candidates(self, query: Graph, query_type: QueryType) -> set[GraphId]:
-        assert self.index is not None
-        return self.index.candidates(query, query_type)
 
     def describe(self) -> dict[str, object]:
         description = super().describe()

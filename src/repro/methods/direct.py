@@ -7,20 +7,10 @@ the SI end of that spectrum and the weakest baseline in the benchmarks.
 
 from __future__ import annotations
 
-from repro.graph.graph import Graph
-from repro.index.base import GraphId
 from repro.methods.base import MethodM
-from repro.query_model import QueryType
 
 
 class DirectSIMethod(MethodM):
     """Verify the query against every dataset graph (no filter index)."""
 
     name = "direct-si"
-
-    def _build_filter(self, dataset: list[Graph]) -> None:
-        """Nothing to build: there is no index."""
-
-    def _filter_candidates(self, query: Graph, query_type: QueryType) -> set[GraphId]:
-        """Every dataset graph is a candidate."""
-        return set(self._graph_order)

@@ -1,27 +1,21 @@
-"""Path-feature FTV methods (GraphGrepSX and a plain inverted-index variant).
+"""GraphGrepSX: the path-feature FTV method (the paper's Method M).
 
-``GraphGrepSXMethod`` is the reproduction of the paper's Method M (Bonnici et
-al., reference [1]): label paths up to a maximum length stored in a suffix
-trie.  ``GrapesMethod`` keeps the same feature family in a flat inverted
-index; both expose ``feature_size`` (the maximum path length), which is the
-knob experiment II turns.
+Bonnici et al. (reference [1]) filter with the label paths of every dataset
+graph up to a maximum length, ``feature_size`` — the knob experiment II
+turns.  The registry also answers to ``grapes``: GRAPES filters with the same
+feature family, and over one containment index the two are one computation.
 """
 
 from __future__ import annotations
 
 from repro.errors import MethodError
 from repro.features.paths import PathFeatureExtractor
-from repro.graph.graph import Graph
-from repro.index.base import GraphId
-from repro.index.inverted import InvertedFeatureIndex
-from repro.index.suffix_trie import SuffixTrieIndex
 from repro.isomorphism.base import SubgraphMatcher
 from repro.methods.base import MethodM
-from repro.query_model import QueryType
 
 
 class GraphGrepSXMethod(MethodM):
-    """Suffix-trie FTV method over label paths (the demo's Method M)."""
+    """FTV method over label paths (the demo's Method M)."""
 
     name = "graphgrep-sx"
 
@@ -32,43 +26,9 @@ class GraphGrepSXMethod(MethodM):
             raise MethodError("feature_size (maximum path length) must be at least 1")
         super().__init__(verifier=verifier)
         self.feature_size = feature_size
-        self.index: SuffixTrieIndex | None = None
 
-    def _build_filter(self, dataset: list[Graph]) -> None:
-        self.index = SuffixTrieIndex(max_path_length=self.feature_size)
-        self.index.build(dataset)
-
-    def _filter_candidates(self, query: Graph, query_type: QueryType) -> set[GraphId]:
-        assert self.index is not None
-        return self.index.candidates(query, query_type)
-
-    def describe(self) -> dict[str, object]:
-        description = super().describe()
-        description["feature_size"] = self.feature_size
-        return description
-
-
-class GrapesMethod(MethodM):
-    """Inverted-index FTV method over the same label-path features."""
-
-    name = "grapes"
-
-    def __init__(
-        self, feature_size: int = 3, verifier: SubgraphMatcher | None = None
-    ) -> None:
-        if feature_size < 1:
-            raise MethodError("feature_size (maximum path length) must be at least 1")
-        super().__init__(verifier=verifier)
-        self.feature_size = feature_size
-        self.index: InvertedFeatureIndex | None = None
-
-    def _build_filter(self, dataset: list[Graph]) -> None:
-        self.index = InvertedFeatureIndex(PathFeatureExtractor(max_length=self.feature_size))
-        self.index.build(dataset)
-
-    def _filter_candidates(self, query: Graph, query_type: QueryType) -> set[GraphId]:
-        assert self.index is not None
-        return self.index.candidates(query, query_type)
+    def _extractor(self) -> PathFeatureExtractor:
+        return PathFeatureExtractor(max_length=self.feature_size)
 
     def describe(self) -> dict[str, object]:
         description = super().describe()

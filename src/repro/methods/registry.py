@@ -14,7 +14,7 @@ from repro.errors import UnknownMethodError
 from repro.methods.base import MethodM
 from repro.methods.ctindex import CTIndexMethod
 from repro.methods.direct import DirectSIMethod
-from repro.methods.grapes import GraphGrepSXMethod, GrapesMethod
+from repro.methods.grapes import GraphGrepSXMethod
 
 MethodFactory = Callable[..., MethodM]
 
@@ -46,5 +46,6 @@ def make_method(name: str, **kwargs) -> MethodM:
 # built-in methods
 register_method(DirectSIMethod.name, DirectSIMethod)
 register_method(GraphGrepSXMethod.name, GraphGrepSXMethod)
-register_method(GrapesMethod.name, GrapesMethod)
+# GRAPES filters with the same path features: one computation, two names
+register_method("grapes", GraphGrepSXMethod)
 register_method(CTIndexMethod.name, CTIndexMethod)

@@ -67,7 +67,9 @@ class QueryExecutor:
 
         # optional measured baseline
         if self.measure_baseline:
-            baseline = self.method.execute(query.graph, query.query_type)
+            # on a copy: the pipeline left its compiled form and match plan on
+            # ``query.graph``, which Method M alone would have had to build
+            baseline = self.method.execute(query.graph.copy(), query.query_type)
             ctx.report.baseline_seconds = baseline.total_seconds
         else:
             ctx.report.baseline_seconds = ctx.report.filter_seconds + (

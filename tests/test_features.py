@@ -10,7 +10,7 @@ from repro.features import (
     CycleFeatureExtractor,
     EdgeFeatureExtractor,
     FeatureExtractor,
-    Fingerprint,
+    HashedFeatureExtractor,
     PathFeatureExtractor,
     StarFeatureExtractor,
     canonical_cycle_key,
@@ -150,30 +150,32 @@ class TestMultisetHelpers:
         assert ("O",) in missing
 
 
-class TestFingerprint:
-    def test_from_features_and_containment(self):
-        big_features = PathFeatureExtractor(2).extract(cycle_graph(["C", "C", "C", "C"]))
-        small_features = PathFeatureExtractor(2).extract(path_graph(["C", "C"]))
-        big = Fingerprint.from_features(big_features, num_bits=256)
-        small = Fingerprint.from_features(small_features, num_bits=256)
-        assert big.contains_all(small)
+class TestHashedFeatures:
+    def test_positions_of_a_subgraph_are_contained(self):
+        hashed = HashedFeatureExtractor(PathFeatureExtractor(2), num_bits=256)
+        big = hashed.extract(cycle_graph(["C", "C", "C", "C"]))
+        small = hashed.extract(path_graph(["C", "C"]))
+        assert FeatureExtractor.multiset_contains(big, small)
 
-    def test_popcount_and_size(self):
-        fingerprint = Fingerprint(num_bits=64)
-        fingerprint.add(("C",))
-        assert fingerprint.popcount() == 1
-        assert fingerprint.size_bytes() == 8
+    def test_one_feature_per_position_and_multiplicities_dropped(self):
+        inner = PathFeatureExtractor(1)
+        hashed = HashedFeatureExtractor(inner, num_bits=64)
+        graph = path_graph(["C", "C", "C"])
+        assert max(inner.extract(graph).values()) > 1
+        assert hashed.extract(graph) == {hashed.position(key): 1 for key in inner.extract(graph)}
+        assert all(0 <= position < 64 for position in hashed.extract(graph))
 
-    def test_equality(self):
-        first = Fingerprint.from_features([("C",)], num_bits=64)
-        second = Fingerprint.from_features([("C",)], num_bits=64)
-        assert first == second
-        assert hash(first) == hash(second)
+    def test_positions_are_stable(self):
+        # blake2b(repr(key), 8 bytes) % width: the hash ct-index has always used
+        first = HashedFeatureExtractor(PathFeatureExtractor(1), num_bits=64)
+        second = HashedFeatureExtractor(PathFeatureExtractor(1), num_bits=64)
+        assert first.position(("C",)) == second.position(("C",)) == 47
 
-    def test_width_mismatch_rejected(self):
-        with pytest.raises(IndexError_):
-            Fingerprint(64).contains_all(Fingerprint(128))
+    def test_describe_names_width_and_inner_family(self):
+        description = HashedFeatureExtractor(PathFeatureExtractor(2), num_bits=128).describe()
+        assert description["num_bits"] == 128
+        assert description["inner"]["name"] == "paths"
 
     def test_invalid_width(self):
         with pytest.raises(IndexError_):
-            Fingerprint(num_bits=0)
+            HashedFeatureExtractor(PathFeatureExtractor(2), num_bits=0)

@@ -1,4 +1,4 @@
-"""Tests for the dataset indexes (inverted, suffix trie, fingerprint)."""
+"""Tests for the dataset filter (exact path multisets and hashed positions)."""
 
 from __future__ import annotations
 
@@ -7,20 +7,24 @@ import random
 import pytest
 
 from repro.errors import IndexError_
-from repro.features import PathFeatureExtractor
+from repro.features import HashedFeatureExtractor, PathFeatureExtractor
 from repro.graph import molecule_dataset
 from repro.graph.operations import extend_graph, random_connected_subgraph
-from repro.index import FingerprintIndex, InvertedFeatureIndex, SuffixTrieIndex
+from repro.index import DatasetIndex
 from repro.isomorphism import VF2Matcher
 from repro.query_model import QueryType
 
 
-def make_index(kind: str):
-    if kind == "inverted":
-        return InvertedFeatureIndex(PathFeatureExtractor(max_length=2))
-    if kind == "suffix":
-        return SuffixTrieIndex(max_path_length=2)
-    return FingerprintIndex(PathFeatureExtractor(max_length=2), num_bits=512)
+def hashed_index(num_bits: int) -> DatasetIndex:
+    return DatasetIndex(HashedFeatureExtractor(PathFeatureExtractor(2), num_bits=num_bits))
+
+
+def make_index(kind: str) -> DatasetIndex:
+    if kind == "paths-2":
+        return DatasetIndex(PathFeatureExtractor(max_length=2))
+    if kind == "paths-3":
+        return DatasetIndex(PathFeatureExtractor(max_length=3))
+    return hashed_index(512)
 
 
 def true_subgraph_answer(dataset, query):
@@ -38,7 +42,7 @@ def dataset():
     return molecule_dataset(20, min_vertices=8, max_vertices=16, rng=17)
 
 
-@pytest.mark.parametrize("kind", ["inverted", "suffix", "fingerprint"])
+@pytest.mark.parametrize("kind", ["paths-2", "paths-3", "hashed"])
 class TestSoundness:
     def test_subgraph_candidates_contain_answer(self, dataset, kind):
         rng = random.Random(3)
@@ -97,9 +101,9 @@ class TestSoundness:
         )
 
 
-class TestInvertedIndexSpecifics:
+class TestExactFeatureSpecifics:
     def test_filtering_actually_prunes(self, dataset):
-        index = InvertedFeatureIndex(PathFeatureExtractor(max_length=3))
+        index = DatasetIndex(PathFeatureExtractor(max_length=3))
         index.build(dataset)
         rng = random.Random(5)
         query = random_connected_subgraph(dataset[3], 8, rng=rng)
@@ -110,57 +114,29 @@ class TestInvertedIndexSpecifics:
         from repro.graph import path_graph
 
         query = path_graph(["Zz", "Zz"])
-        index = InvertedFeatureIndex(PathFeatureExtractor(max_length=2))
+        index = DatasetIndex(PathFeatureExtractor(max_length=2))
         index.build(dataset)
         assert index.candidates(query, QueryType.SUBGRAPH) == set()
 
-    def test_graph_features_lookup(self, dataset):
-        index = InvertedFeatureIndex(PathFeatureExtractor(max_length=1))
+    def test_describe_counts_graphs_and_features(self, dataset):
+        index = DatasetIndex(PathFeatureExtractor(max_length=2))
         index.build(dataset)
-        features = index.graph_features(dataset[0].graph_id)
-        assert sum(count for key, count in features.items() if len(key) == 1) == dataset[
-            0
-        ].num_vertices
-        with pytest.raises(IndexError_):
-            index.graph_features("missing")
+        description = index.describe()
+        assert description["num_graphs"] == len(dataset)
+        assert description["num_features"] > 0
+        assert description["extractor"]["name"] == "paths"
 
-    def test_num_features_positive(self, dataset):
-        index = InvertedFeatureIndex(PathFeatureExtractor(max_length=2))
-        index.build(dataset)
-        assert index.num_features() > 0
-
-
-class TestSuffixTrieSpecifics:
-    def test_same_candidates_as_inverted_index(self, dataset):
-        trie = SuffixTrieIndex(max_path_length=2)
-        inverted = InvertedFeatureIndex(PathFeatureExtractor(max_length=2))
-        trie.build(dataset)
-        inverted.build(dataset)
-        rng = random.Random(6)
-        for _ in range(5):
-            query = random_connected_subgraph(dataset[rng.randrange(len(dataset))], 6, rng=rng)
-            assert trie.candidates(query, QueryType.SUBGRAPH) == inverted.candidates(
-                query, QueryType.SUBGRAPH
-            )
-
-    def test_trie_shares_prefixes(self, dataset):
-        trie = SuffixTrieIndex(max_path_length=2)
-        trie.build(dataset)
-        inverted = InvertedFeatureIndex(PathFeatureExtractor(max_length=2))
-        inverted.build(dataset)
-        # a trie cannot have more nodes than 1 + total distinct features
-        assert trie.num_trie_nodes() <= 1 + 3 * inverted.num_features()
-
-    def test_invalid_path_length(self):
-        with pytest.raises(IndexError_):
-            SuffixTrieIndex(max_path_length=0)
+    def test_longer_paths_measure_a_bigger_index(self, dataset):
+        short, long = make_index("paths-2"), make_index("paths-3")
+        short.build(dataset)
+        long.build(dataset)
+        assert long.memory_bytes() > short.memory_bytes()
 
 
-class TestFingerprintIndexSpecifics:
+class TestHashedFeatureSpecifics:
     def test_larger_feature_space_weaker_or_equal_filtering(self, dataset):
         # fewer bits => more collisions => never smaller candidate sets
-        small = FingerprintIndex(PathFeatureExtractor(2), num_bits=64)
-        large = FingerprintIndex(PathFeatureExtractor(2), num_bits=4096)
+        small, large = hashed_index(64), hashed_index(4096)
         small.build(dataset)
         large.build(dataset)
         rng = random.Random(7)
@@ -169,13 +145,13 @@ class TestFingerprintIndexSpecifics:
             query, QueryType.SUBGRAPH
         )
 
-    def test_memory_scales_with_bits(self, dataset):
-        small = FingerprintIndex(PathFeatureExtractor(2), num_bits=256)
-        large = FingerprintIndex(PathFeatureExtractor(2), num_bits=2048)
+    def test_measured_memory_grows_with_distinct_positions(self, dataset):
+        small, large = hashed_index(16), hashed_index(2048)
         small.build(dataset)
         large.build(dataset)
+        assert large.describe()["num_features"] > small.describe()["num_features"]
         assert large.memory_bytes() > small.memory_bytes()
 
     def test_invalid_bits(self):
         with pytest.raises(IndexError_):
-            FingerprintIndex(PathFeatureExtractor(2), num_bits=0)
+            hashed_index(0)

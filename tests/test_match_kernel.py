@@ -1,6 +1,6 @@
 """The bit-parallel match kernel and the compiled graphs it runs on.
 
-Four groups:
+Three groups:
 
 (a) differential — the kernel behind :class:`VF2Matcher` agrees with networkx
     (an independent oracle, here with edge-label and induced semantics too)
@@ -11,8 +11,7 @@ Four groups:
 (b) invalidation — a graph that has been compiled (matched) answers according
     to its *current* shape after every kind of mutation, and the compiled form
     never travels with ``copy()``, ``pickle`` or ``to_dict()``;
-(c) threads sharing one pattern and its targets get the sequential answers;
-(d) the index's posting-intersection helpers return the brute-force sets.
+(c) threads sharing one pattern and its targets get the sequential answers.
 """
 
 from __future__ import annotations
@@ -22,16 +21,13 @@ import pickle
 import random
 import sys
 import threading
-from collections import Counter
 
 import networkx.algorithms.isomorphism as iso
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.features.base import FeatureExtractor
 from repro.graph import Graph, cycle_graph, molecule_dataset, path_graph
 from repro.graph.operations import random_connected_subgraph
-from repro.index.base import feature_size, graphs_meeting_postings, graphs_within_features
 from repro.isomorphism import UllmannMatcher, VF2Matcher
 from repro.isomorphism.base import MatchStats
 from repro.isomorphism.vf2 import _search
@@ -387,47 +383,3 @@ def test_threads_sharing_pattern_and_targets_get_the_sequential_answers():
             for target, result in zip(dataset, row):
                 if result.found:
                     assert_embedding(pattern, target, result.mapping)
-
-
-# ---------------------------------------------------------------------- #
-# (d) posting intersection
-# ---------------------------------------------------------------------- #
-FEATURE_KEYS = [("A",), ("B",), ("A", "A"), ("A", "B"), ("B", "B"), ("A", "B", "A")]
-
-feature_multisets = st.dictionaries(
-    st.sampled_from(FEATURE_KEYS), st.integers(1, 4), max_size=len(FEATURE_KEYS)
-).map(Counter)
-
-
-class TestPostingHelpers:
-    @RELAXED
-    @given(graphs=st.lists(feature_multisets, max_size=12), query=feature_multisets)
-    def test_both_directions_equal_brute_force(self, graphs, query):
-        graph_features = dict(enumerate(graphs))
-        postings: dict = {}
-        for graph_id, features in graph_features.items():
-            for key, count in features.items():
-                postings.setdefault(key, {})[graph_id] = count
-        sizes = {graph_id: feature_size(f) for graph_id, f in graph_features.items()}
-
-        containing = graphs_meeting_postings(
-            [(postings.get(key), needed) for key, needed in query.items()], graph_features
-        )
-        assert containing == {
-            graph_id for graph_id, features in graph_features.items()
-            if FeatureExtractor.multiset_contains(features, query)
-        }
-        contained = graphs_within_features(query, graph_features, sizes)
-        assert contained == {
-            graph_id for graph_id, features in graph_features.items()
-            if FeatureExtractor.multiset_contains(query, features)
-        }
-
-    def test_a_query_without_features_keeps_every_graph(self):
-        assert graphs_meeting_postings([], [3, 1, 2]) == {1, 2, 3}
-
-    def test_a_feature_no_graph_has_empties_the_result(self):
-        posting = {1: 2, 2: 1}
-        assert graphs_meeting_postings([(posting, 1), (None, 1)], [1, 2]) == set()
-        assert graphs_meeting_postings([(posting, 1), ({}, 1)], [1, 2]) == set()
-        assert graphs_meeting_postings([(posting, 2)], [1, 2]) == {1}

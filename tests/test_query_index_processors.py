@@ -56,7 +56,7 @@ class TestCachedQueryIndex:
         index.add(cached)
         query = random_connected_subgraph(big, 6, rng=rng)
         features = index.query_features(query)
-        candidates = index.sub_case_candidates(query, features)
+        candidates = index.sub_case_candidates(query, features, QueryType.SUBGRAPH)
         assert cached in candidates
 
     def test_super_case_screening_keeps_true_contained(self, index):
@@ -66,7 +66,7 @@ class TestCachedQueryIndex:
         index.add(cached)
         query = extend_graph(small, 4, labels=["C", "N", "O"], rng=rng)
         features = index.query_features(query)
-        candidates = index.super_case_candidates(query, features)
+        candidates = index.super_case_candidates(query, features, QueryType.SUBGRAPH)
         assert cached in candidates
 
     def test_size_screen_excludes_impossible_directions(self, index):
@@ -75,7 +75,7 @@ class TestCachedQueryIndex:
         query = molecule_graph(10, rng=7)
         features = index.query_features(query)
         # a 4-vertex cached query cannot contain a 10-vertex query
-        assert small not in index.sub_case_candidates(query, features)
+        assert small not in index.sub_case_candidates(query, features, QueryType.SUBGRAPH)
 
     def test_exact_candidates_by_hash(self, index):
         graph = molecule_graph(8, rng=8)
@@ -84,8 +84,10 @@ class TestCachedQueryIndex:
         permuted = graph.relabel_vertices(
             {vertex: f"x{i}" for i, vertex in enumerate(graph.vertices())}
         )
-        assert cached in index.exact_candidates(permuted)
-        assert index.exact_candidates(molecule_graph(8, rng=99)) in ([], [cached])
+        assert cached in index.exact_candidates(permuted, QueryType.SUBGRAPH)
+        other = index.exact_candidates(molecule_graph(8, rng=99), QueryType.SUBGRAPH)
+        assert other in ([], [cached])
+        assert index.exact_candidates(permuted, QueryType.SUPERGRAPH) == []
 
     def test_memory_accounting(self, index):
         index.add(entry_for(molecule_graph(8, rng=9)))

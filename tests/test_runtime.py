@@ -141,6 +141,25 @@ class TestGraphCacheSystem:
         assert report.baseline_seconds is not None
         assert report.baseline_seconds > 0.0
 
+    def test_measured_baseline_does_not_inherit_the_pipelines_graph(self, dataset, monkeypatch):
+        # the pipeline leaves a compiled form and a match plan on the query
+        # graph; the "no cache" arm must pay for its own
+        system = GraphCacheSystem(
+            dataset, GCConfig(measure_baseline=True, cache_capacity=8, window_size=2)
+        )
+        baseline_graphs = []
+        execute = system.method.execute
+        monkeypatch.setattr(
+            system.method, "execute",
+            lambda graph, query_type: baseline_graphs.append(graph) or execute(graph, query_type),
+        )
+        query = random_connected_subgraph(dataset[2], 5, rng=9)
+        report = system.run_query(query, "subgraph")
+        assert len(baseline_graphs) == 1
+        assert baseline_graphs[0] is not query
+        assert baseline_graphs[0].edges() == query.edges()
+        assert report.answer == execute(query, "subgraph").answer
+
     def test_memory_overhead_ratio(self, dataset):
         system = GraphCacheSystem(
             dataset,

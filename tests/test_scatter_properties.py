@@ -10,8 +10,7 @@ Three families of properties lock the planner down:
   shard cache exactly under arbitrary cache churn (sync and async
   maintenance), and the partition-level vectors (union/common features,
   size envelope) bound every member graph — also after a router rebalance
-  produced new partitions.  The :meth:`InvertedFeatureIndex.summary_vectors`
-  shortcut must agree with extractor-derived vectors.
+  produced new partitions.
 * **Cost monotonicity** — the admission cost estimate is monotone
   non-decreasing in the planned candidate count and in the per-test cost,
   and never negative; per-query shard costs only price planned targets.
@@ -24,10 +23,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.features.paths import EdgeFeatureExtractor, PathFeatureExtractor
+from repro.features.paths import EdgeFeatureExtractor
 from repro.features.base import FeatureExtractor
 from repro.graph import molecule_dataset
-from repro.index.inverted import InvertedFeatureIndex
 from repro.isomorphism.vf2 import VF2Matcher
 from repro.query_model import QueryType
 from repro.runtime.config import GCConfig
@@ -151,18 +149,6 @@ class TestSummaryConsistency:
                 assert summary.min_vertices <= graph.num_vertices <= summary.max_vertices
                 assert summary.min_edges <= graph.num_edges <= summary.max_edges
                 assert set(graph.label_counts()) <= set(summary.label_set)
-
-    @COMMON_SETTINGS
-    @given(seed=st.integers(0, 2**16), max_length=st.integers(1, 2))
-    def test_index_summary_vectors_match_extractor_derivation(self, seed, max_length):
-        dataset = make_dataset(seed, 7)
-        extractor = PathFeatureExtractor(max_length=max_length)
-        index = InvertedFeatureIndex(extractor)
-        index.build(dataset)
-        union, common = index.summary_vectors()
-        multisets = [extractor.extract(graph) for graph in dataset]
-        assert union == FeatureExtractor.multiset_union(multisets)
-        assert common == FeatureExtractor.multiset_common(multisets)
 
 
 class TestCostModel:
