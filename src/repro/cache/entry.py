@@ -57,8 +57,10 @@ class CacheEntry:
     graph: Graph
     query_type: QueryType
     answer: frozenset[GraphId]
+    #: The pattern's index features, assigned from the graph's remembered
+    #: analysis when the entry joins the query index (empty while it waits
+    #: in the admission window); part of the footprint the byte budget counts.
     features: Counter[FeatureKey] = field(default_factory=Counter)
-    wl_hash: str = ""
     entry_id: int = field(default_factory=lambda: next(_entry_counter))
     admitted_clock: int = 0
     #: Average cost (seconds) of one dataset sub-iso test observed when this
@@ -69,8 +71,6 @@ class CacheEntry:
 
     def __post_init__(self) -> None:
         self.query_type = QueryType.parse(self.query_type)
-        if not self.wl_hash:
-            self.wl_hash = self.graph.wl_hash()
 
     @property
     def num_vertices(self) -> int:

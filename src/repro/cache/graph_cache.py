@@ -30,14 +30,13 @@ from repro.cache.policies.base import (
     ReplacementPolicy,
 )
 from repro.cache.policies.registry import make_policy
-from repro.cache.query_index import CachedQueryIndex
+from repro.cache.query_index import CACHE_FEATURE_LENGTH, CachedQueryIndex
 from repro.cache.store import CacheStore
 from repro.cache.subcase import SubCaseProcessor
 from repro.cache.supercase import SuperCaseProcessor
 from repro.cache.window import WindowManager
 from repro.errors import CacheCapacityError
-from repro.features.base import FeatureExtractor
-from repro.features.paths import PathFeatureExtractor
+from repro.features.paths import path_features
 from repro.graph.canonical import definitely_isomorphic
 from repro.graph.graph import Graph
 from repro.index.base import GraphId
@@ -75,7 +74,6 @@ class GraphCache:
         window_size: int = 10,
         min_tests_to_admit: int = 0,
         probe_matcher: SubgraphMatcher | None = None,
-        feature_extractor: FeatureExtractor | None = None,
         max_sub_hits: int | None = None,
         max_super_hits: int | None = None,
         enable_sub_case: bool = True,
@@ -98,8 +96,7 @@ class GraphCache:
         self.policy = policy if isinstance(policy, ReplacementPolicy) else make_policy(policy)
         self.store = CacheStore()
         self.window = WindowManager(window_size=window_size, min_tests_to_admit=min_tests_to_admit)
-        extractor = feature_extractor or PathFeatureExtractor(max_length=2)
-        self.query_index = CachedQueryIndex(extractor)
+        self.query_index = CachedQueryIndex()
         matcher = probe_matcher or VF2Matcher()
         self.sub_processor = SubCaseProcessor(matcher, max_hits=max_sub_hits)
         self.super_processor = SuperCaseProcessor(matcher, max_hits=max_super_hits)
@@ -170,7 +167,7 @@ class GraphCache:
 
         if not (self.enable_sub_case or self.enable_super_case):
             return lookup
-        features = self.query_index.query_features(graph)
+        features = path_features(graph, CACHE_FEATURE_LENGTH)
         sub_candidates = (
             self.query_index.sub_case_candidates(graph, features, query.query_type)
             if self.enable_sub_case

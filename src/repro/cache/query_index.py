@@ -11,10 +11,14 @@ screening questions for entries of the new query's type:
 * which cached entries might be *contained in* it (super-case candidates),
 * which cached entries might be *isomorphic* to it (exact-match candidates).
 
-Screening is by feature-multiset containment (plus cheap invariants); the
-definitive answer is produced later with real sub-iso "probe" tests by the
-sub/super case processors.  Screening must therefore never reject a true
-hit — the same no-false-dismissal contract as the dataset filter.
+Screening is by containment of label-path multisets up to
+:data:`CACHE_FEATURE_LENGTH` edges (plus cheap invariants) — a restriction of
+what the dataset filter already enumerated for the query, read from the
+graph's remembered analysis (:func:`~repro.features.paths.path_features`),
+as is the exact-match key.  The definitive answer is produced later with
+real sub-iso "probe" tests by the sub/super case processors.  Screening must
+therefore never reject a true hit — the same no-false-dismissal contract as
+the dataset filter.
 """
 
 from __future__ import annotations
@@ -23,19 +27,22 @@ from collections import Counter
 
 from repro.cache.entry import CacheEntry
 from repro.errors import CacheError
-from repro.features.base import FeatureExtractor, FeatureKey
+from repro.features.base import FeatureKey
+from repro.features.paths import path_features
 from repro.graph.canonical import quick_containment_screen
 from repro.graph.graph import Graph
 from repro.index.base import estimate_object_bytes
 from repro.index.containment import ContainmentIndex
-from repro.query_model import QueryType
+from repro.query_model import ExactKey, QueryType, exact_key
+
+#: Longest label path (in edges) the cached queries are indexed by.
+CACHE_FEATURE_LENGTH = 2
 
 
 class CachedQueryIndex:
     """Dynamic feature index over the cached query graphs."""
 
-    def __init__(self, extractor: FeatureExtractor) -> None:
-        self.extractor = extractor
+    def __init__(self) -> None:
         #: entry id → entry, in the order entries were added: screened
         #: candidates keep it, because probing stops at ``max_hits``.
         self._entries: dict[int, CacheEntry] = {}
@@ -43,20 +50,20 @@ class CachedQueryIndex:
         #: exact-match key → its entries (by id), oldest first.  Duplicates of
         #: one pattern can be resident, and which one an exact hit credits
         #: steers replacement.
-        self._exact: dict[tuple, dict[int, CacheEntry]] = {}
+        self._exact: dict[ExactKey, dict[int, CacheEntry]] = {}
 
     # ------------------------------------------------------------------ #
     # maintenance
     # ------------------------------------------------------------------ #
     def add(self, entry: CacheEntry) -> None:
-        """Add a cached entry (its features are computed if missing)."""
+        """Add a cached entry under its pattern's features and exact key."""
         if entry.entry_id in self._entries:
             raise CacheError(f"entry {entry.entry_id} is already indexed")
-        if not entry.features:
-            entry.features = self.extractor.extract(entry.graph)
+        entry.features = path_features(entry.graph, CACHE_FEATURE_LENGTH)
         self._entries[entry.entry_id] = entry
         self._index.add(entry.entry_id, entry.features, group=entry.query_type)
-        self._exact.setdefault(_exact_key(entry), {})[entry.entry_id] = entry
+        key = exact_key(entry.graph, entry.query_type)
+        self._exact.setdefault(key, {})[entry.entry_id] = entry
 
     def remove(self, entry_id: int) -> None:
         """Remove a cached entry from the index."""
@@ -64,7 +71,7 @@ class CachedQueryIndex:
         if entry is None:
             raise CacheError(f"entry {entry_id} is not indexed")
         self._index.remove(entry_id)
-        key = _exact_key(entry)
+        key = exact_key(entry.graph, entry.query_type)
         del self._exact[key][entry_id]
         if not self._exact[key]:
             del self._exact[key]
@@ -82,15 +89,14 @@ class CachedQueryIndex:
     # ------------------------------------------------------------------ #
     # screening
     # ------------------------------------------------------------------ #
-    def query_features(self, query_graph: Graph) -> Counter[FeatureKey]:
-        """Extract the feature multiset of a new query graph."""
-        return self.extractor.extract(query_graph)
-
     def sub_case_candidates(
-        self, query_graph: Graph, query_features: Counter[FeatureKey], query_type: QueryType
+        self, query_graph: Graph, features: Counter[FeatureKey], query_type: QueryType
     ) -> list[CacheEntry]:
-        """Cached entries that might *contain* the new query (query ⊆ entry)."""
-        screened = self._index.containing(query_features, group=query_type)
+        """Cached entries that might *contain* the new query (query ⊆ entry).
+
+        ``features`` is ``path_features(query_graph, CACHE_FEATURE_LENGTH)``.
+        """
+        screened = self._index.containing(features, group=query_type)
         return [
             entry
             for entry_id, entry in self._entries.items()
@@ -98,10 +104,10 @@ class CachedQueryIndex:
         ]
 
     def super_case_candidates(
-        self, query_graph: Graph, query_features: Counter[FeatureKey], query_type: QueryType
+        self, query_graph: Graph, features: Counter[FeatureKey], query_type: QueryType
     ) -> list[CacheEntry]:
         """Cached entries that might be *contained in* the new query (entry ⊆ query)."""
-        screened = self._index.contained_in(query_features, group=query_type)
+        screened = self._index.contained_in(features, group=query_type)
         return [
             entry
             for entry_id, entry in self._entries.items()
@@ -110,8 +116,7 @@ class CachedQueryIndex:
 
     def exact_candidates(self, query_graph: Graph, query_type: QueryType) -> list[CacheEntry]:
         """Cached entries that might be isomorphic to the new query, oldest first."""
-        key = (query_type, query_graph.wl_hash(), query_graph.size_signature())
-        return list(self._exact.get(key, {}).values())
+        return list(self._exact.get(exact_key(query_graph, query_type), {}).values())
 
     # ------------------------------------------------------------------ #
     # accounting
@@ -119,7 +124,3 @@ class CachedQueryIndex:
     def memory_bytes(self) -> int:
         """Measured footprint of the index tables (entries are owned by the store)."""
         return self._index.memory_bytes() + estimate_object_bytes((self._entries, self._exact))
-
-
-def _exact_key(entry: CacheEntry) -> tuple:
-    return (entry.query_type, entry.wl_hash, entry.graph.size_signature())

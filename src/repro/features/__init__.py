@@ -3,7 +3,7 @@
 from repro.features.base import CompositeExtractor, FeatureExtractor, FeatureKey
 from repro.features.cycles import CycleFeatureExtractor, canonical_cycle_key
 from repro.features.fingerprint import HashedFeatureExtractor
-from repro.features.paths import EdgeFeatureExtractor, PathFeatureExtractor, canonical_path_key
+from repro.features.paths import PathFeatureExtractor, canonical_path_key, path_features
 from repro.features.trees import StarFeatureExtractor
 
 __all__ = [
@@ -11,8 +11,8 @@ __all__ = [
     "FeatureKey",
     "CompositeExtractor",
     "PathFeatureExtractor",
-    "EdgeFeatureExtractor",
     "canonical_path_key",
+    "path_features",
     "StarFeatureExtractor",
     "CycleFeatureExtractor",
     "canonical_cycle_key",

@@ -32,7 +32,20 @@ class FeatureExtractor(abc.ABC):
 
     @abc.abstractmethod
     def extract(self, graph: Graph) -> Counter[FeatureKey]:
-        """Return the feature multiset of ``graph``."""
+        """Enumerate the feature multiset of ``graph``, leaving nothing on it.
+
+        This is what index and summary *builds* call: a dataset graph's
+        multiset goes into the index and is dropped.
+        """
+
+    def extract_pattern(self, graph: Graph) -> Counter[FeatureKey]:
+        """The feature multiset of a *pattern* (query) graph; do not mutate it.
+
+        Every layer a query passes through asks for its features, so a family
+        that is asked more than once (label paths) remembers them on the
+        graph; the others just enumerate.
+        """
+        return self.extract(graph)
 
     def describe(self) -> dict[str, object]:
         """Return the extractor's parameters (for reports and DESIGN docs)."""
@@ -53,13 +66,6 @@ class FeatureExtractor(abc.ABC):
             if container.get(key, 0) < count:
                 return False
         return True
-
-    @staticmethod
-    def missing_features(
-        container: Counter[FeatureKey], contained: Counter[FeatureKey]
-    ) -> list[FeatureKey]:
-        """Feature keys of ``contained`` whose multiplicity exceeds ``container``."""
-        return [key for key, count in contained.items() if container.get(key, 0) < count]
 
     # ------------------------------------------------------------------ #
     # partition summaries (shard pruning)

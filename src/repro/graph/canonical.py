@@ -1,46 +1,46 @@
 """Canonical forms and isomorphism-invariant codes for small graphs.
 
 The cache needs a fast way to decide whether two query graphs *might* be
-isomorphic (exact-match detection).  Three tools are provided, in increasing
-cost and precision:
+isomorphic (exact-match detection).  After the Weisfeiler-Lehman hash
+(:meth:`Graph.wl_hash`, part of the cache's exact-match key) two tools
+decide, in increasing cost and precision:
 
 * :func:`invariant_code` — a cheap invariant (sizes, label histogram, degree
   sequence, sorted edge-label-pair histogram).  Different codes ⇒ definitely
   not isomorphic.
-* :func:`wl_code` — the Weisfeiler-Lehman hash from :meth:`Graph.wl_hash`;
-  stronger, still not exact.
 * :func:`canonical_code` — an exact canonical form computed by trying all
   automorphism-compatible orderings with heavy pruning.  Exponential in the
   worst case, intended for the small query graphs (≤ ~30 vertices) the paper
-  uses; guarded by a configurable size threshold in the cache, which falls
-  back to a full isomorphism test beyond it.
+  uses; beyond :data:`CANONICAL_MAX_VERTICES` it gives up and the cache falls
+  back to a full isomorphism test.
+
+Both codes are memoised with the graph's compiled form, so a resident cache
+entry pays for its codes once, not once per exact-match candidate check.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 
 from repro.graph.graph import Graph, VertexId
+
+#: Largest graph :func:`canonical_code` attempts.
+CANONICAL_MAX_VERTICES = 24
 
 
 def invariant_code(graph: Graph) -> tuple:
     """A cheap isomorphism-invariant code (necessary, not sufficient)."""
-    label_histogram = tuple(sorted(graph.label_counts().items()))
-    edge_histogram = tuple(sorted(graph.edge_label_counts().items()))
-    degree_sequence = tuple(graph.degree_sequence())
-    return (
-        graph.num_vertices,
-        graph.num_edges,
-        label_histogram,
-        edge_histogram,
-        degree_sequence,
-    )
-
-
-def wl_code(graph: Graph, iterations: int = 3) -> str:
-    """Weisfeiler-Lehman hash (delegates to :meth:`Graph.wl_hash`)."""
-    return graph.wl_hash(iterations=iterations)
+    compiled = graph.compiled()
+    code = compiled.invariant
+    if code is None:
+        code = compiled.invariant = (
+            graph.num_vertices,
+            graph.num_edges,
+            tuple(sorted(graph.label_counts().items())),
+            tuple(sorted(graph.edge_label_counts().items())),
+            tuple(graph.degree_sequence()),
+        )
+    return code
 
 
 def _refine_partition(graph: Graph) -> dict[VertexId, int]:
@@ -62,17 +62,25 @@ def _refine_partition(graph: Graph) -> dict[VertexId, int]:
     return {vertex: ordered[colors[vertex]] for vertex in graph.vertices()}
 
 
-def canonical_code(graph: Graph, max_vertices: int = 24) -> str | None:
+def canonical_code(graph: Graph) -> str | None:
     """Exact canonical string, or ``None`` if the graph is too large.
 
     The code is the lexicographically smallest serialisation over all vertex
     orderings compatible with the colour-refinement classes.  Two graphs are
     isomorphic iff their canonical codes are equal (when both are computed).
     """
+    compiled = graph.compiled()
+    boxed = compiled.canonical
+    if boxed is None:
+        boxed = compiled.canonical = (_canonical_code(graph),)
+    return boxed[0]
+
+
+def _canonical_code(graph: Graph) -> str | None:
     n = graph.num_vertices
     if n == 0:
         return "empty"
-    if n > max_vertices:
+    if n > CANONICAL_MAX_VERTICES:
         return None
     colors = _refine_partition(graph)
     # group vertices by colour class; permute only within classes
@@ -129,7 +137,7 @@ def maybe_isomorphic(first: Graph, second: Graph) -> bool:
     return invariant_code(first) == invariant_code(second)
 
 
-def definitely_isomorphic(first: Graph, second: Graph, max_vertices: int = 24) -> bool | None:
+def definitely_isomorphic(first: Graph, second: Graph) -> bool | None:
     """Exact isomorphism via canonical codes; ``None`` when undecided.
 
     ``None`` means at least one canonical code could not be computed within
@@ -137,16 +145,11 @@ def definitely_isomorphic(first: Graph, second: Graph, max_vertices: int = 24) -
     """
     if not maybe_isomorphic(first, second):
         return False
-    code_first = canonical_code(first, max_vertices=max_vertices)
-    code_second = canonical_code(second, max_vertices=max_vertices)
+    code_first = canonical_code(first)
+    code_second = canonical_code(second)
     if code_first is None or code_second is None:
         return None
     return code_first == code_second
-
-
-def label_multiset_contained(query: Graph, target: Graph) -> bool:
-    """Necessary condition for ``query ⊆ target``: label multiset containment."""
-    return query.compiled().labels_fit(target.compiled())
 
 
 def degree_profile_contained(query: Graph, target: Graph) -> bool:
@@ -172,8 +175,3 @@ def quick_containment_screen(query: Graph, target: Graph) -> bool:
     """
     return size_contained(query, target) and degree_profile_contained(query, target)
 
-
-def label_vector(graph: Graph, alphabet: list[str]) -> tuple[int, ...]:
-    """Histogram of labels over a fixed alphabet (for vectorised screens)."""
-    counts: Counter[str] = graph.label_counts()
-    return tuple(counts.get(label, 0) for label in alphabet)

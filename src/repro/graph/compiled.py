@@ -11,10 +11,11 @@ bitset, so intersecting candidate sets is ``&`` and counting is
 
 The compiled form is derived data.  ``Graph.compiled()`` builds it on first
 use and every ``Graph`` mutator drops it; it is never copied, pickled or
-serialised.  It is immutable apart from three memo slots (the two match
-plans and the WL hash) that are each filled by one attribute store of a
-finished value, so threads sharing a graph can at worst compute the same
-value twice.
+serialised.  It is immutable apart from its memo slots — everything else the
+system derives from a graph used as a *pattern*: the two match plans, the WL
+hash, the invariant and canonical codes and the label-path features.  Each is
+filled by one attribute store of a finished value that no reader mutates, so
+threads sharing a graph can at worst compute the same value twice.
 
 On the *pattern* side of a test the compiled form also carries a
 :class:`MatchPlan`: the order in which the pattern's vertices are placed and,
@@ -25,6 +26,7 @@ depends on the pattern alone — it is computed once and serves every target.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Hashable, Mapping
 
 Label = str
@@ -46,12 +48,18 @@ class CompiledGraph:
         ``(i, j)`` with ``i < j`` → edge label, or ``None`` when the graph has
         no labelled edge.
     wl:
-        ``(iterations, hash)`` memo owned by ``Graph.wl_hash``.
+        memo owned by ``Graph.wl_hash``.
+    invariant, canonical:
+        memos owned by ``repro.graph.canonical``; ``canonical`` is a 1-tuple,
+        because the code inside it may itself be ``None`` (graph too large).
+    paths:
+        ``(max_length, multiset)`` memo owned by ``repro.features.paths``:
+        the label paths at the longest length asked for so far.
     """
 
     __slots__ = (
         "adj_bits", "label_bits", "degree_at_least", "edge_labels", "wl",
-        "_plan", "_induced_plan",
+        "invariant", "canonical", "paths", "_plan", "_induced_plan",
     )
 
     def __init__(
@@ -86,7 +94,10 @@ class CompiledGraph:
             self.edge_labels = {
                 _dense_edge(index[u], index[v]): label for (u, v), label in edge_labels.items()
             }
-        self.wl: tuple[int, str] | None = None
+        self.wl: str | None = None
+        self.invariant: tuple | None = None
+        self.canonical: tuple[str | None] | None = None
+        self.paths: tuple[int, Counter] | None = None
         self._plan: MatchPlan | None = None
         self._induced_plan: MatchPlan | None = None
 

@@ -356,26 +356,26 @@ class Graph:
         """Return ``(num_vertices, num_edges)``."""
         return (self.num_vertices, self.num_edges)
 
-    def wl_hash(self, iterations: int = 3) -> str:
-        """Weisfeiler-Lehman style hash of the graph.
+    def wl_hash(self) -> str:
+        """Weisfeiler-Lehman style hash of the graph (three refinement rounds).
 
         Two isomorphic graphs always produce the same hash; different hashes
         therefore prove non-isomorphism, which the cache uses to screen
         exact-match candidates before running a full isomorphism check.
-        The last hash computed is memoised with the compiled form (a cache
-        probe and the admission offer ask for the same one).
+        Memoised with the compiled form: the scatter planner, the cache probe
+        and the resident-key summaries all ask for it.
         """
         compiled = self.compiled()
-        memo = compiled.wl
-        if memo is None or memo[0] != iterations:
-            memo = compiled.wl = (iterations, self._wl_hash(iterations))
-        return memo[1]
+        wl = compiled.wl
+        if wl is None:
+            wl = compiled.wl = self._wl_hash()
+        return wl
 
-    def _wl_hash(self, iterations: int) -> str:
+    def _wl_hash(self) -> str:
         colors: dict[VertexId, str] = {
             vertex: _short_hash(label) for vertex, label in self._labels.items()
         }
-        for _ in range(max(0, iterations)):
+        for _ in range(3):
             new_colors: dict[VertexId, str] = {}
             for vertex in self._labels:
                 neighbor_colors = sorted(colors[n] for n in self._adj[vertex])
@@ -383,11 +383,6 @@ class Graph:
             colors = new_colors
         histogram = ",".join(sorted(colors.values()))
         return _short_hash(f"{self.num_vertices}:{self.num_edges}:{histogram}")
-
-    def fingerprint(self) -> tuple[int, int, tuple[tuple[Label, int], ...]]:
-        """A cheap invariant: sizes plus the sorted label histogram."""
-        histogram = tuple(sorted(self.label_counts().items()))
-        return (self.num_vertices, self.num_edges, histogram)
 
     # ------------------------------------------------------------------ #
     # conversion

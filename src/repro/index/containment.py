@@ -171,6 +171,9 @@ class DatasetIndex:
     """The dataset filter: a feature extractor over a containment index.
 
     Immutable after :meth:`build`, so concurrent queries read it lock-free.
+    The build enumerates each dataset graph's features and drops them; a
+    query graph remembers its own (``extract_pattern``), because the cache
+    and the scatter planner ask for them again.
     """
 
     name = "containment"
@@ -192,7 +195,7 @@ class DatasetIndex:
     def candidates(self, query: Graph, query_type: QueryType | str) -> set[GraphId]:
         """Candidate graph ids for the query (no false dismissals)."""
         self._require_built()
-        features = self.extractor.extract(query)
+        features = self.extractor.extract_pattern(query)
         if QueryType.parse(query_type) is QueryType.SUBGRAPH:
             return self._index.containing(features)
         return self._index.contained_in(features)

@@ -62,8 +62,6 @@ class GCConfig:
     #: Maximum confirmed hits used per direction (None = unlimited).
     max_sub_hits: int | None = None
     max_super_hits: int | None = None
-    #: Maximum path length of the cached-query feature index.
-    cache_feature_length: int = 2
     #: Toggle the semantic hit directions.  Disabling both degrades GC to a
     #: traditional exact-match-only result cache (the baseline the paper's
     #: contribution extends).
@@ -157,8 +155,6 @@ class GCConfig:
             )
         if self.min_tests_to_admit < 0:
             raise ConfigurationError("min_tests_to_admit must be non-negative")
-        if self.cache_feature_length < 1:
-            raise ConfigurationError("cache_feature_length must be at least 1")
         for name, value in (("max_sub_hits", self.max_sub_hits), ("max_super_hits", self.max_super_hits)):
             if value is not None and value < 1:
                 raise ConfigurationError(f"{name} must be at least 1 or None")

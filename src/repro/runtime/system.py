@@ -14,7 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.cache.graph_cache import GraphCache
 from repro.cache.statistics import AggregateStatistics, QueryRecord, StatisticsManager
 from repro.errors import ConfigurationError
-from repro.features.paths import PathFeatureExtractor
 from repro.graph.graph import Graph
 from repro.isomorphism import make_matcher
 from repro.methods.base import MethodM
@@ -55,9 +54,6 @@ class GraphCacheSystem:
                 window_size=self.config.window_size,
                 min_tests_to_admit=self.config.min_tests_to_admit,
                 probe_matcher=make_matcher(self.config.verifier),
-                feature_extractor=PathFeatureExtractor(
-                    max_length=self.config.cache_feature_length
-                ),
                 max_sub_hits=self.config.max_sub_hits,
                 max_super_hits=self.config.max_super_hits,
                 enable_sub_case=self.config.enable_sub_case,

@@ -18,7 +18,7 @@ from repro.runtime.config import SCATTER_MODES, SHARD_BACKENDS, SHARD_POLICIES
 from repro.sharding.planner import PLAN_STAGE, ScatterPlan, ScatterPlanner, ScatterStats
 from repro.sharding.process_backend import ProcessShardBackend, ProcessShardClient
 from repro.sharding.router import ShardRouter, stable_graph_id_hash
-from repro.sharding.summary import ShardSummary, resident_key
+from repro.sharding.summary import ShardSummary
 from repro.sharding.system import (
     MERGE_STAGE,
     ShardedGraphCacheSystem,
@@ -41,7 +41,6 @@ __all__ = [
     "MERGE_STAGE",
     "PLAN_STAGE",
     "make_system",
-    "resident_key",
     "shard_snapshot_path",
     "stable_graph_id_hash",
 ]

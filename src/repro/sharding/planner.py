@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 from repro.features.base import FeatureExtractor
-from repro.query_model import Query
+from repro.query_model import Query, exact_key
 from repro.runtime.config import SCATTER_MODES
-from repro.sharding.summary import ShardSummary, resident_key
+from repro.sharding.summary import ShardSummary
 
 #: Stage name under which per-query scatter planning time is accounted.
 PLAN_STAGE = "plan"
@@ -196,8 +196,8 @@ class ScatterPlanner:
         if self.mode == "full" or self.extractor is None:
             plan.targets = list(range(self.num_shards))
         else:
-            features = self.extractor.extract(query.graph)
-            key = resident_key(query.graph, query.query_type)
+            features = self.extractor.extract_pattern(query.graph)
+            key = exact_key(query.graph, query.query_type)
             for summary in self.summaries:
                 if not summary.usable():
                     # stale/corrupt summary: never trust it to prune — scatter

@@ -14,11 +14,11 @@ answers.  The GC equivalent: every shard publishes
 * ``label_set`` plus the vertex/edge size envelope — the same two screens in
   their cheapest form (a query using an unknown label, or falling outside
   the partition's size range in the relevant direction, is unanswerable).
-* ``resident_keys``   — the exact-match keys (WL hash, size signature,
-  query semantics) of the shard cache's current entries, kept current by the
-  cache maintenance path; the planner uses them to spot shards that will
-  answer from cache for ~free (cost-based admission) and to route repeated
-  queries cheaply.
+* ``resident_keys``   — the exact-match keys
+  (:func:`~repro.query_model.exact_key`) of the shard cache's current
+  entries, kept current by the cache maintenance path; the planner uses them
+  to spot shards that will answer from cache for ~free (cost-based
+  admission) and to route repeated queries cheaply.
 
 Summaries are *advisory only in the safe direction*: every screen is a
 proof of non-contribution, never of contribution, so pruning with a correct
@@ -37,22 +37,13 @@ from dataclasses import dataclass, field
 
 from repro.features.base import FeatureExtractor, FeatureKey
 from repro.graph.graph import Graph
-from repro.query_model import Query, QueryType
-
-#: The exact-match identity of a cached entry, as the cache's own exact
-#: screen sees it: WL hash + (vertices, edges) + query semantics.
-ResidentKey = tuple[str, tuple[int, int], str]
+from repro.query_model import ExactKey, Query, QueryType
 
 #: Skip reasons the planner records per pruned shard.
 REASON_SIZE = "size-envelope"
 REASON_LABEL = "label-gap"
 REASON_FEATURES = "feature-gap"
 REASON_FLOOR = "feature-floor"
-
-
-def resident_key(graph: Graph, query_type: QueryType) -> ResidentKey:
-    """The exact-match cache key of a (pattern graph, semantics) pair."""
-    return (graph.wl_hash(), graph.size_signature(), query_type.value)
 
 
 @dataclass
@@ -69,7 +60,7 @@ class ShardSummary:
     min_edges: int = 0
     max_edges: int = 0
     #: Exact-match keys of the shard cache's resident entries.
-    resident_keys: frozenset[ResidentKey] = frozenset()
+    resident_keys: frozenset[ExactKey] = frozenset()
     #: Explicit staleness flag (set by operators/tests, or by a failed
     #: refresh); a stale summary is never trusted for pruning.
     stale: bool = False
@@ -115,7 +106,7 @@ class ShardSummary:
         summary._reseal()
         return summary
 
-    def set_resident_keys(self, keys: frozenset[ResidentKey]) -> None:
+    def set_resident_keys(self, keys: frozenset[ExactKey]) -> None:
         """Replace the resident cache keys (a legitimate mutation: re-seals
         the resident half only — partition corruption stays detected)."""
         with self._lock:
@@ -183,7 +174,7 @@ class ShardSummary:
     # screens
     # ------------------------------------------------------------------ #
     def prune_reason(
-        self, query: Query, query_features: Counter[FeatureKey]
+        self, query: Query, features: Counter[FeatureKey]
     ) -> str | None:
         """Why this shard provably cannot contribute answers (None = it may).
 
@@ -196,11 +187,12 @@ class ShardSummary:
             # query ⊆ G requires a G at least as large as the query...
             if graph.num_vertices > self.max_vertices or graph.num_edges > self.max_edges:
                 return REASON_SIZE
-            # ...containing every query label...
-            if any(label not in self.label_set for label in graph.label_counts()):
+            # ...containing every query label (read off the compiled form the
+            # planner forced when it extracted the query's features)...
+            if any(label not in self.label_set for label in graph.compiled().label_bits):
                 return REASON_LABEL
             # ...and at least the query's count of every feature.
-            if not FeatureExtractor.multiset_contains(self.union_features, query_features):
+            if not FeatureExtractor.multiset_contains(self.union_features, features):
                 return REASON_FEATURES
             return None
         # supergraph: G ⊆ query requires a G no larger than the query...
@@ -209,11 +201,11 @@ class ShardSummary:
         # ...and the query must supply every feature the *whole partition*
         # is floored at (every G carries >= common_features).
         for key, floor in self.common_features.items():
-            if query_features.get(key, 0) < floor:
+            if features.get(key, 0) < floor:
                 return REASON_FLOOR
         return None
 
-    def holds_exact(self, key: ResidentKey) -> bool:
+    def holds_exact(self, key: ExactKey) -> bool:
         """Whether the shard cache currently holds this exact-match key."""
         return key in self.resident_keys
 

@@ -40,7 +40,7 @@ from pathlib import Path
 from repro.cache.graph_cache import GraphCache
 from repro.cache.statistics import AggregateStatistics, QueryRecord, StatisticsManager
 from repro.errors import ConfigurationError
-from repro.features.paths import EdgeFeatureExtractor
+from repro.features.paths import PathFeatureExtractor
 from repro.graph.graph import Graph
 from repro.methods.base import MethodM
 from repro.obs.logs import get_logger, replay_entries
@@ -52,7 +52,7 @@ from repro.obs.trace import (
     new_span_id,
     wall_at,
 )
-from repro.query_model import Query, QueryType
+from repro.query_model import Query, QueryType, exact_key
 from repro.runtime.config import DEFAULT_TEST_COST_SECONDS, GCConfig
 from repro.runtime.report import QueryReport
 from repro.runtime.system import GraphCacheSystem
@@ -161,7 +161,7 @@ class ShardedGraphCacheSystem:
         #: them.  The summary feature family (vertex labels + single edges)
         #: is deliberately independent of Method M's own index, so every
         #: screen is sound for any method, including index-free direct SI.
-        self._summary_extractor = EdgeFeatureExtractor()
+        self._summary_extractor = PathFeatureExtractor(max_length=1)
         self.summaries = [
             ShardSummary.build(index, partition, self._summary_extractor)
             for index, partition in enumerate(self.router.partitions())
@@ -270,8 +270,7 @@ class ShardedGraphCacheSystem:
         with self._resident_lock:
             self._resident_dirty[shard_index] = False
         self.summaries[shard_index].set_resident_keys(frozenset(
-            (entry.wl_hash, entry.graph.size_signature(), entry.query_type.value)
-            for entry in cache.entries()
+            exact_key(entry.graph, entry.query_type) for entry in cache.entries()
         ))
 
     def _sync_summaries(self) -> None:

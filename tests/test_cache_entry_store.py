@@ -23,9 +23,10 @@ class TestCacheEntry:
         first, second = make_entry(1), make_entry(2)
         assert first.entry_id != second.entry_id
 
-    def test_wl_hash_computed(self):
+    def test_construction_analyses_nothing(self):
+        # an offered query may be refused by the window: no hash, no features yet
         entry = make_entry(3)
-        assert entry.wl_hash == entry.graph.wl_hash()
+        assert entry.graph._compiled is None and not entry.features
 
     def test_query_type_parsing(self):
         entry = CacheEntry(

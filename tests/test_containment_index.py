@@ -26,6 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cache import CacheEntry, GraphCache
+from repro.cache.query_index import CACHE_FEATURE_LENGTH
 from repro.cache.store import CacheStore
 from repro.errors import IndexError_
 from repro.features import (
@@ -34,6 +35,7 @@ from repro.features import (
     FeatureExtractor,
     PathFeatureExtractor,
     StarFeatureExtractor,
+    path_features,
 )
 from repro.graph import molecule_dataset, molecule_graph
 from repro.graph.canonical import quick_containment_screen
@@ -215,7 +217,7 @@ def mixed_cache():
 
 
 def _linear_scan(cache: GraphCache, graph, query_type, direction: str) -> list[CacheEntry]:
-    features = cache.query_index.query_features(graph)
+    features = PathFeatureExtractor(CACHE_FEATURE_LENGTH).extract(graph)  # enumerated afresh
     screened = []
     for entry in cache.entries():
         if entry.query_type is not query_type:
@@ -238,7 +240,7 @@ class TestCacheScreen:
         seen_sub = seen_super = 0
         for _ in range(40):
             graph = random_connected_subgraph(base, rng.randint(4, 12), rng=rng)
-            features = index.query_features(graph)
+            features = path_features(graph, CACHE_FEATURE_LENGTH)
             for query_type in QueryType:
                 sub = index.sub_case_candidates(graph, features, query_type)
                 sup = index.super_case_candidates(graph, features, query_type)

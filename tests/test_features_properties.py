@@ -40,9 +40,9 @@ def test_feature_monotonicity(seed, size, sub_size):
     target = molecule_graph(size, rng=rng)
     query = random_connected_subgraph(target, min(sub_size, size), rng=rng)
     for extractor in EXTRACTORS:
-        query_features = extractor.extract(query)
+        features = extractor.extract(query)
         target_features = extractor.extract(target)
-        assert FeatureExtractor.multiset_contains(target_features, query_features), (
+        assert FeatureExtractor.multiset_contains(target_features, features), (
             f"{extractor.name} violated monotonicity"
         )
 

@@ -214,11 +214,6 @@ class TestHashingAndConversion:
         other.set_label(2, "S")
         assert triangle.wl_hash() != other.wl_hash()
 
-    def test_fingerprint_counts_labels(self, triangle):
-        n, m, histogram = triangle.fingerprint()
-        assert (n, m) == (3, 3)
-        assert dict(histogram) == {"C": 2, "O": 1}
-
     def test_label_counts_and_edge_label_counts(self, triangle):
         assert triangle.label_counts()["C"] == 2
         assert triangle.edge_label_counts()[("C", "C")] == 1

@@ -1,0 +1,408 @@
+"""The pattern analysis: what a query graph remembers, and that it is enough.
+
+A pattern graph keeps — beside its compiled form, dropped with it — its WL
+hash, invariant and canonical codes and its label paths at the longest length
+asked for so far.  Five groups:
+
+(i)   property — the restriction of a remembered multiset equals direct
+      enumeration at every shorter length, whichever length was asked first;
+(ii)  lifetime — every slot is dropped by all five mutators and never
+      travels with ``pickle``, ``copy()`` or ``to_dict()``;
+(iii) enumeration counts — one enumeration per query graph on the unsharded
+      pipeline (none on admission), at most two under thread shards, none
+      remembered by a dataset graph; a resident entry's codes computed once;
+(iv)  no reader mutates what is shared — after a mixed run every remembered
+      multiset still equals a fresh enumeration, also with threads sharing
+      one query graph;
+(v)   trajectory — a fixed mixed trace under a time-independent policy
+      yields the candidate sets, screened entry lists, hits, probe counts,
+      admissions, evictions and scatter plans of the parent commit.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import json
+import pickle
+import random
+import sys
+from collections import defaultdict
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.cache import CacheEntry, GraphCache
+from repro.cache.query_index import CACHE_FEATURE_LENGTH, CachedQueryIndex
+from repro.features import paths as paths_module
+from repro.features.paths import PathFeatureExtractor, enumerate_paths, path_features
+from repro.graph import Graph, label_clustered_dataset, molecule_dataset, molecule_graph
+from repro.graph import canonical as canonical_module
+from repro.graph.canonical import canonical_code, invariant_code
+from repro.graph.compiled import CompiledGraph
+from repro.graph.operations import extend_graph, random_connected_subgraph
+from repro.query_model import Query, QueryType, exact_key
+from repro.runtime import GCConfig, GraphCacheSystem
+from repro.sharding import ShardSummary
+from repro.sharding.system import ShardedGraphCacheSystem
+from repro.workload import WorkloadGenerator, WorkloadMix, generate_trace
+
+#: The memo slots of a compiled graph (everything that is not its bitset data).
+MEMO_SLOTS = ("wl", "invariant", "canonical", "paths", "_plan", "_induced_plan")
+
+
+@st.composite
+def labelled_graphs(draw) -> Graph:
+    """Small graphs with repeated labels, cycles and isolated components."""
+    size = draw(st.integers(1, 7))
+    graph = Graph()
+    for vertex in range(size):
+        graph.add_vertex(vertex, draw(st.sampled_from("CNO")))
+    pairs = list(itertools.combinations(range(size), 2))
+    if pairs:
+        for u, v in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)):
+            graph.add_edge(u, v)
+    return graph
+
+
+def fill_every_slot(graph: Graph) -> CompiledGraph:
+    graph.wl_hash()
+    invariant_code(graph)
+    canonical_code(graph)
+    path_features(graph, 3)
+    compiled = graph.compiled()
+    compiled.plan(induced=False)
+    compiled.plan(induced=True)
+    return compiled
+
+
+@pytest.fixture()
+def enumerations(monkeypatch):
+    """Count calls of the top-level path enumeration: ``id(graph)`` → lengths."""
+    calls: dict[int, list[int]] = defaultdict(list)
+    original = paths_module.enumerate_paths
+
+    def counting(graph, max_length):
+        calls[id(graph)].append(max_length)
+        return original(graph, max_length)
+
+    monkeypatch.setattr(paths_module, "enumerate_paths", counting)
+    return calls
+
+
+# --------------------------------------------------------------------------- #
+# (i) restriction ≡ direct enumeration
+# --------------------------------------------------------------------------- #
+class TestRestriction:
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(graph=labelled_graphs(), longest=st.integers(0, 4), short_first=st.booleans())
+    def test_shorter_lengths_are_restrictions_in_either_fill_order(
+            self, graph, longest, short_first):
+        lengths = list(range(longest + 1))
+        for length in (lengths if short_first else lengths[::-1]):
+            assert path_features(graph, length) == enumerate_paths(graph.copy(), length)
+        assert graph.compiled().paths[0] == longest
+        for length in lengths:  # and once the longest is remembered
+            assert path_features(graph, length) == enumerate_paths(graph.copy(), length)
+
+    def test_restriction_on_molecule_graphs_and_key_order(self):
+        # the restricted multiset also lists its keys in enumeration order, so
+        # nothing downstream of it (index key numbering) depends on who asked first
+        for seed in range(40):
+            graph = molecule_graph(12, rng=seed)
+            path_features(graph, 3)
+            for length in range(3):
+                direct = enumerate_paths(graph.copy(), length)
+                assert list(path_features(graph, length).items()) == list(direct.items())
+
+    def test_only_a_longer_request_enumerates_again(self, enumerations):
+        graph = molecule_graph(10, rng=3)
+        for length in (2, 1, 2, 0, 3, 2, 3, 1):
+            path_features(graph, length)
+        assert enumerations[id(graph)] == [2, 3]
+        assert path_features(graph, 3) is path_features(graph, 3)  # the remembered object
+
+    def test_pattern_side_of_an_extractor_remembers_build_side_does_not(self):
+        graph = molecule_graph(9, rng=4)
+        extractor = PathFeatureExtractor(2)
+        assert extractor.extract(graph) == enumerate_paths(graph, 2)
+        assert graph._compiled is None
+        assert extractor.extract_pattern(graph) is graph.compiled().paths[1]
+
+
+# --------------------------------------------------------------------------- #
+# (ii) lifetime of the slots
+# --------------------------------------------------------------------------- #
+class TestLifetime:
+    MUTATORS = {
+        "add_vertex": lambda g: g.add_vertex(99, "S"),
+        "set_label": lambda g: g.set_label(0, "S"),
+        "add_edge": lambda g: g.add_edge(0, 2),
+        "remove_edge": lambda g: g.remove_edge(0, 1),
+        "remove_vertex": lambda g: g.remove_vertex(1),
+    }
+
+    def test_memo_slots_are_exactly_the_known_ones(self):
+        data_slots = {"adj_bits", "label_bits", "degree_at_least", "edge_labels"}
+        assert set(CompiledGraph.__slots__) - data_slots == set(MEMO_SLOTS)
+
+    @pytest.mark.parametrize("name", sorted(MUTATORS))
+    def test_every_mutator_drops_every_slot(self, name, square_with_tail):
+        graph = square_with_tail
+        compiled = fill_every_slot(graph)
+        assert all(getattr(compiled, slot) is not None for slot in MEMO_SLOTS)
+        self.MUTATORS[name](graph)
+        assert graph._compiled is None
+        # what is recomputed describes the new shape, not the old one
+        rebuilt = Graph.from_dict(graph.to_dict())
+        assert graph.wl_hash() == rebuilt.wl_hash()
+        assert invariant_code(graph) == invariant_code(rebuilt)
+        assert canonical_code(graph) == canonical_code(rebuilt)
+        assert path_features(graph, 3) == enumerate_paths(rebuilt, 3)
+        for query_type in QueryType:
+            assert exact_key(graph, query_type) == exact_key(rebuilt, query_type)
+
+    def test_copies_pickles_and_dicts_carry_no_slot(self, square_with_tail):
+        graph = square_with_tail
+        fill_every_slot(graph)
+        assert graph.copy()._compiled is None
+        assert pickle.loads(pickle.dumps(graph))._compiled is None
+        assert set(graph.to_dict()) == {"graph_id", "name", "vertices", "edges"}
+        assert len(pickle.dumps(graph)) == len(pickle.dumps(graph.copy()))
+
+    def test_exact_key_is_isomorphism_invariant_and_typed(self):
+        graph = molecule_graph(9, rng=2)
+        renamed = graph.relabel_vertices({v: f"x{v}" for v in graph.vertices()})
+        assert exact_key(graph, QueryType.SUBGRAPH) == exact_key(renamed, QueryType.SUBGRAPH)
+        assert exact_key(graph, QueryType.SUBGRAPH) != exact_key(graph, QueryType.SUPERGRAPH)
+
+
+# --------------------------------------------------------------------------- #
+# (iii) enumeration counts
+# --------------------------------------------------------------------------- #
+def _journey(dataset) -> list[Query]:
+    """Miss, repeats (exact hits), a shrunk and an extended pattern (sub /
+    super hits), in both semantics — each query a graph object of its own."""
+    rng = random.Random(7)
+    queries = []
+    for query_type in QueryType:
+        base = random_connected_subgraph(dataset[3], 8, rng=rng)
+        smaller = random_connected_subgraph(base, 5, rng=rng)
+        larger = extend_graph(base, 2, labels=["C", "N", "O"], rng=rng)
+        for graph in (base, base.copy(), smaller, larger, smaller.copy(), base.copy()):
+            queries.append(Query(graph=graph, query_type=query_type))
+    return queries
+
+
+class TestEnumerationCounts:
+    def test_unsharded_pipeline_enumerates_each_query_once(self, small_dataset, enumerations):
+        config = GCConfig(cache_capacity=6, window_size=1, replacement_policy="LRU")
+        with GraphCacheSystem(small_dataset, config) as system:
+            enumerations.clear()  # the index build enumerated every dataset graph
+            reports = [system.run_query(query) for query in _journey(small_dataset)]
+            admitted = [i for r in system.cache.eviction_reports() for i in r.admitted]
+        # the journey really visits every kind of execution...
+        assert any(r.exact_hit_entry for r in reports)
+        assert any(r.sub_hit_entries for r in reports)
+        assert any(r.super_hit_entries for r in reports)
+        assert any(not (r.exact_hit_entry or r.sub_hit_entries or r.super_hit_entries)
+                   for r in reports)
+        assert len(admitted) == len(reports)  # window of 1: every query was admitted
+        # ...and each paid for exactly one enumeration, admission included
+        assert dict(enumerations) == {id(r.query.graph): [3] for r in reports}
+
+    def test_thread_shards_share_the_query_graph(self, enumerations):
+        dataset = label_clustered_dataset(2, 10, rng=3)
+        config = GCConfig(cache_capacity=6, window_size=1, replacement_policy="LRU",
+                          num_shards=2, scatter_mode="short-circuit")
+        trace = generate_trace(dataset, 30, skew="zipfian", query_type="mixed", seed=4)
+        interval = sys.getswitchinterval()
+        # the two shard threads start together and both find the planner's
+        # length-1 multiset; which of them enumerates the longer one is a
+        # benign race (equal values) that a long time slice keeps out of the count
+        sys.setswitchinterval(5.0)
+        try:
+            with ShardedGraphCacheSystem(dataset, config) as system:
+                enumerations.clear()
+                for query in trace:
+                    system.run_query(query)
+                    lengths = enumerations.pop(id(query.graph))
+                    fanout = query.metadata["scatter"]["fanout"]
+                    assert lengths == ([1, 3] if fanout else [1]), (lengths, fanout)
+                assert not enumerations
+                assert system.planner.stats.to_dict()["mean_fanout"] < 2
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_builds_enumerate_and_drop(self, small_dataset):
+        dataset = [graph.copy() for graph in small_dataset]
+        with GraphCacheSystem(dataset, GCConfig()) as system:
+            assert system.index_memory_bytes() > 0
+            ShardSummary.build(0, dataset, PathFeatureExtractor(1))
+            assert all(graph._compiled is None for graph in dataset)
+            system.run_query(random_connected_subgraph(dataset[0], 5, rng=1))
+        # verification compiles dataset graphs; it never gives them features
+        assert any(graph._compiled is not None for graph in dataset)
+        assert all(graph._compiled is None or graph._compiled.paths is None
+                   for graph in dataset)
+
+    def test_a_resident_entry_pays_for_its_codes_once(self, monkeypatch):
+        canonical_calls, invariant_calls = [], []
+        original = canonical_module._canonical_code
+        monkeypatch.setattr(canonical_module, "_canonical_code",
+                            lambda graph: canonical_calls.append(id(graph)) or original(graph))
+        label_counts = Graph.label_counts
+        monkeypatch.setattr(Graph, "label_counts",
+                            lambda graph: invariant_calls.append(id(graph)) or label_counts(graph))
+        cache = GraphCache(capacity=4, policy="LRU", window_size=1)
+        pattern = molecule_graph(8, rng=11)
+        resident = CacheEntry(graph=pattern, query_type=QueryType.SUBGRAPH, answer=frozenset({1}))
+        cache.warm([resident])
+        probes = [Query(pattern.copy(), QueryType.SUBGRAPH) for _ in range(5)]
+        for probe in probes:
+            assert cache.lookup(probe).exact_entry is resident
+        assert canonical_calls.count(id(pattern)) == invariant_calls.count(id(pattern)) == 1
+        assert len(canonical_calls) == len(invariant_calls) == 1 + len(probes)
+
+    def test_a_refused_offer_computes_nothing(self):
+        cache = GraphCache(capacity=4, policy="LRU", window_size=1, min_tests_to_admit=5)
+        query = Query(molecule_graph(8, rng=12), QueryType.SUBGRAPH)
+        assert cache.offer(query, answer={1}, tests_performed=2, observed_test_cost=0.0) is None
+        assert len(cache) == 0 and query.graph._compiled is None
+
+    def test_planner_reads_labels_from_the_compiled_form(self, monkeypatch):
+        dataset = label_clustered_dataset(2, 6, rng=5)
+        config = GCConfig(num_shards=2, scatter_mode="short-circuit")
+        with ShardedGraphCacheSystem(dataset, config) as system:
+            monkeypatch.setattr(Graph, "label_counts", lambda graph: pytest.fail(
+                "a per-shard, per-query label Counter is back"))
+            plans = [system.planner.plan(Query(graph.copy(), query_type), record=False)
+                     for graph in dataset[:6] for query_type in QueryType]
+        assert any(plan.skipped for plan in plans) and any(plan.targets for plan in plans)
+
+
+# --------------------------------------------------------------------------- #
+# (iv) nobody mutates what is shared
+# --------------------------------------------------------------------------- #
+def _assert_memos_intact(graphs, caches) -> None:
+    for graph in graphs:
+        compiled = graph._compiled
+        assert compiled is not None and compiled.paths is not None
+        longest, features = compiled.paths
+        assert features == enumerate_paths(graph.copy(), longest)
+        assert compiled.wl == graph.copy().wl_hash()
+    for cache in caches:
+        for entry in cache.entries():
+            assert entry.features == enumerate_paths(entry.graph.copy(), CACHE_FEATURE_LENGTH)
+
+
+class TestSharedValuesStayIntact:
+    def test_after_200_mixed_queries(self, small_dataset):
+        trace = generate_trace(small_dataset, 200, skew="zipfian", query_type="mixed", seed=21)
+        config = GCConfig(cache_capacity=10, window_size=3, max_sub_hits=2, max_super_hits=2)
+        with GraphCacheSystem(small_dataset, config) as system:
+            reports = system.run_queries(list(trace))
+            assert sum(1 for r in reports if r.sub_hit_entries or r.super_hit_entries) > 20
+            _assert_memos_intact([query.graph for query in trace], system.all_caches())
+
+    def test_with_four_threads_sharing_one_query_graph(self, small_dataset):
+        trace = generate_trace(small_dataset, 50, skew="zipfian", query_type="mixed", seed=22)
+        shared = [Query(query.graph, query.query_type) for query in trace for _ in range(4)]
+        config = GCConfig(cache_capacity=10, window_size=3, max_workers=4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with GraphCacheSystem(small_dataset, config) as system:
+                reports = system.run_queries_concurrent(shared)
+                _assert_memos_intact([query.graph for query in trace], system.all_caches())
+        finally:
+            sys.setswitchinterval(interval)
+        for position in range(0, len(reports), 4):  # one graph, one answer
+            assert len({frozenset(r.answer) for r in reports[position:position + 4]}) == 1
+
+
+# --------------------------------------------------------------------------- #
+# (v) the parent's trajectory
+# --------------------------------------------------------------------------- #
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
+def _cache_trajectory(policy: str):
+    dataset = molecule_dataset(60, min_vertices=8, max_vertices=18, rng=23)
+    generator = WorkloadGenerator(dataset, rng=17)
+    queries = []
+    for query_type in QueryType:
+        mix = WorkloadMix(zipf_alpha=1.1, pool_size=12, query_type=query_type,
+                          min_pattern_vertices=4, max_pattern_vertices=10)
+        queries.extend(generator.generate(150, mix).queries)
+    trace = [queries[(i // 2) + (150 if i % 2 else 0)] for i in range(300)]
+    config = GCConfig(cache_capacity=12, window_size=4, replacement_policy=policy,
+                      max_sub_hits=2, max_super_hits=2)
+    rows, screened = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("sub_case_candidates", "super_case_candidates"):
+            def spy(self, *args, _original=getattr(CachedQueryIndex, name), _name=name):
+                entries = _original(self, *args)
+                screened.append((_name, [entry.entry_id for entry in entries]))
+                return entries
+            patch.setattr(CachedQueryIndex, name, spy)
+        # entry ids are a process-wide counter: report them relative to now
+        base = CacheEntry(graph=Graph(), query_type="subgraph", answer=frozenset()).entry_id
+        with GraphCacheSystem(dataset, config) as system:
+            for query in trace:
+                screened.clear()
+                report = system.run_query(query)
+                rows.append({
+                    "candidates": sorted(report.method_candidates),
+                    "screened": [(n, [i - base for i in ids]) for n, ids in screened],
+                    "exact": report.exact_hit_entry and report.exact_hit_entry - base,
+                    "sub": [i - base for i in report.sub_hit_entries],
+                    "super": [i - base for i in report.super_hit_entries],
+                    "probe_tests": report.probe_tests,
+                    "dataset_tests": report.dataset_tests,
+                    "answer": sorted(report.answer),
+                })
+            rounds = [([i - base for i in r.admitted], [i - base for i in r.evicted])
+                      for r in system.cache.eviction_reports()]
+    return rows, rounds
+
+
+def _scatter_trajectory():
+    dataset = (label_clustered_dataset(3, 14, rng=31)
+               + molecule_dataset(12, min_vertices=6, max_vertices=12, rng=5))
+    for position, graph in enumerate(dataset):
+        graph.graph_id = position
+    config = GCConfig(cache_capacity=8, window_size=2, replacement_policy="LRU",
+                      num_shards=3, scatter_mode="short-circuit")
+    trace = generate_trace(dataset, 120, skew="zipfian", query_type="mixed", seed=9)
+    with ShardedGraphCacheSystem(dataset, config) as system:
+        plans = []
+        for query in trace:
+            report = system.run_query(query)
+            plans.append((query.metadata["scatter"], sorted(report.answer)))
+        return plans, system.planner.stats.to_dict()
+
+
+class TestParentTrajectory:
+    """Digests computed by running these very functions against the parent
+    commit (PR 16, ``ac3aba3``); they are stable across ``PYTHONHASHSEED``."""
+
+    @pytest.mark.parametrize("policy, parent_digest", [
+        ("LRU", "c0e4cd2dad1fbe5588b53b36ad9128ded13dfb1db2f626b309eaa3234f603118"),
+        ("POP", "b68769a67737e979d1e9f2f91e37f9476260410335cb64355b6ebb9ec4114999"),
+    ])
+    def test_cache_trajectory_is_the_parents(self, policy, parent_digest):
+        rows, rounds = _cache_trajectory(policy)
+        assert sum(1 for row in rows if row["exact"]) > 20
+        assert sum(1 for row in rows if row["sub"] or row["super"]) > 100
+        assert sum(len(evicted) for _, evicted in rounds) > 50
+        assert _digest([rows, rounds]) == parent_digest
+
+    def test_scatter_plans_and_stats_are_the_parents(self):
+        plans, stats = _scatter_trajectory()
+        assert set(stats["skip_reasons"]) == {"feature-gap", "size-envelope", "label-gap"}
+        assert stats["exact_routed_queries"] > 0
+        assert _digest([plans, stats]) == (
+            "a51ff57a8a67fa71ae7930b5d2c20431ec6e6a738e1c996a5cd3990853f58b91")

@@ -8,7 +8,8 @@ import pytest
 
 from repro.cache import CacheEntry, CachedQueryIndex, SubCaseProcessor, SuperCaseProcessor
 from repro.errors import CacheError
-from repro.features import PathFeatureExtractor
+from repro.cache.query_index import CACHE_FEATURE_LENGTH
+from repro.features import path_features
 from repro.graph import molecule_graph
 from repro.graph.operations import extend_graph, random_connected_subgraph
 from repro.isomorphism import VF2Matcher
@@ -21,7 +22,7 @@ def entry_for(graph, answer=frozenset()) -> CacheEntry:
 
 @pytest.fixture()
 def index() -> CachedQueryIndex:
-    return CachedQueryIndex(PathFeatureExtractor(max_length=2))
+    return CachedQueryIndex()
 
 
 class TestCachedQueryIndex:
@@ -55,7 +56,7 @@ class TestCachedQueryIndex:
         cached = entry_for(big)
         index.add(cached)
         query = random_connected_subgraph(big, 6, rng=rng)
-        features = index.query_features(query)
+        features = path_features(query, CACHE_FEATURE_LENGTH)
         candidates = index.sub_case_candidates(query, features, QueryType.SUBGRAPH)
         assert cached in candidates
 
@@ -65,7 +66,7 @@ class TestCachedQueryIndex:
         cached = entry_for(small)
         index.add(cached)
         query = extend_graph(small, 4, labels=["C", "N", "O"], rng=rng)
-        features = index.query_features(query)
+        features = path_features(query, CACHE_FEATURE_LENGTH)
         candidates = index.super_case_candidates(query, features, QueryType.SUBGRAPH)
         assert cached in candidates
 
@@ -73,7 +74,7 @@ class TestCachedQueryIndex:
         small = entry_for(molecule_graph(4, rng=6))
         index.add(small)
         query = molecule_graph(10, rng=7)
-        features = index.query_features(query)
+        features = path_features(query, CACHE_FEATURE_LENGTH)
         # a 4-vertex cached query cannot contain a 10-vertex query
         assert small not in index.sub_case_candidates(query, features, QueryType.SUBGRAPH)
 

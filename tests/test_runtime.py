@@ -31,7 +31,6 @@ class TestGCConfig:
             {"window_size": 0},
             {"cache_capacity": 5, "window_size": 10},
             {"min_tests_to_admit": -1},
-            {"cache_feature_length": 0},
             {"max_sub_hits": 0},
             {"shard_backend": "fork"},
             {"shard_backend": "threads"},

@@ -23,11 +23,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.features.paths import EdgeFeatureExtractor
 from repro.features.base import FeatureExtractor
+from repro.features.paths import PathFeatureExtractor
 from repro.graph import molecule_dataset
 from repro.isomorphism.vf2 import VF2Matcher
-from repro.query_model import QueryType
+from repro.query_model import Query, QueryType, exact_key
 from repro.runtime.config import GCConfig
 from repro.sharding import ScatterPlanner, ShardRouter, ShardSummary
 from repro.sharding.system import ShardedGraphCacheSystem
@@ -117,13 +117,19 @@ class TestSummaryConsistency:
                 cache.drain_maintenance()
             system._sync_summaries()
             for index, shard in enumerate(system.shards):
-                expected = {
-                    (entry.wl_hash, entry.graph.size_signature(),
-                     entry.query_type.value)
-                    for entry in shard.cache.entries()
-                }
+                entries = shard.cache.entries()
+                expected = {exact_key(entry.graph, entry.query_type) for entry in entries}
                 assert set(system.summaries[index].resident_keys) == expected
                 assert system.summaries[index].usable()
+                # one key: what the summary publishes is what the cache's own
+                # exact screen files the entry under and what the planner
+                # routes a fresh, equal pattern by
+                for entry in entries:
+                    again = Query(entry.graph.copy(), entry.query_type)
+                    assert entry in shard.cache.query_index.exact_candidates(
+                        again.graph, again.query_type)
+                    plan = system.planner.plan(again, record=False)
+                    assert index in plan.exact_shards or index in plan.skipped
 
     @COMMON_SETTINGS
     @given(seed=st.integers(0, 2**16), num_shards=st.integers(2, 4),
@@ -134,7 +140,7 @@ class TestSummaryConsistency:
         num_shards = min(num_shards, len(dataset))
         router = ShardRouter(dataset, num_shards, "hash")
         router.rebalance(policy)
-        extractor = EdgeFeatureExtractor()
+        extractor = PathFeatureExtractor(max_length=1)
         for index, partition in enumerate(router.partitions()):
             summary = ShardSummary.build(index, partition, extractor)
             assert summary.usable()
