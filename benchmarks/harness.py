@@ -86,8 +86,8 @@ class SimulatedLatencyMatcher(SubgraphMatcher):
 
     Models the regime the paper targets — query cost dominated by dataset
     sub-iso verification, as if dataset graphs were disk/network-resident.
-    That latency is where a deployment actually waits, and it is what both
-    concurrent query streams and server-side batching overlap.
+    That latency is where a deployment actually waits, and it is what the
+    scatter pool (one slot per shard) overlaps.
     """
 
     name = "vf2+latency"

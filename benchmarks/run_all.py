@@ -11,7 +11,7 @@ be diffed across PRs by tooling.
 Usage (from the repository root)::
 
     PYTHONPATH=src python benchmarks/run_all.py            # everything
-    PYTHONPATH=src python benchmarks/run_all.py -k concurrent   # a subset
+    PYTHONPATH=src python benchmarks/run_all.py -k shard   # a subset
     PYTHONPATH=src python benchmarks/run_all.py --smoke    # CI-sized runs
 
 ``--smoke`` sets ``GC_BENCH_SMOKE=1`` for the benchmark processes: modules

@@ -62,7 +62,7 @@ def fresh_server(dataset) -> QueryServer:
         cache_capacity=20, window_size=5,
         num_shards=bench_shards(2), scatter_mode=bench_scatter_mode("short-circuit"),
     )
-    return QueryServer(dataset, config, max_batch_size=8, batch_workers=8,
+    return QueryServer(dataset, config, max_batch_size=8,
                        max_queue_depth=4096, request_timeout_seconds=120.0)
 
 

@@ -1,8 +1,8 @@
 """S5 — Process shard workers: breaking the GIL for CPU-bound verification.
 
-The motivating number for ``shard_backend="process"``: the C1b honesty arm
-shows pure-Python in-memory verification does **not** scale with threads —
-the GIL serialises it.  This experiment runs the same CPU-bound workload
+The motivating number for ``shard_backend="process"``: pure-Python in-memory
+verification does **not** scale with threads — the GIL serialises it (README,
+"Concurrency model").  This experiment runs the same CPU-bound workload
 through the scatter-gather engine with shards hosted (a) in-process on
 threads and (b) in spawned worker processes, at increasing shard counts.
 Each worker process owns its own interpreter, so per-query scatter fans the
@@ -15,8 +15,8 @@ Two arms:
   vs 1) is only enforced when the host exposes ≥4 usable cores — the rows
   (and ``available_cpus``) are recorded honestly either way, a 1-core CI
   runner simply cannot express core-level parallelism.
-* **overlap** — simulated per-test latency (verification-bound regime, as
-  in C1).  Sleeping releases the GIL *and* the worker's core, so the fan-out
+* **overlap** — simulated per-test latency (verification-bound regime).
+  Sleeping releases the GIL *and* the worker's core, so the fan-out
   speedup shows through the process transport on any host; its ≥2.5× floor
   is enforced unconditionally, proving the envelope-over-loopback transport
   is not the bottleneck.

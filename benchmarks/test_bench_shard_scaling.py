@@ -74,7 +74,6 @@ def serve_trace(dataset, trace, num_shards: int):
         max_batch_size=BATCH_SIZE,
         max_delay_seconds=0.004,
         max_queue_depth=512,
-        batch_workers=BATCH_SIZE,
     )
     with server:
         client = QueryServerClient.for_server(server)

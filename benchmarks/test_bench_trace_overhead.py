@@ -67,7 +67,6 @@ def serve_traced(dataset, trace, sample_rate: float):
         max_batch_size=BATCH_SIZE,
         max_delay_seconds=0.004,
         max_queue_depth=512,
-        batch_workers=BATCH_SIZE,
     )
     with server:
         client = QueryServerClient.for_server(server)

@@ -35,7 +35,7 @@ def main() -> None:
     config = GCConfig(cache_capacity=25, window_size=5,
                       num_shards=2, scatter_mode="short-circuit")
 
-    with QueryServer(dataset, config, max_batch_size=8, batch_workers=8,
+    with QueryServer(dataset, config, max_batch_size=8,
                      max_queue_depth=4096) as server:
         print(f"serving at {server.address} (2 shards, short-circuit scatter)\n")
 

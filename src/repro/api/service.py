@@ -21,14 +21,12 @@ response or an :class:`ErrorEnvelope`.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Protocol, runtime_checkable
 
 from repro.api.envelopes import (
     BatchResult,
     ErrorEnvelope,
     MetricsSnapshot,
-    QueryRequest,
     QueryResponse,
     as_request,
 )
@@ -98,30 +96,15 @@ class LocalGraphService:
         report = self.system.run_query(request.to_query())
         return QueryResponse.from_report(report, request_id=request.request_id)
 
-    def run_batch(self, queries, max_workers: int | None = None) -> BatchResult:
-        """Execute a batch with per-item outcomes.
-
-        ``max_workers`` defaults to the system's ``config.max_workers``;
-        with 1 the batch runs sequentially (deterministic cache trajectory,
-        the shape the differential harness compares hit counts on).
-        """
+    def run_batch(self, queries) -> BatchResult:
+        """Execute a batch, in order on the calling thread, with per-item outcomes."""
         requests = [as_request(query) for query in queries]
-        workers = self.system.config.max_workers if max_workers is None else max_workers
-        if workers < 1:
-            raise ConfigurationError("max_workers must be at least 1")
-
-        def execute(request: QueryRequest):
+        items: list = []
+        for request in requests:
             try:
-                return self.run(request)
+                items.append(self.run(request))
             except Exception as exc:
-                return ErrorEnvelope.from_exception(exc, request_id=request.request_id)
-
-        if workers == 1 or len(requests) <= 1:
-            items = [execute(request) for request in requests]
-        else:
-            with ThreadPoolExecutor(max_workers=workers,
-                                    thread_name_prefix="gc-service") as pool:
-                items = list(pool.map(execute, requests))
+                items.append(ErrorEnvelope.from_exception(exc, request_id=request.request_id))
         for cache in self.system.all_caches():
             cache.drain_maintenance()
         return BatchResult(items=items)

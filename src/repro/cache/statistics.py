@@ -146,6 +146,10 @@ class StatisticsManager:
 
     def __init__(self) -> None:
         self._records: list[QueryRecord] = []
+        #: Running sums over ``_records`` (what admission prices a request
+        #: with), kept by :meth:`record` so reading them is O(1).
+        self._dataset_tests = 0
+        self._verify_seconds = 0.0
         self._lock = threading.Lock()
         #: Per-shard managers attached by a sharded system (name → manager);
         #: insertion-ordered, so snapshots list shards deterministically.
@@ -173,6 +177,8 @@ class StatisticsManager:
         """Append one query record."""
         with self._lock:
             self._records.append(record)
+            self._dataset_tests += record.dataset_tests
+            self._verify_seconds += record.verify_seconds
 
     def records(self) -> list[QueryRecord]:
         """All records in processing order."""
@@ -194,6 +200,8 @@ class StatisticsManager:
         """Drop every record (e.g. between benchmark phases)."""
         with self._lock:
             self._records.clear()
+            self._dataset_tests = 0
+            self._verify_seconds = 0.0
 
     # ------------------------------------------------------------------ #
     # aggregates
@@ -233,11 +241,9 @@ class StatisticsManager:
         candidate counts by; ``default`` is returned until the manager has
         seen at least one actual dataset test (cold start).
         """
-        records = self.records()
-        tests = sum(record.dataset_tests for record in records)
-        if tests <= 0:
-            return default
-        return sum(record.verify_seconds for record in records) / tests
+        with self._lock:
+            tests, seconds = self._dataset_tests, self._verify_seconds
+        return seconds / tests if tests > 0 else default
 
     def mean_dataset_tests(self, default: float = 0.0) -> float:
         """Mean dataset sub-iso tests per recorded query (``default`` when empty).
@@ -246,10 +252,9 @@ class StatisticsManager:
         it reflects how much work the shard's cache actually leaves over,
         unlike the raw partition size.
         """
-        records = self.records()
-        if not records:
-            return default
-        return sum(record.dataset_tests for record in records) / len(records)
+        with self._lock:
+            queries, tests = len(self._records), self._dataset_tests
+        return tests / queries if queries else default
 
     def stage_breakdown(self) -> list[dict[str, float]]:
         """Per-pipeline-stage latency summary over every recorded query.
@@ -348,20 +353,3 @@ class StatisticsManager:
         if include_records:
             snapshot["records"] = [record.to_dict() for record in self.records()]
         return snapshot
-
-    def reorder(self, query_ids: list[int]) -> None:
-        """Reorder the records matching ``query_ids`` into that exact order.
-
-        Used after a concurrent run: records append in *completion* order,
-        which is nondeterministic; reordering them to submission order keeps
-        every per-position view (hit percentages, window summaries) aligned
-        with the run's report list.  Records not in ``query_ids`` keep their
-        position at the front.
-        """
-        positions = {query_id: position for position, query_id in enumerate(query_ids)}
-        with self._lock:
-            batch = [record for record in self._records if record.query_id in positions]
-            rest = [record for record in self._records if record.query_id not in positions]
-            batch.sort(key=lambda record: positions[record.query_id])
-            self._records = rest + batch
-

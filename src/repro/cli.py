@@ -96,8 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="feature size for FTV methods")
     common.add_argument("--cache-capacity", type=int, default=50)
     common.add_argument("--window-size", type=int, default=10)
-    common.add_argument("--workers", type=int, default=1,
-                        help="concurrent query streams (1 = sequential)")
     common.add_argument("--async-maintenance", action="store_true",
                         help="run cache admission/replacement on a maintenance thread")
     common.add_argument("--shards", type=int, default=1,
@@ -228,7 +226,6 @@ def _config_from_args(args, policy: str | None = None) -> GCConfig:
         replacement_policy=policy or getattr(args, "policy", "HD"),
         method=args.method,
         method_options=options,
-        max_workers=getattr(args, "workers", 1),
         async_maintenance=getattr(args, "async_maintenance", False),
         num_shards=getattr(args, "shards", 1),
         shard_policy=getattr(args, "shard_policy", "hash"),

@@ -69,8 +69,9 @@ class CountingMatcher(SubgraphMatcher):
         self.inner = inner
         self.name = f"counting({inner.name})"
         self.tally = VerifierTally()
-        # verification may run from a thread pool (Method M's verify_threads),
-        # so tally updates are serialised
+        # one matcher is entered from several threads at once (library callers,
+        # a shard worker's HTTP handler threads, a hedged scatter's two
+        # attempts), so tally updates are serialised
         self._lock = threading.Lock()
 
     def find_embedding(self, query: Graph, target: Graph) -> MatchResult:

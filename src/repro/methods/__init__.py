@@ -5,13 +5,11 @@ from repro.methods.ctindex import CTIndexMethod
 from repro.methods.direct import DirectSIMethod
 from repro.methods.grapes import GraphGrepSXMethod
 from repro.methods.registry import available_methods, make_method, register_method
-from repro.methods.verifier_pool import ParallelVerifier
 
 __all__ = [
     "MethodM",
     "MethodResult",
     "VerificationOutcome",
-    "ParallelVerifier",
     "DirectSIMethod",
     "GraphGrepSXMethod",
     "CTIndexMethod",

@@ -63,27 +63,12 @@ class MethodM:
     name: str = "abstract"
 
     def __init__(self, verifier: SubgraphMatcher | None = None) -> None:
-        # deferred import: verifier_pool depends on this module's dataclasses
-        from repro.methods.verifier_pool import ParallelVerifier
-
         self.verifier = CountingMatcher(verifier or VF2Matcher())
-        #: Shared batch verifier (GraphCache's thread resource management);
-        #: candidate sub-iso tests of one query run through its worker pool.
-        self.parallel_verifier = ParallelVerifier(threads=1)
         #: The filter, built by :meth:`build` (``None``: no filtering).
         self.index: DatasetIndex | None = None
         self._dataset: dict[GraphId, Graph] = {}
         self._graph_order: list[GraphId] = []
         self._built = False
-
-    @property
-    def verify_threads(self) -> int:
-        """Worker threads used to verify one query's candidates (1 = sequential)."""
-        return self.parallel_verifier.threads
-
-    @verify_threads.setter
-    def verify_threads(self, value: int) -> None:
-        self.parallel_verifier.threads = value
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -143,35 +128,29 @@ class MethodM:
         self._require_built()
         return self._filter_candidates(query, QueryType.parse(query_type))
 
-    def verify_one(self, query: Graph, graph_id: GraphId, query_type: QueryType | str) -> bool:
-        """Run one sub-iso test between the query and a dataset graph.
-
-        For subgraph queries the test is ``query ⊆ G``; for supergraph
-        queries it is ``G ⊆ query``.
-        """
-        self._require_built()
-        query_type = QueryType.parse(query_type)
-        target = self.dataset_graph(graph_id)
-        if query_type is QueryType.SUBGRAPH:
-            return self.verifier.is_subgraph(query, target)
-        return self.verifier.is_subgraph(target, query)
-
     def verify_candidates(
         self, query: Graph, candidates: Iterable[GraphId], query_type: QueryType | str
     ) -> VerificationOutcome:
-        """Verify every candidate and return the confirmed answers.
+        """Verify every candidate, in order, on the calling thread.
 
-        With ``verify_threads > 1`` the sub-iso tests of one query run on the
-        shared :class:`~repro.methods.verifier_pool.ParallelVerifier` pool;
-        results are identical to the sequential path.
+        One sub-iso test per candidate: ``query ⊆ G`` for subgraph queries,
+        ``G ⊆ query`` for supergraph queries.
         """
         self._require_built()
-        query_type = QueryType.parse(query_type)
-        candidate_list = list(candidates)
-        return self.parallel_verifier.verify(
-            candidate_list,
-            lambda graph_id: self.verify_one(query, graph_id, query_type),
-        )
+        subgraph = QueryType.parse(query_type) is QueryType.SUBGRAPH
+        is_subgraph = self.verifier.is_subgraph
+        dataset = self._dataset
+        outcome = VerificationOutcome()
+        start = time.perf_counter()
+        for graph_id in candidates:
+            target = dataset.get(graph_id)
+            if target is None:
+                raise MethodError(f"graph id {graph_id!r} is not part of the dataset")
+            if is_subgraph(query, target) if subgraph else is_subgraph(target, query):
+                outcome.answers.add(graph_id)
+            outcome.num_tests += 1
+        outcome.verify_seconds = time.perf_counter() - start
+        return outcome
 
     def execute(self, query: Graph, query_type: QueryType | str) -> MethodResult:
         """Classic filter-then-verify execution without any cache."""

@@ -24,7 +24,9 @@ SHARD_POLICIES = ("hash", "round-robin", "size-balanced")
 SCATTER_MODES = ("full", "short-circuit")
 
 #: How a sharded system hosts its shards (:mod:`repro.sharding.system`):
-#: ``thread`` keeps every shard in-process (one scatter-pool slot each);
+#: ``thread`` keeps every shard in-process (one scatter-pool slot each) — the
+#: differential reference for the sharding layer, not a way to go faster: under
+#: the GIL its shards take turns (README, "Concurrency model");
 #: ``process`` spawns one OS worker process per shard, speaking the v2
 #: envelope protocol over loopback sockets, so CPU-bound verification
 #: escapes the GIL and scales with cores.
@@ -75,16 +77,11 @@ class GCConfig:
     method: str = "graphgrep-sx"
     method_options: dict = field(default_factory=dict)
     verifier: str = "vf2"
-    #: Number of worker threads used to verify candidates of one query
-    #: (GraphCache's thread resource management); 1 means sequential.
-    verify_threads: int = 1
 
-    # --- concurrent engine ----------------------------------------------
-    #: Concurrent query streams used by ``run_queries_concurrent`` (and the
-    #: workload runner's concurrent mode); 1 means sequential execution.
-    max_workers: int = 1
+    # --- maintenance ------------------------------------------------------
     #: When True, window admission and replacement run on a dedicated cache
-    #: maintenance thread instead of the query critical path.
+    #: maintenance thread instead of the query critical path.  A query itself
+    #: always runs start to finish on the thread that submitted it.
     async_maintenance: bool = False
 
     # --- sharding ---------------------------------------------------------
@@ -160,10 +157,6 @@ class GCConfig:
                 raise ConfigurationError(f"{name} must be at least 1 or None")
         if self.cache_memory_budget_bytes is not None and self.cache_memory_budget_bytes <= 0:
             raise ConfigurationError("cache_memory_budget_bytes must be positive or None")
-        if self.verify_threads < 1:
-            raise ConfigurationError("verify_threads must be at least 1")
-        if self.max_workers < 1:
-            raise ConfigurationError("max_workers must be at least 1")
         if self.num_shards < 1:
             raise ConfigurationError("num_shards must be at least 1")
         if self.shard_policy not in SHARD_POLICIES:

@@ -9,7 +9,6 @@ small API: run queries, inspect statistics, measure memory overheads.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.cache.graph_cache import GraphCache
 from repro.cache.statistics import AggregateStatistics, QueryRecord, StatisticsManager
@@ -43,7 +42,6 @@ class GraphCacheSystem:
             verifier = make_matcher(self.config.verifier)
             method = make_method(self.config.method, verifier=verifier, **self.config.method_options)
         self.method = method
-        self.method.verify_threads = self.config.verify_threads
         self.method.build(self.dataset)
 
         self.cache: GraphCache | None = None
@@ -83,10 +81,9 @@ class GraphCacheSystem:
         return [self.cache] if self.cache is not None else []
 
     def close(self) -> None:
-        """Release background resources (maintenance worker, verify pool)."""
+        """Release background resources (the cache's maintenance worker)."""
         if self.cache is not None:
             self.cache.close()
-        self.method.parallel_verifier.close()
 
     def __enter__(self) -> "GraphCacheSystem":
         return self
@@ -111,42 +108,19 @@ class GraphCacheSystem:
         """Process many queries in order and return their reports."""
         return [self.run_query(query, query_type) for query in queries]
 
-    def run_queries_concurrent(
+    def run_batch(
         self,
         queries: Iterable[Query | Graph],
         query_type: QueryType | str = QueryType.SUBGRAPH,
-        max_workers: int | None = None,
     ) -> list[QueryReport]:
-        """Process queries on a thread pool of concurrent query streams.
+        """Process a batch in order on the calling thread, then settle the cache.
 
-        Reports are returned in *submission order* regardless of completion
-        order, so downstream comparisons are deterministic.  Answer sets are
-        identical to sequential execution: the cache only ever prunes
-        candidates it can guarantee, whatever interleaving occurs.  With
-        async maintenance enabled, pending admissions are drained before
-        returning so the cache state is settled.
-
-        ``max_workers`` defaults to ``config.max_workers``; a value of 1
-        falls back to plain sequential :meth:`run_queries`.
+        The batch entry point every shard surface shares (a sharded system
+        scatters each shard its share of the batch at once).  Here it is
+        :meth:`run_queries` plus a drain of pending async admissions, so the
+        cache state is settled when the reports are handed back.
         """
-        workers = self.config.max_workers if max_workers is None else max_workers
-        if workers < 1:
-            raise ConfigurationError("max_workers must be at least 1")
-        query_list = list(queries)
-        if workers == 1 or len(query_list) <= 1:
-            reports = self.run_queries(query_list, query_type)
-        else:
-            reports = [None] * len(query_list)  # type: ignore[list-item]
-            with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="gc-query") as pool:
-                futures = {
-                    pool.submit(self.run_query, query, query_type): position
-                    for position, query in enumerate(query_list)
-                }
-                for future, position in futures.items():
-                    reports[position] = future.result()
-            # statistics records appended in completion order — restore
-            # submission order so per-position views line up with `reports`
-            self.statistics.reorder([report.query.query_id for report in reports])
+        reports = self.run_queries(queries, query_type)
         if self.cache is not None:
             self.cache.drain_maintenance()
         return reports
@@ -250,8 +224,7 @@ class GraphCacheSystem:
         """Per-query hit percentage (hits / cached graphs), as in Fig. 2(b).
 
         The cache population each query saw is carried on its own record, so
-        the denominators stay aligned even when queries complete out of
-        submission order under concurrent execution.
+        the denominators stay aligned when caller threads interleave.
         """
         return self.statistics.per_record_hit_percentages()
 

@@ -127,7 +127,6 @@ class QueryServer(RoutedApp):
         max_batch_size: int = 4,
         max_delay_seconds: float = 0.005,
         max_queue_depth: int = 64,
-        batch_workers: int | None = None,
         snapshot_path: str | Path | None = None,
         request_timeout_seconds: float = 60.0,
         max_shard_cost_seconds: float = 0.25,
@@ -150,7 +149,6 @@ class QueryServer(RoutedApp):
                 max_batch_size=max_batch_size,
                 max_delay_seconds=max_delay_seconds,
                 max_queue_depth=max_queue_depth,
-                batch_workers=batch_workers,
                 admission_mode=self.system.config.admission_mode,
                 max_shard_cost_seconds=max_shard_cost_seconds,
             )

@@ -1,4 +1,4 @@
-"""Request batcher: coalesce queued queries into concurrent engine batches.
+"""Request batcher: coalesce queued queries into engine batches.
 
 The serving hot path of the subsystem.  Incoming queries land in a *bounded*
 admission queue (backpressure: a full queue rejects the request — the HTTP
@@ -15,11 +15,13 @@ while queries for the other shards keep flowing.  A single dispatcher
 thread pulls the queue and
 coalesces up to ``max_batch_size`` queries — waiting at most
 ``max_delay_seconds`` for stragglers once the first query of a batch is in
-hand — then executes the whole batch through
-:meth:`GraphCacheSystem.run_queries_concurrent`, so one batch of B queries
-overlaps B verification stages instead of serialising them.  Each caller
-holds a :class:`~concurrent.futures.Future` that resolves to a
-:class:`ServedQuery` when its batch completes.
+hand — then executes the whole batch, on the dispatcher thread, through
+the system's ``run_batch``.  An unsharded system answers it in order (the
+matcher is CPU-bound under the GIL, so threads inside one process would
+only take turns); a sharded one hands each shard its share of the batch at
+once, which is what lets process shards overlap.  Each caller holds a
+:class:`~concurrent.futures.Future` that resolves to a :class:`ServedQuery`
+when its batch completes.
 
 Dead work is *shed*, never executed: at batch-build time the dispatcher
 drops entries whose deadline already expired (their future raises the typed
@@ -33,7 +35,7 @@ Shutdown is graceful by default: ``close(drain=True)`` stops admission,
 executes everything already queued, and only then joins the dispatcher —
 nothing accepted is ever dropped.  The async ``CacheMaintenanceWorker``
 (when configured) keeps running off this critical path exactly as in
-library use; batches drain it via ``run_queries_concurrent`` itself.
+library use; batches drain it via ``run_batch`` itself.
 """
 
 from __future__ import annotations
@@ -243,7 +245,7 @@ class BatcherStats:
 class RequestBatcher:
     """Bounded admission queue + batch dispatcher over one system.
 
-    ``system`` is anything exposing ``run_queries_concurrent`` with the
+    ``system`` is anything exposing ``run_batch`` with the
     :class:`GraphCacheSystem` contract — the single-system engine or a
     :class:`~repro.sharding.system.ShardedGraphCacheSystem`; batches scatter
     across shards inside the system, invisibly to the batcher.
@@ -255,7 +257,6 @@ class RequestBatcher:
         max_batch_size: int = 4,
         max_delay_seconds: float = 0.005,
         max_queue_depth: int = 64,
-        batch_workers: int | None = None,
         admission_mode: str = "queue-depth",
         max_shard_cost_seconds: float = 0.25,
     ) -> None:
@@ -265,8 +266,6 @@ class RequestBatcher:
             raise ConfigurationError("max_delay_seconds must be non-negative")
         if max_queue_depth < 1:
             raise ConfigurationError("max_queue_depth must be at least 1")
-        if batch_workers is not None and batch_workers < 1:
-            raise ConfigurationError("batch_workers must be at least 1 or None")
         if admission_mode not in ADMISSION_MODES:
             raise ConfigurationError(
                 f"unknown admission_mode {admission_mode!r}; "
@@ -277,7 +276,6 @@ class RequestBatcher:
         self.system = system
         self.max_batch_size = max_batch_size
         self.max_delay_seconds = max_delay_seconds
-        self.batch_workers = batch_workers or max_batch_size
         self.admission_mode = admission_mode
         #: Per-shard budget of outstanding estimated verification seconds;
         #: a query whose plan touches a shard over budget is rejected while
@@ -543,10 +541,7 @@ class RequestBatcher:
     def _execute(self, batch: list[_Pending]) -> None:
         started = time.monotonic()
         try:
-            reports = self.system.run_queries_concurrent(
-                [pending.query for pending in batch],
-                max_workers=min(len(batch), self.batch_workers),
-            )
+            reports = self.system.run_batch([pending.query for pending in batch])
         except Exception as exc:  # propagate to every caller in the batch
             logger.error("batch of %d failed: %s: %s",
                          len(batch), type(exc).__name__, exc)

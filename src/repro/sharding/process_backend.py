@@ -1,8 +1,10 @@
 """ProcessShardBackend: one spawned worker process per shard, v2 envelopes.
 
 The GIL makes ``shard_backend="thread"`` a single-core deployment for
-CPU-bound verification: the C1b benchmark shows 4 threads running *slower*
-than 1.  This backend keeps the whole scatter-gather architecture — planner,
+CPU-bound verification: 2 thread shards answer gcbench's ``engine_cold``
+trace at about half the unsharded rate (README, "Concurrency model"), so
+the thread backend is the in-process differential reference and this one is
+the way past one core.  This backend keeps the whole scatter-gather architecture — planner,
 merge, cost-based admission, ``/metrics`` fan-in, snapshots — and swaps only
 the shard hosting: each shard becomes a spawned OS process running
 :func:`repro.sharding.worker.worker_main` (its own
@@ -14,7 +16,7 @@ v2, multiplexed on one coordinator-owned event-loop thread.
 
 :class:`ProcessShardClient` implements the same shard surface
 :class:`~repro.sharding.system.ShardedGraphCacheSystem` already scatters to
-(``run_query``/``run_queries_concurrent``/``statistics``/``dataset``/
+(``run_query``/``run_batch``/``statistics``/``dataset``/
 snapshots/memory accessors), so the sharded system treats thread shards and
 process shards identically.  Each proxy keeps a coordinator-side
 :class:`StatisticsManager` mirror fed from the full per-query reports the
@@ -221,13 +223,13 @@ class ProcessShardBackend:
     def call(self, index: int, method: str, path: str,
              body: dict | None = None) -> tuple[int, dict]:
         """One request to shard ``index``'s worker, with crash recovery."""
-        return self._call_many(index, [(method, path, body)], 1)[0]
+        return self._call_many(index, [(method, path, body)])[0]
 
-    def _call_many(self, index: int, requests: list[tuple],
-                   concurrency: int) -> list[tuple[int, dict]]:
+    def _call_many(self, index: int, requests: list[tuple]) -> list[tuple[int, dict]]:
         """``(method, path, body)`` requests to one worker, with crash recovery.
 
-        Outcomes return in submission order.  A transport failure against a
+        All requests are in flight at once, bounded by the worker's
+        connection pool; outcomes return in submission order.  A transport failure against a
         *dead* worker spends respawn budget, brings up a cold replacement
         and re-issues only the failed positions there (every endpoint driven
         through here is answer-safe to re-execute) — completed answers are
@@ -242,7 +244,7 @@ class ProcessShardBackend:
         while pending:
             handle = self._handle(index)
             outcomes = self._submit(
-                self._gather(handle.service, [requests[i] for i in pending], concurrency)
+                self._gather(handle.service, [requests[i] for i in pending])
             )
             failed: list[int] = []
             first_failure: BaseException | None = None
@@ -275,15 +277,8 @@ class ProcessShardBackend:
         return results  # type: ignore[return-value]
 
     @staticmethod
-    async def _gather(service: AsyncRemoteGraphService, requests: list[tuple],
-                      concurrency: int):
-        gate = asyncio.Semaphore(max(1, concurrency))
-
-        async def one(request: tuple):
-            async with gate:
-                return await service.request(*request)
-
-        return await asyncio.gather(*(one(request) for request in requests),
+    async def _gather(service: AsyncRemoteGraphService, requests: list[tuple]):
+        return await asyncio.gather(*(service.request(*request) for request in requests),
                                     return_exceptions=True)
 
     def expect(self, index: int, method: str, path: str,
@@ -304,11 +299,9 @@ class ProcessShardBackend:
         """POST one query envelope to shard ``index``."""
         return self.call(index, "POST", "/query", body)
 
-    def query_batch(self, index: int, bodies: list[dict],
-                    concurrency: int) -> list[tuple[int, dict]]:
+    def query_batch(self, index: int, bodies: list[dict]) -> list[tuple[int, dict]]:
         """POST a batch of query envelopes concurrently (submission order)."""
-        return self._call_many(
-            index, [("POST", "/query", body) for body in bodies], concurrency)
+        return self._call_many(index, [("POST", "/query", body) for body in bodies])
 
     # ------------------------------------------------------------------ #
     # crash recovery
@@ -508,24 +501,18 @@ class ProcessShardClient:
     def run_queries(self, queries, query_type: QueryType | str = QueryType.SUBGRAPH):
         return [self.run_query(query, query_type) for query in queries]
 
-    def run_queries_concurrent(self, queries,
-                               query_type: QueryType | str = QueryType.SUBGRAPH,
-                               max_workers: int | None = None):
+    def run_batch(self, queries, query_type: QueryType | str = QueryType.SUBGRAPH):
         query_list = [self._as_query(query, query_type) for query in queries]
         if not query_list:
             return []
-        workers = self.config.max_workers if max_workers is None else max_workers
-        if workers < 1:
-            raise ConfigurationError("max_workers must be at least 1")
         outcomes = self._backend.query_batch(
-            self.index, [self._wire(query) for query in query_list], workers
+            self.index, [self._wire(query) for query in query_list]
         )
         reports = [
             self._report_from(query, status, payload)
             for query, (status, payload) in zip(query_list, outcomes)
         ]
-        # mirror records in submission order, matching the thread backend's
-        # post-batch statistics reorder
+        # mirror records in submission order, as an in-process shard appends them
         for report in reports:
             self.statistics.record(QueryRecord.from_report(report))
         return reports

@@ -20,7 +20,7 @@ also carries a reference to every per-shard manager so ``to_dict()`` reports
 per-shard aggregation alongside the merged view.
 
 The class mirrors the :class:`GraphCacheSystem` facade (``run_query``,
-``run_queries``, ``run_queries_concurrent``, ``warm_cache``, statistics and
+``run_queries``, ``run_batch``, ``warm_cache``, statistics and
 memory accessors, snapshot save/restore), so the query server, the request
 batcher and the workload runner accept it transparently.
 """
@@ -509,30 +509,24 @@ class ShardedGraphCacheSystem:
         """
         return [self.run_query(query, query_type) for query in queries]
 
-    def run_queries_concurrent(
+    def run_batch(
         self,
         queries: Iterable[Query | Graph],
         query_type: QueryType | str = QueryType.SUBGRAPH,
-        max_workers: int | None = None,
     ) -> list[QueryReport]:
-        """Scatter the whole batch to per-shard worker pools and merge.
+        """Scatter the whole batch — each shard gets its share at once — and merge.
 
-        Each shard executes the batch through its own
-        :meth:`GraphCacheSystem.run_queries_concurrent` (``max_workers``
-        concurrent streams *per shard*), all shards running concurrently on
-        the scatter pool.  Merged reports are returned in submission order,
-        so downstream comparisons stay deterministic.
+        Every shard answers its share through its own ``run_batch`` (in order;
+        a process shard keeps the share in flight on its worker's connection
+        pool), all shards running concurrently on the scatter pool.  Merged
+        reports are returned in submission order.
         """
-        workers = self.config.max_workers if max_workers is None else max_workers
-        if workers < 1:
-            raise ConfigurationError("max_workers must be at least 1")
         query_list = [_as_query(query, query_type) for query in queries]
         if not query_list:
             return []
         return self._scatter(
             query_list,
-            lambda shard, queries: self.shards[shard].run_queries_concurrent(
-                queries, query_type, workers),
+            lambda shard, queries: self.shards[shard].run_batch(queries, query_type),
         )
 
     def _scatter(self, query_list: list[Query], run_on_shard) -> list[QueryReport]:

@@ -34,8 +34,6 @@ class WorkloadRunResult:
     evicted_entry_ids: list[int] = field(default_factory=list)
     cache_memory_bytes: int = 0
     index_memory_bytes: int = 0
-    #: Concurrent query streams the workload ran with (1 = sequential).
-    max_workers: int = 1
     #: Per-pipeline-stage latency rows (stage, total/mean seconds, share).
     stage_breakdown: list[dict[str, float]] = field(default_factory=list)
     #: Scatter planning metrics of a sharded system (mean fan-out, skip
@@ -65,7 +63,6 @@ class WorkloadRunResult:
             "dataset_tests": self.aggregate.total_dataset_tests,
             "baseline_tests": self.aggregate.total_baseline_tests,
             "probe_tests": self.aggregate.total_probe_tests,
-            "max_workers": self.max_workers,
         }
         if self.scatter is not None:
             row["scatter_mode"] = self.scatter["mode"]
@@ -73,14 +70,10 @@ class WorkloadRunResult:
         return row
 
 
-def run_workload(
-    system: GraphCacheSystem, workload: Workload, max_workers: int | None = None
-) -> WorkloadRunResult:
-    """Run every query of ``workload`` through ``system`` and summarise.
+def run_workload(system: GraphCacheSystem, workload: Workload) -> WorkloadRunResult:
+    """Run every query of ``workload`` through ``system``, in order, and summarise.
 
-    ``max_workers`` (default: the system's ``config.max_workers``) selects
-    the number of concurrent query streams; reports keep workload order
-    either way.  ``system`` may equally be a
+    ``system`` may equally be a
     :class:`~repro.sharding.system.ShardedGraphCacheSystem` — eviction and
     memory accounting then aggregate over every shard's cache — or a
     :class:`~repro.api.service.LocalGraphService` facade, which is unwrapped
@@ -91,11 +84,7 @@ def run_workload(
 
     if isinstance(system, LocalGraphService):
         system = system.system
-    workers = system.config.max_workers if max_workers is None else max_workers
-    if workers > 1:
-        reports = system.run_queries_concurrent(list(workload), max_workers=workers)
-    else:
-        reports = [system.run_query(query) for query in workload]
+    reports = [system.run_query(query) for query in workload]
     evicted: list[int] = []
     caches = system.all_caches()
     for cache in caches:
@@ -113,7 +102,6 @@ def run_workload(
         evicted_entry_ids=evicted,
         cache_memory_bytes=system.cache_memory_bytes(),
         index_memory_bytes=system.index_memory_bytes(),
-        max_workers=workers,
         stage_breakdown=system.stage_breakdown(),
         scatter=scatter_metrics() if scatter_metrics is not None else None,
     )

@@ -36,6 +36,8 @@ trajectories, are invariant there.
 
 from __future__ import annotations
 
+import itertools
+import threading
 from dataclasses import dataclass, field
 
 from repro.api.remote import RemoteGraphService
@@ -95,6 +97,45 @@ def clone_queries(workload: Workload) -> list[Query]:
     ]
 
 
+def run_on_threads(system, queries: list[Query], threads: int,
+                   timeout: float = 120.0) -> list:
+    """Answer ``queries`` from ``threads`` test-owned caller threads.
+
+    The engine has no pool of its own: a query runs on the thread that
+    submitted it, and the engine's locks are there for callers like these.
+    The threads take positions off one shared counter and call
+    ``system.run_query``; pending async admissions are drained afterwards.
+    Returns the reports in submission order.  A thread still alive after
+    ``timeout`` seconds is a deadlock; the first failure is re-raised.
+    """
+    reports: list = [None] * len(queries)
+    failures: list[BaseException] = []
+    ticket = itertools.count()  # next() on it is atomic under the GIL
+
+    def caller() -> None:
+        while (position := next(ticket)) < len(queries):
+            try:
+                reports[position] = system.run_query(queries[position])
+            except BaseException as exc:  # surfaced on the test's thread below
+                failures.append(exc)
+
+    pool = [threading.Thread(target=caller, name=f"test-caller-{n}", daemon=True)
+            for n in range(threads)]
+    for thread in pool:
+        thread.start()
+    for thread in pool:
+        thread.join(timeout=timeout)
+    stuck = [thread.name for thread in pool if thread.is_alive()]
+    assert not stuck, f"deadlock: threads still running: {stuck}"
+    if failures:
+        raise failures[0]
+    dropped = [position for position, report in enumerate(reports) if report is None]
+    assert not dropped, f"dropped queries at positions {dropped[:10]}"
+    for cache in system.all_caches():
+        cache.drain_maintenance()
+    return reports
+
+
 def base_config(**overrides) -> GCConfig:
     """The harness's standard configuration; override per arm."""
     payload = GCConfig(cache_capacity=25, window_size=5).to_dict()
@@ -133,15 +174,15 @@ def run_sharded(
     dataset: list[Graph],
     workload: Workload,
     num_shards: int,
-    concurrent_workers: int | None = None,
+    caller_threads: int | None = None,
     scatter_mode: str = "full",
     shard_backend: str = "thread",
     **config_overrides,
 ) -> ArmResult:
     """The scatter-gather engine at ``num_shards`` shards.
 
-    ``concurrent_workers`` switches to ``run_queries_concurrent`` with that
-    many per-shard streams (None = the deterministic sequential path).
+    ``caller_threads`` drives the system from that many test-owned threads
+    (:func:`run_on_threads`; None = the deterministic sequential path).
     ``scatter_mode="short-circuit"`` enables summary-driven shard pruning;
     the arm then also records every query's scatter plan, the router
     assignment and the planner statistics, so a mismatch can be blamed on
@@ -154,13 +195,13 @@ def run_sharded(
                          shard_backend=shard_backend, **config_overrides)
     with ShardedGraphCacheSystem(dataset, config) as system:
         queries = clone_queries(workload)
-        if concurrent_workers is None:
+        if caller_threads is None:
             reports = system.run_queries(queries)
         else:
-            reports = system.run_queries_concurrent(queries, max_workers=concurrent_workers)
+            reports = run_on_threads(system, queries, caller_threads)
         return ArmResult(
             name=f"sharded({num_shards})"
-            + (f"+concurrent({concurrent_workers})" if concurrent_workers else "")
+            + (f"+threads({caller_threads})" if caller_threads else "")
             + (f"+{scatter_mode}" if scatter_mode != "full" else "")
             + (f"+{shard_backend}" if shard_backend != "thread" else ""),
             answers=[frozenset(report.answer) for report in reports],

@@ -133,7 +133,7 @@ class TestThousandConnections:
         # reference arm: the sync thread-per-connection client (8 threads —
         # its natural operating range) on a fresh server
         with QueryServer(dataset, sharded_config(), max_batch_size=8,
-                         batch_workers=8, max_queue_depth=2048) as server:
+                         max_queue_depth=2048) as server:
             sync_result = replay_trace(RemoteGraphService.for_server(server),
                                        trace, num_threads=8)
         assert sync_result.served == len(trace)
@@ -143,7 +143,7 @@ class TestThousandConnections:
         # whole run, every query released open-loop in one burst so the
         # in-flight population actually exercises the pool
         with QueryServer(dataset, sharded_config(), max_batch_size=8,
-                         batch_workers=8, max_queue_depth=2048,
+                         max_queue_depth=2048,
                          request_timeout_seconds=120.0) as server:
 
             async def go():

@@ -60,7 +60,7 @@ def clones(trace) -> list[QueryRequest]:
 
 def run_local_arm(dataset, trace, cfg) -> ArmResult:
     with LocalGraphService(dataset, cfg) as service:
-        batch = service.run_batch(clones(trace), max_workers=1).raise_first()
+        batch = service.run_batch(clones(trace)).raise_first()
         return ArmResult(name="local", answers=[r.answer for r in batch])
 
 

@@ -70,7 +70,7 @@ class TestLocalGraphService:
 
     def test_run_batch_per_item_outcomes(self, dataset, trace):
         with LocalGraphService(dataset, config()) as service:
-            result = service.run_batch([clone(q) for q in trace], max_workers=2)
+            result = service.run_batch([clone(q) for q in trace])
             assert result.ok and len(result) == len(trace)
             assert result.raise_first() is result
             assert all(answer is not None for answer in result.answers())

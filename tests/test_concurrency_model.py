@@ -1,0 +1,177 @@
+"""The concurrency model: one thread of control per query.
+
+Inside one process a query runs start to finish on the thread that submitted
+it; parallelism comes only from shards (the scatter pool's one slot per shard,
+and worker processes).  This file pins that rule:
+
+(i)   no verify / query-stream / service pool thread ever exists, every
+      sub-iso test runs on the submitting thread (the caller, or the
+      batcher's dispatcher), and thread shards own exactly one pool thread
+      each;
+(ii)  a batch keeps submission order through the batcher, in the answers and
+      in the statistics records;
+(iii) the batch entry point (``run_batch``) answers identically on all three
+      shard surfaces, and unsharded it *is* the sequential trajectory;
+(iv)  the removed knobs fail loudly instead of being ignored.
+"""
+
+from __future__ import annotations
+
+import threading
+
+import pytest
+
+from repro.api import LocalGraphService
+from repro.graph import molecule_dataset
+from repro.isomorphism.vf2 import VF2Matcher
+from repro.methods import DirectSIMethod
+from repro.query_model import Query
+from repro.runtime import GCConfig, GraphCacheSystem
+from repro.server import QueryServer, RequestBatcher
+from repro.sharding import ShardedGraphCacheSystem
+from repro.workload import QueryServerClient, generate_trace, replay_trace
+
+#: Thread names of the pools this repository used to run (an executor names
+#: its threads ``<prefix>_<n>``; ``gc-query-server`` is the HTTP accept loop).
+RETIRED_POOLS = ("gc-verify_", "gc-query_", "gc-service_")
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    return molecule_dataset(16, min_vertices=7, max_vertices=13, rng=77)
+
+
+@pytest.fixture(scope="module")
+def trace(dataset):
+    return generate_trace(dataset, 60, skew="zipfian", query_type="mixed", seed=13)
+
+
+def clones(trace) -> list[Query]:
+    return [Query(graph=q.graph.copy(), query_type=q.query_type) for q in trace]
+
+
+def config(**overrides) -> GCConfig:
+    # LRU: the cache trajectory does not depend on measured seconds
+    return GCConfig(cache_capacity=25, window_size=5, replacement_policy="LRU",
+                    **overrides)
+
+
+class WhereMatcher(VF2Matcher):
+    """VF2 that remembers the name of every thread a sub-iso test ran on."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.threads: set[str] = set()
+
+    def find_embedding(self, query, target):
+        self.threads.add(threading.current_thread().name)
+        return super().find_embedding(query, target)
+
+
+def live_threads(prefixes) -> list[str]:
+    return sorted(thread.name for thread in threading.enumerate()
+                  if thread.name.startswith(tuple(prefixes)))
+
+
+class TestNoPoolInsideOneProcess:
+    def test_engine_runs_on_the_calling_thread(self, dataset, trace):
+        matcher = WhereMatcher()
+        me = threading.current_thread().name
+        with GraphCacheSystem(dataset, config(),
+                              method=DirectSIMethod(verifier=matcher)) as system:
+            system.run_batch(clones(trace)[:25])
+            for query in clones(trace)[25:50]:
+                system.run_query(query)
+            assert live_threads(RETIRED_POOLS) == []
+        assert matcher.threads == {me}
+
+    def test_local_service_batch_runs_on_the_calling_thread(self, dataset, trace):
+        matcher = WhereMatcher()
+        me = threading.current_thread().name
+        with LocalGraphService(dataset, config(),
+                               method=DirectSIMethod(verifier=matcher)) as service:
+            assert service.run_batch(clones(trace)[:50]).ok
+            assert live_threads(RETIRED_POOLS) == []
+        assert matcher.threads == {me}
+
+    def test_served_queries_run_on_the_dispatcher_thread(self, dataset):
+        matcher = WhereMatcher()
+        trace = generate_trace(dataset, 50, skew="zipfian", query_type="mixed", seed=14)
+        with QueryServer(dataset, config(), method=DirectSIMethod(verifier=matcher),
+                         max_batch_size=4, max_queue_depth=256) as server:
+            result = replay_trace(QueryServerClient.for_server(server), trace,
+                                  num_threads=4)
+            assert result.served == 50
+            assert server.batcher.stats().largest_batch > 1
+            assert live_threads(RETIRED_POOLS) == []
+        assert matcher.threads == {"gc-request-batcher"}
+
+    def test_thread_shards_own_one_pool_thread_each(self, dataset, trace):
+        with ShardedGraphCacheSystem(dataset, config(num_shards=2)) as system:
+            system.run_batch(clones(trace)[:50])
+            assert len(live_threads(["gc-shard"])) == system.num_shards == 2
+            assert live_threads(RETIRED_POOLS) == []
+
+
+class TestBatchKeepsSubmissionOrder:
+    def test_batch_of_four_through_the_batcher(self, dataset, trace):
+        queries = clones(trace)[:4]
+        with GraphCacheSystem(dataset, config()) as system:
+            # a long coalescing delay: the batch dispatches when it is full
+            batcher = RequestBatcher(system, max_batch_size=4, max_delay_seconds=5.0)
+            try:
+                futures = [batcher.submit(query) for query in queries]
+                served = [future.result(timeout=30) for future in futures]
+            finally:
+                batcher.close()
+            ids = [query.query_id for query in queries]
+            assert [item.batch_size for item in served] == [4] * 4
+            assert [item.report.query.query_id for item in served] == ids
+            assert [record.query_id for record in system.records()] == ids
+
+
+class TestOneBatchEntryPoint:
+    def test_same_answers_on_every_shard_surface(self, dataset, trace):
+        def answers(system, queries):
+            reports = system.run_batch(queries)
+            assert [r.query.query_id for r in reports] == [q.query_id for q in queries]
+            return [frozenset(report.answer) for report in reports]
+
+        with GraphCacheSystem(dataset, config()) as system:
+            unsharded = answers(system, clones(trace))
+            batch_hits = system.aggregate()
+        with GraphCacheSystem(dataset, config()) as system:
+            in_order = [frozenset(r.answer) for r in system.run_queries(clones(trace))]
+            loop_hits = system.aggregate()
+        assert unsharded == in_order
+        # unsharded, the batch *is* the sequential trajectory
+        for field in ("num_queries", "num_hits", "num_exact_hits", "num_sub_hits",
+                      "num_super_hits", "total_dataset_tests", "total_probe_tests"):
+            assert getattr(batch_hits, field) == getattr(loop_hits, field), field
+        with ShardedGraphCacheSystem(dataset, config(num_shards=2)) as system:
+            assert answers(system, clones(trace)) == unsharded
+        with ShardedGraphCacheSystem(
+                dataset, config(num_shards=2, shard_backend="process")) as system:
+            assert answers(system, clones(trace)) == unsharded
+
+
+    def test_each_shard_receives_its_share_of_a_batch_at_once(self, dataset, trace):
+        """Share-at-once scatter: one ``run_batch`` call per shard per batch."""
+        with ShardedGraphCacheSystem(dataset, config(num_shards=2)) as system:
+            shares: list[tuple[int, int]] = []
+            for index, shard in enumerate(system.shards):
+                def recording(queries, *args, _index=index, _run=shard.run_batch):
+                    shares.append((_index, len(queries)))
+                    return _run(queries, *args)
+                shard.run_batch = recording
+            system.run_batch(clones(trace))
+        assert sorted(shares) == [(0, len(trace)), (1, len(trace))]
+
+
+class TestRemovedKnobsFailLoudly:
+    @pytest.mark.parametrize("field", ("verify_threads", "max_workers"))
+    def test_config_rejects_the_removed_fields(self, field):
+        with pytest.raises(TypeError, match=field):
+            GCConfig(**{field: 2})
+        with pytest.raises(TypeError, match=field):
+            GCConfig.from_dict({**GCConfig().to_dict(), field: 1})

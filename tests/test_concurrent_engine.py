@@ -1,11 +1,12 @@
 """Property-style tests: every execution mode returns identical answer sets.
 
-The acceptance property of the concurrent engine: over a seeded mixed
+The acceptance property of the thread-safe engine: over a seeded mixed
 sub/supergraph workload, cache-enabled, cache-disabled, sequential and
-concurrent (``max_workers=4``) execution — with and without asynchronous
-maintenance — all agree on every query's answer set.  Cache state may follow
-a different trajectory under concurrency (admission order interleaves), but
-answers may not change: the cache only prunes candidates it can guarantee.
+concurrent execution (four test-owned caller threads on ``run_query``) —
+with and without asynchronous maintenance — all agree on every query's
+answer set.  Cache state may follow a different trajectory under concurrency
+(admission order interleaves), but answers may not change: the cache only
+prunes candidates it can guarantee.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro.graph import molecule_dataset
 from repro.query_model import Query, QueryType
 from repro.runtime import GCConfig, GraphCacheSystem
 from repro.workload import WorkloadGenerator, WorkloadMix
+from tests.differential import run_on_threads
 
 
 def _mixed_workload(dataset, num_queries: int, seed: int) -> list[Query]:
@@ -74,42 +76,33 @@ class TestExecutionModeEquivalence:
         assert answers == reference_answers
 
     def test_concurrent_matches(self, dataset, workload, reference_answers):
-        system = GraphCacheSystem(
-            dataset, GCConfig(window_size=5, cache_capacity=25, max_workers=4)
-        )
-        reports = system.run_queries_concurrent(_clone(workload), max_workers=4)
+        system = GraphCacheSystem(dataset, GCConfig(window_size=5, cache_capacity=25))
+        reports = run_on_threads(system, _clone(workload), threads=4)
         assert [report.answer for report in reports] == reference_answers
 
     def test_concurrent_async_maintenance_matches(self, dataset, workload, reference_answers):
         with GraphCacheSystem(
             dataset,
-            GCConfig(
-                window_size=5, cache_capacity=25, max_workers=4, async_maintenance=True
-            ),
+            GCConfig(window_size=5, cache_capacity=25, async_maintenance=True),
         ) as system:
-            reports = system.run_queries_concurrent(_clone(workload), max_workers=4)
+            reports = run_on_threads(system, _clone(workload), threads=4)
             assert [report.answer for report in reports] == reference_answers
             # maintenance quiesced: every offer was applied before returning
             assert system.cache.maintenance.stats().pending == 0
 
     def test_concurrent_reports_keep_submission_order(self, dataset, workload):
-        system = GraphCacheSystem(
-            dataset, GCConfig(window_size=5, cache_capacity=25, max_workers=4)
-        )
+        system = GraphCacheSystem(dataset, GCConfig(window_size=5, cache_capacity=25))
         queries = _clone(workload[:40])
-        reports = system.run_queries_concurrent(queries, max_workers=4)
+        reports = run_on_threads(system, queries, threads=4)
         assert [r.query.query_id for r in reports] == [q.query_id for q in queries]
-        # statistics records are re-aligned to submission order too, so every
-        # per-position view (hit %, window summaries) matches `reports`
-        assert [record.query_id for record in system.records()] == [
+        # records append in completion order: none lost, none duplicated
+        assert sorted(record.query_id for record in system.records()) == sorted(
             q.query_id for q in queries
-        ]
+        )
 
     def test_concurrent_statistics_complete(self, dataset, workload):
-        system = GraphCacheSystem(
-            dataset, GCConfig(window_size=5, cache_capacity=25, max_workers=4)
-        )
-        system.run_queries_concurrent(_clone(workload[:60]), max_workers=4)
+        system = GraphCacheSystem(dataset, GCConfig(window_size=5, cache_capacity=25))
+        run_on_threads(system, _clone(workload[:60]), threads=4)
         assert system.aggregate().num_queries == 60
         assert len(system.hit_percentages()) == 60
         # hit-% denominators ride on each record, so they stay aligned even

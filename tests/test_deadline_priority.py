@@ -44,6 +44,7 @@ from repro.workload import (
     parse_priority_mix,
     with_serving_fields,
 )
+from tests.differential import run_on_threads
 
 
 @pytest.fixture(scope="module")
@@ -94,14 +95,14 @@ class FailingMatcher(GateMatcher):
 def spy_on_execution(system) -> list:
     """Record each executed query's ``metadata['tag']`` in dispatch order."""
     executed: list = []
-    original = system.run_queries_concurrent
+    original = system.run_batch
 
     def recording(queries, *args, **kwargs):
         queries = list(queries)
         executed.extend(q.metadata.get("tag") for q in queries)
         return original(queries, *args, **kwargs)
 
-    system.run_queries_concurrent = recording
+    system.run_batch = recording
     return executed
 
 
@@ -383,14 +384,13 @@ class TestHedgedScatter:
             clones = [Query(graph=q.graph.copy(), query_type=q.query_type)
                       for q in trace]
             reference = [frozenset(r.answer)
-                         for r in system.run_queries_concurrent(clones,
-                                                                max_workers=4)]
+                         for r in run_on_threads(system, clones, threads=4)]
         hedged = GCConfig(cache_capacity=25, window_size=5, num_shards=2,
                           scatter_hedge="p95", hedge_delay_seconds=1e-6)
         with ShardedGraphCacheSystem(dataset, hedged) as system:
             clones = [Query(graph=q.graph.copy(), query_type=q.query_type)
                       for q in trace]
-            reports = system.run_queries_concurrent(clones, max_workers=4)
+            reports = run_on_threads(system, clones, threads=4)
             answers = [frozenset(r.answer) for r in reports]
             stats = system.hedge_stats()
             metrics = system.scatter_metrics()

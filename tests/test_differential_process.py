@@ -86,10 +86,10 @@ class TestProcessShardedEquivalence:
 
     def test_concurrent_process_sharded_matches_direct(self, dataset, workload,
                                                        direct):
-        """Per-worker concurrent streams (4 in-flight envelopes per shard)
-        must not change answers."""
+        """Four caller threads (4 in-flight envelopes per shard) must not
+        change answers."""
         concurrent = run_sharded(dataset, workload, num_shards=2,
-                                 concurrent_workers=4, shard_backend="process")
+                                 caller_threads=4, shard_backend="process")
         assert_answers_equal(direct, concurrent)
 
     def test_short_circuit_process_sharded_matches_direct(self, dataset,
@@ -169,7 +169,7 @@ class TestWorkerCrashRecovery:
             victim = system._process_backend._handles[1].process
             victim.terminate()
             victim.join(timeout=10)
-            reports = system.run_queries_concurrent(queries, max_workers=4)
+            reports = system.run_batch(queries)
             assert system._process_backend.respawns_performed == 1
         answers = [frozenset(r.answer) for r in reports]
         assert answers == direct.answers[:40]

@@ -86,9 +86,9 @@ class TestShortCircuitEquivalence:
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_concurrent_short_circuit_matches_direct(self, dataset, workload,
                                                      direct, num_shards):
-        """Per-shard worker pools + shard pruning must not change answers."""
+        """Four caller threads + shard pruning must not change answers."""
         short = run_sharded(dataset, workload, num_shards,
-                            concurrent_workers=4, scatter_mode="short-circuit")
+                            caller_threads=4, scatter_mode="short-circuit")
         assert_answers_equal(direct, short)
 
     def test_short_circuit_never_creates_work(self, dataset, workload, direct):

@@ -72,8 +72,8 @@ class TestInProcessEquivalence:
     @pytest.mark.parametrize("num_shards", (2, 4))
     def test_concurrent_sharded_matches_sequential(self, dataset, workload,
                                                    direct, num_shards):
-        """Per-shard worker pools (4 streams/shard) must not change answers."""
-        concurrent = run_sharded(dataset, workload, num_shards, concurrent_workers=4)
+        """Four caller threads scattering at once must not change answers."""
+        concurrent = run_sharded(dataset, workload, num_shards, caller_threads=4)
         assert_answers_equal(direct, concurrent)
 
     @pytest.mark.parametrize("num_shards", (2, 4))

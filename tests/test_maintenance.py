@@ -1,5 +1,5 @@
 """Tests for the concurrency substrate: RW lock, maintenance worker,
-thread-safe cache/statistics, and the shared parallel verifier."""
+and the thread-safe cache/statistics."""
 
 from __future__ import annotations
 
@@ -11,9 +11,9 @@ import pytest
 from repro.cache import CacheMaintenanceWorker, StatisticsManager
 from repro.cache.locks import ReadWriteLock
 from repro.graph import molecule_dataset
-from repro.methods import DirectSIMethod, ParallelVerifier
 from repro.runtime import GCConfig, GraphCacheSystem
 from tests.conftest import make_subgraph_queries
+from tests.differential import run_on_threads
 
 
 class TestReadWriteLock:
@@ -177,9 +177,9 @@ class TestAsyncMaintenance:
         queries = make_subgraph_queries(dataset, 48, 6, seed=5)
         with GraphCacheSystem(
             dataset,
-            GCConfig(window_size=3, cache_capacity=9, max_workers=8, async_maintenance=True),
+            GCConfig(window_size=3, cache_capacity=9, async_maintenance=True),
         ) as system:
-            reports = system.run_queries_concurrent(queries, max_workers=8)
+            reports = run_on_threads(system, queries, threads=8)
             assert len(reports) == 48
             assert all(report.answer is not None for report in reports)
             # cache invariants: population within capacity, index consistent
@@ -214,48 +214,3 @@ class TestStatisticsManager:
             thread.join(timeout=10)
         assert len(manager) == 400
         assert manager.aggregate().num_queries == 400
-
-
-class TestParallelVerifier:
-    def test_threaded_equals_sequential(self, dataset):
-        method = DirectSIMethod()
-        method.build(dataset)
-        query = make_subgraph_queries(dataset, 1, 6, seed=7)[0]
-        candidates = method.graph_ids()
-
-        sequential = method.verify_candidates(query.graph, candidates, query.query_type)
-        method.verify_threads = 4
-        assert method.verify_threads == 4
-        threaded = method.verify_candidates(query.graph, candidates, query.query_type)
-        method.parallel_verifier.close()
-
-        assert threaded.answers == sequential.answers
-        assert threaded.num_tests == sequential.num_tests == len(candidates)
-
-    def test_pool_is_reused_across_batches(self):
-        verifier = ParallelVerifier(threads=3)
-        outcome_a = verifier.verify([1, 2, 3, 4], lambda gid: gid % 2 == 0)
-        pool_a = verifier._pool
-        outcome_b = verifier.verify([5, 6, 7, 8], lambda gid: gid % 2 == 0)
-        assert verifier._pool is pool_a
-        assert outcome_a.answers == {2, 4}
-        assert outcome_b.answers == {6, 8}
-        verifier.close()
-        assert verifier._pool is None
-
-    def test_thread_change_recreates_pool(self):
-        verifier = ParallelVerifier(threads=2)
-        verifier.verify([1, 2], lambda gid: True)
-        assert verifier._pool is not None
-        verifier.threads = 5
-        assert verifier._pool is None
-        assert verifier.threads == 5
-        verifier.threads = 0  # clamped
-        assert verifier.threads == 1
-
-    def test_config_verify_threads_reaches_pool(self, dataset):
-        system = GraphCacheSystem(
-            dataset, GCConfig(verify_threads=3, window_size=2, cache_capacity=5)
-        )
-        assert system.method.verify_threads == 3
-        assert system.method.parallel_verifier.threads == 3

@@ -47,6 +47,7 @@ from repro.runtime import GCConfig, GraphCacheSystem
 from repro.sharding import ShardSummary
 from repro.sharding.system import ShardedGraphCacheSystem
 from repro.workload import WorkloadGenerator, WorkloadMix, generate_trace
+from tests.differential import run_on_threads
 
 #: The memo slots of a compiled graph (everything that is not its bitset data).
 MEMO_SLOTS = ("wl", "invariant", "canonical", "paths", "_plan", "_induced_plan")
@@ -309,12 +310,12 @@ class TestSharedValuesStayIntact:
     def test_with_four_threads_sharing_one_query_graph(self, small_dataset):
         trace = generate_trace(small_dataset, 50, skew="zipfian", query_type="mixed", seed=22)
         shared = [Query(query.graph, query.query_type) for query in trace for _ in range(4)]
-        config = GCConfig(cache_capacity=10, window_size=3, max_workers=4)
+        config = GCConfig(cache_capacity=10, window_size=3)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with GraphCacheSystem(small_dataset, config) as system:
-                reports = system.run_queries_concurrent(shared)
+                reports = run_on_threads(system, shared, threads=4)
                 _assert_memos_intact([query.graph for query in trace], system.all_caches())
         finally:
             sys.setswitchinterval(interval)

@@ -2,18 +2,16 @@
 
 Eight client threads pull queries off a shared cursor and fire them at one
 :class:`ShardedGraphCacheSystem` (4 shards, async maintenance workers
-running, per-shard verify pools live).  The assertions:
+running).  The assertions:
 
 * **no deadlock** — every thread finishes within a hard timeout;
 * **no dropped queries** — every query produces a report, and every report
   carries the correct answer (checked against a fresh sequential reference);
-* **deterministic merged ordering** — ``run_queries_concurrent`` returns
-  reports in submission order with identical answers on repeated runs.
+* **deterministic merged ordering** — ``run_batch`` returns reports in
+  submission order with identical answers on repeated runs.
 """
 
 from __future__ import annotations
-
-import threading
 
 import pytest
 
@@ -22,6 +20,7 @@ from repro.query_model import Query
 from repro.runtime import GCConfig, GraphCacheSystem
 from repro.sharding import ShardedGraphCacheSystem
 from repro.workload import generate_trace
+from tests.differential import run_on_threads
 
 NUM_SHARDS = 4
 NUM_THREADS = 8
@@ -55,56 +54,23 @@ def test_hammered_shards_no_deadlock_no_drops(dataset, trace, reference_answers)
         window_size=5,
         num_shards=NUM_SHARDS,
         async_maintenance=True,  # maintenance workers run during the storm
-        verify_threads=2,
     )
     queries = _clones(trace)
-    answers: list[frozenset | None] = [None] * len(queries)
-    failures: list[BaseException] = []
-    cursor = iter(range(len(queries)))
-    cursor_lock = threading.Lock()
-
     with ShardedGraphCacheSystem(dataset, config) as system:
-
-        def worker() -> None:
-            while True:
-                with cursor_lock:
-                    index = next(cursor, None)
-                if index is None:
-                    return
-                try:
-                    report = system.run_query(queries[index])
-                    answers[index] = frozenset(report.answer)
-                except BaseException as exc:  # pragma: no cover - failure path
-                    failures.append(exc)
-
-        threads = [
-            threading.Thread(target=worker, name=f"stress-{i}", daemon=True)
-            for i in range(NUM_THREADS)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=JOIN_TIMEOUT_SECONDS)
-        stuck = [thread.name for thread in threads if thread.is_alive()]
-        assert not stuck, f"deadlock: threads still running: {stuck}"
-        assert not failures, f"queries raised under stress: {failures[:3]}"
-
-        # no dropped queries: every position produced an answer...
-        dropped = [index for index, answer in enumerate(answers) if answer is None]
-        assert not dropped, f"dropped queries at positions {dropped[:10]}"
-        # ...every answer is correct despite arbitrary interleaving...
-        assert answers == reference_answers
+        # no deadlock, no dropped or failed query: the helper asserts all
+        # three, and drains the async maintenance workers without hanging
+        reports = run_on_threads(system, queries, NUM_THREADS,
+                                 timeout=JOIN_TIMEOUT_SECONDS)
+        # every answer is correct despite arbitrary interleaving...
+        assert [frozenset(report.answer) for report in reports] == reference_answers
         # ...and the merged statistics saw exactly one record per query
-        assert len(system.records()) == len(queries)
-
-        # async maintenance settled: caches drained without hanging
-        for cache in system.all_caches():
-            cache.drain_maintenance()
+        assert sorted(record.query_id for record in system.records()) == sorted(
+            query.query_id for query in queries)
 
 
 def test_concurrent_batches_keep_submission_order(dataset, trace, reference_answers):
-    """run_queries_concurrent merges deterministically: report i belongs to
-    query i and answers are identical across independent runs."""
+    """run_batch merges deterministically: report i belongs to query i and
+    answers are identical across independent runs."""
     config = GCConfig(
         cache_capacity=20, window_size=5, num_shards=NUM_SHARDS,
         async_maintenance=True,
@@ -113,7 +79,7 @@ def test_concurrent_batches_keep_submission_order(dataset, trace, reference_answ
     for _ in range(2):
         queries = _clones(trace)
         with ShardedGraphCacheSystem(dataset, config) as system:
-            reports = system.run_queries_concurrent(queries, max_workers=4)
+            reports = system.run_batch(queries)
             assert [report.query.query_id for report in reports] == [
                 query.query_id for query in queries
             ]
