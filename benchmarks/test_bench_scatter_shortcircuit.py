@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import RemoteGraphService
 from repro.graph import label_clustered_dataset
 from repro.methods import DirectSIMethod
 from repro.runtime import GCConfig
 from repro.server import QueryServer
-from repro.workload import QueryServerClient, generate_trace, replay_trace
+from repro.workload import generate_trace, replay_trace
 
 from benchmarks.harness import (
     SimulatedLatencyMatcher,
@@ -88,9 +89,9 @@ def serve_trace(dataset, trace, scatter_mode: str, admission_mode: str):
         max_shard_cost_seconds=60.0,
     )
     with server:
-        client = QueryServerClient.for_server(server)
+        client = RemoteGraphService.for_server(server)
         result = replay_trace(client, trace, num_threads=CLIENT_THREADS)
-        metrics = client.metrics()
+        metrics = client.metrics().to_wire()
         stats = client.stats()
     return result, metrics, stats
 

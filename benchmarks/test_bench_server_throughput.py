@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import RemoteGraphService
 from repro.methods import DirectSIMethod
 from repro.runtime import GCConfig
 from repro.server import QueryServer
-from repro.workload import QueryServerClient, WorkloadGenerator, WorkloadMix, replay_trace
+from repro.workload import WorkloadGenerator, WorkloadMix, replay_trace
 
 from benchmarks.harness import (
     SimulatedLatencyMatcher,
@@ -60,7 +61,7 @@ def serve_overloaded(dataset, trace):
         max_queue_depth=4,
     )
     with server:
-        client = QueryServerClient.for_server(server)
+        client = RemoteGraphService.for_server(server)
         return replay_trace(client, trace, target_qps=OFFERED_QPS,
                             num_threads=CLIENT_THREADS)
 

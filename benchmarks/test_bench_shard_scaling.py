@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import RemoteGraphService
 from repro.methods import DirectSIMethod
 from repro.runtime import GCConfig
 from repro.server import QueryServer
 from repro.sharding import MERGE_STAGE
-from repro.workload import QueryServerClient, WorkloadGenerator, WorkloadMix, replay_trace
+from repro.workload import WorkloadGenerator, WorkloadMix, replay_trace
 
 from benchmarks.harness import (
     SimulatedLatencyMatcher,
@@ -76,9 +77,9 @@ def serve_trace(dataset, trace, num_shards: int):
         max_queue_depth=512,
     )
     with server:
-        client = QueryServerClient.for_server(server)
+        client = RemoteGraphService.for_server(server)
         result = replay_trace(client, trace, num_threads=CLIENT_THREADS)
-        metrics = client.metrics()
+        metrics = client.metrics().to_wire()
     return result, metrics
 
 

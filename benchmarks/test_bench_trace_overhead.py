@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import RemoteGraphService
 from repro.methods import DirectSIMethod
 from repro.runtime import GCConfig
 from repro.server import QueryServer
-from repro.workload import QueryServerClient, WorkloadGenerator, WorkloadMix, replay_trace
+from repro.workload import WorkloadGenerator, WorkloadMix, replay_trace
 
 from benchmarks.harness import (
     SimulatedLatencyMatcher,
@@ -69,7 +70,7 @@ def serve_traced(dataset, trace, sample_rate: float):
         max_queue_depth=512,
     )
     with server:
-        client = QueryServerClient.for_server(server)
+        client = RemoteGraphService.for_server(server)
         result = replay_trace(client, trace, num_threads=CLIENT_THREADS)
         traced = server.span_recorder.stats()["traces"]
     return result, traced

@@ -5,9 +5,10 @@ The serving tour of the library, on the unified service API:
 
 1. start a :class:`QueryServer` over a dataset (ephemeral port, request
    batching, bounded admission queue, cache snapshot for warm restarts);
-2. connect a :class:`RemoteGraphService` (protocol version negotiated,
-   typed envelopes) and replay a zipfian mixed trace at a target QPS —
-   while the server records the live request stream as a replayable trace;
+2. connect a :class:`RemoteGraphService` (typed envelopes over one
+   keep-alive connection per thread) and replay a zipfian mixed trace at a
+   target QPS — while the server records the live request stream as a
+   replayable trace;
 3. read the typed ``/metrics`` and raw ``/stats`` snapshots any monitoring
    system could scrape;
 4. restart the server from the snapshot and replay the *recorded* trace
@@ -40,7 +41,6 @@ def main() -> None:
                      snapshot_path=snapshot) as server:
         print(f"serving at {server.address}\n")
         client = RemoteGraphService.for_server(server)
-        print(f"negotiated protocol v{client.protocol_version}")
         client.start_recording(name="live-traffic")
         result = replay_trace(client, trace, target_qps=150.0, num_threads=4)
         recorded = client.stop_recording()

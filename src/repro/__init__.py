@@ -47,7 +47,6 @@ from repro.api import (
 )
 from repro.server import QueryServer
 from repro.workload import (
-    QueryServerClient,
     Workload,
     WorkloadGenerator,
     WorkloadMix,
@@ -98,7 +97,6 @@ __all__ = [
     "RemoteGraphService",
     # serving
     "QueryServer",
-    "QueryServerClient",
     "replay_trace",
     "generate_trace",
 ]

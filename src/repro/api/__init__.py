@@ -3,7 +3,7 @@
 This package is the product-shaped SDK over the whole serving stack.  Every
 execution mode — direct, cached, sharded, served over sync HTTP, served over
 async HTTP — is reached through one :class:`GraphService` surface speaking
-versioned :mod:`~repro.api.envelopes` types:
+the :mod:`~repro.api.envelopes` types:
 
 >>> from repro.api import LocalGraphService, QueryRequest
 >>> service = LocalGraphService(dataset, GCConfig(num_shards=2))  # doctest: +SKIP
@@ -17,17 +17,15 @@ without touching the calling code — same envelopes, same typed errors.
 
 from repro.api.envelopes import (
     PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
     BatchResult,
     ErrorEnvelope,
     MetricsSnapshot,
     QueryRequest,
     QueryResponse,
     as_request,
-    detect_version,
-    negotiate_version,
     parse_request,
     parse_response,
+    require_version,
 )
 from repro.api.recording import RecordingStateError, TraceRecorder
 from repro.api.remote import RemoteGraphService
@@ -37,9 +35,7 @@ from repro.api.taxonomy import ERROR_TABLE, ErrorRule, reconstruct, rule_for
 __all__ = [
     # protocol
     "PROTOCOL_VERSION",
-    "SUPPORTED_VERSIONS",
-    "detect_version",
-    "negotiate_version",
+    "require_version",
     "parse_request",
     "parse_response",
     # envelopes

@@ -109,17 +109,15 @@ class AsyncRemoteGraphService(core.ClientCore):
         port: int,
         timeout: float = 60.0,
         max_connections: int = 1024,
-        protocol_version: int | None = None,
         trace_sample_rate: float = 0.0,
     ) -> None:
         if max_connections < 1:
             raise ServerError("max_connections must be at least 1")
-        super().__init__(protocol_version, trace_sample_rate)
+        super().__init__(trace_sample_rate)
         self.host = host
         self.port = port
         self.timeout = timeout
         self.max_connections = max_connections
-        self._version_lock: asyncio.Lock | None = None  # bound to the running loop
         self._idle: list[_Connection] = []
         self._capacity: asyncio.Semaphore | None = None  # bound to the running loop
         self._closed = False
@@ -266,42 +264,18 @@ class AsyncRemoteGraphService(core.ClientCore):
                 return status, data
         raise ServerError("unreachable")  # pragma: no cover
 
-    async def _request(self, method: str, path: str,
-                       body: dict | None = None) -> tuple[int, dict]:
+    async def request(self, method: str, path: str,
+                      body: dict | None = None) -> tuple[int, dict]:
+        """One raw JSON request/response exchange over the pool.
+
+        Same retry semantics as every other call — stale keep-alive
+        connections are retried once, timeouts always propagate.
+        """
         status, data = await self._exchange(method, path, core.encode_body(body))
         return status, core.decode_body(data)
 
-    async def request(self, method: str, path: str,
-                      body: dict | None = None) -> tuple[int, dict]:
-        """One raw request/response exchange over the pool.
-
-        The transport hook the process shard backend drives its workers
-        through (queries *and* admin endpoints); same retry semantics as
-        every other call — stale keep-alive connections are retried once,
-        timeouts always propagate.
-        """
-        return await self._request(method, path, body)
-
     async def _ok(self, method: str, path: str, body: dict | None = None) -> dict:
-        return core.expect_ok(path, *await self._request(method, path, body))
-
-    # ------------------------------------------------------------------ #
-    # protocol negotiation
-    # ------------------------------------------------------------------ #
-    async def negotiate(self) -> int:
-        """Pick the highest protocol version both sides speak (404 = v1)."""
-        return core.negotiated_version_from(*await self._request("GET", "/protocol"))
-
-    async def _protocol_version(self) -> int:
-        if self._version is None:
-            # serialise negotiation: a fan-out of first requests must not
-            # each pay (and count) its own /protocol round trip
-            if self._version_lock is None:
-                self._version_lock = asyncio.Lock()
-            async with self._version_lock:
-                if self._version is None:
-                    self._version = await self.negotiate()
-        return self._version
+        return core.expect_ok(path, *await self.request(method, path, body))
 
     # ------------------------------------------------------------------ #
     # GraphService surface (await-shaped)
@@ -314,9 +288,8 @@ class AsyncRemoteGraphService(core.ClientCore):
         :meth:`ClientCore._client_span`), exactly as in the sync backend.
         """
         request = as_request(query, query_type)
-        version = await self._protocol_version()
-        with self._client_span(request, version):
-            return await self._request("POST", "/query", request.to_wire(version))
+        with self._client_span(request):
+            return await self.request("POST", "/query", request.to_wire())
 
     async def run(self, query,
                   query_type: QueryType | str = QueryType.SUBGRAPH) -> QueryResponse:
@@ -353,8 +326,7 @@ class AsyncRemoteGraphService(core.ClientCore):
         connection is checked out of the pool for the whole stream and
         dropped (never re-parked) afterwards.
         """
-        body = core.batch_body(queries, await self._protocol_version(),
-                               deadline_seconds, priority)
+        body = core.batch_body(queries, deadline_seconds, priority)
         connection = await self._acquire()
         try:
             status, headers = await asyncio.wait_for(
@@ -436,7 +408,7 @@ async def replay_trace_async(
     ``concurrency`` bounds in-flight queries (default: the pool size);
     ``warm_connections`` pre-opens that many keep-alive connections before
     the clock starts, so the run *holds* them for its whole duration.
-    ``deadline_seconds``/``priority_mix`` stamp the v2 serving fields on
+    ``deadline_seconds``/``priority_mix`` stamp the serving fields on
     every request exactly as in the sync replay (same deterministic
     priority assignment).
     """

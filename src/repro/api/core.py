@@ -5,12 +5,12 @@ keep-alive connection per thread) and
 :class:`~repro.api.aio.AsyncRemoteGraphService` (asyncio streams, pooled)
 differ only in *transport*: how bytes reach the server, when a connection is
 retried, how a stream is read.  Everything else lives here and never touches
-a socket: the version pin and the ``/protocol`` reply, trace sampling and the
-``client.request`` span, request → wire body, ``(status, payload)`` → typed
-response or typed raise, the ``/batch`` body + NDJSON lines + in-order
-gather, the ``/debug/traces`` path, the 200-check and the text exposition.
-A protocol change is therefore written once and cannot skew one backend
-against the other.
+a socket: trace sampling and the ``client.request`` span, request → wire
+body, ``(status, payload)`` → typed response or typed raise, the ``/batch``
+body + NDJSON lines + in-order gather, the ``/debug/traces`` path, the
+200-check and the text exposition.  There is one wire version: a client sends
+the envelope and reads the envelope back.  A wire change is therefore written
+once and cannot skew one backend against the other.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ from repro.api.envelopes import (
     ErrorEnvelope,
     QueryRequest,
     QueryResponse,
-    SUPPORTED_VERSIONS,
+    PROTOCOL_VERSION,
     as_request,
-    negotiate_version,
     parse_response,
 )
 from repro.errors import ProtocolError, ServerError
@@ -72,30 +71,6 @@ def text_from(path: str, status: int, data: bytes) -> str:
 
 
 # ---------------------------------------------------------------------- #
-# protocol negotiation
-# ---------------------------------------------------------------------- #
-def validate_pinned_version(protocol_version: int | None) -> None:
-    """Reject pinning a wire version this library cannot speak."""
-    if protocol_version is not None and protocol_version not in SUPPORTED_VERSIONS:
-        raise ProtocolError(
-            f"cannot pin unsupported protocol version {protocol_version!r}; "
-            f"supported: {', '.join(str(v) for v in SUPPORTED_VERSIONS)}"
-        )
-
-
-def negotiated_version_from(status: int, payload: dict) -> int:
-    """Interpret a ``GET /protocol`` reply (404 = pre-envelope v1-only)."""
-    if status == 404:
-        return 1
-    if status != 200:
-        raise ServerError(f"/protocol replied {status}: {payload}")
-    versions = payload.get("versions")
-    if not isinstance(versions, list) or not versions:
-        raise ProtocolError(f"malformed /protocol payload: {payload!r}")
-    return negotiate_version(versions)
-
-
-# ---------------------------------------------------------------------- #
 # queries and batches
 # ---------------------------------------------------------------------- #
 def response_from(status: int, payload: dict) -> QueryResponse:
@@ -106,18 +81,13 @@ def response_from(status: int, payload: dict) -> QueryResponse:
     return outcome
 
 
-def batch_body(queries, version: int, deadline_seconds: float | None = None,
+def batch_body(queries, deadline_seconds: float | None = None,
                priority: int | None = None) -> bytes:
     """The ``POST /batch`` request body for ``queries``.
 
     ``deadline_seconds`` / ``priority`` apply to every query that doesn't
     already carry its own.
     """
-    if version < 2:
-        raise ProtocolError(
-            "streamed batch submission needs protocol v2; "
-            "the server only speaks v1"
-        )
     requests = []
     for query in queries:
         request = as_request(query)
@@ -127,8 +97,8 @@ def batch_body(queries, version: int, deadline_seconds: float | None = None,
             request.priority = priority
         requests.append(request)
     return encode_body({
-        "version": version,
-        "queries": [request.to_wire(version) for request in requests],
+        "version": PROTOCOL_VERSION,
+        "queries": [request.to_wire() for request in requests],
     })
 
 
@@ -198,25 +168,20 @@ def trace_from_stop_payload(payload: dict) -> "Workload":
 
 
 # ---------------------------------------------------------------------- #
-# per-client state: the version pin and trace sampling
+# per-client state: trace sampling
 # ---------------------------------------------------------------------- #
 class ClientCore:
     """What a remote client remembers between requests — no transport."""
 
-    def __init__(self, protocol_version: int | None,
-                 trace_sample_rate: float) -> None:
-        validate_pinned_version(protocol_version)
+    def __init__(self, trace_sample_rate: float) -> None:
         if not (0.0 <= trace_sample_rate <= 1.0):
             raise ProtocolError("trace_sample_rate must be between 0 and 1")
-        #: Fraction of queries this client originates a trace for (v2 wire
-        #: only — a v1 server never sees the context).  The sampled trace
-        #: ids come back on the response, so callers can correlate with the
-        #: server's ``/debug/traces``.
+        #: Fraction of queries this client originates a trace for.  The
+        #: sampled trace ids come back on the response, so callers can
+        #: correlate with the server's ``/debug/traces``.
         self.trace_sample_rate = trace_sample_rate
         # dedicated RNG: sampling must not perturb seeded workload streams
         self._sample_rng = random.Random(uuid.uuid4().int)
-        #: The wire version in use: pinned, or ``None`` until negotiated.
-        self._version = protocol_version
 
     def _sampled(self) -> bool:
         rate = self.trace_sample_rate
@@ -225,15 +190,15 @@ class ClientCore:
         return rate >= 1.0 or self._sample_rng.random() < rate
 
     @contextmanager
-    def _client_span(self, request: QueryRequest, version: int):
+    def _client_span(self, request: QueryRequest):
         """Originate a trace around one ``/query`` exchange when sampled.
 
         When client-side sampling fires (and the request doesn't already
-        carry a context) a fresh trace is started: the context rides the v2
+        carry a context) a fresh trace is started: the context rides the
         envelope so the server parents its own spans under it, and on exit
         a ``client.request`` root span lands in the local span recorder.
         """
-        if request.trace is not None or version < 2 or not self._sampled():
+        if request.trace is not None or not self._sampled():
             yield
             return
         context = TraceContext(trace_id=new_trace_id(), span_id=new_span_id())

@@ -1,27 +1,19 @@
-"""Typed request/response envelopes and the versioned wire protocol.
+"""Typed request/response envelopes: the one wire format between processes.
 
 This module is the single definition of what travels between a client and a
-:class:`~repro.server.app.QueryServer` — every transport (sync HTTP, async
-HTTP, in-process) and every tool (CLI, trace replay, differential harness)
-speaks these types rather than ad-hoc JSON shapes.
+:class:`~repro.server.app.QueryServer`, and between a coordinator and its
+shard workers — every transport (sync HTTP, async HTTP, in-process) and every
+tool (CLI, trace replay, differential harness) speaks these types rather than
+ad-hoc JSON shapes.
 
-Two wire versions exist:
-
-* **v1** (legacy, still accepted) — the flat shapes the server spoke before
-  the service API existed: a request is ``{"graph": ..., "query_type": ...,
-  "metadata": ...}``, a success response is the flat report payload, an
-  error is ``{"error": "<message>", ...}``.  v1 payloads carry no
-  ``version`` key; :func:`parse_request` auto-upgrades them so recorded
-  traces and old clients keep working unchanged.
-* **v2** (current) — explicit envelopes: requests are ``{"version": 2,
-  "query": {...}, "request_id": ...}``, success responses nest the result
-  under ``"result"``, and errors carry the full taxonomy row
-  (``code``/``http_status``/``retryable``/``details``) under ``"error"``
-  instead of a bare message string, so clients never parse error text.
-
-Version negotiation: servers expose ``GET /protocol`` listing their
-``versions``; :func:`negotiate_version` picks the highest version both sides
-support.  A server without the endpoint (pre-v2) is treated as v1-only.
+There is one wire version (``PROTOCOL_VERSION``), and every payload declares
+it: requests are ``{"version": 2, "query": {...}, "request_id": ...}``,
+success responses nest the result under ``"result"``, and errors carry the
+full taxonomy row (``code``/``http_status``/``retryable``/``details``) under
+``"error"`` instead of a bare message string, so clients never parse error
+text.  A payload that declares no version, or any other version, is malformed
+outside input: :func:`require_version` raises :class:`ProtocolError`, which
+the serving apps answer as a typed 400 naming the version they speak.
 
 Everything is JSON-safe (infinities map to ``None`` via
 :func:`repro.cache.statistics.json_safe`); every envelope round-trips
@@ -32,7 +24,7 @@ Everything is JSON-safe (infinities map to ``None`` via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Union
 
 from repro.cache.statistics import json_safe
 from repro.api.taxonomy import (
@@ -41,49 +33,27 @@ from repro.api.taxonomy import (
     details_for,
     reconstruct,
     rule_for,
-    rule_for_code,
 )
 from repro.errors import GraphCacheError, ProtocolError
 from repro.graph.graph import Graph
 from repro.obs.trace import TRACE_KEY, TraceContext
 from repro.query_model import Query, QueryType
 
-#: The protocol version this library speaks natively.
+#: The one wire version: what every payload must declare.
 PROTOCOL_VERSION = 2
 
-#: Every wire version the server accepts (v1 payloads are auto-upgraded).
-SUPPORTED_VERSIONS = (1, 2)
 
-
-def negotiate_version(
-    server_versions: Iterable[int],
-    client_versions: Iterable[int] = SUPPORTED_VERSIONS,
-) -> int:
-    """The highest protocol version both sides support.
-
-    Raises :class:`ProtocolError` when the intersection is empty — a client
-    must not silently downgrade below anything it can speak.
-    """
-    common = set(server_versions) & set(client_versions)
-    if not common:
-        raise ProtocolError(
-            f"no common protocol version: server speaks {sorted(server_versions)}, "
-            f"client speaks {sorted(client_versions)}"
-        )
-    return max(common)
-
-
-def detect_version(payload: object) -> int:
-    """The wire version of a request/response payload (absent key = v1)."""
+def require_version(payload: object) -> dict:
+    """``payload`` itself, once it is a JSON object declaring the wire version."""
     if not isinstance(payload, dict):
         raise ProtocolError(f"payload must be a JSON object, got {type(payload).__name__}")
-    version = payload.get("version", 1)
-    if not isinstance(version, int) or isinstance(version, bool) or version not in SUPPORTED_VERSIONS:
+    version = payload.get("version")
+    if type(version) is not int or version != PROTOCOL_VERSION:
+        declared = "no protocol version" if version is None else f"protocol version {version!r}"
         raise ProtocolError(
-            f"unsupported protocol version {version!r}; "
-            f"supported: {', '.join(str(v) for v in SUPPORTED_VERSIONS)}"
+            f"payload declares {declared}; version {PROTOCOL_VERSION} is the only one spoken"
         )
-    return version
+    return payload
 
 
 # ---------------------------------------------------------------------- #
@@ -96,20 +66,18 @@ class QueryRequest:
     graph: Graph
     query_type: QueryType = QueryType.SUBGRAPH
     metadata: dict = field(default_factory=dict)
-    #: Optional caller-chosen correlation id, echoed on the v2 response.
+    #: Optional caller-chosen correlation id, echoed on the response.
     request_id: str | int | None = None
     #: Optional distributed-tracing context; rides as an additive top-level
-    #: ``"trace"`` section of the v2 envelope (never emitted on v1, so legacy
-    #: clients and recorded traces are unaffected).
+    #: ``"trace"`` section of the envelope.
     trace: TraceContext | None = None
     #: Optional per-query deadline budget in seconds, measured from server
     #: admission.  The batcher sheds the query (typed ``timeout``/504) once
-    #: the budget expires instead of executing dead work.  Additive v2-only
-    #: wire key; v1 payloads never carry it.
+    #: the budget expires instead of executing dead work.  Additive wire key.
     deadline_seconds: float | None = None
     #: Scheduling priority (higher = more urgent; default 0).  The batcher
     #: orders its queue by priority band, earliest deadline first within a
-    #: band.  Additive v2-only wire key.
+    #: band.  Additive wire key.
     priority: int = 0
 
     def __post_init__(self) -> None:
@@ -136,16 +104,13 @@ class QueryRequest:
         return Query(graph=self.graph, query_type=self.query_type,
                      metadata=metadata)
 
-    def to_wire(self, version: int = PROTOCOL_VERSION) -> dict:
-        """Serialise for the wire in the given protocol version."""
-        body = {
+    def to_wire(self) -> dict:
+        """Serialise for the wire."""
+        payload: dict = {"version": PROTOCOL_VERSION, "query": {
             "graph": self.graph.to_dict(),
             "query_type": self.query_type.value,
             "metadata": dict(self.metadata),
-        }
-        if version == 1:
-            return body
-        payload: dict = {"version": 2, "query": body}
+        }}
         if self.request_id is not None:
             payload["request_id"] = self.request_id
         if self.trace is not None:
@@ -158,40 +123,30 @@ class QueryRequest:
 
     @classmethod
     def from_wire(cls, payload: dict) -> "QueryRequest":
-        """Parse either wire version (see :func:`parse_request`)."""
-        return parse_request(payload)[0]
+        """Parse a request payload (see :func:`parse_request`)."""
+        return parse_request(payload)
 
 
-def parse_request(payload: object) -> tuple[QueryRequest, int]:
-    """Parse a request payload, returning the envelope and its wire version.
-
-    v1 payloads (no ``version`` key, graph at top level) are auto-upgraded:
-    the caller gets the same :class:`QueryRequest` either way and uses the
-    returned version only to phrase the *response* the way the client asked.
-    """
-    version = detect_version(payload)
-    if version == 1:
-        body, request_id, trace = payload, None, None
-        deadline_seconds, priority = None, 0
-    else:
-        body = payload.get("query")
-        if not isinstance(body, dict):
-            raise ProtocolError("v2 request has no 'query' object")
-        request_id = payload.get("request_id")
-        if request_id is not None and not isinstance(request_id, (str, int)):
-            raise ProtocolError("'request_id' must be a string or integer")
-        # lenient by design: a malformed trace section reads as "untraced"
-        trace = TraceContext.from_wire(payload.get("trace"))
-        deadline_seconds = payload.get("deadline_seconds")
-        if deadline_seconds is not None:
-            if (not isinstance(deadline_seconds, (int, float))
-                    or isinstance(deadline_seconds, bool)
-                    or deadline_seconds <= 0):
-                raise ProtocolError("'deadline_seconds' must be a positive number")
-            deadline_seconds = float(deadline_seconds)
-        priority = payload.get("priority", 0)
-        if not isinstance(priority, int) or isinstance(priority, bool):
-            raise ProtocolError("'priority' must be an integer")
+def parse_request(payload: object) -> QueryRequest:
+    """Parse a request payload; anything malformed is a :class:`ProtocolError`."""
+    body = require_version(payload).get("query")
+    if not isinstance(body, dict):
+        raise ProtocolError("request has no 'query' object")
+    request_id = payload.get("request_id")
+    if request_id is not None and not isinstance(request_id, (str, int)):
+        raise ProtocolError("'request_id' must be a string or integer")
+    # lenient by design: a malformed trace section reads as "untraced"
+    trace = TraceContext.from_wire(payload.get("trace"))
+    deadline_seconds = payload.get("deadline_seconds")
+    if deadline_seconds is not None:
+        if (not isinstance(deadline_seconds, (int, float))
+                or isinstance(deadline_seconds, bool)
+                or deadline_seconds <= 0):
+            raise ProtocolError("'deadline_seconds' must be a positive number")
+        deadline_seconds = float(deadline_seconds)
+    priority = payload.get("priority", 0)
+    if not isinstance(priority, int) or isinstance(priority, bool):
+        raise ProtocolError("'priority' must be an integer")
     if "graph" not in body:
         raise ProtocolError("request has no 'graph' field")
     try:
@@ -205,11 +160,10 @@ def parse_request(payload: object) -> tuple[QueryRequest, int]:
     metadata = body.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ProtocolError("'metadata' must be a JSON object")
-    request = QueryRequest(graph=graph, query_type=query_type,
-                           metadata=dict(metadata), request_id=request_id,
-                           trace=trace, deadline_seconds=deadline_seconds,
-                           priority=priority)
-    return request, version
+    return QueryRequest(graph=graph, query_type=query_type,
+                        metadata=dict(metadata), request_id=request_id,
+                        trace=trace, deadline_seconds=deadline_seconds,
+                        priority=priority)
 
 
 def as_request(query: "QueryRequest | Query | Graph",
@@ -247,8 +201,8 @@ class QueryResponse:
     queue_seconds: float | None = None
     batch_size: int | None = None
     request_id: str | int | None = None
-    #: Trace id of the server-side span tree for this query (v2 only,
-    #: additive) — feed it to ``repro trace <id>`` / ``GET /debug/traces``.
+    #: Trace id of the server-side span tree for this query (additive) —
+    #: feed it to ``repro trace <id>`` / ``GET /debug/traces``.
     trace_id: str | None = None
 
     @classmethod
@@ -300,10 +254,8 @@ class QueryResponse:
             payload["server"] = server
         return json_safe(payload)
 
-    def to_wire(self, version: int = PROTOCOL_VERSION) -> dict:
-        if version == 1:
-            return self._body()
-        payload: dict = {"version": 2, "result": self._body()}
+    def to_wire(self) -> dict:
+        payload: dict = {"version": PROTOCOL_VERSION, "result": self._body()}
         if self.request_id is not None:
             payload["request_id"] = self.request_id
         if self.trace_id is not None:
@@ -312,12 +264,11 @@ class QueryResponse:
 
     @classmethod
     def from_wire(cls, payload: dict) -> "QueryResponse":
-        version = detect_version(payload)
-        body = payload if version == 1 else payload.get("result")
+        body = require_version(payload).get("result")
         if not isinstance(body, dict) or "answer" not in body:
             raise ProtocolError("response has no 'answer' field")
         server = body.get("server", {}) or {}
-        trace = payload.get("trace") if version >= 2 else None
+        trace = payload.get("trace")
         trace_id = trace.get("trace_id") if isinstance(trace, dict) else None
         return cls(
             answer=frozenset(body["answer"]),
@@ -329,7 +280,7 @@ class QueryResponse:
             total_seconds=body.get("total_seconds"),
             queue_seconds=server.get("queue_seconds"),
             batch_size=server.get("batch_size"),
-            request_id=payload.get("request_id") if version >= 2 else None,
+            request_id=payload.get("request_id"),
             trace_id=trace_id if isinstance(trace_id, str) else None,
         )
 
@@ -337,21 +288,6 @@ class QueryResponse:
 # ---------------------------------------------------------------------- #
 # errors
 # ---------------------------------------------------------------------- #
-#: v1 error payloads carry these detail keys flat next to ``"error"`` (the
-#: pre-envelope 429 shape clients already understand).
-_V1_DETAIL_KEYS = ("queue_depth", "shard", "estimated_cost_seconds")
-
-#: Fallback codes inferred from a bare HTTP status when a v1 error payload
-#: (message string only) must be lifted into the taxonomy.
-_STATUS_CODES = {
-    400: "protocol",
-    429: "admission-rejected",
-    500: UNKNOWN_CODE,
-    503: "server-closed",
-    504: "timeout",
-}
-
-
 @dataclass
 class ErrorEnvelope:
     """A failed request as a typed, transport-independent envelope."""
@@ -379,20 +315,14 @@ class ErrorEnvelope:
     def timeout(cls, message: str,
                 request_id: str | int | None = None) -> "ErrorEnvelope":
         """The serving pipeline missed its deadline (HTTP 504, retryable)."""
-        return cls(code="timeout", message=message, http_status=504,
+        return cls(code=TIMEOUT_CODE, message=message, http_status=504,
                    retryable=True, request_id=request_id)
 
     def to_exception(self) -> GraphCacheError:
         """The typed exception this envelope describes (taxonomy round-trip)."""
         return reconstruct(self.code, self.message, self.details)
 
-    def to_wire(self, version: int = PROTOCOL_VERSION) -> dict:
-        if version == 1:
-            payload = {"error": self.message}
-            for key in _V1_DETAIL_KEYS:
-                if key in self.details:
-                    payload[key] = self.details[key]
-            return json_safe(payload)
+    def to_wire(self) -> dict:
         body = {
             "code": self.code,
             "message": self.message,
@@ -400,54 +330,32 @@ class ErrorEnvelope:
             "retryable": self.retryable,
             "details": dict(self.details),
         }
-        payload = {"version": 2, "error": body}
+        payload = {"version": PROTOCOL_VERSION, "error": body}
         if self.request_id is not None:
             payload["request_id"] = self.request_id
         return json_safe(payload)
 
     @classmethod
     def from_wire(cls, payload: dict, http_status: int | None = None) -> "ErrorEnvelope":
-        """Parse either wire version.
-
-        A v1 error is a bare message string, so the taxonomy ``code`` must be
-        inferred from the transport's ``http_status`` (pass it when known).
-        """
-        version = detect_version(payload)
-        if version >= 2:
-            body = payload.get("error")
-            if not isinstance(body, dict) or "message" not in body:
-                raise ProtocolError("v2 error payload has no 'error' object")
-            return cls(
-                code=body.get("code", UNKNOWN_CODE),
-                message=body["message"],
-                http_status=body.get("http_status", http_status or 500),
-                retryable=bool(body.get("retryable", False)),
-                details=dict(body.get("details", {})),
-                request_id=payload.get("request_id"),
-            )
-        if "error" not in payload:
-            raise ProtocolError("v1 error payload has no 'error' field")
-        details = {key: payload[key] for key in _V1_DETAIL_KEYS if key in payload}
-        status = http_status or 500
-        code = _STATUS_CODES.get(status, UNKNOWN_CODE)
-        # v1 carries no retryable flag: recover the taxonomy's advice for
-        # the inferred code so v1 and v2 clients treat backpressure alike
-        rule = rule_for_code(code)
-        retryable = rule.retryable if rule is not None else code == TIMEOUT_CODE
-        return cls(code=code, message=str(payload["error"]), http_status=status,
-                   retryable=retryable, details=details)
+        """Parse an error payload (``http_status``: the transport's, if known)."""
+        body = require_version(payload).get("error")
+        if not isinstance(body, dict) or "message" not in body:
+            raise ProtocolError("error payload has no 'error' object")
+        return cls(
+            code=body.get("code", UNKNOWN_CODE),
+            message=body["message"],
+            http_status=body.get("http_status", http_status or 500),
+            retryable=bool(body.get("retryable", False)),
+            details=dict(body.get("details", {})),
+            request_id=payload.get("request_id"),
+        )
 
 
 def parse_response(
     payload: dict, http_status: int | None = None
 ) -> Union[QueryResponse, ErrorEnvelope]:
-    """Parse a response payload into the success or the error envelope.
-
-    An ``"error"`` key marks a failure in both wire versions (the v1 flat
-    success shape never carries one), so no per-version branching is needed.
-    """
-    detect_version(payload)
-    if "error" in payload:
+    """Parse a response payload into the success or the error envelope."""
+    if "error" in require_version(payload):
         return ErrorEnvelope.from_wire(payload, http_status=http_status)
     return QueryResponse.from_wire(payload)
 
@@ -558,38 +466,3 @@ class MetricsSnapshot:
             router=payload.get("router"),
             scatter=payload.get("scatter"),
         )
-
-
-# ---------------------------------------------------------------------- #
-# wire helpers shared by the replay machinery (version-agnostic reads)
-# ---------------------------------------------------------------------- #
-def wire_version(payload: object) -> int:
-    """Best-effort wire version of a payload: lenient, never raises.
-
-    Unlike :func:`detect_version` this tolerates junk (non-dict payloads,
-    non-int versions) by answering 1, so hot-path readers in replay worker
-    threads degrade to a parse error instead of dying on a ``TypeError``.
-    """
-    if not isinstance(payload, dict):
-        return 1
-    version = payload.get("version", 1)
-    if isinstance(version, int) and not isinstance(version, bool) and version >= 2:
-        return version
-    return 1
-
-
-def wire_result(payload: dict) -> dict:
-    """The flat result body of a success payload, whatever its version."""
-    if wire_version(payload) >= 2:
-        return payload.get("result", {}) or {}
-    return payload if isinstance(payload, dict) else {}
-
-
-def wire_error_message(payload: dict) -> str:
-    """The human-readable error message, whatever the payload's version."""
-    if not isinstance(payload, dict):
-        return str(payload)
-    error = payload.get("error", "")
-    if isinstance(error, dict):
-        return str(error.get("message", error))
-    return str(error)

@@ -8,8 +8,8 @@ Stopping yields a plain :class:`~repro.workload.workload.Workload`, so the
 captured production traffic replays through either client
 (:func:`~repro.workload.replay.replay_trace` or
 :func:`~repro.api.aio.replay_trace_async`) against any candidate
-configuration.  Trace metadata stamps the protocol version the requests
-arrived under (v1 payloads are recorded post-upgrade, as v2 envelopes).
+configuration.  What is recorded is the parsed envelope, so a trace carries no
+wire detail of the connection it arrived on.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.api.envelopes import PROTOCOL_VERSION, QueryRequest
+from repro.api.envelopes import QueryRequest
 from repro.errors import RecordingStateError
 from repro.obs.trace import TRACE_KEY
 from repro.query_model import Query
@@ -96,7 +96,6 @@ class TraceRecorder:
             queries=queries,
             metadata={
                 "recorded": True,
-                "protocol_version": PROTOCOL_VERSION,
                 "recorded_at": started_at,
                 "duration_seconds": round(time.monotonic() - started_mono, 3)
                 if started_mono is not None else None,

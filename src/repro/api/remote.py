@@ -1,18 +1,19 @@
-"""RemoteGraphService: the sync-HTTP backend of the service boundary.
+"""RemoteGraphService: the blocking-HTTP backend of the service boundary.
 
-A stdlib (``http.client``) client speaking the versioned envelope protocol
-against a :class:`~repro.server.app.QueryServer`.  One keep-alive connection
-per thread, so thread-pool load generators don't pay a TCP handshake per
-query.  This replaces the bespoke ``QueryServerClient`` plumbing — the old
-class still exists in :mod:`repro.workload.replay` as a thin v1-pinned
-subclass for callers that want the raw payload dicts.
+A stdlib (``http.client``) client speaking the envelope protocol against a
+:class:`~repro.server.app.QueryServer` — or, as the process shard backend's
+transport, against a shard worker.  One keep-alive connection per calling
+thread: a thread-pool load generator, or a scatter-pool slot, pays no TCP
+handshake per query and never shares a connection with a sibling.
 
-Protocol version is negotiated lazily on first use (``GET /protocol``; a
-server without the endpoint is treated as v1-only) and can be pinned via the
-constructor.  Errors come back as the same typed :mod:`repro.errors`
-exceptions an in-process system raises, reconstructed from the wire
-taxonomy — a 429 raises :class:`AdmissionRejectedError` with its
-``shard``/``queue_depth`` attributes intact, never parsed from message text.
+``close()`` drops the calling thread's connection only (other threads may be
+mid-request on theirs); ``close_all()`` is for an owner that has stopped the
+peer and must leave no socket to it behind.
+
+Errors come back as the same typed :mod:`repro.errors` exceptions an
+in-process system raises, reconstructed from the wire taxonomy — a 429 raises
+:class:`AdmissionRejectedError` with its ``shard``/``queue_depth`` attributes
+intact, never parsed from message text.
 """
 
 from __future__ import annotations
@@ -22,13 +23,7 @@ import threading
 from typing import TYPE_CHECKING
 
 from repro.api import core
-from repro.api.core import (  # noqa: F401 - the wire helpers' long-standing import path
-    ClientCore,
-    negotiated_version_from,
-    recording_start_body,
-    trace_from_stop_payload,
-    validate_pinned_version,
-)
+from repro.api.core import ClientCore, recording_start_body, trace_from_stop_payload
 from repro.api.envelopes import (
     BatchResult,
     ErrorEnvelope,
@@ -53,15 +48,17 @@ class RemoteGraphService(ClientCore):
         host: str,
         port: int,
         timeout: float = 60.0,
-        protocol_version: int | None = None,
         trace_sample_rate: float = 0.0,
     ) -> None:
-        super().__init__(protocol_version, trace_sample_rate)
+        super().__init__(trace_sample_rate)
         self.host = host
         self.port = port
         self.timeout = timeout
-        self._local = threading.local()
-        self._version_lock = threading.Lock()
+        # one keep-alive connection per calling thread, keyed by the thread:
+        # close_all() can reach every one of them, and a thread that ended
+        # without close() has its connection closed when the next one opens
+        self._connections: dict[threading.Thread, http.client.HTTPConnection] = {}
+        self._connections_lock = threading.Lock()
 
     @classmethod
     def for_server(cls, server, **kwargs) -> "RemoteGraphService":
@@ -72,12 +69,16 @@ class RemoteGraphService(ClientCore):
     # transport
     # ------------------------------------------------------------------ #
     def _connection(self) -> http.client.HTTPConnection:
-        connection = getattr(self._local, "connection", None)
+        me = threading.current_thread()
+        connection = self._connections.get(me)
         if connection is None:
             connection = http.client.HTTPConnection(
                 self.host, self.port, timeout=self.timeout
             )
-            self._local.connection = connection
+            with self._connections_lock:
+                for thread in [t for t in self._connections if not t.is_alive()]:
+                    self._connections.pop(thread).close()
+                self._connections[me] = connection
         return connection
 
     def _exchange(self, method: str, path: str,
@@ -104,45 +105,40 @@ class RemoteGraphService(ClientCore):
                     raise
         raise ServerError("unreachable")  # pragma: no cover - loop always returns
 
-    def _request(self, method: str, path: str, body: dict | None = None) -> tuple[int, dict]:
+    def request(self, method: str, path: str, body: dict | None = None) -> tuple[int, dict]:
+        """One raw JSON request/response exchange: ``(http_status, payload)``.
+
+        The transport hook the process shard backend drives its workers
+        through (queries *and* admin endpoints); same retry semantics as
+        every other call — a stale keep-alive connection is retried once, a
+        timeout always propagates.
+        """
         status, data = self._exchange(method, path, core.encode_body(body))
         return status, core.decode_body(data)
 
     def _ok(self, method: str, path: str, body: dict | None = None) -> dict:
-        return core.expect_ok(path, *self._request(method, path, body))
+        return core.expect_ok(path, *self.request(method, path, body))
 
     def close(self) -> None:
         """Drop this thread's connection (others close on their own threads)."""
-        connection = getattr(self._local, "connection", None)
+        with self._connections_lock:
+            connection = self._connections.pop(threading.current_thread(), None)
         if connection is not None:
             connection.close()
-            self._local.connection = None
+
+    def close_all(self) -> None:
+        """Close every thread's connection: the peer is gone, nothing is in flight."""
+        with self._connections_lock:
+            connections = list(self._connections.values())
+            self._connections.clear()
+        for connection in connections:
+            connection.close()
 
     def __enter__(self) -> "RemoteGraphService":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # ------------------------------------------------------------------ #
-    # protocol negotiation
-    # ------------------------------------------------------------------ #
-    @property
-    def protocol_version(self) -> int:
-        """The wire version in use (negotiates on first access)."""
-        if self._version is None:
-            with self._version_lock:
-                if self._version is None:
-                    self._version = self.negotiate()
-        return self._version
-
-    def negotiate(self) -> int:
-        """Ask the server which protocol versions it speaks and pick one.
-
-        A server without a ``/protocol`` endpoint (pre-envelope builds)
-        answers 404 and is treated as v1-only.
-        """
-        return negotiated_version_from(*self._request("GET", "/protocol"))
 
     # ------------------------------------------------------------------ #
     # GraphService surface
@@ -154,9 +150,8 @@ class RemoteGraphService(ClientCore):
         :meth:`ClientCore._client_span`).
         """
         request = as_request(query, query_type)
-        version = self.protocol_version
-        with self._client_span(request, version):
-            return self._request("POST", "/query", request.to_wire(version))
+        with self._client_span(request):
+            return self.request("POST", "/query", request.to_wire())
 
     def run(self, query, query_type: QueryType | str = QueryType.SUBGRAPH) -> QueryResponse:
         """Execute one query, raising the typed error on any failure."""
@@ -186,8 +181,7 @@ class RemoteGraphService(ClientCore):
         own.  Uses a dedicated connection (the response is framed by
         connection close, so the thread-local keep-alive one stays usable).
         """
-        body = core.batch_body(queries, self.protocol_version,
-                               deadline_seconds, priority)
+        body = core.batch_body(queries, deadline_seconds, priority)
         connection = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout
         )

@@ -108,11 +108,6 @@ def rule_for(exc: BaseException) -> ErrorRule:
     return _FALLBACK_RULE
 
 
-def rule_for_code(code: str) -> ErrorRule | None:
-    """The taxonomy row behind a wire code (None for unexpected codes)."""
-    return _BY_CODE.get(code)
-
-
 def details_for(exc: BaseException) -> dict:
     """The structured attributes of ``exc`` that travel on the wire."""
     details = {}

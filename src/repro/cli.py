@@ -441,7 +441,7 @@ def cmd_trace(args) -> int:
     trees = payload.get("traces", [])
     if not trees:
         print("no traces recorded yet (is the server tracing? "
-              "serve --trace-sample-rate 1.0, or send v2 requests "
+              "serve --trace-sample-rate 1.0, or send requests "
               "with a client-side sample rate)")
         return 1
     for tree in trees:

@@ -1,8 +1,8 @@
 """Scrape-time collectors over the stack's existing telemetry sources.
 
 These bridge the ad-hoc telemetry that predates the registry —
-``StatisticsManager`` aggregates, ``ScatterStats``, batcher queue state,
-async-pool counters — into :class:`~repro.obs.metrics.Sample` streams, so
+``StatisticsManager`` aggregates, ``ScatterStats``, batcher queue state —
+into :class:`~repro.obs.metrics.Sample` streams, so
 ``GET /metrics?format=text`` exposes one unified surface without changing
 how any source accumulates.  Everything is duck-typed: a collector reads
 public accessors at scrape time and owns no state.
@@ -87,23 +87,6 @@ def batcher_samples(batcher) -> Iterator[Sample]:
                  help="Batches executed")
     yield Sample("gc_server_largest_batch", GAUGE, float(stats.largest_batch),
                  help="Largest batch executed so far")
-
-
-def pool_samples(stats: dict) -> Iterator[Sample]:
-    """Samples from one async connection pool's ``pool_stats()`` dict."""
-    shard = stats.get("shard")
-    labels = {"shard": str(shard)} if shard is not None else {}
-    for name, kind, help_text in (
-        ("open_connections", GAUGE, "Open pooled connections"),
-        ("peak_connections", GAUGE, "Peak open pooled connections"),
-        ("in_flight", GAUGE, "Requests currently in flight"),
-        ("peak_in_flight", GAUGE, "Peak concurrent in-flight requests"),
-        ("requests_sent", COUNTER, "Requests sent through the pool"),
-        ("reconnects", COUNTER, "Pooled connections re-established"),
-    ):
-        if name in stats:
-            yield Sample(f"gc_pool_{name}", kind, float(stats[name]),
-                         help=help_text, labels=dict(labels))
 
 
 def recorder_samples(recorder) -> Iterator[Sample]:

@@ -5,8 +5,8 @@ source behind a single interface — push-style instruments for hot-path
 observations (request/queue latency histograms, request counters) and
 pull-style *collectors* that sample the existing ad-hoc sources at scrape
 time (:class:`~repro.cache.statistics.StatisticsManager` aggregates,
-:class:`~repro.sharding.planner.ScatterStats`, batcher queue depth,
-async-pool telemetry, worker respawn counts).
+:class:`~repro.sharding.planner.ScatterStats`, batcher queue depth, worker
+respawn counts).
 
 The registry renders the Prometheus text exposition format
 (``GET /metrics?format=text``); the legacy JSON ``/metrics`` shape is

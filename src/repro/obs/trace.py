@@ -5,9 +5,8 @@ One query served through the stack yields one *span tree* keyed by a
 plan → per-shard scatter → worker pipeline stages (filter/probe/prune/
 verify/assemble/admit) → merge.  The context travels in two shapes:
 
-* **on the wire** — an additive ``"trace"`` section of the v2 request
-  envelope (:class:`~repro.api.envelopes.QueryRequest.to_wire`); v1 payloads
-  never carry it, so legacy clients are unaffected;
+* **on the wire** — an additive ``"trace"`` section of the request
+  envelope (:class:`~repro.api.envelopes.QueryRequest.to_wire`);
 * **in process** — a plain JSON-safe dict under ``Query.metadata["trace"]``
   (the :data:`TRACE_KEY` carrier), which survives every hop the metadata
   already makes: batcher → sharded scatter → the loopback envelope into a

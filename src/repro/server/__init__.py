@@ -7,20 +7,10 @@ reproduction — stdlib-only, embeddable, observable.
 
 from repro.server.app import QueryServer
 from repro.server.batcher import BatcherStats, RequestBatcher, ServedQuery
-from repro.server.protocol import (
-    answer_from_payload,
-    query_from_payload,
-    query_to_payload,
-    report_to_payload,
-)
 
 __all__ = [
     "QueryServer",
     "RequestBatcher",
     "BatcherStats",
     "ServedQuery",
-    "query_to_payload",
-    "query_from_payload",
-    "report_to_payload",
-    "answer_from_payload",
 ]

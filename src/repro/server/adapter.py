@@ -32,7 +32,7 @@ Reply = tuple[int, object]
 class RoutedApp:
     """An application as a route table behind one ``handle`` entry."""
 
-    #: The ``Server`` response header (and the ``/protocol`` identity).
+    #: The ``Server`` response header.
     server_version = "GraphCache"
 
     #: ``(method, path)`` → ``endpoint(app, params, payload) -> Reply``.

@@ -6,20 +6,19 @@ fronts it with a :class:`RequestBatcher` (bounded admission queue + batch
 coalescing).  It is a :class:`~repro.server.adapter.RoutedApp`: a route
 table of endpoints that return ``(status, body)`` and never see a socket;
 :class:`~repro.server.adapter.HTTPAdapter` is the transport.  It speaks the
-versioned envelope protocol of :mod:`repro.api.envelopes`: v2 requests get v2
-responses, legacy v1 payloads are auto-upgraded on the way in and answered
-in v1 shapes, and every error is classified through the
-:mod:`repro.api.taxonomy` table (stable ``code`` + HTTP status — never
-message-string parsing).  Endpoints:
+one envelope protocol of :mod:`repro.api.envelopes`: every request declares
+``"version": 2`` and every reply — success or error — is an envelope, errors
+classified through the :mod:`repro.api.taxonomy` table (stable ``code`` +
+HTTP status — never message-string parsing).  Endpoints:
 
-* ``POST /query``        — one JSON graph query (v1 or v2 envelope); replies
-  with the answer set and per-stage latency.  ``429`` when admission rejects
-  (the envelope names the hot shard under cost-based mode), ``400`` on
-  malformed payloads, ``503`` while draining, ``504`` on timeout.
+* ``POST /query``        — one JSON graph query envelope; replies with the
+  answer set and per-stage latency.  ``429`` when admission rejects (the
+  envelope names the hot shard under cost-based mode), ``400`` on malformed
+  payloads — a missing or foreign ``version`` included, the error naming the
+  version spoken — ``503`` while draining, ``504`` on timeout.
 * ``POST /batch``        — streamed batch submission: many envelopes over
   one connection, per-query NDJSON result lines back in *completion* order
   (connection-close framing).  Per-item errors use the same taxonomy.
-* ``GET /protocol``      — version negotiation: the wire versions served.
 * ``POST /record/start`` / ``POST /record/stop`` — server-side trace
   recording: persist the live request stream as a replayable trace.
 * ``GET /metrics``       — the :class:`StatisticsManager` snapshot (hit rate,
@@ -55,10 +54,8 @@ from repro import __version__
 from repro.api.envelopes import (
     ErrorEnvelope,
     MetricsSnapshot,
-    PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
     parse_request,
-    wire_version,
+    require_version,
 )
 from repro.api.recording import TraceRecorder
 from repro.cache.statistics import json_safe
@@ -67,7 +64,6 @@ from repro.graph.graph import Graph
 from repro.methods.base import MethodM
 from repro.obs.collectors import (
     batcher_samples,
-    pool_samples,
     recorder_samples,
     scatter_samples,
     system_samples,
@@ -113,7 +109,6 @@ class QueryServer(RoutedApp):
             else self.metrics()),
         ("GET", "/stats"): lambda self, params, payload: (200, self.stats()),
         ("GET", "/health"): lambda self, params, payload: (200, self.health()),
-        ("GET", "/protocol"): lambda self, params, payload: (200, self.protocol()),
         ("GET", "/debug/traces"): lambda self, params, payload: self.debug_traces(params),
     }
 
@@ -248,11 +243,10 @@ class QueryServer(RoutedApp):
     # request handling (HTTP-agnostic: returns status + JSON payload)
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _error(exc: BaseException, version: int,
-               request_id=None) -> tuple[int, dict]:
-        """Render any exception via the taxonomy, in the request's version."""
+    def _error(exc: BaseException, request_id=None) -> tuple[int, dict]:
+        """Render any exception as its taxonomy row's status and envelope."""
         envelope = ErrorEnvelope.from_exception(exc, request_id=request_id)
-        return envelope.http_status, envelope.to_wire(version)
+        return envelope.http_status, envelope.to_wire()
 
     def _sampled(self) -> bool:
         """One server-side sampling decision at ``trace_sample_rate``."""
@@ -331,35 +325,31 @@ class QueryServer(RoutedApp):
         self.span_recorder.complete(scope["trace_id"], duration, scatter=scatter)
 
     def serve_query(self, payload: dict) -> tuple[int, dict]:
-        """Admit, batch and execute one query payload (v1 or v2 envelope)."""
+        """Admit, batch and execute one query envelope."""
         started = time.perf_counter()
         admitted, refusal = self._admit(payload, in_batch=False)
         if admitted is None:
             return refusal
-        future, request, version, scope = admitted
+        future, request, scope = admitted
         wait = self.request_timeout_seconds
         if request.deadline_seconds is not None:
             # don't hold the connection past the caller's own budget
             wait = min(wait, request.deadline_seconds)
-        return self._outcome(future, request, version, scope, started, wait)
+        return self._outcome(future, request, scope, started, wait)
 
     def _admit(self, payload: object, in_batch: bool):
         """Parse, record and submit one request envelope.
 
-        Returns ``((future, request, version, trace scope), None)`` once the
-        batcher accepted the request, or ``(None, (status, wire))`` when it
-        was refused before admission.  A payload that cannot be parsed is
-        answered in the version it *declares* (``"version" >= 2`` clearly
-        speaks envelopes); an undeclared one gets v1 strings on ``/query``
-        and v2 envelopes inside a ``/batch`` (itself a v2-only endpoint).
-        Batch items carry no ``server.request`` span of their own.
+        Returns ``((future, request, trace scope), None)`` once the batcher
+        accepted the request, or ``(None, (status, wire))`` when it was
+        refused before admission (unparseable, or rejected).  Batch items
+        carry no ``server.request`` span of their own.
         """
         try:
-            request, version = parse_request(payload)
+            request = parse_request(payload)
         except ProtocolError as exc:
             self._request_outcomes["protocol-error"].inc()
-            return None, self._error(
-                exc, PROTOCOL_VERSION if in_batch else wire_version(payload))
+            return None, self._error(exc)
         self.recorder.record(request)
         scope = None if in_batch else self._begin_request_trace(request)
         try:
@@ -367,10 +357,10 @@ class QueryServer(RoutedApp):
         except Exception as exc:  # admission rejected / draining
             self._request_outcomes["rejected"].inc()
             self._finish_request_trace(scope, outcome="rejected")
-            return None, self._error(exc, version, request.request_id)
-        return (future, request, version, scope), None
+            return None, self._error(exc, request.request_id)
+        return (future, request, scope), None
 
-    def _outcome(self, future, request, version: int, scope: dict | None,
+    def _outcome(self, future, request, scope: dict | None,
                  started: float, wait: float | None) -> tuple[int, dict]:
         """Wait up to ``wait`` seconds for one admitted request; account it.
 
@@ -391,17 +381,17 @@ class QueryServer(RoutedApp):
                 "query timed out in the serving pipeline",
                 request_id=request.request_id,
             )
-            return envelope.http_status, envelope.to_wire(version)
+            return envelope.http_status, envelope.to_wire()
         except DeadlineExceededError as exc:  # shed in the admission queue
             self._request_outcomes["timeout"].inc()
             self._finish_request_trace(scope, outcome="shed")
-            return self._error(exc, version, request.request_id)
+            return self._error(exc, request.request_id)
         except Exception as exc:  # execution error inside the pipeline
             self._request_outcomes["error"].inc()
             self._finish_request_trace(scope, outcome="error")
             logger.warning("query %s failed in the pipeline: %s: %s",
                            request.request_id, type(exc).__name__, exc)
-            return self._error(exc, version, request.request_id)
+            return self._error(exc, request.request_id)
         self._request_outcomes["ok"].inc()
         self._request_latency.observe(time.perf_counter() - started)
         self._queue_latency.observe(served.queue_seconds)
@@ -409,12 +399,12 @@ class QueryServer(RoutedApp):
         response = served.to_response(request_id=request.request_id)
         if scope is not None:
             response.trace_id = scope["trace_id"]
-        return 200, response.to_wire(version)
+        return 200, response.to_wire()
 
     def batch_stream(self, payload: dict):
         """Validate a ``POST /batch`` payload; return the response-line stream.
 
-        The payload is ``{"queries": [<v1-or-v2 request envelope>, ...]}``.
+        The payload is ``{"version": 2, "queries": [<request envelope>, ...]}``.
         Every query is admitted up front (one connection, one submission
         round-trip for the whole batch), then per-query outcomes stream back
         as NDJSON lines ``{"index": i, ...envelope}`` in *completion* order —
@@ -424,9 +414,7 @@ class QueryServer(RoutedApp):
         (dead work shed, cost released) and answered with ``timeout`` lines.
         Raises :class:`ProtocolError` when the outer payload is malformed.
         """
-        if not isinstance(payload, dict):
-            raise ProtocolError("batch payload must be a JSON object")
-        queries = payload.get("queries")
+        queries = require_version(payload).get("queries")
         if not isinstance(queries, list) or not queries:
             raise ProtocolError(
                 "'queries' must be a non-empty list of request envelopes")
@@ -465,15 +453,7 @@ class QueryServer(RoutedApp):
         try:
             return 200, self.batch_stream(payload)
         except ProtocolError as exc:
-            return self._error(exc, PROTOCOL_VERSION)
-
-    def protocol(self) -> dict:
-        """The ``/protocol`` payload: wire versions this server speaks."""
-        return {
-            "versions": list(SUPPORTED_VERSIONS),
-            "preferred": PROTOCOL_VERSION,
-            "server": self.server_version,
-        }
+            return self._error(exc)
 
     # ------------------------------------------------------------------ #
     # trace recording
@@ -483,13 +463,13 @@ class QueryServer(RoutedApp):
         name = payload.get("name")
         path = payload.get("path")
         if name is not None and not isinstance(name, str):
-            return self._error(ProtocolError("'name' must be a string"), PROTOCOL_VERSION)
+            return self._error(ProtocolError("'name' must be a string"))
         if path is not None and not isinstance(path, str):
-            return self._error(ProtocolError("'path' must be a string"), PROTOCOL_VERSION)
+            return self._error(ProtocolError("'path' must be a string"))
         try:
             return 200, self.recorder.start(name=name, path=path)
         except RecordingStateError as exc:
-            return self._error(exc, PROTOCOL_VERSION)
+            return self._error(exc)
 
     def record_stop(self) -> tuple[int, dict]:
         """Stop recording; persist and/or return the trace (``/record/stop``).
@@ -500,7 +480,7 @@ class QueryServer(RoutedApp):
         try:
             trace, path = self.recorder.stop()
         except RecordingStateError as exc:
-            return self._error(exc, PROTOCOL_VERSION)
+            return self._error(exc)
         payload: dict = {"recorded": len(trace), "name": trace.name, "path": path}
         if path is None:
             payload["trace"] = trace.to_dict()
@@ -529,7 +509,6 @@ class QueryServer(RoutedApp):
                 "restored_entries": self.restored_entries,
                 "snapshot_path": str(self.snapshot_path) if self.snapshot_path else None,
                 "draining": self.batcher.closed,
-                "protocol_versions": list(SUPPORTED_VERSIONS),
             },
             "recording": {
                 "active": self.recorder.active,
@@ -541,7 +520,7 @@ class QueryServer(RoutedApp):
         }
 
     def _runtime_samples(self):
-        """Registry collector: uptime, worker liveness, async-pool gauges."""
+        """Registry collector: uptime and worker liveness."""
         yield Sample("gc_server_uptime_seconds", GAUGE,
                      time.monotonic() - self._started_at,
                      help="Seconds since the server started")
@@ -557,10 +536,6 @@ class QueryServer(RoutedApp):
                              float(row.get("respawns", 0)),
                              help="Times the shard's worker was respawned",
                              labels=dict(labels))
-        backend = getattr(self.system, "_process_backend", None)
-        if backend is not None:
-            for stats in backend.pool_stats():
-                yield from pool_samples(stats)
 
     def health(self) -> dict:
         """The ``/health`` payload: liveness plus per-worker detail.

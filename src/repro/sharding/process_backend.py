@@ -1,18 +1,25 @@
-"""ProcessShardBackend: one spawned worker process per shard, v2 envelopes.
+"""ProcessShardBackend: one spawned worker process per shard, one blocking hop.
 
 The GIL makes ``shard_backend="thread"`` a single-core deployment for
 CPU-bound verification: 2 thread shards answer gcbench's ``engine_cold``
 trace at about half the unsharded rate (README, "Concurrency model"), so
 the thread backend is the in-process differential reference and this one is
-the way past one core.  This backend keeps the whole scatter-gather architecture — planner,
-merge, cost-based admission, ``/metrics`` fan-in, snapshots — and swaps only
-the shard hosting: each shard becomes a spawned OS process running
+the way past one core.  This backend keeps the whole scatter-gather
+architecture — planner, merge, cost-based admission, ``/metrics`` fan-in,
+snapshots — and swaps only the shard hosting: each shard becomes a spawned
+OS process running
 :func:`repro.sharding.worker.worker_main` (its own
 :class:`~repro.runtime.system.GraphCacheSystem`, its own interpreter, its
-own core), reachable over loopback HTTP speaking the existing v2 envelope
-protocol.  PR 5's protocol work is what makes this cheap: the transport is
-the stock :class:`~repro.api.aio.AsyncRemoteGraphService` pool, pinned to
-v2, multiplexed on one coordinator-owned event-loop thread.
+own core), reachable over loopback HTTP speaking the envelope protocol.  The
+transport is the stock blocking :class:`~repro.api.remote.RemoteGraphService`,
+called on the thread that needs the answer — the scatter-pool thread running
+that shard's share — so the coordinator owns no thread and no event loop for
+the hop.  Query traffic rides one keep-alive connection per (worker, calling
+thread): a hedge attempt runs on its own scatter slot and therefore on its
+own connection.  Admin and observability calls arrive on whatever thread asks
+(an HTTP handler scraping ``/metrics``) and close their connection again.  A
+respawn or :meth:`ProcessShardBackend.close` closes every connection to the
+worker it retires.
 
 :class:`ProcessShardClient` implements the same shard surface
 :class:`~repro.sharding.system.ShardedGraphCacheSystem` already scatters to
@@ -36,14 +43,14 @@ retryable :class:`~repro.errors.ShardWorkerError` (wire code
 
 from __future__ import annotations
 
-import asyncio
+import http.client
 import multiprocessing
 import threading
 from collections.abc import Callable, Sequence
 
-from repro.api.aio import AsyncRemoteGraphService
-from repro.api.core import expect_ok, response_from
-from repro.api.envelopes import QueryRequest, wire_result
+from repro.api.core import expect_ok
+from repro.api.envelopes import ErrorEnvelope, QueryRequest
+from repro.api.remote import RemoteGraphService
 from repro.cache.statistics import QueryRecord, StatisticsManager
 from repro.errors import (
     ConfigurationError,
@@ -72,12 +79,12 @@ DEFAULT_REQUEST_TIMEOUT = 300.0
 
 
 class _WorkerHandle:
-    """One live worker: its process, its port, its pinned-v2 client pool."""
+    """One live worker: its process, its port, its client."""
 
     __slots__ = ("index", "process", "port", "service", "describe")
 
     def __init__(self, index: int, process, port: int,
-                 service: AsyncRemoteGraphService, describe: dict) -> None:
+                 service: RemoteGraphService, describe: dict) -> None:
         self.index = index
         self.process = process
         self.port = port
@@ -127,14 +134,6 @@ class ProcessShardBackend:
         self.respawns_performed = 0
         self._lock = threading.Lock()
         self._closed = False
-
-        #: One event loop on a dedicated thread carries every worker's
-        #: connection pool; proxy threads submit coroutines onto it.
-        self._loop = asyncio.new_event_loop()
-        self._loop_thread = threading.Thread(
-            target=self._loop.run_forever, name="gc-procshard-loop", daemon=True
-        )
-        self._loop_thread.start()
 
         self._handles: list[_WorkerHandle] = []
         started: list[tuple] = []
@@ -201,12 +200,7 @@ class ProcessShardBackend:
         return int(payload["port"]), dict(payload.get("describe") or {})
 
     def _make_handle(self, index: int, process, port: int, describe: dict) -> _WorkerHandle:
-        service = AsyncRemoteGraphService(
-            "127.0.0.1", port,
-            timeout=self._request_timeout,
-            max_connections=64,
-            protocol_version=2,  # workers are always v2-capable: skip /protocol
-        )
+        service = RemoteGraphService("127.0.0.1", port, timeout=self._request_timeout)
         return _WorkerHandle(index, process, port, service, describe)
 
     def describe_payload(self, index: int) -> dict:
@@ -214,72 +208,58 @@ class ProcessShardBackend:
         return dict(self._handles[index].describe)
 
     # ------------------------------------------------------------------ #
-    # transport (proxy threads → event loop → workers)
+    # transport (the calling thread → its connection → the worker)
     # ------------------------------------------------------------------ #
-    def _submit(self, coroutine, timeout: float | None = None):
-        future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
-        return future.result(timeout=timeout)
-
     def call(self, index: int, method: str, path: str,
              body: dict | None = None) -> tuple[int, dict]:
-        """One request to shard ``index``'s worker, with crash recovery."""
-        return self._call_many(index, [(method, path, body)])[0]
+        """One admin or observability request to shard ``index``'s worker.
+
+        These arrive on whatever thread asks — an HTTP handler scraping
+        ``/metrics``, the caller of ``warm_cache`` — so the connection is
+        closed again instead of staying parked on a thread that may never
+        come back.
+        """
+        try:
+            return self._call_many(index, [(method, path, body)])[0]
+        finally:
+            self._handles[index].service.close()
 
     def _call_many(self, index: int, requests: list[tuple]) -> list[tuple[int, dict]]:
         """``(method, path, body)`` requests to one worker, with crash recovery.
 
-        All requests are in flight at once, bounded by the worker's
-        connection pool; outcomes return in submission order.  A transport failure against a
-        *dead* worker spends respawn budget, brings up a cold replacement
-        and re-issues only the failed positions there (every endpoint driven
-        through here is answer-safe to re-execute) — completed answers are
-        kept exactly once, so a crash can neither drop nor duplicate an
-        answer.  A transport failure against a live worker propagates — the
-        async pool already retried stale keep-alive connections once, and
-        timeouts must never re-run a query that may still be executing.
+        The requests go out one after the other over the calling thread's
+        keep-alive connection; outcomes return in submission order.  A
+        transport failure against a *dead* worker spends respawn budget,
+        brings up a cold replacement and carries on from the failed position
+        there (every endpoint driven through here is answer-safe to
+        re-execute) — completed answers are kept exactly once, so a crash
+        can neither drop nor duplicate an answer.  A transport failure
+        against a live worker propagates — the client already retried a
+        stale keep-alive connection once, and a timeout must never re-run a
+        query that may still be executing.
         """
-        results: list[tuple[int, dict] | None] = [None] * len(requests)
-        pending = list(range(len(requests)))
+        results: list[tuple[int, dict]] = []
         attempts = 0
-        while pending:
+        while len(results) < len(requests):
             handle = self._handle(index)
-            outcomes = self._submit(
-                self._gather(handle.service, [requests[i] for i in pending])
-            )
-            failed: list[int] = []
-            first_failure: BaseException | None = None
-            for position, outcome in zip(pending, outcomes):
-                if isinstance(outcome, BaseException):
-                    # NB: TimeoutError subclasses OSError — classify it first
-                    if isinstance(outcome, TimeoutError) and handle.process.is_alive():
-                        raise outcome
-                    if isinstance(outcome, (OSError, EOFError)):
-                        failed.append(position)
-                        if first_failure is None:
-                            first_failure = outcome
-                    else:
-                        raise outcome
-                else:
-                    results[position] = outcome
-            if not failed:
-                break
-            self._recover(
-                index, handle,
-                f"worker lost {len(failed)} in-flight request(s) "
-                f"({type(first_failure).__name__}: {first_failure})",
-                cause=first_failure,
-            )
-            pending = failed
-            attempts += 1
-            if attempts > self._respawn_limit + 1:  # pragma: no cover - safety net
-                raise ShardWorkerError(index, "worker kept failing after respawn",
-                                       self.respawns_performed)
-        return results  # type: ignore[return-value]
-
-    @staticmethod
-    async def _gather(service: AsyncRemoteGraphService, requests: list[tuple]):
-        return await asyncio.gather(*(service.request(*request) for request in requests),
-                                    return_exceptions=True)
+            try:
+                for request in requests[len(results):]:
+                    results.append(handle.service.request(*request))
+            except (OSError, http.client.HTTPException) as failure:
+                # NB: TimeoutError subclasses OSError — classify it first
+                if isinstance(failure, TimeoutError) and handle.process.is_alive():
+                    raise
+                self._recover(
+                    index, handle,
+                    f"worker lost an in-flight request "
+                    f"({type(failure).__name__}: {failure})",
+                    cause=failure,
+                )
+                attempts += 1
+                if attempts > self._respawn_limit + 1:  # pragma: no cover - safety net
+                    raise ShardWorkerError(index, "worker kept failing after respawn",
+                                           self.respawns_performed)
+        return results
 
     def expect(self, index: int, method: str, path: str,
                body: dict | None = None) -> dict:
@@ -296,11 +276,11 @@ class ProcessShardBackend:
         return self.expect(index, "GET", "/describe")
 
     def query(self, index: int, body: dict) -> tuple[int, dict]:
-        """POST one query envelope to shard ``index``."""
-        return self.call(index, "POST", "/query", body)
+        """POST one query envelope to shard ``index`` (keep-alive)."""
+        return self.query_batch(index, [body])[0]
 
     def query_batch(self, index: int, bodies: list[dict]) -> list[tuple[int, dict]]:
-        """POST a batch of query envelopes concurrently (submission order)."""
+        """POST a share of a batch, one envelope after the other (in order)."""
         return self._call_many(index, [("POST", "/query", body) for body in bodies])
 
     # ------------------------------------------------------------------ #
@@ -339,7 +319,7 @@ class ProcessShardBackend:
                     self.respawns_performed,
                 ) from cause
             self._respawns_left[index] -= 1
-            self._close_service(failed_handle.service)
+            failed_handle.service.close_all()
             replacement, ready = self._start_process(index)
             try:
                 port, describe = self._await_ready(index, replacement, ready)
@@ -375,41 +355,17 @@ class ProcessShardBackend:
             for handle in handles
         ]
 
-    def pool_stats(self) -> list[dict]:
-        """Per-worker async connection-pool telemetry (``shard`` stamped in)."""
-        with self._lock:
-            handles = list(self._handles)
-        stats = []
-        for handle in handles:
-            payload = dict(handle.service.pool_stats())
-            payload["shard"] = handle.index
-            stats.append(payload)
-        return stats
-
     # ------------------------------------------------------------------ #
     # shutdown
     # ------------------------------------------------------------------ #
-    def _close_service(self, service: AsyncRemoteGraphService) -> None:
-        try:
-            self._submit(service.aclose(), timeout=5.0)
-        except Exception:  # pragma: no cover - best-effort socket teardown
-            pass
-
-    def _teardown(self, started: list[tuple]) -> None:
-        """Startup-failure cleanup: kill every spawned worker, stop the loop."""
-        for handle in self._handles:
-            self._close_service(handle.service)
+    @staticmethod
+    def _teardown(started: list[tuple]) -> None:
+        """Startup-failure cleanup: kill every spawned worker (none was called yet)."""
         for process, ready in started:
             ready.close()  # a no-op once the handshake already closed it
             process.terminate()
         for process, _ in started:
             process.join(timeout=2.0)
-        self._stop_loop()
-
-    def _stop_loop(self) -> None:
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._loop_thread.join(timeout=5.0)
-        self._loop.close()
 
     def close(self) -> None:
         """Drain and join every worker: shutdown → join → terminate."""
@@ -420,10 +376,10 @@ class ProcessShardBackend:
             handles = list(self._handles)
         for handle in handles:
             try:
-                self._submit(
-                    handle.service.request("POST", "/admin/shutdown", {}),
-                    timeout=5.0,
-                )
+                # its own short-timeout client: a hung worker must not hold
+                # close() for the length of a query timeout
+                with RemoteGraphService("127.0.0.1", handle.port, timeout=5.0) as farewell:
+                    farewell.request("POST", "/admin/shutdown", {})
             except Exception:
                 pass  # a dead worker cannot drain; terminate below
         for handle in handles:
@@ -431,8 +387,7 @@ class ProcessShardBackend:
             if handle.process.is_alive():
                 handle.process.terminate()
                 handle.process.join(timeout=2.0)
-            self._close_service(handle.service)
-        self._stop_loop()
+            handle.service.close_all()
 
 
 class ProcessShardClient:
@@ -474,11 +429,12 @@ class ProcessShardClient:
         request = QueryRequest(graph=query.graph, query_type=query.query_type,
                                metadata=metadata, request_id=query.query_id,
                                trace=trace)
-        return request.to_wire(2)
+        return request.to_wire()
 
     def _report_from(self, query: Query, status: int, payload: dict) -> QueryReport:
-        response_from(status, payload)  # a failure raises its typed error
-        section = wire_result(payload).get("report")
+        if "error" in payload:
+            raise ErrorEnvelope.from_wire(payload, http_status=status).to_exception()
+        section = (payload.get("result") or {}).get("report")
         if not isinstance(section, dict):
             raise ProtocolError(
                 f"shard {self.index} worker response carries no 'report' section"

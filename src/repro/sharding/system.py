@@ -517,9 +517,9 @@ class ShardedGraphCacheSystem:
         """Scatter the whole batch — each shard gets its share at once — and merge.
 
         Every shard answers its share through its own ``run_batch`` (in order;
-        a process shard keeps the share in flight on its worker's connection
-        pool), all shards running concurrently on the scatter pool.  Merged
-        reports are returned in submission order.
+        a process shard loops over it on the scatter slot's keep-alive
+        connection), all shards running concurrently on the scatter pool.
+        Merged reports are returned in submission order.
         """
         query_list = [_as_query(query, query_type) for query in queries]
         if not query_list:
@@ -842,29 +842,36 @@ class ShardedGraphCacheSystem:
         return self.cache_memory_bytes() / index_bytes
 
     def describe_shards(self) -> list[dict[str, object]]:
-        """One summary row per shard (dataset slice, cache, memory, scatter)."""
+        """One summary row per shard (dataset slice, cache, memory, scatter).
+
+        A process shard's memory and cache state live in its worker: one
+        ``/describe`` round trip per shard fills all three.
+        """
         stats = self.planner.stats.to_dict()
         rows: list[dict[str, object]] = []
         for index, shard in enumerate(self.shards):
+            remote_describe = getattr(shard, "remote_describe", None)
+            if remote_describe is None:
+                state = {
+                    "cache_memory_bytes": shard.cache_memory_bytes(),
+                    "index_memory_bytes": shard.index_memory_bytes(),
+                    "cache": shard.cache.describe() if shard.cache is not None else None,
+                }
+            else:
+                try:
+                    state = remote_describe()
+                except Exception:
+                    state = {}  # metrics stay up while a worker respawns
             row: dict[str, object] = {
                 "shard": index,
                 "dataset_size": len(shard.dataset),
-                "cache_memory_bytes": shard.cache_memory_bytes(),
-                "index_memory_bytes": shard.index_memory_bytes(),
+                "cache_memory_bytes": int(state.get("cache_memory_bytes", 0)),
+                "index_memory_bytes": int(state.get("index_memory_bytes", 0)),
                 "scattered": stats["per_shard_scattered"][index],
                 "skipped": stats["per_shard_skipped"][index],
             }
-            if shard.cache is not None:
-                row["cache"] = shard.cache.describe()
-            else:
-                remote_describe = getattr(shard, "remote_describe", None)
-                if remote_describe is not None:
-                    try:
-                        remote = remote_describe()
-                    except Exception:
-                        remote = None  # metrics stay up while a worker respawns
-                    if isinstance(remote, dict) and remote.get("cache") is not None:
-                        row["cache"] = remote["cache"]
+            if state.get("cache") is not None:
+                row["cache"] = state["cache"]
             rows.append(row)
         return rows
 

@@ -1,23 +1,24 @@
-"""Shard worker process: one unsharded GraphCacheSystem behind v2 envelopes.
+"""Shard worker process: one unsharded GraphCacheSystem behind the envelope wire.
 
 The process shard backend spawns one of these per shard
 (``multiprocessing`` *spawn* context — no inherited locks or sockets, the
 worker rebuilds everything from serialised payloads).  Each worker hosts its
 own :class:`~repro.runtime.system.GraphCacheSystem` over its partition —
 its own Method M index, its own thread-safe cache, its own admission window
-— and fronts it with a minimal loopback HTTP app speaking **the same v2
-envelope protocol** as the public query server (``GET /protocol``
-negotiation, :func:`~repro.api.envelopes.parse_request`, taxonomy-classified
-:class:`~repro.api.envelopes.ErrorEnvelope` on failure).  The coordinator
-therefore needs no new wire format: it reuses the async client pool as
-transport.
+— and fronts it with a minimal loopback HTTP app speaking **the same envelope
+protocol** as the public query server
+(:func:`~repro.api.envelopes.parse_request`, taxonomy-classified
+:class:`~repro.api.envelopes.ErrorEnvelope` on failure, a typed 400 for a
+payload that declares no or another version).  The coordinator therefore
+needs no wire format of its own: its transport is the stock blocking
+:class:`~repro.api.remote.RemoteGraphService`.
 
 The one addition over the public surface: a shard worker's ``POST /query``
 success payload carries the *full* :class:`~repro.runtime.report.QueryReport`
 (journey sets included) under ``result["report"]``, because the coordinator
 must gather per-shard reports to run the scatter-gather merge — the public
 :class:`QueryResponse` only summarises them.  The section is additive, so
-the payload still parses as a plain v2 response.
+the payload still parses as a plain response envelope.
 
 ``/admin/*`` endpoints cover the shard lifecycle the in-process backend gets
 for free: window flush (warm-up), statistics reset, snapshot save/restore
@@ -33,13 +34,10 @@ import time
 
 from repro import __version__
 from repro.api.envelopes import (
-    PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
     ErrorEnvelope,
     MetricsSnapshot,
     QueryResponse,
     parse_request,
-    wire_version,
 )
 from repro.cache.statistics import json_safe
 from repro.obs.collectors import recorder_samples, system_samples
@@ -138,7 +136,6 @@ class ShardWorkerApp(RoutedApp):
             self.snapshot(self.system.restore_snapshot, payload)),
         ("POST", "/admin/logs/drain"): lambda self, params, payload: self.drain_logs(),
         ("POST", "/admin/shutdown"): lambda self, params, payload: self.shutdown(),
-        ("GET", "/protocol"): lambda self, params, payload: (200, self.protocol()),
         ("GET", "/health"): lambda self, params, payload: (
             200, {"status": "ok", "shard": self.shard_index}),
         ("GET", "/describe"): lambda self, params, payload: (200, self.describe()),
@@ -184,22 +181,14 @@ class ShardWorkerApp(RoutedApp):
         }
         return json_safe(payload)
 
-    def protocol(self) -> dict:
-        return {
-            "versions": list(SUPPORTED_VERSIONS),
-            "preferred": PROTOCOL_VERSION,
-            "server": self.server_version,
-        }
-
     def serve_query(self, payload: dict) -> tuple[int, dict]:
         """Execute one envelope query; success carries the full report."""
         try:
-            request, version = parse_request(payload)
+            request = parse_request(payload)
         except Exception as exc:
             self._request_errors.inc()
             envelope = ErrorEnvelope.from_exception(exc)
-            # same rule as the public server: answer in the declared version
-            return envelope.http_status, envelope.to_wire(wire_version(payload))
+            return envelope.http_status, envelope.to_wire()
         self._requests.inc()
         query = request.to_query()
         carrier = query.metadata.get(TRACE_KEY)
@@ -216,15 +205,14 @@ class ShardWorkerApp(RoutedApp):
             logger.error("shard %d query failed: %s: %s",
                          self.shard_index, type(exc).__name__, exc)
             envelope = ErrorEnvelope.from_exception(exc, request_id=request.request_id)
-            return envelope.http_status, envelope.to_wire(version)
+            return envelope.http_status, envelope.to_wire()
         finally:
             self._latency.observe(time.perf_counter() - started)
             if trace_token is not None:
                 current_trace_id.reset(trace_token)
         response = QueryResponse.from_report(report, request_id=request.request_id)
-        wire = response.to_wire(version)
-        if version >= 2:
-            wire["result"]["report"] = report_to_wire(report)
+        wire = response.to_wire()
+        wire["result"]["report"] = report_to_wire(report)
         return 200, wire
 
     # -- shard lifecycle endpoints the coordinator drives ----------------- #

@@ -8,7 +8,6 @@ from repro.workload.generator import (
 )
 from repro.workload.replay import (
     TRACE_SKEWS,
-    QueryServerClient,
     ReplayEvent,
     ReplayResult,
     generate_trace,
@@ -36,7 +35,6 @@ __all__ = [
     "run_with_policy",
     "compare_policies",
     "compare_methods",
-    "QueryServerClient",
     "ReplayEvent",
     "ReplayResult",
     "replay_trace",

@@ -1,23 +1,17 @@
-"""Trace-replay load generation for the query server (plus the v1 client).
+"""Trace-replay load generation for the query server.
 
-Two halves:
-
-* :class:`QueryServerClient` — the original client class, now a thin
-  v1-pinned facade over :class:`repro.api.remote.RemoteGraphService` for
-  callers that want raw payload dicts.  New code should use
-  :class:`~repro.api.remote.RemoteGraphService` (typed envelopes, negotiated
-  protocol) or :class:`~repro.api.aio.AsyncRemoteGraphService` directly.
-* :func:`replay_trace` — replays a recorded trace (a :class:`Workload`, which
-  already JSON round-trips via ``save``/``load``) against a server from
-  ``num_threads`` concurrent clients, either *closed-loop* (send as fast as
-  responses return) or *open-loop* at a target QPS (each query has a fixed
-  send deadline — queue buildup then shows up as latency, the way real
-  traffic behaves).  The result records per-query status/latency so tail
-  percentiles and rejection (429) rates fall out directly.  The client may
-  speak either wire version; payload reads are version-agnostic.  The
-  asyncio counterpart (thousands of connections in one process) is
-  :func:`repro.api.aio.replay_trace_async`, which returns the same
-  :class:`ReplayResult`.
+:func:`replay_trace` replays a recorded trace (a :class:`Workload`, which
+already JSON round-trips via ``save``/``load``) against a server through a
+:class:`~repro.api.remote.RemoteGraphService` from ``num_threads`` concurrent
+client threads, either *closed-loop* (send as fast as responses return) or
+*open-loop* at a target QPS (each query has a fixed send deadline — queue
+buildup then shows up as latency, the way real traffic behaves).  The result
+records per-query status/latency so tail percentiles and rejection (429)
+rates fall out directly; replies are read through the one envelope parser
+(:func:`~repro.api.envelopes.parse_response`).  The asyncio counterpart
+(thousands of connections in one process) is
+:func:`repro.api.aio.replay_trace_async`, which returns the same
+:class:`ReplayResult`.
 
 Trace *generation* reuses the workload generators: :func:`generate_trace`
 maps the three canonical skews the paper's experiments vary — ``uniform``,
@@ -34,9 +28,9 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.api.envelopes import as_request, wire_error_message, wire_result
+from repro.api.envelopes import ErrorEnvelope, as_request, parse_response
 from repro.api.remote import RemoteGraphService
-from repro.errors import ServerError, WorkloadError
+from repro.errors import WorkloadError
 from repro.graph.graph import Graph
 from repro.query_model import Query, QueryType
 from repro.workload.generator import WorkloadGenerator, WorkloadMix
@@ -110,37 +104,6 @@ def with_serving_fields(
     return requests
 
 
-class QueryServerClient(RemoteGraphService):
-    """Legacy JSON-protocol client: v1 wire, raw payload dicts.
-
-    Kept for compatibility (and for exercising the v1 auto-upgrade path end
-    to end); everything it did is now provided by its base class.  Migration:
-    ``run_query``/``metrics`` return typed envelopes on
-    :class:`RemoteGraphService` (``QueryResponse`` / ``MetricsSnapshot``)
-    instead of the raw dicts returned here.
-    """
-
-    backend = "remote-sync-v1"
-
-    def __init__(self, host: str, port: int, timeout: float = 60.0) -> None:
-        super().__init__(host, port, timeout=timeout, protocol_version=1)
-
-    def run_query(
-        self, query: Query | Graph, query_type: QueryType | str = QueryType.SUBGRAPH
-    ) -> dict:
-        """Execute one query, raising :class:`ServerError` on any non-200."""
-        status, payload = self.send(query, query_type)
-        if status != 200:
-            raise ServerError(
-                f"server replied {status}: {payload.get('error', payload)}"
-            )
-        return payload
-
-    def metrics(self) -> dict:
-        """The server's raw ``/metrics`` snapshot (a plain dict)."""
-        return self._ok("GET", "/metrics")
-
-
 # ---------------------------------------------------------------------- #
 # trace replay
 # ---------------------------------------------------------------------- #
@@ -163,26 +126,24 @@ class ReplayEvent:
                  outcome) -> "ReplayEvent":
         """The event for one ``send``: its ``(status, payload)`` or what it raised.
 
-        An exception is a transport failure, not a server verdict: status -1.
+        An exception, or a reply that is no envelope, is a transport failure
+        rather than a server verdict: status -1.
         """
         priority = getattr(query, "priority", None)
-        if isinstance(outcome, BaseException):
+        try:
+            if isinstance(outcome, BaseException):
+                raise outcome
+            status, payload = outcome
+            reply = parse_response(payload)
+        except Exception as exc:
             return cls(index=index, status=-1, latency_seconds=latency_seconds,
-                       error=f"{type(outcome).__name__}: {outcome}",
-                       priority=priority)
-        status, payload = outcome
-        body = wire_result(payload) if status == 200 else {}
-        server_meta = body.get("server", {})
-        return cls(
-            index=index,
-            status=status,
-            latency_seconds=latency_seconds,
-            answer=frozenset(body["answer"]) if status == 200 else None,
-            batch_size=server_meta.get("batch_size"),
-            queue_seconds=server_meta.get("queue_seconds"),
-            error=None if status == 200 else wire_error_message(payload),
-            priority=priority,
-        )
+                       error=f"{type(exc).__name__}: {exc}", priority=priority)
+        if isinstance(reply, ErrorEnvelope):
+            return cls(index=index, status=status, latency_seconds=latency_seconds,
+                       error=reply.message, priority=priority)
+        return cls(index=index, status=status, latency_seconds=latency_seconds,
+                   answer=reply.answer, batch_size=reply.batch_size,
+                   queue_seconds=reply.queue_seconds, priority=priority)
 
 
 @dataclass
@@ -286,10 +247,8 @@ def replay_trace(
 ) -> ReplayResult:
     """Replay ``trace`` against the server from concurrent client threads.
 
-    ``client`` is any sync service client with the ``send``/``close``
-    transport surface — a :class:`~repro.api.remote.RemoteGraphService`
-    (negotiated v2 envelopes) or the legacy v1-pinned
-    :class:`QueryServerClient`; responses are read version-agnostically.
+    ``client`` is a :class:`~repro.api.remote.RemoteGraphService` (anything
+    with its ``send``/``close`` transport surface).
 
     ``target_qps=None`` runs closed-loop (each thread sends its next query as
     soon as the previous answer returns); a positive value runs open-loop:
@@ -301,7 +260,7 @@ def replay_trace(
     server sheds work it cannot start in time: 504 lines show up under
     ``timeouts``, never as errors); ``priority_mix`` — ``"0:0.8,10:0.2"`` or
     ``[(priority, weight), ...]`` — assigns priority bands deterministically
-    (v2 envelope fields; a v1-pinned client drops them on the wire).
+    (both are envelope fields).
     """
     if num_threads < 1:
         raise WorkloadError("num_threads must be at least 1")

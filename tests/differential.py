@@ -226,7 +226,7 @@ def run_served(
     hit counts are comparable with the in-process ``cached`` arm; larger
     values exercise batching/concurrency, where only answers are invariant.
     The client is a :class:`RemoteGraphService`, so every differential suite
-    exercises the negotiated v2 envelope protocol end to end.
+    exercises the envelope protocol end to end.
     """
     config = base_config(num_shards=num_shards, **config_overrides)
     with QueryServer(

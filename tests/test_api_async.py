@@ -54,13 +54,12 @@ def clone(query) -> QueryRequest:
 
 
 class TestAsyncClientBasics:
-    def test_run_and_negotiation(self, dataset, short_trace):
+    def test_run_over_one_keep_alive_connection(self, dataset, short_trace):
         with QueryServer(dataset, sharded_config(), max_queue_depth=128) as server:
 
             async def go():
                 async with AsyncRemoteGraphService.for_server(
                         server, max_connections=8) as client:
-                    assert await client.negotiate() == 2
                     responses = [await client.run(clone(q)) for q in short_trace]
                     health = await client.health()
                     metrics = await client.metrics()
@@ -96,7 +95,7 @@ class TestAsyncClientBasics:
 
             async def go():
                 async with AsyncRemoteGraphService.for_server(server) as client:
-                    status, payload = await client._request(
+                    status, payload = await client.request(
                         "POST", "/query", {"version": 2, "query": {}})
                     return status, payload
 
@@ -116,11 +115,11 @@ class TestAsyncClientBasics:
 
             recorded = run(go())
         assert len(recorded) == 5
-        assert recorded.metadata["protocol_version"] == 2
+        assert recorded.metadata["recorded"] is True
 
     def test_constructor_validation(self):
         with pytest.raises(ProtocolError):
-            AsyncRemoteGraphService("localhost", 1, protocol_version=99)
+            AsyncRemoteGraphService("localhost", 1, trace_sample_rate=2.0)
 
 
 class TestThousandConnections:

@@ -6,7 +6,7 @@ same 200-query mixed sub/supergraph trace is executed through every
 
 * ``local``        — :class:`LocalGraphService` over the in-process engine;
 * ``remote-sync``  — :class:`RemoteGraphService` against a live server
-  (negotiated v2 envelopes, thread-per-connection);
+  (thread-per-connection);
 * ``remote-async`` — :class:`AsyncRemoteGraphService` against a live server
   (pooled asyncio connections, concurrent in-flight queries);
 
@@ -122,18 +122,3 @@ def test_differential_sharded_short_circuit(dataset, trace):
     sync = run_sync_arm(dataset, trace, cfg)
     async_ = run_async_arm(dataset, trace, cfg)
     assert_arms_identical(local, sync, async_)
-
-
-def test_differential_v1_and_v2_clients_agree(dataset, trace):
-    """A v1-pinned client and the negotiated v2 client see the same answers
-    from the same server — the auto-upgrade path changes shapes, never
-    semantics."""
-    cfg = config(num_shards=2, scatter_mode="short-circuit")
-    with QueryServer(dataset, cfg, max_batch_size=4,
-                     max_queue_depth=max(256, 2 * len(trace))) as server:
-        v1 = replay_trace(RemoteGraphService.for_server(server, protocol_version=1),
-                          trace, num_threads=1)
-        v2 = replay_trace(RemoteGraphService.for_server(server),
-                          trace, num_threads=1)
-    assert v1.served == v2.served == len(trace)
-    assert v1.answers() == v2.answers()

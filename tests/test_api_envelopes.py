@@ -1,13 +1,13 @@
-"""Envelope + protocol tests: v1→v2 round trips, negotiation, taxonomy.
+"""Envelope + protocol tests: round trips, the one wire version, taxonomy.
 
 Three invariants lock the service boundary:
 
 * **serialisation is lossless** — every envelope survives
-  ``to_wire`` → ``json`` → ``from_wire`` in both wire versions (hypothesis
-  drives random graphs/metadata through the round trip);
-* **v1 is auto-upgraded** — a legacy flat payload parses into the same
-  :class:`QueryRequest` a v2 envelope does, and the server answers each
-  client in the version it spoke;
+  ``to_wire`` → ``json`` → ``from_wire`` (hypothesis drives random
+  graphs/metadata through the round trip);
+* **there is one wire version** — every payload declares ``"version": 2``;
+  one that declares nothing, or anything else (a legacy flat v1 payload
+  included), is a :class:`ProtocolError` naming the version spoken;
 * **the error taxonomy is exhaustive** — every exception class in
   :mod:`repro.errors` has exactly one row in ``ERROR_TABLE`` (adding an
   exception without classifying it fails here), codes are unique, no row is
@@ -27,15 +27,13 @@ from hypothesis import strategies as st
 from repro import errors as errors_module
 from repro.api.envelopes import (
     PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
     ErrorEnvelope,
     MetricsSnapshot,
     QueryRequest,
     QueryResponse,
-    detect_version,
-    negotiate_version,
     parse_request,
     parse_response,
+    require_version,
 )
 from repro.api.taxonomy import ERROR_TABLE, UNKNOWN_CODE, rule_for
 from repro.errors import (
@@ -62,28 +60,17 @@ def small_graph(num_vertices: int = 4, graph_id=7) -> Graph:
 # request envelopes
 # ---------------------------------------------------------------------- #
 class TestQueryRequest:
-    def test_v2_round_trip(self):
+    def test_round_trip(self):
         request = QueryRequest(graph=small_graph(), query_type="supergraph",
                                metadata={"origin": "test"}, request_id="r-1")
-        wire = json.loads(json.dumps(request.to_wire(2)))
+        wire = json.loads(json.dumps(request.to_wire()))
         assert wire["version"] == 2 and wire["request_id"] == "r-1"
-        parsed, version = parse_request(wire)
-        assert version == 2
+        parsed = parse_request(wire)
+        assert QueryRequest.from_wire(wire).to_wire() == wire
         assert parsed.request_id == "r-1"
         assert parsed.query_type is QueryType.SUPERGRAPH
         assert parsed.metadata == {"origin": "test"}
         assert parsed.graph.to_dict() == request.graph.to_dict()
-
-    def test_v1_payload_auto_upgrades(self):
-        """A legacy flat payload parses into the same envelope as v2."""
-        request = QueryRequest(graph=small_graph(), metadata={"k": 1})
-        v1, version = parse_request(json.loads(json.dumps(request.to_wire(1))))
-        assert version == 1
-        v2, _ = parse_request(request.to_wire(2))
-        assert v1.graph.to_dict() == v2.graph.to_dict()
-        assert v1.query_type is v2.query_type
-        assert v1.metadata == v2.metadata
-        assert v1.request_id is None  # v1 has no correlation ids
 
     def test_from_query_and_back(self):
         query = Query(graph=small_graph(), query_type=QueryType.SUBGRAPH,
@@ -96,17 +83,16 @@ class TestQueryRequest:
 
     @pytest.mark.parametrize("payload,message", [
         ("not a dict", "JSON object"),
-        ({"version": 3, "query": {}}, "unsupported protocol version"),
-        ({"version": True, "query": {}}, "unsupported protocol version"),
+        ({"version": 3, "query": {}}, "declares protocol version 3"),
         ({"version": 2}, "no 'query' object"),
         ({"version": 2, "query": {"query_type": "subgraph"}}, "no 'graph'"),
         ({"version": 2, "query": {"graph": {"vertices": []}},
           "request_id": ["no"]}, "request_id"),
-        ({}, "no 'graph'"),
-        ({"graph": {"vertices": [[0, "A"]], "edges": []},
-          "query_type": "sideways"}, "unknown query type"),
-        ({"graph": {"vertices": [[0, "A"]], "edges": []},
-          "metadata": "nope"}, "'metadata'"),
+        ({}, "declares no protocol version"),
+        ({"version": 2, "query": {"graph": {"vertices": [[0, "A"]], "edges": []},
+                                  "query_type": "sideways"}}, "unknown query type"),
+        ({"version": 2, "query": {"graph": {"vertices": [[0, "A"]], "edges": []},
+                                  "metadata": "nope"}}, "'metadata'"),
     ])
     def test_malformed_requests_raise_protocol_error(self, payload, message):
         with pytest.raises(ProtocolError, match=message):
@@ -133,48 +119,52 @@ class TestQueryResponse:
         fields.update(overrides)
         return QueryResponse(**fields)
 
-    @pytest.mark.parametrize("version", SUPPORTED_VERSIONS)
-    def test_round_trip(self, version):
-        response = self.make_response(
-            request_id=None if version == 1 else "q-9")
-        wire = json.loads(json.dumps(response.to_wire(version)))
-        assert detect_version(wire) == version
+    def test_round_trip(self):
+        response = self.make_response()
+        wire = json.loads(json.dumps(response.to_wire()))
+        assert wire["version"] == PROTOCOL_VERSION
+        assert set(wire["result"]) == {"answer", "query_id", "query_type", "hits",
+                                       "tests", "stage_seconds", "total_seconds",
+                                       "server"}
+        assert wire["result"]["server"] == {"queue_seconds": 0.004, "batch_size": 4}
         parsed = QueryResponse.from_wire(wire)
         assert parsed == response
 
-    def test_v1_shape_matches_legacy_protocol(self):
-        """The v1 rendering is byte-compatible with the pre-envelope wire."""
-        wire = self.make_response().to_wire(1)
-        assert set(wire) == {"answer", "query_id", "query_type", "hits",
-                             "tests", "stage_seconds", "total_seconds", "server"}
-        assert wire["server"] == {"queue_seconds": 0.004, "batch_size": 4}
-        assert "version" not in wire
-
     def test_parse_response_picks_the_right_envelope(self):
-        ok = parse_response(self.make_response().to_wire(2))
+        ok = parse_response(self.make_response().to_wire())
         assert isinstance(ok, QueryResponse)
         err = parse_response(
-            ErrorEnvelope.from_exception(ServerClosedError("draining")).to_wire(2))
+            ErrorEnvelope.from_exception(ServerClosedError("draining")).to_wire())
         assert isinstance(err, ErrorEnvelope)
         assert err.code == "server-closed"
 
 
 # ---------------------------------------------------------------------- #
-# negotiation
+# the one wire version
 # ---------------------------------------------------------------------- #
-class TestNegotiation:
-    def test_picks_highest_common(self):
-        assert negotiate_version([1, 2]) == PROTOCOL_VERSION
-        assert negotiate_version([1]) == 1
-        assert negotiate_version([1, 2, 99]) == 2
+class TestOneVersion:
+    def test_a_declared_v2_payload_passes_through(self):
+        payload = {"version": 2, "query": {}}
+        assert require_version(payload) is payload
 
-    def test_no_common_version_raises(self):
-        with pytest.raises(ProtocolError, match="no common protocol version"):
-            negotiate_version([99])
+    @pytest.mark.parametrize("declared", [None, 1, "2", True, 2.0, 3],
+                             ids=repr)
+    def test_anything_else_names_the_version_spoken(self, declared):
+        payload = {"graph": {}} if declared is None else {"version": declared}
+        with pytest.raises(ProtocolError, match="version 2 is the only one spoken"):
+            require_version(payload)
 
-    def test_detect_version_defaults_to_v1(self):
-        assert detect_version({"graph": {}}) == 1
-        assert detect_version({"version": 2, "query": {}}) == 2
+    def test_every_reader_checks_it(self):
+        """No reader accepts a legacy flat (v1-shaped) payload."""
+        flat_request = {"graph": small_graph().to_dict(), "query_type": "subgraph"}
+        flat_response = {"answer": [1], "query_id": 1}
+        flat_error = {"error": "queue full", "queue_depth": 4}
+        for reader, payload in ((parse_request, flat_request),
+                                (QueryResponse.from_wire, flat_response),
+                                (ErrorEnvelope.from_wire, flat_error),
+                                (parse_response, flat_error)):
+            with pytest.raises(ProtocolError, match="declares no protocol version"):
+                reader(payload)
 
 
 # ---------------------------------------------------------------------- #
@@ -229,32 +219,15 @@ class TestTaxonomy:
         assert envelope.details["shard"] == 3
         assert envelope.details["queue_depth"] == 16
 
-        for version in SUPPORTED_VERSIONS:
-            wire = json.loads(json.dumps(envelope.to_wire(version)))
-            parsed = ErrorEnvelope.from_wire(wire, http_status=429)
-            rebuilt = parsed.to_exception()
-            assert isinstance(rebuilt, AdmissionRejectedError)
-            assert rebuilt.shard == 3
-            assert rebuilt.queue_depth == 16
-            assert rebuilt.estimated_cost_seconds == pytest.approx(0.02)
-            assert str(rebuilt) == str(original)
-
-    def test_v1_errors_recover_taxonomy_retryability(self):
-        """A v1 wire error (bare message) must give the same retry advice as
-        v2: backpressure/draining/timeout are retryable on both wires."""
-        for status, expected in ((429, True), (503, True), (504, True),
-                                 (400, False), (500, False)):
-            envelope = ErrorEnvelope.from_wire({"error": "x"}, http_status=status)
-            assert envelope.retryable is expected, (status, envelope.code)
-
-    def test_v1_error_shape_is_legacy_compatible(self):
-        wire = ErrorEnvelope.from_exception(
-            AdmissionRejectedError(4, shard=1, estimated_cost_seconds=0.5)
-        ).to_wire(1)
-        assert set(wire) == {"error", "queue_depth", "shard",
-                             "estimated_cost_seconds"}
-        plain = ErrorEnvelope.from_exception(ProtocolError("bad")).to_wire(1)
-        assert plain == {"error": "bad"}
+        wire = json.loads(json.dumps(envelope.to_wire()))
+        parsed = ErrorEnvelope.from_wire(wire, http_status=429)
+        assert parsed == envelope
+        rebuilt = parsed.to_exception()
+        assert isinstance(rebuilt, AdmissionRejectedError)
+        assert rebuilt.shard == 3
+        assert rebuilt.queue_depth == 16
+        assert rebuilt.estimated_cost_seconds == pytest.approx(0.02)
+        assert str(rebuilt) == str(original)
 
     def test_every_code_reconstructs_its_class(self):
         for rule in ERROR_TABLE:
@@ -325,19 +298,17 @@ def wire_graphs(draw) -> Graph:
 @given(graph=wire_graphs(),
        query_type=st.sampled_from(list(QueryType)),
        metadata=st.dictionaries(st.text(max_size=6), json_values, max_size=4),
-       request_id=st.one_of(st.none(), st.integers(0, 999), st.text(min_size=1, max_size=8)),
-       version=st.sampled_from(SUPPORTED_VERSIONS))
+       request_id=st.one_of(st.none(), st.integers(0, 999), st.text(min_size=1, max_size=8)))
 def test_request_envelope_serialisation_round_trips(graph, query_type, metadata,
-                                                    request_id, version):
+                                                    request_id):
     request = QueryRequest(graph=graph, query_type=query_type,
                            metadata=metadata, request_id=request_id)
-    wire = json.loads(json.dumps(request.to_wire(version)))  # must be JSON-safe
-    parsed, parsed_version = parse_request(wire)
-    assert parsed_version == version
+    wire = json.loads(json.dumps(request.to_wire()))  # must be JSON-safe
+    parsed = parse_request(wire)
     assert parsed.graph.to_dict() == graph.to_dict()
     assert parsed.query_type is query_type
     assert parsed.metadata == metadata
-    assert parsed.request_id == (request_id if version >= 2 else None)
+    assert parsed.request_id == request_id
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -350,15 +321,14 @@ def test_request_envelope_serialisation_round_trips(graph, query_type, metadata,
                                     "probe": st.integers(0, 99)}),
        stage_seconds=st.dictionaries(st.sampled_from(["filter", "probe", "verify"]),
                                      st.floats(0, 1, allow_nan=False), max_size=3),
-       total=st.floats(0, 10, allow_nan=False),
-       version=st.sampled_from(SUPPORTED_VERSIONS))
+       total=st.floats(0, 10, allow_nan=False))
 def test_response_envelope_serialisation_round_trips(answer, hits, tests,
-                                                     stage_seconds, total, version):
+                                                     stage_seconds, total):
     response = QueryResponse(
         answer=frozenset(answer), query_id=1, query_type=QueryType.SUBGRAPH,
         hits=hits, tests=tests, stage_seconds=stage_seconds, total_seconds=total,
     )
-    wire = json.loads(json.dumps(response.to_wire(version)))
+    wire = json.loads(json.dumps(response.to_wire()))
     parsed = QueryResponse.from_wire(wire)
     assert parsed.answer == frozenset(answer)
     assert parsed.hits == hits and parsed.tests == tests

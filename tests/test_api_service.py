@@ -5,20 +5,16 @@ The service boundary's contract, checked per backend:
 * :class:`LocalGraphService` answers exactly what the underlying system
   answers (including through ``run_batch``), and only closes a system it
   built itself;
-* :class:`RemoteGraphService` negotiates v2, raises the *same* typed
-  exceptions an in-process system raises (reconstructed from the wire
-  taxonomy — a backpressure 429 arrives as ``AdmissionRejectedError`` with
-  its attributes, not as parsed message text), and interoperates with a
-  v1-only server (negotiation falls back on a missing ``/protocol``);
+* :class:`RemoteGraphService` raises the *same* typed exceptions an
+  in-process system raises (reconstructed from the wire taxonomy — a
+  backpressure 429 arrives as ``AdmissionRejectedError`` with its
+  attributes, not as parsed message text), and a payload in any other wire
+  version is refused with a typed 400;
 * server-side trace recording captures the offered stream as a replayable
   :class:`Workload` whose replay returns the same answers.
 """
 
 from __future__ import annotations
-
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -101,12 +97,11 @@ class TestLocalGraphService:
 
 
 class TestRemoteGraphService:
-    def test_negotiates_v2_and_matches_local(self, dataset, trace):
+    def test_matches_local(self, dataset, trace):
         with LocalGraphService(dataset, config()) as local:
             expected = [local.run(clone(q)).answer for q in trace]
         with QueryServer(dataset, config(), max_queue_depth=256) as server:
             client = RemoteGraphService.for_server(server)
-            assert client.protocol_version == 2
             got = [client.run(clone(q)).answer for q in trace]
             assert got == expected
             # the typed surface rides along
@@ -114,25 +109,25 @@ class TestRemoteGraphService:
             assert response.batch_size >= 1 and response.queue_seconds is not None
             assert client.health()["status"] == "ok"
             assert client.metrics().aggregate["num_queries"] == len(trace) + 1
-            assert client.stats()["server"]["protocol_versions"] == [1, 2]
 
-    def test_pinned_v1_against_v2_server(self, dataset, trace):
-        """The auto-upgrade path: a v1 client is answered in v1 shapes."""
+    def test_a_v1_shaped_payload_is_a_typed_400(self, dataset, trace):
+        """No auto-upgrade: the flat pre-envelope shape is malformed input."""
         with QueryServer(dataset, config(), max_queue_depth=64) as server:
-            client = RemoteGraphService.for_server(server, protocol_version=1)
-            status, payload = client.send(clone(trace[0]))
-            assert status == 200
-            assert "version" not in payload and "answer" in payload
-            response = client.run(clone(trace[0]))
-            assert response.answer == frozenset(payload["answer"])
+            client = RemoteGraphService.for_server(server)
+            flat = clone(trace[0]).to_wire()["query"]  # graph at top level
+            status, payload = client.request("POST", "/query", flat)
+            assert status == 400 and payload["version"] == 2
+            assert payload["error"]["code"] == "protocol"
+            assert "version 2 is the only one spoken" in payload["error"]["message"]
+            assert client.metrics().aggregate["num_queries"] == 0
 
     def test_remote_errors_are_typed(self, dataset):
         with QueryServer(dataset, config(), max_queue_depth=64) as server:
             client = RemoteGraphService.for_server(server)
             with pytest.raises(ProtocolError):
                 client.run("not a graph")  # rejected client-side by as_request
-            status, payload = client._request("POST", "/query",
-                                              {"version": 2, "query": {}})
+            status, payload = client.request("POST", "/query",
+                                             {"version": 2, "query": {}})
             assert status == 400
             assert payload["error"]["code"] == "protocol"
 
@@ -150,59 +145,6 @@ class TestRemoteGraphService:
                 assert isinstance(exc, AdmissionRejectedError)
                 assert exc.queue_depth >= 1
 
-    def test_unsupported_pin_rejected(self):
-        with pytest.raises(ProtocolError):
-            RemoteGraphService("localhost", 1, protocol_version=99)
-
-
-class TestV1OnlyServerFallback:
-    """Negotiation against a server predating ``/protocol``."""
-
-    @pytest.fixture()
-    def v1_server(self, dataset):
-        inner = QueryServer(dataset, config(), max_queue_depth=64).start()
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-
-            def do_GET(self) -> None:  # no /protocol endpoint at all
-                self._reply(404, {"error": "unknown path"})
-
-            def do_POST(self) -> None:
-                length = int(self.headers.get("Content-Length", "0"))
-                raw = self.rfile.read(length)
-                status, body = inner.serve_query(json.loads(raw or b"{}"))
-                self._reply(status, body)
-
-            def _reply(self, status, payload) -> None:
-                body = json.dumps(payload).encode()
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args) -> None:  # noqa: A002
-                pass
-
-        shim = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        thread = threading.Thread(target=shim.serve_forever, daemon=True)
-        thread.start()
-        try:
-            yield shim.server_address
-        finally:
-            shim.shutdown()
-            thread.join()
-            shim.server_close()
-            inner.stop()
-
-    def test_falls_back_to_v1(self, v1_server, dataset):
-        host, port = v1_server
-        client = RemoteGraphService(host, port)
-        assert client.protocol_version == 1
-        response = client.run(QueryRequest(graph=dataset[0].copy()))
-        assert dataset[0].graph_id in response.answer
-
 
 class TestTraceRecording:
     def test_recorded_stream_replays_identically(self, dataset, trace, tmp_path):
@@ -217,7 +159,6 @@ class TestTraceRecording:
         assert len(recorded) == len(trace)
         assert recorded.name == "live-traffic"
         assert recorded.metadata["recorded"] is True
-        assert recorded.metadata["protocol_version"] == 2
         # the recording preserves order and semantics of the offered stream
         assert [q.query_type for q in recorded] == [q.query_type for q in trace]
 
@@ -251,7 +192,7 @@ class TestTraceRecording:
             with pytest.raises(ServerError, match="409"):
                 client.stop_recording()
             client.start_recording()
-            status, payload = client._request("POST", "/record/start", {})
+            status, payload = client.request("POST", "/record/start", {})
             assert status == 409
             assert payload["error"]["code"] == "recording-state"
             client.stop_recording()
@@ -281,17 +222,16 @@ class TestTraceRecording:
         assert "persist_error" in recorded.metadata
         assert not bad_path.exists()
 
-    def test_explicit_v1_version_gets_v1_error_shape(self, dataset):
-        """A payload declaring "version": 1 is a v1 speaker: its errors must
-        be the legacy flat shape (message string), not a v2 envelope."""
+    def test_explicit_v1_version_gets_the_one_error_shape(self, dataset):
+        """A payload declaring "version": 1 is answered like any malformed
+        input: the typed error envelope, naming the version spoken."""
         with QueryServer(dataset, config(), max_queue_depth=64) as server:
             client = RemoteGraphService.for_server(server)
-            status, payload = client._request("POST", "/query", {"version": 1})
-            assert status == 400
-            assert isinstance(payload["error"], str)
-            status, payload = client._request("POST", "/query", {"version": 2})
-            assert status == 400
-            assert isinstance(payload["error"], dict)  # v2 speakers get envelopes
+            for declared in ({"version": 1}, {"version": 2}):
+                status, payload = client.request("POST", "/query", declared)
+                assert status == 400
+                assert payload["version"] == 2
+                assert payload["error"]["code"] == "protocol"
 
     def test_recorder_direct_state_machine(self):
         from repro.api.recording import TraceRecorder

@@ -127,11 +127,11 @@ class TestServeCommand:
         dataset = molecule_dataset(10, min_vertices=7, max_vertices=12, rng=2018)
         with QueryServer(dataset, GCConfig(cache_capacity=8, window_size=2),
                          snapshot_path=snapshot) as server:
-            from repro.workload import QueryServerClient
+            from repro.api import RemoteGraphService
 
-            client = QueryServerClient.for_server(server)
+            client = RemoteGraphService.for_server(server)
             for graph in dataset[:6]:
-                client.run_query(graph.copy())
+                client.run(graph.copy())
         assert snapshot.exists()
         code = main([
             "serve", "--dataset-size", "10", "--port", "0", "--duration", "0.1",

@@ -12,16 +12,23 @@ and worker processes).  This file pins that rule:
       in the statistics records;
 (iii) the batch entry point (``run_batch``) answers identically on all three
       shard surfaces, and unsharded it *is* the sequential trajectory;
-(iv)  the removed knobs fail loudly instead of being ignored.
+(iv)  the removed knobs fail loudly instead of being ignored;
+(v)   a process-shard coordinator adds nothing to that: its hop to a worker is
+      a blocking call on the scatter slot that needs the answer, so it runs no
+      thread but the ``gc-shard*`` slots, creates no event loop, fetches one
+      ``/describe`` per shard per metrics row, and leaves no socket behind a
+      worker it retired (respawn) or stopped (``close()``).
 """
 
 from __future__ import annotations
 
+import asyncio
+import os
 import threading
 
 import pytest
 
-from repro.api import LocalGraphService
+from repro.api import LocalGraphService, MetricsSnapshot, RemoteGraphService
 from repro.graph import molecule_dataset
 from repro.isomorphism.vf2 import VF2Matcher
 from repro.methods import DirectSIMethod
@@ -29,7 +36,7 @@ from repro.query_model import Query
 from repro.runtime import GCConfig, GraphCacheSystem
 from repro.server import QueryServer, RequestBatcher
 from repro.sharding import ShardedGraphCacheSystem
-from repro.workload import QueryServerClient, generate_trace, replay_trace
+from repro.workload import generate_trace, replay_trace
 
 #: Thread names of the pools this repository used to run (an executor names
 #: its threads ``<prefix>_<n>``; ``gc-query-server`` is the HTTP accept loop).
@@ -99,7 +106,7 @@ class TestNoPoolInsideOneProcess:
         trace = generate_trace(dataset, 50, skew="zipfian", query_type="mixed", seed=14)
         with QueryServer(dataset, config(), method=DirectSIMethod(verifier=matcher),
                          max_batch_size=4, max_queue_depth=256) as server:
-            result = replay_trace(QueryServerClient.for_server(server), trace,
+            result = replay_trace(RemoteGraphService.for_server(server), trace,
                                   num_threads=4)
             assert result.served == 50
             assert server.batcher.stats().largest_batch > 1
@@ -166,6 +173,84 @@ class TestOneBatchEntryPoint:
                 shard.run_batch = recording
             system.run_batch(clones(trace))
         assert sorted(shares) == [(0, len(trace)), (1, len(trace))]
+
+
+def socket_inodes() -> set[str]:
+    """Inode of every socket this process holds open (``/proc/self/fd``)."""
+    inodes = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # the listing's own descriptor, closed by now
+            continue
+        if target.startswith("socket:["):
+            inodes.add(target[len("socket:["):-1])
+    return inodes
+
+
+def sockets_to(port: int) -> int:
+    """How many of this process's TCP sockets are connected to ``port``."""
+    mine = socket_inodes()
+    with open("/proc/net/tcp", encoding="ascii") as table:
+        rows = [line.split() for line in table.readlines()[1:]]
+    return sum(1 for row in rows
+               if int(row[2].rsplit(":", 1)[1], 16) == port and row[9] in mine)
+
+
+class TestProcessShardCoordinatorCensus:
+    def process_system(self, dataset, **overrides):
+        return ShardedGraphCacheSystem(
+            dataset, config(num_shards=2, shard_backend="process", **overrides))
+
+    def test_only_the_scatter_slots_run_and_describe_is_fetched_once(
+            self, dataset, trace, monkeypatch):
+        loops = []
+        loop_init = asyncio.BaseEventLoop.__init__
+        monkeypatch.setattr(asyncio.BaseEventLoop, "__init__",
+                            lambda self: (loops.append(self), loop_init(self))[1])
+        before = set(threading.enumerate())
+        with self.process_system(dataset) as system:
+            system.run_batch(clones(trace))
+            started = sorted(thread.name
+                             for thread in set(threading.enumerate()) - before)
+            assert 1 <= len(started) <= system.num_shards
+            assert all(name.startswith("gc-shard") for name in started), started
+
+            backend = system._process_backend
+            calls = []
+            describe = backend.describe
+            backend.describe = lambda index: (calls.append(index), describe(index))[1]
+            rows = system.describe_shards()
+            assert sorted(calls) == [0, 1]  # one round trip per shard, not three
+            assert all(row["index_memory_bytes"] > 0 and row["cache"]["population"] > 0
+                       for row in rows)
+            snapshot = MetricsSnapshot.from_system(system)  # what a /metrics scrape does
+            assert sorted(calls) == [0, 0, 1, 1]
+            assert snapshot.shards == rows
+        assert loops == []
+
+    def test_no_socket_outlives_a_stopped_or_retired_worker(self, dataset, trace):
+        baseline = len(socket_inodes())
+        with self.process_system(dataset, scatter_hedge="p95",
+                                 hedge_delay_seconds=1e-6) as system:
+            # every share is hedged at once: primary and hedge attempts hit one
+            # worker from two scatter slots, each on its own connection
+            system.run_batch(clones(trace)[:30])
+            assert system.hedge_stats()["hedges_issued"] > 0
+            system.describe_shards()  # an observability call from a non-pool thread
+            backend = system._process_backend
+            retired = backend._handles[0]
+            assert 1 <= sockets_to(retired.port) <= 4  # ≤ one per scatter slot
+            assert sockets_to(retired.port) + sockets_to(backend._handles[1].port) \
+                == len(socket_inodes()) - baseline
+            retired.process.terminate()
+            retired.process.join(timeout=10)
+            reports = system.run_batch(clones(trace)[30:])
+            assert len(reports) == len(trace) - 30
+            assert backend.respawns_performed == 1
+            assert sockets_to(retired.port) == 0
+            assert sockets_to(backend._handles[0].port) >= 1
+        assert len(socket_inodes()) <= baseline
 
 
 class TestRemovedKnobsFailLoudly:

@@ -27,7 +27,6 @@ from repro.api.remote import RemoteGraphService
 from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
-    ProtocolError,
     WorkloadError,
 )
 from repro.graph import molecule_dataset
@@ -353,20 +352,15 @@ class TestStreamedBatch:
                  for q in trace])]
         assert sorted(seen) == list(range(len(trace)))
 
-    def test_v1_client_cannot_stream(self, dataset):
-        with QueryServer(dataset, GCConfig(cache_capacity=10,
-                                           window_size=5)) as server:
-            client = RemoteGraphService.for_server(server, protocol_version=1)
-            with pytest.raises(ProtocolError):
-                list(client.stream_batch([dataset[0].copy()]))
-
     def test_malformed_batch_payload_is_400(self, dataset):
         with QueryServer(dataset, GCConfig(cache_capacity=10,
                                            window_size=5)) as server:
             client = RemoteGraphService.for_server(server)
-            status, payload = client._request("POST", "/batch", {"queries": []})
+            status, payload = client.request("POST", "/batch",
+                                             {"version": 2, "queries": []})
             assert status == 400
             assert payload["error"]["code"] == "protocol"
+            assert "non-empty list" in payload["error"]["message"]
 
 
 class TestHedgedScatter:

@@ -204,25 +204,16 @@ class TestSpanRecorder:
 
 
 # ---------------------------------------------------------------------- #
-# envelope propagation (v1 auto-upgrade included)
+# envelope propagation
 # ---------------------------------------------------------------------- #
 class TestTraceEnvelopes:
-    def test_v2_round_trip_preserves_context(self, dataset):
+    def test_round_trip_preserves_context(self, dataset):
         context = TraceContext(trace_id=new_trace_id(), span_id=new_span_id())
         request = QueryRequest(graph=dataset[0].copy(), trace=context)
-        wire = request.to_wire(2)
+        wire = request.to_wire()
         assert wire["trace"] == {"trace_id": context.trace_id,
                                  "span_id": context.span_id, "sampled": True}
-        parsed, version = parse_request(wire)
-        assert version == 2
-        assert parsed.trace == context
-
-    def test_v1_wire_never_carries_trace(self, dataset):
-        context = TraceContext(trace_id=new_trace_id(), span_id=new_span_id())
-        request = QueryRequest(graph=dataset[0].copy(), trace=context)
-        assert "trace" not in request.to_wire(1)
-        parsed, version = parse_request(request.to_wire(1))
-        assert version == 1 and parsed.trace is None
+        assert parse_request(wire).trace == context
 
     def test_to_query_stamps_and_from_query_lifts_the_carrier(self, dataset):
         context = TraceContext(trace_id=new_trace_id(), span_id=new_span_id())
@@ -232,7 +223,7 @@ class TestTraceEnvelopes:
         lifted = QueryRequest.from_query(query)
         assert lifted.trace == context
         # the carrier never leaks back into wire metadata
-        assert TRACE_KEY not in (lifted.to_wire(2).get("metadata") or {})
+        assert TRACE_KEY not in lifted.to_wire()["query"]["metadata"]
 
 
 # ---------------------------------------------------------------------- #
@@ -263,16 +254,16 @@ class TestServedTracing:
         stage_names = {s["name"] for s in pipelines[0]["children"]}
         assert {"filter", "verify", "admit"} <= stage_names
 
-    def test_v1_client_sees_no_trace_fields_server_still_traces(self, dataset):
+    def test_untracing_client_gets_a_server_originated_trace(self, dataset):
         get_recorder().reset()
         cfg = config(trace_sample_rate=1.0)
         with QueryServer(dataset, cfg) as server:
-            client = RemoteGraphService.for_server(server, protocol_version=1)
+            client = RemoteGraphService.for_server(server)  # samples nothing
             status, payload = client.send(_query(dataset))
             assert status == 200
-            assert "trace" not in payload  # v1 shape: purely legacy fields
             recent = server.span_recorder.recent(1)
-        assert len(recent) == 1  # ...but the server traced it internally
+        assert len(recent) == 1  # the server traced it on its own
+        assert payload["trace"] == {"trace_id": recent[0]["trace_id"]}
         root = recent[0]["roots"][0]
         assert root["name"] == "server.request"
         assert root["parent_span_id"] is None  # server-originated: a true root

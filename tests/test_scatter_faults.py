@@ -17,6 +17,7 @@ from collections import Counter
 
 import pytest
 
+from repro.api import RemoteGraphService
 from repro.errors import AdmissionRejectedError
 from repro.graph import label_clustered_dataset, molecule_dataset
 from repro.graph.graph import Graph
@@ -29,7 +30,7 @@ from repro.runtime.config import GCConfig
 from repro.server import QueryServer
 from repro.server.batcher import RequestBatcher
 from repro.sharding import ShardedGraphCacheSystem
-from repro.workload import QueryServerClient, generate_trace, replay_trace
+from repro.workload import generate_trace, replay_trace
 
 
 @pytest.fixture(scope="module")
@@ -105,13 +106,12 @@ class TestSummaryFaults:
         with QueryServer(dataset, config, max_batch_size=2,
                          max_queue_depth=256) as server:
             server.system.summaries[0].mark_stale()
-            client = QueryServerClient.for_server(server)
+            client = RemoteGraphService.for_server(server)
             result = replay_trace(client, generate_trace(
                 dataset, 10, skew="uniform", query_type="mixed", seed=3),
                 num_threads=2)
             assert result.served == 10
-            metrics = client.metrics()
-            scatter = metrics["scatter"]
+            scatter = client.metrics().scatter
             assert scatter["mode"] == "short-circuit"
             assert scatter["stats"]["summary_fallbacks"] >= 10
             assert scatter["summaries"][0]["usable"] is False

@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.api import QueryRequest, RemoteGraphService, parse_request
 from repro.errors import AdmissionRejectedError, ServerClosedError
 from repro.graph import molecule_dataset
 from repro.graph.graph import Graph
@@ -25,8 +26,7 @@ from repro.methods import DirectSIMethod
 from repro.query_model import Query, QueryType
 from repro.runtime import GCConfig, GraphCacheSystem
 from repro.server import QueryServer, RequestBatcher
-from repro.server.protocol import query_from_payload, query_to_payload
-from repro.workload import QueryServerClient, generate_trace, replay_trace
+from repro.workload import generate_trace, replay_trace
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +69,7 @@ class TestEndToEndEquivalence:
     def test_server_replay_matches_in_process(self, dataset, trace, reference_answers):
         config = GCConfig(cache_capacity=25, window_size=5)
         with QueryServer(dataset, config, max_batch_size=4, max_queue_depth=256) as server:
-            client = QueryServerClient.for_server(server)
+            client = RemoteGraphService.for_server(server)
             result = replay_trace(client, trace, num_threads=4)
         assert result.served == len(trace)
         assert result.rejected == 0 and result.errors == 0
@@ -81,13 +81,12 @@ class TestEndToEndEquivalence:
 
     def test_single_query_roundtrip(self, dataset):
         with QueryServer(dataset, GCConfig(cache_capacity=10, window_size=5)) as server:
-            client = QueryServerClient.for_server(server)
-            payload = client.run_query(dataset[0].copy(), "subgraph")
-        answer = set(payload["answer"])
-        assert dataset[0].graph_id in answer
-        assert payload["query_type"] == "subgraph"
-        assert payload["stage_seconds"]  # per-stage latency is reported
-        assert payload["server"]["batch_size"] >= 1
+            client = RemoteGraphService.for_server(server)
+            response = client.run(dataset[0].copy(), "subgraph")
+        assert dataset[0].graph_id in response.answer
+        assert response.query_type is QueryType.SUBGRAPH
+        assert response.stage_seconds  # per-stage latency is reported
+        assert response.batch_size >= 1
 
 
 class TestAdmissionControl:
@@ -101,7 +100,7 @@ class TestAdmissionControl:
             max_queue_depth=1,
         ) as server:
             trace = generate_trace(dataset, 24, skew="uniform", seed=5)
-            client = QueryServerClient.for_server(server)
+            client = RemoteGraphService.for_server(server)
             result = replay_trace(client, trace, num_threads=8)
         assert result.rejected > 0
         assert result.errors == 0
@@ -115,7 +114,7 @@ class TestAdmissionControl:
         with QueryServer(dataset, method=method, max_batch_size=2,
                          max_queue_depth=2) as server:
             trace = generate_trace(dataset, 20, skew="uniform", seed=6)
-            client = QueryServerClient.for_server(server)
+            client = RemoteGraphService.for_server(server)
             result = replay_trace(client, trace, num_threads=6)
         assert result.served + result.rejected == len(trace)
 
@@ -180,10 +179,10 @@ class TestBatcher:
 class TestObservabilityEndpoints:
     def test_metrics_snapshot(self, dataset):
         with QueryServer(dataset, GCConfig(cache_capacity=10, window_size=5)) as server:
-            client = QueryServerClient.for_server(server)
+            client = RemoteGraphService.for_server(server)
             for graph in dataset[:6]:
-                client.run_query(graph.copy(), "subgraph")
-            metrics = client.metrics()
+                client.run(graph.copy(), "subgraph")
+            metrics = client.metrics().to_wire()
         statistics = metrics["statistics"]
         assert statistics["num_queries"] == 6
         assert 0.0 <= statistics["aggregate"]["hit_ratio"] <= 1.0
@@ -194,8 +193,8 @@ class TestObservabilityEndpoints:
 
     def test_stats_counters(self, dataset):
         with QueryServer(dataset, GCConfig(cache_capacity=10, window_size=5)) as server:
-            client = QueryServerClient.for_server(server)
-            client.run_query(dataset[0].copy())
+            client = RemoteGraphService.for_server(server)
+            client.run(dataset[0].copy())
             stats = client.stats()
         assert stats["batcher"]["submitted"] == 1
         assert stats["server"]["uptime_seconds"] >= 0
@@ -204,29 +203,31 @@ class TestObservabilityEndpoints:
 
     def test_malformed_and_unknown_requests(self, dataset):
         with QueryServer(dataset) as server:
-            client = QueryServerClient.for_server(server)
-            status, payload = client._request("POST", "/query", {"not-a-graph": 1})
-            assert status == 400 and "graph" in payload["error"]
-            status, _ = client._request("GET", "/nope")
+            client = RemoteGraphService.for_server(server)
+            status, payload = client.request(
+                "POST", "/query", {"version": 2, "query": {"not-a-graph": 1}})
+            assert status == 400 and "graph" in payload["error"]["message"]
+            status, _ = client.request("GET", "/nope")
             assert status == 404
-            status, _ = client._request("POST", "/nope", {})
+            status, _ = client.request("POST", "/nope", {})
             assert status == 404
-            status, payload = client._request("POST", "/query",
-                                              {"graph": {"vertices": "bogus"}})
-            assert status == 400 and "malformed" in payload["error"]
+            status, payload = client.request(
+                "POST", "/query",
+                {"version": 2, "query": {"graph": {"vertices": "bogus"}}})
+            assert status == 400 and "malformed" in payload["error"]["message"]
 
     def test_concurrent_metrics_while_serving(self, dataset):
         """/metrics stays consistent while queries are in flight."""
         with QueryServer(dataset, GCConfig(cache_capacity=10, window_size=5)) as server:
-            client = QueryServerClient.for_server(server)
+            client = RemoteGraphService.for_server(server)
             trace = generate_trace(dataset, 30, skew="uniform", seed=9)
             errors = []
 
             def poll():
-                poller = QueryServerClient.for_server(server)
+                poller = RemoteGraphService.for_server(server)
                 for _ in range(10):
                     try:
-                        json.dumps(poller.metrics())
+                        json.dumps(poller.metrics().to_wire())
                     except Exception as exc:  # pragma: no cover - failure path
                         errors.append(exc)
                 poller.close()
@@ -245,7 +246,7 @@ class TestSnapshotLifecycle:
         trace = generate_trace(dataset, 40, skew="zipfian", seed=21)
         config = GCConfig(cache_capacity=15, window_size=5)
         with QueryServer(dataset, config, snapshot_path=snapshot) as server:
-            client = QueryServerClient.for_server(server)
+            client = RemoteGraphService.for_server(server)
             replay_trace(client, trace, num_threads=2)
             population = len(server.system.cache)
         assert snapshot.exists()
@@ -255,14 +256,14 @@ class TestSnapshotLifecycle:
             assert restarted.restored_entries == population
             assert len(restarted.system.cache) == population
             # a warm-started server answers correctly straight away
-            client = QueryServerClient.for_server(restarted)
-            payload = client.run_query(dataset[0].copy(), "subgraph")
-            assert dataset[0].graph_id in set(payload["answer"])
+            client = RemoteGraphService.for_server(restarted)
+            response = client.run(dataset[0].copy(), "subgraph")
+            assert dataset[0].graph_id in response.answer
 
     def test_no_snapshot_path_writes_nothing(self, dataset, tmp_path):
         with QueryServer(dataset) as server:
-            client = QueryServerClient.for_server(server)
-            client.run_query(dataset[0].copy())
+            client = RemoteGraphService.for_server(server)
+            client.run(dataset[0].copy())
         assert list(tmp_path.iterdir()) == []
 
     def test_corrupt_snapshot_fails_loudly(self, dataset, tmp_path):
@@ -287,10 +288,10 @@ class TestShardedServing:
         config = GCConfig(cache_capacity=25, window_size=5, num_shards=2)
         snapshot = tmp_path / "snap.json"
         with QueryServer(dataset, config, snapshot_path=snapshot) as server:
-            client = QueryServerClient.for_server(server)
+            client = RemoteGraphService.for_server(server)
             for graph in dataset[:6]:
-                client.run_query(graph.copy(), "subgraph")
-            metrics = client.metrics()
+                client.run(graph.copy(), "subgraph")
+            metrics = client.metrics().to_wire()
         statistics = metrics["statistics"]
         assert statistics["num_queries"] == 6
         assert statistics["num_shards"] == 2
@@ -316,8 +317,8 @@ class TestShardedServing:
         snapshot = tmp_path / "snap.json"
         sharded = GCConfig(cache_capacity=25, window_size=5, num_shards=2)
         with QueryServer(dataset, sharded, snapshot_path=snapshot) as server:
-            client = QueryServerClient.for_server(server)
-            client.run_query(dataset[0].copy(), "subgraph")
+            client = RemoteGraphService.for_server(server)
+            client.run(dataset[0].copy(), "subgraph")
         with QueryServer(dataset, GCConfig(cache_capacity=25, window_size=5),
                          snapshot_path=snapshot) as unsharded:
             assert unsharded.restored_entries == 0
@@ -347,7 +348,8 @@ class TestProtocol:
     def test_query_payload_roundtrip(self, dataset):
         query = Query(graph=dataset[3].copy(), query_type=QueryType.SUPERGRAPH,
                       metadata={"mode": "repeat"})
-        rebuilt = query_from_payload(query_to_payload(query))
+        wire = json.loads(json.dumps(QueryRequest.from_query(query).to_wire()))
+        rebuilt = parse_request(wire).to_query()
         assert rebuilt.query_type is QueryType.SUPERGRAPH
         assert rebuilt.metadata == {"mode": "repeat"}
         assert rebuilt.graph.to_dict() == query.graph.to_dict()

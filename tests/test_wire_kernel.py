@@ -2,7 +2,9 @@
 
 * endpoints are route tables behind ``handle`` — driven here without a
   socket, with the *same* malformed inputs against the public server app and
-  the shard-worker app, which must answer identically;
+  the shard-worker app, which must answer identically — including the
+  one-version rule: a ``/query`` or ``/batch`` payload that declares no wire
+  version, or any but 2, is a 400 ``protocol`` error envelope;
 * the two remote clients are transports over one sans-IO core — their public
   surfaces must match, and requests the core builds must be identical;
 * the ``/batch`` body and its NDJSON reply lines round-trip through the core
@@ -59,17 +61,43 @@ def apps(dataset):
 # ---------------------------------------------------------------------- #
 # (a) socket-free endpoint table: both apps, same malformed inputs
 # ---------------------------------------------------------------------- #
-#: (case, method, target, raw body) → expected (status, error-shape)
+#: (case, method, target, raw body) → expected (status, error-shape):
+#: "envelope" is the typed error envelope an app answers a request it could
+#: read; "transport" is the adapter's plain ``{"error": "<message>"}`` for
+#: what never reached an endpoint (undecodable body, unknown route).
 MALFORMED = [
-    ("bad JSON", "POST", "/query", b"{not json", 400, "v1"),
-    ("non-UTF-8 body", "POST", "/query", b"\xff\xfe", 400, "v1"),
-    ("non-object body", "POST", "/query", b"[1, 2, 3]", 400, "v1"),
-    ("undeclared version, no graph", "POST", "/query", b'{"nope": 1}', 400, "v1"),
-    ("declared v2, no query", "POST", "/query", b'{"version": 2}', 400, "v2"),
-    ("unknown path", "GET", "/nope", None, 404, "v1"),
-    ("unknown path (POST)", "POST", "/nope", b"{}", 404, "v1"),
-    ("wrong method on /query", "GET", "/query", None, 404, "v1"),
-    ("wrong method on /protocol", "POST", "/protocol", b"{}", 404, "v1"),
+    ("bad JSON", "POST", "/query", b"{not json", 400, "transport"),
+    ("non-UTF-8 body", "POST", "/query", b"\xff\xfe", 400, "transport"),
+    ("non-object body", "POST", "/query", b"[1, 2, 3]", 400, "envelope"),
+    ("declared v2, no query", "POST", "/query", b'{"version": 2}', 400, "envelope"),
+    ("unknown path", "GET", "/nope", None, 404, "transport"),
+    ("unknown path (POST)", "POST", "/nope", b"{}", 404, "transport"),
+    ("wrong method on /query", "GET", "/query", None, 404, "transport"),
+    ("the retired /protocol", "GET", "/protocol", None, 404, "transport"),
+]
+
+#: One wire version: what a payload may declare instead of ``"version": 2``.
+WRONG_VERSIONS = [
+    ("no version", ""),
+    ("version 1", '"version": 1, '),
+    ('version "2"', '"version": "2", '),
+    ("version true", '"version": true, '),
+    ("version 3", '"version": 3, '),
+]
+#: a payload that is both a v1-shaped flat query and a would-be envelope: only
+#: the version it declares is wrong
+_GRAPH = '"graph": {"vertices": [[0, "C"]], "edges": []}'
+MALFORMED += [
+    (f"/query, {case}", "POST", "/query",
+     f'{{{declared}{_GRAPH}, "query": {{{_GRAPH}}}}}'.encode(), 400, "envelope")
+    for case, declared in WRONG_VERSIONS
+]
+
+#: ``/batch`` exists on the public server only (a worker's share of a batch
+#: is a loop of ``/query`` calls), so its rows run against that app alone.
+BATCH_WRONG_VERSIONS = [
+    (case, f'{{{declared}"queries": [{{"version": 2}}]}}'.encode())
+    for case, declared in WRONG_VERSIONS
 ]
 
 
@@ -77,9 +105,9 @@ def error_shape(body: dict) -> str:
     if isinstance(body.get("error"), dict):
         assert body["version"] == 2
         assert {"code", "message", "http_status", "retryable"} <= set(body["error"])
-        return "v2"
+        return "envelope"
     assert isinstance(body["error"], str)
-    return "v1"
+    return "transport"
 
 
 class TestEndpointTable:
@@ -92,12 +120,24 @@ class TestEndpointTable:
         for name, (got_status, body) in replies.items():
             assert got_status == status, (name, body)
             assert error_shape(body) == shape, (name, body)
+            if shape == "envelope":
+                assert body["error"]["code"] == "protocol", (name, body)
+            if case.startswith("/query, "):
+                assert "version 2 is the only one spoken" in body["error"]["message"]
         assert replies["server"] == replies["worker"]
 
+    @pytest.mark.parametrize("case,raw", BATCH_WRONG_VERSIONS,
+                             ids=[row[0] for row in BATCH_WRONG_VERSIONS])
+    def test_batch_speaks_one_version(self, apps, case, raw):
+        status, body = respond(apps["server"], "POST", "/batch", raw)
+        assert status == 400 and error_shape(body) == "envelope", body
+        assert body["error"]["code"] == "protocol"
+        assert "version 2 is the only one spoken" in body["error"]["message"]
+        assert respond(apps["worker"], "POST", "/batch", raw)[0] == 404
+
     def test_handle_routes_parsed_requests(self, apps, dataset):
-        wire = QueryRequest(graph=dataset[0], request_id="r1").to_wire(2)
+        wire = QueryRequest(graph=dataset[0], request_id="r1").to_wire()
         for app in apps.values():
-            assert app.handle("GET", "/protocol", {}, None)[1]["versions"] == [1, 2]
             status, body = app.handle("POST", "/query", {}, wire)
             assert status == 200 and body["request_id"] == "r1"
             assert dataset[0].graph_id in body["result"]["answer"]
@@ -113,14 +153,15 @@ class TestEndpointTable:
 
     def test_batch_reply_is_a_line_stream(self, apps, dataset):
         payload = {"version": 2, "queries": [
-            QueryRequest(graph=dataset[0]).to_wire(2), {"version": 2}]}
+            QueryRequest(graph=dataset[0]).to_wire(), {"version": 2}, {"nope": 1}]}
         status, lines = apps["server"].handle("POST", "/batch", {}, payload)
         assert status == 200
         by_index = {line["index"]: line for line in lines}
-        assert sorted(by_index) == [0, 1]
+        assert sorted(by_index) == [0, 1, 2]
         assert "result" in by_index[0] and by_index[1]["error"]["code"] == "protocol"
+        assert "declares no protocol version" in by_index[2]["error"]["message"]
         status, body = apps["server"].handle("POST", "/batch", {}, [])
-        assert status == 400 and error_shape(body) == "v2"
+        assert status == 400 and error_shape(body) == "envelope"
 
     def test_worker_admin_routes(self, apps, tmp_path):
         worker = apps["worker"]
@@ -146,9 +187,10 @@ class TestClientParity:
     def test_every_sync_method_exists_on_the_async_client(self):
         sync, aio = public_methods(RemoteGraphService), public_methods(
             AsyncRemoteGraphService)
-        # lifecycle is transport-shaped: close() vs aclose(), and the sync
-        # client's protocol_version property is _protocol_version() awaited
-        missing = set(sync) - set(aio) - {"close"}
+        # lifecycle is transport-shaped: close() / close_all() (a connection
+        # per thread) vs aclose() (one pool)
+        missing = set(sync) - set(aio) - {"close", "close_all"}
+        assert "request" in sync and "request" in aio  # the raw exchange is public
         assert not missing, f"async client lacks {sorted(missing)}"
         for name in sorted(set(sync) & set(aio)):
             expected = list(inspect.signature(sync[name]).parameters)
@@ -159,11 +201,11 @@ class TestClientParity:
     def test_debug_traces_requests_are_identical_and_encoded(self):
         seen: dict[str, list] = {"sync": [], "async": []}
 
-        sync = RemoteGraphService("127.0.0.1", 1, protocol_version=2)
+        sync = RemoteGraphService("127.0.0.1", 1)
         sync._exchange = lambda method, path, body=None: (
             seen["sync"].append((method, path, body)) or (200, b"{}"))
 
-        aio = AsyncRemoteGraphService("127.0.0.1", 1, protocol_version=2)
+        aio = AsyncRemoteGraphService("127.0.0.1", 1)
 
         async def exchange(method, path, body=None):
             seen["async"].append((method, path, body))
@@ -207,7 +249,7 @@ class TestClientCore:
         queries = [QueryRequest(graph=graph, request_id=f"q{i}")
                    for i, graph in enumerate(dataset[:3])]
         queries[1].deadline_seconds = 9.0  # its own deadline must survive
-        body = json.loads(core.batch_body(queries, 2, deadline_seconds=0.5,
+        body = json.loads(core.batch_body(queries, deadline_seconds=0.5,
                                           priority=7))
         assert body["version"] == 2
         assert [q["deadline_seconds"] for q in body["queries"]] == [0.5, 9.0, 0.5]
@@ -218,7 +260,7 @@ class TestClientCore:
         lines = [b"\n"]
         for index in (2, 0):
             wire = QueryResponse(answer=answers[index],
-                                 request_id=f"q{index}").to_wire(2)
+                                 request_id=f"q{index}").to_wire()
             lines.append(json.dumps({"index": index, **wire}).encode() + b"\n")
         pairs = [pair for pair in map(core.batch_line, lines) if pair is not None]
         assert [index for index, _ in pairs] == [2, 0]
@@ -228,21 +270,21 @@ class TestClientCore:
         assert isinstance(result[1], ErrorEnvelope)
         assert "no batch result line for index 1" in result[1].message
 
-    def test_batch_refuses_v1_and_indexless_lines(self, dataset):
-        with pytest.raises(ProtocolError, match="needs protocol v2"):
-            core.batch_body([QueryRequest(graph=dataset[0])], 1)
+    def test_batch_refuses_indexless_and_versionless_lines(self):
         with pytest.raises(ProtocolError, match="without an index"):
             core.batch_line(b'{"version": 2, "result": {"answer": []}}')
+        with pytest.raises(ProtocolError, match="declares no protocol version"):
+            core.batch_line(b'{"index": 0, "answer": []}')
 
-    def test_sampling_originates_a_trace_only_on_v2(self, dataset):
-        client = core.ClientCore(protocol_version=None, trace_sample_rate=1.0)
-        for version, traced in ((1, False), (2, True)):
+    def test_sampling_originates_a_trace(self, dataset):
+        for rate, traced in ((0.0, False), (1.0, True)):
+            client = core.ClientCore(trace_sample_rate=rate)
             request = QueryRequest(graph=dataset[0], query_type=QueryType.SUBGRAPH)
-            with client._client_span(request, version):
+            with client._client_span(request):
                 pass
             assert (request.trace is not None) is traced
         with pytest.raises(ProtocolError):
-            core.ClientCore(protocol_version=7, trace_sample_rate=0.0)
+            core.ClientCore(trace_sample_rate=7.0)
 
 
 # ---------------------------------------------------------------------- #
@@ -252,7 +294,7 @@ def assert_nothing_left_running():
     assert not [child.name for child in multiprocessing.active_children()
                 if child.name.startswith("gc-shard-worker-")]
     assert not [thread.name for thread in threading.enumerate()
-                if thread.name == "gc-procshard-loop"]
+                if "procshard" in thread.name]  # the backend owns no thread
 
 
 class TestSpawnFailure:
