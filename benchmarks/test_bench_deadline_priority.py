@@ -1,47 +1,28 @@
-"""S7 — Deadline shedding & hedged scatter: tail latency under overload.
+"""S7 — Deadline shedding: tail latency under overload.
 
-Two arms of the deadline/priority serving work:
+The same verification-bound zipfian trace is replayed open-loop far above
+server capacity, once without deadlines (every query eventually drains the
+queue, so served tail latency grows with the backlog) and once with a
+per-query deadline and a mixed priority population (80% background
+priority 0, 20% urgent priority 10).  The batcher sheds queued work it
+cannot start in time (504, counted under ``timeouts``) and spends every
+batch slot on the most urgent viable query, so the served tail collapses to
+the deadline bound and the urgent band is shed at most as often as the
+background band.  Answers that *are* served stay identical to an unloaded
+reference replay.
 
-* **Deadline shedding** — the same verification-bound zipfian trace is
-  replayed open-loop far above server capacity, once without deadlines
-  (every query eventually drains the queue, so served tail latency grows
-  with the backlog) and once with a per-query deadline and a mixed priority
-  population (80% background priority 0, 20% urgent priority 10).  The
-  batcher sheds queued work it cannot start in time (504, counted under
-  ``timeouts``) and spends every batch slot on the most urgent viable
-  query, so the served tail collapses to the deadline bound and the urgent
-  band is shed at most as often as the background band.  Answers that *are*
-  served stay identical to an unloaded reference replay.
-
-* **Hedged straggler scatter** — a sharded system whose per-shard
-  verification occasionally spikes (one call in 64 sleeps ~50ms: a GC
-  pause / cold page, deterministic by call count).  With
-  ``scatter_hedge="p95"`` and a fixed hedge delay above the normal
-  per-shard latency, only spiked shard attempts are hedged; the hedge
-  re-runs the sub-batch on a clean call and wins the race, so p95/p99 drop
-  from the spike magnitude to roughly (hedge delay + normal service) while
-  answer sets stay identical to the unhedged run.
-
-Smoke mode (``run_all.py --smoke`` / ``GC_BENCH_SMOKE=1``) shrinks both
-arms for CI perf tracking without changing the scenarios' shape.
+Smoke mode (``run_all.py --smoke`` / ``GC_BENCH_SMOKE=1``) shrinks the
+scenario for CI perf tracking without changing its shape.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-
 import pytest
 
 from repro.api.remote import RemoteGraphService
-from repro.graph.graph import Graph
-from repro.isomorphism.base import MatchResult, SubgraphMatcher
-from repro.isomorphism.vf2 import VF2Matcher
 from repro.methods import DirectSIMethod
-from repro.query_model import Query
 from repro.runtime import GCConfig
 from repro.server import QueryServer
-from repro.sharding.system import ShardedGraphCacheSystem
 from repro.workload import generate_trace, replay_trace
 
 from benchmarks.harness import (
@@ -51,10 +32,8 @@ from benchmarks.harness import (
     smoke_scaled,
     standard_dataset,
     write_json_report,
-    write_report,
 )
 
-# --- deadline arm --------------------------------------------------------- #
 #: Per-test simulated verification latency: high enough that the server is
 #: firmly verification-bound and its capacity is far below the offered load.
 TEST_LATENCY = 0.0015
@@ -62,39 +41,6 @@ DEADLINE_SECONDS = 0.2
 PRIORITY_MIX = [(0, 0.8), (10, 0.2)]
 OVERLOAD_QPS = 1000.0
 OVERLOAD_THREADS = 32
-
-# --- hedge arm ------------------------------------------------------------ #
-#: One shard-verification call in SPIKE_PERIOD sleeps SPIKE_SECONDS — a
-#: deterministic straggler (GC pause, cold page) the hedge should cover.
-SPIKE_PERIOD = 64
-SPIKE_SECONDS = 0.05
-#: Base per-call latency; a normal shard attempt stays well under the hedge
-#: delay, so only spiked attempts are hedged.
-BASE_LATENCY = 0.0003
-HEDGE_DELAY = 0.012
-
-
-class SpikingMatcher(SubgraphMatcher):
-    """VF2 with a deterministic latency spike every ``SPIKE_PERIOD`` calls."""
-
-    name = "vf2+spikes"
-
-    def __init__(self) -> None:
-        self._inner = VF2Matcher()
-        self._calls = 0
-        self._lock = threading.Lock()
-
-    def find_embedding(self, query: Graph, target: Graph) -> MatchResult:
-        with self._lock:
-            spiked = self._calls % SPIKE_PERIOD == 0
-            self._calls += 1
-        time.sleep(SPIKE_SECONDS if spiked else BASE_LATENCY)
-        return self._inner.find_embedding(query, target)
-
-
-def spiking_method():
-    """Per-shard method factory: each shard gets its own spike schedule."""
-    return DirectSIMethod(verifier=SpikingMatcher())
 
 
 @pytest.fixture(scope="module")
@@ -248,100 +194,3 @@ def _subset(result, events):
     view.events = list(events)
     return view
 
-
-def hedge_trace(dataset, length: int):
-    return generate_trace(dataset, length, skew="zipfian",
-                          query_type="mixed", seed=31)
-
-
-def run_hedge_arm(dataset, trace, hedged: bool):
-    """Sequential per-query timing through a (possibly hedged) sharded system."""
-    config = GCConfig(
-        cache_capacity=20, window_size=5, num_shards=2,
-        scatter_hedge="p95" if hedged else "off",
-        hedge_delay_seconds=HEDGE_DELAY if hedged else None,
-    )
-    latencies, answers = [], []
-    with ShardedGraphCacheSystem(dataset, config,
-                                 method_factory=spiking_method) as system:
-        for query in trace:
-            clone = Query(graph=query.graph.copy(), query_type=query.query_type)
-            begun = time.perf_counter()
-            report = system.run_query(clone)
-            latencies.append(time.perf_counter() - begun)
-            answers.append(frozenset(report.answer))
-        stats = system.hedge_stats()
-    return latencies, answers, stats
-
-
-def tail(latencies, fraction: float) -> float:
-    """Nearest-rank percentile of raw latencies."""
-    import math
-
-    ordered = sorted(latencies)
-    rank = min(len(ordered), max(1, math.ceil(len(ordered) * fraction)))
-    return ordered[rank - 1]
-
-
-def test_bench_hedged_straggler(benchmark):
-    """Hedging covers deterministic stragglers without changing answers."""
-    dataset = standard_dataset(smoke_scaled(32, 20), seed=45,
-                               min_vertices=8, max_vertices=14)
-    trace = hedge_trace(dataset, smoke_scaled(60, 24))
-
-    unhedged_lat, unhedged_answers, _ = run_hedge_arm(dataset, trace, hedged=False)
-    hedged_lat, hedged_answers, stats = run_hedge_arm(dataset, trace, hedged=True)
-
-    assert hedged_answers == unhedged_answers, "hedging changed answer sets"
-    assert stats["hedges_issued"] > 0, "no hedges fired against the spikes"
-    assert stats["hedge_wins"] > 0, "no hedge ever beat a spiked primary"
-    win_rate = stats["hedge_wins"] / stats["hedges_issued"]
-
-    rows = []
-    for arm, lats in (("unhedged", unhedged_lat), ("hedged (p95)", hedged_lat)):
-        rows.append({
-            "arm": arm,
-            "queries": len(lats),
-            "mean_ms": round(sum(lats) / len(lats) * 1000.0, 2),
-            "p50_ms": round(tail(lats, 0.50) * 1000.0, 2),
-            "p95_ms": round(tail(lats, 0.95) * 1000.0, 2),
-            "p99_ms": round(tail(lats, 0.99) * 1000.0, 2),
-        })
-    rows[1]["hedges"] = stats["hedges_issued"]
-    rows[1]["win_rate"] = round(win_rate, 3)
-    table = rows_to_report(
-        "S7_hedged_straggler",
-        "S7: Hedged scatter vs deterministic stragglers (2 shards, spiking verifier)",
-        rows,
-        columns=["arm", "queries", "mean_ms", "p50_ms", "p95_ms", "p99_ms",
-                 "hedges", "win_rate"],
-    )
-    print("\n" + table)
-
-    write_json_report("hedged_straggler", {
-        "experiment": "S7_hedged_straggler",
-        "smoke_mode": smoke_mode(),
-        "num_queries": len(trace),
-        "spike_period": SPIKE_PERIOD,
-        "spike_seconds": SPIKE_SECONDS,
-        "hedge_delay_seconds": HEDGE_DELAY,
-        "rows": rows,
-        "hedge_stats": stats,
-    })
-    write_report("S7_hedged_straggler_notes",
-                 "S7 notes: hedging win rate",
-                 f"hedges issued: {stats['hedges_issued']}\n"
-                 f"hedge wins:    {stats['hedge_wins']}\n"
-                 f"win rate:      {win_rate:.3f}\n")
-
-    # acceptance: the hedged tail must not regress, and in this deterministic
-    # straggler regime it should beat the unhedged p99 outright
-    assert tail(hedged_lat, 0.99) <= tail(unhedged_lat, 0.99), (
-        f"hedged p99 {tail(hedged_lat, 0.99)*1000:.1f}ms did not improve on "
-        f"unhedged {tail(unhedged_lat, 0.99)*1000:.1f}ms"
-    )
-
-    benchmark.pedantic(
-        lambda: run_hedge_arm(dataset, trace, hedged=True),
-        rounds=1, iterations=1,
-    )

@@ -9,8 +9,10 @@ inserts, response trace ids).  Answers must stay bit-identical across arms,
 and full sampling must keep >= 95% of the tracing-off served QPS — tracing
 is bookkeeping around the pipeline, never inside the verification loop.
 
-Each arm runs twice and keeps its best QPS, damping scheduler noise the
-same way a single slow CI tick would otherwise fail a 5% bound.
+Each arm runs three times and keeps its best QPS, and the rounds interleave
+the arms (off, 0.1, 1.0, off, ...), so a change in machine load during the
+test hits every arm alike instead of one arm's whole block — scheduler
+noise on a shared host would otherwise fail a 5% bound now and then.
 
 Smoke mode (``run_all.py --smoke`` / ``GC_BENCH_SMOKE=1``) shrinks the trace
 for CI perf tracking without changing the scenario's shape.
@@ -41,7 +43,7 @@ BATCH_SIZE = 4
 TEST_LATENCY = 0.0008
 #: Served QPS at full sampling must stay within 5% of tracing-off.
 MAX_OVERHEAD = 0.05
-ROUNDS_PER_ARM = 2
+ROUNDS_PER_ARM = 3
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +71,8 @@ def serve_traced(dataset, trace, sample_rate: float):
         max_delay_seconds=0.004,
         max_queue_depth=512,
     )
+    # the span recorder is per process: count only this replay's traces
+    server.span_recorder.reset()
     with server:
         client = RemoteGraphService.for_server(server)
         result = replay_trace(client, trace, num_threads=CLIENT_THREADS)
@@ -80,12 +84,10 @@ def test_bench_trace_overhead(benchmark, scenario):
     """Served QPS at sampling 0.0/0.1/1.0; full sampling costs <= 5%."""
     dataset, trace = scenario
 
-    rows = []
     reference_answers = None
-    baseline_qps = None
-    for rate in SAMPLE_RATES:
-        best = None
-        for _ in range(ROUNDS_PER_ARM):
+    best = {}
+    for _ in range(ROUNDS_PER_ARM):
+        for rate in SAMPLE_RATES:
             result, traced = serve_traced(dataset, trace, rate)
             assert result.served == len(trace), (
                 f"dropped queries at rate={rate}: {result.summary()}"
@@ -95,11 +97,14 @@ def test_bench_trace_overhead(benchmark, scenario):
             assert result.answers() == reference_answers, (
                 f"tracing changed answers at rate={rate}"
             )
-            if best is None or result.achieved_qps > best[0].achieved_qps:
-                best = (result, traced)
-        result, traced = best
+            if rate not in best or result.achieved_qps > best[rate][0].achieved_qps:
+                best[rate] = (result, traced)
+
+    rows = []
+    baseline_qps = best[0.0][0].achieved_qps
+    for rate in SAMPLE_RATES:
+        result, traced = best[rate]
         if rate == 0.0:
-            baseline_qps = result.achieved_qps
             assert traced == 0, "tracing off must record no traces"
         tails = result.latency_percentiles()
         rows.append({

@@ -12,7 +12,7 @@ bitset, so intersecting candidate sets is ``&`` and counting is
 The compiled form is derived data.  ``Graph.compiled()`` builds it on first
 use and every ``Graph`` mutator drops it; it is never copied, pickled or
 serialised.  It is immutable apart from its memo slots — everything else the
-system derives from a graph used as a *pattern*: the two match plans, the WL
+system derives from a graph used as a *pattern*: the match plan, the WL
 hash, the invariant and canonical codes and the label-path features.  Each is
 filled by one attribute store of a finished value that no reader mutates, so
 threads sharing a graph can at worst compute the same value twice.
@@ -59,7 +59,7 @@ class CompiledGraph:
 
     __slots__ = (
         "adj_bits", "label_bits", "degree_at_least", "edge_labels", "wl",
-        "invariant", "canonical", "paths", "_plan", "_induced_plan",
+        "invariant", "canonical", "paths", "_plan",
     )
 
     def __init__(
@@ -99,7 +99,6 @@ class CompiledGraph:
         self.canonical: tuple[str | None] | None = None
         self.paths: tuple[int, Counter] | None = None
         self._plan: MatchPlan | None = None
-        self._induced_plan: MatchPlan | None = None
 
     # ------------------------------------------------------------------ #
     # invariants (necessary conditions for "self embeds into host")
@@ -143,16 +142,11 @@ class CompiledGraph:
     # ------------------------------------------------------------------ #
     # pattern side
     # ------------------------------------------------------------------ #
-    def plan(self, induced: bool = False) -> "MatchPlan":
+    def plan(self) -> "MatchPlan":
         """The (memoised) match plan for using this graph as a pattern."""
-        plan = self._induced_plan if induced else self._plan
-        if plan is None:
-            plan = MatchPlan(self, induced)
-            if induced:
-                self._induced_plan = plan
-            else:
-                self._plan = plan
-        return plan
+        if self._plan is None:
+            self._plan = MatchPlan(self)
+        return self._plan
 
 
 def _dense_edge(a: int, b: int) -> tuple[int, int]:
@@ -180,18 +174,15 @@ class MatchPlan:
         look-ahead: a candidate needs that many free neighbours per label;
     ``back_edge_labels``
         ``(position, edge label)`` for labelled pattern edges into placed
-        vertices; ``None`` when the pattern has no labelled edge at all;
-    ``non_back``
-        induced plans only (else ``None``): positions of the placed
-        *non*-neighbours, whose images the candidate must not touch.
+        vertices; ``None`` when the pattern has no labelled edge at all.
     """
 
     __slots__ = (
         "order", "labels", "min_degrees", "back", "forward_needs",
-        "back_edge_labels", "non_back",
+        "back_edge_labels",
     )
 
-    def __init__(self, pattern: CompiledGraph, induced: bool) -> None:
+    def __init__(self, pattern: CompiledGraph) -> None:
         adj = pattern.adj_bits
         label_of: dict[int, Label] = {}
         rarity: dict[int, int] = {}
@@ -216,7 +207,7 @@ class MatchPlan:
             placed |= 1 << chosen
         position_of = {vertex: position for position, vertex in enumerate(order)}
 
-        back, forward_needs, back_edge_labels, non_back = [], [], [], []
+        back, forward_needs, back_edge_labels = [], [], []
         edge_labels = pattern.edge_labels
         for position, vertex in enumerate(order):
             earlier, later = [], {}
@@ -235,10 +226,6 @@ class MatchPlan:
                     for before in earlier
                     if _dense_edge(vertex, order[before]) in edge_labels
                 ))
-            if induced:
-                non_back.append(tuple(
-                    before for before in range(position) if before not in earlier
-                ))
 
         self.order = tuple(order)
         self.labels = tuple(label_of[vertex] for vertex in order)
@@ -246,7 +233,6 @@ class MatchPlan:
         self.back = tuple(back)
         self.forward_needs = tuple(forward_needs)
         self.back_edge_labels = tuple(back_edge_labels) if edge_labels is not None else None
-        self.non_back = tuple(non_back) if induced else None
 
 
 def _set_bits(bits: int):

@@ -1,49 +1,20 @@
-"""Subgraph isomorphism engines (the pluggable "Verifier" of Method M)."""
+"""The subgraph isomorphism engine (the "Verifier" of Method M)."""
 
 from repro.isomorphism.base import (
     MatchResult,
     MatchStats,
     SubgraphMatcher,
-    compatible_labels,
     trivially_impossible,
 )
 from repro.isomorphism.instrumentation import CountingMatcher, VerifierTally
-from repro.isomorphism.networkx_backend import NetworkXMatcher
-from repro.isomorphism.ullmann import UllmannMatcher
 from repro.isomorphism.vf2 import VF2Matcher
-
-#: Registry of verifier constructors by name (used by configuration).
-MATCHERS = {
-    "vf2": VF2Matcher,
-    "ullmann": UllmannMatcher,
-    "networkx": NetworkXMatcher,
-}
-
-
-def make_matcher(name: str, **kwargs) -> SubgraphMatcher:
-    """Instantiate a verifier by registry name."""
-    from repro.errors import ConfigurationError
-
-    try:
-        factory = MATCHERS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown matcher {name!r}; available: {', '.join(sorted(MATCHERS))}"
-        ) from None
-    return factory(**kwargs)
-
 
 __all__ = [
     "MatchResult",
     "MatchStats",
     "SubgraphMatcher",
-    "compatible_labels",
     "trivially_impossible",
     "VF2Matcher",
-    "UllmannMatcher",
-    "NetworkXMatcher",
     "CountingMatcher",
     "VerifierTally",
-    "MATCHERS",
-    "make_matcher",
 ]

@@ -1,9 +1,9 @@
 """Common interfaces for the subgraph isomorphism engines (the "Verifier").
 
 GC treats the sub-iso implementation as a pluggable component of Method M.
-Every engine implements :class:`SubgraphMatcher`; the cache and the query
-runtime only depend on this interface, so alternative verifiers (including
-the networkx cross-check backend) can be swapped in freely.
+The engine implements :class:`SubgraphMatcher`; the cache and the query
+runtime only depend on this interface, so a test or a benchmark can hand
+Method M another verifier (``MethodM(verifier=...)``).
 
 Matching semantics follow the paper: *non-induced* subgraph isomorphism on
 undirected graphs with vertex labels (edge labels are honoured when present
@@ -84,13 +84,8 @@ class SubgraphMatcher(abc.ABC):
         return len(self.find_all_embeddings(query, target, limit=limit))
 
 
-def compatible_labels(query: Graph, target: Graph, q_vertex: VertexId, t_vertex: VertexId) -> bool:
-    """Label compatibility rule shared by every engine."""
-    return query.label(q_vertex) == target.label(t_vertex)
-
-
 def trivially_impossible(query: Graph, target: Graph) -> bool:
-    """Cheap necessary-condition screen shared by every engine.
+    """Cheap necessary-condition screen run before every search.
 
     Returns True when the query certainly cannot embed into the target
     (size, label multiset, or degree bounds are violated).  Reads the graphs'

@@ -70,8 +70,8 @@ class CountingMatcher(SubgraphMatcher):
         self.name = f"counting({inner.name})"
         self.tally = VerifierTally()
         # one matcher is entered from several threads at once (library callers,
-        # a shard worker's HTTP handler threads, a hedged scatter's two
-        # attempts), so tally updates are serialised
+        # two scatter slots serving one thread shard, a shard worker's HTTP
+        # handler threads), so tally updates are serialised
         self._lock = threading.Lock()
 
     def find_embedding(self, query: Graph, target: Graph) -> MatchResult:

@@ -42,17 +42,12 @@ class VF2Matcher(SubgraphMatcher):
         Optional cap on the number of search states; exceeding it raises
         :class:`~repro.errors.BudgetExceededError`.  ``None`` disables the cap
         (queries in this domain are small, so unbounded is the default).
-    induced:
-        When True, matching is *induced*: non-adjacent query vertices must map
-        to non-adjacent target vertices.  The paper's semantics (and the
-        default) is non-induced.
     """
 
     name = "vf2"
 
-    def __init__(self, node_budget: int | None = None, induced: bool = False) -> None:
+    def __init__(self, node_budget: int | None = None) -> None:
         self.node_budget = node_budget
-        self.induced = induced
 
     # ------------------------------------------------------------------ #
     # public API
@@ -61,7 +56,7 @@ class VF2Matcher(SubgraphMatcher):
         """Find one embedding of ``query`` into ``target`` (or report none)."""
         stats = MatchStats()
         with timed(stats):
-            found = _search(query, target, self.induced, self.node_budget, 1, stats)
+            found = _search(query, target, self.node_budget, 1, stats)
         mapping = found[0] if found else None
         return MatchResult(found=mapping is not None, mapping=mapping, stats=stats)
 
@@ -69,13 +64,12 @@ class VF2Matcher(SubgraphMatcher):
         self, query: Graph, target: Graph, limit: int | None = None
     ) -> list[dict[VertexId, VertexId]]:
         """Enumerate (up to ``limit``) embeddings of ``query`` into ``target``."""
-        return _search(query, target, self.induced, self.node_budget, limit, MatchStats())
+        return _search(query, target, self.node_budget, limit, MatchStats())
 
 
 def _search(
     query: Graph,
     target: Graph,
-    induced: bool,
     node_budget: int | None,
     limit: int | None,
     stats: MatchStats,
@@ -91,11 +85,9 @@ def _search(
     # also what keeps the pattern's degrees inside ``degree_at_least``
     if trivially_impossible(query, target):
         return []
-    plan = query.compiled().plan(induced)
+    plan = query.compiled().plan()
     labels, min_degrees, back = plan.labels, plan.min_degrees, plan.back
-    forward_needs, back_edge_labels, non_back = (
-        plan.forward_needs, plan.back_edge_labels, plan.non_back,
-    )
+    forward_needs, back_edge_labels = plan.forward_needs, plan.back_edge_labels
     host = target.compiled()
     adj, label_bits, at_least = host.adj_bits, host.label_bits, host.degree_at_least
     host_edge_labels = host.edge_labels or {}
@@ -165,9 +157,6 @@ def _search(
             candidates = label_bits.get(labels[depth], 0) & at_least[min_degrees[depth]] & ~used
             for position in back[depth]:
                 candidates &= adj[image[position]]
-            if non_back is not None:
-                for position in non_back[depth]:
-                    candidates &= ~adj[image[position]]
     finally:
         stats.states_visited += states
         stats.backtracks += backtracks

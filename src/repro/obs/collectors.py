@@ -42,24 +42,9 @@ def scatter_samples(system) -> Iterator[Sample]:
     """Samples from a sharded system's scatter planner statistics.
 
     The shapes live on :meth:`ScatterStats.metrics_samples` — the planner
-    owns its counters, the registry just scrapes them.  Straggler-hedging
-    counters ride along when the system exposes them.
+    owns its counters, the registry just scrapes them.
     """
     yield from system.planner.stats.metrics_samples()
-    hedge_stats = getattr(system, "hedge_stats", None)
-    if hedge_stats is None:
-        return
-    hedging = hedge_stats()
-    yield Sample("gc_scatter_hedges_total", COUNTER,
-                 float(hedging.get("hedges_issued", 0)),
-                 help="Hedge attempts issued against straggler shards")
-    yield Sample("gc_scatter_hedge_wins_total", COUNTER,
-                 float(hedging.get("hedge_wins", 0)),
-                 help="Hedge attempts that beat the primary shard attempt")
-    delay = hedging.get("delay_seconds")
-    if delay is not None:
-        yield Sample("gc_scatter_hedge_delay_seconds", GAUGE, float(delay),
-                     help="Straggler hedge delay currently in force")
 
 
 def batcher_samples(batcher) -> Iterator[Sample]:

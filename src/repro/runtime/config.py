@@ -1,7 +1,7 @@
 """Configuration of the GC runtime.
 
 A single dataclass gathers every knob of the system — cache capacity, window
-size, replacement policy, verifier, probing limits — so experiments can be
+size, replacement policy, Method M, probing limits — so experiments can be
 described declaratively and reports can serialise the exact configuration
 they ran under.
 """
@@ -39,13 +39,6 @@ SHARD_BACKENDS = ("thread", "process")
 #: backpressures only the hot shard.
 ADMISSION_MODES = ("queue-depth", "cost-based")
 
-#: Straggler hedging of a sharded scatter (:mod:`repro.sharding.system`):
-#: ``off`` waits for every shard's first attempt; ``p95`` re-issues a slow
-#: shard's sub-query once the wait exceeds the rolling 95th percentile of
-#: observed per-shard latencies and takes whichever attempt answers first
-#: (identical answers either way — shards are deterministic).
-HEDGE_MODES = ("off", "p95")
-
 #: Per sub-iso test cost (seconds) assumed before any verification work has
 #: been observed — keeps cold-start cost-based admission permissive but not
 #: free.  Shared by the scatter planner and the request batcher.
@@ -76,7 +69,6 @@ class GCConfig:
     # --- method M -------------------------------------------------------
     method: str = "graphgrep-sx"
     method_options: dict = field(default_factory=dict)
-    verifier: str = "vf2"
 
     # --- maintenance ------------------------------------------------------
     #: When True, window admission and replacement run on a dedicated cache
@@ -110,14 +102,6 @@ class GCConfig:
     #: coordinator surfaces a :class:`~repro.errors.ShardWorkerError`
     #: (process backend only; 0 = never respawn).
     shard_respawn_limit: int = 1
-    #: Straggler hedging of scattered sub-queries: ``off`` or ``p95``
-    #: (re-issue a shard's sub-query once its latency exceeds the rolling
-    #: p95 of per-shard latencies; first answer wins).
-    scatter_hedge: str = "off"
-    #: Fixed hedge delay in seconds, overriding the p95 estimate (mainly for
-    #: tests and benchmarks that need a deterministic trigger); None derives
-    #: the delay from the latency window.
-    hedge_delay_seconds: float | None = None
 
     # --- observability ----------------------------------------------------
     #: Fraction of served queries the server traces end to end (0.0 = off,
@@ -181,13 +165,6 @@ class GCConfig:
             )
         if self.shard_respawn_limit < 0:
             raise ConfigurationError("shard_respawn_limit must be non-negative")
-        if self.scatter_hedge not in HEDGE_MODES:
-            raise ConfigurationError(
-                f"unknown scatter_hedge {self.scatter_hedge!r}; "
-                f"available: {', '.join(HEDGE_MODES)}"
-            )
-        if self.hedge_delay_seconds is not None and self.hedge_delay_seconds <= 0:
-            raise ConfigurationError("hedge_delay_seconds must be positive or None")
         if not (0.0 <= self.trace_sample_rate <= 1.0):
             raise ConfigurationError("trace_sample_rate must be between 0 and 1")
         if self.slow_query_threshold_s <= 0:

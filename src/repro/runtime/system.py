@@ -14,7 +14,6 @@ from repro.cache.graph_cache import GraphCache
 from repro.cache.statistics import AggregateStatistics, QueryRecord, StatisticsManager
 from repro.errors import ConfigurationError
 from repro.graph.graph import Graph
-from repro.isomorphism import make_matcher
 from repro.methods.base import MethodM
 from repro.methods.registry import make_method
 from repro.query_model import Query, QueryType
@@ -39,8 +38,7 @@ class GraphCacheSystem:
             raise ConfigurationError("the dataset must contain at least one graph")
 
         if method is None:
-            verifier = make_matcher(self.config.verifier)
-            method = make_method(self.config.method, verifier=verifier, **self.config.method_options)
+            method = make_method(self.config.method, **self.config.method_options)
         self.method = method
         self.method.build(self.dataset)
 
@@ -51,7 +49,6 @@ class GraphCacheSystem:
                 policy=self.config.replacement_policy,
                 window_size=self.config.window_size,
                 min_tests_to_admit=self.config.min_tests_to_admit,
-                probe_matcher=make_matcher(self.config.verifier),
                 max_sub_hits=self.config.max_sub_hits,
                 max_super_hits=self.config.max_super_hits,
                 enable_sub_case=self.config.enable_sub_case,

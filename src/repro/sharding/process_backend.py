@@ -15,8 +15,8 @@ transport is the stock blocking :class:`~repro.api.remote.RemoteGraphService`,
 called on the thread that needs the answer — the scatter-pool thread running
 that shard's share — so the coordinator owns no thread and no event loop for
 the hop.  Query traffic rides one keep-alive connection per (worker, calling
-thread): a hedge attempt runs on its own scatter slot and therefore on its
-own connection.  Admin and observability calls arrive on whatever thread asks
+thread): two batches scattered at once can reach one worker from two scatter
+slots, each on its own connection.  Admin and observability calls arrive on whatever thread asks
 (an HTTP handler scraping ``/metrics``) and close their connection again.  A
 respawn or :meth:`ProcessShardBackend.close` closes every connection to the
 worker it retires.

@@ -28,13 +28,10 @@ batcher and the workload runner accept it transparently.
 from __future__ import annotations
 
 import json
-import math
 import threading
 import time
-from collections import deque
 from collections.abc import Callable, Iterable
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor
-from concurrent.futures import wait as futures_wait
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro.cache.graph_cache import GraphCache
@@ -43,7 +40,7 @@ from repro.errors import ConfigurationError
 from repro.features.paths import PathFeatureExtractor
 from repro.graph.graph import Graph
 from repro.methods.base import MethodM
-from repro.obs.logs import get_logger, replay_entries
+from repro.obs.logs import replay_entries
 from repro.obs.recorder import get_recorder
 from repro.obs.trace import (
     TRACE_KEY,
@@ -64,28 +61,6 @@ from repro.sharding.summary import ShardSummary
 MERGE_STAGE = "merge"
 
 SNAPSHOT_MANIFEST_VERSION = 1
-
-#: Shard-latency observations needed before a p95 hedge delay is derived;
-#: until then hedging stays dormant (no sensible straggler threshold yet).
-MIN_HEDGE_OBSERVATIONS = 8
-
-logger = get_logger("sharding.system")
-
-
-def _observe_discarded(future) -> None:
-    """Done-callback for a hedge race's losing attempt: keep it observed.
-
-    The loser's answer is identical to the winner's (shards are
-    deterministic), so its result is dropped — but a late *failure* should
-    still leave a trail instead of vanishing with the future.
-    """
-    if future.cancelled():
-        return
-    exc = future.exception()
-    if exc is not None:
-        logger.debug("discarded hedge attempt failed: %s: %s",
-                     type(exc).__name__, exc)
-
 
 def _as_query(query: Query | Graph, query_type: QueryType | str) -> Query:
     if isinstance(query, Query):
@@ -183,21 +158,10 @@ class ShardedGraphCacheSystem:
         for index, shard in enumerate(self.shards):
             if shard.cache is not None:
                 shard.cache.add_content_listener(self._cache_listener(index))
-        #: Straggler hedging: a rolling window of observed per-shard scatter
-        #: latencies feeds a p95 hedge delay; a shard still running past it
-        #: gets its sub-query re-issued, first answer wins.
-        self._hedging = self.config.scatter_hedge != "off"
-        self._latency_window: deque = deque(maxlen=256)
-        self._hedge_lock = threading.Lock()
-        self._hedges_issued = 0
-        self._hedge_wins = 0
         #: Scatter pool: one slot per shard, so every shard of a query (or of
-        #: a batch) executes concurrently with its siblings.  With hedging a
-        #: second slot per shard keeps hedge attempts from queueing behind
-        #: the very primaries they are meant to overtake.
+        #: a batch) executes concurrently with its siblings.
         self._pool = ThreadPoolExecutor(
-            max_workers=self.num_shards * (2 if self._hedging else 1),
-            thread_name_prefix="gc-shard",
+            max_workers=self.num_shards, thread_name_prefix="gc-shard"
         )
         self._closed = False
 
@@ -356,131 +320,9 @@ class ShardedGraphCacheSystem:
                 shard.statistics.observed_test_cost(default=DEFAULT_TEST_COST_SECONDS)
                 for shard in self.shards
             ],
-            "hedging": self.hedge_stats(),
+            # read by benchmarks/gcbench/sut.py::engine_counters
+            "hedging": {"hedges_issued": 0},
         }
-
-    # ------------------------------------------------------------------ #
-    # straggler hedging
-    # ------------------------------------------------------------------ #
-    def hedge_stats(self) -> dict:
-        """Hedging counters + the delay currently in force (for metrics)."""
-        delay = self._hedge_delay()
-        with self._hedge_lock:
-            return {
-                "mode": self.config.scatter_hedge,
-                "delay_seconds": delay,
-                "observed_window": len(self._latency_window),
-                "hedges_issued": self._hedges_issued,
-                "hedge_wins": self._hedge_wins,
-            }
-
-    def _observe_shard_latency(self, seconds: float) -> None:
-        with self._hedge_lock:
-            self._latency_window.append(seconds)
-
-    def _hedge_delay(self) -> float | None:
-        """Seconds to wait before hedging a straggler shard (None = don't).
-
-        A configured ``hedge_delay_seconds`` wins; otherwise the nearest-rank
-        p95 of the rolling per-shard latency window, once the window holds
-        enough observations to mean anything.
-        """
-        if not self._hedging:
-            return None
-        if self.config.hedge_delay_seconds is not None:
-            return self.config.hedge_delay_seconds
-        with self._hedge_lock:
-            if len(self._latency_window) < MIN_HEDGE_OBSERVATIONS:
-                return None
-            window = sorted(self._latency_window)
-        rank = max(0, math.ceil(0.95 * len(window)) - 1)
-        return window[rank]
-
-    def _submit_timed(self, fn, *args):
-        """Submit one shard attempt, feeding its latency into the window."""
-        begun = time.perf_counter()
-        future = self._pool.submit(fn, *args)
-
-        def _observe(done) -> None:
-            if not done.cancelled() and done.exception() is None:
-                self._observe_shard_latency(time.perf_counter() - begun)
-
-        future.add_done_callback(_observe)
-        return future
-
-    @staticmethod
-    def _hedge_clone(query: Query) -> Query:
-        """A fresh Query for a hedge attempt: same pattern, copied metadata.
-
-        Both attempts run concurrently and shard pipelines annotate
-        ``query.metadata`` — sharing one dict between the racing attempts
-        would be a data race, so the hedge gets its own shallow copy (the
-        trace carrier rides along, parenting its pipeline spans correctly).
-        """
-        return Query(graph=query.graph, query_type=query.query_type,
-                     metadata=dict(query.metadata))
-
-    def _gather_hedged(
-        self,
-        futures: dict,
-        resubmit,
-        span_scope: dict | None = None,
-    ) -> dict:
-        """Gather per-shard futures, re-issuing stragglers after the delay.
-
-        ``futures`` maps shard index → primary attempt; ``resubmit(shard)``
-        launches a hedge attempt for that shard.  Whichever attempt finishes
-        first supplies the shard's result (answers are identical — shards
-        are deterministic over their own partitions); should the winner have
-        *failed*, the other attempt is consulted before giving up, so a
-        hedge also masks one transient fault.  Returns shard → result.
-        """
-        delay = self._hedge_delay()
-        laggards: set = set()
-        if delay is not None and futures:
-            _, laggards = futures_wait(set(futures.values()), timeout=delay)
-        hedges: dict[int, tuple] = {}
-        if laggards:
-            primary_of = {future: shard for shard, future in futures.items()}
-            for future in laggards:  # launch every hedge before racing any
-                shard = primary_of[future]
-                hedges[shard] = (resubmit(shard), time.perf_counter())
-            with self._hedge_lock:
-                self._hedges_issued += len(hedges)
-        results: dict = {}
-        hedge_spans: list[Span] = []
-        for shard, primary in futures.items():
-            if shard not in hedges:
-                results[shard] = primary.result()
-                continue
-            hedge, hedge_begun = hedges[shard]
-            futures_wait({primary, hedge}, return_when=FIRST_COMPLETED)
-            # prefer the primary on a tie: its statistics stream is the one
-            # the shard would have produced without hedging
-            winner, loser = ((primary, hedge) if primary.done()
-                             else (hedge, primary))
-            try:
-                results[shard] = winner.result()
-            except Exception:
-                winner, loser = loser, winner
-                results[shard] = winner.result()
-            won = winner is hedge
-            if won:
-                with self._hedge_lock:
-                    self._hedge_wins += 1
-            loser.add_done_callback(_observe_discarded)
-            if span_scope is not None:
-                context = span_scope["context"]
-                hedge_spans.append(Span(
-                    trace_id=context.trace_id, span_id=new_span_id(),
-                    parent_span_id=span_scope["scatter_span_id"],
-                    name="hedge", start=wall_at(hedge_begun),
-                    duration_seconds=time.perf_counter() - hedge_begun,
-                    attributes={"shard": shard, "won": won},
-                ))
-        if hedge_spans:
-            get_recorder().record_many(hedge_spans)
-        return results
 
     # ------------------------------------------------------------------ #
     # query execution (scatter-gather)
@@ -547,24 +389,12 @@ class ShardedGraphCacheSystem:
             for shard in plan.targets:
                 shard_positions[shard].append(position)
         futures = {
-            shard: self._submit_timed(
+            shard: self._pool.submit(
                 run_on_shard, shard, [query_list[position] for position in positions])
             for shard, positions in enumerate(shard_positions)
             if positions
         }
-
-        def resubmit(shard: int):
-            # the hedge re-runs the shard's whole share on cloned queries:
-            # the originals are racing on the primary attempt
-            return self._submit_timed(
-                run_on_shard, shard,
-                [self._hedge_clone(query_list[position])
-                 for position in shard_positions[shard]])
-
-        shard_reports = self._gather_hedged(
-            futures, resubmit,
-            span_scope=next((scope for scope in scopes if scope), None),
-        )
+        shard_reports = {shard: future.result() for shard, future in futures.items()}
         offset_of = [
             {position: offset for offset, position in enumerate(positions)}
             for positions in shard_positions

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 from repro.cache.statistics import AggregateStatistics
 from repro.graph.graph import Graph
-from repro.methods.registry import make_method
-from repro.isomorphism import make_matcher
 from repro.runtime.config import GCConfig
 from repro.runtime.report import QueryReport
 from repro.runtime.system import GraphCacheSystem
@@ -161,10 +159,7 @@ def compare_methods(
             payload["cache_enabled"] = cache_enabled
             payload["method"] = method_name
             payload["method_options"] = method_options.get(method_name, {})
-            cfg = GCConfig.from_dict(payload)
-            verifier = make_matcher(cfg.verifier)
-            method = make_method(method_name, verifier=verifier, **cfg.method_options)
-            with GraphCacheSystem(dataset, cfg, method=method) as system:
+            with GraphCacheSystem(dataset, GCConfig.from_dict(payload)) as system:
                 per_method[label] = run_workload(system, workload)
         results[method_name] = per_method
     return results

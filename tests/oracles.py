@@ -1,15 +1,15 @@
-"""Ullmann's subgraph isomorphism algorithm (baseline verifier).
+"""Reference sub-iso matchers the match kernel is checked against.
 
-A classic matrix-refinement backtracking algorithm.  It is usually slower
-than VF2 on the sparse labelled graphs GC targets, which makes it a useful
-baseline: the GC speedups must hold regardless of the verifier plugged into
-Method M, and the benchmark suite runs both engines.
+The product verifies with one engine, :class:`repro.isomorphism.VF2Matcher`.
+These two are independent implementations of the same non-induced semantics
+(subgraph monomorphism, exact vertex labels, query edge labels honoured),
+kept as test oracles:
 
-The implementation follows the textbook formulation with the standard
-refinement step: a candidate assignment ``q → t`` survives only if every
-neighbour of ``q`` still has at least one candidate among the neighbours of
-``t``.  Matching is non-induced, with exact vertex-label equality and
-optional edge-label constraints, mirroring :class:`VF2Matcher`.
+* :class:`UllmannMatcher` — the textbook matrix-refinement backtracking
+  algorithm: a candidate assignment ``q → t`` survives only if every
+  neighbour of ``q`` still has a candidate among the neighbours of ``t``;
+* :class:`NetworkXMatcher` — a wrapper around networkx's ``GraphMatcher``;
+  it compares vertex labels only and ignores edge labels.
 """
 
 from __future__ import annotations
@@ -65,9 +65,6 @@ class UllmannMatcher(SubgraphMatcher):
         self._search(query, target, order, 0, candidates, {}, stats, results, limit)
         return results
 
-    # ------------------------------------------------------------------ #
-    # internals
-    # ------------------------------------------------------------------ #
     def _initial_candidates(
         self, query: Graph, target: Graph
     ) -> dict[VertexId, set[VertexId]] | None:
@@ -165,3 +162,51 @@ class UllmannMatcher(SubgraphMatcher):
                 if q_edge_label is not None and target.edge_label(t_vertex, t_neighbor) != q_edge_label:
                     return False
         return True
+
+
+class NetworkXMatcher(SubgraphMatcher):
+    """Subgraph monomorphism via networkx's GraphMatcher."""
+
+    name = "networkx"
+
+    @staticmethod
+    def _matcher(query: Graph, target: Graph):
+        import networkx.algorithms.isomorphism as iso
+
+        return iso.GraphMatcher(
+            target.to_networkx(),
+            query.to_networkx(),
+            node_match=iso.categorical_node_match("label", ""),
+        )
+
+    def find_embedding(self, query: Graph, target: Graph) -> MatchResult:
+        """Find one embedding of ``query`` into ``target`` using networkx."""
+        stats = MatchStats()
+        with timed(stats):
+            if query.num_vertices == 0:
+                return MatchResult(found=True, mapping={}, stats=stats)
+            if trivially_impossible(query, target):
+                return MatchResult(found=False, mapping=None, stats=stats)
+            matcher = self._matcher(query, target)
+            # networkx's "monomorphism" is the paper's non-induced semantics
+            found = matcher.subgraph_is_monomorphic()
+            mapping: dict[VertexId, VertexId] | None = None
+            if found:
+                # networkx maps target -> query; invert to query -> target
+                mapping = {q: t for t, q in matcher.mapping.items()}
+        return MatchResult(found=found, mapping=mapping, stats=stats)
+
+    def find_all_embeddings(
+        self, query: Graph, target: Graph, limit: int | None = None
+    ) -> list[dict[VertexId, VertexId]]:
+        """Enumerate embeddings via networkx."""
+        if query.num_vertices == 0:
+            return [{}]
+        if trivially_impossible(query, target):
+            return []
+        results: list[dict[VertexId, VertexId]] = []
+        for mapping in self._matcher(query, target).subgraph_monomorphisms_iter():
+            results.append({q: t for t, q in mapping.items()})
+            if limit is not None and len(results) >= limit:
+                break
+        return results

@@ -6,8 +6,8 @@ and worker processes).  This file pins that rule:
 
 (i)   no verify / query-stream / service pool thread ever exists, every
       sub-iso test runs on the submitting thread (the caller, or the
-      batcher's dispatcher), and thread shards own exactly one pool thread
-      each;
+      batcher's dispatcher), thread shards own exactly one pool thread
+      each, and a shard runs each query planned onto it once;
 (ii)  a batch keeps submission order through the batcher, in the answers and
       in the statistics records;
 (iii) the batch entry point (``run_batch``) answers identically on all three
@@ -37,6 +37,7 @@ from repro.runtime import GCConfig, GraphCacheSystem
 from repro.server import QueryServer, RequestBatcher
 from repro.sharding import ShardedGraphCacheSystem
 from repro.workload import generate_trace, replay_trace
+from tests.differential import run_on_threads
 
 #: Thread names of the pools this repository used to run (an executor names
 #: its threads ``<prefix>_<n>``; ``gc-query-server`` is the HTTP accept loop).
@@ -118,6 +119,22 @@ class TestNoPoolInsideOneProcess:
             system.run_batch(clones(trace)[:50])
             assert len(live_threads(["gc-shard"])) == system.num_shards == 2
             assert live_threads(RETIRED_POOLS) == []
+
+    def test_one_attempt_per_shard_under_concurrent_callers(self, dataset, trace):
+        """Four callers, two shards: each shard runs each query planned onto it
+        exactly once, on a scatter pool of exactly ``num_shards`` slots."""
+        queries = clones(trace)[:40]
+        with ShardedGraphCacheSystem(dataset, config(num_shards=2)) as system:
+            calls = []
+            for index, shard in enumerate(system.shards):
+                def recording(query, *args, _index=index, _run=shard.run_query):
+                    calls.append((_index, query.query_id))
+                    return _run(query, *args)
+                shard.run_query = recording
+            run_on_threads(system, queries, threads=4)
+            assert len(live_threads(["gc-shard"])) == system.num_shards == 2
+        assert sorted(calls) == sorted((shard, query.query_id)
+                                       for query in queries for shard in (0, 1))
 
 
 class TestBatchKeepsSubmissionOrder:
@@ -231,16 +248,15 @@ class TestProcessShardCoordinatorCensus:
 
     def test_no_socket_outlives_a_stopped_or_retired_worker(self, dataset, trace):
         baseline = len(socket_inodes())
-        with self.process_system(dataset, scatter_hedge="p95",
-                                 hedge_delay_seconds=1e-6) as system:
-            # every share is hedged at once: primary and hedge attempts hit one
-            # worker from two scatter slots, each on its own connection
-            system.run_batch(clones(trace)[:30])
-            assert system.hedge_stats()["hedges_issued"] > 0
+        with self.process_system(dataset) as system:
+            # two callers scatter at once: one worker is reached from both
+            # scatter slots, each on its own connection
+            run_on_threads(system, clones(trace)[:30], threads=2)
             system.describe_shards()  # an observability call from a non-pool thread
             backend = system._process_backend
             retired = backend._handles[0]
-            assert 1 <= sockets_to(retired.port) <= 4  # ≤ one per scatter slot
+            # ≤ one per scatter slot
+            assert 1 <= sockets_to(retired.port) <= system.num_shards
             assert sockets_to(retired.port) + sockets_to(backend._handles[1].port) \
                 == len(socket_inodes()) - baseline
             retired.process.terminate()
@@ -254,7 +270,8 @@ class TestProcessShardCoordinatorCensus:
 
 
 class TestRemovedKnobsFailLoudly:
-    @pytest.mark.parametrize("field", ("verify_threads", "max_workers"))
+    @pytest.mark.parametrize("field", ("verify_threads", "max_workers", "scatter_hedge",
+                                       "hedge_delay_seconds", "verifier"))
     def test_config_rejects_the_removed_fields(self, field):
         with pytest.raises(TypeError, match=field):
             GCConfig(**{field: 2})

@@ -1,5 +1,5 @@
 """Deadline- & priority-aware serving: EDF ordering, dead-work shedding,
-streamed batches, hedged scatter.
+streamed batches.
 
 The batcher's admission queue must spend every batch slot on the most
 urgent work still worth doing: higher priority bands first, earliest
@@ -7,9 +7,8 @@ deadline first within a band, FIFO among peers.  Work that went dead while
 queued — deadline expired, or the waiter's request timed out (the old
 zombie-work 504 path) — is *shed* before execution: its future resolves
 with the typed error (or a cancel), its cost reservation is released the
-moment it dies, and both reasons are counted.  Hedged scatter must be
-answer-equivalent to the unhedged plan.  All timing in these tests is
-gated on events, not sleeps racing the dispatcher.
+moment it dies, and both reasons are counted.  All timing in these tests
+is gated on events, not sleeps racing the dispatcher.
 """
 
 from __future__ import annotations
@@ -24,11 +23,7 @@ import pytest
 
 from repro.api.envelopes import QueryRequest, QueryResponse
 from repro.api.remote import RemoteGraphService
-from repro.errors import (
-    ConfigurationError,
-    DeadlineExceededError,
-    WorkloadError,
-)
+from repro.errors import DeadlineExceededError, WorkloadError
 from repro.graph import molecule_dataset
 from repro.graph.graph import Graph
 from repro.isomorphism.base import MatchResult, SubgraphMatcher
@@ -37,13 +32,11 @@ from repro.methods import DirectSIMethod
 from repro.query_model import Query
 from repro.runtime import GCConfig, GraphCacheSystem
 from repro.server import QueryServer, RequestBatcher
-from repro.sharding.system import ShardedGraphCacheSystem
 from repro.workload import (
     generate_trace,
     parse_priority_mix,
     with_serving_fields,
 )
-from tests.differential import run_on_threads
 
 
 @pytest.fixture(scope="module")
@@ -361,63 +354,6 @@ class TestStreamedBatch:
             assert status == 400
             assert payload["error"]["code"] == "protocol"
             assert "non-empty list" in payload["error"]["message"]
-
-
-class TestHedgedScatter:
-    def test_config_rejects_unknown_mode_and_bad_delay(self, dataset):
-        with pytest.raises(ConfigurationError):
-            GCConfig(scatter_hedge="always").validate()
-        with pytest.raises(ConfigurationError):
-            GCConfig(scatter_hedge="p95", hedge_delay_seconds=-0.1).validate()
-
-    def test_hedged_answers_match_unhedged(self, dataset):
-        trace = generate_trace(dataset, 30, skew="zipfian",
-                               query_type="mixed", seed=21)
-        plain = GCConfig(cache_capacity=25, window_size=5, num_shards=2)
-        with ShardedGraphCacheSystem(dataset, plain) as system:
-            clones = [Query(graph=q.graph.copy(), query_type=q.query_type)
-                      for q in trace]
-            reference = [frozenset(r.answer)
-                         for r in run_on_threads(system, clones, threads=4)]
-        hedged = GCConfig(cache_capacity=25, window_size=5, num_shards=2,
-                          scatter_hedge="p95", hedge_delay_seconds=1e-6)
-        with ShardedGraphCacheSystem(dataset, hedged) as system:
-            clones = [Query(graph=q.graph.copy(), query_type=q.query_type)
-                      for q in trace]
-            reports = run_on_threads(system, clones, threads=4)
-            answers = [frozenset(r.answer) for r in reports]
-            stats = system.hedge_stats()
-            metrics = system.scatter_metrics()
-        assert answers == reference
-        # a 1µs delay makes virtually every shard a straggler — hedges fired
-        assert stats["hedges_issued"] > 0
-        assert stats["mode"] == "p95"
-        assert stats["delay_seconds"] == pytest.approx(1e-6)
-        assert metrics["hedging"]["hedges_issued"] == stats["hedges_issued"]
-
-    def test_p95_delay_engages_after_enough_observations(self, dataset):
-        config = GCConfig(cache_capacity=25, window_size=5, num_shards=2,
-                          scatter_hedge="p95")
-        trace = generate_trace(dataset, 12, skew="uniform",
-                               query_type="mixed", seed=9)
-        with ShardedGraphCacheSystem(dataset, config) as system:
-            assert system.hedge_stats()["delay_seconds"] is None  # cold window
-            for query in trace:
-                system.run_query(Query(graph=query.graph.copy(),
-                                       query_type=query.query_type))
-            stats = system.hedge_stats()
-        assert stats["observed_window"] >= 8
-        assert stats["delay_seconds"] is not None
-        assert stats["delay_seconds"] > 0.0
-
-    def test_hedging_off_by_default(self, dataset):
-        config = GCConfig(cache_capacity=10, window_size=5, num_shards=2)
-        with ShardedGraphCacheSystem(dataset, config) as system:
-            system.run_query(dataset[0].copy())
-            stats = system.hedge_stats()
-        assert stats["mode"] == "off"
-        assert stats["delay_seconds"] is None
-        assert stats["hedges_issued"] == 0
 
 
 class TestServingWorkloadHelpers:

@@ -1,20 +1,14 @@
-"""Tests for the networkx-backed matcher and the matcher registry."""
+"""Tests for the networkx oracle and the counting matcher."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.graph import Graph, cycle_graph, molecule_graph, path_graph
 from repro.graph.operations import random_connected_subgraph
-from repro.isomorphism import (
-    MATCHERS,
-    CountingMatcher,
-    NetworkXMatcher,
-    UllmannMatcher,
-    VF2Matcher,
-    make_matcher,
-)
+from repro.isomorphism import CountingMatcher, VF2Matcher
+from repro.runtime import GCConfig
+from tests.oracles import NetworkXMatcher
 
 
 class TestNetworkXMatcher:
@@ -59,21 +53,14 @@ class TestNetworkXMatcher:
 
 
 class TestRegistry:
-    def test_all_registered(self):
-        assert set(MATCHERS) == {"vf2", "ullmann", "networkx"}
-
-    def test_make_matcher(self):
-        assert isinstance(make_matcher("vf2"), VF2Matcher)
-        assert isinstance(make_matcher("ullmann"), UllmannMatcher)
-        assert isinstance(make_matcher("networkx"), NetworkXMatcher)
-
-    def test_make_matcher_kwargs(self):
-        matcher = make_matcher("vf2", node_budget=10)
-        assert matcher.node_budget == 10
-
     def test_unknown_matcher_raises(self):
-        with pytest.raises(ConfigurationError):
-            make_matcher("nope")
+        # No matcher is chosen by name any more: naming one in the config,
+        # known or not, fails loudly instead of silently running VF2.
+        for name in ("nope", "vf2"):
+            with pytest.raises(TypeError, match="verifier"):
+                GCConfig(verifier=name)
+            with pytest.raises(TypeError, match="verifier"):
+                GCConfig.from_dict({**GCConfig().to_dict(), "verifier": name})
 
 
 class TestCountingMatcher:

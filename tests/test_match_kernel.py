@@ -3,8 +3,8 @@
 Three groups:
 
 (a) differential — the kernel behind :class:`VF2Matcher` agrees with networkx
-    (an independent oracle, here with edge-label and induced semantics too)
-    and with :class:`UllmannMatcher` on random pairs that include edge-labelled
+    (an independent oracle, here with edge-label semantics too) and with
+    :class:`tests.oracles.UllmannMatcher` on random pairs that include edge-labelled
     patterns, disconnected patterns, non-integer and mixed vertex ids and
     targets wider than a machine word, and every mapping it returns really is
     an embedding;
@@ -28,9 +28,10 @@ from hypothesis import strategies as st
 
 from repro.graph import Graph, cycle_graph, molecule_dataset, path_graph
 from repro.graph.operations import random_connected_subgraph
-from repro.isomorphism import UllmannMatcher, VF2Matcher
+from repro.isomorphism import VF2Matcher
 from repro.isomorphism.base import MatchStats
 from repro.isomorphism.vf2 import _search
+from tests.oracles import UllmannMatcher
 
 LABELS = ["A", "B"]
 EDGE_LABELS = [None, None, "s", "d"]
@@ -103,7 +104,7 @@ def networkx_matcher(query: Graph, target: Graph) -> iso.GraphMatcher:
     )
 
 
-def assert_embedding(query: Graph, target: Graph, mapping: dict, induced: bool = False) -> None:
+def assert_embedding(query: Graph, target: Graph, mapping: dict) -> None:
     """``mapping`` is a label- and edge-preserving injection query → target."""
     assert set(mapping) == set(query.vertices())
     assert len(set(mapping.values())) == len(mapping)
@@ -115,12 +116,6 @@ def assert_embedding(query: Graph, target: Graph, mapping: dict, induced: bool =
         wanted = query.edge_label(u, v)
         if wanted is not None:
             assert target.edge_label(mapping[u], mapping[v]) == wanted
-    if induced:
-        vertices = query.vertices()
-        for position, u in enumerate(vertices):
-            for v in vertices[position + 1:]:
-                if not query.has_edge(u, v):
-                    assert not target.has_edge(mapping[u], mapping[v])
 
 
 # ---------------------------------------------------------------------- #
@@ -140,15 +135,6 @@ class TestDifferential:
             assert result.mapping is None
 
     @RELAXED
-    @given(pair=graph_pairs())
-    def test_induced_mode_agrees_with_networkx(self, pair):
-        query, target = pair
-        result = VF2Matcher(induced=True).find_embedding(query, target)
-        assert result.found == networkx_matcher(query, target).subgraph_is_isomorphic()
-        if result.found:
-            assert_embedding(query, target, result.mapping, induced=True)
-
-    @RELAXED
     @given(pair=graph_pairs(max_query=4, max_target=7), limit=st.integers(1, 6))
     def test_enumeration_counts_and_limit(self, pair, limit):
         query, target = pair
@@ -162,16 +148,6 @@ class TestDifferential:
         limited = VF2Matcher().find_all_embeddings(query, target, limit=limit)
         assert len(limited) == min(limit, expected)
         assert VF2Matcher().count_embeddings(query, target) == expected
-
-    @RELAXED
-    @given(pair=graph_pairs(max_query=4, max_target=7))
-    def test_induced_enumeration_counts(self, pair):
-        query, target = pair
-        embeddings = VF2Matcher(induced=True).find_all_embeddings(query, target)
-        expected = sum(1 for _ in networkx_matcher(query, target).subgraph_isomorphisms_iter())
-        assert len(embeddings) == expected
-        for mapping in embeddings:
-            assert_embedding(query, target, mapping, induced=True)
 
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(0, 2**24), size=st.integers(65, 110),
@@ -224,8 +200,8 @@ class TestDifferential:
         for leaf in (1, 2, 3):
             star.add_edge(0, leaf)
         thin = path_graph(["C", "C", "C", "C"])
-        assert _search(star, thin, False, None, None, MatchStats()) == []
-        assert _search(Graph(), thin, False, None, None, MatchStats()) == [{}]
+        assert _search(star, thin, None, None, MatchStats()) == []
+        assert _search(Graph(), thin, None, None, MatchStats()) == [{}]
 
 
 # ---------------------------------------------------------------------- #

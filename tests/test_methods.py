@@ -9,7 +9,7 @@ import pytest
 from repro.errors import MethodError, UnknownMethodError
 from repro.graph import molecule_dataset
 from repro.graph.operations import extend_graph, random_connected_subgraph
-from repro.isomorphism import UllmannMatcher, VF2Matcher
+from repro.isomorphism import VF2Matcher
 from repro.methods import (
     CTIndexMethod,
     DirectSIMethod,
@@ -18,6 +18,7 @@ from repro.methods import (
     make_method,
     register_method,
 )
+from tests.oracles import UllmannMatcher
 from repro.query_model import QueryType
 
 ALL_METHOD_NAMES = ["direct-si", "graphgrep-sx", "grapes", "ct-index"]

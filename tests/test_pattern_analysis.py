@@ -50,7 +50,7 @@ from repro.workload import WorkloadGenerator, WorkloadMix, generate_trace
 from tests.differential import run_on_threads
 
 #: The memo slots of a compiled graph (everything that is not its bitset data).
-MEMO_SLOTS = ("wl", "invariant", "canonical", "paths", "_plan", "_induced_plan")
+MEMO_SLOTS = ("wl", "invariant", "canonical", "paths", "_plan")
 
 
 @st.composite
@@ -73,8 +73,7 @@ def fill_every_slot(graph: Graph) -> CompiledGraph:
     canonical_code(graph)
     path_features(graph, 3)
     compiled = graph.compiled()
-    compiled.plan(induced=False)
-    compiled.plan(induced=True)
+    compiled.plan()
     return compiled
 
 
