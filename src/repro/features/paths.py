@@ -13,91 +13,94 @@ roughly doubles index space for ≈10 % query-time gain.
 A query's label paths are asked for by every layer it crosses — the scatter
 planner (length 1), the dataset filter (Method M's feature size) and the
 cache's query index (length 2) — and the shorter multisets are exact
-restrictions of the longest one.  :func:`path_features` therefore remembers,
-beside the graph's compiled form, the multiset at the longest length asked
-for so far and derives the rest; :func:`enumerate_paths` is the enumeration
-itself, which index and summary builds call directly so that dataset graphs
-retain nothing.
+restrictions of the longest one.  :func:`path_features` therefore enumerates
+a query graph once, at the longest length asked for so far, and remembers
+that multiset and each restriction derived from it beside the graph's
+compiled form; :func:`enumerate_paths` is the enumeration itself, which index
+and summary builds call directly so that dataset graphs retain nothing.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 
 from repro.errors import IndexError_
 from repro.features.base import FeatureExtractor, FeatureKey
-from repro.graph.graph import Graph, VertexId
+from repro.graph.graph import Graph
 
 
-def canonical_path_key(labels: list[str]) -> tuple[str, ...]:
+def canonical_path_key(labels: Sequence[str]) -> tuple[str, ...]:
     """Canonical (direction-independent) key for a label path."""
     forward = tuple(labels)
-    backward = tuple(reversed(labels))
-    return forward if forward <= backward else backward
+    return min(forward, forward[::-1])
 
 
 def enumerate_paths(graph: Graph, max_length: int) -> Counter[FeatureKey]:
     """The multiset of canonical label-path keys with 0..max_length edges.
 
     Length-0 paths are single vertex labels, so even a one-vertex query has a
-    non-empty feature multiset.  Enumeration is DFS with an on-path visited
-    set (simple paths only); each undirected path is counted once.
+    non-empty feature multiset.  Every simple path of at least one edge is
+    walked once from each end, and what a step counts is the *directed* label
+    sequence — the walk's tuple grown by one label.  Only then is each
+    distinct sequence canonicalised, once: a path's two walks count one each
+    of a sequence and its reverse, so the canonical direction's count is the
+    path count, and a palindrome, which both walks count, is halved.
     """
-    features: Counter[FeatureKey] = Counter()
-    for vertex in graph.vertices():
-        features[(graph.label(vertex),)] += 1
-        _extend(graph, max_length, [vertex], {vertex}, features)
-    # every path of length >= 1 is discovered twice (once from each end);
-    # halve those counts so the multiset is well defined
-    normalised: Counter[FeatureKey] = Counter()
-    for key, count in features.items():
-        if len(key) == 1:
-            normalised[key] = count
-        else:
-            normalised[key] = count // 2
-    return normalised
+    labels = graph.labels()
+    features: Counter[FeatureKey] = Counter((label,) for label in labels.values())
+    if max_length < 1:
+        return features
+    # the graph read once: vertices numbered 0..n-1, a label and a neighbour list each
+    number = {vertex: position for position, vertex in enumerate(labels)}
+    label_of = list(labels.values())
+    adjacency = [[number[neighbor] for neighbor in graph.neighbors(vertex)] for vertex in labels]
+    on_path = [False] * len(label_of)
+    directed: dict[FeatureKey, int] = {}
 
+    def extend(vertex: int, sequence: tuple[str, ...], steps_left: int) -> None:
+        on_path[vertex] = True
+        for neighbor in adjacency[vertex]:
+            if not on_path[neighbor]:
+                key = sequence + (label_of[neighbor],)
+                directed[key] = directed.get(key, 0) + 1
+                if steps_left:
+                    extend(neighbor, key, steps_left - 1)
+        on_path[vertex] = False
 
-def _extend(
-    graph: Graph,
-    max_length: int,
-    path: list[VertexId],
-    on_path: set[VertexId],
-    features: Counter[FeatureKey],
-) -> None:
-    if len(path) - 1 >= max_length:
-        return
-    tail = path[-1]
-    for neighbor in graph.neighbors(tail):
-        if neighbor in on_path:
-            continue
-        path.append(neighbor)
-        on_path.add(neighbor)
-        labels = [graph.label(v) for v in path]
-        features[canonical_path_key(labels)] += 1
-        _extend(graph, max_length, path, on_path, features)
-        on_path.discard(neighbor)
-        path.pop()
+    for vertex, label in enumerate(label_of):
+        extend(vertex, (label,), max_length - 1)
+    for key, count in directed.items():
+        if key == canonical_path_key(key):
+            features[key] = count if key != key[::-1] else count // 2
+    return features
 
 
 def path_features(graph: Graph, max_length: int) -> Counter[FeatureKey]:
     """A pattern graph's label paths up to ``max_length``; do not mutate them.
 
-    The graph remembers one multiset, at the longest length asked for so far
-    (dropped with its compiled form on mutation).  A shorter length is its
-    restriction to keys of at most ``max_length + 1`` labels — exactly what
-    enumerating at that length would have produced.
+    The graph remembers one multiset per length asked for (dropped with its
+    compiled form on mutation), and enumerates only for a length longer than
+    any it remembers.  A shorter length is the longest multiset's restriction
+    to keys of at most ``max_length + 1`` labels — exactly what enumerating at
+    that length would have produced — built once and remembered beside it.
     """
     compiled = graph.compiled()
     memo = compiled.paths
-    if memo is None or memo[0] < max_length:
-        memo = compiled.paths = (max_length, enumerate_paths(graph, max_length))
-    longest, features = memo
-    if longest == max_length:
-        return features
-    return Counter({
-        key: count for key, count in features.items() if len(key) <= max_length + 1
-    })
+    if memo is None:
+        memo = compiled.paths = {}
+    features = memo.get(max_length)
+    if features is None:
+        longest = max(memo, default=-1)
+        if longest < max_length:
+            features = enumerate_paths(graph, max_length)
+        else:
+            features = Counter({
+                key: count for key, count in memo[longest].items()
+                if len(key) <= max_length + 1
+            })
+        memo[max_length] = features
+    return features
 
 
 class PathFeatureExtractor(FeatureExtractor):

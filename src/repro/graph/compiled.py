@@ -14,8 +14,9 @@ use and every ``Graph`` mutator drops it; it is never copied, pickled or
 serialised.  It is immutable apart from its memo slots — everything else the
 system derives from a graph used as a *pattern*: the match plan, the WL
 hash, the invariant and canonical codes and the label-path features.  Each is
-filled by one attribute store of a finished value that no reader mutates, so
-threads sharing a graph can at worst compute the same value twice.
+filled by one attribute store (the label paths: one item store per length)
+of a finished value that no reader mutates, so threads sharing a graph can at
+worst compute the same value twice.
 
 On the *pattern* side of a test the compiled form also carries a
 :class:`MatchPlan`: the order in which the pattern's vertices are placed and,
@@ -53,8 +54,9 @@ class CompiledGraph:
         memos owned by ``repro.graph.canonical``; ``canonical`` is a 1-tuple,
         because the code inside it may itself be ``None`` (graph too large).
     paths:
-        ``(max_length, multiset)`` memo owned by ``repro.features.paths``:
-        the label paths at the longest length asked for so far.
+        ``max_length → multiset`` memo owned by ``repro.features.paths``:
+        the label paths enumerated at the longest length asked for so far
+        and the restrictions derived from them.
     """
 
     __slots__ = (
@@ -97,7 +99,7 @@ class CompiledGraph:
         self.wl: str | None = None
         self.invariant: tuple | None = None
         self.canonical: tuple[str | None] | None = None
-        self.paths: tuple[int, Counter] | None = None
+        self.paths: dict[int, Counter] | None = None
         self._plan: MatchPlan | None = None
 
     # ------------------------------------------------------------------ #

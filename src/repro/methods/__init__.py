@@ -3,7 +3,7 @@
 from repro.methods.base import MethodM, MethodResult, VerificationOutcome
 from repro.methods.ctindex import CTIndexMethod
 from repro.methods.direct import DirectSIMethod
-from repro.methods.grapes import GraphGrepSXMethod
+from repro.methods.graphgrep import GraphGrepSXMethod
 from repro.methods.registry import available_methods, make_method, register_method
 
 __all__ = [

@@ -14,7 +14,7 @@ from repro.errors import UnknownMethodError
 from repro.methods.base import MethodM
 from repro.methods.ctindex import CTIndexMethod
 from repro.methods.direct import DirectSIMethod
-from repro.methods.grapes import GraphGrepSXMethod
+from repro.methods.graphgrep import GraphGrepSXMethod
 
 MethodFactory = Callable[..., MethodM]
 

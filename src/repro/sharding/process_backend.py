@@ -121,15 +121,15 @@ class ProcessShardBackend:
                 "pass a zero-argument callable, not a built MethodM"
             )
         self._ctx = multiprocessing.get_context("spawn")
-        self._dataset_payloads = [
-            [graph.to_dict() for graph in partition] for partition in partitions
-        ]
+        # spawning pickles the graphs themselves (never their compiled forms);
+        # a respawn ships the same partition again
+        self._partitions = [list(partition) for partition in partitions]
         self._config_payload = shard_config.to_dict()
         self._method_factory = method_factory
         self._startup_timeout = startup_timeout
         self._request_timeout = request_timeout
         self._respawn_limit = respawn_limit
-        self._respawns_left = [respawn_limit] * len(self._dataset_payloads)
+        self._respawns_left = [respawn_limit] * len(self._partitions)
         #: Workers successfully replaced after a crash (asserted by tests).
         self.respawns_performed = 0
         self._lock = threading.Lock()
@@ -140,7 +140,7 @@ class ProcessShardBackend:
         try:
             # start every worker first, then collect handshakes: startup
             # (imports + index build) overlaps across workers
-            for index in range(len(self._dataset_payloads)):
+            for index in range(len(self._partitions)):
                 started.append(self._start_process(index))
             for index, (process, ready) in enumerate(started):
                 port, describe = self._await_ready(index, process, ready)
@@ -161,7 +161,7 @@ class ProcessShardBackend:
         ready_recv, ready_send = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=worker_main,
-            args=(ready_send, self._dataset_payloads[index],
+            args=(ready_send, self._partitions[index],
                   self._config_payload, index, self._method_factory),
             name=f"gc-shard-worker-{index}",
             daemon=True,

@@ -1,8 +1,9 @@
 """Shard worker process: one unsharded GraphCacheSystem behind the envelope wire.
 
 The process shard backend spawns one of these per shard
-(``multiprocessing`` *spawn* context — no inherited locks or sockets, the
-worker rebuilds everything from serialised payloads).  Each worker hosts its
+(``multiprocessing`` *spawn* context — no inherited locks or sockets; the
+partition arrives as pickled graphs, everything else is rebuilt from
+serialised payloads).  Each worker hosts its
 own :class:`~repro.runtime.system.GraphCacheSystem` over its partition —
 its own Method M index, its own thread-safe cache, its own admission window
 — and fronts it with a minimal loopback HTTP app speaking **the same envelope
@@ -40,6 +41,7 @@ from repro.api.envelopes import (
     parse_request,
 )
 from repro.cache.statistics import json_safe
+from repro.graph.graph import Graph
 from repro.obs.collectors import recorder_samples, system_samples
 from repro.obs.logs import BufferedLogHandler, current_trace_id, get_logger
 from repro.obs.metrics import MetricsRegistry
@@ -246,14 +248,14 @@ class ShardWorkerApp(RoutedApp):
 
 def worker_main(
     ready,
-    dataset_payload: list[dict],
+    dataset: list[Graph],
     config_payload: dict,
     shard_index: int,
     method_factory=None,
 ) -> None:
     """Entry point of a spawned shard worker process.
 
-    Rebuilds the partition (:meth:`Graph.from_dict`) and the per-shard
+    Receives the partition as unpickled graphs, rebuilds the per-shard
     configuration, builds the system (config-driven method unless a picklable
     ``method_factory`` was shipped), binds the loopback app on an ephemeral
     port, reports ``{"port", "describe"}`` on the ``ready`` pipe, and serves
@@ -261,14 +263,11 @@ def worker_main(
     is reported as ``{"error": ...}`` on the pipe so the coordinator can
     surface the real reason instead of a bare handshake timeout.
     """
-    from repro.graph.graph import Graph  # deferred: after spawn bootstrap
-
     try:
         # buffer warnings/errors for the coordinator to drain and re-emit —
         # a spawned worker's stderr is otherwise lost
         log_handler = BufferedLogHandler()
         logging.getLogger("repro").addHandler(log_handler)
-        dataset = [Graph.from_dict(payload) for payload in dataset_payload]
         config = GCConfig.from_dict(config_payload)
         get_recorder().configure(
             buffer_size=config.trace_buffer_size,

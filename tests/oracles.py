@@ -1,4 +1,4 @@
-"""Reference sub-iso matchers the match kernel is checked against.
+"""Reference implementations the product's kernels are checked against.
 
 The product verifies with one engine, :class:`repro.isomorphism.VF2Matcher`.
 These two are independent implementations of the same non-induced semantics
@@ -10,11 +10,21 @@ kept as test oracles:
   neighbour of ``q`` still has a candidate among the neighbours of ``t``;
 * :class:`NetworkXMatcher` — a wrapper around networkx's ``GraphMatcher``;
   it compares vertex labels only and ignores edge labels.
+
+The product enumerates label paths with one iterative walk that counts
+directed label sequences and canonicalises each distinct one once
+(:func:`repro.features.paths.enumerate_paths`).  :func:`reference_enumerate_paths`
+is the recursive enumerator it replaced, which canonicalises every path it
+finds; the two must agree key for key and count for count
+(``tests/test_path_oracle.py``).
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.errors import BudgetExceededError
+from repro.features.base import FeatureKey
 from repro.graph.graph import Graph, VertexId
 from repro.isomorphism.base import (
     MatchResult,
@@ -210,3 +220,57 @@ class NetworkXMatcher(SubgraphMatcher):
             if limit is not None and len(results) >= limit:
                 break
         return results
+
+
+# --------------------------------------------------------------------------- #
+# label paths
+# --------------------------------------------------------------------------- #
+def _canonical_path_key(labels: list[str]) -> tuple[str, ...]:
+    """Canonical (direction-independent) key for a label path."""
+    forward = tuple(labels)
+    backward = tuple(reversed(labels))
+    return forward if forward <= backward else backward
+
+
+def reference_enumerate_paths(graph: Graph, max_length: int) -> Counter[FeatureKey]:
+    """The multiset of canonical label-path keys with 0..max_length edges.
+
+    Length-0 paths are single vertex labels, so even a one-vertex query has a
+    non-empty feature multiset.  Enumeration is DFS with an on-path visited
+    set (simple paths only); each undirected path is counted once.
+    """
+    features: Counter[FeatureKey] = Counter()
+    for vertex in graph.vertices():
+        features[(graph.label(vertex),)] += 1
+        _extend(graph, max_length, [vertex], {vertex}, features)
+    # every path of length >= 1 is discovered twice (once from each end);
+    # halve those counts so the multiset is well defined
+    normalised: Counter[FeatureKey] = Counter()
+    for key, count in features.items():
+        if len(key) == 1:
+            normalised[key] = count
+        else:
+            normalised[key] = count // 2
+    return normalised
+
+
+def _extend(
+    graph: Graph,
+    max_length: int,
+    path: list[VertexId],
+    on_path: set[VertexId],
+    features: Counter[FeatureKey],
+) -> None:
+    if len(path) - 1 >= max_length:
+        return
+    tail = path[-1]
+    for neighbor in graph.neighbors(tail):
+        if neighbor in on_path:
+            continue
+        path.append(neighbor)
+        on_path.add(neighbor)
+        labels = [graph.label(v) for v in path]
+        features[_canonical_path_key(labels)] += 1
+        _extend(graph, max_length, path, on_path, features)
+        on_path.discard(neighbor)
+        path.pop()

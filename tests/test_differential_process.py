@@ -11,7 +11,8 @@ accounting exactly (the full report really does survive the wire).
 Worker-crash fault injection lives here too: a shard worker killed
 mid-trace is respawned within ``shard_respawn_limit`` with zero dropped or
 duplicated answers, and with the budget at 0 the failure surfaces as the
-typed, retryable ``shard-worker`` error.
+typed, retryable ``shard-worker`` error.  Partitions travel to workers as
+pickled graphs: a worker, first or respawned, holds exactly its partition.
 """
 
 from __future__ import annotations
@@ -20,10 +21,12 @@ import pytest
 
 from repro.api.envelopes import ErrorEnvelope
 from repro.errors import ShardWorkerError
-from repro.graph import molecule_dataset
+from repro.graph import Graph, molecule_dataset
+from repro.methods import DirectSIMethod
 from repro.runtime.config import GCConfig
 from repro.runtime.system import GraphCacheSystem
 from repro.sharding import ShardedGraphCacheSystem
+from repro.sharding.process_backend import ProcessShardBackend
 from repro.workload import generate_trace
 
 from tests.differential import (
@@ -35,6 +38,21 @@ from tests.differential import (
     run_served,
     run_sharded,
 )
+
+
+class _DatasetEcho(DirectSIMethod):
+    """Plain SI whose description lists the dataset it was built over."""
+
+    def describe(self) -> dict:
+        description = super().describe()
+        description["dataset"] = [self.dataset_graph(graph_id).to_dict()
+                                  for graph_id in self.graph_ids()]
+        return description
+
+
+def dataset_echo() -> DirectSIMethod:
+    """Module-level, so a spawned worker can unpickle it as its method factory."""
+    return _DatasetEcho()
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +129,37 @@ class TestProcessShardedEquivalence:
                             shard_backend="process",
                             admission_mode="cost-based")
         assert_answers_equal(direct, served)
+
+
+class TestWorkerDataset:
+    @staticmethod
+    def assert_holds(backend: ProcessShardBackend, partition: list[Graph]) -> None:
+        shipped = [Graph.from_dict(payload)
+                   for payload in backend.describe_payload(0)["method"]["dataset"]]
+        assert [(g.graph_id, g.name) for g in shipped] == [
+            (g.graph_id, g.name) for g in partition]
+        for received, sent in zip(shipped, partition):  # ids, labels, edge labels
+            assert received.structural_equal(sent)
+
+    def test_a_worker_holds_its_partition_first_and_after_respawn(self, dataset):
+        mixed = Graph(graph_id="mixed", name="ring")
+        mixed.add_vertices([(0, "C"), ("a", "N"), (2, "O"), ("b", "C")])
+        for u, v, label in ((0, "a", "="), ("a", 2, None), (2, "b", "#"), ("b", 0, "-")):
+            mixed.add_edge(u, v, label)
+        partition = [*dataset[:4], mixed]
+        partition[0].compiled().plan()  # a compiled form never travels
+        backend = ProcessShardBackend([partition], GCConfig(), respawn_limit=1,
+                                      method_factory=dataset_echo)
+        try:
+            self.assert_holds(backend, partition)
+            victim = backend._handles[0].process
+            victim.terminate()
+            victim.join(timeout=10)
+            backend.describe(0)  # hits the dead worker: respawn
+            assert backend.respawns_performed == 1
+            self.assert_holds(backend, partition)
+        finally:
+            backend.close()
 
 
 class TestProcessShardSnapshots:

@@ -1,11 +1,13 @@
 """The pattern analysis: what a query graph remembers, and that it is enough.
 
 A pattern graph keeps — beside its compiled form, dropped with it — its WL
-hash, invariant and canonical codes and its label paths at the longest length
-asked for so far.  Five groups:
+hash, invariant and canonical codes and its label paths: enumerated at the
+longest length asked for so far, restricted once to each shorter one asked
+for.  Five groups:
 
 (i)   property — the restriction of a remembered multiset equals direct
-      enumeration at every shorter length, whichever length was asked first;
+      enumeration at every shorter length, whichever length was asked first,
+      and is itself remembered;
 (ii)  lifetime — every slot is dropped by all five mutators and never
       travels with ``pickle``, ``copy()`` or ``to_dict()``;
 (iii) enumeration counts — one enumeration per query graph on the unsharded
@@ -102,7 +104,7 @@ class TestRestriction:
         lengths = list(range(longest + 1))
         for length in (lengths if short_first else lengths[::-1]):
             assert path_features(graph, length) == enumerate_paths(graph.copy(), length)
-        assert graph.compiled().paths[0] == longest
+        assert max(graph.compiled().paths) == longest
         for length in lengths:  # and once the longest is remembered
             assert path_features(graph, length) == enumerate_paths(graph.copy(), length)
 
@@ -123,12 +125,22 @@ class TestRestriction:
         assert enumerations[id(graph)] == [2, 3]
         assert path_features(graph, 3) is path_features(graph, 3)  # the remembered object
 
+    def test_each_restriction_is_built_once(self, enumerations):
+        graph = molecule_graph(10, rng=5)
+        longest = path_features(graph, 3)
+        restricted = {length: path_features(graph, length) for length in range(3)}
+        for _ in range(3):  # the cache screen asks for length 2 on every lookup
+            for length, features in restricted.items():
+                assert path_features(graph, length) is features
+        assert graph.compiled().paths == {3: longest, **restricted}
+        assert enumerations[id(graph)] == [3]
+
     def test_pattern_side_of_an_extractor_remembers_build_side_does_not(self):
         graph = molecule_graph(9, rng=4)
         extractor = PathFeatureExtractor(2)
         assert extractor.extract(graph) == enumerate_paths(graph, 2)
         assert graph._compiled is None
-        assert extractor.extract_pattern(graph) is graph.compiled().paths[1]
+        assert extractor.extract_pattern(graph) is graph.compiled().paths[2]
 
 
 # --------------------------------------------------------------------------- #
@@ -289,8 +301,8 @@ def _assert_memos_intact(graphs, caches) -> None:
     for graph in graphs:
         compiled = graph._compiled
         assert compiled is not None and compiled.paths is not None
-        longest, features = compiled.paths
-        assert features == enumerate_paths(graph.copy(), longest)
+        for length, features in compiled.paths.items():
+            assert features == enumerate_paths(graph.copy(), length)
         assert compiled.wl == graph.copy().wl_hash()
     for cache in caches:
         for entry in cache.entries():
