@@ -58,7 +58,7 @@ def serve_replay(dataset, trace, deadline_seconds=None, priority_mix=None,
     method = DirectSIMethod(verifier=SimulatedLatencyMatcher(TEST_LATENCY))
     with QueryServer(dataset, GCConfig(cache_capacity=20, window_size=5),
                      method=method, max_batch_size=2,
-                     max_delay_seconds=0.004, max_queue_depth=512,
+                     max_queue_depth=512,
                      request_timeout_seconds=30.0) as server:
         client = RemoteGraphService.for_server(server)
         result = replay_trace(client, trace, target_qps=target_qps,

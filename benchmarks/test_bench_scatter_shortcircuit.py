@@ -81,7 +81,6 @@ def serve_trace(dataset, trace, scatter_mode: str, admission_mode: str):
         config,
         method=lambda: DirectSIMethod(verifier=SimulatedLatencyMatcher(TEST_LATENCY)),
         max_batch_size=BATCH_SIZE,
-        max_delay_seconds=0.004,
         max_queue_depth=512,
         # generous per-shard budget: the cost-based arm demonstrates the
         # accounting (outstanding cost tracked per shard) without 429s, so

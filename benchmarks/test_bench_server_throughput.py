@@ -57,7 +57,6 @@ def serve_overloaded(dataset, trace):
         GCConfig(cache_capacity=20, window_size=5),
         method=method,
         max_batch_size=2,
-        max_delay_seconds=0.004,
         max_queue_depth=4,
     )
     with server:

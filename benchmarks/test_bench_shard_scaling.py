@@ -73,7 +73,6 @@ def serve_trace(dataset, trace, num_shards: int):
         # a factory: with shards each partition builds its own Method M
         method=lambda: DirectSIMethod(verifier=SimulatedLatencyMatcher(TEST_LATENCY)),
         max_batch_size=BATCH_SIZE,
-        max_delay_seconds=0.004,
         max_queue_depth=512,
     )
     with server:

@@ -68,7 +68,6 @@ def serve_traced(dataset, trace, sample_rate: float):
                  trace_sample_rate=sample_rate),
         method=method,
         max_batch_size=BATCH_SIZE,
-        max_delay_seconds=0.004,
         max_queue_depth=512,
     )
     # the span recorder is per process: count only this replay's traces

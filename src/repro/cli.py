@@ -105,9 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="how graphs are routed to shards")
     common.add_argument("--shard-backend", default="thread",
                         choices=list(SHARD_BACKENDS),
-                        help="shard hosting: 'thread' runs shards in-process, "
-                             "'process' spawns one worker process per shard "
-                             "(breaks the GIL for CPU-bound verification)")
+                        help="shard hosting: 'thread' runs shards in-process, the "
+                             "differential reference (shards take turns on the "
+                             "GIL, so it is no faster than one system); "
+                             "'process' spawns one worker process per shard, the "
+                             "backend that can go faster (CPU-bound "
+                             "verification overlaps across processes)")
     common.add_argument("--scatter", default="full", choices=list(SCATTER_MODES),
                         help="scatter strategy: 'full' sends every query to every "
                              "shard; 'short-circuit' skips shards whose feature "
@@ -141,9 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="listen port (0 = ephemeral, printed at startup)")
     serve.add_argument("--policy", default="HD", choices=available_policies())
     serve.add_argument("--batch-size", type=int, default=4,
-                       help="max queries coalesced into one concurrent batch")
-    serve.add_argument("--batch-delay-ms", type=float, default=5.0,
-                       help="max wait for stragglers once a batch is open")
+                       help="max queries per batch: the dispatcher serves the head "
+                            "plus whatever is already queued, in priority order")
     serve.add_argument("--queue-depth", type=int, default=64,
                        help="admission queue bound; full queue replies 429")
     serve.add_argument("--snapshot-path", type=Path, default=None,
@@ -333,7 +335,6 @@ def cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         max_batch_size=args.batch_size,
-        max_delay_seconds=args.batch_delay_ms / 1000.0,
         max_queue_depth=args.queue_depth,
         snapshot_path=args.snapshot_path,
     )

@@ -120,7 +120,6 @@ class QueryServer(RoutedApp):
         host: str = "127.0.0.1",
         port: int = 0,
         max_batch_size: int = 4,
-        max_delay_seconds: float = 0.005,
         max_queue_depth: int = 64,
         snapshot_path: str | Path | None = None,
         request_timeout_seconds: float = 60.0,
@@ -142,7 +141,6 @@ class QueryServer(RoutedApp):
             self.batcher = RequestBatcher(
                 self.system,
                 max_batch_size=max_batch_size,
-                max_delay_seconds=max_delay_seconds,
                 max_queue_depth=max_queue_depth,
                 admission_mode=self.system.config.admission_mode,
                 max_shard_cost_seconds=max_shard_cost_seconds,

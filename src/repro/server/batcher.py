@@ -12,13 +12,14 @@ additionally *shard-aware*: each query's scatter plan is priced per shard
 ``estimate_shard_costs``) and reserved against a per-shard outstanding-cost
 budget, so a skewed workload exhausts — and 429s on — only the hot shard
 while queries for the other shards keep flowing.  A single dispatcher
-thread pulls the queue and
-coalesces up to ``max_batch_size`` queries — waiting at most
-``max_delay_seconds`` for stragglers once the first query of a batch is in
-hand — then executes the whole batch, on the dispatcher thread, through
-the system's ``run_batch``.  An unsharded system answers it in order (the
-matcher is CPU-bound under the GIL, so threads inside one process would
-only take turns); a sharded one hands each shard its share of the batch at
+thread pulls the queue and serves on arrival: it blocks for the head, takes
+whatever else is *already* queued (up to ``max_batch_size`` in all) and
+executes the whole batch, on the dispatcher thread, through the system's
+``run_batch``.  Nothing waits for stragglers — an idle dispatcher runs a
+lone query at once, and batches form only under backlog, from the queries
+that arrived while the previous batch ran.  An unsharded system answers a
+batch in order (the matcher is CPU-bound under the GIL, so threads inside
+one process would only take turns); a sharded one hands each shard its share of the batch at
 once, which is what lets process shards overlap.  Each caller holds a
 :class:`~concurrent.futures.Future` that resolves to a :class:`ServedQuery`
 when its batch completes.
@@ -162,18 +163,10 @@ class _PendingQueue:
             self._size -= 1
         return item
 
-    def get(self, timeout: float | None = None):
+    def get(self):
         with self._not_empty:
-            if timeout is None:
-                while not self._heap:
-                    self._not_empty.wait()
-            else:
-                limit = time.monotonic() + timeout
-                while not self._heap:
-                    remaining = limit - time.monotonic()
-                    if remaining <= 0:
-                        raise queue.Empty
-                    self._not_empty.wait(remaining)
+            while not self._heap:
+                self._not_empty.wait()
             return self._pop()
 
     def get_nowait(self):
@@ -255,15 +248,12 @@ class RequestBatcher:
         self,
         system: "AnySystem",
         max_batch_size: int = 4,
-        max_delay_seconds: float = 0.005,
         max_queue_depth: int = 64,
         admission_mode: str = "queue-depth",
         max_shard_cost_seconds: float = 0.25,
     ) -> None:
         if max_batch_size < 1:
             raise ConfigurationError("max_batch_size must be at least 1")
-        if max_delay_seconds < 0:
-            raise ConfigurationError("max_delay_seconds must be non-negative")
         if max_queue_depth < 1:
             raise ConfigurationError("max_queue_depth must be at least 1")
         if admission_mode not in ADMISSION_MODES:
@@ -275,7 +265,6 @@ class RequestBatcher:
             raise ConfigurationError("max_shard_cost_seconds must be positive")
         self.system = system
         self.max_batch_size = max_batch_size
-        self.max_delay_seconds = max_delay_seconds
         self.admission_mode = admission_mode
         #: Per-shard budget of outstanding estimated verification seconds;
         #: a query whose plan touches a shard over budget is rejected while
@@ -515,16 +504,11 @@ class RequestBatcher:
                 continue
             if self._shed(head):
                 continue
+            # the batch is the head plus whatever is already queued: no wait
             batch = [head]
-            deadline = time.monotonic() + self.max_delay_seconds
             while len(batch) < self.max_batch_size:
-                remaining = deadline - time.monotonic()
                 try:
-                    item = (
-                        self._queue.get(timeout=remaining)
-                        if remaining > 0
-                        else self._queue.get_nowait()
-                    )
+                    item = self._queue.get_nowait()
                 except queue.Empty:
                     break
                 if item is _STOP:

@@ -133,7 +133,7 @@ class TestRemoteGraphService:
 
     def test_backpressure_raises_admission_rejected_with_attributes(self, dataset, trace):
         with QueryServer(dataset, config(), max_batch_size=1,
-                         max_delay_seconds=0.0, max_queue_depth=1) as server:
+                         max_queue_depth=1) as server:
             client = RemoteGraphService.for_server(server)
             result = client.run_batch(
                 [clone(trace[index % len(trace)]) for index in range(64)])
@@ -200,7 +200,7 @@ class TestTraceRecording:
     def test_recorder_records_offered_not_served(self, dataset, trace):
         """Backpressured (429) requests still land in the recording."""
         with QueryServer(dataset, config(), max_batch_size=1,
-                         max_delay_seconds=0.0, max_queue_depth=1) as server:
+                         max_queue_depth=1) as server:
             client = RemoteGraphService.for_server(server)
             client.start_recording()
             result = replay_trace(client, trace, num_threads=8)

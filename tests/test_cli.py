@@ -122,6 +122,12 @@ class TestServeCommand:
         assert "drained" in out
         assert snapshot.exists()  # saved even when no queries arrived
 
+    def test_batch_delay_flag_is_rejected(self, capsys):
+        # serving has no coalescing timer: a batch is whatever is queued
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--batch-delay-ms", "5"])
+        assert "unrecognized arguments: --batch-delay-ms" in capsys.readouterr().err
+
     def test_serve_restores_snapshot(self, tmp_path, capsys):
         snapshot = tmp_path / "snapshot.json"
         dataset = molecule_dataset(10, min_vertices=7, max_vertices=12, rng=2018)

@@ -38,6 +38,7 @@ from repro.server import QueryServer, RequestBatcher
 from repro.sharding import ShardedGraphCacheSystem
 from repro.workload import generate_trace, replay_trace
 from tests.differential import run_on_threads
+from tests.gated import GatedDispatcher
 
 #: Thread names of the pools this repository used to run (an executor names
 #: its threads ``<prefix>_<n>``; ``gc-query-server`` is the HTTP accept loop).
@@ -139,19 +140,24 @@ class TestNoPoolInsideOneProcess:
 
 class TestBatchKeepsSubmissionOrder:
     def test_batch_of_four_through_the_batcher(self, dataset, trace):
-        queries = clones(trace)[:4]
+        plug, *queries = clones(trace)[:5]
         with GraphCacheSystem(dataset, config()) as system:
-            # a long coalescing delay: the batch dispatches when it is full
-            batcher = RequestBatcher(system, max_batch_size=4, max_delay_seconds=5.0)
+            # four queries queue behind a held dispatcher: the next batch is them
+            gate = GatedDispatcher(system)
+            batcher = RequestBatcher(system, max_batch_size=4)
             try:
+                first = gate.plug(batcher, plug)
                 futures = [batcher.submit(query) for query in queries]
+                gate.release()
+                first.result(timeout=30)
                 served = [future.result(timeout=30) for future in futures]
             finally:
                 batcher.close()
             ids = [query.query_id for query in queries]
+            assert [len(batch) for batch in gate.batches] == [1, 4]
             assert [item.batch_size for item in served] == [4] * 4
             assert [item.report.query.query_id for item in served] == ids
-            assert [record.query_id for record in system.records()] == ids
+            assert [record.query_id for record in system.records()] == [plug.query_id, *ids]
 
 
 class TestOneBatchEntryPoint:

@@ -111,7 +111,7 @@ class TestQueueOrdering:
                               method=method) as system:
             executed = spy_on_execution(system)
             batcher = RequestBatcher(system, max_batch_size=1,
-                                     max_delay_seconds=0.0, max_queue_depth=32)
+                                     max_queue_depth=32)
             futures = [batcher.submit(tagged(dataset, "head"))]
             assert matcher.entered.wait(10)  # head is executing, queue is ours
             futures.append(batcher.submit(tagged(dataset, "low-late")))
@@ -133,7 +133,7 @@ class TestQueueOrdering:
                               method=method) as system:
             executed = spy_on_execution(system)
             batcher = RequestBatcher(system, max_batch_size=1,
-                                     max_delay_seconds=0.0, max_queue_depth=32)
+                                     max_queue_depth=32)
             futures = [batcher.submit(tagged(dataset, "head"))]
             assert matcher.entered.wait(10)
             tags = [f"q{i}" for i in range(5)]
@@ -152,7 +152,7 @@ class TestQueueOrdering:
                               method=method) as system:
             executed = spy_on_execution(system)
             batcher = RequestBatcher(system, max_batch_size=1,
-                                     max_delay_seconds=0.0, max_queue_depth=32)
+                                     max_queue_depth=32)
             futures = [batcher.submit(tagged(dataset, "head"))]
             assert matcher.entered.wait(10)
             futures.append(batcher.submit(QueryRequest(
@@ -175,7 +175,7 @@ class TestDeadlineShedding:
                               method=method) as system:
             executed = spy_on_execution(system)
             batcher = RequestBatcher(system, max_batch_size=1,
-                                     max_delay_seconds=0.0, max_queue_depth=32)
+                                     max_queue_depth=32)
             head = batcher.submit(tagged(dataset, "head"))
             assert matcher.entered.wait(10)
             doomed = batcher.submit(tagged(dataset, "doomed"),
@@ -220,7 +220,7 @@ class TestZombieWorkRegression:
         with GraphCacheSystem(dataset, GCConfig(cache_capacity=10, window_size=5),
                               method=method) as system:
             batcher = RequestBatcher(system, max_batch_size=1,
-                                     max_delay_seconds=0.0, max_queue_depth=32,
+                                     max_queue_depth=32,
                                      admission_mode="cost-based",
                                      max_shard_cost_seconds=10.0)
             for _ in range(2):
@@ -265,7 +265,7 @@ class TestZombieWorkRegression:
         with GraphCacheSystem(dataset, GCConfig(cache_capacity=10, window_size=5),
                               method=method) as system:
             batcher = RequestBatcher(system, max_batch_size=1,
-                                     max_delay_seconds=0.0, max_queue_depth=8)
+                                     max_queue_depth=8)
             request = QueryRequest(graph=dataset[0].copy(), request_id="zombie-1")
             future = batcher.submit(request)
             assert matcher.entered.wait(10)  # already inside a batch

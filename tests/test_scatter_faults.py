@@ -175,7 +175,7 @@ class TestCostBasedAdmission:
             system.run_queries([self._cluster_query(clustered, 0, 1),
                                 self._cluster_query(clustered, 1, 2)])
             batcher = RequestBatcher(
-                system, max_batch_size=1, max_delay_seconds=0.0,
+                system, max_batch_size=1,
                 max_queue_depth=64, admission_mode="cost-based",
                 max_shard_cost_seconds=0.4,
             )
@@ -217,7 +217,7 @@ class TestCostBasedAdmission:
         )
         system.run_query(make_query(1))  # observe a real per-test cost
         batcher = RequestBatcher(system, max_batch_size=1,
-                                 max_delay_seconds=0.0, max_queue_depth=64,
+                                 max_queue_depth=64,
                                  admission_mode="cost-based",
                                  max_shard_cost_seconds=0.4)
         try:

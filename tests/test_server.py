@@ -27,6 +27,7 @@ from repro.query_model import Query, QueryType
 from repro.runtime import GCConfig, GraphCacheSystem
 from repro.server import QueryServer, RequestBatcher
 from repro.workload import generate_trace, replay_trace
+from tests.gated import GatedDispatcher
 
 
 @pytest.fixture(scope="module")
@@ -121,18 +122,28 @@ class TestAdmissionControl:
 
 class TestBatcher:
     def test_coalesces_up_to_max_batch(self, dataset):
+        """Six queries queued behind a held dispatcher: the next batch is the
+        first four in submission order, the one after it the other two."""
         with GraphCacheSystem(dataset, GCConfig(cache_capacity=10, window_size=5)) as system:
-            batcher = RequestBatcher(system, max_batch_size=4,
-                                     max_delay_seconds=0.05, max_queue_depth=32)
-            queries = [Query(graph=dataset[i % len(dataset)].copy()) for i in range(8)]
-            futures = [batcher.submit(query) for query in queries]
-            served = [future.result(timeout=30) for future in futures]
-            batcher.close()
-        assert all(1 <= item.batch_size <= 4 for item in served)
-        assert max(item.batch_size for item in served) > 1
+            gate = GatedDispatcher(system)
+            batcher = RequestBatcher(system, max_batch_size=4, max_queue_depth=32)
+            try:
+                plug = gate.plug(batcher, Query(graph=dataset[0].copy()))
+                queries = [Query(graph=dataset[i].copy()) for i in range(1, 7)]
+                futures = [batcher.submit(query) for query in queries]
+                gate.release()
+                served = [future.result(timeout=30) for future in [plug, *futures]]
+            finally:
+                batcher.close()
+        ids = [query.query_id for query in queries]
+        assert [[q.query_id for q in batch] for batch in gate.batches[1:]] \
+            == [ids[:4], ids[4:]]
+        assert [item.batch_size for item in served] == [1, 4, 4, 4, 4, 2, 2]
+        assert [item.report.query.query_id for item in served[1:]] == ids
         assert all(item.queue_seconds >= 0 for item in served)
         stats = batcher.stats()
-        assert stats.served == 8 and stats.rejected == 0
+        assert stats.served == 7 and stats.rejected == 0
+        assert stats.batches == 3 and stats.largest_batch == 4
 
     def test_close_drains_queued_queries(self, dataset):
         method = DirectSIMethod(verifier=SlowMatcher(0.002))
