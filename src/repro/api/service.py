@@ -105,8 +105,6 @@ class LocalGraphService:
                 items.append(self.run(request))
             except Exception as exc:
                 items.append(ErrorEnvelope.from_exception(exc, request_id=request.request_id))
-        for cache in self.system.all_caches():
-            cache.drain_maintenance()
         return BatchResult(items=items)
 
     def metrics(self) -> MetricsSnapshot:

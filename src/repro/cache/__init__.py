@@ -3,7 +3,6 @@
 from repro.cache.entry import CacheEntry, EntryStatistics
 from repro.cache.graph_cache import CacheLookup, GraphCache
 from repro.cache.locks import ReadWriteLock
-from repro.cache.maintenance import CacheMaintenanceWorker, MaintenanceStats
 from repro.cache.policies import (
     EvictionReport,
     FIFOPolicy,
@@ -43,8 +42,6 @@ __all__ = [
     "GraphCache",
     "CacheLookup",
     "ReadWriteLock",
-    "CacheMaintenanceWorker",
-    "MaintenanceStats",
     "CachedQueryIndex",
     "SubCaseProcessor",
     "SuperCaseProcessor",

@@ -13,6 +13,9 @@ The public operations, in the order the runtime calls them per query:
    cached entries with the savings they produced (``update_cache_sta_info``);
 3. :meth:`offer`   — offer the executed query for admission; when the window
    fills up the replacement policy runs (``update_cache_items``).
+
+All three run on the thread that submitted the query; the window already
+batches replacement.  The reader-writer lock exists for concurrent callers.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from dataclasses import dataclass, field
 
 from repro.cache.entry import CacheEntry
 from repro.cache.locks import ReadWriteLock
-from repro.cache.maintenance import CacheMaintenanceWorker
 from repro.cache.policies.base import (
     EvictionReport,
     HitContribution,
@@ -79,7 +81,6 @@ class GraphCache:
         enable_sub_case: bool = True,
         enable_super_case: bool = True,
         memory_budget_bytes: int | None = None,
-        async_maintenance: bool = False,
     ) -> None:
         if capacity < 1:
             raise CacheCapacityError("cache capacity must be at least 1")
@@ -107,11 +108,6 @@ class GraphCache:
         #: it, crediting/admission/replacement take it exclusively.
         self._lock = ReadWriteLock()
         self._clock_lock = threading.Lock()
-        #: Optional cache-manager thread applying admissions off the query
-        #: critical path (the paper's concurrent maintenance design).
-        self.maintenance: CacheMaintenanceWorker | None = (
-            CacheMaintenanceWorker(self) if async_maintenance else None
-        )
         #: Callbacks invoked (outside the cache locks) whenever the resident
         #: entry set changed — admission, eviction, warm.  A sharded system
         #: hangs its shard-summary refresh here; callbacks must be cheap and
@@ -239,11 +235,8 @@ class GraphCache:
     ) -> EvictionReport | None:
         """Offer an executed query for admission through the window manager.
 
-        In synchronous mode, returns the eviction report when the admission
-        window flushed (i.e. the replacement policy actually ran), otherwise
-        ``None``.  With async maintenance enabled the offer is enqueued for
-        the maintenance worker and the return value is always ``None`` —
-        admission happens off the query critical path.
+        Returns the eviction report when this offer filled the window (i.e.
+        the replacement policy ran, on the calling thread), otherwise ``None``.
         """
         clock = self._clock if clock is None else clock
         entry = CacheEntry(
@@ -254,18 +247,13 @@ class GraphCache:
             observed_test_cost=observed_test_cost,
         )
         entry.stats.last_used_clock = clock
-        worker = self.maintenance  # snapshot: close() may null the attribute
-        if worker is not None:
-            worker.submit(entry, tests_performed)
-            return None
         return self.apply_offer(entry, tests_performed)
 
     def apply_offer(self, entry: CacheEntry, tests_performed: int) -> EvictionReport | None:
-        """Apply one admission offer (window + replacement) under the write lock.
+        """Admit one built entry (window + replacement) under the write lock.
 
-        This is the synchronous half of :meth:`offer`; the maintenance worker
-        calls it from its own thread when async maintenance is enabled (so
-        content listeners then also fire off the query critical path).
+        The second half of :meth:`offer`, kept by name because the gcbench
+        tracer wraps it.
         """
         with self._lock.write_locked():
             batch = self.window.offer(entry, tests_performed)
@@ -276,7 +264,6 @@ class GraphCache:
 
     def flush_window(self) -> EvictionReport | None:
         """Force the pending window into the cache (end of a workload)."""
-        self.drain_maintenance()
         with self._lock.write_locked():
             batch = self.window.flush()
             report = self._apply_replacement(batch) if batch else None
@@ -287,29 +274,15 @@ class GraphCache:
     def add_content_listener(self, listener) -> None:
         """Register a zero-argument callback fired after resident changes.
 
-        Listeners run *outside* the cache locks, on whichever thread applied
-        the change — the maintenance worker's thread under async
-        maintenance, the query thread otherwise — so they may read the cache
-        but must stay cheap on the synchronous path.
+        Listeners run *outside* the cache locks, on the thread that submitted
+        the query whose offer changed the cache, so they may read the cache
+        but must stay cheap: they sit on that query's path.
         """
         self._content_listeners.append(listener)
 
     def _notify_content_changed(self) -> None:
         for listener in self._content_listeners:
             listener()
-
-    def drain_maintenance(self) -> None:
-        """Wait for the maintenance worker to apply every pending offer."""
-        worker = self.maintenance
-        if worker is not None:
-            worker.drain()
-
-    def close(self) -> None:
-        """Stop the maintenance worker (draining pending offers first)."""
-        worker = self.maintenance
-        self.maintenance = None
-        if worker is not None:
-            worker.stop(drain=True)
 
     def _apply_replacement(self, batch: list[CacheEntry]) -> EvictionReport:
         # The query index follows the store by the exact delta of this round.
@@ -387,22 +360,11 @@ class GraphCache:
 
     def describe(self) -> dict[str, object]:
         """Configuration and population summary."""
-        worker = self.maintenance  # snapshot: close() may null the attribute
         with self._lock.read_locked():
-            description: dict[str, object] = {
+            return {
                 "capacity": self.capacity,
                 "policy": self.policy.name,
                 "window_size": self.window.window_size,
                 "population": len(self.store),
                 "memory_bytes": self._memory_bytes_unlocked(),
-                "async_maintenance": worker is not None,
             }
-        if worker is not None:
-            stats = worker.stats()
-            description["maintenance"] = {
-                "submitted": stats.submitted,
-                "processed": stats.processed,
-                "errors": stats.errors,
-                "last_error": stats.last_error,
-            }
-        return description

@@ -1,14 +1,13 @@
 """Reader-writer lock used to make the cache safe under concurrent queries.
 
 The query hot path only *reads* cache structures (:meth:`GraphCache.lookup`),
-while crediting, admission and replacement *write* them.  A reader-writer
-lock lets many concurrent queries probe the cache simultaneously and only
-serialises the (rare, and — with the maintenance worker — off-critical-path)
-mutations, mirroring the paper's claim that cache management runs
-concurrently with query processing.
+while crediting, admission and replacement *write* them, each on the thread
+of the query that triggers it.  A reader-writer lock lets concurrent callers
+(library threads, a server's handler threads, a shard worker's handlers)
+probe the cache simultaneously and only serialises the rare mutations.
 
 Writers are preferred: once a writer is waiting, new readers queue behind it
-so maintenance cannot be starved by a steady stream of lookups.
+so admission cannot be starved by a steady stream of lookups.
 """
 
 from __future__ import annotations

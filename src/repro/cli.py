@@ -96,8 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="feature size for FTV methods")
     common.add_argument("--cache-capacity", type=int, default=50)
     common.add_argument("--window-size", type=int, default=10)
-    common.add_argument("--async-maintenance", action="store_true",
-                        help="run cache admission/replacement on a maintenance thread")
     common.add_argument("--shards", type=int, default=1,
                         help="partition the dataset across N scatter-gather shards "
                              "(1 = single system)")
@@ -228,7 +226,6 @@ def _config_from_args(args, policy: str | None = None) -> GCConfig:
         replacement_policy=policy or getattr(args, "policy", "HD"),
         method=args.method,
         method_options=options,
-        async_maintenance=getattr(args, "async_maintenance", False),
         num_shards=getattr(args, "shards", 1),
         shard_policy=getattr(args, "shard_policy", "hash"),
         shard_backend=getattr(args, "shard_backend", "thread"),

@@ -70,12 +70,6 @@ class GCConfig:
     method: str = "graphgrep-sx"
     method_options: dict = field(default_factory=dict)
 
-    # --- maintenance ------------------------------------------------------
-    #: When True, window admission and replacement run on a dedicated cache
-    #: maintenance thread instead of the query critical path.  A query itself
-    #: always runs start to finish on the thread that submitted it.
-    async_maintenance: bool = False
-
     # --- sharding ---------------------------------------------------------
     #: Number of independent :class:`GraphCacheSystem` shards the dataset is
     #: partitioned across (1 = a single unsharded system).  Values above 1

@@ -15,8 +15,8 @@ The default stage order reproduces the executor's original semantics exactly:
 ``VerifyStage``   — the surviving candidates ``C`` are sub-iso tested;
 ``AssembleStage`` — the answer ``A = R ∪ S`` is assembled and timed;
 ``AdmitStage``    — contributing entries are credited and the executed query
-                    is offered for admission (synchronously, or via the
-                    asynchronous maintenance worker).
+                    is offered for admission; when it fills the window,
+                    replacement runs here too, on the query's own thread.
 """
 
 from __future__ import annotations

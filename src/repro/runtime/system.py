@@ -54,7 +54,6 @@ class GraphCacheSystem:
                 enable_sub_case=self.config.enable_sub_case,
                 enable_super_case=self.config.enable_super_case,
                 memory_budget_bytes=self.config.cache_memory_budget_bytes,
-                async_maintenance=self.config.async_maintenance,
             )
 
         self.statistics = StatisticsManager()
@@ -78,9 +77,11 @@ class GraphCacheSystem:
         return [self.cache] if self.cache is not None else []
 
     def close(self) -> None:
-        """Release background resources (the cache's maintenance worker)."""
-        if self.cache is not None:
-            self.cache.close()
+        """Nothing to release: an unsharded system owns no thread or socket.
+
+        Kept so every system surface (sharded, process-backed, this one) is
+        closed, and used as a context manager, the same way.
+        """
 
     def __enter__(self) -> "GraphCacheSystem":
         return self
@@ -110,17 +111,13 @@ class GraphCacheSystem:
         queries: Iterable[Query | Graph],
         query_type: QueryType | str = QueryType.SUBGRAPH,
     ) -> list[QueryReport]:
-        """Process a batch in order on the calling thread, then settle the cache.
+        """Process a batch in order on the calling thread.
 
         The batch entry point every shard surface shares (a sharded system
         scatters each shard its share of the batch at once).  Here it is
-        :meth:`run_queries` plus a drain of pending async admissions, so the
-        cache state is settled when the reports are handed back.
+        :meth:`run_queries`.
         """
-        reports = self.run_queries(queries, query_type)
-        if self.cache is not None:
-            self.cache.drain_maintenance()
-        return reports
+        return self.run_queries(queries, query_type)
 
     def warm_cache(
         self,
@@ -175,7 +172,6 @@ class GraphCacheSystem:
 
         if self.cache is None:
             return 0
-        self.cache.drain_maintenance()
         return save_cache(self.cache, path)
 
     def restore_snapshot(self, path) -> int:

@@ -1,8 +1,7 @@
 """QueryServer: an embedded HTTP serving boundary over a GraphCacheSystem.
 
 Stdlib only.  The server owns one shared :class:`GraphCacheSystem` —
-thread-safe cache, staged pipeline, optional async maintenance worker — and
-fronts it with a :class:`RequestBatcher` (bounded admission queue + batch
+thread-safe cache, staged pipeline — and fronts it with a :class:`RequestBatcher` (bounded admission queue + batch
 coalescing).  It is a :class:`~repro.server.adapter.RoutedApp`: a route
 table of endpoints that return ``(status, body)`` and never see a socket;
 :class:`~repro.server.adapter.HTTPAdapter` is the transport.  It speaks the

@@ -34,9 +34,8 @@ the moment it becomes dead, and both shed reasons are counted in
 
 Shutdown is graceful by default: ``close(drain=True)`` stops admission,
 executes everything already queued, and only then joins the dispatcher —
-nothing accepted is ever dropped.  The async ``CacheMaintenanceWorker``
-(when configured) keeps running off this critical path exactly as in
-library use; batches drain it via ``run_batch`` itself.
+nothing accepted is ever dropped.  Cache admission and replacement run
+inside ``run_batch``, on the dispatcher thread, like the rest of the query.
 """
 
 from __future__ import annotations

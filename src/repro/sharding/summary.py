@@ -16,7 +16,7 @@ answers.  The GC equivalent: every shard publishes
   the partition's size range in the relevant direction, is unanswerable).
 * ``resident_keys``   — the exact-match keys
   (:func:`~repro.query_model.exact_key`) of the shard cache's current
-  entries, kept current by the cache maintenance path; the planner uses them
+  entries, refreshed at the next plan after the cache changes; the planner uses them
   to spot shards that will answer from cache for ~free (cost-based
   admission) and to route repeated queries cheaply.
 

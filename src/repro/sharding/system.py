@@ -3,8 +3,7 @@
 The dataset is partitioned by a :class:`~repro.sharding.router.ShardRouter`
 into N disjoint partitions, each owned by an independent
 :class:`~repro.runtime.system.GraphCacheSystem` — its own Method M filter
-index, its own thread-safe cache, its own admission window and maintenance
-worker.  Every query is *scattered* to all shards (each filters + verifies
+index, its own thread-safe cache and its own admission window.  Every query is *scattered* to all shards (each filters + verifies
 only its own partition, consulting only its own cache) and the per-shard
 reports are *gathered* into one merged :class:`QueryReport`:
 
@@ -147,9 +146,8 @@ class ShardedGraphCacheSystem:
             extractor=self._summary_extractor,
         )
         #: Resident-cache-key freshness per shard.  Cache content listeners
-        #: only flip a dirty bit (cheap enough for the synchronous admission
-        #: path); the real refresh runs on the cache maintenance worker when
-        #: one exists, else lazily at the next plan.
+        #: only flip a dirty bit (cheap enough for the admission path); the
+        #: next plan refreshes the dirty shards' resident keys.
         # process shards keep their caches worker-side (shard.cache is None
         # coordinator-side), so they never publish resident keys: start them
         # clean or the lazy sync would re-walk them before every plan
@@ -210,21 +208,7 @@ class ShardedGraphCacheSystem:
         def listener() -> None:
             with self._resident_lock:
                 self._resident_dirty[shard_index] = True
-            cache = self.shards[shard_index].cache
-            worker = cache.maintenance if cache is not None else None
-            if worker is not None:
-                # refresh off the query critical path, on the cache
-                # maintenance thread (it is the thread running this listener
-                # under async maintenance, so ordering is preserved)
-                worker.submit_task(lambda: self._refresh_if_dirty(shard_index))
         return listener
-
-    def _refresh_if_dirty(self, shard_index: int) -> None:
-        """Worker-side refresh: a no-op when an earlier task already ran."""
-        with self._resident_lock:
-            if not self._resident_dirty[shard_index]:
-                return
-        self._refresh_resident_keys(shard_index)
 
     def _refresh_resident_keys(self, shard_index: int) -> None:
         """Re-publish one shard cache's exact-match keys into its summary."""
@@ -241,13 +225,6 @@ class ShardedGraphCacheSystem:
         with self._resident_lock:
             dirty = [index for index, flag in enumerate(self._resident_dirty) if flag]
         for index in dirty:
-            cache = self.shards[index].cache
-            if cache is not None and cache.maintenance is not None:
-                # the maintenance worker owns this refresh — planning with
-                # slightly stale resident keys is safe (they only feed exact
-                # routing and cost hints, never pruning), so don't pull the
-                # O(cache) rebuild onto the query/admission hot path
-                continue
             self._refresh_resident_keys(index)
 
     def refresh_summaries(self) -> None:

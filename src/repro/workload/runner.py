@@ -86,7 +86,6 @@ def run_workload(system: GraphCacheSystem, workload: Workload) -> WorkloadRunRes
     evicted: list[int] = []
     caches = system.all_caches()
     for cache in caches:
-        cache.drain_maintenance()
         for report in cache.eviction_reports():
             evicted.extend(report.evicted)
     scatter_metrics = getattr(system, "scatter_metrics", None)

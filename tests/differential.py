@@ -104,8 +104,7 @@ def run_on_threads(system, queries: list[Query], threads: int,
     The engine has no pool of its own: a query runs on the thread that
     submitted it, and the engine's locks are there for callers like these.
     The threads take positions off one shared counter and call
-    ``system.run_query``; pending async admissions are drained afterwards.
-    Returns the reports in submission order.  A thread still alive after
+    ``system.run_query``.  Returns the reports in submission order.  A thread still alive after
     ``timeout`` seconds is a deadlock; the first failure is re-raised.
     """
     reports: list = [None] * len(queries)
@@ -131,8 +130,6 @@ def run_on_threads(system, queries: list[Query], threads: int,
         raise failures[0]
     dropped = [position for position, report in enumerate(reports) if report is None]
     assert not dropped, f"dropped queries at positions {dropped[:10]}"
-    for cache in system.all_caches():
-        cache.drain_maintenance()
     return reports
 
 

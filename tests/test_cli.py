@@ -57,6 +57,12 @@ class TestRunCommands:
         assert "The Workload Run" in out
         assert "Developer Monitor" in out
 
+    def test_async_maintenance_flag_is_rejected(self, capsys):
+        # admission and replacement run on the query's own thread, always
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run-workload", "--async-maintenance"])
+        assert "unrecognized arguments: --async-maintenance" in capsys.readouterr().err
+
     def test_run_workload_from_file(self, tmp_path, capsys):
         dataset_path = tmp_path / "data.json"
         main(["generate-dataset", str(dataset_path), "--count", "15", "--seed", "4"])

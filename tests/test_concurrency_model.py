@@ -13,7 +13,10 @@ and worker processes).  This file pins that rule:
 (iii) the batch entry point (``run_batch``) answers identically on all three
       shard surfaces, and unsharded it *is* the sequential trajectory;
 (iv)  the removed knobs fail loudly instead of being ignored;
-(v)   a process-shard coordinator adds nothing to that: its hop to a worker is
+(v)   cache admission is part of the query: the offer that fills the window
+      runs replacement and the content listeners on the submitting thread
+      (caller, dispatcher or scatter slot) and returns the eviction report;
+(vi)  a process-shard coordinator adds nothing to that: its hop to a worker is
       a blocking call on the scatter slot that needs the answer, so it runs no
       thread but the ``gc-shard*`` slots, creates no event loop, fetches one
       ``/describe`` per shard per metrics row, and leaves no socket behind a
@@ -29,6 +32,7 @@ import threading
 import pytest
 
 from repro.api import LocalGraphService, MetricsSnapshot, RemoteGraphService
+from repro.cache import GraphCache
 from repro.graph import molecule_dataset
 from repro.isomorphism.vf2 import VF2Matcher
 from repro.methods import DirectSIMethod
@@ -40,9 +44,10 @@ from repro.workload import generate_trace, replay_trace
 from tests.differential import run_on_threads
 from tests.gated import GatedDispatcher
 
-#: Thread names of the pools this repository used to run (an executor names
-#: its threads ``<prefix>_<n>``; ``gc-query-server`` is the HTTP accept loop).
-RETIRED_POOLS = ("gc-verify_", "gc-query_", "gc-service_")
+#: Thread names of the pools and threads this repository used to run (an
+#: executor names its threads ``<prefix>_<n>``; ``gc-query-server`` is the
+#: HTTP accept loop).
+RETIRED_POOLS = ("gc-verify_", "gc-query_", "gc-service_", "gc-cache-maintenance")
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +85,15 @@ class WhereMatcher(VF2Matcher):
 def live_threads(prefixes) -> list[str]:
     return sorted(thread.name for thread in threading.enumerate()
                   if thread.name.startswith(tuple(prefixes)))
+
+
+def admitting_threads(caches) -> list[str]:
+    """Hang a content listener on every cache; the list names the thread of
+    each replacement round, in order."""
+    names: list[str] = []
+    for cache in caches:
+        cache.add_content_listener(lambda: names.append(threading.current_thread().name))
+    return names
 
 
 class TestNoPoolInsideOneProcess:
@@ -136,6 +150,48 @@ class TestNoPoolInsideOneProcess:
             assert len(live_threads(["gc-shard"])) == system.num_shards == 2
         assert sorted(calls) == sorted((shard, query.query_id)
                                        for query in queries for shard in (0, 1))
+
+
+class TestAdmissionOnTheQuerysThread:
+    def test_offer_that_fills_the_window_returns_the_report(self, trace):
+        cache = GraphCache(capacity=10, window_size=3)
+        names = admitting_threads([cache])
+        reports = [cache.offer(query, set(), tests_performed=1, observed_test_cost=0.0)
+                   for query in clones(trace)[:6]]
+        assert [report is not None for report in reports] == [False, False, True] * 2
+        assert [report.num_admitted for report in reports[2::3]] == [3, 3]
+        assert len(cache) == 6
+        assert names == [threading.current_thread().name] * 2
+
+    def test_replacement_runs_on_the_callers_thread(self, dataset, trace):
+        with GraphCacheSystem(dataset, config()) as system:
+            names = admitting_threads(system.all_caches())
+            system.run_batch(clones(trace)[:25])
+            for query in clones(trace)[25:50]:
+                system.run_query(query)
+        assert names, "the window never filled"
+        assert set(names) == {threading.current_thread().name}
+
+    def test_replacement_runs_on_the_dispatcher_thread(self, dataset):
+        trace = generate_trace(dataset, 50, skew="zipfian", query_type="mixed", seed=14)
+        with QueryServer(dataset, config(), max_batch_size=4) as server:
+            names = admitting_threads(server.system.all_caches())
+            result = replay_trace(RemoteGraphService.for_server(server), trace,
+                                  num_threads=4)
+            assert result.served == 50
+            assert live_threads(RETIRED_POOLS) == []
+        assert names, "the window never filled"
+        assert set(names) == {"gc-request-batcher"}
+
+    def test_replacement_runs_on_the_shards_scatter_slot(self, dataset, trace):
+        with ShardedGraphCacheSystem(dataset, config(num_shards=2)) as system:
+            names = admitting_threads(system.all_caches())
+            system.run_batch(clones(trace)[:30])
+            for query in clones(trace)[30:]:
+                system.run_query(query)
+            assert live_threads(RETIRED_POOLS) == []
+        assert names, "the window never filled"
+        assert set(names) <= {"gc-shard_0", "gc-shard_1"}
 
 
 class TestBatchKeepsSubmissionOrder:
@@ -277,7 +333,8 @@ class TestProcessShardCoordinatorCensus:
 
 class TestRemovedKnobsFailLoudly:
     @pytest.mark.parametrize("field", ("verify_threads", "max_workers", "scatter_hedge",
-                                       "hedge_delay_seconds", "verifier"))
+                                       "hedge_delay_seconds", "verifier",
+                                       "async_maintenance"))
     def test_config_rejects_the_removed_fields(self, field):
         with pytest.raises(TypeError, match=field):
             GCConfig(**{field: 2})

@@ -2,9 +2,8 @@
 
 The acceptance property of the thread-safe engine: over a seeded mixed
 sub/supergraph workload, cache-enabled, cache-disabled, sequential and
-concurrent execution (four test-owned caller threads on ``run_query``) —
-with and without asynchronous maintenance — all agree on every query's
-answer set.  Cache state may follow a different trajectory under concurrency
+concurrent execution (four test-owned caller threads on ``run_query``) all
+agree on every query's answer set.  Cache state may follow a different trajectory under concurrency
 (admission order interleaves), but answers may not change: the cache only
 prunes candidates it can guarantee.
 """
@@ -79,16 +78,6 @@ class TestExecutionModeEquivalence:
         system = GraphCacheSystem(dataset, GCConfig(window_size=5, cache_capacity=25))
         reports = run_on_threads(system, _clone(workload), threads=4)
         assert [report.answer for report in reports] == reference_answers
-
-    def test_concurrent_async_maintenance_matches(self, dataset, workload, reference_answers):
-        with GraphCacheSystem(
-            dataset,
-            GCConfig(window_size=5, cache_capacity=25, async_maintenance=True),
-        ) as system:
-            reports = run_on_threads(system, _clone(workload), threads=4)
-            assert [report.answer for report in reports] == reference_answers
-            # maintenance quiesced: every offer was applied before returning
-            assert system.cache.maintenance.stats().pending == 0
 
     def test_concurrent_reports_keep_submission_order(self, dataset, workload):
         system = GraphCacheSystem(dataset, GCConfig(window_size=5, cache_capacity=25))

@@ -1,0 +1,126 @@
+"""The engine's locks: the cache's RW lock, the statistics lock, and a cache
+hammered by concurrent callers.
+
+A query runs start to finish on the thread that submitted it, admission and
+replacement included; these locks are what keep concurrent library callers
+and a server's handler threads safe on one shared engine.
+"""
+
+from __future__ import annotations
+
+import threading
+import time
+
+import pytest
+
+from repro.cache import StatisticsManager
+from repro.cache.locks import ReadWriteLock
+from repro.graph import molecule_dataset
+from repro.runtime import GCConfig, GraphCacheSystem
+from tests.conftest import make_subgraph_queries
+from tests.differential import run_on_threads
+
+
+class TestReadWriteLock:
+    def test_readers_share(self):
+        lock = ReadWriteLock()
+        inside = threading.Barrier(3, timeout=5)
+
+        def reader():
+            with lock.read_locked():
+                inside.wait()  # only passes if all 3 readers are in together
+
+        threads = [threading.Thread(target=reader) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=5)
+        assert not any(thread.is_alive() for thread in threads)
+
+    def test_writer_excludes_readers(self):
+        lock = ReadWriteLock()
+        order: list[str] = []
+        writer_in = threading.Event()
+
+        def writer():
+            with lock.write_locked():
+                writer_in.set()
+                time.sleep(0.05)
+                order.append("writer")
+
+        def reader():
+            writer_in.wait(timeout=5)
+            with lock.read_locked():
+                order.append("reader")
+
+        threads = [threading.Thread(target=writer), threading.Thread(target=reader)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=5)
+        assert order == ["writer", "reader"]
+
+    def test_write_lock_is_exclusive(self):
+        lock = ReadWriteLock()
+        counter = {"value": 0}
+
+        def bump():
+            for _ in range(200):
+                with lock.write_locked():
+                    current = counter["value"]
+                    counter["value"] = current + 1
+
+        threads = [threading.Thread(target=bump) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert counter["value"] == 800
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    return molecule_dataset(14, min_vertices=7, max_vertices=12, rng=23)
+
+
+class TestConcurrentCallers:
+    def test_hammer_concurrent_queries(self, dataset):
+        """Eight callers querying while each admits and replaces on its own
+        thread must not corrupt state."""
+        queries = make_subgraph_queries(dataset, 48, 6, seed=5)
+        with GraphCacheSystem(dataset, GCConfig(window_size=3, cache_capacity=9)) as system:
+            reports = run_on_threads(system, queries, threads=8)
+            assert len(reports) == 48
+            assert all(report.answer is not None for report in reports)
+            # cache invariants: population within capacity, index consistent
+            assert len(system.cache) <= system.cache.capacity
+            resident = set(system.cache.store.entry_ids())
+            indexed = {entry.entry_id for entry in system.cache.query_index.entries()}
+            assert indexed == resident
+
+
+class TestStatisticsManager:
+    def test_empty_manager_is_truthy(self):
+        manager = StatisticsManager()
+        assert bool(manager) is True
+        assert len(manager) == 0
+
+    def test_concurrent_records(self):
+        from repro.cache.statistics import QueryRecord
+        from repro.query_model import QueryType
+
+        manager = StatisticsManager()
+
+        def record_many(base: int):
+            for offset in range(100):
+                manager.record(
+                    QueryRecord(query_id=base + offset, query_type=QueryType.SUBGRAPH)
+                )
+
+        threads = [threading.Thread(target=record_many, args=(i * 1000,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert len(manager) == 400
+        assert manager.aggregate().num_queries == 400

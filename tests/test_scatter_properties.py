@@ -7,8 +7,7 @@ Three families of properties lock the planner down:
   truth: every skipped shard's partition is brute-force verified with VF2
   (no summaries, no filter index involved) and must contain no answer.
 * **Summary consistency** — the resident-key half of a summary tracks the
-  shard cache exactly under arbitrary cache churn (sync and async
-  maintenance), and the partition-level vectors (union/common features,
+  shard cache exactly under arbitrary cache churn, and the partition-level vectors (union/common features,
   size envelope) bound every member graph — also after a router rebalance
   produced new partitions.
 * **Cost monotonicity** — the admission cost estimate is monotone
@@ -102,19 +101,15 @@ class TestPruningSoundness:
 
 class TestSummaryConsistency:
     @COMMON_SETTINGS
-    @given(seed=st.integers(0, 2**16), num_shards=st.integers(2, 3),
-           async_maintenance=st.booleans())
-    def test_resident_keys_track_cache_churn(self, seed, num_shards, async_maintenance):
+    @given(seed=st.integers(0, 2**16), num_shards=st.integers(2, 3))
+    def test_resident_keys_track_cache_churn(self, seed, num_shards):
         dataset = make_dataset(seed, 8)
         config = GCConfig(cache_capacity=6, window_size=2, num_shards=num_shards,
-                          scatter_mode="short-circuit",
-                          async_maintenance=async_maintenance)
+                          scatter_mode="short-circuit")
         trace = generate_trace(dataset, 20, skew="zipfian",
                                query_type="mixed", seed=seed + 3)
         with ShardedGraphCacheSystem(dataset, config) as system:
             system.run_queries(list(trace))
-            for cache in system.all_caches():
-                cache.drain_maintenance()
             system._sync_summaries()
             for index, shard in enumerate(system.shards):
                 entries = shard.cache.entries()

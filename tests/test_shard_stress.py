@@ -1,8 +1,8 @@
 """Concurrency stress: hammer a 4-shard system from 8 threads.
 
 Eight client threads pull queries off a shared cursor and fire them at one
-:class:`ShardedGraphCacheSystem` (4 shards, async maintenance workers
-running).  The assertions:
+:class:`ShardedGraphCacheSystem` (4 shards, each admitting and replacing on
+the scatter slot that runs its share).  The assertions:
 
 * **no deadlock** — every thread finishes within a hard timeout;
 * **no dropped queries** — every query produces a report, and every report
@@ -49,16 +49,10 @@ def _clones(trace):
 
 
 def test_hammered_shards_no_deadlock_no_drops(dataset, trace, reference_answers):
-    config = GCConfig(
-        cache_capacity=20,
-        window_size=5,
-        num_shards=NUM_SHARDS,
-        async_maintenance=True,  # maintenance workers run during the storm
-    )
+    config = GCConfig(cache_capacity=20, window_size=5, num_shards=NUM_SHARDS)
     queries = _clones(trace)
     with ShardedGraphCacheSystem(dataset, config) as system:
-        # no deadlock, no dropped or failed query: the helper asserts all
-        # three, and drains the async maintenance workers without hanging
+        # no deadlock, no dropped or failed query: the helper asserts all three
         reports = run_on_threads(system, queries, NUM_THREADS,
                                  timeout=JOIN_TIMEOUT_SECONDS)
         # every answer is correct despite arbitrary interleaving...
@@ -71,10 +65,7 @@ def test_hammered_shards_no_deadlock_no_drops(dataset, trace, reference_answers)
 def test_concurrent_batches_keep_submission_order(dataset, trace, reference_answers):
     """run_batch merges deterministically: report i belongs to query i and
     answers are identical across independent runs."""
-    config = GCConfig(
-        cache_capacity=20, window_size=5, num_shards=NUM_SHARDS,
-        async_maintenance=True,
-    )
+    config = GCConfig(cache_capacity=20, window_size=5, num_shards=NUM_SHARDS)
     runs = []
     for _ in range(2):
         queries = _clones(trace)
