@@ -18,7 +18,6 @@ from benchmarks.harness import rows_to_report, standard_dataset, standard_worklo
 METHODS = {
     "direct-si": {},
     "graphgrep-sx": {"feature_size": 2},
-    "grapes": {"feature_size": 2},
     "ct-index": {"num_bits": 1024},
 }
 

@@ -1,18 +1,18 @@
-"""The unified GraphService API: typed envelopes, one boundary, three backends.
+"""The unified GraphService API: typed envelopes, one boundary, two backends.
 
 This package is the product-shaped SDK over the whole serving stack.  Every
-execution mode — direct, cached, sharded, served over sync HTTP, served over
-async HTTP — is reached through one :class:`GraphService` surface speaking
-the :mod:`~repro.api.envelopes` types:
+execution mode — direct, cached, sharded, served over HTTP — is reached
+through one :class:`GraphService` surface speaking the
+:mod:`~repro.api.envelopes` types:
 
 >>> from repro.api import LocalGraphService, QueryRequest
 >>> service = LocalGraphService(dataset, GCConfig(num_shards=2))  # doctest: +SKIP
 >>> response = service.run(QueryRequest(graph=pattern))           # doctest: +SKIP
 >>> sorted(response.answer)                                       # doctest: +SKIP
 
-Swap ``LocalGraphService`` for :class:`RemoteGraphService` (sync HTTP) or
-:class:`AsyncRemoteGraphService` (asyncio, thousands of pooled connections)
-without touching the calling code — same envelopes, same typed errors.
+Swap ``LocalGraphService`` for :class:`RemoteGraphService` (blocking HTTP,
+one keep-alive connection per calling thread) without touching the calling
+code — same envelopes, same typed errors.
 """
 
 from repro.api.envelopes import (
@@ -54,21 +54,8 @@ __all__ = [
     "GraphService",
     "LocalGraphService",
     "RemoteGraphService",
-    "AsyncRemoteGraphService",
-    "replay_trace_async",
-    "replay_trace_async_blocking",
     # recording
     "TraceRecorder",
     "RecordingStateError",
 ]
 
-
-def __getattr__(name: str):
-    # the asyncio backend imports the replay machinery; load it lazily so
-    # `import repro.api` stays cheap and cycle-free for low-level callers
-    if name in ("AsyncRemoteGraphService", "replay_trace_async",
-                "replay_trace_async_blocking"):
-        from repro.api import aio
-
-        return getattr(aio, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,40 +1,30 @@
-"""Sans-IO client core: every wire decision the remote clients share.
+"""Sans-IO wire functions of the remote client.
 
-:class:`~repro.api.remote.RemoteGraphService` (``http.client``, one
-keep-alive connection per thread) and
-:class:`~repro.api.aio.AsyncRemoteGraphService` (asyncio streams, pooled)
-differ only in *transport*: how bytes reach the server, when a connection is
-retried, how a stream is read.  Everything else lives here and never touches
-a socket: trace sampling and the ``client.request`` span, request → wire
-body, ``(status, payload)`` → typed response or typed raise, the ``/batch``
-body + NDJSON lines + in-order gather, the ``/debug/traces`` path, the
-200-check and the text exposition.  There is one wire version: a client sends
-the envelope and reads the envelope back.  A wire change is therefore written
-once and cannot skew one backend against the other.
+Everything :class:`~repro.api.remote.RemoteGraphService` decides about the
+wire that does not need a socket lives here: request → wire body,
+``(status, payload)`` → typed response or typed raise, the ``/batch`` body +
+NDJSON lines + in-order gather, the ``/debug/traces`` path, the 200-check and
+the text exposition.  There is one wire version: a client sends the envelope
+and reads the envelope back.  Keeping these functions free of transport lets
+tests drive the wire format without a server, and lets the process shard
+backend read worker replies with the same checks.
 """
 
 from __future__ import annotations
 
 import json
-import random
-import time
-import uuid
-from contextlib import contextmanager
 from typing import TYPE_CHECKING
 from urllib.parse import urlencode
 
 from repro.api.envelopes import (
     BatchResult,
     ErrorEnvelope,
-    QueryRequest,
     QueryResponse,
     PROTOCOL_VERSION,
     as_request,
     parse_response,
 )
 from repro.errors import ProtocolError, ServerError
-from repro.obs.recorder import get_recorder
-from repro.obs.trace import Span, TraceContext, new_span_id, new_trace_id
 
 if TYPE_CHECKING:  # pragma: no cover - runtime import is lazy (replay.py imports us)
     from repro.workload.workload import Workload
@@ -166,51 +156,3 @@ def trace_from_stop_payload(payload: dict) -> "Workload":
         raise ServerError(f"malformed /record/stop payload: {payload!r}")
     return Workload.load(path)
 
-
-# ---------------------------------------------------------------------- #
-# per-client state: trace sampling
-# ---------------------------------------------------------------------- #
-class ClientCore:
-    """What a remote client remembers between requests — no transport."""
-
-    def __init__(self, trace_sample_rate: float) -> None:
-        if not (0.0 <= trace_sample_rate <= 1.0):
-            raise ProtocolError("trace_sample_rate must be between 0 and 1")
-        #: Fraction of queries this client originates a trace for.  The
-        #: sampled trace ids come back on the response, so callers can
-        #: correlate with the server's ``/debug/traces``.
-        self.trace_sample_rate = trace_sample_rate
-        # dedicated RNG: sampling must not perturb seeded workload streams
-        self._sample_rng = random.Random(uuid.uuid4().int)
-
-    def _sampled(self) -> bool:
-        rate = self.trace_sample_rate
-        if rate <= 0.0:
-            return False
-        return rate >= 1.0 or self._sample_rng.random() < rate
-
-    @contextmanager
-    def _client_span(self, request: QueryRequest):
-        """Originate a trace around one ``/query`` exchange when sampled.
-
-        When client-side sampling fires (and the request doesn't already
-        carry a context) a fresh trace is started: the context rides the
-        envelope so the server parents its own spans under it, and on exit
-        a ``client.request`` root span lands in the local span recorder.
-        """
-        if request.trace is not None or not self._sampled():
-            yield
-            return
-        context = TraceContext(trace_id=new_trace_id(), span_id=new_span_id())
-        request.trace = context
-        started_wall = time.time()
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            get_recorder().record(Span(
-                trace_id=context.trace_id, span_id=context.span_id,
-                name="client.request", start=started_wall,
-                duration_seconds=time.perf_counter() - started,
-                attributes={"request_id": request.request_id},
-            ))

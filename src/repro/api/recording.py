@@ -5,9 +5,8 @@ the :class:`~repro.server.app.QueryServer` appends every well-formed query
 request it receives (admitted *or* backpressured — the recording reproduces
 the **offered** load, not the served subset) to a :class:`TraceRecorder`.
 Stopping yields a plain :class:`~repro.workload.workload.Workload`, so the
-captured production traffic replays through either client
-(:func:`~repro.workload.replay.replay_trace` or
-:func:`~repro.api.aio.replay_trace_async`) against any candidate
+captured production traffic replays through
+:func:`~repro.workload.replay.replay_trace` against any candidate
 configuration.  What is recorded is the parsed envelope, so a trace carries no
 wire detail of the connection it arrived on.
 """

@@ -1,10 +1,13 @@
-"""RemoteGraphService: the blocking-HTTP backend of the service boundary.
+"""RemoteGraphService: the one remote backend of the service boundary.
 
 A stdlib (``http.client``) client speaking the envelope protocol against a
 :class:`~repro.server.app.QueryServer` — or, as the process shard backend's
 transport, against a shard worker.  One keep-alive connection per calling
-thread: a thread-pool load generator, or a scatter-pool slot, pays no TCP
-handshake per query and never shares a connection with a sibling.
+thread: a thread-per-connection load generator (:func:`replay_trace`, up to
+a thousand threads in the tests), or a scatter-pool slot, pays no TCP
+handshake per query and never shares a connection with a sibling.  The wire
+decisions that need no socket are the functions of :mod:`repro.api.core`;
+this class adds the transport and client-side trace sampling.
 
 ``close()`` drops the calling thread's connection only (other threads may be
 mid-request on theirs); ``close_all()`` is for an owner that has stopped the
@@ -19,27 +22,34 @@ intact, never parsed from message text.
 from __future__ import annotations
 
 import http.client
+import random
 import threading
+import time
+import uuid
+from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 from repro.api import core
-from repro.api.core import ClientCore, recording_start_body, trace_from_stop_payload
+from repro.api.core import recording_start_body, trace_from_stop_payload
 from repro.api.envelopes import (
     BatchResult,
     ErrorEnvelope,
     MetricsSnapshot,
+    QueryRequest,
     QueryResponse,
     as_request,
 )
-from repro.errors import ServerError
+from repro.errors import ProtocolError, ServerError
+from repro.obs.recorder import get_recorder
+from repro.obs.trace import Span, TraceContext, new_span_id, new_trace_id
 from repro.query_model import QueryType
 
 if TYPE_CHECKING:  # pragma: no cover - runtime import is lazy (replay.py imports us)
     from repro.workload.workload import Workload
 
 
-class RemoteGraphService(ClientCore):
-    """Sync HTTP :class:`GraphService` backend (keep-alive per thread)."""
+class RemoteGraphService:
+    """Blocking HTTP :class:`GraphService` backend (keep-alive per thread)."""
 
     backend = "remote-sync"
 
@@ -50,7 +60,14 @@ class RemoteGraphService(ClientCore):
         timeout: float = 60.0,
         trace_sample_rate: float = 0.0,
     ) -> None:
-        super().__init__(trace_sample_rate)
+        if not (0.0 <= trace_sample_rate <= 1.0):
+            raise ProtocolError("trace_sample_rate must be between 0 and 1")
+        #: Fraction of queries this client originates a trace for.  The
+        #: sampled trace ids come back on the response, so callers can
+        #: correlate with the server's ``/debug/traces``.
+        self.trace_sample_rate = trace_sample_rate
+        # dedicated RNG: sampling must not perturb seeded workload streams
+        self._sample_rng = random.Random(uuid.uuid4().int)
         self.host = host
         self.port = port
         self.timeout = timeout
@@ -141,13 +158,48 @@ class RemoteGraphService(ClientCore):
         self.close()
 
     # ------------------------------------------------------------------ #
+    # client-side trace sampling
+    # ------------------------------------------------------------------ #
+    def _sampled(self) -> bool:
+        rate = self.trace_sample_rate
+        if rate <= 0.0:
+            return False
+        return rate >= 1.0 or self._sample_rng.random() < rate
+
+    @contextmanager
+    def _client_span(self, request: QueryRequest):
+        """Originate a trace around one ``/query`` exchange when sampled.
+
+        When client-side sampling fires (and the request doesn't already
+        carry a context) a fresh trace is started: the context rides the
+        envelope so the server parents its own spans under it, and on exit
+        a ``client.request`` root span lands in the local span recorder.
+        """
+        if request.trace is not None or not self._sampled():
+            yield
+            return
+        context = TraceContext(trace_id=new_trace_id(), span_id=new_span_id())
+        request.trace = context
+        started_wall = time.time()
+        started = time.perf_counter()
+        try:
+            yield
+        finally:
+            get_recorder().record(Span(
+                trace_id=context.trace_id, span_id=context.span_id,
+                name="client.request", start=started_wall,
+                duration_seconds=time.perf_counter() - started,
+                attributes={"request_id": request.request_id},
+            ))
+
+    # ------------------------------------------------------------------ #
     # GraphService surface
     # ------------------------------------------------------------------ #
     def send(self, query, query_type: QueryType | str = QueryType.SUBGRAPH) -> tuple[int, dict]:
         """POST one query; returns the raw ``(http_status, payload)``.
 
         A sampled query originates a trace around the exchange (see
-        :meth:`ClientCore._client_span`).
+        :meth:`_client_span`).
         """
         request = as_request(query, query_type)
         with self._client_span(request):

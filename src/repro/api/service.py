@@ -7,13 +7,11 @@ typed :class:`QueryResponse` envelopes, whatever actually executes them:
   :class:`~repro.runtime.system.GraphCacheSystem` or a
   :class:`~repro.sharding.system.ShardedGraphCacheSystem`
   (``GCConfig.num_shards`` decides, via :func:`repro.sharding.make_system`);
-* :class:`~repro.api.remote.RemoteGraphService` — over sync HTTP against a
-  :class:`~repro.server.app.QueryServer`;
-* :class:`~repro.api.aio.AsyncRemoteGraphService` — over asyncio HTTP with a
-  connection pool (same envelopes, ``await``-shaped methods).
+* :class:`~repro.api.remote.RemoteGraphService` — over blocking HTTP against
+  a :class:`~repro.server.app.QueryServer`.
 
-Failures surface as the *same* typed :mod:`repro.errors` exceptions in every
-backend (remote transports reconstruct them from the wire taxonomy), so
+Failures surface as the *same* typed :mod:`repro.errors` exceptions in both
+backends (the remote one reconstructs them from the wire taxonomy), so
 callers write one error-handling path.  ``run_batch`` never raises for
 per-query failures: each position of the returned :class:`BatchResult` is a
 response or an :class:`ErrorEnvelope`.

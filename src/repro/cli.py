@@ -177,14 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--qps", type=float, default=None,
                          help="open-loop target QPS (default: closed-loop)")
     loadgen.add_argument("--threads", type=int, default=4,
-                         help="concurrent client threads (sync client)")
-    loadgen.add_argument("--async-client", action="store_true",
-                         help="use the asyncio client: thousands of pooled "
-                              "connections in one process, no thread per "
-                              "connection")
-    loadgen.add_argument("--connections", type=int, default=512,
-                         help="connection pool size of the async client "
-                              "(pre-opened before the clock starts)")
+                         help="concurrent client threads, one keep-alive "
+                              "connection each")
     loadgen.add_argument("--deadline-ms", type=float, default=None,
                          help="per-query deadline in milliseconds; the server "
                               "sheds queries it cannot start in time (504s "
@@ -218,7 +212,7 @@ def _load_or_generate_dataset(args) -> list:
 
 def _config_from_args(args, policy: str | None = None) -> GCConfig:
     options = {}
-    if args.method in ("graphgrep-sx", "grapes"):
+    if args.method == "graphgrep-sx":
         options["feature_size"] = args.feature_size
     return GCConfig(
         cache_capacity=args.cache_capacity,
@@ -370,10 +364,8 @@ def cmd_serve(args) -> int:
 def cmd_loadgen(args) -> int:
     """Replay a (loaded or generated) trace against a running server.
 
-    Both replay modes go through the :mod:`repro.api` SDK: the sync client
-    (`--threads` keep-alive connections, one thread each) or, with
-    ``--async-client``, the asyncio client holding ``--connections`` pooled
-    connections on one event loop.
+    The replay goes through the :mod:`repro.api` SDK's blocking client:
+    ``--threads`` keep-alive connections, one thread each.
     """
     if args.trace is not None:
         trace = Workload.load(args.trace)
@@ -388,24 +380,10 @@ def cmd_loadgen(args) -> int:
                         if args.deadline_ms is not None else None)
     client = RemoteGraphService(args.host, args.port)
     client.health()  # fail fast when no server is listening
-    if args.async_client:
-        # the probe connection must not sit on a server slot while the
-        # async pool — whose capacity this mode measures — does the work
-        client.close()
-        from repro.api.aio import replay_trace_async_blocking
-
-        result = replay_trace_async_blocking(
-            args.host, args.port, trace, target_qps=args.qps,
-            max_connections=args.connections,
-            warm_connections=min(args.connections, len(trace)),
-            deadline_seconds=deadline_seconds,
-            priority_mix=args.priority_mix,
-        )
-    else:
-        result = replay_trace(client, trace, target_qps=args.qps,
-                              num_threads=args.threads,
-                              deadline_seconds=deadline_seconds,
-                              priority_mix=args.priority_mix)
+    result = replay_trace(client, trace, target_qps=args.qps,
+                          num_threads=args.threads,
+                          deadline_seconds=deadline_seconds,
+                          priority_mix=args.priority_mix)
     print(format_table([result.summary()]))
     return 0 if result.errors == 0 else 1
 

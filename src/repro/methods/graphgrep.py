@@ -2,8 +2,8 @@
 
 Bonnici et al. (reference [1]) filter with the label paths of every dataset
 graph up to a maximum length, ``feature_size`` — the knob experiment II
-turns.  The registry also answers to ``grapes``: GRAPES filters with the same
-feature family, and over one containment index the two are one computation.
+turns.  GRAPES filters with the same feature family; over one containment
+index the two would be one computation, so only this one is registered.
 """
 
 from __future__ import annotations

@@ -46,6 +46,4 @@ def make_method(name: str, **kwargs) -> MethodM:
 # built-in methods
 register_method(DirectSIMethod.name, DirectSIMethod)
 register_method(GraphGrepSXMethod.name, GraphGrepSXMethod)
-# GRAPES filters with the same path features: one computation, two names
-register_method("grapes", GraphGrepSXMethod)
 register_method(CTIndexMethod.name, CTIndexMethod)

@@ -129,9 +129,10 @@ class _Handler(BaseHTTPRequestHandler):
 class HTTPAdapter(ThreadingHTTPServer):
     """The stdlib transport: one thread per connection, sized for thousands.
 
-    The async client opens connections in bursts, so the listen backlog must
-    be far deeper than :mod:`socketserver`'s default of 5 or a warm-up wave
-    gets connection-refused before a single request is sent.
+    A load generator's client threads open their connections in bursts (a
+    thousand at once in the tests), so the listen backlog must be far deeper
+    than :mod:`socketserver`'s default of 5 or a burst gets
+    connection-refused before a single request is sent.
     """
 
     daemon_threads = True

@@ -8,10 +8,9 @@ client threads, either *closed-loop* (send as fast as responses return) or
 buildup then shows up as latency, the way real traffic behaves).  The result
 records per-query status/latency so tail percentiles and rejection (429)
 rates fall out directly; replies are read through the one envelope parser
-(:func:`~repro.api.envelopes.parse_response`).  The asyncio counterpart
-(thousands of connections in one process) is
-:func:`repro.api.aio.replay_trace_async`, which returns the same
-:class:`ReplayResult`.
+(:func:`~repro.api.envelopes.parse_response`).  One thread holds one
+keep-alive connection, so ``num_threads`` is also the number of connections
+the replay holds open; a thousand is a tested operating point.
 
 Trace *generation* reuses the workload generators: :func:`generate_trace`
 maps the three canonical skews the paper's experiments vary — ``uniform``,
@@ -155,9 +154,6 @@ class ReplayResult:
     elapsed_seconds: float = 0.0
     target_qps: float | None = None
     num_threads: int = 1
-    #: Peak open connections of an async replay (None for thread-based runs,
-    #: where connections == threads).
-    num_connections: int | None = None
 
     @property
     def served(self) -> int:
@@ -218,23 +214,10 @@ class ReplayResult:
             "achieved_qps": round(self.achieved_qps, 1),
             "target_qps": self.target_qps,
             "num_threads": self.num_threads,
-            "num_connections": (
-                self.num_connections if self.num_connections is not None
-                else self.num_threads
-            ),
             "p50_ms": round(tails["p50"] * 1000.0, 3),
             "p95_ms": round(tails["p95"] * 1000.0, 3),
             "p99_ms": round(tails["p99"] * 1000.0, 3),
         }
-
-
-def replay_queries(trace: Workload, target_qps: float | None,
-                   deadline_seconds: float | None, priority_mix) -> list:
-    """What a replay sends: the trace's queries with serving fields stamped."""
-    if target_qps is not None and target_qps <= 0:
-        raise WorkloadError("target_qps must be positive (or None for closed-loop)")
-    return with_serving_fields(list(trace), deadline_seconds=deadline_seconds,
-                               priority_mix=priority_mix)
 
 
 def replay_trace(
@@ -264,7 +247,10 @@ def replay_trace(
     """
     if num_threads < 1:
         raise WorkloadError("num_threads must be at least 1")
-    queries = replay_queries(trace, target_qps, deadline_seconds, priority_mix)
+    if target_qps is not None and target_qps <= 0:
+        raise WorkloadError("target_qps must be positive (or None for closed-loop)")
+    queries = with_serving_fields(list(trace), deadline_seconds=deadline_seconds,
+                                  priority_mix=priority_mix)
     events: list[ReplayEvent | None] = [None] * len(queries)
     cursor = iter(range(len(queries)))
     cursor_lock = threading.Lock()

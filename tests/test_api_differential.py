@@ -1,16 +1,14 @@
-"""Differential arm: sync client ≡ async client ≡ in-process, one API.
+"""Differential arm: remote client ≡ in-process, one API.
 
 The service-boundary counterpart of the sharding differential suites: the
-same 200-query mixed sub/supergraph trace is executed through every
-:class:`GraphService` backend —
+same 200-query mixed sub/supergraph trace is executed through both
+:class:`GraphService` backends —
 
 * ``local``        — :class:`LocalGraphService` over the in-process engine;
 * ``remote-sync``  — :class:`RemoteGraphService` against a live server
   (thread-per-connection);
-* ``remote-async`` — :class:`AsyncRemoteGraphService` against a live server
-  (pooled asyncio connections, concurrent in-flight queries);
 
-— and the per-position answer sets must be byte-identical across all three,
+— and the per-position answer sets must be byte-identical across the two,
 on both the unsharded and the 2-shard short-circuit configurations.  The
 failure mode this guards: a transport or envelope bug silently changing
 (or reordering) answers would otherwise masquerade as a perf quirk.
@@ -18,11 +16,8 @@ failure mode this guards: a transport or envelope bug silently changing
 
 from __future__ import annotations
 
-import asyncio
-
 import pytest
 
-from repro.api.aio import AsyncRemoteGraphService, replay_trace_async
 from repro.api.envelopes import QueryRequest
 from repro.api.remote import RemoteGraphService
 from repro.api.service import LocalGraphService
@@ -77,48 +72,25 @@ def run_sync_arm(dataset, trace, cfg, num_threads=4) -> ArmResult:
     )
 
 
-def run_async_arm(dataset, trace, cfg, connections=100) -> ArmResult:
-    with QueryServer(dataset, cfg, max_batch_size=4,
-                     max_queue_depth=max(256, 2 * len(trace))) as server:
-
-        async def go():
-            async with AsyncRemoteGraphService.for_server(
-                    server, max_connections=connections) as client:
-                return await replay_trace_async(client, trace,
-                                                warm_connections=connections)
-
-        result = asyncio.run(go())
-    assert result.served == len(trace), (
-        f"async arm dropped queries: {result.summary()}")
-    return ArmResult(
-        name=f"remote-async(connections={connections})",
-        answers=[frozenset(answer) for answer in result.answers()],
-    )
-
-
-def assert_arms_identical(reference: ArmResult, *others: ArmResult) -> None:
-    for other in others:
-        diff = diff_answers(reference, other)
-        assert diff is None, diff
+def assert_arms_identical(local: ArmResult, sync: ArmResult) -> None:
+    diff = diff_answers(local, sync)
+    assert diff is None, diff
 
 
 def test_differential_unsharded(dataset, trace):
-    """local ≡ sync ≡ async on the single-system engine."""
+    """local ≡ sync on the single-system engine."""
     local = run_local_arm(dataset, trace, config())
     sync = run_sync_arm(dataset, trace, config())
-    async_ = run_async_arm(dataset, trace, config())
-    assert_arms_identical(local, sync, async_)
+    assert_arms_identical(local, sync)
 
 
 def test_differential_sharded_short_circuit(dataset, trace):
-    """local ≡ sync ≡ async on the 2-shard short-circuit engine.
+    """local ≡ sync on the 2-shard short-circuit engine.
 
-    This is the configuration the async acceptance criterion names: the
-    envelope path must not interfere with scatter planning, shard merge or
-    summary-driven pruning.
+    The envelope path must not interfere with scatter planning, shard merge
+    or summary-driven pruning.
     """
     cfg = config(num_shards=2, scatter_mode="short-circuit")
     local = run_local_arm(dataset, trace, cfg)
     sync = run_sync_arm(dataset, trace, cfg)
-    async_ = run_async_arm(dataset, trace, cfg)
-    assert_arms_identical(local, sync, async_)
+    assert_arms_identical(local, sync)

@@ -205,3 +205,11 @@ class TestLoadgenCommand:
     def test_loadgen_fails_fast_without_server(self):
         with pytest.raises(Exception):
             main(["loadgen", "--port", "1", "--dataset-size", "10", "--queries", "2"])
+
+    def test_removed_loadgen_flags_are_rejected(self, capsys):
+        # one client: a thread per connection, no pool to size
+        for flag in (["--async-client"], ["--connections", "8"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["loadgen", "--port", "1", *flag])
+            assert (f"unrecognized arguments: {' '.join(flag)}"
+                    in capsys.readouterr().err)

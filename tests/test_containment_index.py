@@ -8,7 +8,7 @@ Three groups:
     group by group;
 (b) dataset side — for every indexed Method M, ``filter_candidates`` *is* the
     brute-force definition over its feature family (multiset containment for
-    ``graphgrep-sx`` / ``grapes``, hashed-position containment with the hash
+    ``graphgrep-sx``, hashed-position containment with the hash
     ``ct-index`` has always used), for subgraph and supergraph queries;
 (c) cache side — the entries screened for a lookup are those of a linear
     scan written here, in the same order, never across query types, and the
@@ -167,7 +167,6 @@ METHODS = [
     ("graphgrep-sx", {"feature_size": 1}, _path_oracle(1)),
     ("graphgrep-sx", {"feature_size": 2}, _path_oracle(2)),
     ("graphgrep-sx", {"feature_size": 3}, _path_oracle(3)),
-    ("grapes", {"feature_size": 2}, _path_oracle(2)),
     ("ct-index", {"num_bits": 2048}, _ct_oracle(2048)),
     ("ct-index", {"num_bits": 64}, _ct_oracle(64)),
 ]

@@ -57,7 +57,6 @@ def test_no_false_results_under_any_policy(dataset, workload, expected, policy):
 @pytest.mark.parametrize("method,options", [
     ("direct-si", {}),
     ("graphgrep-sx", {"feature_size": 2}),
-    ("grapes", {"feature_size": 2}),
     ("ct-index", {"num_bits": 512}),
 ])
 def test_no_false_results_over_any_method(dataset, workload, expected, method, options):

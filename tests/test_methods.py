@@ -21,7 +21,7 @@ from repro.methods import (
 from tests.oracles import UllmannMatcher
 from repro.query_model import QueryType
 
-ALL_METHOD_NAMES = ["direct-si", "graphgrep-sx", "grapes", "ct-index"]
+ALL_METHOD_NAMES = ["direct-si", "graphgrep-sx", "ct-index"]
 
 
 @pytest.fixture(scope="module")
@@ -90,8 +90,7 @@ class TestMethodCorrectness:
         method = make_method(name)
         method.build(dataset)
         description = method.describe()
-        # "grapes" is a second registry name of graphgrep-sx, not a class
-        assert description["name"] == {"grapes": "graphgrep-sx"}.get(name, name)
+        assert description["name"] == name
         assert description["dataset_size"] == len(dataset)
 
 
@@ -136,8 +135,6 @@ class TestFiltering:
         with pytest.raises(MethodError):
             GraphGrepSXMethod(feature_size=0)
         with pytest.raises(MethodError):
-            make_method("grapes", feature_size=0)
-        with pytest.raises(MethodError):
             CTIndexMethod(num_bits=0)
 
 
@@ -178,6 +175,14 @@ class TestRegistry:
     def test_unknown_method(self):
         with pytest.raises(UnknownMethodError):
             make_method("nope")
+
+    def test_one_name_per_method(self):
+        # GRAPES filters with graphgrep-sx's path features: no second name
+        with pytest.raises(UnknownMethodError) as info:
+            make_method("grapes")
+        available = set(str(info.value).split("available: ")[1].split(", "))
+        assert {"direct-si", "graphgrep-sx", "ct-index"} <= available
+        assert "grapes" not in available
 
     def test_register_custom_method(self, dataset):
         class MyMethod(DirectSIMethod):

@@ -1,19 +1,25 @@
-"""Trace generation skew settings: determinism and save/replay round-trips.
+"""Trace generation and replay: determinism, round-trips, a thousand connections.
 
 The load generator's value for benchmarking depends on traces being exactly
 reproducible: the same seed must yield the same trace (per skew, including
 the drifting popularity flip), and a trace saved to JSON must replay the
-same queries after loading.
+same queries after loading.  The replay itself holds one keep-alive
+connection per client thread; at a thousand threads released in one burst
+against a 2-shard server it must still serve everything and answer exactly
+as an 8-thread replay does.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api.remote import RemoteGraphService
 from repro.errors import WorkloadError
 from repro.graph import molecule_dataset
 from repro.query_model import QueryType
-from repro.workload import TRACE_SKEWS, generate_trace
+from repro.runtime import GCConfig
+from repro.server import QueryServer
+from repro.workload import TRACE_SKEWS, generate_trace, replay_trace
 
 
 @pytest.fixture(scope="module")
@@ -103,3 +109,34 @@ class TestRoundTrip:
                 return [frozenset(r.answer) for r in system.run_queries(list(workload))]
 
         assert answers(trace) == answers(loaded)
+
+
+class TestThousandConnections:
+    """The acceptance arm: 1000 client threads, one connection each, one burst."""
+
+    def test_sustains_1000_connections_with_identical_answers(self):
+        # deliberately tiny graphs: this arm is about transport concurrency,
+        # not verification weight
+        dataset = molecule_dataset(12, min_vertices=6, max_vertices=10, rng=29)
+        trace = generate_trace(dataset, 1000, skew="zipfian",
+                               query_type="mixed", seed=37)
+
+        def replay(num_threads, target_qps=None):
+            config = GCConfig(cache_capacity=12, window_size=4, num_shards=2,
+                              scatter_mode="short-circuit")
+            with QueryServer(dataset, config, max_batch_size=8,
+                             max_queue_depth=2048,
+                             request_timeout_seconds=120.0) as server:
+                client = RemoteGraphService.for_server(server, timeout=120.0)
+                return replay_trace(client, trace, target_qps=target_qps,
+                                    num_threads=num_threads)
+
+        reference = replay(8)
+        # every query released at once: 1000 threads each hold a keep-alive
+        # connection and send together
+        burst = replay(1000, target_qps=1_000_000.0)
+        for result in (reference, burst):
+            assert result.served == len(trace)
+            assert result.errors == 0
+            assert result.rejected == 0
+        assert burst.answers() == reference.answers()

@@ -1,24 +1,22 @@
-"""The wire kernel: one server adapter, one client core, no socket needed.
+"""The wire kernel: one server adapter, sans-IO client functions, no socket needed.
 
 * endpoints are route tables behind ``handle`` — driven here without a
   socket, with the *same* malformed inputs against the public server app and
   the shard-worker app, which must answer identically — including the
   one-version rule: a ``/query`` or ``/batch`` payload that declares no wire
   version, or any but 2, is a 400 ``protocol`` error envelope;
-* the two remote clients are transports over one sans-IO core — their public
-  surfaces must match, and requests the core builds must be identical;
-* the ``/batch`` body and its NDJSON reply lines round-trip through the core
-  alone.
+* the remote client builds its requests through the sans-IO functions of
+  :mod:`repro.api.core` — ``debug_traces`` arguments arrive URL-encoded, and
+  client-side sampling originates a trace;
+* the ``/batch`` body and its NDJSON reply lines round-trip through those
+  functions alone.
 
-Plus the regression tests for the drift this refactor removed (async
-``metrics_text``, URL-encoded ``debug_traces``, reconnect-once on the text
-endpoint) and for the process-backend spawn-failure cleanup.
+Plus the regression tests for reconnect-once on the text endpoint and for
+the process-backend spawn-failure cleanup.
 """
 
 from __future__ import annotations
 
-import asyncio
-import inspect
 import json
 import multiprocessing
 import socket
@@ -27,7 +25,6 @@ import threading
 import pytest
 
 from repro.api import core
-from repro.api.aio import AsyncRemoteGraphService
 from repro.api.envelopes import ErrorEnvelope, QueryRequest, QueryResponse
 from repro.api.remote import RemoteGraphService
 from repro.errors import ConfigurationError, ProtocolError
@@ -176,75 +173,47 @@ class TestEndpointTable:
 
 
 # ---------------------------------------------------------------------- #
-# (b) client parity: same surface, same requests
+# (b) the remote client: encoded requests, sampling, reconnect
 # ---------------------------------------------------------------------- #
-def public_methods(cls) -> dict:
-    return {name: member for name, member in inspect.getmembers(cls)
-            if callable(member) and not name.startswith("_")}
+class TestRemoteClient:
+    def test_debug_traces_requests_are_encoded(self):
+        seen = []
+        client = RemoteGraphService("127.0.0.1", 1)
+        client._exchange = lambda method, path, body=None: (
+            seen.append((method, path, body)) or (200, b"{}"))
 
+        client.debug_traces(trace_id="a b&c")
+        client.debug_traces(sort="slowest", count=3)
+        client.start_recording(name="n", path="trace.json")
+        assert seen == [
+            ("GET", "/debug/traces?trace_id=a+b%26c", None),
+            ("GET", "/debug/traces?sort=slowest&count=3", None),
+            ("POST", "/record/start", b'{"name": "n", "path": "trace.json"}'),
+        ]
 
-class TestClientParity:
-    def test_every_sync_method_exists_on_the_async_client(self):
-        sync, aio = public_methods(RemoteGraphService), public_methods(
-            AsyncRemoteGraphService)
-        # lifecycle is transport-shaped: close() / close_all() (a connection
-        # per thread) vs aclose() (one pool)
-        missing = set(sync) - set(aio) - {"close", "close_all"}
-        assert "request" in sync and "request" in aio  # the raw exchange is public
-        assert not missing, f"async client lacks {sorted(missing)}"
-        for name in sorted(set(sync) & set(aio)):
-            expected = list(inspect.signature(sync[name]).parameters)
-            got = list(inspect.signature(aio[name]).parameters)
-            # additive async-only knobs (e.g. run_batch concurrency) may follow
-            assert got[:len(expected)] == expected, name
+    def test_sampling_originates_a_trace(self, dataset):
+        for rate, traced in ((0.0, False), (1.0, True)):
+            client = RemoteGraphService("127.0.0.1", 1, trace_sample_rate=rate)
+            request = QueryRequest(graph=dataset[0], query_type=QueryType.SUBGRAPH)
+            with client._client_span(request):
+                pass
+            assert (request.trace is not None) is traced
+        with pytest.raises(ProtocolError):
+            RemoteGraphService("127.0.0.1", 1, trace_sample_rate=7.0)
 
-    def test_debug_traces_requests_are_identical_and_encoded(self):
-        seen: dict[str, list] = {"sync": [], "async": []}
-
-        sync = RemoteGraphService("127.0.0.1", 1)
-        sync._exchange = lambda method, path, body=None: (
-            seen["sync"].append((method, path, body)) or (200, b"{}"))
-
-        aio = AsyncRemoteGraphService("127.0.0.1", 1)
-
-        async def exchange(method, path, body=None):
-            seen["async"].append((method, path, body))
-            return 200, b"{}"
-
-        aio._exchange = exchange
-
-        sync.debug_traces(trace_id="a b&c")
-        sync.debug_traces(sort="slowest", count=3)
-        sync.start_recording(name="n", path="/tmp/x")
-
-        async def go():
-            await aio.debug_traces(trace_id="a b&c")
-            await aio.debug_traces(sort="slowest", count=3)
-            await aio.start_recording(name="n", path="/tmp/x")
-
-        asyncio.run(go())
-        assert seen["sync"] == seen["async"]
-        assert seen["sync"][0][1] == "/debug/traces?trace_id=a+b%26c"
-
-    def test_async_metrics_text_and_stale_sync_reconnect(self, dataset):
+    def test_metrics_text_and_stale_connection_reconnect(self, dataset):
         with QueryServer(dataset, GCConfig(cache_capacity=8, window_size=2)) as server:
-            async def go():
-                async with AsyncRemoteGraphService.for_server(server) as client:
-                    return await client.metrics_text()
-
-            assert "gc_server_requests_total" in asyncio.run(go())
-
             with RemoteGraphService.for_server(server) as client:
-                assert client.health()["status"] == "ok"
+                assert "gc_server_requests_total" in client.metrics_text()
                 # the keep-alive connection dies between requests
                 client._connection().sock.shutdown(socket.SHUT_RDWR)
                 assert "gc_server_requests_total" in client.metrics_text()
 
 
 # ---------------------------------------------------------------------- #
-# (c) the core alone: /batch body and NDJSON lines round-trip
+# (c) the sans-IO functions alone: /batch body and NDJSON lines round-trip
 # ---------------------------------------------------------------------- #
-class TestClientCore:
+class TestWireCore:
     def test_batch_round_trips_without_a_transport(self, dataset):
         queries = [QueryRequest(graph=graph, request_id=f"q{i}")
                    for i, graph in enumerate(dataset[:3])]
@@ -275,16 +244,6 @@ class TestClientCore:
             core.batch_line(b'{"version": 2, "result": {"answer": []}}')
         with pytest.raises(ProtocolError, match="declares no protocol version"):
             core.batch_line(b'{"index": 0, "answer": []}')
-
-    def test_sampling_originates_a_trace(self, dataset):
-        for rate, traced in ((0.0, False), (1.0, True)):
-            client = core.ClientCore(trace_sample_rate=rate)
-            request = QueryRequest(graph=dataset[0], query_type=QueryType.SUBGRAPH)
-            with client._client_span(request):
-                pass
-            assert (request.trace is not None) is traced
-        with pytest.raises(ProtocolError):
-            core.ClientCore(trace_sample_rate=7.0)
 
 
 # ---------------------------------------------------------------------- #
