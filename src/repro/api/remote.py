@@ -15,8 +15,8 @@ peer and must leave no socket to it behind.
 
 Errors come back as the same typed :mod:`repro.errors` exceptions an
 in-process system raises, reconstructed from the wire taxonomy — a 429 raises
-:class:`AdmissionRejectedError` with its ``shard``/``queue_depth`` attributes
-intact, never parsed from message text.
+:class:`AdmissionRejectedError` with its ``queue_depth`` attribute intact,
+never parsed from message text.
 """
 
 from __future__ import annotations

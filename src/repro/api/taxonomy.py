@@ -5,12 +5,11 @@ its stable wire ``code``, its HTTP status, and whether a client may blindly
 retry.  The table is the single source of truth in *both* directions:
 
 * server side, :func:`rule_for` picks the most specific row for a raised
-  exception so the HTTP layer never string-matches error messages (the old
-  429 shard-blame text parsing this replaces);
+  exception so the HTTP layer never string-matches error messages;
 * client side, :func:`reconstruct` rebuilds a typed exception from a wire
   code + details, so ``RemoteGraphService`` raises the *same* exception
   classes an in-process system would (``AdmissionRejectedError`` keeps its
-  ``shard``/``queue_depth``/``estimated_cost_seconds`` attributes).
+  ``queue_depth`` attribute).
 
 ``tests/test_api_envelopes.py`` asserts the table is exhaustive over
 :mod:`repro.errors` and that codes are unique, so adding an exception
@@ -47,7 +46,6 @@ DETAIL_ATTRIBUTES = (
     "name",
     "queue_depth",
     "shard",
-    "estimated_cost_seconds",
     "respawns",
     "deadline_seconds",
 )
@@ -127,8 +125,7 @@ def reconstruct(code: str, message: str, details: dict | None = None) -> GraphCa
 
     The class is instantiated without running its (often positional)
     ``__init__`` so the exact server-side message survives verbatim; the
-    structured details are restored as attributes, which is all callers like
-    the request batcher's shard-blame handling read.
+    structured details are restored as attributes.
     """
     rule = _BY_CODE.get(code)
     if rule is None or rule.code == UNKNOWN_CODE:
@@ -141,9 +138,7 @@ def reconstruct(code: str, message: str, details: dict | None = None) -> GraphCa
     for attribute, value in (details or {}).items():
         if attribute in DETAIL_ATTRIBUTES:
             setattr(exc, attribute, value)
-    # AdmissionRejectedError always carries these in-process; mirror that
-    if isinstance(exc, _errors.AdmissionRejectedError):
-        for attribute in ("queue_depth", "shard", "estimated_cost_seconds"):
-            if not hasattr(exc, attribute):
-                setattr(exc, attribute, None)
+    # AdmissionRejectedError always carries its queue depth in-process; mirror that
+    if isinstance(exc, _errors.AdmissionRejectedError) and not hasattr(exc, "queue_depth"):
+        exc.queue_depth = None
     return exc

@@ -108,11 +108,6 @@ class GraphCache:
         #: it, crediting/admission/replacement take it exclusively.
         self._lock = ReadWriteLock()
         self._clock_lock = threading.Lock()
-        #: Callbacks invoked (outside the cache locks) whenever the resident
-        #: entry set changed — admission, eviction, warm.  A sharded system
-        #: hangs its shard-summary refresh here; callbacks must be cheap and
-        #: must not mutate the cache.
-        self._content_listeners: list = []
 
     # ------------------------------------------------------------------ #
     # clock
@@ -257,32 +252,13 @@ class GraphCache:
         """
         with self._lock.write_locked():
             batch = self.window.offer(entry, tests_performed)
-            report = self._apply_replacement(batch) if batch is not None else None
-        if report is not None:
-            self._notify_content_changed()
-        return report
+            return self._apply_replacement(batch) if batch is not None else None
 
     def flush_window(self) -> EvictionReport | None:
         """Force the pending window into the cache (end of a workload)."""
         with self._lock.write_locked():
             batch = self.window.flush()
-            report = self._apply_replacement(batch) if batch else None
-        if report is not None:
-            self._notify_content_changed()
-        return report
-
-    def add_content_listener(self, listener) -> None:
-        """Register a zero-argument callback fired after resident changes.
-
-        Listeners run *outside* the cache locks, on the thread that submitted
-        the query whose offer changed the cache, so they may read the cache
-        but must stay cheap: they sit on that query's path.
-        """
-        self._content_listeners.append(listener)
-
-    def _notify_content_changed(self) -> None:
-        for listener in self._content_listeners:
-            listener()
+            return self._apply_replacement(batch) if batch else None
 
     def _apply_replacement(self, batch: list[CacheEntry]) -> EvictionReport:
         # The query index follows the store by the exact delta of this round.
@@ -320,7 +296,6 @@ class GraphCache:
 
         Entries are inserted directly (bypassing the window) up to capacity.
         """
-        added = 0
         with self._lock.write_locked():
             for entry in entries:
                 if len(self.store) >= self.capacity:
@@ -329,9 +304,6 @@ class GraphCache:
                     continue
                 self.store.add(entry)
                 self.query_index.add(entry)
-                added += 1
-        if added:
-            self._notify_content_changed()
 
     # ------------------------------------------------------------------ #
     # introspection

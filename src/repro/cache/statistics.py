@@ -146,10 +146,6 @@ class StatisticsManager:
 
     def __init__(self) -> None:
         self._records: list[QueryRecord] = []
-        #: Running sums over ``_records`` (what admission prices a request
-        #: with), kept by :meth:`record` so reading them is O(1).
-        self._dataset_tests = 0
-        self._verify_seconds = 0.0
         self._lock = threading.Lock()
         #: Per-shard managers attached by a sharded system (name → manager);
         #: insertion-ordered, so snapshots list shards deterministically.
@@ -177,8 +173,6 @@ class StatisticsManager:
         """Append one query record."""
         with self._lock:
             self._records.append(record)
-            self._dataset_tests += record.dataset_tests
-            self._verify_seconds += record.verify_seconds
 
     def records(self) -> list[QueryRecord]:
         """All records in processing order."""
@@ -200,8 +194,6 @@ class StatisticsManager:
         """Drop every record (e.g. between benchmark phases)."""
         with self._lock:
             self._records.clear()
-            self._dataset_tests = 0
-            self._verify_seconds = 0.0
 
     # ------------------------------------------------------------------ #
     # aggregates
@@ -233,28 +225,6 @@ class StatisticsManager:
         if aggregate.total_baseline_seconds > 0 and aggregate.total_seconds > 0:
             aggregate.time_speedup = aggregate.total_baseline_seconds / aggregate.total_seconds
         return aggregate
-
-    def observed_test_cost(self, default: float = 0.0) -> float:
-        """Mean seconds per dataset sub-iso test over every recorded query.
-
-        The price signal cost-based shard-aware admission multiplies planned
-        candidate counts by; ``default`` is returned until the manager has
-        seen at least one actual dataset test (cold start).
-        """
-        with self._lock:
-            tests, seconds = self._dataset_tests, self._verify_seconds
-        return seconds / tests if tests > 0 else default
-
-    def mean_dataset_tests(self, default: float = 0.0) -> float:
-        """Mean dataset sub-iso tests per recorded query (``default`` when empty).
-
-        Used as the planned candidate count of an already-observed shard —
-        it reflects how much work the shard's cache actually leaves over,
-        unlike the raw partition size.
-        """
-        with self._lock:
-            queries, tests = len(self._records), self._dataset_tests
-        return tests / queries if queries else default
 
     def stage_breakdown(self) -> list[dict[str, float]]:
         """Per-pipeline-stage latency summary over every recorded query.

@@ -50,12 +50,7 @@ from repro.graph import (
 from repro.graph.operations import random_connected_subgraph
 from repro.methods.registry import available_methods
 from repro.runtime import GCConfig
-from repro.runtime.config import (
-    ADMISSION_MODES,
-    SCATTER_MODES,
-    SHARD_BACKENDS,
-    SHARD_POLICIES,
-)
+from repro.runtime.config import SCATTER_MODES, SHARD_BACKENDS, SHARD_POLICIES
 from repro.server import QueryServer
 from repro.sharding import make_system
 from repro.workload import (
@@ -113,10 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scatter strategy: 'full' sends every query to every "
                              "shard; 'short-circuit' skips shards whose feature "
                              "summary proves they cannot contribute answers")
-    common.add_argument("--admission-mode", default="queue-depth",
-                        choices=list(ADMISSION_MODES),
-                        help="serving admission: bounded queue only, or cost-based "
-                             "per-shard backpressure (serve command)")
 
     run = subparsers.add_parser("run-workload", parents=[common],
                                 help="run a workload over GC and print the dashboards")
@@ -224,7 +215,6 @@ def _config_from_args(args, policy: str | None = None) -> GCConfig:
         shard_policy=getattr(args, "shard_policy", "hash"),
         shard_backend=getattr(args, "shard_backend", "thread"),
         scatter_mode=getattr(args, "scatter", "full"),
-        admission_mode=getattr(args, "admission_mode", "queue-depth"),
         trace_sample_rate=getattr(args, "trace_sample_rate", 0.0),
         slow_query_threshold_s=getattr(args, "slow_query_threshold", 1.0),
     )

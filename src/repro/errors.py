@@ -111,29 +111,13 @@ class ServerError(GraphCacheError):
 class AdmissionRejectedError(ServerError):
     """The server rejected a request up front (backpressure; HTTP 429).
 
-    Two admission strategies raise it: the bounded request queue filling up
-    (``shard is None``), and cost-based shard-aware admission deciding that
-    one *specific* shard's outstanding estimated cost budget is exhausted
-    (``shard`` names the hot shard; queries not touching it keep flowing).
+    Raised when the request batcher's bounded queue is full; ``queue_depth``
+    is that bound.
     """
 
-    def __init__(self, queue_depth: int, shard: int | None = None,
-                 estimated_cost_seconds: float | None = None) -> None:
-        if estimated_cost_seconds is None:
-            message = f"request rejected: admission queue is full ({queue_depth} queued)"
-        else:
-            # an unsharded system prices itself as one pool: don't name a
-            # shard that doesn't exist in the operator-facing message
-            subject = f"shard {shard}" if shard is not None else "system"
-            message = (
-                f"request rejected: {subject} cost budget exhausted "
-                f"(~{estimated_cost_seconds * 1000.0:.1f}ms estimated, "
-                f"{queue_depth} queued)"
-            )
-        super().__init__(message)
+    def __init__(self, queue_depth: int) -> None:
+        super().__init__(f"request rejected: admission queue is full ({queue_depth} queued)")
         self.queue_depth = queue_depth
-        self.shard = shard
-        self.estimated_cost_seconds = estimated_cost_seconds
 
 
 class ShardWorkerError(ServerError):

@@ -54,11 +54,8 @@ def batcher_samples(batcher) -> Iterator[Sample]:
                  help="Requests waiting in the batcher queue")
     yield Sample("gc_server_submitted_total", COUNTER, float(stats.submitted),
                  help="Requests submitted to the batcher")
-    for reason, value in (("queue-depth", stats.rejected),
-                          ("cost", stats.rejected_cost)):
-        yield Sample("gc_server_rejected_total", COUNTER, float(value),
-                     help="Requests rejected by admission control",
-                     labels={"reason": reason})
+    yield Sample("gc_server_rejected_total", COUNTER, float(stats.rejected),
+                 help="Requests rejected because the admission queue was full")
     yield Sample("gc_server_served_total", COUNTER, float(stats.served),
                  help="Requests served successfully")
     yield Sample("gc_server_failed_total", COUNTER, float(stats.failed),

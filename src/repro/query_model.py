@@ -42,8 +42,7 @@ ExactKey = tuple[str, tuple[int, int], str]
 
 
 def exact_key(graph: Graph, query_type: QueryType) -> ExactKey:
-    """The key under which the cache's exact screen, the shard summaries'
-    resident keys and the scatter planner's exact routing file a pattern.
+    """The key under which the cache's exact screen files a pattern.
 
     Equal keys are necessary for isomorphism, not sufficient; the hash is
     memoised on the graph, so the key costs a tuple.

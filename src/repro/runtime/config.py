@@ -32,18 +32,6 @@ SCATTER_MODES = ("full", "short-circuit")
 #: escapes the GIL and scales with cores.
 SHARD_BACKENDS = ("thread", "process")
 
-#: How the request batcher admits queries (:mod:`repro.server.batcher`):
-#: ``queue-depth`` rejects on the bounded queue alone; ``cost-based``
-#: additionally estimates per-shard batch cost (planned candidate count ×
-#: observed per-test cost) and rejects per shard, so a skewed workload
-#: backpressures only the hot shard.
-ADMISSION_MODES = ("queue-depth", "cost-based")
-
-#: Per sub-iso test cost (seconds) assumed before any verification work has
-#: been observed — keeps cold-start cost-based admission permissive but not
-#: free.  Shared by the scatter planner and the request batcher.
-DEFAULT_TEST_COST_SECONDS = 1e-4
-
 
 @dataclass
 class GCConfig:
@@ -85,9 +73,6 @@ class GCConfig:
     #: shard) or ``short-circuit`` (the :class:`ScatterPlanner` skips shards
     #: whose :class:`ShardSummary` proves they cannot contribute answers).
     scatter_mode: str = "full"
-    #: Serving admission strategy: ``queue-depth`` (bounded queue only) or
-    #: ``cost-based`` (per-shard estimated batch cost backpressure).
-    admission_mode: str = "queue-depth"
     #: Shard hosting: ``thread`` (in-process shards on the scatter pool) or
     #: ``process`` (one spawned worker process per shard, v2 envelopes over
     #: loopback — CPU-bound verification scales past the GIL).
@@ -146,11 +131,6 @@ class GCConfig:
             raise ConfigurationError(
                 f"unknown scatter_mode {self.scatter_mode!r}; "
                 f"available: {', '.join(SCATTER_MODES)}"
-            )
-        if self.admission_mode not in ADMISSION_MODES:
-            raise ConfigurationError(
-                f"unknown admission_mode {self.admission_mode!r}; "
-                f"available: {', '.join(ADMISSION_MODES)}"
             )
         if self.shard_backend not in SHARD_BACKENDS:
             raise ConfigurationError(

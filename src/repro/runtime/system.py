@@ -148,21 +148,6 @@ class GraphCacheSystem:
         if self.cache is not None:
             self.cache.flush_window()
 
-    def estimate_shard_costs(self, query, query_type: QueryType | str = QueryType.SUBGRAPH) -> dict[int, float]:
-        """Estimated verification seconds for one query, as pseudo-shard 0.
-
-        The unsharded half of the cost-based admission contract: planned
-        candidate count (observed mean dataset tests per query, or the
-        dataset size before any observation) times the observed per-test
-        cost.  A sharded system returns one entry per *targeted* shard
-        instead, so the request batcher can backpressure per shard.
-        """
-        from repro.runtime.config import DEFAULT_TEST_COST_SECONDS
-
-        per_test = self.statistics.observed_test_cost(default=DEFAULT_TEST_COST_SECONDS)
-        candidates = self.statistics.mean_dataset_tests(default=len(self.dataset))
-        return {0: candidates * per_test}
-
     # ------------------------------------------------------------------ #
     # snapshots
     # ------------------------------------------------------------------ #

@@ -1,9 +1,10 @@
 """QueryServer: an embedded HTTP serving boundary over a GraphCacheSystem.
 
 Stdlib only.  The server owns one shared :class:`GraphCacheSystem` —
-thread-safe cache, staged pipeline — and fronts it with a :class:`RequestBatcher` (bounded admission queue + batch
-coalescing).  It is a :class:`~repro.server.adapter.RoutedApp`: a route
-table of endpoints that return ``(status, body)`` and never see a socket;
+thread-safe cache, staged pipeline — and fronts it with a
+:class:`RequestBatcher` (bounded admission queue + batch coalescing).  It
+is a :class:`~repro.server.adapter.RoutedApp`: a route table of endpoints
+that return ``(status, body)`` and never see a socket;
 :class:`~repro.server.adapter.HTTPAdapter` is the transport.  It speaks the
 one envelope protocol of :mod:`repro.api.envelopes`: every request declares
 ``"version": 2`` and every reply — success or error — is an envelope, errors
@@ -11,10 +12,10 @@ classified through the :mod:`repro.api.taxonomy` table (stable ``code`` +
 HTTP status — never message-string parsing).  Endpoints:
 
 * ``POST /query``        — one JSON graph query envelope; replies with the
-  answer set and per-stage latency.  ``429`` when admission rejects (the
-  envelope names the hot shard under cost-based mode), ``400`` on malformed
-  payloads — a missing or foreign ``version`` included, the error naming the
-  version spoken — ``503`` while draining, ``504`` on timeout.
+  answer set and per-stage latency.  ``429`` when the admission queue is
+  full, ``400`` on malformed payloads — a missing or foreign ``version``
+  included, the error naming the version spoken — ``503`` while draining,
+  ``504`` on timeout.
 * ``POST /batch``        — streamed batch submission: many envelopes over
   one connection, per-query NDJSON result lines back in *completion* order
   (connection-close framing).  Per-item errors use the same taxonomy.
@@ -88,11 +89,10 @@ class QueryServer(RoutedApp):
     per-shard and ``scatter`` sections (skip rates, fan-out, summary health),
     and cache snapshots fan out to per-shard files.  With
     ``config.scatter_mode="short-circuit"`` the scatter planner prunes shards
-    that provably cannot contribute; with
-    ``config.admission_mode="cost-based"`` the batcher prices each query per
-    shard and backpressures only hot shards.  ``method`` may then be a
+    that provably cannot contribute.  A sharded server takes ``method`` as a
     zero-argument factory (each shard builds its own Method M over its
-    partition); a built instance only fits one shard.
+    partition); a built instance only fits one shard.  A ``429`` always
+    means the batcher's bounded queue (``max_queue_depth``) is full.
     """
 
     server_version = f"GraphCacheServer/{__version__}"
@@ -122,7 +122,6 @@ class QueryServer(RoutedApp):
         max_queue_depth: int = 64,
         snapshot_path: str | Path | None = None,
         request_timeout_seconds: float = 60.0,
-        max_shard_cost_seconds: float = 0.25,
     ) -> None:
         self.system = make_system(dataset, config, method=method)
         try:
@@ -141,8 +140,6 @@ class QueryServer(RoutedApp):
                 self.system,
                 max_batch_size=max_batch_size,
                 max_queue_depth=max_queue_depth,
-                admission_mode=self.system.config.admission_mode,
-                max_shard_cost_seconds=max_shard_cost_seconds,
             )
         except Exception:
             self._httpd.server_close()
@@ -369,8 +366,7 @@ class QueryServer(RoutedApp):
             served = future.result(timeout=wait)
         except FutureTimeoutError:
             # the waiter is gone: mark the queue entry dead so the batcher
-            # sheds it instead of executing zombie work, and release its
-            # cost reservation *now* rather than when its batch would end
+            # sheds it instead of executing zombie work
             self.batcher.abandon(future, request_id=request.request_id)
             self._request_outcomes["timeout"].inc()
             self._finish_request_trace(scope, outcome="timeout")
@@ -408,7 +404,7 @@ class QueryServer(RoutedApp):
         a straggler never holds up answers that are already done.  Per-item
         protocol and admission errors become error-envelope lines for their
         index; queries still unfinished at the request timeout are abandoned
-        (dead work shed, cost released) and answered with ``timeout`` lines.
+        (dead work shed) and answered with ``timeout`` lines.
         Raises :class:`ProtocolError` when the outer payload is malformed.
         """
         queries = require_version(payload).get("queries")
@@ -491,8 +487,8 @@ class QueryServer(RoutedApp):
 
         For a sharded system the statistics snapshot already carries the
         per-shard aggregates; ``shards``/``router``/``scatter`` sections add
-        each shard's population and what short-circuit scatter + cost-based
-        admission did (see :class:`repro.api.envelopes.MetricsSnapshot`).
+        each shard's population and what short-circuit scatter did (see
+        :class:`repro.api.envelopes.MetricsSnapshot`).
         """
         return MetricsSnapshot.from_system(self.system).to_wire()
 

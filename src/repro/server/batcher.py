@@ -5,15 +5,10 @@ admission queue (backpressure: a full queue rejects the request — the HTTP
 layer maps that to 429).  The queue is a priority queue: entries are ordered
 by priority band (higher ``priority`` first), earliest deadline first within
 a band, FIFO among peers — so under load the dispatcher always spends the
-next batch slot on the most urgent work still worth doing.  With
-``admission_mode="cost-based"`` admission is
-additionally *shard-aware*: each query's scatter plan is priced per shard
-(planned candidate count × the shard's observed per-test cost, via
-``estimate_shard_costs``) and reserved against a per-shard outstanding-cost
-budget, so a skewed workload exhausts — and 429s on — only the hot shard
-while queries for the other shards keep flowing.  A single dispatcher
-thread pulls the queue and serves on arrival: it blocks for the head, takes
-whatever else is *already* queued (up to ``max_batch_size`` in all) and
+next batch slot on the most urgent work still worth doing.  The queue bound
+is the whole admission rule: a 429 always means the queue is full.  A single
+dispatcher thread pulls the queue and serves on arrival: it blocks for the
+head, takes whatever else is *already* queued (up to ``max_batch_size`` in all) and
 executes the whole batch, on the dispatcher thread, through the system's
 ``run_batch``.  Nothing waits for stragglers — an idle dispatcher runs a
 lone query at once, and batches form only under backlog, from the queries
@@ -28,8 +23,7 @@ Dead work is *shed*, never executed: at batch-build time the dispatcher
 drops entries whose deadline already expired (their future raises the typed
 :class:`~repro.errors.DeadlineExceededError`, the wire ``timeout``/504) and
 entries whose waiter gave up (:meth:`RequestBatcher.abandon` — the server's
-request-timeout path).  Either way the entry's cost reservation is released
-the moment it becomes dead, and both shed reasons are counted in
+request-timeout path).  Both shed reasons are counted in
 :class:`BatcherStats`.
 
 Shutdown is graceful by default: ``close(drain=True)`` stops admission,
@@ -47,7 +41,7 @@ import queue
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from typing import TYPE_CHECKING, Union
 
@@ -60,7 +54,6 @@ from repro.errors import (
 )
 from repro.obs.logs import get_logger
 from repro.query_model import Query
-from repro.runtime.config import ADMISSION_MODES
 from repro.runtime.report import QueryReport
 from repro.runtime.system import GraphCacheSystem
 
@@ -105,10 +98,6 @@ class _Pending:
     query: Query
     future: Future
     enqueued_at: float
-    #: Per-shard estimated cost (seconds) reserved at admission under
-    #: cost-based mode; released when the query's batch completes — or the
-    #: moment the entry goes dead (deadline expiry / abandonment).
-    costs: dict[int, float] | None = None
     #: Absolute monotonic deadline (None = no deadline).
     deadline: float | None = None
     #: The caller's relative budget in seconds (for the shed error message).
@@ -185,23 +174,17 @@ class BatcherStats:
 
     submitted: int = 0
     rejected: int = 0
-    #: Rejections charged to a specific shard's cost budget (a subset of
-    #: ``rejected``) — nonzero means shard-aware backpressure engaged.
-    rejected_cost: int = 0
     served: int = 0
     failed: int = 0
     #: Admitted entries dropped at batch-build time because their deadline
     #: expired while queued (future raises ``DeadlineExceededError``).
     shed_expired: int = 0
     #: Admitted entries dropped because the waiter abandoned them (the
-    #: server's request-timeout path): no zombie execution, no held cost.
+    #: server's request-timeout path): no zombie execution.
     shed_abandoned: int = 0
     batches: int = 0
     largest_batch: int = 0
     queue_depth: int = 0
-    admission_mode: str = "queue-depth"
-    #: Outstanding estimated cost (seconds) reserved per shard right now.
-    shard_outstanding: dict = field(default_factory=dict)
 
     @property
     def mean_batch_size(self) -> float:
@@ -216,7 +199,6 @@ class BatcherStats:
         return {
             "submitted": self.submitted,
             "rejected": self.rejected,
-            "rejected_cost": self.rejected_cost,
             "served": self.served,
             "failed": self.failed,
             "shed": self.shed,
@@ -226,11 +208,6 @@ class BatcherStats:
             "largest_batch": self.largest_batch,
             "mean_batch_size": round(self.mean_batch_size, 3),
             "queue_depth": self.queue_depth,
-            "admission_mode": self.admission_mode,
-            "shard_outstanding_seconds": {
-                str(shard): round(cost, 6)
-                for shard, cost in sorted(self.shard_outstanding.items())
-            },
         }
 
 
@@ -248,33 +225,16 @@ class RequestBatcher:
         system: "AnySystem",
         max_batch_size: int = 4,
         max_queue_depth: int = 64,
-        admission_mode: str = "queue-depth",
-        max_shard_cost_seconds: float = 0.25,
     ) -> None:
         if max_batch_size < 1:
             raise ConfigurationError("max_batch_size must be at least 1")
         if max_queue_depth < 1:
             raise ConfigurationError("max_queue_depth must be at least 1")
-        if admission_mode not in ADMISSION_MODES:
-            raise ConfigurationError(
-                f"unknown admission_mode {admission_mode!r}; "
-                f"available: {', '.join(ADMISSION_MODES)}"
-            )
-        if max_shard_cost_seconds <= 0:
-            raise ConfigurationError("max_shard_cost_seconds must be positive")
         self.system = system
         self.max_batch_size = max_batch_size
-        self.admission_mode = admission_mode
-        #: Per-shard budget of outstanding estimated verification seconds;
-        #: a query whose plan touches a shard over budget is rejected while
-        #: queries for the other shards keep flowing.
-        self.max_shard_cost_seconds = max_shard_cost_seconds
         self._queue = _PendingQueue(maxsize=max_queue_depth)
-        self._stats = BatcherStats(admission_mode=admission_mode)
+        self._stats = BatcherStats()
         self._stats_lock = threading.Lock()
-        #: Estimated cost (seconds) reserved per shard for queries admitted
-        #: but not yet completed; guarded by ``_stats_lock``.
-        self._outstanding: dict[int, float] = {}
         #: Serialises the closed-check + enqueue in :meth:`submit` against
         #: :meth:`close` setting the flag, so the stop marker is strictly the
         #: last item ever queued and no admitted future can be orphaned.
@@ -304,10 +264,8 @@ class RequestBatcher:
         overrides them.  A deadline starts ticking now — expire while queued
         and the dispatcher sheds the entry (future raises
         :class:`DeadlineExceededError`) instead of executing it.  Raises
-        :class:`AdmissionRejectedError` when the bounded queue is full, or —
-        in cost-based mode — when a shard the query's scatter plan targets
-        has exhausted its outstanding-cost budget (the error then names the
-        hot shard); :class:`ServerClosedError` once draining started.
+        :class:`AdmissionRejectedError` when the bounded queue is full and
+        :class:`ServerClosedError` once draining started.
         """
         request_id: str | int | None = None
         if isinstance(query, QueryRequest):
@@ -329,16 +287,12 @@ class RequestBatcher:
         )
         # lets abandon() find the queue entry behind the future it hands out
         pending.future._gc_pending = pending
-        if self.admission_mode == "cost-based":
-            pending.costs = self._reserve_costs(query)
         with self._admission_lock:
             if self._closed:
-                self._release_costs(pending)
                 raise ServerClosedError("batcher is shut down; no new queries accepted")
             try:
                 self._queue.put_nowait(pending)
             except queue.Full:
-                self._release_costs(pending)
                 with self._stats_lock:
                     self._stats.rejected += 1
                 raise AdmissionRejectedError(self._queue.maxsize) from None
@@ -347,72 +301,23 @@ class RequestBatcher:
         return pending.future
 
     # ------------------------------------------------------------------ #
-    # cost-based shard-aware admission
-    # ------------------------------------------------------------------ #
-    def _reserve_costs(self, query: Query) -> dict[int, float]:
-        """Estimate and reserve per-shard cost, rejecting on a hot shard.
-
-        A shard with *nothing* outstanding always admits (no starvation when
-        one query alone exceeds the budget); beyond that, outstanding + new
-        must stay within ``max_shard_cost_seconds`` per shard.
-        """
-        costs = self.system.estimate_shard_costs(query)
-        # an unsharded system prices itself as pseudo-shard 0; rejections
-        # then must not name a shard the operator could go looking for
-        sharded = getattr(self.system, "shards", None) is not None
-        with self._stats_lock:
-            for shard, cost in sorted(costs.items()):
-                outstanding = self._outstanding.get(shard, 0.0)
-                if outstanding > 0.0 and outstanding + cost > self.max_shard_cost_seconds:
-                    self._stats.rejected += 1
-                    self._stats.rejected_cost += 1
-                    raise AdmissionRejectedError(
-                        self._queue.qsize(),
-                        shard=shard if sharded else None,
-                        estimated_cost_seconds=cost,
-                    )
-            for shard, cost in costs.items():
-                self._outstanding[shard] = self._outstanding.get(shard, 0.0) + cost
-        return costs
-
-    def _release_costs(self, pending: _Pending) -> None:
-        """Return a dead/completed query's reserved cost to its shards.
-
-        Idempotent and race-free: the costs are swapped out under the stats
-        lock, so a concurrent second release (abandon() racing the
-        dispatcher) can never double-credit a shard.
-        """
-        with self._stats_lock:
-            costs, pending.costs = pending.costs, None
-            if not costs:
-                return
-            for shard, cost in costs.items():
-                remaining = self._outstanding.get(shard, 0.0) - cost
-                if remaining <= 1e-12:
-                    self._outstanding.pop(shard, None)
-                else:
-                    self._outstanding[shard] = remaining
-
-    # ------------------------------------------------------------------ #
     # dead-work shedding
     # ------------------------------------------------------------------ #
     def abandon(self, future: Future, request_id: str | int | None = None) -> bool:
         """Mark a submitted future's queue entry dead: its waiter gave up.
 
         The server's request-timeout path calls this after ``future.result``
-        times out.  The entry's cost reservation is released *immediately*
-        (no zombie holding shard budget until its batch finishes) and the
-        dispatcher skips the entry at batch-build time instead of executing
-        it.  A done-callback keeps the future observed: should the entry
-        slip into a batch anyway (already coalesced when abandoned) a later
-        pipeline exception is logged with the request id rather than lost.
+        times out.  The dispatcher skips the entry at batch-build time
+        instead of executing it.  A done-callback keeps the future observed:
+        should the entry slip into a batch anyway (already coalesced when
+        abandoned) a later pipeline exception is logged with the request id
+        rather than lost.
         Returns False for futures this batcher didn't issue.
         """
         pending = getattr(future, "_gc_pending", None)
         if pending is None:
             return False
         pending.abandoned = True
-        self._release_costs(pending)
         who = request_id if request_id is not None else pending.request_id
         label = repr(who) if who is not None else "<no request id>"
 
@@ -436,13 +341,11 @@ class RequestBatcher:
     def _shed(self, pending: _Pending) -> bool:
         """Drop a dead queue entry (dispatcher thread only); True if shed."""
         if pending.abandoned:
-            self._release_costs(pending)
             pending.future.cancel()
             with self._stats_lock:
                 self._stats.shed_abandoned += 1
             return True
         if pending.deadline is not None and time.monotonic() >= pending.deadline:
-            self._release_costs(pending)
             pending.future.set_exception(DeadlineExceededError(
                 "query deadline expired in the admission queue; "
                 "shed before execution",
@@ -456,14 +359,7 @@ class RequestBatcher:
     def stats(self) -> BatcherStats:
         """A point-in-time copy of the serving counters."""
         with self._stats_lock:
-            snapshot = BatcherStats(**{
-                name: getattr(self._stats, name)
-                for name in ("submitted", "rejected", "rejected_cost", "served",
-                             "failed", "shed_expired", "shed_abandoned",
-                             "batches", "largest_batch")
-            })
-            snapshot.shard_outstanding = dict(self._outstanding)
-        snapshot.admission_mode = self.admission_mode
+            snapshot = replace(self._stats)
         snapshot.queue_depth = self._queue.qsize()
         return snapshot
 
@@ -496,7 +392,6 @@ class RequestBatcher:
             if self._closed and not self._drain_on_close:
                 # closing without drain: refuse instead of executing (the
                 # stop marker sorts behind these, so check the flag)
-                self._release_costs(head)
                 head.future.set_exception(
                     ServerClosedError("batcher shut down before this query ran")
                 )
@@ -529,7 +424,6 @@ class RequestBatcher:
             logger.error("batch of %d failed: %s: %s",
                          len(batch), type(exc).__name__, exc)
             for pending in batch:
-                self._release_costs(pending)
                 pending.future.set_exception(exc)
             with self._stats_lock:
                 self._stats.batches += 1
@@ -537,7 +431,6 @@ class RequestBatcher:
                 self._stats.largest_batch = max(self._stats.largest_batch, len(batch))
             return
         for pending, report in zip(batch, reports):
-            self._release_costs(pending)
             pending.future.set_result(
                 ServedQuery(
                     report=report,

@@ -3,12 +3,8 @@
 PR 3's scatter-gather engine sends every query to every shard, so adding
 shards buys parallelism but never reduces total filter/verify work.  The
 planner closes that gap: it consults each shard's :class:`ShardSummary`
-(union/common feature vectors, label set, size envelope, resident cache
-keys) and *proves* which shards cannot contribute answers; only the
-survivors are scattered to.  Tuffy-style, the cost model rides on the same
-plan: per targeted shard the planner estimates the batch cost (planned
-candidate count × the shard's observed per-test cost) so the request
-batcher can backpressure a hot shard without starving the cold ones.
+(union/common feature vectors, label set, size envelope) and *proves* which
+shards cannot contribute answers; only the survivors are scattered to.
 
 Safety invariants, locked by the differential + property suites:
 
@@ -31,7 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 from repro.features.base import FeatureExtractor
-from repro.query_model import Query, exact_key
+from repro.query_model import Query
 from repro.runtime.config import SCATTER_MODES
 from repro.sharding.summary import ShardSummary
 
@@ -50,9 +46,6 @@ class ScatterPlan:
     skipped: dict[int, str] = field(default_factory=dict)
     #: Shards scattered to *despite* an unusable summary (degraded mode).
     fallbacks: list[int] = field(default_factory=list)
-    #: Targeted shards whose cache holds the query's exact-match key — they
-    #: will answer their partition from cache (≈ zero verification cost).
-    exact_shards: list[int] = field(default_factory=list)
     plan_seconds: float = 0.0
 
     @property
@@ -66,7 +59,6 @@ class ScatterPlan:
             "targets": list(self.targets),
             "skipped": dict(self.skipped),
             "fallbacks": list(self.fallbacks),
-            "exact_shards": list(self.exact_shards),
             "fanout": self.fanout,
         }
 
@@ -82,7 +74,6 @@ class ScatterStats:
         self.skipped_total = 0
         self.fallbacks = 0
         self.zero_target_queries = 0
-        self.exact_routed = 0
         self.skip_reasons: dict[str, int] = {}
         self.per_shard_scattered = [0] * num_shards
         self.per_shard_skipped = [0] * num_shards
@@ -95,8 +86,6 @@ class ScatterStats:
             self.fallbacks += len(plan.fallbacks)
             if not plan.targets:
                 self.zero_target_queries += 1
-            if plan.exact_shards:
-                self.exact_routed += 1
             for reason in plan.skipped.values():
                 self.skip_reasons[reason] = self.skip_reasons.get(reason, 0) + 1
             for shard in plan.targets:
@@ -125,7 +114,6 @@ class ScatterStats:
                 "skipped_total": self.skipped_total,
                 "summary_fallbacks": self.fallbacks,
                 "zero_target_queries": self.zero_target_queries,
-                "exact_routed_queries": self.exact_routed,
                 "skip_reasons": dict(self.skip_reasons),
                 "per_shard_scattered": list(self.per_shard_scattered),
                 "per_shard_skipped": list(self.per_shard_skipped),
@@ -188,16 +176,14 @@ class ScatterPlanner:
     def num_shards(self) -> int:
         return len(self.summaries)
 
-    def plan(self, query: Query, record: bool = True) -> ScatterPlan:
-        """Plan one query; with ``record=False`` the stats are untouched
-        (used for admission-time cost probes that precede the real run)."""
+    def plan(self, query: Query) -> ScatterPlan:
+        """Plan one query and count the plan in :attr:`stats`."""
         started = time.perf_counter()
         plan = ScatterPlan(query_id=query.query_id)
         if self.mode == "full" or self.extractor is None:
             plan.targets = list(range(self.num_shards))
         else:
             features = self.extractor.extract_pattern(query.graph)
-            key = exact_key(query.graph, query.query_type)
             for summary in self.summaries:
                 if not summary.usable():
                     # stale/corrupt summary: never trust it to prune — scatter
@@ -210,43 +196,6 @@ class ScatterPlanner:
                     plan.skipped[summary.shard] = reason
                     continue
                 plan.targets.append(summary.shard)
-                if summary.holds_exact(key):
-                    plan.exact_shards.append(summary.shard)
         plan.plan_seconds = time.perf_counter() - started
-        if record:
-            self.stats.observe(plan)
+        self.stats.observe(plan)
         return plan
-
-    # ------------------------------------------------------------------ #
-    # cost model (shard-aware admission)
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def estimate_cost(candidates: int, per_test_cost: float) -> float:
-        """Estimated verification seconds for ``candidates`` planned tests.
-
-        Deliberately the simplest sound model — monotone non-decreasing in
-        the candidate count and in the per-test cost (the property suite
-        pins this down), never negative.
-        """
-        return max(0, candidates) * max(per_test_cost, 0.0)
-
-    def shard_costs(
-        self, plan: ScatterPlan, per_test_costs: list[float],
-        planned_candidates: list[int],
-    ) -> dict[int, float]:
-        """Per-targeted-shard estimated cost for one planned query.
-
-        ``planned_candidates[s]`` is the caller's candidate-count estimate
-        for shard ``s`` (observed mean tests per query, or the partition
-        size before any observation); a shard expected to answer from its
-        cache (exact resident key) costs ~nothing.
-        """
-        costs: dict[int, float] = {}
-        for shard in plan.targets:
-            if shard in plan.exact_shards:
-                costs[shard] = 0.0
-                continue
-            costs[shard] = self.estimate_cost(
-                planned_candidates[shard], per_test_costs[shard]
-            )
-        return costs

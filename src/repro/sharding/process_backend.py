@@ -5,9 +5,8 @@ CPU-bound verification: 2 thread shards answer gcbench's ``engine_cold``
 trace at about half the unsharded rate (README, "Concurrency model"), so
 the thread backend is the in-process differential reference and this one is
 the way past one core.  This backend keeps the whole scatter-gather
-architecture — planner, merge, cost-based admission, ``/metrics`` fan-in,
-snapshots — and swaps only the shard hosting: each shard becomes a spawned
-OS process running
+architecture — planner, merge, ``/metrics`` fan-in, snapshots — and swaps
+only the shard hosting: each shard becomes a spawned OS process running
 :func:`repro.sharding.worker.worker_main` (its own
 :class:`~repro.runtime.system.GraphCacheSystem`, its own interpreter, its
 own core), reachable over loopback HTTP speaking the envelope protocol.  The
@@ -27,8 +26,8 @@ worker it retires.
 snapshots/memory accessors), so the sharded system treats thread shards and
 process shards identically.  Each proxy keeps a coordinator-side
 :class:`StatisticsManager` mirror fed from the full per-query reports the
-worker returns, which is what keeps ``attach_shard`` fan-in and cost-based
-admission (``observed_test_cost``/``mean_dataset_tests``) working unchanged.
+worker returns, which is what keeps ``attach_shard`` fan-in working
+unchanged.
 
 Worker lifecycle: spawn + ready-handshake at construction (startup errors
 travel back over the pipe), graceful drain (``/admin/shutdown`` → join →
@@ -393,11 +392,10 @@ class ProcessShardBackend:
 class ProcessShardClient:
     """One shard's proxy: the GraphCacheSystem shard surface over a worker.
 
-    ``cache`` is ``None`` (the real cache lives in the worker; resident-key
-    exact routing simply never primes, which is sound — summaries still
-    prune on partition features).  ``statistics`` is a coordinator-side
-    mirror recording the full per-query reports the worker returns, so
-    ``/metrics`` fan-in and cost-based admission read genuine numbers.
+    ``cache`` is ``None`` (the real cache lives in the worker).
+    ``statistics`` is a coordinator-side mirror recording the full
+    per-query reports the worker returns, so ``/metrics`` fan-in reads
+    genuine numbers.
     """
 
     cache = None
@@ -419,12 +417,10 @@ class ProcessShardClient:
         return Query(graph=query, query_type=QueryType.parse(query_type))
 
     def _wire(self, query: Query) -> dict:
-        # the live ScatterPlan stashed by cost-based admission is a
-        # coordinator-side object; everything else in metadata is JSON.
-        # The trace carrier is lifted onto the envelope's own "trace"
+        # the trace carrier is lifted onto the envelope's own "trace"
         # section — this is the loopback hop the trace context must survive
         metadata = {key: value for key, value in query.metadata.items()
-                    if key not in ("scatter_plan", TRACE_KEY)}
+                    if key != TRACE_KEY}
         trace = TraceContext.from_wire(query.metadata.get(TRACE_KEY))
         request = QueryRequest(graph=query.graph, query_type=query.query_type,
                                metadata=metadata, request_id=query.query_id,

@@ -16,9 +16,8 @@ Three routing policies (named in :data:`repro.runtime.config.SHARD_POLICIES`):
   (vertices + edges), so shards carry comparable verification work even when
   graph sizes are skewed.
 
-Rebalancing (:meth:`ShardRouter.rebalance`) recomputes the assignment under a
-new policy and reports exactly which graphs moved; the assignment stays total
-and disjoint throughout — the property suite checks both.
+The assignment is computed once, at construction, and is total and disjoint
+under every policy — the property suite checks both.
 """
 
 from __future__ import annotations
@@ -66,9 +65,12 @@ class ShardRouter:
         ]
         if len(set(self._ids)) != len(self._ids):
             raise ConfigurationError("dataset graph ids must be unique to shard")
-        self.policy = ""
-        self._assignment: dict[GraphId, int] = {}
-        self.rebalance(policy)
+        if policy not in SHARD_POLICIES:
+            raise ConfigurationError(
+                f"unknown shard policy {policy!r}; available: {', '.join(SHARD_POLICIES)}"
+            )
+        self.policy = policy
+        self._assignment = self._compute_assignment(policy)
 
     # ------------------------------------------------------------------ #
     # routing
@@ -99,68 +101,6 @@ class ShardRouter:
         for shard in self._assignment.values():
             sizes[shard] += 1
         return sizes
-
-    # ------------------------------------------------------------------ #
-    # rebalancing
-    # ------------------------------------------------------------------ #
-    def rebalance(
-        self, policy: str, dataset: list[Graph] | None = None
-    ) -> dict[GraphId, tuple[int, int]]:
-        """Recompute the assignment under ``policy``.
-
-        Returns the *move plan*: graph id → ``(old_shard, new_shard)`` for
-        every graph whose shard changed.  The new assignment is total (every
-        graph assigned) and disjoint (exactly one shard per graph) — same as
-        the old one; on the first call (from ``__init__``) the plan maps from
-        a virtual shard ``-1``; graphs no longer present map to shard ``-1``.
-
-        ``dataset`` re-routes a *changed* dataset (graphs added or removed
-        since construction).  A dataset that shrank below the shard count is
-        rejected up front with a :class:`ConfigurationError` — the previous
-        assignment stays fully intact, so callers can catch the error and
-        retire shards explicitly instead of ending up with a half-applied
-        plan and empty shards.
-        """
-        if policy not in SHARD_POLICIES:
-            raise ConfigurationError(
-                f"unknown shard policy {policy!r}; available: {', '.join(SHARD_POLICIES)}"
-            )
-        if dataset is not None:
-            dataset = list(dataset)
-            if not dataset:
-                raise ConfigurationError(
-                    "cannot rebalance onto an empty dataset: every shard "
-                    "needs at least one graph"
-                )
-            if self.num_shards > len(dataset):
-                raise ConfigurationError(
-                    f"cannot rebalance: the dataset shrank to {len(dataset)} "
-                    f"graph(s), below the {self.num_shards} configured shards "
-                    "— every shard needs at least one graph; reduce "
-                    "num_shards (rebuild the router) or keep more graphs"
-                )
-            ids = [
-                graph.graph_id if graph.graph_id is not None else position
-                for position, graph in enumerate(dataset)
-            ]
-            if len(set(ids)) != len(ids):
-                raise ConfigurationError(
-                    "dataset graph ids must be unique to shard"
-                )
-            self.dataset = dataset
-            self._ids = ids
-        new_assignment = self._compute_assignment(policy)
-        moves = {
-            graph_id: (self._assignment.get(graph_id, -1), shard)
-            for graph_id, shard in new_assignment.items()
-            if self._assignment.get(graph_id, -1) != shard
-        }
-        for graph_id, old_shard in self._assignment.items():
-            if graph_id not in new_assignment:
-                moves[graph_id] = (old_shard, -1)
-        self._assignment = new_assignment
-        self.policy = policy
-        return moves
 
     def _compute_assignment(self, policy: str) -> dict[GraphId, int]:
         if policy == "round-robin":

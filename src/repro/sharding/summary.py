@@ -14,11 +14,6 @@ answers.  The GC equivalent: every shard publishes
 * ``label_set`` plus the vertex/edge size envelope — the same two screens in
   their cheapest form (a query using an unknown label, or falling outside
   the partition's size range in the relevant direction, is unanswerable).
-* ``resident_keys``   — the exact-match keys
-  (:func:`~repro.query_model.exact_key`) of the shard cache's current
-  entries, refreshed at the next plan after the cache changes; the planner uses them
-  to spot shards that will answer from cache for ~free (cost-based
-  admission) and to route repeated queries cheaply.
 
 Summaries are *advisory only in the safe direction*: every screen is a
 proof of non-contribution, never of contribution, so pruning with a correct
@@ -37,7 +32,7 @@ from dataclasses import dataclass, field
 
 from repro.features.base import FeatureExtractor, FeatureKey
 from repro.graph.graph import Graph
-from repro.query_model import ExactKey, Query, QueryType
+from repro.query_model import Query, QueryType
 
 #: Skip reasons the planner records per pruned shard.
 REASON_SIZE = "size-envelope"
@@ -59,23 +54,17 @@ class ShardSummary:
     max_vertices: int = 0
     min_edges: int = 0
     max_edges: int = 0
-    #: Exact-match keys of the shard cache's resident entries.
-    resident_keys: frozenset[ExactKey] = frozenset()
     #: Explicit staleness flag (set by operators/tests, or by a failed
     #: refresh); a stale summary is never trusted for pruning.
     stale: bool = False
     #: Integrity seal over the pruning-relevant partition content; *only*
     #: :meth:`build`/:meth:`refresh` re-seal it, so out-of-band mutation
-    #: (corruption) stays detected even while resident keys keep churning.
-    #: Seals are process-local (built on Python ``hash``) — they are never
-    #: persisted.
+    #: (corruption) stays detected.  Seals are process-local (built on
+    #: Python ``hash``) — they are never persisted.
     partition_seal: int = 0
-    #: Integrity seal over the resident cache keys (re-sealed by every
-    #: legitimate :meth:`set_resident_keys`).
-    resident_seal: int = 0
     #: Serialises every *legitimate* mutation against :meth:`usable`, so a
     #: seal check never observes new content with an old seal (which would
-    #: misreport healthy churn as corruption).  Out-of-band corruption, by
+    #: misreport a refresh as corruption).  Out-of-band corruption, by
     #: definition, bypasses it — and stays detected.
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   init=False, repr=False, compare=False)
@@ -106,13 +95,6 @@ class ShardSummary:
         summary._reseal()
         return summary
 
-    def set_resident_keys(self, keys: frozenset[ExactKey]) -> None:
-        """Replace the resident cache keys (a legitimate mutation: re-seals
-        the resident half only — partition corruption stays detected)."""
-        with self._lock:
-            self.resident_keys = frozenset(keys)
-            self.resident_seal = self._fingerprint_resident()
-
     def mark_stale(self) -> None:
         """Flag the summary as untrustworthy until the next rebuild."""
         self.stale = True
@@ -131,7 +113,6 @@ class ShardSummary:
             self.max_edges = rebuilt.max_edges
             self.stale = False
             self.partition_seal = self._fingerprint_partition()
-            self.resident_seal = self._fingerprint_resident()
 
     def _fingerprint_partition(self) -> int:
         # order-independent XOR over the vector items: O(n) with no sorting
@@ -150,25 +131,16 @@ class ShardSummary:
             self.min_edges, self.max_edges,
         ))
 
-    def _fingerprint_resident(self) -> int:
-        # frozenset hashes are order-independent and cached on the object,
-        # so re-checking the seal is O(1) until the keys are replaced
-        return hash(self.resident_keys)
-
     def _reseal(self) -> None:
         with self._lock:
             self.partition_seal = self._fingerprint_partition()
-            self.resident_seal = self._fingerprint_resident()
 
     def usable(self) -> bool:
         """True when the summary may be trusted to *prune* this shard."""
         if self.stale:
             return False
         with self._lock:
-            return (
-                self.partition_seal == self._fingerprint_partition()
-                and self.resident_seal == self._fingerprint_resident()
-            )
+            return self.partition_seal == self._fingerprint_partition()
 
     # ------------------------------------------------------------------ #
     # screens
@@ -205,10 +177,6 @@ class ShardSummary:
                 return REASON_FLOOR
         return None
 
-    def holds_exact(self, key: ExactKey) -> bool:
-        """Whether the shard cache currently holds this exact-match key."""
-        return key in self.resident_keys
-
     def to_dict(self) -> dict:
         """Compact JSON-safe view (for ``/metrics`` and reports)."""
         return {
@@ -223,7 +191,6 @@ class ShardSummary:
                 "min_edges": self.min_edges,
                 "max_edges": self.max_edges,
             },
-            "resident_keys": len(self.resident_keys),
             "stale": self.stale,
             "usable": self.usable(),
         }

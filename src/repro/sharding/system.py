@@ -27,7 +27,6 @@ batcher and the workload runner accept it transparently.
 from __future__ import annotations
 
 import json
-import threading
 import time
 from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
@@ -48,8 +47,8 @@ from repro.obs.trace import (
     new_span_id,
     wall_at,
 )
-from repro.query_model import Query, QueryType, exact_key
-from repro.runtime.config import DEFAULT_TEST_COST_SECONDS, GCConfig
+from repro.query_model import Query, QueryType
+from repro.runtime.config import GCConfig
 from repro.runtime.report import QueryReport
 from repro.runtime.system import GraphCacheSystem
 from repro.sharding.planner import PLAN_STAGE, ScatterPlan, ScatterPlanner
@@ -145,17 +144,6 @@ class ShardedGraphCacheSystem:
             mode=self.config.scatter_mode,
             extractor=self._summary_extractor,
         )
-        #: Resident-cache-key freshness per shard.  Cache content listeners
-        #: only flip a dirty bit (cheap enough for the admission path); the
-        #: next plan refreshes the dirty shards' resident keys.
-        # process shards keep their caches worker-side (shard.cache is None
-        # coordinator-side), so they never publish resident keys: start them
-        # clean or the lazy sync would re-walk them before every plan
-        self._resident_dirty = [shard.cache is not None for shard in self.shards]
-        self._resident_lock = threading.Lock()
-        for index, shard in enumerate(self.shards):
-            if shard.cache is not None:
-                shard.cache.add_content_listener(self._cache_listener(index))
         #: Scatter pool: one slot per shard, so every shard of a query (or of
         #: a batch) executes concurrently with its siblings.
         self._pool = ThreadPoolExecutor(
@@ -204,99 +192,25 @@ class ShardedGraphCacheSystem:
     # ------------------------------------------------------------------ #
     # scatter planning (shard summaries)
     # ------------------------------------------------------------------ #
-    def _cache_listener(self, shard_index: int):
-        def listener() -> None:
-            with self._resident_lock:
-                self._resident_dirty[shard_index] = True
-        return listener
-
-    def _refresh_resident_keys(self, shard_index: int) -> None:
-        """Re-publish one shard cache's exact-match keys into its summary."""
-        cache = self.shards[shard_index].cache
-        if cache is None:
-            return
-        with self._resident_lock:
-            self._resident_dirty[shard_index] = False
-        self.summaries[shard_index].set_resident_keys(frozenset(
-            exact_key(entry.graph, entry.query_type) for entry in cache.entries()
-        ))
-
-    def _sync_summaries(self) -> None:
-        with self._resident_lock:
-            dirty = [index for index, flag in enumerate(self._resident_dirty) if flag]
-        for index in dirty:
-            self._refresh_resident_keys(index)
-
     def refresh_summaries(self) -> None:
-        """Rebuild every shard summary from scratch (partition + cache)."""
+        """Rebuild every shard summary from its partition (clears staleness)."""
         partitions = self.router.partitions()
         for index, summary in enumerate(self.summaries):
             summary.refresh(partitions[index], self._summary_extractor)
-            self._refresh_resident_keys(index)
 
     def plan_query(
-        self,
-        query: Query | Graph,
-        query_type: QueryType | str = QueryType.SUBGRAPH,
-        record: bool = True,
-    ) -> ScatterPlan:
-        """The scatter plan for one query under the configured mode.
-
-        With ``record=False`` the planner's statistics stay untouched —
-        the admission path probes costs this way before the query is run.
-        A plan stashed by :meth:`estimate_shard_costs` is reused (and, on
-        the execution pass, consumed) so a cost-admitted query is not
-        feature-extracted and seal-checked twice on the serving hot path.
-        """
-        query = _as_query(query, query_type)
-        cached = query.metadata.get("scatter_plan")
-        if isinstance(cached, ScatterPlan):
-            if record:
-                query.metadata.pop("scatter_plan", None)
-                self.planner.stats.observe(cached)
-            return cached
-        if self.planner.mode != "full":
-            self._sync_summaries()
-        return self.planner.plan(query, record=record)
-
-    def estimate_shard_costs(
         self, query: Query | Graph, query_type: QueryType | str = QueryType.SUBGRAPH
-    ) -> dict[int, float]:
-        """Estimated per-shard verification seconds for one query.
-
-        Planned candidate count (a shard's observed mean dataset tests per
-        query, or its partition size before any observation) times the
-        shard's observed per-test cost; shards the planner prunes cost
-        nothing, shards expected to answer from cache cost ~nothing.  This
-        is what cost-based shard-aware admission charges against per-shard
-        budgets.
-        """
-        query = _as_query(query, query_type)
-        plan = self.plan_query(query, record=False)
-        # stash for the execution pass: the same Query object flows from
-        # admission into the batch, so planning happens once per query
-        query.metadata["scatter_plan"] = plan
-        per_test_costs = [
-            shard.statistics.observed_test_cost(default=DEFAULT_TEST_COST_SECONDS)
-            for shard in self.shards
-        ]
-        planned_candidates = [
-            int(round(shard.statistics.mean_dataset_tests(default=len(shard.dataset))))
-            for shard in self.shards
-        ]
-        return self.planner.shard_costs(plan, per_test_costs, planned_candidates)
+    ) -> ScatterPlan:
+        """The scatter plan for one query under the configured mode."""
+        return self.planner.plan(_as_query(query, query_type))
 
     def scatter_metrics(self) -> dict:
-        """Skip rates, fan-out and per-shard cost signals (for ``/metrics``)."""
+        """Skip rates, fan-out and summary health (for ``/metrics``)."""
         return {
             "mode": self.planner.mode,
             "num_shards": self.num_shards,
             "stats": self.planner.stats.to_dict(),
             "summaries": [summary.to_dict() for summary in self.summaries],
-            "per_shard_test_cost_seconds": [
-                shard.statistics.observed_test_cost(default=DEFAULT_TEST_COST_SECONDS)
-                for shard in self.shards
-            ],
             # read by benchmarks/gcbench/sut.py::engine_counters
             "hedging": {"hedges_issued": 0},
         }

@@ -205,29 +205,29 @@ class TestTaxonomy:
                 )
 
     def test_rule_for_picks_most_specific(self):
-        exc = AdmissionRejectedError(8, shard=2, estimated_cost_seconds=0.1)
+        exc = AdmissionRejectedError(8)
         assert rule_for(exc).code == "admission-rejected"
         assert rule_for(ServerError("x")).code == "server"
         assert rule_for(GraphCacheError("x")).code == "internal"
 
-    def test_admission_rejection_round_trips_with_shard_blame(self):
-        """The 429 shard blame travels as structured details, not text."""
-        original = AdmissionRejectedError(16, shard=3, estimated_cost_seconds=0.02)
+    def test_admission_rejection_round_trips_with_queue_depth(self):
+        """A 429 carries the queue bound as its one structured detail."""
+        original = AdmissionRejectedError(16)
         envelope = ErrorEnvelope.from_exception(original, request_id="r")
         assert envelope.code == "admission-rejected"
         assert envelope.http_status == 429 and envelope.retryable
-        assert envelope.details["shard"] == 3
-        assert envelope.details["queue_depth"] == 16
+        assert envelope.details == {"queue_depth": 16}
 
         wire = json.loads(json.dumps(envelope.to_wire()))
         parsed = ErrorEnvelope.from_wire(wire, http_status=429)
         assert parsed == envelope
         rebuilt = parsed.to_exception()
         assert isinstance(rebuilt, AdmissionRejectedError)
-        assert rebuilt.shard == 3
         assert rebuilt.queue_depth == 16
-        assert rebuilt.estimated_cost_seconds == pytest.approx(0.02)
+        assert not hasattr(rebuilt, "shard")
         assert str(rebuilt) == str(original)
+        with pytest.raises(TypeError):
+            AdmissionRejectedError(16, shard=3)
 
     def test_every_code_reconstructs_its_class(self):
         for rule in ERROR_TABLE:

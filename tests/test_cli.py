@@ -213,3 +213,11 @@ class TestLoadgenCommand:
                 build_parser().parse_args(["loadgen", "--port", "1", *flag])
             assert (f"unrecognized arguments: {' '.join(flag)}"
                     in capsys.readouterr().err)
+
+    def test_admission_mode_flag_is_rejected(self, capsys):
+        # admission is the queue bound alone: no mode to choose
+        for command in (["serve"], ["loadgen", "--port", "1"], ["run-workload"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([*command, "--admission-mode", "cost-based"])
+            assert ("unrecognized arguments: --admission-mode cost-based"
+                    in capsys.readouterr().err)

@@ -14,7 +14,7 @@ and worker processes).  This file pins that rule:
       shard surfaces, and unsharded it *is* the sequential trajectory;
 (iv)  the removed knobs fail loudly instead of being ignored;
 (v)   cache admission is part of the query: the offer that fills the window
-      runs replacement and the content listeners on the submitting thread
+      runs replacement on the submitting thread
       (caller, dispatcher or scatter slot) and returns the eviction report;
 (vi)  a process-shard coordinator adds nothing to that: its hop to a worker is
       a blocking call on the scatter slot that needs the answer, so it runs no
@@ -88,11 +88,14 @@ def live_threads(prefixes) -> list[str]:
 
 
 def admitting_threads(caches) -> list[str]:
-    """Hang a content listener on every cache; the list names the thread of
-    each replacement round, in order."""
+    """Wrap every cache's replacement round; the list names the thread of
+    each round, in order."""
     names: list[str] = []
     for cache in caches:
-        cache.add_content_listener(lambda: names.append(threading.current_thread().name))
+        def replacing(batch, _apply=cache._apply_replacement):
+            names.append(threading.current_thread().name)
+            return _apply(batch)
+        cache._apply_replacement = replacing
     return names
 
 
@@ -334,7 +337,7 @@ class TestProcessShardCoordinatorCensus:
 class TestRemovedKnobsFailLoudly:
     @pytest.mark.parametrize("field", ("verify_threads", "max_workers", "scatter_hedge",
                                        "hedge_delay_seconds", "verifier",
-                                       "async_maintenance"))
+                                       "async_maintenance", "admission_mode"))
     def test_config_rejects_the_removed_fields(self, field):
         with pytest.raises(TypeError, match=field):
             GCConfig(**{field: 2})

@@ -6,9 +6,8 @@ urgent work still worth doing: higher priority bands first, earliest
 deadline first within a band, FIFO among peers.  Work that went dead while
 queued — deadline expired, or the waiter's request timed out (the old
 zombie-work 504 path) — is *shed* before execution: its future resolves
-with the typed error (or a cancel), its cost reservation is released the
-moment it dies, and both reasons are counted.  All timing in these tests
-is gated on events, not sleeps racing the dispatcher.
+with the typed error (or a cancel) and both reasons are counted.  All
+timing in these tests is gated on events, not sleeps racing the dispatcher.
 """
 
 from __future__ import annotations
@@ -213,42 +212,30 @@ class TestDeadlineShedding:
 class TestZombieWorkRegression:
     """The 504 path: an abandoned waiter's entry must die cheaply."""
 
-    def test_abandon_releases_cost_before_batch_completes(self, dataset):
+    def test_abandon_during_head_batch_is_shed(self, dataset):
         matcher = GateMatcher()
-        matcher.gate.set()  # warm-up runs flow freely to observe real costs
+        matcher.gate.set()  # two queries flow freely before the gate closes
         method = DirectSIMethod(verifier=matcher)
         with GraphCacheSystem(dataset, GCConfig(cache_capacity=10, window_size=5),
                               method=method) as system:
-            batcher = RequestBatcher(system, max_batch_size=1,
-                                     max_queue_depth=32,
-                                     admission_mode="cost-based",
-                                     max_shard_cost_seconds=10.0)
+            batcher = RequestBatcher(system, max_batch_size=1, max_queue_depth=32)
             for _ in range(2):
                 batcher.submit(Query(graph=dataset[1].copy())).result(timeout=30)
             matcher.gate.clear()
             matcher.entered.clear()
             head = batcher.submit(tagged(dataset, "head"))
             assert matcher.entered.wait(10)
-            baseline = batcher.stats().shard_outstanding
             zombie = batcher.submit(tagged(dataset, "zombie"))
-            reserved = batcher.stats().shard_outstanding
-            assert sum(reserved.values()) >= sum(baseline.values())
             with pytest.raises(FutureTimeoutError):
                 zombie.result(timeout=0.05)
-            # the waiter gives up: the reservation must drop back to the
-            # head's alone *immediately*, while the head batch still runs
+            # the waiter gives up while the head batch still runs
             assert batcher.abandon(zombie) is True
-            released = batcher.stats().shard_outstanding
-            assert set(released) == set(baseline)
-            for shard, cost in baseline.items():
-                assert released[shard] == pytest.approx(cost)
             matcher.gate.set()
             head.result(timeout=30)
             assert wait_until(lambda: batcher.stats().shed_abandoned == 1)
             assert zombie.cancelled()
             stats = batcher.stats()
             batcher.close()
-        assert stats.shard_outstanding == {}
         assert stats.shed == 1 and stats.served == 3
 
     def test_abandon_foreign_future_is_refused(self, dataset):

@@ -3,10 +3,10 @@
 The acceptance property of the multiprocess backend: hosting every shard in
 a spawned worker process behind the v2 envelope transport changes *nothing
 observable*.  On a seeded mixed sub/supergraph workload the process-sharded
-engine — sequential, concurrent, short-circuit-planned and served over HTTP
-with cost-based admission — returns answer sets byte-identical to plain
-Method M execution, and at one shard reproduces the cached engine's hit/miss
-accounting exactly (the full report really does survive the wire).
+engine — sequential, concurrent, short-circuit-planned and served over
+HTTP — returns answer sets byte-identical to plain Method M execution, and
+at one shard reproduces the cached engine's hit/miss accounting exactly (the
+full report really does survive the wire).
 
 Worker-crash fault injection lives here too: a shard worker killed
 mid-trace is respawned within ``shard_respawn_limit`` with zero dropped or
@@ -123,11 +123,10 @@ class TestProcessShardedEquivalence:
     def test_served_process_backend_matches_direct(self, dataset, workload,
                                                    direct):
         """The full production path: HTTP server → scatter → worker
-        processes, with cost-based admission charging per-shard budgets."""
+        processes."""
         served = run_served(dataset, workload, num_shards=2,
                             num_threads=4, max_batch_size=4,
-                            shard_backend="process",
-                            admission_mode="cost-based")
+                            shard_backend="process")
         assert_answers_equal(direct, served)
 
 

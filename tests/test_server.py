@@ -119,6 +119,14 @@ class TestAdmissionControl:
             result = replay_trace(client, trace, num_threads=6)
         assert result.served + result.rejected == len(trace)
 
+    def test_the_queue_bound_is_the_only_admission_knob(self, dataset):
+        """Cost-based admission is gone: its knobs are TypeErrors, not no-ops."""
+        with GraphCacheSystem(dataset, GCConfig(cache_capacity=10, window_size=5)) as system:
+            with pytest.raises(TypeError, match="admission_mode"):
+                RequestBatcher(system, admission_mode="cost-based")
+        with pytest.raises(TypeError, match="max_shard_cost_seconds"):
+            QueryServer(dataset, max_shard_cost_seconds=0.25)
+
 
 class TestBatcher:
     def test_coalesces_up_to_max_batch(self, dataset):

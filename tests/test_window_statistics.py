@@ -197,35 +197,3 @@ class TestStatisticsManager:
         manager.record(record(1))
         manager.reset()
         assert len(manager) == 0
-
-    def test_price_signals_equal_a_resum_of_the_records(self):
-        """The running sums behind cost-based admission's O(1) reads return
-        what re-summing every record returned, at every point of a trace."""
-        from repro import GCConfig, GraphCacheSystem, generate_trace, molecule_dataset
-
-        def resum(records, cost_default, tests_default):
-            tests, seconds = 0, 0.0
-            for item in records:
-                tests += item.dataset_tests
-                seconds += item.verify_seconds
-            return (seconds / tests if tests > 0 else cost_default,
-                    tests / len(records) if records else tests_default)
-
-        def signals(manager):
-            return (manager.observed_test_cost(default=7.0),
-                    manager.mean_dataset_tests(default=9.0))
-
-        dataset = molecule_dataset(20, min_vertices=6, max_vertices=12, rng=4)
-        trace = list(generate_trace(dataset, 300, query_type="mixed", seed=8))
-        with GraphCacheSystem(dataset, GCConfig(cache_capacity=20, window_size=5)) as system:
-            manager = system.statistics
-            assert signals(manager) == (7.0, 9.0)
-            # a query that ran no dataset test still counts as a query
-            manager.record(record(-1, dataset_tests=0))
-            assert signals(manager) == (7.0, 0.0)
-            for query in trace:
-                system.run_query(query)
-                assert signals(manager) == resum(manager.records(), 7.0, 9.0)
-            assert manager.observed_test_cost() > 0.0
-            manager.reset()
-            assert signals(manager) == (7.0, 9.0)
