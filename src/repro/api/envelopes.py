@@ -2,7 +2,7 @@
 
 This module is the single definition of what travels between a client and a
 :class:`~repro.server.app.QueryServer`, and between a coordinator and its
-shard workers — every transport (sync HTTP, async HTTP, in-process) and every
+shard workers — every transport (blocking HTTP, in-process) and every
 tool (CLI, trace replay, differential harness) speaks these types rather than
 ad-hoc JSON shapes.
 
@@ -412,11 +412,12 @@ class MetricsSnapshot:
 
     ``statistics`` is the :class:`StatisticsManager` snapshot (merged +
     per-shard aggregates for sharded systems); the optional sections mirror
-    what the serving layer exposes for each system shape.
+    what the serving layer exposes for each system shape.  Every section has
+    a fixed shape, so the snapshot's size does not grow with the number of
+    queries served.
     """
 
     statistics: dict = field(default_factory=dict)
-    hit_percentages: list = field(default_factory=list)
     cache: dict | None = None
     shards: list | None = None
     router: dict | None = None
@@ -425,10 +426,7 @@ class MetricsSnapshot:
     @classmethod
     def from_system(cls, system) -> "MetricsSnapshot":
         """Snapshot a live system (single or sharded facade)."""
-        snapshot = cls(
-            statistics=system.statistics.to_dict(),
-            hit_percentages=json_safe(system.hit_percentages()),
-        )
+        snapshot = cls(statistics=system.statistics.to_dict())
         describe_shards = getattr(system, "describe_shards", None)
         if describe_shards is not None:
             snapshot.shards = json_safe(describe_shards())
@@ -444,10 +442,7 @@ class MetricsSnapshot:
         return self.statistics.get("aggregate", {})
 
     def to_wire(self) -> dict:
-        payload: dict = {
-            "statistics": self.statistics,
-            "hit_percentages": self.hit_percentages,
-        }
+        payload: dict = {"statistics": self.statistics}
         for key in ("cache", "shards", "router", "scatter"):
             value = getattr(self, key)
             if value is not None:
@@ -460,7 +455,6 @@ class MetricsSnapshot:
             raise ProtocolError("metrics payload has no 'statistics' section")
         return cls(
             statistics=payload["statistics"],
-            hit_percentages=list(payload.get("hit_percentages", [])),
             cache=payload.get("cache"),
             shards=payload.get("shards"),
             router=payload.get("router"),

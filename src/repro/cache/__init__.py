@@ -29,7 +29,7 @@ from repro.cache.persistence import (
 )
 from repro.cache.pruner import CandidateSetPruner, PruningResult
 from repro.cache.query_index import CachedQueryIndex
-from repro.cache.statistics import AggregateStatistics, QueryRecord, StatisticsManager
+from repro.cache.statistics import AggregateStatistics, StatisticsManager
 from repro.cache.store import CacheStore
 from repro.cache.subcase import ProbeOutcome, SubCaseProcessor
 from repro.cache.supercase import SuperCaseProcessor
@@ -51,7 +51,6 @@ __all__ = [
     "WindowManager",
     "WindowSnapshot",
     "StatisticsManager",
-    "QueryRecord",
     "AggregateStatistics",
     "ReplacementPolicy",
     "HitKind",

@@ -75,22 +75,9 @@ class DeveloperMonitor:
             "time_speedup": aggregate.time_speedup,
         }
 
-    def window_timeline(self, window_size: int = 10) -> list[dict[str, float]]:
-        """Per-window hit ratio and savings (the statistics timeline)."""
-        return self.system.statistics.window_summaries(window_size)
-
     # ------------------------------------------------------------------ #
     # text rendering
     # ------------------------------------------------------------------ #
-    def render_timeline(self, window_size: int = 10) -> str:
-        """Render the per-window timeline as a text table."""
-        timeline = self.window_timeline(window_size)
-        if not timeline:
-            return "(no queries processed yet)"
-        return format_table(timeline, columns=["window", "queries", "hit_ratio",
-                                               "baseline_tests", "dataset_tests",
-                                               "tests_saved"])
-
     def render_cache_table(self) -> str:
         """Cache contents with utilities as a text table."""
         rows = self.cache_entries()

@@ -91,9 +91,6 @@ class GCConfig:
     #: Completed traces at or above this duration are kept as slow-query
     #: exemplars (full span tree + scatter plan) and logged.
     slow_query_threshold_s: float = 1.0
-    #: Maximum spans retained by the per-process span recorder's ring buffer
-    #: (whole oldest traces are evicted first).
-    trace_buffer_size: int = 512
 
     # --- accounting ------------------------------------------------------
     #: When True, each query is *also* executed by plain Method M so that the
@@ -143,8 +140,6 @@ class GCConfig:
             raise ConfigurationError("trace_sample_rate must be between 0 and 1")
         if self.slow_query_threshold_s <= 0:
             raise ConfigurationError("slow_query_threshold_s must be positive")
-        if self.trace_buffer_size < 1:
-            raise ConfigurationError("trace_buffer_size must be at least 1")
 
     def to_dict(self) -> dict:
         """Serialise the configuration (for reports and experiment logs)."""

@@ -25,7 +25,7 @@ import threading
 
 from repro.cache.graph_cache import GraphCache
 from repro.cache.pruner import CandidateSetPruner
-from repro.cache.statistics import QueryRecord, StatisticsManager
+from repro.cache.statistics import StatisticsManager
 from repro.graph.graph import Graph
 from repro.methods.base import MethodM
 from repro.query_model import Query, QueryType
@@ -76,7 +76,7 @@ class QueryExecutor:
                 ctx.report.baseline_tests * self._average_test_cost
             )
 
-        self._record(ctx.report)
+        self.statistics.record(ctx.report)
         return ctx.report
 
     def execute_baseline(self, query: Query | Graph, query_type: QueryType | str | None = None):
@@ -110,6 +110,3 @@ class QueryExecutor:
         if isinstance(query, Query):
             return query
         return Query(graph=query, query_type=QueryType.parse(query_type or QueryType.SUBGRAPH))
-
-    def _record(self, report: QueryReport) -> None:
-        self.statistics.record(QueryRecord.from_report(report))

@@ -77,6 +77,15 @@ class QueryReport:
             + (1 if self.exact_hit_entry is not None else 0)
         )
 
+    @property
+    def hit_percentage(self) -> float:
+        """Hits over the cached graphs this query saw, in % (Fig. 2(b)).
+
+        The paper's "number of cache-hits over the number of cached graphs";
+        an empty cache counts as one graph, so the ratio is always defined.
+        """
+        return 100.0 * self.num_hits / max(1, self.cache_population)
+
     def journey(self) -> dict[str, object]:
         """The Fig. 3 quantities as a plain dictionary (for dashboards)."""
         return {

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from repro.cache.graph_cache import GraphCache
-from repro.cache.statistics import AggregateStatistics, QueryRecord, StatisticsManager
+from repro.cache.statistics import AggregateStatistics, StatisticsManager
 from repro.errors import ConfigurationError
 from repro.graph.graph import Graph
 from repro.methods.base import MethodM
@@ -190,21 +190,9 @@ class GraphCacheSystem:
         """Aggregate statistics over every query processed so far."""
         return self.statistics.aggregate()
 
-    def records(self) -> list[QueryRecord]:
-        """Per-query statistic records."""
-        return self.statistics.records()
-
     def stage_breakdown(self) -> list[dict[str, float]]:
         """Per-pipeline-stage latency summary over every query so far."""
         return self.statistics.stage_breakdown()
-
-    def hit_percentages(self) -> list[float]:
-        """Per-query hit percentage (hits / cached graphs), as in Fig. 2(b).
-
-        The cache population each query saw is carried on its own record, so
-        the denominators stay aligned when caller threads interleave.
-        """
-        return self.statistics.per_record_hit_percentages()
 
     def cache_memory_bytes(self) -> int:
         """Approximate memory used by the cache (0 when disabled)."""

@@ -21,10 +21,11 @@ HTTP status — never message-string parsing).  Endpoints:
   (connection-close framing).  Per-item errors use the same taxonomy.
 * ``POST /record/start`` / ``POST /record/stop`` — server-side trace
   recording: persist the live request stream as a replayable trace.
-* ``GET /metrics``       — the :class:`StatisticsManager` snapshot (hit rate,
-  stage breakdown) plus cache population, JSON.  With ``?format=text`` the
-  unified telemetry registry renders Prometheus-style text instead,
-  fanning in process-worker registries as ``shard="i"`` series.
+* ``GET /metrics``       — the :class:`StatisticsManager` snapshot (running
+  sums: hit rate, tests, speedups, stage breakdown) plus cache population,
+  JSON, of a size that does not grow with the queries served.  With
+  ``?format=text`` the unified telemetry registry renders Prometheus-style
+  text instead, fanning in process-worker registries as ``shard="i"`` series.
 * ``GET /stats``         — serving-side counters: admission/batching/uptime.
 * ``GET /health``        — liveness probe; with a process shard backend the
   payload carries per-worker liveness + respawn counts and degrades the
@@ -70,7 +71,7 @@ from repro.obs.collectors import (
 )
 from repro.obs.logs import current_trace_id, get_logger
 from repro.obs.metrics import COUNTER, GAUGE, MetricsRegistry, Sample
-from repro.obs.recorder import configure_recorder
+from repro.obs.recorder import DEFAULT_BUFFER_SIZE, configure_recorder
 from repro.obs.trace import Span, TraceContext, new_span_id, new_trace_id, wall_at
 from repro.runtime.config import GCConfig
 from repro.server.adapter import HTTPAdapter, Reply, RoutedApp
@@ -157,7 +158,7 @@ class QueryServer(RoutedApp):
         # seeded stream that workload generators depend on for determinism
         self._sample_rng = random.Random(uuid.uuid4().int)
         self.span_recorder = configure_recorder(
-            buffer_size=cfg.trace_buffer_size,
+            buffer_size=DEFAULT_BUFFER_SIZE,
             slow_threshold_seconds=cfg.slow_query_threshold_s,
         )
         self.registry = MetricsRegistry()

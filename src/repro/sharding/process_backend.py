@@ -50,7 +50,7 @@ from collections.abc import Callable, Sequence
 from repro.api.core import expect_ok
 from repro.api.envelopes import ErrorEnvelope, QueryRequest
 from repro.api.remote import RemoteGraphService
-from repro.cache.statistics import QueryRecord, StatisticsManager
+from repro.cache.statistics import StatisticsManager
 from repro.errors import (
     ConfigurationError,
     ProtocolError,
@@ -447,7 +447,7 @@ class ProcessShardClient:
         query = self._as_query(query, query_type)
         status, payload = self._backend.query(self.index, self._wire(query))
         report = self._report_from(query, status, payload)
-        self.statistics.record(QueryRecord.from_report(report))
+        self.statistics.record(report)
         return report
 
     def run_queries(self, queries, query_type: QueryType | str = QueryType.SUBGRAPH):
@@ -464,9 +464,8 @@ class ProcessShardClient:
             self._report_from(query, status, payload)
             for query, (status, payload) in zip(query_list, outcomes)
         ]
-        # mirror records in submission order, as an in-process shard appends them
         for report in reports:
-            self.statistics.record(QueryRecord.from_report(report))
+            self.statistics.record(report)
         return reports
 
     # -- shard lifecycle hooks ------------------------------------------ #

@@ -33,7 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro.cache.graph_cache import GraphCache
-from repro.cache.statistics import AggregateStatistics, QueryRecord, StatisticsManager
+from repro.cache.statistics import AggregateStatistics, StatisticsManager
 from repro.errors import ConfigurationError
 from repro.features.paths import PathFeatureExtractor
 from repro.graph.graph import Graph
@@ -467,7 +467,7 @@ class ShardedGraphCacheSystem:
             for report in shard_reports:
                 merged.spans.extend(report.spans)
             merged.spans.extend(scatter_spans)
-        self.statistics.record(QueryRecord.from_report(merged))
+        self.statistics.record(merged)
         return merged
 
     # ------------------------------------------------------------------ #
@@ -535,17 +535,9 @@ class ShardedGraphCacheSystem:
         """Merged aggregate statistics over every query processed so far."""
         return self.statistics.aggregate()
 
-    def records(self) -> list[QueryRecord]:
-        """Merged per-query records."""
-        return self.statistics.records()
-
     def stage_breakdown(self) -> list[dict[str, float]]:
         """Merged per-stage latency summary (includes the ``merge`` stage)."""
         return self.statistics.stage_breakdown()
-
-    def hit_percentages(self) -> list[float]:
-        """Per-query hit percentage over the summed shard cache populations."""
-        return self.statistics.per_record_hit_percentages()
 
     def cache_memory_bytes(self) -> int:
         """Total cache memory across shards."""

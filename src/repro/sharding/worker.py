@@ -45,7 +45,7 @@ from repro.graph.graph import Graph
 from repro.obs.collectors import recorder_samples, system_samples
 from repro.obs.logs import BufferedLogHandler, current_trace_id, get_logger
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.recorder import get_recorder
+from repro.obs.recorder import DEFAULT_BUFFER_SIZE, get_recorder
 from repro.obs.trace import TRACE_KEY, Span
 from repro.query_model import Query
 from repro.runtime.config import GCConfig
@@ -270,7 +270,7 @@ def worker_main(
         logging.getLogger("repro").addHandler(log_handler)
         config = GCConfig.from_dict(config_payload)
         get_recorder().configure(
-            buffer_size=config.trace_buffer_size,
+            buffer_size=DEFAULT_BUFFER_SIZE,
             slow_threshold_seconds=config.slow_query_threshold_s,
         )
         method = method_factory() if method_factory is not None else None

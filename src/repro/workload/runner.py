@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cache.statistics import AggregateStatistics
+from repro.cache.statistics import AggregateStatistics, StatisticsManager
 from repro.graph.graph import Graph
 from repro.runtime.config import GCConfig
 from repro.runtime.report import QueryReport
@@ -28,6 +28,8 @@ class WorkloadRunResult:
     method: str
     reports: list[QueryReport] = field(default_factory=list)
     aggregate: AggregateStatistics = field(default_factory=AggregateStatistics)
+    #: Per-query hit percentage (hits / cached graphs the query saw), in
+    #: workload order — the paper's Fig. 2(b) chart.
     hit_percentages: list[float] = field(default_factory=list)
     evicted_entry_ids: list[int] = field(default_factory=list)
     cache_memory_bytes: int = 0
@@ -71,7 +73,9 @@ class WorkloadRunResult:
 def run_workload(system: GraphCacheSystem, workload: Workload) -> WorkloadRunResult:
     """Run every query of ``workload`` through ``system``, in order, and summarise.
 
-    ``system`` may equally be a
+    The statistics describe exactly this workload's queries: they are folded
+    from its own reports, not read off the system, whose manager also holds
+    any query it ran before.  ``system`` may equally be a
     :class:`~repro.sharding.system.ShardedGraphCacheSystem` — eviction and
     memory accounting then aggregate over every shard's cache — or a
     :class:`~repro.api.service.LocalGraphService` facade, which is unwrapped
@@ -83,6 +87,9 @@ def run_workload(system: GraphCacheSystem, workload: Workload) -> WorkloadRunRes
     if isinstance(system, LocalGraphService):
         system = system.system
     reports = [system.run_query(query) for query in workload]
+    statistics = StatisticsManager()
+    for report in reports:
+        statistics.record(report)
     evicted: list[int] = []
     caches = system.all_caches()
     for cache in caches:
@@ -94,12 +101,12 @@ def run_workload(system: GraphCacheSystem, workload: Workload) -> WorkloadRunRes
         policy=system.config.replacement_policy if caches else "none",
         method=system.method.name,
         reports=reports,
-        aggregate=system.aggregate(),
-        hit_percentages=system.hit_percentages(),
+        aggregate=statistics.aggregate(),
+        hit_percentages=[report.hit_percentage for report in reports],
         evicted_entry_ids=evicted,
         cache_memory_bytes=system.cache_memory_bytes(),
         index_memory_bytes=system.index_memory_bytes(),
-        stage_breakdown=system.stage_breakdown(),
+        stage_breakdown=statistics.stage_breakdown(),
         scatter=scatter_metrics() if scatter_metrics is not None else None,
     )
 

@@ -133,6 +133,18 @@ def run_on_threads(system, queries: list[Query], threads: int,
     return reports
 
 
+def assert_booked_exactly_once(system, reports, queries):
+    """The statistics saw every query once: none lost, none duplicated."""
+    aggregate = system.aggregate()
+    assert aggregate.num_queries == len(queries)
+    assert aggregate.total_dataset_tests == sum(r.dataset_tests for r in reports)
+    assert aggregate.total_probe_tests == sum(r.probe_tests for r in reports)
+    assert aggregate.num_hits == sum(1 for r in reports if r.num_hits)
+    assert aggregate.num_sub_hits == sum(len(r.sub_hit_entries) for r in reports)
+    assert aggregate.num_super_hits == sum(len(r.super_hit_entries) for r in reports)
+    assert aggregate.num_exact_hits == sum(r.exact_hit_entry is not None for r in reports)
+
+
 def base_config(**overrides) -> GCConfig:
     """The harness's standard configuration; override per arm."""
     payload = GCConfig(cache_capacity=25, window_size=5).to_dict()

@@ -260,7 +260,6 @@ class TestMetricsSnapshot:
     def test_wire_round_trip(self):
         snapshot = MetricsSnapshot(
             statistics={"aggregate": {"num_queries": 3, "hit_ratio": 0.5}},
-            hit_percentages=[0.0, 50.0],
             cache={"population": 2},
         )
         parsed = MetricsSnapshot.from_wire(json.loads(json.dumps(snapshot.to_wire())))
@@ -269,7 +268,7 @@ class TestMetricsSnapshot:
 
     def test_missing_statistics_rejected(self):
         with pytest.raises(ProtocolError):
-            MetricsSnapshot.from_wire({"hit_percentages": []})
+            MetricsSnapshot.from_wire({"cache": {}})
 
 
 # ---------------------------------------------------------------------- #

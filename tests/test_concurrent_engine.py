@@ -16,7 +16,7 @@ from repro.graph import molecule_dataset
 from repro.query_model import Query, QueryType
 from repro.runtime import GCConfig, GraphCacheSystem
 from repro.workload import WorkloadGenerator, WorkloadMix
-from tests.differential import run_on_threads
+from tests.differential import assert_booked_exactly_once, run_on_threads
 
 
 def _mixed_workload(dataset, num_queries: int, seed: int) -> list[Query]:
@@ -84,17 +84,14 @@ class TestExecutionModeEquivalence:
         queries = _clone(workload[:40])
         reports = run_on_threads(system, queries, threads=4)
         assert [r.query.query_id for r in reports] == [q.query_id for q in queries]
-        # records append in completion order: none lost, none duplicated
-        assert sorted(record.query_id for record in system.records()) == sorted(
-            q.query_id for q in queries
-        )
+        assert_booked_exactly_once(system, reports, queries)
 
     def test_concurrent_statistics_complete(self, dataset, workload):
         system = GraphCacheSystem(dataset, GCConfig(window_size=5, cache_capacity=25))
-        run_on_threads(system, _clone(workload[:60]), threads=4)
-        assert system.aggregate().num_queries == 60
-        assert len(system.hit_percentages()) == 60
-        # hit-% denominators ride on each record, so they stay aligned even
+        queries = _clone(workload[:60])
+        reports = run_on_threads(system, queries, threads=4)
+        assert_booked_exactly_once(system, reports, queries)
+        # hit-% denominators ride on each report, so they stay aligned even
         # when queries complete out of submission order
-        for record in system.records():
-            assert 0 <= record.cache_population <= system.cache.capacity
+        for report in reports:
+            assert 0 <= report.cache_population <= system.cache.capacity

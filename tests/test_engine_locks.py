@@ -103,24 +103,42 @@ class TestStatisticsManager:
     def test_empty_manager_is_truthy(self):
         manager = StatisticsManager()
         assert bool(manager) is True
-        assert len(manager) == 0
+        assert manager.aggregate().num_queries == 0
 
     def test_concurrent_records(self):
-        from repro.cache.statistics import QueryRecord
-        from repro.query_model import QueryType
+        import sys
+
+        from repro.graph import path_graph
+        from repro.query_model import Query
+        from repro.runtime.report import QueryReport
 
         manager = StatisticsManager()
+        query = Query(graph=path_graph(["C", "O"]))
+        start = threading.Barrier(8)
 
         def record_many(base: int):
+            start.wait(timeout=10)
             for offset in range(100):
-                manager.record(
-                    QueryRecord(query_id=base + offset, query_type=QueryType.SUBGRAPH)
-                )
+                manager.record(QueryReport(
+                    query=query, dataset_tests=base + offset, sub_hit_entries=[1],
+                    stage_seconds={"filter": 1.0, "verify": 2.0},
+                ))
 
-        threads = [threading.Thread(target=record_many, args=(i * 1000,)) for i in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-        assert len(manager) == 400
-        assert manager.aggregate().num_queries == 400
+        threads = [threading.Thread(target=record_many, args=(i * 1000,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch often: a lost update shows in the sums
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        aggregate = manager.aggregate()
+        assert aggregate.num_queries == 800
+        assert aggregate.num_hits == aggregate.num_sub_hits == 800
+        assert aggregate.total_dataset_tests == sum(
+            i * 1000 + offset for i in range(8) for offset in range(100))
+        assert [(row["stage"], row["total_seconds"]) for row in manager.stage_breakdown()] \
+            == [("filter", 800.0), ("verify", 1600.0)]

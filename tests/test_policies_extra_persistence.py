@@ -1,5 +1,5 @@
-"""Tests for the extra baseline policies, cache persistence and the
-per-window statistics timeline."""
+"""Tests for the extra baseline policies, cache persistence and how a
+workload's result shows the cache warming up."""
 
 from __future__ import annotations
 
@@ -19,11 +19,11 @@ from repro.cache import (
     save_cache,
 )
 from repro.cache.persistence import entry_from_dict, entry_to_dict
-from repro.dashboard import DeveloperMonitor
 from repro.errors import CacheError
 from repro.graph import molecule_dataset, molecule_graph
 from repro.query_model import Query, QueryType
 from repro.runtime import GCConfig, GraphCacheSystem
+from repro.workload import Workload, run_workload
 from tests.conftest import make_subgraph_queries
 
 
@@ -156,35 +156,17 @@ class TestPersistence:
 
 
 class TestStatisticsTimeline:
-    def test_window_summaries(self):
+    def test_workload_shows_cache_warming(self):
         dataset = molecule_dataset(10, min_vertices=8, max_vertices=12, rng=31)
         system = GraphCacheSystem(dataset, GCConfig(cache_capacity=8, window_size=1,
                                                     method="direct-si"))
         pattern = make_subgraph_queries(dataset, 1, 6, seed=32)[0]
-        for _ in range(6):
-            system.run_query(Query(graph=pattern.graph.copy(), query_type=QueryType.SUBGRAPH))
-        timeline = system.statistics.window_summaries(3)
-        assert len(timeline) == 2
-        assert timeline[0]["queries"] == 3
-        # later windows hit the cache more than the very first query
-        assert timeline[1]["hit_ratio"] >= timeline[0]["hit_ratio"]
-        assert timeline[1]["tests_saved"] >= 0
-
-    def test_window_summaries_validation(self):
-        from repro.cache import StatisticsManager
-
-        with pytest.raises(ValueError):
-            StatisticsManager().window_summaries(0)
-        assert StatisticsManager().window_summaries(5) == []
-
-    def test_developer_monitor_timeline(self):
-        dataset = molecule_dataset(8, min_vertices=8, max_vertices=10, rng=33)
-        system = GraphCacheSystem(dataset, GCConfig(cache_capacity=5, window_size=1,
-                                                    method="direct-si"))
-        monitor = DeveloperMonitor(system)
-        assert "no queries" in monitor.render_timeline()
-        for query in make_subgraph_queries(dataset, 4, 5, seed=34):
-            system.run_query(query)
-        text = monitor.render_timeline(window_size=2)
-        assert "hit_ratio" in text
-        assert len(monitor.window_timeline(2)) == 2
+        repeats = [Query(graph=pattern.graph.copy(), query_type=QueryType.SUBGRAPH)
+                   for _ in range(6)]
+        result = run_workload(system, Workload("repeat", repeats))
+        # the first query meets an empty cache; every repeat hits its entry
+        assert result.hit_percentages[0] == 0.0
+        assert all(percentage > 0 for percentage in result.hit_percentages[1:])
+        assert result.aggregate.num_hits == 5
+        assert result.reports[-1].tests_saved >= 0
+        assert result.aggregate.total_baseline_tests >= result.aggregate.total_dataset_tests

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache.statistics import QueryRecord, StatisticsManager
 from repro.graph import molecule_dataset, path_graph
 from repro.query_model import Query, QueryType
 from repro.runtime import GCConfig, GraphCacheSystem
 from repro.runtime.report import QueryReport
-from repro.workload import WorkloadGenerator, run_workload
+from repro.workload import Workload, WorkloadGenerator, run_workload
 from repro.workload.runner import WorkloadRunResult
 from tests.conftest import make_subgraph_queries
 
@@ -34,6 +33,28 @@ class TestWorkloadRunResult:
         assert summary["baseline_tests"] >= summary["dataset_tests"]
         assert result.test_speedup >= 1.0
         assert result.index_memory_bytes == 0  # direct SI has no index
+
+    def test_each_run_describes_exactly_its_own_workload(self, small_system):
+        dataset, _ = small_system
+        system = GraphCacheSystem(dataset, GCConfig(cache_capacity=8, window_size=2,
+                                                    method="direct-si"))
+        generator = WorkloadGenerator(dataset, rng=905)
+        warmup = generator.generate(4, mix="uniform", name="warm")
+        system.warm_cache(list(warmup), reset_statistics=False)
+        first = run_workload(system, generator.generate(5, mix="uniform", name="first"))
+        second = generator.generate(7, mix="uniform", name="second")
+        result = run_workload(system, second)
+        assert len(result.hit_percentages) == result.aggregate.num_queries == len(second)
+        assert result.aggregate.total_dataset_tests == sum(
+            report.dataset_tests for report in result.reports
+        )
+        stage_totals = {row["stage"]: row["total_seconds"] for row in result.stage_breakdown}
+        assert stage_totals["verify"] == pytest.approx(
+            sum(report.stage_seconds["verify"] for report in result.reports)
+        )
+        assert first.aggregate.num_queries == 5
+        # the system's own manager still covers everything it ran
+        assert system.aggregate().num_queries == 4 + 5 + 7
 
     def test_empty_result_defaults(self):
         result = WorkloadRunResult(workload_name="x", policy="HD", method="direct-si")
@@ -76,42 +97,15 @@ class TestQueryReportDetails:
             )
 
 
-class TestStatisticsEdgeCases:
-    def test_records_are_copies(self):
-        manager = StatisticsManager()
-        manager.record(QueryRecord(query_id=1, query_type=QueryType.SUBGRAPH))
-        records = manager.records()
-        records.append("sentinel")
-        assert len(manager.records()) == 1
-
-    def test_hit_percentage_population_rides_on_records(self):
-        manager = StatisticsManager()
-        manager.record(QueryRecord(query_id=1, query_type=QueryType.SUBGRAPH,
-                                   sub_hits=1, cache_population=4))
-        # a record that never observed a population falls back to denominator 1
-        manager.record(QueryRecord(query_id=2, query_type=QueryType.SUBGRAPH, sub_hits=1))
-        percentages = manager.per_record_hit_percentages()
-        assert percentages[0] == pytest.approx(25.0)
-        assert percentages[1] == pytest.approx(100.0)
-
-    def test_window_summary_speedup_infinite_when_no_tests(self):
-        manager = StatisticsManager()
-        manager.record(QueryRecord(query_id=1, query_type=QueryType.SUBGRAPH,
-                                   baseline_tests=5, dataset_tests=0, exact_hit=True))
-        summary = manager.window_summaries(10)[0]
-        assert summary["test_speedup"] == float("inf")
-        assert summary["tests_saved"] == 5
-
-
 class TestSystemPopulationTrace:
     def test_hit_percentages_use_population_at_query_time(self, small_system):
         dataset, _ = small_system
         system = GraphCacheSystem(dataset, GCConfig(cache_capacity=8, window_size=1,
                                                     method="direct-si"))
         queries = make_subgraph_queries(dataset, 4, 6, seed=904)
-        for query in queries:
-            system.run_query(query)
-        percentages = system.hit_percentages()
+        result = run_workload(system, Workload("w", queries))
+        percentages = result.hit_percentages
+        assert percentages == [report.hit_percentage for report in result.reports]
         assert len(percentages) == 4
         # the first query runs against an empty cache: zero percent by definition
         assert percentages[0] == 0.0

@@ -120,11 +120,12 @@ class TestGraphCacheSystem:
     def test_statistics_recorded(self, dataset):
         system = GraphCacheSystem(dataset, GCConfig(window_size=2, cache_capacity=8))
         queries = make_subgraph_queries(dataset, 6, 5, seed=7)
-        system.run_queries(queries)
+        reports = system.run_queries(queries)
         aggregate = system.aggregate()
         assert aggregate.num_queries == 6
-        assert len(system.records()) == 6
-        assert len(system.hit_percentages()) == 6
+        assert aggregate.total_dataset_tests == sum(report.dataset_tests for report in reports)
+        assert aggregate.total_baseline_tests == sum(report.baseline_tests for report in reports)
+        assert [row["stage"] for row in system.stage_breakdown()] == list(reports[0].stage_seconds)
 
     def test_warm_cache_resets_statistics(self, dataset):
         system = GraphCacheSystem(dataset, GCConfig(window_size=2, cache_capacity=8))

@@ -8,7 +8,8 @@ the scatter slot that runs its share).  The assertions:
 * **no dropped queries** — every query produces a report, and every report
   carries the correct answer (checked against a fresh sequential reference);
 * **deterministic merged ordering** — ``run_batch`` returns reports in
-  submission order with identical answers on repeated runs.
+  submission order, every shard executes its share in that order, and the
+  answers are identical on repeated runs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.query_model import Query
 from repro.runtime import GCConfig, GraphCacheSystem
 from repro.sharding import ShardedGraphCacheSystem
 from repro.workload import generate_trace
-from tests.differential import run_on_threads
+from tests.differential import assert_booked_exactly_once, run_on_threads
 
 NUM_SHARDS = 4
 NUM_THREADS = 8
@@ -57,9 +58,8 @@ def test_hammered_shards_no_deadlock_no_drops(dataset, trace, reference_answers)
                                  timeout=JOIN_TIMEOUT_SECONDS)
         # every answer is correct despite arbitrary interleaving...
         assert [frozenset(report.answer) for report in reports] == reference_answers
-        # ...and the merged statistics saw exactly one record per query
-        assert sorted(record.query_id for record in system.records()) == sorted(
-            query.query_id for query in queries)
+        # ...and the merged statistics booked every query exactly once
+        assert_booked_exactly_once(system, reports, queries)
 
 
 def test_concurrent_batches_keep_submission_order(dataset, trace, reference_answers):
@@ -70,13 +70,16 @@ def test_concurrent_batches_keep_submission_order(dataset, trace, reference_answ
     for _ in range(2):
         queries = _clones(trace)
         with ShardedGraphCacheSystem(dataset, config) as system:
+            executed = {index: [] for index in range(NUM_SHARDS)}
+            for index, shard in enumerate(system.shards):
+                def traced(query, *args, _log=executed[index], _run=shard.run_query):
+                    _log.append(query.query_id)
+                    return _run(query, *args)
+                shard.run_query = traced
             reports = system.run_batch(queries)
-            assert [report.query.query_id for report in reports] == [
-                query.query_id for query in queries
-            ]
-            # merged statistics line up with the report list position-wise
-            assert [record.query_id for record in system.records()] == [
-                query.query_id for query in queries
-            ]
+            ids = [query.query_id for query in queries]
+            assert [report.query.query_id for report in reports] == ids
+            # full scatter: every shard executed the whole batch in submission order
+            assert all(log == ids for log in executed.values())
             runs.append([frozenset(report.answer) for report in reports])
     assert runs[0] == runs[1] == reference_answers

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache import CacheEntry, QueryRecord, StatisticsManager, WindowManager
+from repro.cache import CacheEntry, StatisticsManager, WindowManager
 from repro.errors import ConfigurationError
 from repro.graph import molecule_graph
-from repro.query_model import QueryType
+from repro.query_model import Query, QueryType
+from repro.runtime.report import QueryReport
 
 
 def make_entry(seed: int) -> CacheEntry:
@@ -66,18 +67,19 @@ def record(
     total_seconds: float = 0.01,
     baseline_seconds: float | None = 0.02,
     cache_population: int = 0,
-) -> QueryRecord:
-    return QueryRecord(
-        query_id=query_id,
-        query_type=QueryType.SUBGRAPH,
+    stage_seconds: dict[str, float] | None = None,
+) -> QueryReport:
+    return QueryReport(
+        query=Query(graph=molecule_graph(3, rng=query_id), query_id=query_id),
         baseline_tests=baseline_tests,
         dataset_tests=dataset_tests,
-        sub_hits=sub_hits,
-        super_hits=super_hits,
-        exact_hit=exact,
+        sub_hit_entries=list(range(sub_hits)),
+        super_hit_entries=list(range(super_hits)),
+        exact_hit_entry=0 if exact else None,
         total_seconds=total_seconds,
         baseline_seconds=baseline_seconds,
         cache_population=cache_population,
+        stage_seconds=dict(stage_seconds or {}),
     )
 
 
@@ -92,13 +94,16 @@ class TestStatisticsManager:
         manager.record(record(1))
         manager.record(record(2, sub_hits=0, super_hits=2))
         manager.record(record(3, sub_hits=0, exact=True, dataset_tests=0))
+        manager.record(record(4, sub_hits=0))
         aggregate = manager.aggregate()
-        assert aggregate.num_queries == 3
+        assert aggregate.num_queries == 4
         assert aggregate.num_hits == 3
         assert aggregate.num_exact_hits == 1
         assert aggregate.num_sub_hits == 1
         assert aggregate.num_super_hits == 2
-        assert aggregate.hit_ratio == 1.0
+        assert aggregate.hit_ratio == 0.75
+        assert aggregate.total_dataset_tests == 15
+        assert aggregate.total_baseline_tests == 40
 
     def test_speedup_definition(self):
         manager = StatisticsManager()
@@ -115,44 +120,57 @@ class TestStatisticsManager:
     def test_time_speedup(self):
         manager = StatisticsManager()
         manager.record(record(1, total_seconds=0.01, baseline_seconds=0.04))
-        assert manager.aggregate().time_speedup == pytest.approx(4.0)
+        manager.record(record(2, total_seconds=0.01, baseline_seconds=None))
+        assert manager.aggregate().time_speedup == pytest.approx(2.0)
 
     def test_tests_saved_property(self):
         r = record(1, baseline_tests=12, dataset_tests=4)
         assert r.tests_saved == 8
 
     def test_hit_percentages(self):
-        manager = StatisticsManager()
-        manager.record(record(1, sub_hits=2, super_hits=1, cache_population=10))
-        manager.record(record(2, sub_hits=0, super_hits=0, cache_population=10))
-        percentages = manager.per_record_hit_percentages()
-        assert percentages[0] == pytest.approx(30.0)
-        assert percentages[1] == 0.0
+        # the Fig. 2(b) quantity rides on each report, so run_workload can
+        # chart exactly its own queries
+        assert record(1, sub_hits=2, super_hits=1, cache_population=10).hit_percentage \
+            == pytest.approx(30.0)
+        assert record(2, sub_hits=0, super_hits=0, cache_population=10).hit_percentage == 0.0
+        assert record(3, sub_hits=0, exact=True, cache_population=4).hit_percentage \
+            == pytest.approx(25.0)
 
     def test_hit_percentages_without_population(self):
+        # population 0 -> denominator 1
+        assert record(1, sub_hits=2).hit_percentage == pytest.approx(200.0)
+
+    def test_stage_breakdown_is_summed_in_first_seen_order(self):
         manager = StatisticsManager()
-        manager.record(record(1, sub_hits=2))  # population 0 -> denominator 1
-        assert manager.per_record_hit_percentages()[0] == pytest.approx(200.0)
+        manager.record(record(1, stage_seconds={"filter": 0.25, "verify": 0.5}))
+        manager.record(record(2, stage_seconds={"filter": 0.75, "merge": 0.5}))
+        rows = {row["stage"]: row for row in manager.stage_breakdown()}
+        assert list(rows) == ["filter", "verify", "merge"]
+        assert rows["filter"]["total_seconds"] == pytest.approx(1.0)
+        assert rows["filter"]["mean_seconds"] == pytest.approx(0.5)
+        # a stage's mean is over the queries that ran it
+        assert rows["merge"]["mean_seconds"] == pytest.approx(0.5)
+        assert rows["filter"]["share"] == pytest.approx(0.5)
+        assert sum(row["share"] for row in rows.values()) == pytest.approx(1.0)
 
     def test_to_dict_is_json_safe(self):
         import json
 
         manager = StatisticsManager()
         # dataset_tests=0 with baseline_tests>0 -> infinite test_speedup,
-        # the field JSON cannot carry; the enum query_type is the other one
+        # the field JSON cannot carry
         manager.record(record(1, baseline_tests=10, dataset_tests=0, exact=True))
-        snapshot = manager.to_dict(include_records=True)
+        snapshot = manager.to_dict()
         encoded = json.dumps(snapshot)  # must not raise
         decoded = json.loads(encoded)
         assert decoded["num_queries"] == 1
         assert decoded["aggregate"]["test_speedup"] is None  # inf -> None
         assert decoded["aggregate"]["hit_ratio"] == 1.0
-        assert decoded["records"][0]["query_type"] == "subgraph"
 
     def test_to_dict_excludes_records_by_default(self):
         manager = StatisticsManager()
         manager.record(record(1))
-        assert "records" not in manager.to_dict()
+        assert set(manager.to_dict()) == {"num_queries", "aggregate", "stage_breakdown"}
         assert manager.to_dict()["num_queries"] == 1
 
     def test_to_dict_has_no_shard_keys_without_shards(self):
@@ -174,7 +192,7 @@ class TestStatisticsManager:
         shard1.record(record(1, baseline_tests=6, dataset_tests=6, sub_hits=0))
         merged.record(record(1, baseline_tests=16, dataset_tests=6, exact=True))
 
-        snapshot = merged.to_dict(include_records=True)
+        snapshot = merged.to_dict()
         decoded = json.loads(json.dumps(snapshot))  # full JSON round-trip
 
         assert decoded["num_shards"] == 2
@@ -182,8 +200,6 @@ class TestStatisticsManager:
         assert decoded["shards"]["shard0"]["num_queries"] == 1
         assert decoded["shards"]["shard0"]["aggregate"]["test_speedup"] is None
         assert decoded["shards"]["shard1"]["aggregate"]["test_speedup"] == 1.0
-        # include_records propagates into the per-shard snapshots too
-        assert decoded["shards"]["shard0"]["records"][0]["query_type"] == "subgraph"
         assert decoded["aggregate"]["num_exact_hits"] == 1
 
     def test_attach_shard_rejects_self(self):
@@ -194,6 +210,10 @@ class TestStatisticsManager:
 
     def test_reset(self):
         manager = StatisticsManager()
-        manager.record(record(1))
+        manager.record(record(1, stage_seconds={"filter": 0.1}))
         manager.reset()
-        assert len(manager) == 0
+        assert manager.aggregate() == StatisticsManager().aggregate()
+        assert manager.stage_breakdown() == []
+        manager.record(record(2, sub_hits=0))
+        assert manager.aggregate().num_queries == 1
+        assert manager.aggregate().num_hits == 0
