@@ -6,7 +6,7 @@ and supergraph cache hits, extending the traditional exact-match-only hit
 and hence leading to impressive speedups."
 
 This bench runs the same workload three ways — no cache, an exact-match-only
-cache (sub/super cases disabled), and full GC — and regenerates the
+cache (``semantic_hits=False``), and full GC — and regenerates the
 comparison of hit ratios and sub-iso-test savings.
 """
 
@@ -34,8 +34,7 @@ def run_mode(dataset, workload, cache_enabled: bool, semantic: bool):
         replacement_policy="HD",
         method="direct-si",
         cache_enabled=cache_enabled,
-        enable_sub_case=semantic,
-        enable_super_case=semantic,
+        semantic_hits=semantic,
     )
     system = GraphCacheSystem(dataset, config)
     return run_workload(system, workload)

@@ -1,4 +1,4 @@
-"""The GC cache kernel: entries, store, policies, window, hit processors."""
+"""The GC cache kernel: entries, store, screen index, policies, persistence, statistics."""
 
 from repro.cache.entry import CacheEntry, EntryStatistics
 from repro.cache.graph_cache import CacheLookup, GraphCache
@@ -31,9 +31,6 @@ from repro.cache.pruner import CandidateSetPruner, PruningResult
 from repro.cache.query_index import CachedQueryIndex
 from repro.cache.statistics import AggregateStatistics, StatisticsManager
 from repro.cache.store import CacheStore
-from repro.cache.subcase import ProbeOutcome, SubCaseProcessor
-from repro.cache.supercase import SuperCaseProcessor
-from repro.cache.window import WindowManager, WindowSnapshot
 
 __all__ = [
     "CacheEntry",
@@ -43,13 +40,8 @@ __all__ = [
     "CacheLookup",
     "ReadWriteLock",
     "CachedQueryIndex",
-    "SubCaseProcessor",
-    "SuperCaseProcessor",
-    "ProbeOutcome",
     "CandidateSetPruner",
     "PruningResult",
-    "WindowManager",
-    "WindowSnapshot",
     "StatisticsManager",
     "AggregateStatistics",
     "ReplacementPolicy",

@@ -1,10 +1,10 @@
 """The Cache Manager: the graph cache proper.
 
 :class:`GraphCache` ties together the store of cached queries, the cached
-query index (screening), the sub/super case processors (probing), the window
-manager (admission) and the replacement policy (eviction).  It knows nothing
-about Method M or the dataset — the Query Processing Runtime
-(:mod:`repro.runtime`) orchestrates both sides.
+query index (screening), the sub/super-case probes, the admission window and
+the replacement policy (eviction).  It knows nothing about Method M or the
+dataset — the Query Processing Runtime (:mod:`repro.runtime`) orchestrates
+both sides.
 
 The public operations, in the order the runtime calls them per query:
 
@@ -14,6 +14,14 @@ The public operations, in the order the runtime calls them per query:
 3. :meth:`offer`   — offer the executed query for admission; when the window
    fills up the replacement policy runs (``update_cache_items``).
 
+GC does not insert every executed query into the cache immediately.  Executed
+queries accumulate in a *window*; when the window fills up, the whole batch
+is handed to the replacement policy, which decides which of the incoming
+queries displace which resident cached graphs (this batched behaviour is what
+the demo's Workload Run visualises: "each graph cache is full of 50
+previously executed queries, 10 of which are replaced by the newly coming
+queries in the workload").
+
 All three run on the thread that submitted the query; the window already
 batches replacement.  The reader-writer lock exists for concurrent callers.
 """
@@ -21,6 +29,7 @@ batches replacement.  The reader-writer lock exists for concurrent callers.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass, field
 
 from repro.cache.entry import CacheEntry
@@ -34,17 +43,13 @@ from repro.cache.policies.base import (
 from repro.cache.policies.registry import make_policy
 from repro.cache.query_index import CACHE_FEATURE_LENGTH, CachedQueryIndex
 from repro.cache.store import CacheStore
-from repro.cache.subcase import SubCaseProcessor
-from repro.cache.supercase import SuperCaseProcessor
-from repro.cache.window import WindowManager
-from repro.errors import CacheCapacityError
+from repro.errors import CacheCapacityError, ConfigurationError
 from repro.features.paths import path_features
 from repro.graph.canonical import definitely_isomorphic
 from repro.graph.graph import Graph
 from repro.index.base import GraphId
-from repro.isomorphism.base import SubgraphMatcher
 from repro.isomorphism.vf2 import VF2Matcher
-from repro.query_model import Query, QueryType
+from repro.query_model import Query
 
 
 @dataclass
@@ -66,6 +71,14 @@ class CacheLookup:
         return bool(self.exact_entry or self.sub_hits or self.super_hits)
 
 
+def _smallest_first(entry: CacheEntry) -> tuple[int, int, int]:
+    return entry.num_vertices, entry.num_edges, entry.entry_id
+
+
+def _largest_first(entry: CacheEntry) -> tuple[int, int, int]:
+    return -entry.num_vertices, -entry.num_edges, entry.entry_id
+
+
 class GraphCache:
     """The GC cache kernel (Cache Manager + Query Processing helpers)."""
 
@@ -74,34 +87,23 @@ class GraphCache:
         capacity: int = 50,
         policy: ReplacementPolicy | str = "HD",
         window_size: int = 10,
-        min_tests_to_admit: int = 0,
-        probe_matcher: SubgraphMatcher | None = None,
-        max_sub_hits: int | None = None,
-        max_super_hits: int | None = None,
-        enable_sub_case: bool = True,
-        enable_super_case: bool = True,
-        memory_budget_bytes: int | None = None,
+        semantic_hits: bool = True,
     ) -> None:
         if capacity < 1:
             raise CacheCapacityError("cache capacity must be at least 1")
-        if memory_budget_bytes is not None and memory_budget_bytes <= 0:
-            raise CacheCapacityError("memory_budget_bytes must be positive when set")
+        if window_size < 1:
+            raise ConfigurationError("window_size must be at least 1")
         self.capacity = capacity
-        #: Disabling sub/super cases degrades GC to a traditional
-        #: exact-match-only cache — the baseline the paper contrasts with.
-        self.enable_sub_case = enable_sub_case
-        self.enable_super_case = enable_super_case
-        #: Optional byte budget: admission shrinks the effective capacity so
-        #: the resident entries stay within this many (approximate) bytes.
-        self.memory_budget_bytes = memory_budget_bytes
+        self.window_size = window_size
+        #: False degrades GC to a traditional exact-match-only cache — the
+        #: baseline the paper contrasts with.
+        self.semantic_hits = semantic_hits
         self.policy = policy if isinstance(policy, ReplacementPolicy) else make_policy(policy)
         self.store = CacheStore()
-        self.window = WindowManager(window_size=window_size, min_tests_to_admit=min_tests_to_admit)
         self.query_index = CachedQueryIndex()
-        matcher = probe_matcher or VF2Matcher()
-        self.sub_processor = SubCaseProcessor(matcher, max_hits=max_sub_hits)
-        self.super_processor = SuperCaseProcessor(matcher, max_hits=max_super_hits)
-        self._probe_matcher = matcher
+        self._matcher = VF2Matcher()
+        #: Executed queries waiting for the window to fill.
+        self._pending: list[CacheEntry] = []
         self._clock = 0
         self._eviction_reports: list[EvictionReport] = []
         #: Reader-writer lock guarding every cache structure: lookups share
@@ -148,7 +150,7 @@ class GraphCache:
             decided = definitely_isomorphic(graph, entry.graph)
             if decided is None:
                 lookup.probe_tests += 1
-                decided = self._probe_matcher.is_subgraph(graph, entry.graph) and (
+                decided = self._matcher.is_subgraph(graph, entry.graph) and (
                     graph.num_vertices == entry.graph.num_vertices
                     and graph.num_edges == entry.graph.num_edges
                 )
@@ -156,29 +158,46 @@ class GraphCache:
                 lookup.exact_entry = entry
                 return lookup
 
-        if not (self.enable_sub_case or self.enable_super_case):
+        if not self.semantic_hits:
             return lookup
         features = path_features(graph, CACHE_FEATURE_LENGTH)
-        sub_candidates = (
-            self.query_index.sub_case_candidates(graph, features, query.query_type)
-            if self.enable_sub_case
-            else []
-        )
-        super_candidates = (
-            self.query_index.super_case_candidates(graph, features, query.query_type)
-            if self.enable_super_case
-            else []
+        sub_candidates = self.query_index.sub_case_candidates(graph, features, query.query_type)
+        super_candidates = self.query_index.super_case_candidates(
+            graph, features, query.query_type
         )
         lookup.screened_sub_candidates = len(sub_candidates)
         lookup.screened_super_candidates = len(super_candidates)
-
-        sub_outcome = self.sub_processor.find_hits(graph, sub_candidates)
-        super_outcome = self.super_processor.find_hits(graph, super_candidates)
-        lookup.sub_hits = sub_outcome.hits
-        lookup.super_hits = super_outcome.hits
-        lookup.probe_tests += sub_outcome.probe_tests + super_outcome.probe_tests
-        lookup.probe_seconds += sub_outcome.probe_seconds + super_outcome.probe_seconds
+        self._probe(graph, sub_candidates, super_candidates, lookup)
         return lookup
+
+    def _probe(
+        self,
+        graph: Graph,
+        sub_candidates: list[CacheEntry],
+        super_candidates: list[CacheEntry],
+        lookup: CacheLookup,
+    ) -> None:
+        """Confirm screened candidates with one sub-iso probe test each.
+
+        A sub-case hit is a cached query containing the new one
+        (``graph ⊆ cached``); a super-case hit is one contained in it
+        (``cached ⊆ graph``).  Sub candidates are probed smallest first (a
+        smaller container is cheaper to test and its answer set is the
+        tighter guarantee), super candidates largest first (a larger
+        contained query prunes harder); ties go to the older entry.  The
+        probing cost is GC's own overhead, which the statistics keep apart
+        from the dataset verification cost it saves.
+        """
+        start = time.perf_counter()
+        is_subgraph = self._matcher.is_subgraph
+        for entry in sorted(sub_candidates, key=_smallest_first):
+            if is_subgraph(graph, entry.graph):
+                lookup.sub_hits.append(entry)
+        for entry in sorted(super_candidates, key=_largest_first):
+            if is_subgraph(entry.graph, graph):
+                lookup.super_hits.append(entry)
+        lookup.probe_tests += len(sub_candidates) + len(super_candidates)
+        lookup.probe_seconds += time.perf_counter() - start
 
     # ------------------------------------------------------------------ #
     # crediting
@@ -224,11 +243,10 @@ class GraphCache:
         self,
         query: Query,
         answer: set[GraphId],
-        tests_performed: int,
         observed_test_cost: float,
         clock: int | None = None,
     ) -> EvictionReport | None:
-        """Offer an executed query for admission through the window manager.
+        """Offer an executed query for admission through the window.
 
         Returns the eviction report when this offer filled the window (i.e.
         the replacement policy ran, on the calling thread), otherwise ``None``.
@@ -242,25 +260,27 @@ class GraphCache:
             observed_test_cost=observed_test_cost,
         )
         entry.stats.last_used_clock = clock
-        return self.apply_offer(entry, tests_performed)
+        return self.apply_offer(entry)
 
-    def apply_offer(self, entry: CacheEntry, tests_performed: int) -> EvictionReport | None:
+    def apply_offer(self, entry: CacheEntry) -> EvictionReport | None:
         """Admit one built entry (window + replacement) under the write lock.
 
         The second half of :meth:`offer`, kept by name because the gcbench
         tracer wraps it.
         """
         with self._lock.write_locked():
-            batch = self.window.offer(entry, tests_performed)
-            return self._apply_replacement(batch) if batch is not None else None
+            self._pending.append(entry)
+            if len(self._pending) < self.window_size:
+                return None
+            return self._flush_unlocked()
 
     def flush_window(self) -> EvictionReport | None:
         """Force the pending window into the cache (end of a workload)."""
         with self._lock.write_locked():
-            batch = self.window.flush()
-            return self._apply_replacement(batch) if batch else None
+            return self._flush_unlocked() if self._pending else None
 
-    def _apply_replacement(self, batch: list[CacheEntry]) -> EvictionReport:
+    def _flush_unlocked(self) -> EvictionReport:
+        batch, self._pending = self._pending, []
         # The query index follows the store by the exact delta of this round.
         # (The report's admitted/evicted lists are not that delta: an entry
         # admitted earlier in the batch may be evicted again by a later one.)
@@ -271,31 +291,16 @@ class GraphCache:
         for entry in batch:
             if entry.entry_id in self.store and entry.entry_id not in self.query_index:
                 self.query_index.add(entry)
-        # The byte budget is checked after the index features are computed
-        # (they are part of an entry's footprint).
-        self._enforce_memory_budget(report)
         self._eviction_reports.append(report)
         return report
 
-    def _enforce_memory_budget(self, report: EvictionReport) -> None:
-        """Evict least-useful residents until the byte budget is respected."""
-        if self.memory_budget_bytes is None:
-            return
-        while len(self.store) > 1 and self.store.memory_bytes() > self.memory_budget_bytes:
-            residents = self.store.entries()
-            victim_positions = self.policy.get_replaced_content(residents, 1)
-            if not victim_positions:
-                break
-            victim = residents[victim_positions[0]]
-            self.store.remove(victim.entry_id)
-            self.query_index.remove(victim.entry_id)
-            report.evicted.append(victim.entry_id)
-
-    def warm(self, entries: list[CacheEntry]) -> None:
+    def warm(self, entries: list[CacheEntry]) -> int:
         """Pre-populate the cache (used to reproduce the demo's warm cache).
 
         Entries are inserted directly (bypassing the window) up to capacity.
+        Returns the number of entries inserted.
         """
+        inserted = 0
         with self._lock.write_locked():
             for entry in entries:
                 if len(self.store) >= self.capacity:
@@ -304,6 +309,8 @@ class GraphCache:
                     continue
                 self.store.add(entry)
                 self.query_index.add(entry)
+                inserted += 1
+        return inserted
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -336,7 +343,7 @@ class GraphCache:
             return {
                 "capacity": self.capacity,
                 "policy": self.policy.name,
-                "window_size": self.window.window_size,
+                "window_size": self.window_size,
                 "population": len(self.store),
                 "memory_bytes": self._memory_bytes_unlocked(),
             }

@@ -99,6 +99,4 @@ def load_cache_entries(path: str | Path) -> list[CacheEntry]:
 
 def restore_cache(cache: GraphCache, path: str | Path) -> int:
     """Warm ``cache`` from a snapshot file; returns entries restored."""
-    entries = load_cache_entries(path)
-    cache.warm(entries)
-    return min(len(entries), len(cache))
+    return cache.warm(load_cache_entries(path))

@@ -16,7 +16,7 @@ Screening is by containment of label-path multisets up to
 what the dataset filter already enumerated for the query, read from the
 graph's remembered analysis (:func:`~repro.features.paths.path_features`),
 as is the exact-match key.  The definitive answer is produced later with
-real sub-iso "probe" tests by the sub/super case processors.  Screening must
+real sub-iso "probe" tests in :meth:`GraphCache.lookup`.  Screening must
 therefore never reject a true hit — the same no-false-dismissal contract as
 the dataset filter.
 """
@@ -44,7 +44,7 @@ class CachedQueryIndex:
 
     def __init__(self) -> None:
         #: entry id → entry, in the order entries were added: screened
-        #: candidates keep it, because probing stops at ``max_hits``.
+        #: candidates keep it, so a lookup's candidate lists are deterministic.
         self._entries: dict[int, CacheEntry] = {}
         self._index = ContainmentIndex()
         #: exact-match key → its entries (by id), oldest first.  Duplicates of

@@ -3,8 +3,8 @@
 Where the End-User monitor narrates scenarios, the developer monitor exposes
 the raw operational metrics of a running :class:`GraphCacheSystem`: the
 configuration, Method M's index statistics, per-entry cache utilities under
-the active policy, window state, and memory accounting (the experiment II
-overhead numbers).
+the active policy, and memory accounting (the experiment II overhead
+numbers).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Configuration of the GC runtime.
 
 A single dataclass gathers every knob of the system — cache capacity, window
-size, replacement policy, Method M, probing limits — so experiments can be
+size, replacement policy, Method M, sharding — so experiments can be
 described declaratively and reports can serialise the exact configuration
 they ran under.
 """
@@ -41,18 +41,10 @@ class GCConfig:
     cache_capacity: int = 50
     replacement_policy: str = "HD"
     window_size: int = 10
-    min_tests_to_admit: int = 0
-    #: Maximum confirmed hits used per direction (None = unlimited).
-    max_sub_hits: int | None = None
-    max_super_hits: int | None = None
-    #: Toggle the semantic hit directions.  Disabling both degrades GC to a
-    #: traditional exact-match-only result cache (the baseline the paper's
-    #: contribution extends).
-    enable_sub_case: bool = True
-    enable_super_case: bool = True
-    #: Optional approximate byte budget for the cache contents ("2GB memory"
-    #: style sizing); None disables byte-based admission control.
-    cache_memory_budget_bytes: int | None = None
+    #: Sub-case and super-case hits.  False degrades GC to a traditional
+    #: exact-match-only result cache (the baseline the paper's contribution
+    #: extends).
+    semantic_hits: bool = True
 
     # --- method M -------------------------------------------------------
     method: str = "graphgrep-sx"
@@ -110,13 +102,6 @@ class GCConfig:
                 "window_size must not exceed cache_capacity "
                 f"({self.window_size} > {self.cache_capacity})"
             )
-        if self.min_tests_to_admit < 0:
-            raise ConfigurationError("min_tests_to_admit must be non-negative")
-        for name, value in (("max_sub_hits", self.max_sub_hits), ("max_super_hits", self.max_super_hits)):
-            if value is not None and value < 1:
-                raise ConfigurationError(f"{name} must be at least 1 or None")
-        if self.cache_memory_budget_bytes is not None and self.cache_memory_budget_bytes <= 0:
-            raise ConfigurationError("cache_memory_budget_bytes must be positive or None")
         if self.num_shards < 1:
             raise ConfigurationError("num_shards must be at least 1")
         if self.shard_policy not in SHARD_POLICIES:

@@ -190,7 +190,6 @@ class AdmitStage(PipelineStage):
         ctx.cache.offer(
             ctx.query,
             ctx.report.answer,
-            tests_performed=ctx.report.baseline_tests,
             observed_test_cost=average_cost,
             clock=ctx.clock,
         )

@@ -48,12 +48,7 @@ class GraphCacheSystem:
                 capacity=self.config.cache_capacity,
                 policy=self.config.replacement_policy,
                 window_size=self.config.window_size,
-                min_tests_to_admit=self.config.min_tests_to_admit,
-                max_sub_hits=self.config.max_sub_hits,
-                max_super_hits=self.config.max_super_hits,
-                enable_sub_case=self.config.enable_sub_case,
-                enable_super_case=self.config.enable_super_case,
-                memory_budget_bytes=self.config.cache_memory_budget_bytes,
+                semantic_hits=self.config.semantic_hits,
             )
 
         self.statistics = StatisticsManager()
@@ -179,9 +174,7 @@ class GraphCacheSystem:
         payload = json.loads(snapshot.read_text(encoding="utf-8"))
         if isinstance(payload, dict) and payload.get("sharded"):
             return 0
-        entries = entries_from_payload(payload)
-        self.cache.warm(entries)
-        return min(len(entries), len(self.cache))
+        return self.cache.warm(entries_from_payload(payload))
 
     # ------------------------------------------------------------------ #
     # reporting

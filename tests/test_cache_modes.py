@@ -1,5 +1,5 @@
-"""Tests for the semantic-vs-exact-only cache modes, memory budget and the
-thread-safe verifier tally added on top of the base kernel."""
+"""Tests for the semantic-vs-exact-only cache modes and the thread-safe
+verifier tally added on top of the base kernel."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ import threading
 
 import pytest
 
-from repro.cache import GraphCache
-from repro.errors import CacheCapacityError, ConfigurationError
 from repro.graph import molecule_dataset
 from repro.graph.operations import random_connected_subgraph
 from repro.methods import DirectSIMethod
@@ -25,7 +23,7 @@ def dataset():
 class TestExactOnlyMode:
     def test_exact_only_cache_still_hits_repeats(self, dataset):
         config = GCConfig(cache_capacity=10, window_size=1, method="direct-si",
-                          enable_sub_case=False, enable_super_case=False)
+                          semantic_hits=False)
         system = GraphCacheSystem(dataset, config)
         pattern = random_connected_subgraph(dataset[0], 6, rng=1)
         first = system.run_query(pattern.copy(), "subgraph")
@@ -36,7 +34,7 @@ class TestExactOnlyMode:
 
     def test_exact_only_cache_misses_sub_and_super(self, dataset):
         config = GCConfig(cache_capacity=10, window_size=1, method="direct-si",
-                          enable_sub_case=False, enable_super_case=False)
+                          semantic_hits=False)
         system = GraphCacheSystem(dataset, config)
         pattern = random_connected_subgraph(dataset[0], 8, rng=2)
         system.run_query(pattern.copy(), "subgraph")
@@ -58,8 +56,7 @@ class TestExactOnlyMode:
 
         def total_tests(enable_semantic: bool) -> int:
             config = GCConfig(cache_capacity=10, window_size=1, method="direct-si",
-                              enable_sub_case=enable_semantic,
-                              enable_super_case=enable_semantic)
+                              semantic_hits=enable_semantic)
             system = GraphCacheSystem(dataset, config)
             for query in queries:
                 system.run_query(Query(graph=query.graph.copy(), query_type=query.query_type))
@@ -69,45 +66,13 @@ class TestExactOnlyMode:
 
     def test_exact_only_answers_still_correct(self, dataset):
         config = GCConfig(cache_capacity=8, window_size=1, method="direct-si",
-                          enable_sub_case=False, enable_super_case=False)
+                          semantic_hits=False)
         system = GraphCacheSystem(dataset, config)
         baseline = DirectSIMethod()
         baseline.build(dataset)
         for query in make_subgraph_queries(dataset, 8, 6, seed=5):
             report = system.run_query(query)
             assert report.answer == baseline.execute(query.graph, query.query_type).answer
-
-
-class TestMemoryBudget:
-    def test_budget_limits_resident_bytes(self, dataset):
-        budget = 20_000
-        cache = GraphCache(capacity=100, window_size=1, policy="LRU",
-                           memory_budget_bytes=budget)
-        for seed in range(30):
-            cache.tick()
-            cache.offer(
-                Query(graph=random_connected_subgraph(dataset[seed % len(dataset)], 8, rng=seed),
-                      query_type=QueryType.SUBGRAPH),
-                answer=set(range(5)),
-                tests_performed=10,
-                observed_test_cost=0.001,
-            )
-        assert cache.store.memory_bytes() <= budget
-        assert len(cache) >= 1
-
-    def test_invalid_budget_rejected(self):
-        with pytest.raises(CacheCapacityError):
-            GraphCache(capacity=5, memory_budget_bytes=0)
-        with pytest.raises(ConfigurationError):
-            GCConfig(cache_memory_budget_bytes=-5).validate()
-
-    def test_system_level_budget(self, dataset):
-        config = GCConfig(cache_capacity=50, window_size=1, method="direct-si",
-                          cache_memory_budget_bytes=15_000)
-        system = GraphCacheSystem(dataset, config)
-        for query in make_subgraph_queries(dataset, 12, 7, seed=6):
-            system.run_query(query)
-        assert system.cache.store.memory_bytes() <= 15_000
 
 
 class TestVerifierTally:

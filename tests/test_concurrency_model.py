@@ -92,10 +92,10 @@ def admitting_threads(caches) -> list[str]:
     each round, in order."""
     names: list[str] = []
     for cache in caches:
-        def replacing(batch, _apply=cache._apply_replacement):
+        def replacing(*args, _replace=cache.policy.update_cache_items):
             names.append(threading.current_thread().name)
-            return _apply(batch)
-        cache._apply_replacement = replacing
+            return _replace(*args)
+        cache.policy.update_cache_items = replacing
     return names
 
 
@@ -159,7 +159,7 @@ class TestAdmissionOnTheQuerysThread:
     def test_offer_that_fills_the_window_returns_the_report(self, trace):
         cache = GraphCache(capacity=10, window_size=3)
         names = admitting_threads([cache])
-        reports = [cache.offer(query, set(), tests_performed=1, observed_test_cost=0.0)
+        reports = [cache.offer(query, set(), observed_test_cost=0.0)
                    for query in clones(trace)[:6]]
         assert [report is not None for report in reports] == [False, False, True] * 2
         assert [report.num_admitted for report in reports[2::3]] == [3, 3]
@@ -346,7 +346,10 @@ class TestRemovedKnobsFailLoudly:
     @pytest.mark.parametrize("field", ("verify_threads", "max_workers", "scatter_hedge",
                                        "hedge_delay_seconds", "verifier",
                                        "async_maintenance", "admission_mode",
-                                       "trace_buffer_size"))
+                                       "trace_buffer_size", "min_tests_to_admit",
+                                       "max_sub_hits", "max_super_hits",
+                                       "cache_memory_budget_bytes", "enable_sub_case",
+                                       "enable_super_case"))
     def test_config_rejects_the_removed_fields(self, field):
         with pytest.raises(TypeError, match=field):
             GCConfig(**{field: 2})

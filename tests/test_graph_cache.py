@@ -135,14 +135,12 @@ class TestOfferAndReplacement:
             report = cache.offer(
                 subgraph_query(molecule_graph(6, rng=seed)),
                 answer={seed},
-                tests_performed=5,
                 observed_test_cost=0.001,
             )
             assert report is None
         report = cache.offer(
             subgraph_query(molecule_graph(6, rng=99)),
             answer={99},
-            tests_performed=5,
             observed_test_cost=0.001,
         )
         assert report is not None
@@ -155,7 +153,6 @@ class TestOfferAndReplacement:
             cache.offer(
                 subgraph_query(molecule_graph(6, rng=seed)),
                 answer={seed},
-                tests_performed=3,
                 observed_test_cost=0.001,
             )
         assert len(cache) <= 4
@@ -165,7 +162,6 @@ class TestOfferAndReplacement:
         cache.offer(
             subgraph_query(molecule_graph(6, rng=1)),
             answer=set(),
-            tests_performed=1,
             observed_test_cost=0.0,
         )
         assert len(cache) == 0
@@ -181,7 +177,6 @@ class TestOfferAndReplacement:
             cache.offer(
                 subgraph_query(molecule_graph(6, rng=seed)),
                 answer=set(),
-                tests_performed=1,
                 observed_test_cost=0.0,
             )
         assert len(cache) <= 2

@@ -142,6 +142,23 @@ class TestPersistence:
         assert report.exact_hit_entry is not None
         assert report.dataset_tests == 0
 
+    def test_restore_into_a_live_cache_reports_what_went_in(self, tmp_path):
+        donor = GraphCache(capacity=10, window_size=1)
+        donor.warm([make_entry(seed) for seed in range(5)])
+        path = tmp_path / "cache.json"
+        assert save_cache(donor, path) == 5
+
+        live = GraphCache(capacity=10, window_size=1)
+        assert live.warm([make_entry(seed) for seed in range(10, 19)]) == 9
+        assert restore_cache(live, path) == 1  # one free slot, not five
+        assert len(live) == 10
+
+        dataset = molecule_dataset(6, min_vertices=8, max_vertices=10, rng=33)
+        with GraphCacheSystem(dataset, GCConfig(cache_capacity=10, window_size=1)) as system:
+            system.cache.warm([make_entry(seed) for seed in range(20, 29)])
+            assert system.restore_snapshot(path) == 1
+            assert len(system.cache) == 10
+
     def test_malformed_snapshot_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("[]", encoding="utf-8")

@@ -1,4 +1,4 @@
-"""Tests for the cached-query index and the sub/super case processors."""
+"""Tests for the cached-query index and the sub/super-case probes."""
 
 from __future__ import annotations
 
@@ -6,14 +6,13 @@ import random
 
 import pytest
 
-from repro.cache import CacheEntry, CachedQueryIndex, SubCaseProcessor, SuperCaseProcessor
+from repro.cache import CacheEntry, CachedQueryIndex, GraphCache
 from repro.errors import CacheError
 from repro.cache.query_index import CACHE_FEATURE_LENGTH
 from repro.features import path_features
-from repro.graph import molecule_graph
+from repro.graph import cycle_graph, molecule_graph, path_graph
 from repro.graph.operations import extend_graph, random_connected_subgraph
-from repro.isomorphism import VF2Matcher
-from repro.query_model import QueryType
+from repro.query_model import Query, QueryType
 
 
 def entry_for(graph, answer=frozenset()) -> CacheEntry:
@@ -96,47 +95,68 @@ class TestCachedQueryIndex:
 
 
 class TestCaseProcessors:
+    """The paper's Sub and Super Case Processors: the probe loop that
+    :meth:`GraphCache.lookup` runs over the screened candidates."""
+
+    @staticmethod
+    def cache_of(*graphs) -> tuple[GraphCache, list[CacheEntry]]:
+        cache = GraphCache(capacity=10, policy="LRU")
+        entries = [entry_for(graph) for graph in graphs]
+        cache.warm(entries)
+        return cache, entries
+
     def test_sub_case_processor_confirms_real_hits(self):
         rng = random.Random(10)
         big = molecule_graph(14, rng=rng)
-        unrelated = molecule_graph(14, rng=999)
         query = random_connected_subgraph(big, 6, rng=rng)
-        processor = SubCaseProcessor(VF2Matcher())
-        outcome = processor.find_hits(query, [entry_for(big), entry_for(unrelated)])
-        hit_graphs = [entry.graph for entry in outcome.hits]
-        assert big in hit_graphs
-        assert outcome.probe_tests == 2
-        assert outcome.probe_seconds >= 0.0
+        cache, (big_entry, _) = self.cache_of(big, molecule_graph(14, rng=999))
+        assert cache.lookup(Query(query, QueryType.SUBGRAPH)).sub_hits == [big_entry]
+
+        triangle = cycle_graph("CCC")
+        container = cycle_graph("CCC")
+        container.add_vertex(3, "C")
+        container.add_edge(2, 3)
+        decoy = path_graph("CCCCC")  # every label path of the triangle, no triangle
+        cache, (container_entry, _) = self.cache_of(container, decoy)
+        lookup = cache.lookup(Query(triangle, QueryType.SUBGRAPH))
+        assert lookup.screened_sub_candidates == 2  # the screen let the decoy through
+        assert lookup.sub_hits == [container_entry]
+        assert lookup.probe_tests == 2
+        assert lookup.probe_seconds >= 0.0
 
     def test_super_case_processor_confirms_real_hits(self):
         rng = random.Random(11)
         small = molecule_graph(6, rng=rng)
         query = extend_graph(small, 5, labels=["C", "O"], rng=rng)
-        processor = SuperCaseProcessor(VF2Matcher())
-        outcome = processor.find_hits(query, [entry_for(small)])
-        assert len(outcome.hits) == 1
-
-    def test_max_hits_caps_probing(self):
-        rng = random.Random(12)
-        big = molecule_graph(16, rng=rng)
-        query = random_connected_subgraph(big, 5, rng=rng)
-        candidates = [entry_for(big) for _ in range(4)]
-        processor = SubCaseProcessor(VF2Matcher(), max_hits=2)
-        outcome = processor.find_hits(query, candidates)
-        assert len(outcome.hits) == 2
+        cache, entries = self.cache_of(small)
+        lookup = cache.lookup(Query(query, QueryType.SUBGRAPH))
+        assert lookup.super_hits == entries
+        assert lookup.sub_hits == []
+        assert lookup.probe_tests == lookup.screened_super_candidates == 1
 
     def test_sub_processor_orders_smallest_first(self):
         rng = random.Random(13)
         big = molecule_graph(18, rng=rng)
         medium = random_connected_subgraph(big, 12, rng=rng)
         query = random_connected_subgraph(medium, 5, rng=rng)
-        processor = SubCaseProcessor(VF2Matcher(), max_hits=1)
-        outcome = processor.find_hits(query, [entry_for(big), entry_for(medium)])
-        assert len(outcome.hits) == 1
-        assert outcome.hits[0].graph.num_vertices == medium.num_vertices
+        cache, (big_entry, medium_entry, twin_entry) = self.cache_of(big, medium, medium.copy())
+        lookup = cache.lookup(Query(query, QueryType.SUBGRAPH))
+        # ties between equal sizes go to the older entry
+        assert lookup.sub_hits == [medium_entry, twin_entry, big_entry]
+
+    def test_super_processor_orders_largest_first(self):
+        rng = random.Random(15)
+        medium = molecule_graph(10, rng=rng)
+        small = random_connected_subgraph(medium, 5, rng=rng)
+        query = extend_graph(medium, 4, labels=["C", "N"], rng=rng)
+        cache, (small_entry, medium_entry, twin_entry) = self.cache_of(small, medium, small.copy())
+        lookup = cache.lookup(Query(query, QueryType.SUBGRAPH))
+        assert lookup.super_hits == [medium_entry, small_entry, twin_entry]
 
     def test_no_candidates_no_probes(self):
-        processor = SubCaseProcessor(VF2Matcher())
-        outcome = processor.find_hits(molecule_graph(5, rng=14), [])
-        assert outcome.hits == []
-        assert outcome.probe_tests == 0
+        cache, _ = self.cache_of(molecule_graph(8, rng=14))
+        # a cached subgraph query says nothing about a supergraph query
+        lookup = cache.lookup(Query(molecule_graph(5, rng=14), QueryType.SUPERGRAPH))
+        assert lookup.screened_sub_candidates == lookup.screened_super_candidates == 0
+        assert lookup.sub_hits == lookup.super_hits == []
+        assert lookup.probe_tests == 0

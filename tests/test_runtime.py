@@ -30,8 +30,8 @@ class TestGCConfig:
             {"cache_capacity": 0},
             {"window_size": 0},
             {"cache_capacity": 5, "window_size": 10},
-            {"min_tests_to_admit": -1},
-            {"max_sub_hits": 0},
+            {"num_shards": 0},
+            {"trace_sample_rate": 1.5},
             {"shard_backend": "fork"},
             {"shard_backend": "threads"},
             {"shard_respawn_limit": -1},

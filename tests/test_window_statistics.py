@@ -1,60 +1,50 @@
-"""Tests for the Window Manager and the Statistics Manager."""
+"""Tests for the admission window and the Statistics Manager."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cache import CacheEntry, StatisticsManager, WindowManager
+from repro.cache import EvictionReport, GraphCache, StatisticsManager
 from repro.errors import ConfigurationError
 from repro.graph import molecule_graph
 from repro.query_model import Query, QueryType
 from repro.runtime.report import QueryReport
 
 
-def make_entry(seed: int) -> CacheEntry:
-    return CacheEntry(
-        graph=molecule_graph(5, rng=seed), query_type=QueryType.SUBGRAPH, answer=frozenset()
-    )
+def make_query(seed: int) -> Query:
+    return Query(graph=molecule_graph(5, rng=seed), query_type=QueryType.SUBGRAPH)
 
 
 class TestWindowManager:
+    """The admission window inside :class:`GraphCache`."""
+
     def test_offer_returns_batch_when_full(self):
-        window = WindowManager(window_size=3)
-        assert window.offer(make_entry(1), tests_performed=5) is None
-        assert window.offer(make_entry(2), tests_performed=5) is None
-        batch = window.offer(make_entry(3), tests_performed=5)
-        assert batch is not None
-        assert len(batch) == 3
-        assert window.pending_count == 0
+        cache = GraphCache(capacity=10, window_size=3)
+        queries = [make_query(seed) for seed in (1, 2, 3)]
+        assert cache.offer(queries[0], answer=set(), observed_test_cost=0.0) is None
+        assert cache.offer(queries[1], answer=set(), observed_test_cost=0.0) is None
+        assert len(cache) == 0
+        report = cache.offer(queries[2], answer=set(), observed_test_cost=0.0)
+        assert isinstance(report, EvictionReport)
+        assert report.num_admitted == 3
+        assert [entry.graph for entry in cache.entries()] == [q.graph for q in queries]
+        assert cache.eviction_reports() == [report]
+        assert cache.flush_window() is None  # nothing left pending
 
     def test_flush_releases_partial_window(self):
-        window = WindowManager(window_size=10)
-        window.offer(make_entry(4), tests_performed=1)
-        window.offer(make_entry(5), tests_performed=1)
-        batch = window.flush()
-        assert len(batch) == 2
-        assert window.flush() == []
-
-    def test_admission_control_rejects_cheap_queries(self):
-        window = WindowManager(window_size=2, min_tests_to_admit=10)
-        assert window.offer(make_entry(6), tests_performed=3) is None
-        assert window.pending_count == 0
-        snapshot = window.snapshot()
-        assert snapshot.rejected == 1
-
-    def test_snapshot_contents(self):
-        window = WindowManager(window_size=5)
-        entry = make_entry(7)
-        window.offer(entry, tests_performed=1)
-        snapshot = window.snapshot()
-        assert snapshot.pending == [entry.entry_id]
-        assert snapshot.window_size == 5
+        cache = GraphCache(capacity=10, window_size=10)
+        cache.offer(make_query(4), answer=set(), observed_test_cost=0.0)
+        cache.offer(make_query(5), answer=set(), observed_test_cost=0.0)
+        report = cache.flush_window()
+        assert report is not None and report.num_admitted == 2
+        assert len(cache) == 2
+        assert cache.flush_window() is None
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
-            WindowManager(window_size=0)
+            GraphCache(window_size=0)
         with pytest.raises(ConfigurationError):
-            WindowManager(window_size=5, min_tests_to_admit=-1)
+            GraphCache(window_size=-1)
 
 
 def record(
