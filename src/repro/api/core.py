@@ -1,4 +1,4 @@
-"""Sans-IO wire functions of the remote client.
+"""Sans-IO wire functions of the remote client, and the HTTP/1.1 head reader.
 
 Everything :class:`~repro.api.remote.RemoteGraphService` decides about the
 wire that does not need a socket lives here: request → wire body,
@@ -8,6 +8,13 @@ the text exposition.  There is one wire version: a client sends the envelope
 and reads the envelope back.  Keeping these functions free of transport lets
 tests drive the wire format without a server, and lets the process shard
 backend read worker replies with the same checks.
+
+Both ends of a hop — :class:`~repro.server.adapter.HTTPAdapter` reading a
+request, the client reading a reply — frame messages with the same minimal
+HTTP/1.1 reader: :func:`read_head` (start line + headers off any buffered
+reader, bounded), :func:`content_length` and :func:`keeps_alive`.  Bodies
+are framed by ``Content-Length`` only (or, on a reply, by connection close);
+chunked transfer coding is not spoken.
 """
 
 from __future__ import annotations
@@ -31,6 +38,65 @@ if TYPE_CHECKING:  # pragma: no cover - runtime import is lazy (replay.py import
 
 #: ``GET`` target of the Prometheus-style text exposition.
 METRICS_TEXT_PATH = "/metrics?format=text"
+
+#: Longest start line or header line either end reads, in bytes.
+MAX_LINE_BYTES = 65536
+
+#: Most header lines one message may carry.
+MAX_HEADERS = 100
+
+
+# ---------------------------------------------------------------------- #
+# HTTP/1.1 framing (both ends of a hop)
+# ---------------------------------------------------------------------- #
+def read_head(reader) -> tuple[list[str], dict[str, str]] | None:
+    """Read one message head — start line and headers — off ``reader``.
+
+    Returns the start line split in at most three words and the headers by
+    lower-cased name (a repeated header's values joined with ``", "``), or
+    ``None`` when the peer closed before sending a start line.  Raises
+    :class:`ValueError` naming what broke the framing: an over-long line,
+    too many headers, a header without a colon, or a close inside the head.
+    """
+    line = reader.readline(MAX_LINE_BYTES + 1)
+    if not line:
+        return None
+    if len(line) > MAX_LINE_BYTES:
+        raise ValueError(f"start line longer than {MAX_LINE_BYTES} bytes")
+    headers: dict[str, str] = {}
+    for _ in range(MAX_HEADERS + 1):
+        raw = reader.readline(MAX_LINE_BYTES + 1)
+        if raw in (b"\r\n", b"\n"):
+            return line.decode("latin-1").strip().split(None, 2), headers
+        if not raw:
+            raise ValueError("connection closed inside the message head")
+        if len(raw) > MAX_LINE_BYTES:
+            raise ValueError(f"header line longer than {MAX_LINE_BYTES} bytes")
+        name, colon, value = raw.decode("latin-1").partition(":")
+        if not colon:
+            raise ValueError(f"header line without a colon: {raw[:40]!r}")
+        name, value = name.strip().lower(), value.strip()
+        headers[name] = f"{headers[name]}, {value}" if name in headers else value
+    raise ValueError(f"more than {MAX_HEADERS} header lines")
+
+
+def content_length(headers: dict[str, str]) -> int | None:
+    """The body length a head declares (``None`` when it declares none).
+
+    Anything but one non-negative decimal integer — a sign, a fraction, the
+    header repeated — is a :class:`ValueError`.
+    """
+    value = headers.get("content-length")
+    if value is None:
+        return None
+    if not (value.isascii() and value.isdigit()):
+        raise ValueError(f"bad Content-Length {value!r}")
+    return int(value)
+
+
+def keeps_alive(version: str, headers: dict[str, str]) -> bool:
+    """Whether the connection stays open after this message (HTTP/1.1 default)."""
+    return version == "HTTP/1.1" and "close" not in headers.get("connection", "").lower()
 
 
 # ---------------------------------------------------------------------- #

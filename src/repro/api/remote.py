@@ -1,13 +1,23 @@
 """RemoteGraphService: the one remote backend of the service boundary.
 
-A stdlib (``http.client``) client speaking the envelope protocol against a
+A blocking client speaking the envelope protocol against a
 :class:`~repro.server.app.QueryServer` — or, as the process shard backend's
-transport, against a shard worker.  One keep-alive connection per calling
+transport, against a shard worker.  One keep-alive socket per calling
 thread: a thread-per-connection load generator (:func:`replay_trace`, up to
 a thousand threads in the tests), or a scatter-pool slot, pays no TCP
-handshake per query and never shares a connection with a sibling.  The wire
-decisions that need no socket are the functions of :mod:`repro.api.core`;
-this class adds the transport and client-side trace sampling.
+handshake per query and never shares a connection with a sibling.  Each
+request goes out in one write and its reply is read with the same minimal
+HTTP/1.1 reader the server frames requests with
+(:func:`repro.api.core.read_head`): by ``Content-Length``, or to close when
+the reply declares none (``/batch``'s NDJSON stream).  The wire decisions
+that need no socket are the functions of :mod:`repro.api.core`; this class
+adds the transport and client-side trace sampling.
+
+Every transport failure is an :class:`OSError`: the socket's own errors,
+:class:`TimeoutError`, and :class:`WireError` for a reply that breaks HTTP/1.1
+framing (closed before its status line, truncated, malformed).  A failure
+other than a timeout reconnects and re-sends once — the peer closed a stale
+keep-alive connection between requests; a timeout always propagates.
 
 ``close()`` drops the calling thread's connection only (other threads may be
 mid-request on theirs); ``close_all()`` is for an owner that has stopped the
@@ -21,8 +31,8 @@ never parsed from message text.
 
 from __future__ import annotations
 
-import http.client
 import random
+import socket
 import threading
 import time
 import uuid
@@ -46,6 +56,72 @@ from repro.query_model import QueryType
 
 if TYPE_CHECKING:  # pragma: no cover - runtime import is lazy (replay.py imports us)
     from repro.workload.workload import Workload
+
+
+class WireError(ConnectionError):
+    """A reply that breaks HTTP/1.1 framing: closed early, truncated or malformed."""
+
+
+class _Connection:
+    """One keep-alive socket to the peer and the reader its replies arrive on."""
+
+    __slots__ = ("sock", "reader", "_host")
+
+    def __init__(self, host: str, port: int, timeout: float) -> None:
+        self.sock = socket.create_connection((host, port), timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.reader = self.sock.makefile("rb")
+        self._host = f"{host}:{port}"
+
+    def send(self, method: str, target: str, body: bytes | None) -> None:
+        """Write one request, head and body, in one ``sendall``."""
+        head = f"{method} {target} HTTP/1.1\r\nHost: {self._host}\r\n"
+        if body is not None:
+            head += f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
+        self.sock.sendall((head + "\r\n").encode("latin-1") + (body or b""))
+
+    def read_head(self) -> tuple[int, int | None, bool]:
+        """The reply's ``(status, body length, keep-alive)``.
+
+        A length of ``None`` means the body runs to connection close.
+        """
+        try:
+            head = core.read_head(self.reader)
+        except ValueError as exc:
+            raise WireError(f"malformed reply: {exc}") from None
+        if head is None:
+            raise WireError("the peer closed the connection without replying")
+        start, headers = head
+        if (len(start) < 2 or not start[0].startswith("HTTP/1.")
+                or not start[1].isdecimal()):
+            raise WireError(f"malformed status line {' '.join(start)!r}")
+        version = start[0]
+        if "transfer-encoding" in headers:
+            raise WireError("a chunked reply: bodies are framed by Content-Length")
+        try:
+            length = core.content_length(headers)
+        except ValueError as exc:
+            raise WireError(str(exc)) from None
+        keep_alive = length is not None and core.keeps_alive(version, headers)
+        return int(start[1]), length, keep_alive
+
+    def read_body(self, length: int | None) -> bytes:
+        """The reply body: ``length`` bytes, or everything up to close."""
+        data = self.reader.read(length)
+        if length is not None and len(data) < length:
+            raise WireError(f"reply truncated: {len(data)} of {length} bytes")
+        return data
+
+    def exchange(self, method: str, target: str,
+                 body: bytes | None) -> tuple[int, bytes, bool]:
+        """One request out, its reply in: ``(status, body, keep-alive)``."""
+        self.send(method, target, body)
+        status, length, keep_alive = self.read_head()
+        return status, self.read_body(length), keep_alive
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
 
 
 class RemoteGraphService:
@@ -74,7 +150,7 @@ class RemoteGraphService:
         # one keep-alive connection per calling thread, keyed by the thread:
         # close_all() can reach every one of them, and a thread that ended
         # without close() has its connection closed when the next one opens
-        self._connections: dict[threading.Thread, http.client.HTTPConnection] = {}
+        self._connections: dict[threading.Thread, _Connection] = {}
         self._connections_lock = threading.Lock()
 
     @classmethod
@@ -85,13 +161,11 @@ class RemoteGraphService:
     # ------------------------------------------------------------------ #
     # transport
     # ------------------------------------------------------------------ #
-    def _connection(self) -> http.client.HTTPConnection:
+    def _connection(self) -> _Connection:
         me = threading.current_thread()
         connection = self._connections.get(me)
         if connection is None:
-            connection = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
+            connection = _Connection(self.host, self.port, self.timeout)
             with self._connections_lock:
                 for thread in [t for t in self._connections if not t.is_alive()]:
                     self._connections.pop(thread).close()
@@ -101,25 +175,26 @@ class RemoteGraphService:
     def _exchange(self, method: str, path: str,
                   body: bytes | None = None) -> tuple[int, bytes]:
         """One bytes-level request/response over this thread's connection."""
-        headers = {"Content-Type": "application/json"} if body else {}
         for attempt in (0, 1):
-            connection = self._connection()
             try:
-                connection.request(method, path, body=body, headers=headers)
-                response = connection.getresponse()
-                return response.status, response.read()
+                connection = self._connection()
+                status, data, keep_alive = connection.exchange(method, path, body)
             except TimeoutError:
                 # the server may still be executing the request: retrying a
                 # POST would run the query twice (double-counted statistics),
                 # so timeouts always propagate
                 self.close()
                 raise
-            except (http.client.HTTPException, ConnectionError, OSError):
+            except OSError:
                 # stale keep-alive connection (server closed it between
                 # requests, before processing anything): reconnect once
                 self.close()
                 if attempt:
                     raise
+                continue
+            if not keep_alive:
+                self.close()
+            return status, data
         raise ServerError("unreachable")  # pragma: no cover - loop always returns
 
     def request(self, method: str, path: str, body: dict | None = None) -> tuple[int, dict]:
@@ -234,17 +309,14 @@ class RemoteGraphService:
         connection close, so the thread-local keep-alive one stays usable).
         """
         body = core.batch_body(queries, deadline_seconds, priority)
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
+        connection = _Connection(self.host, self.port, self.timeout)
         try:
-            connection.request("POST", "/batch", body=body,
-                               headers={"Content-Type": "application/json"})
-            response = connection.getresponse()
-            if response.status != 200:
-                core.raise_batch_refusal(response.status, response.read())
+            connection.send("POST", "/batch", body)
+            status, length, _ = connection.read_head()
+            if status != 200:
+                core.raise_batch_refusal(status, connection.read_body(length))
             # EOF: the server closed — the batch is complete
-            for line in iter(response.readline, b""):
+            for line in iter(connection.reader.readline, b""):
                 pair = core.batch_line(line)
                 if pair is not None:
                     yield pair

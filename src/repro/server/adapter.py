@@ -13,17 +13,28 @@ Three layers, each usable alone:
 
 * :meth:`RoutedApp.handle` — route an already-parsed request;
 * :func:`respond` — bytes in, reply value out (JSON decoding and its 400);
-* :class:`HTTPAdapter` — the stdlib ``http.server`` transport (body reading,
-  reply framing, keep-alive, ``TCP_NODELAY``).  Another transport (an asyncio
-  front end) is a second adapter over :func:`respond`, not a second stack.
+* :class:`HTTPAdapter` — the transport: a :mod:`socketserver` accept loop,
+  one thread per connection, and a minimal HTTP/1.1 reader
+  (:func:`repro.api.core.read_head`, the same one the client reads replies
+  with).  It takes the body by ``Content-Length`` (a negative or malformed
+  length is a 400, one over :data:`MAX_BODY_BYTES` a 413, neither read),
+  keeps connections alive unless the request says ``Connection: close`` or
+  speaks HTTP/1.0, answers ``Expect: 100-continue``, refuses chunked bodies,
+  and writes each reply with one ``sendall``.  Another transport is a second
+  adapter over :func:`respond`, not a second stack.
 """
 
 from __future__ import annotations
 
 import json
+import socket
+import socketserver
 from collections.abc import Callable
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
+from http import HTTPStatus
 from urllib.parse import parse_qs
+
+from repro.api.core import content_length, keeps_alive, read_head
 
 #: What an endpoint returns: an HTTP status and a dict / str / line iterable.
 Reply = tuple[int, object]
@@ -67,67 +78,126 @@ def respond(app: RoutedApp, method: str, target: str, raw: bytes | None) -> Repl
     return app.handle(method, path, parse_qs(query) if query else {}, payload)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"  # keep-alive: clients and pools reuse connections
-    # headers and body flush as separate small writes; without NODELAY,
-    # Nagle + delayed ACK can stall responses ~40ms even on loopback
-    disable_nagle_algorithm = True
+# ---------------------------------------------------------------------- #
+# the transport: a minimal HTTP/1.1 server over socketserver
+# ---------------------------------------------------------------------- #
+#: Largest request body the adapter reads: a longer declared
+#: ``Content-Length`` is refused with a 413 before any of the body is read.
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
-    def version_string(self) -> str:
-        return f"{self.server.app.server_version} {self.sys_version}"
-
-    def do_GET(self) -> None:
-        self._reply(*respond(self.server.app, "GET", self.path, None))
-
-    def do_POST(self) -> None:
-        # always consume the body: keep-alive framing breaks otherwise
-        try:
-            raw = self.rfile.read(int(self.headers.get("Content-Length", "0")))
-        except ValueError:
-            self._reply(400, {"error": "bad Content-Length header"})
-            return
-        self._reply(*respond(self.server.app, "POST", self.path, raw))
-
-    def _reply(self, status: int, body) -> None:
-        if isinstance(body, dict):
-            self._reply_bytes(status, "application/json",
-                              json.dumps(body).encode("utf-8"))
-        elif isinstance(body, str):
-            self._reply_bytes(status, "text/plain; version=0.0.4",
-                              body.encode("utf-8"))
-        else:
-            self._reply_stream(status, body)
-
-    def _reply_bytes(self, status: int, content_type: str, data: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _reply_stream(self, status: int, lines) -> None:
-        """Stream NDJSON lines as the app produces them.
-
-        Lines arrive in completion order, so Content-Length is unknown up
-        front: the response is framed by connection close instead — the one
-        framing every HTTP/1.x client understands without chunked-decoding
-        support.
-        """
-        self.send_response(status)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Connection", "close")
-        self.end_headers()
-        self.close_connection = True
-        for item in lines:
-            self.wfile.write(json.dumps(item).encode("utf-8") + b"\n")
-            self.wfile.flush()
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # requests are accounted by the app's own counters, not on stderr
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
 
 
-class HTTPAdapter(ThreadingHTTPServer):
-    """The stdlib transport: one thread per connection, sized for thousands.
+class _Refusal(Exception):
+    """A request the adapter answers itself with a JSON error, then closes on."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+def _read_request(reader, sock) -> tuple[str, str, bytes, bool] | None:
+    """One request off a connection: ``(method, target, body, keep_alive)``.
+
+    ``None`` when the client closed — before a request, or inside its body.
+    A request that cannot be framed raises :class:`_Refusal`; a body over
+    :data:`MAX_BODY_BYTES` is refused without being read.
+    """
+    try:
+        head = read_head(reader)
+        if head is None:
+            return None
+        start, headers = head
+        length = content_length(headers) or 0
+    except ValueError as exc:
+        raise _Refusal(400, str(exc)) from None
+    if len(start) != 3 or not start[2].startswith("HTTP/1."):
+        raise _Refusal(400, f"malformed request line {' '.join(start)!r}")
+    method, target, version = start
+    if "transfer-encoding" in headers:
+        raise _Refusal(400, "Transfer-Encoding is not supported; "
+                            "frame the body with Content-Length")
+    if length > MAX_BODY_BYTES:
+        raise _Refusal(413, f"a {length}-byte body exceeds the "
+                            f"{MAX_BODY_BYTES}-byte limit")
+    if length and headers.get("expect", "").lower() == "100-continue":
+        sock.sendall(_CONTINUE)
+    body = reader.read(length) if length else b""
+    if len(body) < length:
+        return None
+    return method, target, body, keeps_alive(version, headers)
+
+
+def _head(app: RoutedApp, status: int, content_type: str,
+          length: int | None, keep_alive: bool) -> bytes:
+    """The status line and headers of one reply."""
+    lines = [
+        f"HTTP/1.1 {status} {_REASONS.get(status, '')}",
+        f"Server: {app.server_version}",
+        f"Date: {formatdate(usegmt=True)}",
+        f"Content-Type: {content_type}",
+    ]
+    if length is not None:
+        lines.append(f"Content-Length: {length}")
+    if not keep_alive:
+        lines.append("Connection: close")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+
+
+def _send(sock, app: RoutedApp, status: int, body, keep_alive: bool) -> bool:
+    """Frame and write one reply value; returns whether the connection stays open.
+
+    A dict or str goes out as one write.  A line stream arrives in the
+    app's completion order, so its length is unknown up front: it is framed
+    by connection close — the one framing every HTTP/1.x client understands
+    without chunked decoding.
+    """
+    if isinstance(body, dict):
+        content_type, data = "application/json", json.dumps(body).encode("utf-8")
+    elif isinstance(body, str):
+        content_type, data = "text/plain; version=0.0.4", body.encode("utf-8")
+    else:
+        sock.sendall(_head(app, status, "application/x-ndjson", None, False))
+        for item in body:
+            sock.sendall(json.dumps(item).encode("utf-8") + b"\n")
+        return False
+    sock.sendall(_head(app, status, content_type, len(data), keep_alive) + data)
+    return keep_alive
+
+
+def _serve_connection(app: RoutedApp, sock: socket.socket) -> None:
+    """Answer requests on one accepted connection until either side closes."""
+    # a 100-continue and its reply, or a stream's lines, are several small
+    # writes: without NODELAY, Nagle + delayed ACK can stall one ~40ms
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    reader = sock.makefile("rb")
+    try:
+        while True:
+            try:
+                request = _read_request(reader, sock)
+            except _Refusal as refusal:
+                _send(sock, app, refusal.status, {"error": str(refusal)}, False)
+                return
+            if request is None:
+                return
+            method, target, body, keep_alive = request
+            if method == "GET":
+                reply = respond(app, method, target, None)
+            elif method == "POST":
+                reply = respond(app, method, target, body)
+            else:
+                reply = 501, {"error": f"method {method!r} is not supported"}
+            if not _send(sock, app, *reply, keep_alive):
+                return
+    except ConnectionError:
+        pass  # the client went away mid-exchange: nobody left to answer
+    finally:
+        reader.close()
+
+
+class HTTPAdapter(socketserver.ThreadingTCPServer):
+    """The transport: one thread per connection, sized for thousands.
 
     A load generator's client threads open their connections in bursts (a
     thousand at once in the tests), so the listen backlog must be far deeper
@@ -136,8 +206,12 @@ class HTTPAdapter(ThreadingHTTPServer):
     """
 
     daemon_threads = True
+    allow_reuse_address = True
     request_queue_size = 1024
 
     def __init__(self, address: tuple[str, int], app: RoutedApp) -> None:
         self.app = app
-        super().__init__(address, _Handler)
+        super().__init__(address, None)
+
+    def finish_request(self, request, client_address) -> None:
+        _serve_connection(self.app, request)

@@ -10,13 +10,18 @@ only the shard hosting: each shard becomes a spawned OS process running
 :func:`repro.sharding.worker.worker_main` (its own
 :class:`~repro.runtime.system.GraphCacheSystem`, its own interpreter, its
 own core), reachable over loopback HTTP speaking the envelope protocol.  The
-transport is the stock blocking :class:`~repro.api.remote.RemoteGraphService`,
-called on the thread that needs the answer — the scatter-pool thread running
-that shard's share — so the coordinator owns no thread and no event loop for
-the hop.  Query traffic rides one keep-alive connection per (worker, calling
-thread): two batches scattered at once can reach one worker from two scatter
-slots, each on its own connection.  Admin and observability calls arrive on whatever thread asks
-(an HTTP handler scraping ``/metrics``) and close their connection again.  A
+transport is the stock blocking :class:`~repro.api.remote.RemoteGraphService`
+— one keep-alive socket, minimal HTTP/1.1 framing at both ends, one write
+per request and per reply — called on the thread that needs the answer (the
+scatter-pool thread running that shard's share), so the coordinator owns no
+thread and no event loop for the hop.  A worker's ``/query`` reply *is* the
+shard's :class:`~repro.runtime.report.QueryReport` (the fields the merge
+reads, :func:`~repro.sharding.worker.report_to_wire`).  Query traffic rides
+one keep-alive connection per (worker, calling thread): two batches
+scattered at once can reach one worker from two scatter slots, each on its
+own connection.  Admin and observability calls arrive on whatever thread
+asks (an HTTP handler scraping ``/metrics``) and close their connection
+again.  Every transport failure the client raises is an :class:`OSError`.  A
 respawn or :meth:`ProcessShardBackend.close` closes every connection to the
 worker it retires.
 
@@ -42,7 +47,6 @@ retryable :class:`~repro.errors.ShardWorkerError` (wire code
 
 from __future__ import annotations
 
-import http.client
 import multiprocessing
 import threading
 from collections.abc import Callable, Sequence
@@ -244,7 +248,7 @@ class ProcessShardBackend:
             try:
                 for request in requests[len(results):]:
                     results.append(handle.service.request(*request))
-            except (OSError, http.client.HTTPException) as failure:
+            except OSError as failure:  # every transport failure the client raises
                 # NB: TimeoutError subclasses OSError — classify it first
                 if isinstance(failure, TimeoutError) and handle.process.is_alive():
                     raise
@@ -430,10 +434,10 @@ class ProcessShardClient:
     def _report_from(self, query: Query, status: int, payload: dict) -> QueryReport:
         if "error" in payload:
             raise ErrorEnvelope.from_wire(payload, http_status=status).to_exception()
-        section = (payload.get("result") or {}).get("report")
-        if not isinstance(section, dict):
+        section = payload.get("result")
+        if not isinstance(section, dict) or "answer" not in section:
             raise ProtocolError(
-                f"shard {self.index} worker response carries no 'report' section"
+                f"shard {self.index} worker response carries no report"
             )
         report = report_from_wire(query, section)
         if report.spans:

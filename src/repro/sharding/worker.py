@@ -14,12 +14,12 @@ payload that declares no or another version).  The coordinator therefore
 needs no wire format of its own: its transport is the stock blocking
 :class:`~repro.api.remote.RemoteGraphService`.
 
-The one addition over the public surface: a shard worker's ``POST /query``
-success payload carries the *full* :class:`~repro.runtime.report.QueryReport`
-(journey sets included) under ``result["report"]``, because the coordinator
-must gather per-shard reports to run the scatter-gather merge — the public
-:class:`QueryResponse` only summarises them.  The section is additive, so
-the payload still parses as a plain response envelope.
+The one difference from the public surface: a shard worker's ``POST /query``
+success payload *is* the :class:`~repro.runtime.report.QueryReport` — its
+``result`` object holds every field the coordinator's scatter-gather merge
+reads (journey sets included, :func:`report_to_wire`), where the public
+:class:`QueryResponse` only summarises them.  ``answer`` is one of those
+fields, so the payload still parses as a plain response envelope.
 
 ``/admin/*`` endpoints cover the shard lifecycle the in-process backend gets
 for free: window flush (warm-up), statistics reset, snapshot save/restore
@@ -35,9 +35,9 @@ import time
 
 from repro import __version__
 from repro.api.envelopes import (
+    PROTOCOL_VERSION,
     ErrorEnvelope,
     MetricsSnapshot,
-    QueryResponse,
     parse_request,
 )
 from repro.cache.statistics import json_safe
@@ -57,24 +57,25 @@ logger = get_logger("sharding.worker")
 
 
 # ---------------------------------------------------------------------- #
-# full-report wire serialisation (the additive ``result["report"]`` section)
+# the report as the ``result`` of a worker's reply
 # ---------------------------------------------------------------------- #
 def report_to_wire(report: QueryReport) -> dict:
-    """Serialise every :class:`QueryReport` field the merge consumes.
+    """Every :class:`QueryReport` field the merge consumes, as JSON values.
 
-    Journey sets travel as sorted lists (graph ids are ints or strings —
-    JSON-native either way); hit entries are cache entry ids (ints).
+    Every value is JSON-native by construction — graph ids are ints or
+    strings, hit entries cache entry ids, costs ints and finite seconds — so
+    the sets go out as plain (unordered) lists with no sanitising walk.
     """
-    return json_safe({
+    wire = {
+        "answer": list(report.answer),
         "exact_hit_entry": report.exact_hit_entry,
-        "sub_hit_entries": list(report.sub_hit_entries),
-        "super_hit_entries": list(report.super_hit_entries),
-        "method_candidates": sorted(report.method_candidates, key=repr),
-        "guaranteed_answers": sorted(report.guaranteed_answers, key=repr),
-        "guaranteed_non_answers": sorted(report.guaranteed_non_answers, key=repr),
-        "verified_candidates": sorted(report.verified_candidates, key=repr),
-        "verified_answers": sorted(report.verified_answers, key=repr),
-        "answer": sorted(report.answer, key=repr),
+        "sub_hit_entries": report.sub_hit_entries,
+        "super_hit_entries": report.super_hit_entries,
+        "method_candidates": list(report.method_candidates),
+        "guaranteed_answers": list(report.guaranteed_answers),
+        "guaranteed_non_answers": list(report.guaranteed_non_answers),
+        "verified_candidates": list(report.verified_candidates),
+        "verified_answers": list(report.verified_answers),
         "cache_population": report.cache_population,
         "dataset_tests": report.dataset_tests,
         "probe_tests": report.probe_tests,
@@ -84,11 +85,14 @@ def report_to_wire(report: QueryReport) -> dict:
         "total_seconds": report.total_seconds,
         "baseline_tests": report.baseline_tests,
         "baseline_seconds": report.baseline_seconds,
-        "stage_seconds": dict(report.stage_seconds),
-        # additive: the worker-side span subtree of a traced query, so the
+        "stage_seconds": report.stage_seconds,
+    }
+    if report.spans:
+        # the worker-side span subtree of a traced query, so the
         # coordinator's recorder sees one coherent cross-process tree
-        "spans": [span.to_dict() for span in report.spans],
-    })
+        # (span attributes are free-form: these do get sanitised)
+        wire["spans"] = json_safe([span.to_dict() for span in report.spans])
+    return wire
 
 
 def report_from_wire(query: Query, payload: dict) -> QueryReport:
@@ -184,7 +188,7 @@ class ShardWorkerApp(RoutedApp):
         return json_safe(payload)
 
     def serve_query(self, payload: dict) -> tuple[int, dict]:
-        """Execute one envelope query; success carries the full report."""
+        """Execute one envelope query; success replies with the full report."""
         try:
             request = parse_request(payload)
         except Exception as exc:
@@ -212,9 +216,9 @@ class ShardWorkerApp(RoutedApp):
             self._latency.observe(time.perf_counter() - started)
             if trace_token is not None:
                 current_trace_id.reset(trace_token)
-        response = QueryResponse.from_report(report, request_id=request.request_id)
-        wire = response.to_wire()
-        wire["result"]["report"] = report_to_wire(report)
+        wire = {"version": PROTOCOL_VERSION, "result": report_to_wire(report)}
+        if request.request_id is not None:
+            wire["request_id"] = request.request_id
         return 200, wire
 
     # -- shard lifecycle endpoints the coordinator drives ----------------- #

@@ -32,6 +32,7 @@ from repro.workload import generate_trace
 from tests.differential import (
     assert_answers_equal,
     assert_hit_counts_equal,
+    base_config,
     clone_queries,
     run_cached,
     run_direct,
@@ -128,6 +129,38 @@ class TestProcessShardedEquivalence:
                             num_threads=4, max_batch_size=4,
                             shard_backend="process")
         assert_answers_equal(direct, served)
+
+
+#: What a merged report must agree on, query by query, across the backends:
+#: the answer, the five journey sets, the hit-entry counts and the tests.
+JOURNEY = ("answer", "method_candidates", "guaranteed_answers",
+           "guaranteed_non_answers", "verified_candidates", "verified_answers")
+
+
+def journey(report) -> dict:
+    row = {name: frozenset(getattr(report, name)) for name in JOURNEY}
+    row.update(exact_hit=report.exact_hit_entry is not None,
+               sub_hits=len(report.sub_hit_entries),
+               super_hits=len(report.super_hit_entries),
+               dataset_tests=report.dataset_tests,
+               probe_tests=report.probe_tests)
+    return row
+
+
+class TestWorkerReply:
+    def test_every_merged_report_matches_thread_shards(self, dataset, workload):
+        """A worker's reply is its report: per query, the merged report over
+        2 process shards must equal the one over 2 thread shards."""
+        rows = {}
+        for backend in ("thread", "process"):
+            config = base_config(num_shards=2, shard_backend=backend)
+            with ShardedGraphCacheSystem(dataset, config) as system:
+                reports = system.run_queries(clone_queries(workload)[:60])
+            rows[backend] = [journey(report) for report in reports]
+        assert sum(row["sub_hits"] + row["super_hits"] for row in rows["thread"])
+        for position, (thread, process) in enumerate(zip(rows["thread"],
+                                                         rows["process"])):
+            assert thread == process, (position, thread, process)
 
 
 class TestWorkerDataset:
