@@ -2,19 +2,19 @@
 
 Everything :class:`~repro.api.remote.RemoteGraphService` decides about the
 wire that does not need a socket lives here: request → wire body,
-``(status, payload)`` → typed response or typed raise, the ``/batch`` body +
-NDJSON lines + in-order gather, the ``/debug/traces`` path, the 200-check and
-the text exposition.  There is one wire version: a client sends the envelope
-and reads the envelope back.  Keeping these functions free of transport lets
-tests drive the wire format without a server, and lets the process shard
-backend read worker replies with the same checks.
+``(status, payload)`` → typed response or typed raise, the ``/debug/traces``
+path, the 200-check and the text exposition.  There is one wire version: a
+client sends the envelope and reads the envelope back.  Keeping these
+functions free of transport lets tests drive the wire format without a
+server, and lets the process shard backend read worker replies with the same
+checks.
 
 Both ends of a hop — :class:`~repro.server.adapter.HTTPAdapter` reading a
 request, the client reading a reply — frame messages with the same minimal
 HTTP/1.1 reader: :func:`read_head` (start line + headers off any buffered
 reader, bounded), :func:`content_length` and :func:`keeps_alive`.  Bodies
-are framed by ``Content-Length`` only (or, on a reply, by connection close);
-chunked transfer coding is not spoken.
+are framed by ``Content-Length`` only; chunked transfer coding and
+read-to-close are not spoken.
 """
 
 from __future__ import annotations
@@ -23,15 +23,8 @@ import json
 from typing import TYPE_CHECKING
 from urllib.parse import urlencode
 
-from repro.api.envelopes import (
-    BatchResult,
-    ErrorEnvelope,
-    QueryResponse,
-    PROTOCOL_VERSION,
-    as_request,
-    parse_response,
-)
-from repro.errors import ProtocolError, ServerError
+from repro.api.envelopes import ErrorEnvelope, QueryResponse, parse_response
+from repro.errors import ServerError
 
 if TYPE_CHECKING:  # pragma: no cover - runtime import is lazy (replay.py imports us)
     from repro.workload.workload import Workload
@@ -127,7 +120,7 @@ def text_from(path: str, status: int, data: bytes) -> str:
 
 
 # ---------------------------------------------------------------------- #
-# queries and batches
+# queries
 # ---------------------------------------------------------------------- #
 def response_from(status: int, payload: dict) -> QueryResponse:
     """The typed response of a ``/query`` reply; failures raise typed errors."""
@@ -135,59 +128,6 @@ def response_from(status: int, payload: dict) -> QueryResponse:
     if isinstance(outcome, ErrorEnvelope):
         raise outcome.to_exception()
     return outcome
-
-
-def batch_body(queries, deadline_seconds: float | None = None,
-               priority: int | None = None) -> bytes:
-    """The ``POST /batch`` request body for ``queries``.
-
-    ``deadline_seconds`` / ``priority`` apply to every query that doesn't
-    already carry its own.
-    """
-    requests = []
-    for query in queries:
-        request = as_request(query)
-        if deadline_seconds is not None and request.deadline_seconds is None:
-            request.deadline_seconds = deadline_seconds
-        if priority is not None and not request.priority:
-            request.priority = priority
-        requests.append(request)
-    return encode_body({
-        "version": PROTOCOL_VERSION,
-        "queries": [request.to_wire() for request in requests],
-    })
-
-
-def raise_batch_refusal(status: int, data: bytes) -> None:
-    """Raise what a non-200 ``/batch`` reply means (the typed error if any)."""
-    payload = decode_body(data)
-    response_from(status, payload)
-    raise ServerError(f"/batch replied {status}: {payload}")
-
-
-def batch_line(line: bytes):
-    """One NDJSON ``/batch`` line → ``(index, outcome)`` (blank → ``None``)."""
-    line = line.strip()
-    if not line:
-        return None
-    payload = json.loads(line)
-    index = payload.pop("index", None)
-    if not isinstance(index, int):
-        raise ProtocolError(f"batch result line without an index: {payload!r}")
-    return index, parse_response(payload)
-
-
-def gather_batch(count: int, pairs) -> BatchResult:
-    """Streamed ``(index, outcome)`` pairs, back in submission order."""
-    items: list = [None] * count
-    for index, outcome in pairs:
-        if 0 <= index < count:
-            items[index] = outcome
-    for index, item in enumerate(items):
-        if item is None:  # the server never answered this index
-            items[index] = ErrorEnvelope.from_exception(
-                ServerError(f"no batch result line for index {index}"))
-    return BatchResult(items=items)
 
 
 # ---------------------------------------------------------------------- #

@@ -23,6 +23,7 @@ Everything is JSON-safe (infinities map to ``None`` via
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -139,10 +140,13 @@ def parse_request(payload: object) -> QueryRequest:
     trace = TraceContext.from_wire(payload.get("trace"))
     deadline_seconds = payload.get("deadline_seconds")
     if deadline_seconds is not None:
+        # json.loads reads NaN, Infinity, 1e999 and integers past any float:
+        # none of them orders in an EDF heap (NaN compares false both ways)
         if (not isinstance(deadline_seconds, (int, float))
                 or isinstance(deadline_seconds, bool)
-                or deadline_seconds <= 0):
-            raise ProtocolError("'deadline_seconds' must be a positive number")
+                or not 0 < deadline_seconds <= sys.float_info.max):
+            raise ProtocolError(
+                "'deadline_seconds' must be a finite positive number")
         deadline_seconds = float(deadline_seconds)
     priority = payload.get("priority", 0)
     if not isinstance(priority, int) or isinstance(priority, bool):

@@ -8,16 +8,17 @@ a thousand threads in the tests), or a scatter-pool slot, pays no TCP
 handshake per query and never shares a connection with a sibling.  Each
 request goes out in one write and its reply is read with the same minimal
 HTTP/1.1 reader the server frames requests with
-(:func:`repro.api.core.read_head`): by ``Content-Length``, or to close when
-the reply declares none (``/batch``'s NDJSON stream).  The wire decisions
-that need no socket are the functions of :mod:`repro.api.core`; this class
-adds the transport and client-side trace sampling.
+(:func:`repro.api.core.read_head`), its body by ``Content-Length`` — a reply
+that declares none is a framing error, never a read to close.  The wire
+decisions that need no socket are the functions of :mod:`repro.api.core`;
+this class adds the transport and client-side trace sampling.
 
 Every transport failure is an :class:`OSError`: the socket's own errors,
 :class:`TimeoutError`, and :class:`WireError` for a reply that breaks HTTP/1.1
-framing (closed before its status line, truncated, malformed).  A failure
-other than a timeout reconnects and re-sends once — the peer closed a stale
-keep-alive connection between requests; a timeout always propagates.
+framing (closed before its status line, truncated, malformed, no
+``Content-Length``).  A failure other than a timeout reconnects and re-sends
+once — the peer closed a stale keep-alive connection between requests; a
+timeout always propagates.
 
 ``close()`` drops the calling thread's connection only (other threads may be
 mid-request on theirs); ``close_all()`` is for an owner that has stopped the
@@ -59,7 +60,8 @@ if TYPE_CHECKING:  # pragma: no cover - runtime import is lazy (replay.py import
 
 
 class WireError(ConnectionError):
-    """A reply that breaks HTTP/1.1 framing: closed early, truncated or malformed."""
+    """A reply that breaks HTTP/1.1 framing: closed early, truncated, malformed
+    or without a ``Content-Length``."""
 
 
 class _Connection:
@@ -73,51 +75,40 @@ class _Connection:
         self.reader = self.sock.makefile("rb")
         self._host = f"{host}:{port}"
 
-    def send(self, method: str, target: str, body: bytes | None) -> None:
-        """Write one request, head and body, in one ``sendall``."""
+    def exchange(self, method: str, target: str,
+                 body: bytes | None) -> tuple[int, bytes, bool]:
+        """One request out in one ``sendall``, its reply in.
+
+        Returns ``(status, body, keep-alive)``; the reply body is framed by
+        its ``Content-Length``, and a reply without one is a
+        :class:`WireError`.
+        """
         head = f"{method} {target} HTTP/1.1\r\nHost: {self._host}\r\n"
         if body is not None:
             head += f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
         self.sock.sendall((head + "\r\n").encode("latin-1") + (body or b""))
-
-    def read_head(self) -> tuple[int, int | None, bool]:
-        """The reply's ``(status, body length, keep-alive)``.
-
-        A length of ``None`` means the body runs to connection close.
-        """
         try:
-            head = core.read_head(self.reader)
+            reply = core.read_head(self.reader)
         except ValueError as exc:
             raise WireError(f"malformed reply: {exc}") from None
-        if head is None:
+        if reply is None:
             raise WireError("the peer closed the connection without replying")
-        start, headers = head
+        start, headers = reply
         if (len(start) < 2 or not start[0].startswith("HTTP/1.")
                 or not start[1].isdecimal()):
             raise WireError(f"malformed status line {' '.join(start)!r}")
-        version = start[0]
         if "transfer-encoding" in headers:
             raise WireError("a chunked reply: bodies are framed by Content-Length")
         try:
             length = core.content_length(headers)
         except ValueError as exc:
             raise WireError(str(exc)) from None
-        keep_alive = length is not None and core.keeps_alive(version, headers)
-        return int(start[1]), length, keep_alive
-
-    def read_body(self, length: int | None) -> bytes:
-        """The reply body: ``length`` bytes, or everything up to close."""
+        if length is None:
+            raise WireError("a reply without Content-Length")
         data = self.reader.read(length)
-        if length is not None and len(data) < length:
+        if len(data) < length:
             raise WireError(f"reply truncated: {len(data)} of {length} bytes")
-        return data
-
-    def exchange(self, method: str, target: str,
-                 body: bytes | None) -> tuple[int, bytes, bool]:
-        """One request out, its reply in: ``(status, body, keep-alive)``."""
-        self.send(method, target, body)
-        status, length, keep_alive = self.read_head()
-        return status, self.read_body(length), keep_alive
+        return int(start[1]), data, core.keeps_alive(start[0], headers)
 
     def close(self) -> None:
         self.reader.close()
@@ -295,40 +286,6 @@ class RemoteGraphService:
                 items.append(ErrorEnvelope.from_exception(
                     exc, request_id=request.request_id))
         return BatchResult(items=items)
-
-    def stream_batch(self, queries, deadline_seconds: float | None = None,
-                     priority: int | None = None):
-        """Submit a whole batch over one ``POST /batch``; yield as they finish.
-
-        One connection, one submission round-trip; per-query NDJSON result
-        lines stream back in the *server's completion order* and are yielded
-        as ``(index, QueryResponse | ErrorEnvelope)`` pairs, ``index`` being
-        the query's position in ``queries``.  ``deadline_seconds`` /
-        ``priority`` apply to every query that doesn't already carry its
-        own.  Uses a dedicated connection (the response is framed by
-        connection close, so the thread-local keep-alive one stays usable).
-        """
-        body = core.batch_body(queries, deadline_seconds, priority)
-        connection = _Connection(self.host, self.port, self.timeout)
-        try:
-            connection.send("POST", "/batch", body)
-            status, length, _ = connection.read_head()
-            if status != 200:
-                core.raise_batch_refusal(status, connection.read_body(length))
-            # EOF: the server closed — the batch is complete
-            for line in iter(connection.reader.readline, b""):
-                pair = core.batch_line(line)
-                if pair is not None:
-                    yield pair
-        finally:
-            connection.close()
-
-    def run_batch_streamed(self, queries, deadline_seconds: float | None = None,
-                           priority: int | None = None) -> BatchResult:
-        """:meth:`stream_batch`, gathered back into submission order."""
-        queries = list(queries)
-        return core.gather_batch(len(queries), self.stream_batch(
-            queries, deadline_seconds=deadline_seconds, priority=priority))
 
     def metrics(self) -> MetricsSnapshot:
         return MetricsSnapshot.from_wire(self._ok("GET", "/metrics"))

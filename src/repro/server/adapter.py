@@ -5,9 +5,9 @@ Everything this repository serves over HTTP — the public
 :class:`~repro.sharding.worker.ShardWorkerApp` — is a :class:`RoutedApp`: a
 table of ``(method, path)`` → endpoint behind one
 :meth:`RoutedApp.handle` entry that returns a *reply value*
-``(status, body)``.  The body's type picks the framing: a ``dict`` is a JSON
-document, a ``str`` is Prometheus text, any other iterable is a stream of
-NDJSON lines.  Endpoints never see a socket, so they are testable without one.
+``(status, body)``.  The body is a ``dict`` (a JSON document) or a ``str``
+(Prometheus text); either goes out framed by ``Content-Length``.  Endpoints
+never see a socket, so they are testable without one.
 
 Three layers, each usable alone:
 
@@ -36,8 +36,8 @@ from urllib.parse import parse_qs
 
 from repro.api.core import content_length, keeps_alive, read_head
 
-#: What an endpoint returns: an HTTP status and a dict / str / line iterable.
-Reply = tuple[int, object]
+#: What an endpoint returns: an HTTP status and a JSON dict or a text str.
+Reply = tuple[int, dict | str]
 
 
 class RoutedApp:
@@ -129,47 +129,30 @@ def _read_request(reader, sock) -> tuple[str, str, bytes, bool] | None:
     return method, target, body, keeps_alive(version, headers)
 
 
-def _head(app: RoutedApp, status: int, content_type: str,
-          length: int | None, keep_alive: bool) -> bytes:
-    """The status line and headers of one reply."""
+def _send(sock, app: RoutedApp, status: int, body: dict | str,
+          keep_alive: bool) -> bool:
+    """Frame and write one reply value in one write; returns ``keep_alive``."""
+    if isinstance(body, dict):
+        content_type, data = "application/json", json.dumps(body).encode("utf-8")
+    else:
+        content_type, data = "text/plain; version=0.0.4", body.encode("utf-8")
     lines = [
         f"HTTP/1.1 {status} {_REASONS.get(status, '')}",
         f"Server: {app.server_version}",
         f"Date: {formatdate(usegmt=True)}",
         f"Content-Type: {content_type}",
+        f"Content-Length: {len(data)}",
     ]
-    if length is not None:
-        lines.append(f"Content-Length: {length}")
     if not keep_alive:
         lines.append("Connection: close")
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-
-
-def _send(sock, app: RoutedApp, status: int, body, keep_alive: bool) -> bool:
-    """Frame and write one reply value; returns whether the connection stays open.
-
-    A dict or str goes out as one write.  A line stream arrives in the
-    app's completion order, so its length is unknown up front: it is framed
-    by connection close — the one framing every HTTP/1.x client understands
-    without chunked decoding.
-    """
-    if isinstance(body, dict):
-        content_type, data = "application/json", json.dumps(body).encode("utf-8")
-    elif isinstance(body, str):
-        content_type, data = "text/plain; version=0.0.4", body.encode("utf-8")
-    else:
-        sock.sendall(_head(app, status, "application/x-ndjson", None, False))
-        for item in body:
-            sock.sendall(json.dumps(item).encode("utf-8") + b"\n")
-        return False
-    sock.sendall(_head(app, status, content_type, len(data), keep_alive) + data)
+    sock.sendall(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + data)
     return keep_alive
 
 
 def _serve_connection(app: RoutedApp, sock: socket.socket) -> None:
     """Answer requests on one accepted connection until either side closes."""
-    # a 100-continue and its reply, or a stream's lines, are several small
-    # writes: without NODELAY, Nagle + delayed ACK can stall one ~40ms
+    # a 100-continue and then its reply are two small writes: without
+    # NODELAY, Nagle + delayed ACK can stall the second ~40ms
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     reader = sock.makefile("rb")
     try:

@@ -16,9 +16,6 @@ HTTP status — never message-string parsing).  Endpoints:
   full, ``400`` on malformed payloads — a missing or foreign ``version``
   included, the error naming the version spoken — ``503`` while draining,
   ``504`` on timeout.
-* ``POST /batch``        — streamed batch submission: many envelopes over
-  one connection, per-query NDJSON result lines back in *completion* order
-  (connection-close framing).  Per-item errors use the same taxonomy.
 * ``POST /record/start`` / ``POST /record/stop`` — server-side trace
   recording: persist the live request stream as a replayable trace.
 * ``GET /metrics``       — the :class:`StatisticsManager` snapshot (running
@@ -46,9 +43,7 @@ import random
 import threading
 import time
 import uuid
-from concurrent.futures import FIRST_COMPLETED
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures import wait as futures_wait
 from pathlib import Path
 
 from repro import __version__
@@ -56,7 +51,6 @@ from repro.api.envelopes import (
     ErrorEnvelope,
     MetricsSnapshot,
     parse_request,
-    require_version,
 )
 from repro.api.recording import TraceRecorder
 from repro.cache.statistics import json_safe
@@ -74,7 +68,7 @@ from repro.obs.metrics import COUNTER, GAUGE, MetricsRegistry, Sample
 from repro.obs.recorder import DEFAULT_BUFFER_SIZE, configure_recorder
 from repro.obs.trace import Span, TraceContext, new_span_id, new_trace_id, wall_at
 from repro.runtime.config import GCConfig
-from repro.server.adapter import HTTPAdapter, Reply, RoutedApp
+from repro.server.adapter import HTTPAdapter, RoutedApp
 from repro.server.batcher import RequestBatcher
 from repro.sharding import make_system
 
@@ -100,7 +94,6 @@ class QueryServer(RoutedApp):
 
     routes = {
         ("POST", "/query"): lambda self, params, payload: self.serve_query(payload),
-        ("POST", "/batch"): lambda self, params, payload: self._serve_batch(payload),
         ("POST", "/record/start"): lambda self, params, payload: self.record_start(
             payload if isinstance(payload, dict) else {}),
         ("POST", "/record/stop"): lambda self, params, payload: self.record_stop(),
@@ -320,49 +313,29 @@ class QueryServer(RoutedApp):
         self.span_recorder.complete(scope["trace_id"], duration, scatter=scatter)
 
     def serve_query(self, payload: dict) -> tuple[int, dict]:
-        """Admit, batch and execute one query envelope."""
-        started = time.perf_counter()
-        admitted, refusal = self._admit(payload, in_batch=False)
-        if admitted is None:
-            return refusal
-        future, request, scope = admitted
-        wait = self.request_timeout_seconds
-        if request.deadline_seconds is not None:
-            # don't hold the connection past the caller's own budget
-            wait = min(wait, request.deadline_seconds)
-        return self._outcome(future, request, scope, started, wait)
+        """Admit, batch and execute one query envelope.
 
-    def _admit(self, payload: object, in_batch: bool):
-        """Parse, record and submit one request envelope.
-
-        Returns ``((future, request, trace scope), None)`` once the batcher
-        accepted the request, or ``(None, (status, wire))`` when it was
-        refused before admission (unparseable, or rejected).  Batch items
-        carry no ``server.request`` span of their own.
+        The one place a request's terminal outcome is decided: counters,
+        latency histograms, trace closure and the wire body.
         """
+        started = time.perf_counter()
         try:
             request = parse_request(payload)
         except ProtocolError as exc:
             self._request_outcomes["protocol-error"].inc()
-            return None, self._error(exc)
+            return self._error(exc)
         self.recorder.record(request)
-        scope = None if in_batch else self._begin_request_trace(request)
+        scope = self._begin_request_trace(request)
         try:
             future = self.batcher.submit(request)
         except Exception as exc:  # admission rejected / draining
             self._request_outcomes["rejected"].inc()
             self._finish_request_trace(scope, outcome="rejected")
-            return None, self._error(exc, request.request_id)
-        return (future, request, scope), None
-
-    def _outcome(self, future, request, scope: dict | None,
-                 started: float, wait: float | None) -> tuple[int, dict]:
-        """Wait up to ``wait`` seconds for one admitted request; account it.
-
-        The one place a request's terminal outcome is decided — counters,
-        latency histograms, trace closure and the wire body — for ``/query``
-        and for every ``/batch`` line alike.
-        """
+            return self._error(exc, request.request_id)
+        wait = self.request_timeout_seconds
+        if request.deadline_seconds is not None:
+            # don't hold the connection past the caller's own budget
+            wait = min(wait, request.deadline_seconds)
         try:
             served = future.result(timeout=wait)
         except FutureTimeoutError:
@@ -394,60 +367,6 @@ class QueryServer(RoutedApp):
         if scope is not None:
             response.trace_id = scope["trace_id"]
         return 200, response.to_wire()
-
-    def batch_stream(self, payload: dict):
-        """Validate a ``POST /batch`` payload; return the response-line stream.
-
-        The payload is ``{"version": 2, "queries": [<request envelope>, ...]}``.
-        Every query is admitted up front (one connection, one submission
-        round-trip for the whole batch), then per-query outcomes stream back
-        as NDJSON lines ``{"index": i, ...envelope}`` in *completion* order —
-        a straggler never holds up answers that are already done.  Per-item
-        protocol and admission errors become error-envelope lines for their
-        index; queries still unfinished at the request timeout are abandoned
-        (dead work shed) and answered with ``timeout`` lines.
-        Raises :class:`ProtocolError` when the outer payload is malformed.
-        """
-        queries = require_version(payload).get("queries")
-        if not isinstance(queries, list) or not queries:
-            raise ProtocolError(
-                "'queries' must be a non-empty list of request envelopes")
-        return self._batch_lines(queries)
-
-    def _batch_lines(self, queries: list):
-        """The generator behind :meth:`batch_stream` (validated input)."""
-        futures: dict = {}
-        immediate: list[dict] = []
-        for index, item in enumerate(queries):
-            started = time.perf_counter()
-            admitted, refusal = self._admit(item, in_batch=True)
-            if admitted is None:
-                immediate.append({"index": index, **refusal[1]})
-            else:
-                futures[admitted[0]] = (index, admitted, started)
-        yield from immediate
-        limit = time.monotonic() + self.request_timeout_seconds
-        pending = set(futures)
-        while pending:
-            remaining = limit - time.monotonic()
-            if remaining <= 0:
-                break
-            done, pending = futures_wait(pending, timeout=remaining,
-                                         return_when=FIRST_COMPLETED)
-            for future in done:
-                index, admitted, started = futures[future]
-                yield {"index": index,
-                       **self._outcome(*admitted, started, wait=None)[1]}
-        for future in pending:  # request timeout: shed the zombie work
-            index, admitted, started = futures[future]
-            yield {"index": index,
-                   **self._outcome(*admitted, started, wait=0)[1]}
-
-    def _serve_batch(self, payload: object) -> Reply:
-        try:
-            return 200, self.batch_stream(payload)
-        except ProtocolError as exc:
-            return self._error(exc)
 
     # ------------------------------------------------------------------ #
     # trace recording

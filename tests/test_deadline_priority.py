@@ -1,5 +1,4 @@
-"""Deadline- & priority-aware serving: EDF ordering, dead-work shedding,
-streamed batches.
+"""Deadline- & priority-aware serving: EDF ordering, dead-work shedding.
 
 The batcher's admission queue must spend every batch slot on the most
 urgent work still worth doing: higher priority bands first, earliest
@@ -20,7 +19,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 
 import pytest
 
-from repro.api.envelopes import QueryRequest, QueryResponse
+from repro.api.envelopes import QueryRequest
 from repro.api.remote import RemoteGraphService
 from repro.errors import DeadlineExceededError, WorkloadError
 from repro.graph import molecule_dataset
@@ -299,48 +298,6 @@ class TestZombieWorkRegression:
             text = client.metrics_text()
         assert "gc_server_shed_total" in text
         assert 'outcome="timeout"' in text
-
-
-class TestStreamedBatch:
-    def test_streamed_answers_match_sequential(self, dataset):
-        trace = generate_trace(dataset, 24, skew="zipfian",
-                               query_type="mixed", seed=13)
-        with GraphCacheSystem(dataset, GCConfig(cache_capacity=25,
-                                                window_size=5)) as system:
-            clones = [Query(graph=q.graph.copy(), query_type=q.query_type)
-                      for q in trace]
-            reference = [frozenset(r.answer) for r in system.run_queries(clones)]
-        with QueryServer(dataset, GCConfig(cache_capacity=25, window_size=5),
-                         max_batch_size=4, max_queue_depth=256) as server:
-            client = RemoteGraphService.for_server(server)
-            result = client.run_batch_streamed(
-                [Query(graph=q.graph.copy(), query_type=q.query_type)
-                 for q in trace],
-                deadline_seconds=60.0, priority=2)
-            result.raise_first()
-        answers = [frozenset(item.answer) for item in result.items]
-        assert answers == reference
-        assert all(isinstance(item, QueryResponse) for item in result.items)
-
-    def test_stream_yields_every_index_exactly_once(self, dataset):
-        trace = generate_trace(dataset, 12, skew="uniform", seed=5)
-        with QueryServer(dataset, GCConfig(cache_capacity=10,
-                                           window_size=5)) as server:
-            client = RemoteGraphService.for_server(server)
-            seen = [index for index, _ in client.stream_batch(
-                [Query(graph=q.graph.copy(), query_type=q.query_type)
-                 for q in trace])]
-        assert sorted(seen) == list(range(len(trace)))
-
-    def test_malformed_batch_payload_is_400(self, dataset):
-        with QueryServer(dataset, GCConfig(cache_capacity=10,
-                                           window_size=5)) as server:
-            client = RemoteGraphService.for_server(server)
-            status, payload = client.request("POST", "/batch",
-                                             {"version": 2, "queries": []})
-            assert status == 400
-            assert payload["error"]["code"] == "protocol"
-            assert "non-empty list" in payload["error"]["message"]
 
 
 class TestServingWorkloadHelpers:

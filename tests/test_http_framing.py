@@ -8,7 +8,8 @@
   or huge ``Content-Length``) — each refusal a JSON error and a close;
 * the client end — :class:`~repro.api.remote.RemoteGraphService` — talks to
   a scripted loopback peer whose n-th connection runs the n-th script: a
-  ``Connection: close`` reply, a truncated body, a stale keep-alive
+  ``Connection: close`` reply, a truncated body, a reply without
+  ``Content-Length`` (an error, never a read to close), a stale keep-alive
   connection (reconnect once) and a timeout (never re-sent).
 """
 
@@ -82,9 +83,7 @@ def read_reply(reader) -> tuple[int, dict, bytes]:
     while (line := reader.readline()) not in (b"\r\n", b""):
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = headers.get("content-length")
-    body = reader.read(int(length)) if length is not None else reader.read()
-    return int(status), headers, body
+    return int(status), headers, reader.read(int(headers["content-length"]))
 
 
 def assert_closed(reader) -> None:
@@ -296,6 +295,18 @@ class TestClientFraming:
         with pytest.raises(WireError, match="truncated: 5 of 100 bytes"):
             client.request("GET", "/health")
         assert issubclass(WireError, ConnectionError)  # one OSError family
+        assert not client._connections
+
+    def test_a_reply_without_content_length_is_a_framing_error(self, peer):
+        def unframed(peer, conn, reader):
+            peer.read_request(reader)
+            conn.sendall(b'HTTP/1.1 200 OK\r\nContent-Type: application/json'
+                         b'\r\n\r\n{"read": "to close"}')
+
+        scripted = peer(unframed, unframed)
+        client = RemoteGraphService("127.0.0.1", scripted.port, timeout=REPLY_TIMEOUT)
+        with pytest.raises(WireError, match="without Content-Length"):
+            client.request("GET", "/health")
         assert not client._connections
 
     def test_a_stale_keep_alive_connection_reconnects_once(self, peer):

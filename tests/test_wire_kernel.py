@@ -3,13 +3,12 @@
 * endpoints are route tables behind ``handle`` — driven here without a
   socket, with the *same* malformed inputs against the public server app and
   the shard-worker app, which must answer identically — including the
-  one-version rule: a ``/query`` or ``/batch`` payload that declares no wire
-  version, or any but 2, is a 400 ``protocol`` error envelope;
+  one-version rule: a ``/query`` payload that declares no wire version, or
+  any but 2, is a 400 ``protocol`` error envelope; so is a deadline that is
+  not a finite positive number; the retired ``/batch`` is a 404 on both;
 * the remote client builds its requests through the sans-IO functions of
   :mod:`repro.api.core` — ``debug_traces`` arguments arrive URL-encoded, and
-  client-side sampling originates a trace;
-* the ``/batch`` body and its NDJSON reply lines round-trip through those
-  functions alone.
+  client-side sampling originates a trace.
 
 Plus the regression tests for reconnect-once on the text endpoint and for
 the process-backend spawn-failure cleanup.
@@ -17,15 +16,13 @@ the process-backend spawn-failure cleanup.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import socket
 import threading
 
 import pytest
 
-from repro.api import core
-from repro.api.envelopes import ErrorEnvelope, QueryRequest, QueryResponse
+from repro.api.envelopes import QueryRequest
 from repro.api.remote import RemoteGraphService
 from repro.errors import ConfigurationError, ProtocolError
 from repro.graph import molecule_dataset
@@ -71,6 +68,9 @@ MALFORMED = [
     ("unknown path (POST)", "POST", "/nope", b"{}", 404, "transport"),
     ("wrong method on /query", "GET", "/query", None, 404, "transport"),
     ("the retired /protocol", "GET", "/protocol", None, 404, "transport"),
+    ("the retired /batch", "POST", "/batch",
+     b'{"version": 2, "queries": [{"version": 2, "query": '
+     b'{"graph": {"vertices": [[0, "C"]], "edges": []}}}]}', 404, "transport"),
 ]
 
 #: One wire version: what a payload may declare instead of ``"version": 2``.
@@ -89,12 +89,15 @@ MALFORMED += [
      f'{{{declared}{_GRAPH}, "query": {{{_GRAPH}}}}}'.encode(), 400, "envelope")
     for case, declared in WRONG_VERSIONS
 ]
-
-#: ``/batch`` exists on the public server only (a worker's share of a batch
-#: is a loop of ``/query`` calls), so its rows run against that app alone.
-BATCH_WRONG_VERSIONS = [
-    (case, f'{{{declared}"queries": [{{"version": 2}}]}}'.encode())
-    for case, declared in WRONG_VERSIONS
+#: a deadline is a finite positive number: ``json.loads`` reads every one of
+#: these, and none is a deadline an EDF queue can order
+MALFORMED += [
+    (f"deadline {case}", "POST", "/query",
+     f'{{"version": 2, "query": {{{_GRAPH}}}, "deadline_seconds": {literal}}}'
+     .encode(), 400, "envelope")
+    for case, literal in [("0", "0"), ("NaN", "NaN"), ("Infinity", "Infinity"),
+                          ("-Infinity", "-Infinity"), ("1e999", "1e999"),
+                          ("10**400", "1" + "0" * 400)]
 ]
 
 
@@ -123,15 +126,6 @@ class TestEndpointTable:
                 assert "version 2 is the only one spoken" in body["error"]["message"]
         assert replies["server"] == replies["worker"]
 
-    @pytest.mark.parametrize("case,raw", BATCH_WRONG_VERSIONS,
-                             ids=[row[0] for row in BATCH_WRONG_VERSIONS])
-    def test_batch_speaks_one_version(self, apps, case, raw):
-        status, body = respond(apps["server"], "POST", "/batch", raw)
-        assert status == 400 and error_shape(body) == "envelope", body
-        assert body["error"]["code"] == "protocol"
-        assert "version 2 is the only one spoken" in body["error"]["message"]
-        assert respond(apps["worker"], "POST", "/batch", raw)[0] == 404
-
     def test_handle_routes_parsed_requests(self, apps, dataset):
         wire = QueryRequest(graph=dataset[0], request_id="r1").to_wire()
         for app in apps.values():
@@ -147,18 +141,6 @@ class TestEndpointTable:
         status, body = respond(apps["server"], "GET",
                                "/debug/traces?sort=sideways", None)
         assert status == 400 and "sideways" in body["error"]
-
-    def test_batch_reply_is_a_line_stream(self, apps, dataset):
-        payload = {"version": 2, "queries": [
-            QueryRequest(graph=dataset[0]).to_wire(), {"version": 2}, {"nope": 1}]}
-        status, lines = apps["server"].handle("POST", "/batch", {}, payload)
-        assert status == 200
-        by_index = {line["index"]: line for line in lines}
-        assert sorted(by_index) == [0, 1, 2]
-        assert "result" in by_index[0] and by_index[1]["error"]["code"] == "protocol"
-        assert "declares no protocol version" in by_index[2]["error"]["message"]
-        status, body = apps["server"].handle("POST", "/batch", {}, [])
-        assert status == 400 and error_shape(body) == "envelope"
 
     def test_worker_admin_routes(self, apps, tmp_path):
         worker = apps["worker"]
@@ -208,42 +190,6 @@ class TestRemoteClient:
                 # the keep-alive connection dies between requests
                 client._connection().sock.shutdown(socket.SHUT_RDWR)
                 assert "gc_server_requests_total" in client.metrics_text()
-
-
-# ---------------------------------------------------------------------- #
-# (c) the sans-IO functions alone: /batch body and NDJSON lines round-trip
-# ---------------------------------------------------------------------- #
-class TestWireCore:
-    def test_batch_round_trips_without_a_transport(self, dataset):
-        queries = [QueryRequest(graph=graph, request_id=f"q{i}")
-                   for i, graph in enumerate(dataset[:3])]
-        queries[1].deadline_seconds = 9.0  # its own deadline must survive
-        body = json.loads(core.batch_body(queries, deadline_seconds=0.5,
-                                          priority=7))
-        assert body["version"] == 2
-        assert [q["deadline_seconds"] for q in body["queries"]] == [0.5, 9.0, 0.5]
-        assert all(q["priority"] == 7 for q in body["queries"])
-
-        # the server's side of the exchange, reversed and with one index lost
-        answers = {0: frozenset({"g0"}), 2: frozenset({"g2"})}
-        lines = [b"\n"]
-        for index in (2, 0):
-            wire = QueryResponse(answer=answers[index],
-                                 request_id=f"q{index}").to_wire()
-            lines.append(json.dumps({"index": index, **wire}).encode() + b"\n")
-        pairs = [pair for pair in map(core.batch_line, lines) if pair is not None]
-        assert [index for index, _ in pairs] == [2, 0]
-        result = core.gather_batch(len(queries), pairs)
-        assert result[0].answer == answers[0] and result[0].request_id == "q0"
-        assert result[2].answer == answers[2]
-        assert isinstance(result[1], ErrorEnvelope)
-        assert "no batch result line for index 1" in result[1].message
-
-    def test_batch_refuses_indexless_and_versionless_lines(self):
-        with pytest.raises(ProtocolError, match="without an index"):
-            core.batch_line(b'{"version": 2, "result": {"answer": []}}')
-        with pytest.raises(ProtocolError, match="declares no protocol version"):
-            core.batch_line(b'{"index": 0, "answer": []}')
 
 
 # ---------------------------------------------------------------------- #
