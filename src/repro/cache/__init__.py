@@ -1,4 +1,4 @@
-"""The GC cache kernel: entries, store, screen index, policies, persistence, statistics."""
+"""The GC cache kernel: entries, the indexed store, policies, persistence, statistics."""
 
 from repro.cache.entry import CacheEntry, EntryStatistics
 from repro.cache.graph_cache import CacheLookup, GraphCache
@@ -28,7 +28,6 @@ from repro.cache.persistence import (
     save_cache,
 )
 from repro.cache.pruner import CandidateSetPruner, PruningResult
-from repro.cache.query_index import CachedQueryIndex
 from repro.cache.statistics import AggregateStatistics, StatisticsManager
 from repro.cache.store import CacheStore
 
@@ -39,7 +38,6 @@ __all__ = [
     "GraphCache",
     "CacheLookup",
     "ReadWriteLock",
-    "CachedQueryIndex",
     "CandidateSetPruner",
     "PruningResult",
     "StatisticsManager",

@@ -58,8 +58,8 @@ class CacheEntry:
     query_type: QueryType
     answer: frozenset[GraphId]
     #: The pattern's index features, assigned from the graph's remembered
-    #: analysis when the entry joins the query index (empty while it waits
-    #: in the admission window); part of the footprint the byte budget counts.
+    #: analysis when the entry joins the store (empty while it waits in the
+    #: admission window); counted in the entry's footprint.
     features: Counter[FeatureKey] = field(default_factory=Counter)
     entry_id: int = field(default_factory=lambda: next(_entry_counter))
     admitted_clock: int = 0

@@ -1,10 +1,11 @@
 """The Cache Manager: the graph cache proper.
 
-:class:`GraphCache` ties together the store of cached queries, the cached
-query index (screening), the sub/super-case probes, the admission window and
-the replacement policy (eviction).  It knows nothing about Method M or the
-dataset — the Query Processing Runtime (:mod:`repro.runtime`) orchestrates
-both sides.
+:class:`GraphCache` ties together the store of cached queries (the one
+resident table, which also screens them), the exact and sub/super-case
+probes, the admission window and the replacement policy (eviction).  It
+knows nothing about Method M or the dataset — the Query Processing Runtime
+(:mod:`repro.runtime`) orchestrates both sides.  A cached entry keeps the
+submitted pattern graph by reference; editing it afterwards is unsupported.
 
 The public operations, in the order the runtime calls them per query:
 
@@ -41,8 +42,7 @@ from repro.cache.policies.base import (
     ReplacementPolicy,
 )
 from repro.cache.policies.registry import make_policy
-from repro.cache.query_index import CACHE_FEATURE_LENGTH, CachedQueryIndex
-from repro.cache.store import CacheStore
+from repro.cache.store import CACHE_FEATURE_LENGTH, CacheStore
 from repro.errors import CacheCapacityError, ConfigurationError
 from repro.features.paths import path_features
 from repro.graph.canonical import definitely_isomorphic
@@ -100,7 +100,6 @@ class GraphCache:
         self.semantic_hits = semantic_hits
         self.policy = policy if isinstance(policy, ReplacementPolicy) else make_policy(policy)
         self.store = CacheStore()
-        self.query_index = CachedQueryIndex()
         self._matcher = VF2Matcher()
         #: Executed queries waiting for the window to fill.
         self._pending: list[CacheEntry] = []
@@ -144,27 +143,23 @@ class GraphCache:
         if len(self.store) == 0:
             return lookup
         graph = query.graph
+        features = path_features(graph, CACHE_FEATURE_LENGTH)
 
         # exact match first: a confirmed exact hit answers the query outright
-        for entry in self.query_index.exact_candidates(graph, query.query_type):
+        for entry in self.store.exact_candidates(features, query.query_type):
             decided = definitely_isomorphic(graph, entry.graph)
             if decided is None:
+                # equal multisets mean equal sizes, so containment is isomorphism
                 lookup.probe_tests += 1
-                decided = self._matcher.is_subgraph(graph, entry.graph) and (
-                    graph.num_vertices == entry.graph.num_vertices
-                    and graph.num_edges == entry.graph.num_edges
-                )
+                decided = self._matcher.is_subgraph(graph, entry.graph)
             if decided:
                 lookup.exact_entry = entry
                 return lookup
 
         if not self.semantic_hits:
             return lookup
-        features = path_features(graph, CACHE_FEATURE_LENGTH)
-        sub_candidates = self.query_index.sub_case_candidates(graph, features, query.query_type)
-        super_candidates = self.query_index.super_case_candidates(
-            graph, features, query.query_type
-        )
+        sub_candidates = self.store.sub_case_candidates(graph, features, query.query_type)
+        super_candidates = self.store.super_case_candidates(graph, features, query.query_type)
         lookup.screened_sub_candidates = len(sub_candidates)
         lookup.screened_super_candidates = len(super_candidates)
         self._probe(graph, sub_candidates, super_candidates, lookup)
@@ -250,6 +245,8 @@ class GraphCache:
 
         Returns the eviction report when this offer filled the window (i.e.
         the replacement policy ran, on the calling thread), otherwise ``None``.
+        The entry keeps ``query.graph`` by reference: editing that graph
+        afterwards is unsupported.
         """
         clock = self._clock if clock is None else clock
         entry = CacheEntry(
@@ -281,16 +278,7 @@ class GraphCache:
 
     def _flush_unlocked(self) -> EvictionReport:
         batch, self._pending = self._pending, []
-        # The query index follows the store by the exact delta of this round.
-        # (The report's admitted/evicted lists are not that delta: an entry
-        # admitted earlier in the batch may be evicted again by a later one.)
-        before = set(self.store.entry_ids())
         report = self.policy.update_cache_items(self.store, batch, self.capacity)
-        for entry_id in before.difference(self.store.entry_ids()):
-            self.query_index.remove(entry_id)
-        for entry in batch:
-            if entry.entry_id in self.store and entry.entry_id not in self.query_index:
-                self.query_index.add(entry)
         self._eviction_reports.append(report)
         return report
 
@@ -308,7 +296,6 @@ class GraphCache:
                 if entry.entry_id in self.store:
                     continue
                 self.store.add(entry)
-                self.query_index.add(entry)
                 inserted += 1
         return inserted
 
@@ -330,12 +317,9 @@ class GraphCache:
             return list(self._eviction_reports)
 
     def memory_bytes(self) -> int:
-        """Approximate footprint of the cache (entries + query index)."""
+        """Approximate footprint of the cache (entries + their index)."""
         with self._lock.read_locked():
-            return self._memory_bytes_unlocked()
-
-    def _memory_bytes_unlocked(self) -> int:
-        return self.store.memory_bytes() + self.query_index.memory_bytes()
+            return self.store.memory_bytes()
 
     def describe(self) -> dict[str, object]:
         """Configuration and population summary."""
@@ -345,5 +329,5 @@ class GraphCache:
                 "policy": self.policy.name,
                 "window_size": self.window_size,
                 "population": len(self.store),
-                "memory_bytes": self._memory_bytes_unlocked(),
+                "memory_bytes": self.store.memory_bytes(),
             }

@@ -1,44 +1,70 @@
-"""The cache store: an ordered collection of :class:`CacheEntry` objects.
+"""The cache store: the one table of resident cached queries.
 
-Kept deliberately small — policies and the cache manager operate on it — so
-that alternative storage layouts (e.g. a disk-backed store) could be swapped
-in without touching replacement logic.
+Replacement policies admit and evict through :meth:`CacheStore.add` and
+:meth:`CacheStore.remove`; nothing else lists the resident entries.  Each
+entry is indexed as it joins, by its pattern's label-path multiset up to
+:data:`CACHE_FEATURE_LENGTH` edges, in a
+:class:`~repro.index.containment.ContainmentIndex` grouped by query type (a
+cached subgraph query's answer says nothing about a supergraph query).  That
+is the dynamic instance of the index the dataset filter uses (the iGQ
+component underpinning GC), and it answers the cache's three screening
+questions for entries of the new query's type, oldest entry first:
+
+* which entries might be *isomorphic* to the new query — equal multisets
+  (exact-match candidates);
+* which might *contain* it — multiset containment (sub-case candidates);
+* which might be *contained in* it (super-case candidates).
+
+The multisets are read from the graphs' remembered analysis
+(:func:`~repro.features.paths.path_features`), a restriction of what the
+dataset filter already enumerated for the query.  Screening must never reject
+a true hit — the same no-false-dismissal contract as the dataset filter — and
+:meth:`GraphCache.lookup` confirms every candidate (canonical codes for exact
+candidates, a sub-iso probe test for the others).  An entry is removed by id,
+never re-derived from its graph.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import Counter
 from collections.abc import Iterator
 
 from repro.cache.entry import CacheEntry
 from repro.errors import CacheError
+from repro.features.base import FeatureKey
+from repro.features.paths import path_features
+from repro.graph.canonical import quick_containment_screen
+from repro.graph.graph import Graph
+from repro.index.containment import ContainmentIndex
+from repro.query_model import QueryType
+
+#: Longest label path (in edges) the cached queries are indexed by.
+CACHE_FEATURE_LENGTH = 2
 
 
 class CacheStore:
-    """Insertion-ordered mapping entry_id → :class:`CacheEntry`."""
+    """Insertion-ordered entry_id → :class:`CacheEntry`, indexed for screening."""
 
     def __init__(self) -> None:
-        self._entries: OrderedDict[int, CacheEntry] = OrderedDict()
+        self._entries: dict[int, CacheEntry] = {}
+        self._index = ContainmentIndex()
 
     def add(self, entry: CacheEntry) -> None:
-        """Insert a new entry; duplicate entry ids are rejected."""
+        """Insert a new entry under its pattern's features; duplicate ids are rejected."""
         if entry.entry_id in self._entries:
             raise CacheError(f"entry id {entry.entry_id} is already cached")
+        entry.features = path_features(entry.graph, CACHE_FEATURE_LENGTH)
+        self._index.add(entry.entry_id, entry.features, group=entry.query_type)
         self._entries[entry.entry_id] = entry
 
     def remove(self, entry_id: int) -> CacheEntry:
         """Remove and return an entry by id."""
         try:
-            return self._entries.pop(entry_id)
+            entry = self._entries.pop(entry_id)
         except KeyError:
             raise CacheError(f"entry id {entry_id} is not cached") from None
-
-    def get(self, entry_id: int) -> CacheEntry:
-        """Look up an entry by id."""
-        try:
-            return self._entries[entry_id]
-        except KeyError:
-            raise CacheError(f"entry id {entry_id} is not cached") from None
+        self._index.remove(entry_id)
+        return entry
 
     def __contains__(self, entry_id: int) -> bool:
         return entry_id in self._entries
@@ -53,14 +79,46 @@ class CacheStore:
         """All entries in insertion order."""
         return list(self._entries.values())
 
-    def entry_ids(self) -> list[int]:
-        """All entry ids in insertion order."""
-        return list(self._entries.keys())
+    # ------------------------------------------------------------------ #
+    # screening
+    # ------------------------------------------------------------------ #
+    def exact_candidates(
+        self, features: Counter[FeatureKey], query_type: QueryType
+    ) -> list[CacheEntry]:
+        """Entries that might be isomorphic to the new query, oldest first.
 
-    def clear(self) -> None:
-        """Drop every entry."""
-        self._entries.clear()
+        ``features`` is ``path_features(query_graph, CACHE_FEATURE_LENGTH)``;
+        equal multisets are necessary for isomorphism (and imply equal vertex
+        and edge counts), not sufficient.
+        """
+        return self._oldest_first(self._index.equal_to(features, group=query_type))
+
+    def sub_case_candidates(
+        self, query_graph: Graph, features: Counter[FeatureKey], query_type: QueryType
+    ) -> list[CacheEntry]:
+        """Entries that might *contain* the new query (query ⊆ entry)."""
+        screened = self._index.containing(features, group=query_type)
+        return [
+            entry for entry in self._oldest_first(screened)
+            if quick_containment_screen(query_graph, entry.graph)
+        ]
+
+    def super_case_candidates(
+        self, query_graph: Graph, features: Counter[FeatureKey], query_type: QueryType
+    ) -> list[CacheEntry]:
+        """Entries that might be *contained in* the new query (entry ⊆ query)."""
+        screened = self._index.contained_in(features, group=query_type)
+        return [
+            entry for entry in self._oldest_first(screened)
+            if quick_containment_screen(entry.graph, query_graph)
+        ]
+
+    def _oldest_first(self, screened: set[int]) -> list[CacheEntry]:
+        if len(screened) <= 1:
+            return [self._entries[entry_id] for entry_id in screened]
+        return [entry for entry_id, entry in self._entries.items() if entry_id in screened]
 
     def memory_bytes(self) -> int:
-        """Approximate total footprint of all cached entries."""
-        return sum(entry.memory_bytes() for entry in self._entries.values())
+        """Approximate footprint of the cached entries plus their index."""
+        return (sum(entry.memory_bytes() for entry in self._entries.values())
+                + self._index.memory_bytes())

@@ -12,12 +12,14 @@ roughly doubles index space for ≈10 % query-time gain.
 
 A query's label paths are asked for by every layer it crosses — the scatter
 planner (length 1), the dataset filter (Method M's feature size) and the
-cache's query index (length 2) — and the shorter multisets are exact
+cache store's screen (length 2) — and the shorter multisets are exact
 restrictions of the longest one.  :func:`path_features` therefore enumerates
 a query graph once, at the longest length asked for so far, and remembers
 that multiset and each restriction derived from it beside the graph's
 compiled form; :func:`enumerate_paths` is the enumeration itself, which index
 and summary builds call directly so that dataset graphs retain nothing.
+Isomorphic graphs have equal multisets, so the cache's exact-match screen is
+the same length-2 multiset compared for equality.
 """
 
 from __future__ import annotations

@@ -1,21 +1,18 @@
-"""Canonical forms and isomorphism-invariant codes for small graphs.
+"""Canonical forms for small graphs.
 
-The cache needs a fast way to decide whether two query graphs *might* be
-isomorphic (exact-match detection).  After the Weisfeiler-Lehman hash
-(:meth:`Graph.wl_hash`, part of the cache's exact-match key) two tools
-decide, in increasing cost and precision:
+The cache needs to decide whether two query graphs are isomorphic
+(exact-match detection).  Its screen (equal label-path multisets, in
+:class:`repro.cache.store.CacheStore`) only proves *non*-isomorphism; a
+candidate it lets through is decided here:
 
-* :func:`invariant_code` — a cheap invariant (sizes, label histogram, degree
-  sequence, sorted edge-label-pair histogram).  Different codes ⇒ definitely
-  not isomorphic.
 * :func:`canonical_code` — an exact canonical form computed by trying all
   automorphism-compatible orderings with heavy pruning.  Exponential in the
   worst case, intended for the small query graphs (≤ ~30 vertices) the paper
   uses; beyond :data:`CANONICAL_MAX_VERTICES` it gives up and the cache falls
   back to a full isomorphism test.
 
-Both codes are memoised with the graph's compiled form, so a resident cache
-entry pays for its codes once, not once per exact-match candidate check.
+The code is memoised with the graph's compiled form, so a resident cache
+entry pays for it once, not once per exact-match candidate check.
 """
 
 from __future__ import annotations
@@ -26,21 +23,6 @@ from repro.graph.graph import Graph, VertexId
 
 #: Largest graph :func:`canonical_code` attempts.
 CANONICAL_MAX_VERTICES = 24
-
-
-def invariant_code(graph: Graph) -> tuple:
-    """A cheap isomorphism-invariant code (necessary, not sufficient)."""
-    compiled = graph.compiled()
-    code = compiled.invariant
-    if code is None:
-        code = compiled.invariant = (
-            graph.num_vertices,
-            graph.num_edges,
-            tuple(sorted(graph.label_counts().items())),
-            tuple(sorted(graph.edge_label_counts().items())),
-            tuple(graph.degree_sequence()),
-        )
-    return code
 
 
 def _refine_partition(graph: Graph) -> dict[VertexId, int]:
@@ -132,19 +114,12 @@ def _serialise(graph: Graph, ordering: list[VertexId]) -> str:
     return labels + "|" + ";".join(sorted(edges))
 
 
-def maybe_isomorphic(first: Graph, second: Graph) -> bool:
-    """Cheap necessary check: can the two graphs possibly be isomorphic?"""
-    return invariant_code(first) == invariant_code(second)
-
-
 def definitely_isomorphic(first: Graph, second: Graph) -> bool | None:
     """Exact isomorphism via canonical codes; ``None`` when undecided.
 
     ``None`` means at least one canonical code could not be computed within
     the size limit — the caller should fall back to a full matcher.
     """
-    if not maybe_isomorphic(first, second):
-        return False
     code_first = canonical_code(first)
     code_second = canonical_code(second)
     if code_first is None or code_second is None:

@@ -12,11 +12,11 @@ bitset, so intersecting candidate sets is ``&`` and counting is
 The compiled form is derived data.  ``Graph.compiled()`` builds it on first
 use and every ``Graph`` mutator drops it; it is never copied, pickled or
 serialised.  It is immutable apart from its memo slots — everything else the
-system derives from a graph used as a *pattern*: the match plan, the WL
-hash, the invariant and canonical codes and the label-path features.  Each is
-filled by one attribute store (the label paths: one item store per length)
-of a finished value that no reader mutates, so threads sharing a graph can at
-worst compute the same value twice.
+system derives from a graph used as a *pattern*: the match plan, the
+canonical code and the label-path features.  Each is filled by one attribute
+store (the label paths: one item store per length) of a finished value that
+no reader mutates, so threads sharing a graph can at worst compute the same
+value twice.
 
 On the *pattern* side of a test the compiled form also carries a
 :class:`MatchPlan`: the order in which the pattern's vertices are placed and,
@@ -48,11 +48,9 @@ class CompiledGraph:
     edge_labels:
         ``(i, j)`` with ``i < j`` → edge label, or ``None`` when the graph has
         no labelled edge.
-    wl:
-        memo owned by ``Graph.wl_hash``.
-    invariant, canonical:
-        memos owned by ``repro.graph.canonical``; ``canonical`` is a 1-tuple,
-        because the code inside it may itself be ``None`` (graph too large).
+    canonical:
+        memo owned by ``repro.graph.canonical``; a 1-tuple, because the code
+        inside it may itself be ``None`` (graph too large).
     paths:
         ``max_length → multiset`` memo owned by ``repro.features.paths``:
         the label paths enumerated at the longest length asked for so far
@@ -60,8 +58,8 @@ class CompiledGraph:
     """
 
     __slots__ = (
-        "adj_bits", "label_bits", "degree_at_least", "edge_labels", "wl",
-        "invariant", "canonical", "paths", "_plan",
+        "adj_bits", "label_bits", "degree_at_least", "edge_labels",
+        "canonical", "paths", "_plan",
     )
 
     def __init__(
@@ -96,8 +94,6 @@ class CompiledGraph:
             self.edge_labels = {
                 _dense_edge(index[u], index[v]): label for (u, v), label in edge_labels.items()
             }
-        self.wl: str | None = None
-        self.invariant: tuple | None = None
         self.canonical: tuple[str | None] | None = None
         self.paths: dict[int, Counter] | None = None
         self._plan: MatchPlan | None = None

@@ -7,13 +7,11 @@ into account by the matchers when present.
 
 :class:`Graph` is a small, dependency-free adjacency-set structure with the
 operations the rest of the system needs: mutation, queries, subgraph
-extraction, Weisfeiler-Lehman hashing for cheap equality screening, and
-conversion to/from :mod:`networkx` for cross-validation.
+extraction, and conversion to/from :mod:`networkx` for cross-validation.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from collections import Counter, deque
 from collections.abc import Hashable, Iterable, Iterator, Mapping
@@ -350,41 +348,6 @@ class Graph:
         self._compiled = None
 
     # ------------------------------------------------------------------ #
-    # hashing / equality screening
-    # ------------------------------------------------------------------ #
-    def size_signature(self) -> tuple[int, int]:
-        """Return ``(num_vertices, num_edges)``."""
-        return (self.num_vertices, self.num_edges)
-
-    def wl_hash(self) -> str:
-        """Weisfeiler-Lehman style hash of the graph (three refinement rounds).
-
-        Two isomorphic graphs always produce the same hash; different hashes
-        therefore prove non-isomorphism, which the cache uses to screen
-        exact-match candidates before running a full isomorphism check.
-        Memoised with the compiled form: the scatter planner, the cache probe
-        and the resident-key summaries all ask for it.
-        """
-        compiled = self.compiled()
-        wl = compiled.wl
-        if wl is None:
-            wl = compiled.wl = self._wl_hash()
-        return wl
-
-    def _wl_hash(self) -> str:
-        colors: dict[VertexId, str] = {
-            vertex: _short_hash(label) for vertex, label in self._labels.items()
-        }
-        for _ in range(3):
-            new_colors: dict[VertexId, str] = {}
-            for vertex in self._labels:
-                neighbor_colors = sorted(colors[n] for n in self._adj[vertex])
-                new_colors[vertex] = _short_hash(colors[vertex] + "|" + ",".join(neighbor_colors))
-            colors = new_colors
-        histogram = ",".join(sorted(colors.values()))
-        return _short_hash(f"{self.num_vertices}:{self.num_edges}:{histogram}")
-
-    # ------------------------------------------------------------------ #
     # conversion
     # ------------------------------------------------------------------ #
     def to_networkx(self):  # pragma: no cover - thin wrapper, exercised in tests
@@ -456,11 +419,6 @@ class Graph:
             == {vertex: frozenset(adj) for vertex, adj in other._adj.items()}
             and self._edge_labels == other._edge_labels
         )
-
-
-def _short_hash(text: str) -> str:
-    """Short stable hash used by the WL colouring."""
-    return hashlib.blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
 
 
 def graph_from_edges(

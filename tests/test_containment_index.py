@@ -4,15 +4,16 @@ Three groups:
 
 (a) property — for random multiset families and random interleavings of
     ``add`` / ``remove`` / re-``add``, ``containing`` and ``contained_in``
-    equal the brute-force :meth:`FeatureExtractor.multiset_contains` answer,
-    group by group;
+    equal the brute-force :meth:`FeatureExtractor.multiset_contains` answer
+    and ``equal_to`` brute-force multiset equality, group by group;
 (b) dataset side — for every indexed Method M, ``filter_candidates`` *is* the
     brute-force definition over its feature family (multiset containment for
     ``graphgrep-sx``, hashed-position containment with the hash
     ``ct-index`` has always used), for subgraph and supergraph queries;
-(c) cache side — the entries screened for a lookup are those of a linear
-    scan written here, in the same order, never across query types, and the
-    cache follows its store without scanning the index or the store.
+(c) cache side — the entries the store screens for a lookup (exact, sub
+    and super candidates) are those of a linear scan written here, in the
+    same order, never across query types, and the store's index follows its
+    entries without a rescan.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cache import CacheEntry, GraphCache
-from repro.cache.query_index import CACHE_FEATURE_LENGTH
-from repro.cache.store import CacheStore
+from repro.cache.store import CACHE_FEATURE_LENGTH, CacheStore
 from repro.errors import IndexError_
 from repro.features import (
     CompositeExtractor,
@@ -37,12 +37,13 @@ from repro.features import (
     StarFeatureExtractor,
     path_features,
 )
-from repro.graph import molecule_dataset, molecule_graph
-from repro.graph.canonical import quick_containment_screen
+from repro.graph import graph_from_edges, molecule_dataset, molecule_graph
+from repro.graph.canonical import canonical_code, quick_containment_screen
 from repro.graph.operations import extend_graph, random_connected_subgraph
 from repro.index import ContainmentIndex
 from repro.methods import make_method
 from repro.query_model import Query, QueryType
+from repro.runtime import GCConfig, GraphCacheSystem
 
 RELAXED = settings(max_examples=80, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
@@ -85,6 +86,8 @@ class TestAgainstBruteForce:
                         m for m, f in within.items() if contains(f, question)}
                     assert index.contained_in(question, asked) == {
                         m for m, f in within.items() if contains(question, f)}
+                    assert index.equal_to(question, asked) == {
+                        m for m, f in within.items() if f == question}
 
     def test_empty_member_and_empty_query(self):
         index = ContainmentIndex()
@@ -95,6 +98,10 @@ class TestAgainstBruteForce:
         assert index.contained_in({("A",): 1}) == {"empty"}
         assert index.contained_in({("A",): 2, ("B",): 1}) == {"empty", "full"}
         assert index.containing({("A",): 3}) == set()
+        assert index.equal_to({}) == {"empty"}
+        assert index.equal_to({("A",): 2}) == {"full"}
+        assert index.equal_to({("A",): 1}) == index.equal_to({("A",): 3}) == set()
+        assert index.equal_to({("A",): 2, ("B",): 1}) == set()
 
     def test_slots_are_reused_and_nothing_of_the_old_member_remains(self):
         index = ContainmentIndex()
@@ -221,7 +228,9 @@ def _linear_scan(cache: GraphCache, graph, query_type, direction: str) -> list[C
     for entry in cache.entries():
         if entry.query_type is not query_type:
             continue
-        if direction == "sub":
+        if direction == "exact":
+            fits = entry.features == features
+        elif direction == "sub":
             fits = (contains(entry.features, features)
                     and quick_containment_screen(graph, entry.graph))
         else:
@@ -232,27 +241,44 @@ def _linear_scan(cache: GraphCache, graph, query_type, direction: str) -> list[C
     return screened
 
 
+K33_EDGES = [(u, v) for u in range(3) for v in range(3, 6)]
+PRISM_EDGES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+
+
+def _all_carbon(edges, padding: int = 0):
+    """The 6-vertex graph of ``edges``, every label C, with a path of
+    ``padding`` more vertices hanging off vertex 0."""
+    graph = graph_from_edges(edges, labels={vertex: "C" for vertex in range(6)})
+    for vertex in range(6, 6 + padding):
+        graph.add_vertex(vertex, "C")
+        graph.add_edge(vertex - 1 if vertex > 6 else 0, vertex)
+    return graph
+
+
 class TestCacheScreen:
     def test_screened_entries_equal_a_linear_scan(self, mixed_cache):
         cache, base, rng = mixed_cache
-        index = cache.query_index
-        seen_sub = seen_super = 0
+        store = cache.store
+        seen_exact = seen_sub = seen_super = 0
         for _ in range(40):
             graph = random_connected_subgraph(base, rng.randint(4, 12), rng=rng)
             features = path_features(graph, CACHE_FEATURE_LENGTH)
             for query_type in QueryType:
-                sub = index.sub_case_candidates(graph, features, query_type)
-                sup = index.super_case_candidates(graph, features, query_type)
+                exact = store.exact_candidates(features, query_type)
+                sub = store.sub_case_candidates(graph, features, query_type)
+                sup = store.super_case_candidates(graph, features, query_type)
+                assert exact == _linear_scan(cache, graph, query_type, "exact")
                 assert sub == _linear_scan(cache, graph, query_type, "sub")
                 assert sup == _linear_scan(cache, graph, query_type, "super")
-                assert all(entry.query_type is query_type for entry in sub + sup)
+                assert all(entry.query_type is query_type for entry in exact + sub + sup)
                 lookup = cache.lookup(Query(graph=graph, query_type=query_type))
                 if lookup.exact_entry is None:
                     assert lookup.screened_sub_candidates == len(sub)
                     assert lookup.screened_super_candidates == len(sup)
+                seen_exact += len(exact)
                 seen_sub += len(sub)
                 seen_super += len(sup)
-        assert seen_sub and seen_super  # the comparison was not vacuous
+        assert seen_exact and seen_sub and seen_super  # the comparison was not vacuous
 
     def test_exact_hit_never_crosses_query_types_and_prefers_the_oldest(self):
         cache = GraphCache(capacity=10, policy="LRU", window_size=1)
@@ -263,7 +289,7 @@ class TestCacheScreen:
         cache.warm([as_super, first, second])
         assert cache.lookup(Query(pattern, QueryType.SUBGRAPH)).exact_entry is first
         assert cache.lookup(Query(pattern, QueryType.SUPERGRAPH)).exact_entry is as_super
-        cache.query_index.remove(first.entry_id)
+        cache.store.remove(first.entry_id)
         assert cache.lookup(Query(pattern, QueryType.SUBGRAPH)).exact_entry is second
 
     def test_index_follows_the_store_through_churn(self):
@@ -275,8 +301,7 @@ class TestCacheScreen:
             query = Query(graph, rng.choice(list(QueryType)))
             cache.offer(query, answer={clock}, observed_test_cost=0.0)
             resident = [entry.entry_id for entry in cache.entries()]
-            assert [entry.entry_id for entry in cache.query_index.entries()] == resident
-            assert cache.query_index._index.members() == resident
+            assert cache.store._index.members() == resident
         reports = cache.eviction_reports()
         assert sum(len(report.evicted) for report in reports) > 40
         assert len(cache) == 6
@@ -288,11 +313,44 @@ class TestCacheScreen:
             raise AssertionError("a per-lookup / per-flush rescan is back")
 
         monkeypatch.setattr(CacheStore, "__iter__", scanned)
-        monkeypatch.setattr(cache.query_index, "entries", scanned)
+        monkeypatch.setattr(CacheStore, "entries", scanned)
         for clock in range(9):
             graph = random_connected_subgraph(base, rng.randint(4, 9), rng=rng)
             query = Query(graph, QueryType.SUBGRAPH)
             cache.lookup(query)
             cache.offer(query, answer=set(), observed_test_cost=0.0)
         cache.flush_window()
-        assert len(cache.query_index) == len(cache) > 24
+        assert len(cache.store._index) == len(cache) > 24
+
+    @pytest.mark.parametrize("padding", [0, 20])
+    def test_equal_multisets_of_non_isomorphic_patterns_are_no_exact_hit(self, padding):
+        """K3,3 and the triangular prism, all labels C, have equal label-path
+        multisets (6 / 9 / 18 paths of 0 / 1 / 2 edges) but are not
+        isomorphic.  Padded past 24 vertices, canonical codes are undecided
+        and the kernel alone rejects the candidate."""
+        k33, prism = _all_carbon(K33_EDGES, padding), _all_carbon(PRISM_EDGES, padding)
+        features = path_features(prism, CACHE_FEATURE_LENGTH)
+        assert path_features(k33, CACHE_FEATURE_LENGTH) == features
+        assert (canonical_code(prism) is None) is (padding > 0)
+
+        exact_only = GraphCache(capacity=4, policy="LRU", semantic_hits=False)
+        resident = _entry(k33.copy(), QueryType.SUBGRAPH)
+        exact_only.warm([resident])
+        assert exact_only.store.exact_candidates(features, QueryType.SUBGRAPH) == [resident]
+        lookup = exact_only.lookup(Query(prism.copy(), QueryType.SUBGRAPH))
+        assert lookup.exact_entry is None
+        assert lookup.probe_tests == (1 if padding else 0)
+
+        dataset = ([k33.copy(), prism.copy()]
+                   + molecule_dataset(10, min_vertices=6, max_vertices=14, rng=padding))
+        for position, graph in enumerate(dataset):
+            graph.graph_id = position
+        answers = []
+        for enabled in (True, False):
+            config = GCConfig(cache_enabled=enabled, cache_capacity=4, window_size=1)
+            with GraphCacheSystem(dataset, config) as system:
+                system.run_query(Query(k33.copy(), QueryType.SUBGRAPH))
+                report = system.run_query(Query(prism.copy(), QueryType.SUBGRAPH))
+            assert report.exact_hit_entry is None
+            answers.append(set(report.answer))
+        assert answers[0] == answers[1] and 1 in answers[0] and 0 not in answers[0]

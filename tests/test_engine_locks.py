@@ -94,9 +94,8 @@ class TestConcurrentCallers:
             assert all(report.answer is not None for report in reports)
             # cache invariants: population within capacity, index consistent
             assert len(system.cache) <= system.cache.capacity
-            resident = set(system.cache.store.entry_ids())
-            indexed = {entry.entry_id for entry in system.cache.query_index.entries()}
-            assert indexed == resident
+            store = system.cache.store
+            assert store._index.members() == [entry.entry_id for entry in store.entries()]
 
 
 class TestStatisticsManager:

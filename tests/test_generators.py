@@ -37,7 +37,7 @@ class TestMoleculeGraph:
     def test_reproducible_with_seed(self):
         first = molecule_graph(15, rng=99)
         second = molecule_graph(15, rng=99)
-        assert first.wl_hash() == second.wl_hash()
+        assert first.to_dict() == second.to_dict()
 
     def test_single_atom(self):
         graph = molecule_graph(1, rng=0)

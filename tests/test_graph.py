@@ -198,22 +198,6 @@ class TestStructure:
 
 
 class TestHashingAndConversion:
-    def test_wl_hash_isomorphic_graphs_match(self):
-        first = Graph()
-        first.add_vertices([(0, "C"), (1, "O"), (2, "N")])
-        first.add_edge(0, 1)
-        first.add_edge(1, 2)
-        second = Graph()
-        second.add_vertices([("b", "O"), ("c", "N"), ("a", "C")])
-        second.add_edge("a", "b")
-        second.add_edge("b", "c")
-        assert first.wl_hash() == second.wl_hash()
-
-    def test_wl_hash_differs_on_label_change(self, triangle):
-        other = triangle.copy()
-        other.set_label(2, "S")
-        assert triangle.wl_hash() != other.wl_hash()
-
     def test_label_counts_and_edge_label_counts(self, triangle):
         assert triangle.label_counts()["C"] == 2
         assert triangle.edge_label_counts()[("C", "C")] == 1

@@ -8,9 +8,10 @@ import pytest
 
 from repro.cache import CacheEntry, GraphCache
 from repro.errors import CacheCapacityError
-from repro.graph import molecule_graph
+from repro.graph import molecule_dataset, molecule_graph
 from repro.graph.operations import extend_graph, random_connected_subgraph
 from repro.query_model import Query, QueryType
+from repro.runtime import GCConfig, GraphCacheSystem
 
 
 def subgraph_query(graph) -> Query:
@@ -180,7 +181,8 @@ class TestOfferAndReplacement:
                 observed_test_cost=0.0,
             )
         assert len(cache) <= 2
-        assert len(cache.query_index) == len(cache)
+        store = cache.store
+        assert store._index.members() == [entry.entry_id for entry in store.entries()]
         reports = cache.eviction_reports()
         assert any(report.evicted for report in reports)
 
@@ -193,3 +195,27 @@ class TestOfferAndReplacement:
     def test_memory_accounting(self, warm_cache):
         cache, *_ = warm_cache
         assert cache.memory_bytes() > 0
+
+
+class TestEditedGraph:
+    def test_editing_a_queried_graph_breaks_no_later_query(self):
+        """The cache keeps a submitted graph by reference, so an edit after
+        the query reaches a resident entry; evicting it must still work, by
+        id, without re-deriving anything from the edited graph."""
+        dataset = molecule_dataset(20, rng=3)
+        rng = random.Random(5)
+        edited = random_connected_subgraph(dataset[0], 6, rng=rng)
+        with GraphCacheSystem(dataset, GCConfig(cache_capacity=4, window_size=1)) as system:
+            system.run_query(edited)
+            edited.add_vertex("extra", "C")
+            edited.add_edge("extra", edited.vertices()[0])
+            failures = []
+            for position in range(40):
+                query = random_connected_subgraph(dataset[position % 20], 5, rng=rng)
+                try:
+                    system.run_query(query)
+                except Exception as error:  # noqa: BLE001 - every failure is the finding
+                    failures.append(error)
+            assert failures == []
+            store = system.cache.store
+            assert store._index.members() == [entry.entry_id for entry in store.entries()]

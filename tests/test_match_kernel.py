@@ -27,6 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.graph import Graph, cycle_graph, molecule_dataset, path_graph
+from repro.graph.canonical import canonical_code
 from repro.graph.operations import random_connected_subgraph
 from repro.isomorphism import VF2Matcher
 from repro.isomorphism.base import MatchStats
@@ -266,7 +267,7 @@ class TestInvalidation:
         query.add_edge(1, 2)
         assert not self.matches(query, target)
 
-    def test_every_mutator_drops_the_compiled_form_and_the_wl_memo(self):
+    def test_every_mutator_drops_the_compiled_form_and_its_memos(self):
         graph = path_graph(["C", "O", "N"])
         mutations = [
             lambda g: g.add_vertex(9, "S"),
@@ -277,19 +278,19 @@ class TestInvalidation:
             lambda g: g.remove_vertex(1),
         ]
         for mutate in mutations:
-            graph.wl_hash()
+            canonical_code(graph)
             assert graph.compiled() is graph.compiled()
             mutate(graph)
             assert graph._compiled is None
             # a stale memo would still answer for the old shape
-            assert graph.wl_hash() == Graph.from_dict(graph.to_dict()).wl_hash()
+            assert canonical_code(graph) == canonical_code(Graph.from_dict(graph.to_dict()))
 
     def test_copies_and_serialised_forms_carry_no_compiled_form(self):
         graph = path_graph(["C", "O", "N"])
         graph.add_edge(0, 1, "double")
         assert VF2Matcher().is_subgraph(path_graph(["O", "N"]), graph)
-        graph.wl_hash()
-        assert graph._compiled is not None and graph._compiled.wl is not None
+        canonical_code(graph)
+        assert graph._compiled is not None and graph._compiled.canonical is not None
 
         clone = graph.copy()
         assert clone._compiled is None

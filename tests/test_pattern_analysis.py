@@ -1,7 +1,7 @@
 """The pattern analysis: what a query graph remembers, and that it is enough.
 
-A pattern graph keeps — beside its compiled form, dropped with it — its WL
-hash, invariant and canonical codes and its label paths: enumerated at the
+A pattern graph keeps — beside its compiled form, dropped with it — its
+match plan, its canonical code and its label paths: enumerated at the
 longest length asked for so far, restricted once to each shorter one asked
 for.  Five groups:
 
@@ -12,7 +12,7 @@ for.  Five groups:
       travels with ``pickle``, ``copy()`` or ``to_dict()``;
 (iii) enumeration counts — one enumeration per query graph on the unsharded
       pipeline (none on admission), at most two under thread shards, none
-      remembered by a dataset graph; a resident entry's codes computed once;
+      remembered by a dataset graph; a resident entry's code computed once;
 (iv)  no reader mutates what is shared — after a mixed run every remembered
       multiset still equals a fresh enumeration, also with threads sharing
       one query graph;
@@ -35,16 +35,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cache import CacheEntry, GraphCache
-from repro.cache.query_index import CACHE_FEATURE_LENGTH, CachedQueryIndex
+from repro.cache import CacheEntry, CacheStore, GraphCache
+from repro.cache.store import CACHE_FEATURE_LENGTH
 from repro.features import paths as paths_module
 from repro.features.paths import PathFeatureExtractor, enumerate_paths, path_features
 from repro.graph import Graph, label_clustered_dataset, molecule_dataset, molecule_graph
 from repro.graph import canonical as canonical_module
-from repro.graph.canonical import canonical_code, invariant_code
+from repro.graph.canonical import canonical_code
 from repro.graph.compiled import CompiledGraph
 from repro.graph.operations import extend_graph, random_connected_subgraph
-from repro.query_model import Query, QueryType, exact_key
+from repro.query_model import Query, QueryType
 from repro.runtime import GCConfig, GraphCacheSystem
 from repro.sharding import ShardSummary
 from repro.sharding.system import ShardedGraphCacheSystem
@@ -52,7 +52,7 @@ from repro.workload import WorkloadGenerator, WorkloadMix, generate_trace
 from tests.differential import run_on_threads
 
 #: The memo slots of a compiled graph (everything that is not its bitset data).
-MEMO_SLOTS = ("wl", "invariant", "canonical", "paths", "_plan")
+MEMO_SLOTS = ("canonical", "paths", "_plan")
 
 
 @st.composite
@@ -70,8 +70,6 @@ def labelled_graphs(draw) -> Graph:
 
 
 def fill_every_slot(graph: Graph) -> CompiledGraph:
-    graph.wl_hash()
-    invariant_code(graph)
     canonical_code(graph)
     path_features(graph, 3)
     compiled = graph.compiled()
@@ -168,12 +166,8 @@ class TestLifetime:
         assert graph._compiled is None
         # what is recomputed describes the new shape, not the old one
         rebuilt = Graph.from_dict(graph.to_dict())
-        assert graph.wl_hash() == rebuilt.wl_hash()
-        assert invariant_code(graph) == invariant_code(rebuilt)
         assert canonical_code(graph) == canonical_code(rebuilt)
         assert path_features(graph, 3) == enumerate_paths(rebuilt, 3)
-        for query_type in QueryType:
-            assert exact_key(graph, query_type) == exact_key(rebuilt, query_type)
 
     def test_copies_pickles_and_dicts_carry_no_slot(self, square_with_tail):
         graph = square_with_tail
@@ -183,11 +177,15 @@ class TestLifetime:
         assert set(graph.to_dict()) == {"graph_id", "name", "vertices", "edges"}
         assert len(pickle.dumps(graph)) == len(pickle.dumps(graph.copy()))
 
-    def test_exact_key_is_isomorphism_invariant_and_typed(self):
+    def test_exact_candidates_are_isomorphism_invariant_and_typed(self):
         graph = molecule_graph(9, rng=2)
         renamed = graph.relabel_vertices({v: f"x{v}" for v in graph.vertices()})
-        assert exact_key(graph, QueryType.SUBGRAPH) == exact_key(renamed, QueryType.SUBGRAPH)
-        assert exact_key(graph, QueryType.SUBGRAPH) != exact_key(graph, QueryType.SUPERGRAPH)
+        store = CacheStore()
+        entry = CacheEntry(graph=graph, query_type=QueryType.SUBGRAPH, answer=frozenset())
+        store.add(entry)
+        features = path_features(renamed, CACHE_FEATURE_LENGTH)
+        assert store.exact_candidates(features, QueryType.SUBGRAPH) == [entry]
+        assert store.exact_candidates(features, QueryType.SUPERGRAPH) == []
 
 
 # --------------------------------------------------------------------------- #
@@ -260,13 +258,10 @@ class TestEnumerationCounts:
                    for graph in dataset)
 
     def test_a_resident_entry_pays_for_its_codes_once(self, monkeypatch):
-        canonical_calls, invariant_calls = [], []
+        canonical_calls = []
         original = canonical_module._canonical_code
         monkeypatch.setattr(canonical_module, "_canonical_code",
                             lambda graph: canonical_calls.append(id(graph)) or original(graph))
-        label_counts = Graph.label_counts
-        monkeypatch.setattr(Graph, "label_counts",
-                            lambda graph: invariant_calls.append(id(graph)) or label_counts(graph))
         cache = GraphCache(capacity=4, policy="LRU", window_size=1)
         pattern = molecule_graph(8, rng=11)
         resident = CacheEntry(graph=pattern, query_type=QueryType.SUBGRAPH, answer=frozenset({1}))
@@ -274,8 +269,8 @@ class TestEnumerationCounts:
         probes = [Query(pattern.copy(), QueryType.SUBGRAPH) for _ in range(5)]
         for probe in probes:
             assert cache.lookup(probe).exact_entry is resident
-        assert canonical_calls.count(id(pattern)) == invariant_calls.count(id(pattern)) == 1
-        assert len(canonical_calls) == len(invariant_calls) == 1 + len(probes)
+        assert canonical_calls.count(id(pattern)) == 1
+        assert len(canonical_calls) == 1 + len(probes)
 
     def test_planner_reads_labels_from_the_compiled_form(self, monkeypatch):
         dataset = label_clustered_dataset(2, 6, rng=5)
@@ -297,7 +292,6 @@ def _assert_memos_intact(graphs, caches) -> None:
         assert compiled is not None and compiled.paths is not None
         for length, features in compiled.paths.items():
             assert features == enumerate_paths(graph.copy(), length)
-        assert compiled.wl == graph.copy().wl_hash()
     for cache in caches:
         for entry in cache.entries():
             assert entry.features == enumerate_paths(entry.graph.copy(), CACHE_FEATURE_LENGTH)
@@ -348,11 +342,11 @@ def _cache_trajectory(policy: str):
     rows, screened = [], []
     with pytest.MonkeyPatch.context() as patch:
         for name in ("sub_case_candidates", "super_case_candidates"):
-            def spy(self, *args, _original=getattr(CachedQueryIndex, name), _name=name):
+            def spy(self, *args, _original=getattr(CacheStore, name), _name=name):
                 entries = _original(self, *args)
                 screened.append((_name, [entry.entry_id for entry in entries]))
                 return entries
-            patch.setattr(CachedQueryIndex, name, spy)
+            patch.setattr(CacheStore, name, spy)
         # entry ids are a process-wide counter: report them relative to now
         base = CacheEntry(graph=Graph(), query_type="subgraph", answer=frozenset()).entry_id
         with GraphCacheSystem(dataset, config) as system:

@@ -112,7 +112,8 @@ class TestPersistence:
         restored = restore_cache(fresh, path)
         assert restored == 6
         assert len(fresh) == 6
-        assert len(fresh.query_index) == 6
+        store = fresh.store
+        assert store._index.members() == [entry.entry_id for entry in store.entries()]
 
     def test_restore_respects_capacity(self, tmp_path):
         cache = GraphCache(capacity=10, window_size=1)

@@ -1,4 +1,4 @@
-"""Tests for the cached-query index and the sub/super-case probes."""
+"""Tests for the cached-query index (the store's screens) and the sub/super-case probes."""
 
 from __future__ import annotations
 
@@ -6,9 +6,9 @@ import random
 
 import pytest
 
-from repro.cache import CacheEntry, CachedQueryIndex, GraphCache
+from repro.cache import CacheEntry, CacheStore, GraphCache
+from repro.cache.store import CACHE_FEATURE_LENGTH
 from repro.errors import CacheError
-from repro.cache.query_index import CACHE_FEATURE_LENGTH
 from repro.features import path_features
 from repro.graph import cycle_graph, molecule_graph, path_graph
 from repro.graph.operations import extend_graph, random_connected_subgraph
@@ -20,11 +20,13 @@ def entry_for(graph, answer=frozenset()) -> CacheEntry:
 
 
 @pytest.fixture()
-def index() -> CachedQueryIndex:
-    return CachedQueryIndex()
+def index() -> CacheStore:
+    return CacheStore()
 
 
 class TestCachedQueryIndex:
+    """The store indexes what it holds and screens it for a new query."""
+
     def test_add_remove_and_len(self, index):
         entry = entry_for(molecule_graph(6, rng=1))
         index.add(entry)
@@ -77,17 +79,18 @@ class TestCachedQueryIndex:
         # a 4-vertex cached query cannot contain a 10-vertex query
         assert small not in index.sub_case_candidates(query, features, QueryType.SUBGRAPH)
 
-    def test_exact_candidates_by_hash(self, index):
+    def test_exact_candidates_by_multiset_equality(self, index):
         graph = molecule_graph(8, rng=8)
         cached = entry_for(graph)
         index.add(cached)
         permuted = graph.relabel_vertices(
             {vertex: f"x{i}" for i, vertex in enumerate(graph.vertices())}
         )
-        assert cached in index.exact_candidates(permuted, QueryType.SUBGRAPH)
-        other = index.exact_candidates(molecule_graph(8, rng=99), QueryType.SUBGRAPH)
-        assert other in ([], [cached])
-        assert index.exact_candidates(permuted, QueryType.SUPERGRAPH) == []
+        features = path_features(permuted, CACHE_FEATURE_LENGTH)
+        assert index.exact_candidates(features, QueryType.SUBGRAPH) == [cached]
+        other = path_features(molecule_graph(8, rng=99), CACHE_FEATURE_LENGTH)
+        assert index.exact_candidates(other, QueryType.SUBGRAPH) in ([], [cached])
+        assert index.exact_candidates(features, QueryType.SUPERGRAPH) == []
 
     def test_memory_accounting(self, index):
         index.add(entry_for(molecule_graph(8, rng=9)))

@@ -66,7 +66,7 @@ class TestWorkloadGenerator:
     def test_reproducible_with_seed(self, dataset):
         first = WorkloadGenerator(dataset, rng=9).generate(10, mix="popular")
         second = WorkloadGenerator(dataset, rng=9).generate(10, mix="popular")
-        assert [q.graph.wl_hash() for q in first] == [q.graph.wl_hash() for q in second]
+        assert [q.graph.to_dict() for q in first] == [q.graph.to_dict() for q in second]
 
     def test_modes_recorded_in_metadata(self, dataset):
         workload = WorkloadGenerator(dataset, rng=2).generate(30, mix=WorkloadMix())
@@ -121,7 +121,7 @@ class TestWorkloadSerialisation:
         restored = Workload.load(path)
         assert restored.name == "demo"
         assert len(restored) == len(workload)
-        assert [q.graph.wl_hash() for q in restored] == [q.graph.wl_hash() for q in workload]
+        assert [q.graph.to_dict() for q in restored] == [q.graph.to_dict() for q in workload]
 
     def test_summary(self, dataset):
         workload = WorkloadGenerator(dataset, rng=9).generate(5, mix="uniform")
