@@ -35,7 +35,6 @@ from __future__ import annotations
 import random
 import socket
 import threading
-import time
 import uuid
 from contextlib import contextmanager
 from typing import TYPE_CHECKING
@@ -51,8 +50,7 @@ from repro.api.envelopes import (
     as_request,
 )
 from repro.errors import ProtocolError, ServerError
-from repro.obs.recorder import get_recorder
-from repro.obs.trace import Span, TraceContext, new_span_id, new_trace_id
+from repro.obs.recorder import SpanScope, sampled
 from repro.query_model import QueryType
 
 if TYPE_CHECKING:  # pragma: no cover - runtime import is lazy (replay.py imports us)
@@ -226,37 +224,25 @@ class RemoteGraphService:
     # ------------------------------------------------------------------ #
     # client-side trace sampling
     # ------------------------------------------------------------------ #
-    def _sampled(self) -> bool:
-        rate = self.trace_sample_rate
-        if rate <= 0.0:
-            return False
-        return rate >= 1.0 or self._sample_rng.random() < rate
-
     @contextmanager
     def _client_span(self, request: QueryRequest):
         """Originate a trace around one ``/query`` exchange when sampled.
 
         When client-side sampling fires (and the request doesn't already
-        carry a context) a fresh trace is started: the context rides the
-        envelope so the server parents its own spans under it, and on exit
-        a ``client.request`` root span lands in the local span recorder.
+        carry a context) a ``client.request`` scope opens a fresh trace: its
+        context rides the envelope so the server parents its own spans under
+        it, and on exit the span lands in the local span recorder.
         """
-        if request.trace is not None or not self._sampled():
+        if request.trace is not None or not sampled(self.trace_sample_rate,
+                                                    self._sample_rng):
             yield
             return
-        context = TraceContext(trace_id=new_trace_id(), span_id=new_span_id())
-        request.trace = context
-        started_wall = time.time()
-        started = time.perf_counter()
+        scope = SpanScope("client.request")
+        request.trace = scope.context
         try:
             yield
         finally:
-            get_recorder().record(Span(
-                trace_id=context.trace_id, span_id=context.span_id,
-                name="client.request", start=started_wall,
-                duration_seconds=time.perf_counter() - started,
-                attributes={"request_id": request.request_id},
-            ))
+            scope.close({"request_id": request.request_id})
 
     # ------------------------------------------------------------------ #
     # GraphService surface

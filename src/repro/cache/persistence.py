@@ -10,11 +10,17 @@ warm cache can be saved at shutdown and restored (via
 Entry ids are not preserved: on load each entry receives a fresh id (ids are
 only meaningful within one process), but everything the replacement policies
 need is restored.
+
+Cached answers are sets of dataset graph ids, so they only hold for the
+dataset they were computed on: a system's snapshot carries that dataset's
+:func:`dataset_digest`, and a restore onto any other dataset starts cold.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+from collections.abc import Iterable
 from pathlib import Path
 
 from repro.cache.entry import CacheEntry, EntryStatistics
@@ -66,16 +72,26 @@ def entry_from_dict(payload: dict) -> CacheEntry:
     return entry
 
 
-def save_cache(cache: GraphCache, path: str | Path) -> int:
+def dataset_digest(dataset: Iterable[Graph]) -> str:
+    """A sha256 over each graph's id and content, independent of graph order."""
+    digests = sorted(hashlib.sha256(json.dumps(graph.to_dict()).encode()).hexdigest()
+                     for graph in dataset)
+    return hashlib.sha256("".join(digests).encode()).hexdigest()
+
+
+def save_cache(cache: GraphCache, path: str | Path, digest: str | None = None) -> int:
     """Write every resident entry of ``cache`` to ``path`` (JSON).
 
-    Returns the number of entries written.
+    ``digest`` is the :func:`dataset_digest` of the dataset the answers were
+    computed on, when the caller knows it.  Returns the number of entries
+    written.
     """
     entries = cache.entries()
     payload = {
         "format_version": FORMAT_VERSION,
         "capacity": cache.capacity,
         "policy": cache.policy.name,
+        "dataset_digest": digest,
         "entries": [entry_to_dict(entry) for entry in entries],
     }
     Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")

@@ -2,9 +2,12 @@
 
 Public surface for the rest of the stack:
 
-* :mod:`repro.obs.trace` — :class:`TraceContext` propagation + :class:`Span`
-  trees (``TRACE_KEY`` is the reserved ``Query.metadata`` carrier slot).
-* :mod:`repro.obs.recorder` — the per-process :class:`SpanRecorder` behind
+* :mod:`repro.obs.trace` — the data model: :class:`TraceContext`
+  propagation + :class:`Span` trees (``TRACE_KEY`` is the reserved
+  ``Query.metadata`` carrier slot).
+* :mod:`repro.obs.recorder` — :class:`SpanScope`, the one way a span is
+  opened and closed (client, server, scatter and pipeline alike), the
+  :func:`sampled` decision, and the per-process :class:`SpanRecorder` behind
   ``GET /debug/traces`` and the slow-query exemplar log.
 * :mod:`repro.obs.metrics` — the unified :class:`MetricsRegistry` with
   Prometheus text exposition (``GET /metrics?format=text``).
@@ -31,8 +34,10 @@ from repro.obs.metrics import (
 from repro.obs.recorder import (
     DEFAULT_BUFFER_SIZE,
     SpanRecorder,
+    SpanScope,
     configure_recorder,
     get_recorder,
+    sampled,
 )
 from repro.obs.trace import (
     TRACE_KEY,
@@ -40,10 +45,8 @@ from repro.obs.trace import (
     TraceContext,
     build_tree,
     context_from_carrier,
-    make_span,
     new_span_id,
     new_trace_id,
-    pipeline_spans,
 )
 
 __all__ = [
@@ -61,15 +64,15 @@ __all__ = [
     "Sample",
     "DEFAULT_BUFFER_SIZE",
     "SpanRecorder",
+    "SpanScope",
     "configure_recorder",
     "get_recorder",
+    "sampled",
     "TRACE_KEY",
     "Span",
     "TraceContext",
     "build_tree",
     "context_from_carrier",
-    "make_span",
     "new_span_id",
     "new_trace_id",
-    "pipeline_spans",
 ]

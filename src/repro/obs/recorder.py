@@ -10,15 +10,21 @@ Completed traces over the slow-query threshold are snapshotted into a
 separate **exemplar** buffer together with their scatter plan, and logged
 through ``repro.obs.slowquery`` — the slow-query exemplar log the server's
 ``--slow-query-log`` flag surfaces.
+
+Spans reach the recorder through :class:`SpanScope` — the client, the
+server, the scatter and the pipeline each open one around their own work —
+and :func:`sampled` is the one sampling decision.
 """
 
 from __future__ import annotations
 
 import logging
+import random
 import threading
+import time
 from collections import OrderedDict
 
-from repro.obs.trace import Span, build_tree
+from repro.obs.trace import Span, TraceContext, build_tree, new_span_id, new_trace_id, wall_at
 
 #: Default maximum spans retained across all buffered traces.
 DEFAULT_BUFFER_SIZE = 512
@@ -197,3 +203,53 @@ def configure_recorder(buffer_size: int | None = None,
     _recorder.configure(buffer_size=buffer_size,
                         slow_threshold_seconds=slow_threshold_seconds)
     return _recorder
+
+
+def sampled(rate: float, rng: random.Random) -> bool:
+    """One sampling decision at ``rate`` (``rng`` is only drawn from in between)."""
+    return rate >= 1.0 or (rate > 0.0 and rng.random() < rate)
+
+
+class SpanScope:
+    """One open span: the only way a span is made in this package.
+
+    ``context`` is what downstream work parents on.  :meth:`span` places a
+    finished child — or, with ``sibling=True``, a span under this scope's
+    own parent — at a monotonic offset from the moment the scope opened
+    (``started``, a ``time.perf_counter()`` reading).  :meth:`close` records
+    the scope's own span beside the given spans in the process recorder.
+    Every start is stamped through the one process clock anchor.
+    """
+
+    __slots__ = ("name", "parent", "context", "started")
+
+    def __init__(self, name: str, parent_context: TraceContext | None = None,
+                 started: float | None = None) -> None:
+        self.name = name
+        self.parent = parent_context
+        trace_id = parent_context.trace_id if parent_context is not None else new_trace_id()
+        self.context = TraceContext(trace_id, new_span_id())
+        self.started = time.perf_counter() if started is None else started
+
+    def _span(self, span_id: str, name: str, parent: TraceContext | None,
+              offset: float, seconds: float, attributes: dict | None) -> Span:
+        return Span(self.context.trace_id, span_id, name,
+                    parent.span_id if parent is not None else None,
+                    wall_at(self.started + offset), seconds, dict(attributes or {}))
+
+    def span(self, name: str, offset: float, seconds: float,
+             attributes: dict | None = None, sibling: bool = False) -> Span:
+        """A finished child (or sibling) starting ``offset`` seconds in."""
+        return self._span(new_span_id(), name, self.parent if sibling else self.context,
+                          offset, seconds, attributes)
+
+    def close(self, attributes: dict | None = None, seconds: float | None = None,
+              spans=()) -> Span:
+        """Record this scope's span (``seconds`` defaults to the time open) and
+        ``spans``; returns the scope's own span."""
+        if seconds is None:
+            seconds = time.perf_counter() - self.started
+        own = self._span(self.context.span_id, self.name, self.parent, 0.0, seconds,
+                         attributes)
+        _recorder.record_many([own, *spans])
+        return own

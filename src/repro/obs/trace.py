@@ -12,9 +12,14 @@ verify/assemble/admit) → merge.  The context travels in two shapes:
   already makes: batcher → sharded scatter → the loopback envelope into a
   process shard worker.
 
+This module is the data model only.  Spans are made in one place:
+:class:`~repro.obs.recorder.SpanScope`, which the client, the server, the
+scatter and the pipeline each open around their own work.
+
 Durations are measured with monotonic clocks (``time.perf_counter``); the
-wall-clock ``start`` stamp exists only to order spans for display and is
-never subtracted against another clock.
+wall-clock ``start`` stamp exists only to order spans for display, is
+derived from the one process anchor (:func:`wall_at`) and is never
+subtracted against another clock.
 """
 
 from __future__ import annotations
@@ -45,11 +50,6 @@ def wall_at(perf_time: float) -> float:
     return _ANCHOR_WALL + (perf_time - _ANCHOR_PERF)
 
 
-def wall_now() -> float:
-    """``wall_at(time.perf_counter())``: an anchored "now" for span starts."""
-    return wall_at(time.perf_counter())
-
-
 def new_trace_id() -> str:
     """A fresh 32-hex trace id."""
     return uuid.uuid4().hex
@@ -68,10 +68,6 @@ class TraceContext:
     span_id: str
     sampled: bool = True
 
-    def child(self) -> "TraceContext":
-        """A context whose ``span_id`` is fresh (parenting a new subtree)."""
-        return TraceContext(self.trace_id, new_span_id(), self.sampled)
-
     def to_wire(self) -> dict:
         return {"trace_id": self.trace_id, "span_id": self.span_id,
                 "sampled": bool(self.sampled)}
@@ -81,17 +77,19 @@ class TraceContext:
     @classmethod
     def from_wire(cls, payload: object) -> "TraceContext | None":
         """Lenient parse: anything malformed reads as "no context" (additive
-        fields must never turn an otherwise-valid request into an error)."""
+        fields must never turn an otherwise-valid request into an error).
+        A ``sampled`` flag that is not a JSON boolean is malformed too: the
+        string ``"false"`` must not switch tracing on."""
         if not isinstance(payload, dict):
             return None
         trace_id = payload.get("trace_id")
         span_id = payload.get("span_id")
-        if not isinstance(trace_id, str) or not trace_id:
+        sampled = payload.get("sampled", True)
+        if not isinstance(trace_id, str) or not trace_id or not isinstance(sampled, bool):
             return None
         if not isinstance(span_id, str) or not span_id:
             span_id = new_span_id()
-        return cls(trace_id=trace_id, span_id=span_id,
-                   sampled=bool(payload.get("sampled", True)))
+        return cls(trace_id=trace_id, span_id=span_id, sampled=sampled)
 
 
 def context_from_carrier(metadata: dict | None) -> TraceContext | None:
@@ -142,63 +140,6 @@ class Span:
             duration_seconds=float(payload.get("duration_seconds", 0.0)),
             attributes=dict(payload.get("attributes", {}) or {}),
         )
-
-
-def make_span(
-    context: TraceContext,
-    name: str,
-    duration_seconds: float,
-    parent_span_id: str | None = None,
-    span_id: str | None = None,
-    start: float | None = None,
-    attributes: dict | None = None,
-) -> Span:
-    """Build one finished span under ``context`` (parent defaults to it)."""
-    return Span(
-        trace_id=context.trace_id,
-        span_id=span_id or new_span_id(),
-        parent_span_id=context.span_id if parent_span_id is None else parent_span_id,
-        name=name,
-        start=wall_now() - duration_seconds if start is None else start,
-        duration_seconds=duration_seconds,
-        attributes=dict(attributes or {}),
-    )
-
-
-def pipeline_spans(carrier: dict, stage_seconds: dict[str, float],
-                   total_seconds: float) -> list[Span]:
-    """Span subtree for one pipeline execution under a metadata carrier.
-
-    One ``pipeline`` span (fresh id, parented on the carrier's span — the
-    coordinator's scatter span for sharded runs, the server span otherwise)
-    with one child per executed stage.  Each shard that runs the query grows
-    its own ``pipeline`` subtree, so sibling shards stay distinguishable even
-    though they share one scattered :class:`Query` object.
-    """
-    context = context_from_carrier({TRACE_KEY: carrier})
-    if context is None:
-        return []
-    attributes: dict = {}
-    shard = carrier.get("shard")
-    if shard is not None:
-        attributes["shard"] = shard
-    end_wall = wall_now()
-    root = make_span(context, "pipeline", total_seconds,
-                     start=end_wall - total_seconds, attributes=attributes)
-    spans = [root]
-    offset = total_seconds
-    for stage, seconds in stage_seconds.items():
-        spans.append(Span(
-            trace_id=context.trace_id,
-            span_id=new_span_id(),
-            parent_span_id=root.span_id,
-            name=stage,
-            start=end_wall - offset,
-            duration_seconds=seconds,
-            attributes=dict(attributes),
-        ))
-        offset = max(0.0, offset - seconds)
-    return spans
 
 
 def build_tree(spans: list[Span]) -> dict:

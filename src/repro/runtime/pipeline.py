@@ -31,8 +31,8 @@ from repro.cache.graph_cache import CacheLookup
 from repro.cache.pruner import PruningResult
 from repro.index.base import graph_id_sort_key
 from repro.methods.base import VerificationOutcome
-from repro.obs.recorder import get_recorder
-from repro.obs.trace import TRACE_KEY, pipeline_spans
+from repro.obs.recorder import SpanScope
+from repro.obs.trace import TRACE_KEY, context_from_carrier
 from repro.query_model import Query
 from repro.runtime.report import QueryReport
 
@@ -221,22 +221,25 @@ class QueryPipeline:
         """Flow one context through every stage, timing each.
 
         When the query carries a sampled trace context in its metadata
-        (:data:`~repro.obs.trace.TRACE_KEY`), one ``pipeline`` span plus one
-        child span per stage is recorded and attached to the report — the
-        leaf subtree of the end-to-end distributed trace.
+        (:data:`~repro.obs.trace.TRACE_KEY`), a ``pipeline`` scope lays out
+        one child span per stage; the spans are recorded and attached to the
+        report — the leaf subtree of the end-to-end distributed trace, which
+        the scatter stamps with the shard that ran it.
         """
         ctx.started_at = time.perf_counter()
         for stage in self.stages:
             stage_start = time.perf_counter()
             stage.run(ctx)
             ctx.report.stage_seconds[stage.name] = time.perf_counter() - stage_start
-        carrier = ctx.query.metadata.get(TRACE_KEY)
-        if isinstance(carrier, dict):
-            total = time.perf_counter() - ctx.started_at
-            spans = pipeline_spans(carrier, ctx.report.stage_seconds, total)
-            if spans:
-                ctx.report.spans.extend(spans)
-                get_recorder().record_many(spans)
+        if ctx.query.metadata.get(TRACE_KEY) is not None:
+            context = context_from_carrier(ctx.query.metadata)
+            if context is not None:
+                scope = SpanScope("pipeline", context, started=ctx.started_at)
+                stages, offset = [], 0.0
+                for stage, seconds in ctx.report.stage_seconds.items():
+                    stages.append(scope.span(stage, offset, seconds))
+                    offset += seconds
+                ctx.report.spans += [scope.close(spans=stages), *stages]
         return ctx.report
 
     # ------------------------------------------------------------------ #

@@ -9,6 +9,7 @@ small API: run queries, inspect statistics, measure memory overheads.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from functools import cached_property
 
 from repro.cache.graph_cache import GraphCache
 from repro.cache.statistics import AggregateStatistics, StatisticsManager
@@ -16,10 +17,13 @@ from repro.errors import ConfigurationError
 from repro.graph.graph import Graph
 from repro.methods.base import MethodM
 from repro.methods.registry import make_method
+from repro.obs.logs import get_logger
 from repro.query_model import Query, QueryType
 from repro.runtime.config import GCConfig
 from repro.runtime.executor import QueryExecutor
 from repro.runtime.report import QueryReport
+
+logger = get_logger("runtime")
 
 
 class GraphCacheSystem:
@@ -150,22 +154,36 @@ class GraphCacheSystem:
     # ------------------------------------------------------------------ #
     # snapshots
     # ------------------------------------------------------------------ #
+    @cached_property
+    def _dataset_digest(self) -> str:
+        # computed on the first save or restore, never at build: hashing a
+        # large dataset costs more than building the system over it
+        from repro.cache.persistence import dataset_digest
+
+        return dataset_digest(self.dataset)
+
     def save_snapshot(self, path) -> int:
-        """Persist the cache to ``path``; returns entries written (0 = no cache)."""
+        """Persist the cache to ``path``; returns entries written (0 = no cache).
+
+        The file carries the dataset's digest: its answers hold for this
+        dataset only.
+        """
         from repro.cache.persistence import save_cache
 
         if self.cache is None:
             return 0
-        return save_cache(self.cache, path)
+        return save_cache(self.cache, path, digest=self._dataset_digest)
 
     def restore_snapshot(self, path) -> int:
         """Warm the cache from ``path``; returns entries restored.
 
         Returns 0 (cold start) when the cache is disabled, the file is
-        missing, or the file is a *sharded* snapshot manifest — those only
-        make sense for the shard layout they were written under.  A corrupt
-        or malformed snapshot raises (so a warm-cache file is never silently
-        discarded and overwritten at the next shutdown).
+        missing, the file is a *sharded* snapshot manifest — those only
+        make sense for the shard layout they were written under — or the
+        file was written for another dataset (a missing or different
+        dataset digest; logged as a warning).  A corrupt or malformed
+        snapshot raises (so a warm-cache file is never silently discarded
+        and overwritten at the next shutdown).
         """
         import json
         from pathlib import Path
@@ -177,6 +195,10 @@ class GraphCacheSystem:
             return 0
         payload = json.loads(snapshot.read_text(encoding="utf-8"))
         if isinstance(payload, dict) and payload.get("sharded"):
+            return 0
+        if isinstance(payload, dict) and payload.get("dataset_digest") != self._dataset_digest:
+            logger.warning("snapshot %s was not written for this dataset: starting cold",
+                           snapshot)
             return 0
         return self.cache.warm(entries_from_payload(payload))
 

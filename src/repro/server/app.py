@@ -65,8 +65,7 @@ from repro.obs.collectors import (
 )
 from repro.obs.logs import current_trace_id, get_logger
 from repro.obs.metrics import COUNTER, GAUGE, MetricsRegistry, Sample
-from repro.obs.recorder import DEFAULT_BUFFER_SIZE, configure_recorder
-from repro.obs.trace import Span, TraceContext, new_span_id, new_trace_id, wall_at
+from repro.obs.recorder import DEFAULT_BUFFER_SIZE, SpanScope, configure_recorder, sampled
 from repro.runtime.config import GCConfig
 from repro.server.adapter import HTTPAdapter, RoutedApp
 from repro.server.batcher import RequestBatcher
@@ -236,17 +235,8 @@ class QueryServer(RoutedApp):
         envelope = ErrorEnvelope.from_exception(exc, request_id=request_id)
         return envelope.http_status, envelope.to_wire()
 
-    def _sampled(self) -> bool:
-        """One server-side sampling decision at ``trace_sample_rate``."""
-        rate = self.trace_sample_rate
-        if rate <= 0.0:
-            return False
-        if rate >= 1.0:
-            return True
-        return self._sample_rng.random() < rate
-
-    def _begin_request_trace(self, request) -> dict | None:
-        """Open the ``server.request`` span and re-root the request's trace.
+    def _begin_request_trace(self, request) -> SpanScope | None:
+        """Open the ``server.request`` scope and re-root the request's trace.
 
         A client-supplied context is always honoured (its span becomes the
         parent); otherwise the server samples at ``trace_sample_rate`` and
@@ -255,62 +245,36 @@ class QueryServer(RoutedApp):
         on this server span.
         """
         client = request.trace
-        if client is not None and not client.sampled:
+        if client is None:
+            if not sampled(self.trace_sample_rate, self._sample_rng):
+                return None
+        elif not client.sampled:
             return None
-        if client is None and not self._sampled():
-            return None
-        trace_id = client.trace_id if client is not None else new_trace_id()
-        span_id = new_span_id()
-        request.trace = TraceContext(trace_id=trace_id, span_id=span_id)
-        started = time.perf_counter()
-        return {
-            "trace_id": trace_id,
-            "span_id": span_id,
-            "parent": client.span_id if client is not None else None,
-            # wall stamp derived from the same monotonic reading via the
-            # process clock anchor: child spans whose starts are computed as
-            # wall-now minus monotonic durations can never precede the root
-            "started_wall": wall_at(started),
-            "started": started,
-            "token": current_trace_id.set(trace_id),
-        }
+        scope = SpanScope("server.request", client)
+        request.trace = scope.context
+        return scope
 
-    def _finish_request_trace(self, scope: dict | None, served=None,
+    def _finish_request_trace(self, scope: SpanScope | None, served=None,
                               outcome: str = "ok") -> None:
         """Close the server spans and complete the trace in the recorder."""
         if scope is None:
             return
-        current_trace_id.reset(scope["token"])
-        duration = time.perf_counter() - scope["started"]
         spans = []
         scatter = None
         if served is not None:
             # queue wait then batch execution, back to back under the
             # server.request span — the gap between them is dispatch overhead
-            spans.append(Span(
-                trace_id=scope["trace_id"], span_id=new_span_id(),
-                name="server.queue", parent_span_id=scope["span_id"],
-                start=scope["started_wall"],
-                duration_seconds=served.queue_seconds,
-            ))
-            spans.append(Span(
-                trace_id=scope["trace_id"], span_id=new_span_id(),
-                name="server.batch", parent_span_id=scope["span_id"],
-                start=scope["started_wall"] + served.queue_seconds,
-                duration_seconds=served.report.total_seconds,
-                attributes={"batch_size": served.batch_size},
-            ))
+            spans = [
+                scope.span("server.queue", 0.0, served.queue_seconds),
+                scope.span("server.batch", served.queue_seconds,
+                           served.report.total_seconds,
+                           {"batch_size": served.batch_size}),
+            ]
             plan = served.report.query.metadata.get("scatter")
             if isinstance(plan, dict):
                 scatter = plan
-        spans.append(Span(
-            trace_id=scope["trace_id"], span_id=scope["span_id"],
-            name="server.request", parent_span_id=scope["parent"],
-            start=scope["started_wall"], duration_seconds=duration,
-            attributes={"outcome": outcome},
-        ))
-        self.span_recorder.record_many(spans)
-        self.span_recorder.complete(scope["trace_id"], duration, scatter=scatter)
+        own = scope.close({"outcome": outcome}, spans=spans)
+        self.span_recorder.complete(own.trace_id, own.duration_seconds, scatter=scatter)
 
     def serve_query(self, payload: dict) -> tuple[int, dict]:
         """Admit, batch and execute one query envelope.
@@ -326,6 +290,16 @@ class QueryServer(RoutedApp):
             return self._error(exc)
         self.recorder.record(request)
         scope = self._begin_request_trace(request)
+        if scope is None:
+            return self._serve(request, started, None)
+        token = current_trace_id.set(scope.context.trace_id)
+        try:
+            return self._serve(request, started, scope)
+        finally:
+            current_trace_id.reset(token)
+
+    def _serve(self, request, started: float, scope: SpanScope | None) -> tuple[int, dict]:
+        """Submit, wait and reply; ``scope`` (if any) is closed on every outcome."""
         try:
             future = self.batcher.submit(request)
         except Exception as exc:  # admission rejected / draining
@@ -365,7 +339,7 @@ class QueryServer(RoutedApp):
         self._finish_request_trace(scope, served=served)
         response = served.to_response(request_id=request.request_id)
         if scope is not None:
-            response.trace_id = scope["trace_id"]
+            response.trace_id = scope.context.trace_id
         return 200, response.to_wire()
 
     # ------------------------------------------------------------------ #

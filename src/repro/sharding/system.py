@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import time
 from collections.abc import Callable, Iterable
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
 
 from repro.cache.graph_cache import GraphCache
@@ -39,14 +39,8 @@ from repro.features.paths import PathFeatureExtractor
 from repro.graph.graph import Graph
 from repro.methods.base import MethodM
 from repro.obs.logs import replay_entries
-from repro.obs.recorder import get_recorder
-from repro.obs.trace import (
-    TRACE_KEY,
-    Span,
-    context_from_carrier,
-    new_span_id,
-    wall_at,
-)
+from repro.obs.recorder import SpanScope
+from repro.obs.trace import TRACE_KEY, context_from_carrier
 from repro.query_model import Query, QueryType
 from repro.runtime.config import GCConfig
 from repro.runtime.report import QueryReport
@@ -272,7 +266,7 @@ class ShardedGraphCacheSystem:
         scopes = []
         for query, plan in zip(query_list, plans):
             query.metadata["scatter"] = plan.to_dict()
-            scopes.append(self._begin_trace_scope(query))
+            scopes.append(self._open_scatter(query))
         # group the batch per shard: each shard only ever sees the queries
         # planned onto it (under full scatter that is the whole batch)
         shard_positions: list[list[int]] = [[] for _ in range(self.num_shards)]
@@ -285,7 +279,7 @@ class ShardedGraphCacheSystem:
             for shard, positions in enumerate(shard_positions)
             if positions
         }
-        shard_reports = {shard: future.result() for shard, future in futures.items()}
+        shard_reports = self._gather(futures, query_list, plans, scopes)
         offset_of = [
             {position: offset for offset, position in enumerate(positions)}
             for positions in shard_positions
@@ -296,7 +290,7 @@ class ShardedGraphCacheSystem:
                 [shard_reports[shard][offset_of[shard][position]]
                  for shard in plan.targets],
                 plan=plan,
-                trace_scope=scopes[position],
+                scope=scopes[position],
             )
             for position, (query, plan) in enumerate(zip(query_list, plans))
         ]
@@ -331,68 +325,50 @@ class ShardedGraphCacheSystem:
     # distributed tracing of the scatter-gather hop
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _begin_trace_scope(query: Query) -> dict | None:
-        """Open the per-query ``scatter`` span and reparent the carrier.
+    def _open_scatter(query: Query) -> SpanScope | None:
+        """Open the per-query ``scatter`` scope and reparent the carrier.
 
         Every shard execution (thread pipeline or process worker) parents its
         ``pipeline`` span on whatever span id rides in the metadata carrier —
-        so before scattering, the carrier's span id is rewritten to a fresh
-        scatter span id.  :meth:`_merge` records the scatter/plan/merge spans
-        under the *original* context and restores the carrier.
+        so before scattering, the carrier is re-pointed at the scatter span.
+        :meth:`_close_scatter` restores it.
         """
         context = context_from_carrier(query.metadata)
         if context is None:
             return None
-        scatter_span_id = new_span_id()
-        scope = {
-            "context": context,
-            "scatter_span_id": scatter_span_id,
-            "carrier": query.metadata[TRACE_KEY],
-            # anchored wall stamp: offsets added to it downstream come from
-            # perf_counter, so plan/scatter/merge spans order consistently
-            "started_wall": wall_at(time.perf_counter()),
-        }
-        query.metadata[TRACE_KEY] = {
-            "trace_id": context.trace_id,
-            "span_id": scatter_span_id,
-            "sampled": True,
-        }
+        scope = SpanScope("scatter", context)
+        query.metadata[TRACE_KEY] = scope.context.to_carrier()
         return scope
 
     @staticmethod
-    def _close_trace_scope(
-        scope: dict,
-        query: Query,
-        plan: ScatterPlan | None,
-        plan_seconds: float,
-        slowest: float,
-        merge_seconds: float,
-    ) -> list[Span]:
-        """The plan/scatter/merge spans of one gathered query (carrier restored)."""
-        query.metadata[TRACE_KEY] = scope["carrier"]
-        context = scope["context"]
-        started_wall = scope["started_wall"]
-        attributes: dict = {}
-        if plan is not None:
-            attributes = {"targets": list(plan.targets), "skipped": list(plan.skipped)}
-        spans = []
-        if plan_seconds > 0.0:
-            spans.append(Span(
-                trace_id=context.trace_id, span_id=new_span_id(),
-                parent_span_id=context.span_id, name=PLAN_STAGE,
-                start=started_wall - plan_seconds, duration_seconds=plan_seconds,
-            ))
-        spans.append(Span(
-            trace_id=context.trace_id, span_id=scope["scatter_span_id"],
-            parent_span_id=context.span_id, name="scatter",
-            start=started_wall, duration_seconds=slowest, attributes=attributes,
-        ))
-        spans.append(Span(
-            trace_id=context.trace_id, span_id=new_span_id(),
-            parent_span_id=context.span_id, name=MERGE_STAGE,
-            start=started_wall + slowest, duration_seconds=merge_seconds,
-        ))
-        return spans
+    def _close_scatter(query: Query, scope: SpanScope, plan: ScatterPlan,
+                       seconds: float | None = None, spans=(), **attributes) -> None:
+        """Restore the query's carrier and record the scatter span."""
+        query.metadata[TRACE_KEY] = scope.parent.to_carrier()
+        scope.close({"targets": list(plan.targets), "skipped": list(plan.skipped),
+                     **attributes}, seconds=seconds, spans=spans)
+
+    def _gather(self, futures: dict, query_list: list[Query],
+                plans: list[ScatterPlan], scopes: list) -> dict[int, list[QueryReport]]:
+        """Every shard's reports, their spans stamped with the shard that ran them.
+
+        When a shard fails, once every shard has stopped the open scatter
+        scopes are closed with ``outcome="error"`` and the failure re-raised:
+        the trace stays one tree, and the carrier is the caller's again.
+        """
+        try:
+            shard_reports = {shard: future.result() for shard, future in futures.items()}
+        except BaseException:
+            wait(futures.values())
+            for query, plan, scope in zip(query_list, plans, scopes):
+                if scope is not None:
+                    self._close_scatter(query, scope, plan, outcome="error")
+            raise
+        for shard, reports in shard_reports.items():
+            for report in reports:
+                for span in report.spans:
+                    span.attributes["shard"] = shard
+        return shard_reports
 
     # ------------------------------------------------------------------ #
     # gather / merge
@@ -401,8 +377,8 @@ class ShardedGraphCacheSystem:
         self,
         query: Query,
         shard_reports: list[QueryReport],
-        plan: ScatterPlan | None = None,
-        trace_scope: dict | None = None,
+        plan: ScatterPlan,
+        scope: SpanScope | None = None,
     ) -> QueryReport:
         """Merge per-shard reports into one deterministic report + record.
 
@@ -445,7 +421,7 @@ class ShardedGraphCacheSystem:
         merged.baseline_seconds = baseline_seconds if have_baseline else None
         merge_seconds = time.perf_counter() - started
         plan_seconds = 0.0
-        if plan is not None and self.planner.mode != "full":
+        if self.planner.mode != "full":
             # planning is real per-query work in short-circuit mode: book it
             # as its own stage next to the merge, so skip decisions show up
             # in stage_breakdown() and /metrics like any other stage
@@ -456,17 +432,15 @@ class ShardedGraphCacheSystem:
         #: Critical path: shards ran concurrently, so the merged wall time is
         #: the plan, the slowest scattered shard, and the gather/merge.
         merged.total_seconds = plan_seconds + slowest + merge_seconds
-        if trace_scope is not None:
-            scatter_spans = self._close_trace_scope(
-                trace_scope, query, plan, plan_seconds, slowest, merge_seconds
-            )
+        if scope is not None:
             # shard-side pipeline spans are already in the recorder (thread
-            # shards record directly; process proxies re-record on gather) —
-            # only the scatter-level spans are new here
-            get_recorder().record_many(scatter_spans)
-            for report in shard_reports:
-                merged.spans.extend(report.spans)
-            merged.spans.extend(scatter_spans)
+            # shards record directly; process proxies re-record on gather):
+            # plan and merge flank the scatter span under its parent
+            spans = [scope.span(MERGE_STAGE, slowest, merge_seconds, sibling=True)]
+            if plan_seconds > 0.0:
+                spans.insert(0, scope.span(PLAN_STAGE, -plan_seconds, plan_seconds,
+                                           sibling=True))
+            self._close_scatter(query, scope, plan, seconds=slowest, spans=spans)
         self.statistics.record(merged)
         return merged
 

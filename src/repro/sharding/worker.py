@@ -46,7 +46,7 @@ from repro.obs.collectors import recorder_samples, system_samples
 from repro.obs.logs import BufferedLogHandler, current_trace_id, get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import DEFAULT_BUFFER_SIZE, get_recorder
-from repro.obs.trace import TRACE_KEY, Span
+from repro.obs.trace import Span
 from repro.query_model import Query
 from repro.runtime.config import GCConfig
 from repro.runtime.report import QueryReport
@@ -197,12 +197,11 @@ class ShardWorkerApp(RoutedApp):
             return envelope.http_status, envelope.to_wire()
         self._requests.inc()
         query = request.to_query()
-        carrier = query.metadata.get(TRACE_KEY)
+        # log lines of a traced query carry its trace id (the coordinator
+        # stamps the shard on the spans this report ships back)
         trace_token = None
-        if isinstance(carrier, dict):
-            # attribute this shard's pipeline spans and log lines to itself
-            carrier["shard"] = self.shard_index
-            trace_token = current_trace_id.set(str(carrier.get("trace_id") or "") or None)
+        if request.trace is not None:
+            trace_token = current_trace_id.set(request.trace.trace_id)
         started = time.perf_counter()
         try:
             report = self.system.run_query(query)
@@ -268,8 +267,9 @@ def worker_main(
     surface the real reason instead of a bare handshake timeout.
     """
     try:
-        # buffer warnings/errors for the coordinator to drain and re-emit —
-        # a spawned worker's stderr is otherwise lost
+        # buffer warnings/errors for the coordinator to drain and re-emit
+        # under this shard's name: a spawned child shares the coordinator's
+        # stderr, but only the forwarded lines say which shard wrote them
         log_handler = BufferedLogHandler()
         logging.getLogger("repro").addHandler(log_handler)
         config = GCConfig.from_dict(config_payload)

@@ -136,7 +136,9 @@ class TestServeCommand:
 
     def test_serve_restores_snapshot(self, tmp_path, capsys):
         snapshot = tmp_path / "snapshot.json"
-        dataset = molecule_dataset(10, min_vertices=7, max_vertices=12, rng=2018)
+        # the dataset `serve --dataset-size 10 --seed 2018` builds: a snapshot
+        # restores only onto the dataset it was written for
+        dataset = molecule_dataset(10, min_vertices=10, max_vertices=35, rng=2018)
         with QueryServer(dataset, GCConfig(cache_capacity=8, window_size=2),
                          snapshot_path=snapshot) as server:
             from repro.api import RemoteGraphService

@@ -38,8 +38,10 @@ from repro.obs.trace import (
     new_span_id,
     new_trace_id,
 )
+from repro.query_model import Query
 from repro.runtime import GCConfig
 from repro.server import QueryServer
+from repro.sharding import ShardedGraphCacheSystem
 from repro.workload import generate_trace
 
 
@@ -225,6 +227,11 @@ class TestTraceEnvelopes:
         # the carrier never leaks back into wire metadata
         assert TRACE_KEY not in lifted.to_wire()["query"]["metadata"]
 
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, [True]])
+    def test_a_sampled_flag_that_is_not_a_boolean_reads_as_no_context(self, flag):
+        wire = {"trace_id": new_trace_id(), "span_id": new_span_id(), "sampled": flag}
+        assert TraceContext.from_wire(wire) is None
+
 
 # ---------------------------------------------------------------------- #
 # served tracing (thread shards)
@@ -233,26 +240,97 @@ def _query(dataset, seed=3):
     return random_connected_subgraph(dataset[0], 5, rng=seed)
 
 
+#: Planned onto both shards under short-circuit scatter.
+BOTH_SHARDS = 4
+
+STAGES = ["filter", "probe", "prune", "verify", "assemble", "admit"]
+
+#: The attribute keys of every span of a sampled, sharded, served query.
+SPAN_KEYS = {
+    "client.request": {"request_id"},
+    "server.request": {"outcome"},
+    "server.queue": set(),
+    "server.batch": {"batch_size"},
+    "plan": set(),
+    "scatter": {"targets", "skipped"},
+    "merge": set(),
+    "pipeline": {"shard"},
+    **{stage: {"shard"} for stage in STAGES},
+}
+
+
+def assert_pinned_tree(tree: dict, spans: list[Span]) -> None:
+    """The exact span tree of one query sampled by its client and served on
+    two shards under short-circuit scatter."""
+    assert [root["name"] for root in tree["roots"]] == ["client.request"]
+    (server_span,) = tree["roots"][0]["children"]
+    assert server_span["name"] == "server.request"
+    assert [child["name"] for child in server_span["children"]] == [
+        "server.queue", "server.batch", "plan", "scatter", "merge"]
+    scatter = server_span["children"][3]
+    assert [child["name"] for child in scatter["children"]] == ["pipeline", "pipeline"]
+    assert {p["attributes"]["shard"] for p in scatter["children"]} == {0, 1}
+    for pipeline in scatter["children"]:
+        # the stages, in the order the pipeline laid them out, are leaves
+        assert [span.name for span in spans
+                if span.parent_span_id == pipeline["span_id"]] == STAGES
+        assert all(not stage["children"] for stage in pipeline["children"])
+    assert tree["num_spans"] == len(spans) == 7 + 2 * (1 + len(STAGES))
+    assert {span.name: set(span.attributes) for span in spans} == SPAN_KEYS
+
+
 class TestServedTracing:
     def test_sampled_query_yields_one_coherent_tree(self, dataset):
         get_recorder().reset()
-        cfg = config(num_shards=2, trace_sample_rate=1.0)
+        cfg = config(num_shards=2, scatter_mode="short-circuit", trace_sample_rate=1.0)
         with QueryServer(dataset, cfg) as server:
             client = RemoteGraphService.for_server(server, trace_sample_rate=1.0)
-            response = client.run(_query(dataset))
+            response = client.run(_query(dataset, BOTH_SHARDS))
             assert response.trace_id
             tree = client.debug_traces(trace_id=response.trace_id)["trace"]
+            spans = server.span_recorder.spans(response.trace_id)
         # the client span roots the tree; the server chain hangs beneath it
-        assert [root["name"] for root in tree["roots"]] == ["client.request"]
-        server_span = tree["roots"][0]["children"][0]
-        assert server_span["name"] == "server.request"
-        names = {child["name"] for child in server_span["children"]}
-        assert {"server.queue", "server.batch", "scatter", "merge"} <= names
-        scatter = next(c for c in server_span["children"] if c["name"] == "scatter")
-        pipelines = scatter["children"]
-        assert len(pipelines) == 2 and all(p["name"] == "pipeline" for p in pipelines)
-        stage_names = {s["name"] for s in pipelines[0]["children"]}
-        assert {"filter", "verify", "admit"} <= stage_names
+        assert_pinned_tree(tree, spans)
+
+        # one process, one clock anchor: no span starts before its parent
+        def check_starts(node):
+            for child in node["children"]:
+                assert child["start"] >= node["start"], (child["name"], node["name"])
+                check_starts(child)
+
+        check_starts(tree["roots"][0])
+
+    def test_a_failed_shard_closes_its_trace(self, dataset):
+        get_recorder().reset()
+        context = TraceContext(trace_id=new_trace_id(), span_id=new_span_id())
+        query = Query(graph=_query(dataset), metadata={TRACE_KEY: context.to_carrier()})
+
+        def broken_filter(*args, **kwargs):
+            raise RuntimeError("shard 1 cannot filter")
+
+        with ShardedGraphCacheSystem(dataset, config(num_shards=2)) as system:
+            system.shards[1].method.filter_candidates = broken_filter
+            with pytest.raises(RuntimeError):
+                system.run_query(query)
+        # the caller's carrier is back, and the scatter span was recorded
+        assert query.metadata[TRACE_KEY] == context.to_carrier()
+        spans = get_recorder().spans(context.trace_id)
+        (scatter,) = [span for span in spans if span.name == "scatter"]
+        assert scatter.parent_span_id == context.span_id
+        assert scatter.attributes["outcome"] == "error"
+        (pipeline,) = [span for span in spans if span.name == "pipeline"]
+        assert pipeline.parent_span_id == scatter.span_id
+        assert [root["name"] for root in build_tree(spans)["roots"]] == ["scatter"]
+
+    def test_a_malformed_sampled_flag_traces_nothing(self, dataset):
+        get_recorder().reset()
+        payload = QueryRequest(graph=_query(dataset)).to_wire()
+        payload["trace"] = {"trace_id": new_trace_id(), "span_id": new_span_id(),
+                            "sampled": "false"}
+        with QueryServer(dataset, config(trace_sample_rate=0.0)) as server:
+            status, body = server.serve_query(payload)
+            assert status == 200 and body.get("trace") is None
+            assert server.span_recorder.stats()["spans"] == 0
 
     def test_untracing_client_gets_a_server_originated_trace(self, dataset):
         get_recorder().reset()
@@ -324,15 +402,16 @@ class TestProcessWorkerTracing:
         loopback HTTP hop and the spans ship back inside the wire report."""
         get_recorder().reset()
         cfg = config(num_shards=2, shard_backend="process",
-                     trace_sample_rate=1.0)
+                     scatter_mode="short-circuit", trace_sample_rate=1.0)
         with QueryServer(dataset, cfg) as server:
-            client = RemoteGraphService.for_server(server)
-            response = client.run(_query(dataset))
+            client = RemoteGraphService.for_server(server, trace_sample_rate=1.0)
+            response = client.run(_query(dataset, BOTH_SHARDS))
             assert response.trace_id
             spans = server.span_recorder.spans(response.trace_id)
             tree = client.debug_traces(trace_id=response.trace_id)["trace"]
             health = client.health()
             text = client.metrics_text()
+        assert_pinned_tree(tree, spans)
         scatter = [s for s in spans if s.name == "scatter"]
         assert len(scatter) == 1
         pipelines = [s for s in spans if s.name == "pipeline"]

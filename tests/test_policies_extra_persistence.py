@@ -18,7 +18,7 @@ from repro.cache import (
     restore_cache,
     save_cache,
 )
-from repro.cache.persistence import entry_from_dict, entry_to_dict
+from repro.cache.persistence import dataset_digest, entry_from_dict, entry_to_dict
 from repro.errors import CacheError
 from repro.graph import molecule_dataset, molecule_graph
 from repro.query_model import Query, QueryType
@@ -144,21 +144,45 @@ class TestPersistence:
         assert report.dataset_tests == 0
 
     def test_restore_into_a_live_cache_reports_what_went_in(self, tmp_path):
+        dataset = molecule_dataset(6, min_vertices=8, max_vertices=10, rng=33)
         donor = GraphCache(capacity=10, window_size=1)
         donor.warm([make_entry(seed) for seed in range(5)])
         path = tmp_path / "cache.json"
-        assert save_cache(donor, path) == 5
+        # written for `dataset`, so the system below accepts it
+        assert save_cache(donor, path, digest=dataset_digest(dataset)) == 5
 
         live = GraphCache(capacity=10, window_size=1)
         assert live.warm([make_entry(seed) for seed in range(10, 19)]) == 9
         assert restore_cache(live, path) == 1  # one free slot, not five
         assert len(live) == 10
 
-        dataset = molecule_dataset(6, min_vertices=8, max_vertices=10, rng=33)
         with GraphCacheSystem(dataset, GCConfig(cache_capacity=10, window_size=1)) as system:
             system.cache.warm([make_entry(seed) for seed in range(20, 29)])
             assert system.restore_snapshot(path) == 1
             assert len(system.cache) == 10
+
+    def test_a_snapshot_restores_only_onto_its_own_dataset(self, tmp_path, caplog):
+        """Cached answers are graph ids of the dataset they were computed on:
+        restored onto another dataset they would be served as wrong answers."""
+        config = GCConfig(cache_capacity=30, window_size=1)
+        ours = molecule_dataset(40, rng=1)
+        theirs = molecule_dataset(40, rng=2)
+        queries = make_subgraph_queries(ours, 30, 5, seed=3)
+        path = tmp_path / "cache.json"
+        with GraphCacheSystem(ours, config) as system:
+            system.run_queries(queries)
+            saved = system.save_snapshot(path)
+        assert saved > 0
+        # graph order is not part of the dataset's identity
+        with GraphCacheSystem(list(reversed(ours)), config) as system:
+            assert system.restore_snapshot(path) == saved
+        with caplog.at_level("WARNING", logger="repro.runtime"):
+            with GraphCacheSystem(theirs, config) as system:
+                assert system.restore_snapshot(path) == 0
+                answers = [system.run_query(q.graph.copy()).answer for q in queries]
+        assert "not written for this dataset" in caplog.text
+        with GraphCacheSystem(theirs, GCConfig(cache_enabled=False)) as reference:
+            assert answers == [reference.run_query(q.graph.copy()).answer for q in queries]
 
     def test_malformed_snapshot_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
