@@ -286,7 +286,10 @@ class GraphCache:
         """Pre-populate the cache (used to reproduce the demo's warm cache).
 
         Entries are inserted directly (bypassing the window) up to capacity.
-        Returns the number of entries inserted.
+        The logical clock advances to the latest clock an inserted entry
+        carries, so entries admitted afterwards are newer than restored ones
+        (a snapshot keeps the clocks of the process that wrote it).  Returns
+        the number of entries inserted.
         """
         inserted = 0
         with self._lock.write_locked():
@@ -297,6 +300,9 @@ class GraphCache:
                     continue
                 self.store.add(entry)
                 inserted += 1
+                with self._clock_lock:
+                    self._clock = max(self._clock, entry.admitted_clock,
+                                      entry.stats.last_used_clock)
         return inserted
 
     # ------------------------------------------------------------------ #

@@ -12,6 +12,12 @@ abstract methods; this class mirrors them with Pythonic names:
 
 Concrete policies normally only implement :meth:`utility`; the three methods
 above have sensible default implementations driven by it.
+
+Contract: ``get_replaced_content`` depends only on the resident entries it is
+given (their order aside, since ties break on entry ids).  A replacement round
+relies on it to pick a victim once per change of the resident set instead of
+once per incoming entry: a rejected entry changes neither the residents nor
+their statistics (crediting runs outside the round), so the victim stands.
 """
 
 from __future__ import annotations
@@ -122,29 +128,34 @@ class ReplacementPolicy(abc.ABC):
         """Admit ``incoming`` entries into ``store``, evicting as necessary.
 
         Admission is *utility aware*: when the cache is full, an incoming
-        entry only displaces a resident entry whose utility is lower than the
-        incoming entry's utility — otherwise the incoming entry is rejected.
-        (A brand-new entry has whatever utility the policy assigns to its
-        fresh statistics; for the built-in policies that makes new entries
-        win against never-hit residents via recency tie-breaks.)
+        entry displaces the least useful resident (the victim) when its own
+        utility is higher, or equal and it is no older than the victim;
+        otherwise the incoming entry is rejected.  (A brand-new entry has
+        whatever utility the policy assigns to its fresh statistics; for the
+        built-in policies that makes new entries win against never-hit
+        residents via recency tie-breaks.)  The victim is picked when first
+        needed and again only after the resident set changes.
         """
         if capacity <= 0:
             raise CacheError("cache capacity must be positive")
         report = EvictionReport(capacity=capacity)
+        victim: CacheEntry | None = None
         for entry in incoming:
             if entry.entry_id in store:
                 continue
             if len(store) < capacity:
                 store.add(entry)
                 report.admitted.append(entry.entry_id)
+                victim = None
                 continue
-            residents = store.entries()
-            victim_positions = self.get_replaced_content(residents, 1)
-            if not victim_positions:
-                continue
-            victim = residents[victim_positions[0]]
+            if victim is None:
+                residents = store.entries()
+                victim_positions = self.get_replaced_content(residents, 1)
+                if not victim_positions:
+                    continue
+                victim = residents[victim_positions[0]]
+                victim_utility = self.utility(victim)
             incoming_utility = self.utility(entry)
-            victim_utility = self.utility(victim)
             should_replace = incoming_utility > victim_utility or (
                 incoming_utility == victim_utility
                 and entry.admitted_clock >= victim.admitted_clock
@@ -154,6 +165,7 @@ class ReplacementPolicy(abc.ABC):
                 store.add(entry)
                 report.evicted.append(victim.entry_id)
                 report.admitted.append(entry.entry_id)
+                victim = None
         return report
 
     def describe(self) -> dict[str, object]:

@@ -10,10 +10,17 @@ sum of the two normalised ranks, with a small recency bonus so completely
 stale entries lose ties.  Coalescing ranks rather than raw values makes the
 policy robust to the very different magnitudes of the two utility signals,
 which is exactly the "workload adaptive" behaviour the paper advertises.
+
+The ranking is a function of the residents it is given and nothing else (the
+contract replacement rounds rely on to pick a victim once per change of the
+resident set).  It sorts twice, once per signal, and takes the least
+coalesced score with ``heapq.nsmallest`` — a plain ``min`` for the one victim
+a round asks for — with entry ids breaking every tie.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Sequence
 
 from repro.cache.entry import CacheEntry
@@ -46,20 +53,15 @@ class HDPolicy(ReplacementPolicy):
         if count <= 0 or not entries:
             return []
         n = len(entries)
-        by_pin = sorted(range(n), key=lambda p: (entries[p].stats.tests_saved, entries[p].entry_id))
-        by_pinc = sorted(
-            range(n), key=lambda p: (entries[p].stats.seconds_saved, entries[p].entry_id)
-        )
-        pin_rank = {position: rank for rank, position in enumerate(by_pin)}
-        pinc_rank = {position: rank for rank, position in enumerate(by_pinc)}
-        max_clock = max((entry.stats.last_used_clock for entry in entries), default=0) or 1
-
-        def coalesced(position: int) -> float:
-            recency = entries[position].stats.last_used_clock / max_clock
-            return pin_rank[position] + pinc_rank[position] + self.recency_weight * recency
-
-        ranked = sorted(
-            range(n),
-            key=lambda position: (coalesced(position), entries[position].entry_id),
-        )
-        return ranked[: min(count, n)]
+        ids = [entry.entry_id for entry in entries]
+        by_pin = [(entry.stats.tests_saved, entry.entry_id) for entry in entries]
+        by_pinc = [(entry.stats.seconds_saved, entry.entry_id) for entry in entries]
+        clocks = [entry.stats.last_used_clock for entry in entries]
+        ranks = [0] * n
+        for keys in (by_pin, by_pinc):
+            for rank, position in enumerate(sorted(range(n), key=keys.__getitem__)):
+                ranks[position] += rank
+        max_clock = max(clocks) or 1
+        weight = self.recency_weight
+        scores = [(ranks[p] + weight * (clocks[p] / max_clock), ids[p]) for p in range(n)]
+        return heapq.nsmallest(count, range(n), key=scores.__getitem__)

@@ -12,11 +12,17 @@ for all members at once:
   query's ``(key, count)`` pairs;
 * ``contained_in`` starts from the members with no more distinct keys than
   the query (members are bucketed by that number), clears, per query key, the
-  level just *above* the query's count (members that exceed it), then checks
-  the survivors' **key bitsets** for a key the query lacks.  (The
-  set-at-a-time form of that last step, an ``|`` over every key the query
-  lacks, touches thousands of levels per query and measured slower than the
-  scan it would replace.)
+  level just *above* the query's count (members that exceed it), then
+  dismisses members holding a key the query lacks in two parts.  The
+  *common* keys a :meth:`ContainmentIndex.seal` remembered — those at least
+  one member in :data:`COMMON_SHARE` holds — are cleared in one pass: the
+  holder bitsets of those the query lacks are ``|``-ed and cleared with one
+  ``&~``; the survivors' **key bitsets** are then checked for any other key
+  the query lacks.  (Clearing *every* lacking key set-at-a-time touches
+  thousands of holder bitsets per query and measured slower than the scan;
+  the few common keys dismiss most members.)  ``add`` and ``remove`` forget
+  what a seal remembered, so a changing index (the cache store's) always
+  takes the plain scan.
 * ``equal_to`` is the same walk with both bounds: it starts from the members
   with exactly the query's number of distinct keys and, per query key, keeps
   the level *at* the query's count and clears the one above it.
@@ -41,6 +47,11 @@ from repro.graph.graph import Graph
 from repro.index.base import GraphId, estimate_object_bytes
 from repro.query_model import QueryType
 
+#: A sealed index clears, set-at-a-time, the keys that at least one member in
+#: this many holds.
+COMMON_SHARE = 16
+
+
 class ContainmentIndex:
     """Dynamic bit-sliced index over feature multisets."""
 
@@ -57,6 +68,9 @@ class ContainmentIndex:
         #: keys → bitset of the live members with exactly that many.
         self._groups: dict[Hashable, int] = {}
         self._sizes: dict[int, int] = {}
+        #: (key bit, holder bitset) of each common key: remembered by
+        #: :meth:`seal`, forgotten by any change.
+        self._common: list[tuple[int, int]] = []
 
     def __len__(self) -> int:
         return len(self._slot_of)
@@ -72,11 +86,26 @@ class ContainmentIndex:
     # ------------------------------------------------------------------ #
     # maintenance
     # ------------------------------------------------------------------ #
+    def seal(self) -> None:
+        """Remember the holder bitset of every *common* key.
+
+        A key is common when at least one live member in
+        :data:`COMMON_SHARE` holds it; ``contained_in`` clears the holders of
+        those the query lacks in one pass.  The next ``add`` or ``remove``
+        forgets them (a reused slot must not inherit stale holders).
+        """
+        live = len(self._slot_of)
+        self._common = [
+            (1 << number, levels[0]) for number, levels in enumerate(self._levels)
+            if levels and levels[0].bit_count() * COMMON_SHARE >= live
+        ]
+
     def add(self, member: Hashable, features: Mapping[Hashable, int],
             group: Hashable = None) -> None:
         """Set the member's bit in every level its feature counts reach."""
         if member in self._slot_of:
             raise IndexError_(f"member {member!r} is already indexed")
+        self._common = []
         if self._free:
             slot = self._free.pop()
         else:
@@ -108,6 +137,7 @@ class ContainmentIndex:
         slot = self._slot_of.pop(member, None)
         if slot is None:
             raise IndexError_(f"member {member!r} is not indexed")
+        self._common = []
         keep = ~(1 << slot)
         self._sizes[self._member_keys[slot].bit_count()] &= keep
         for number in _set_bits(self._member_keys[slot]):
@@ -152,6 +182,11 @@ class ContainmentIndex:
             levels = self._levels[number]
             if count < len(levels):
                 mask &= ~levels[count]
+        foreign_holders = 0
+        for key_bit, holders in self._common:
+            if not query_keys & key_bit:
+                foreign_holders |= holders
+        mask &= ~foreign_holders
         members, member_keys, foreign = self._members, self._member_keys, ~query_keys
         return {members[slot] for slot in _set_bits(mask) if not member_keys[slot] & foreign}
 
@@ -210,6 +245,7 @@ class DatasetIndex:
         for position, graph in enumerate(dataset):
             graph_id = graph.graph_id if graph.graph_id is not None else position
             self._index.add(graph_id, self.extractor.extract(graph))
+        self._index.seal()
         self._built = True
 
     def candidates(self, query: Graph, query_type: QueryType | str) -> set[GraphId]:

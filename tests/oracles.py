@@ -17,12 +17,24 @@ directed label sequences and canonicalises each distinct one once
 is the recursive enumerator it replaced, which canonicalises every path it
 finds; the two must agree key for key and count for count
 (``tests/test_path_oracle.py``).
+
+A replacement round picks its victim once per change of the resident set, and
+HD takes the least coalesced score without sorting by it.
+:func:`reference_hd_ranking` is HD's three-sort ranking and
+:func:`reference_update_cache_items` the round that re-ranks the residents for
+every incoming entry; both must choose exactly what the product chooses
+(``tests/test_policies.py``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable, Sequence
 
+from repro.cache.entry import CacheEntry
+from repro.cache.policies.base import EvictionReport, ReplacementPolicy
+from repro.cache.policies.hd import HDPolicy
+from repro.cache.store import CacheStore
 from repro.errors import BudgetExceededError
 from repro.features.base import FeatureKey
 from repro.graph.graph import Graph, VertexId
@@ -274,3 +286,65 @@ def _extend(
         _extend(graph, max_length, path, on_path, features)
         on_path.discard(neighbor)
         path.pop()
+
+
+# --------------------------------------------------------------------------- #
+# replacement: the victim references
+# --------------------------------------------------------------------------- #
+def reference_hd_ranking(policy: HDPolicy, entries: Sequence[CacheEntry], count: int) -> list[int]:
+    """HD's positions of the ``count`` least useful entries, by three sorts."""
+    if count <= 0 or not entries:
+        return []
+    n = len(entries)
+    by_pin = sorted(range(n), key=lambda p: (entries[p].stats.tests_saved, entries[p].entry_id))
+    by_pinc = sorted(
+        range(n), key=lambda p: (entries[p].stats.seconds_saved, entries[p].entry_id)
+    )
+    pin_rank = {position: rank for rank, position in enumerate(by_pin)}
+    pinc_rank = {position: rank for rank, position in enumerate(by_pinc)}
+    max_clock = max((entry.stats.last_used_clock for entry in entries), default=0) or 1
+
+    def coalesced(position: int) -> float:
+        recency = entries[position].stats.last_used_clock / max_clock
+        return pin_rank[position] + pinc_rank[position] + policy.recency_weight * recency
+
+    ranked = sorted(
+        range(n),
+        key=lambda position: (coalesced(position), entries[position].entry_id),
+    )
+    return ranked[: min(count, n)]
+
+
+def reference_update_cache_items(
+    policy: ReplacementPolicy,
+    store: CacheStore,
+    incoming: Sequence[CacheEntry],
+    capacity: int,
+    rank: Callable[[Sequence[CacheEntry], int], list[int]] | None = None,
+) -> EvictionReport:
+    """A replacement round that ranks the residents afresh for every incoming
+    entry (``rank`` defaults to the policy's own ``get_replaced_content``)."""
+    rank = rank or policy.get_replaced_content
+    report = EvictionReport(capacity=capacity)
+    for entry in incoming:
+        if entry.entry_id in store:
+            continue
+        if len(store) < capacity:
+            store.add(entry)
+            report.admitted.append(entry.entry_id)
+            continue
+        residents = store.entries()
+        victim_positions = rank(residents, 1)
+        if not victim_positions:
+            continue
+        victim = residents[victim_positions[0]]
+        incoming_utility = policy.utility(entry)
+        victim_utility = policy.utility(victim)
+        if incoming_utility > victim_utility or (
+            incoming_utility == victim_utility and entry.admitted_clock >= victim.admitted_clock
+        ):
+            store.remove(victim.entry_id)
+            store.add(entry)
+            report.evicted.append(victim.entry_id)
+            report.admitted.append(entry.entry_id)
+    return report

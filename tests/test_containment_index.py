@@ -5,7 +5,10 @@ Three groups:
 (a) property — for random multiset families and random interleavings of
     ``add`` / ``remove`` / re-``add``, ``containing`` and ``contained_in``
     equal the brute-force :meth:`FeatureExtractor.multiset_contains` answer
-    and ``equal_to`` brute-force multiset equality, group by group;
+    and ``equal_to`` brute-force multiset equality, group by group, on an
+    index sealed at random steps as on one never sealed (a seal must not
+    outlive a change: a member re-added into a freed slot is no holder of
+    what the slot's old member held);
 (b) dataset side — for every indexed Method M, ``filter_candidates`` *is* the
     brute-force definition over its feature family (multiset containment for
     ``graphgrep-sx``, hashed-position containment with the hash
@@ -58,8 +61,11 @@ KEYS = [("A",), ("B",), ("A", "A"), ("A", "B"), ("B", "B"), ("A", "B", "A")]
 #: ``("Z",)`` is a key no member ever has; counts up to 6 exceed every level.
 multisets = st.dictionaries(st.sampled_from(KEYS), st.integers(1, 4), max_size=len(KEYS))
 queries = st.dictionaries(st.sampled_from(KEYS + [("Z",)]), st.integers(1, 6), max_size=4)
+#: the last flag seals the sealed index after the step (the next step's
+#: add or remove then runs on a sealed index)
 steps = st.lists(
-    st.tuples(st.integers(0, 7), multisets, st.sampled_from(["sub", "super"]), queries),
+    st.tuples(st.integers(0, 7), multisets, st.sampled_from(["sub", "super"]), queries,
+              st.booleans()),
     max_size=25,
 )
 
@@ -68,26 +74,46 @@ class TestAgainstBruteForce:
     @RELAXED
     @given(steps=steps)
     def test_both_questions_under_add_remove_readd(self, steps):
-        index = ContainmentIndex()
+        plain, sealed = ContainmentIndex(), ContainmentIndex()
         live: dict[int, tuple[dict, str]] = {}
-        for member, features, group, query in steps:
-            if member in live:  # a second draw of a member removes it ...
-                index.remove(member)
+        for member, features, group, query, seal in steps:
+            for index in (plain, sealed):
+                if member in live:  # a second draw of a member removes it ...
+                    index.remove(member)
+                else:               # ... and a third re-adds it, into a freed slot
+                    index.add(member, features, group)
+            if member in live:
                 del live[member]
-            else:               # ... and a third re-adds it, into a freed slot
-                index.add(member, features, group)
+            else:
                 live[member] = (features, group)
-            assert index.members() == list(live)
-            assert len(index) == len(live)
-            for asked in ("sub", "super", "nobody"):
-                within = {m: f for m, (f, g) in live.items() if g == asked}
-                for question in (query, {}):
-                    assert index.containing(question, asked) == {
-                        m for m, f in within.items() if contains(f, question)}
-                    assert index.contained_in(question, asked) == {
-                        m for m, f in within.items() if contains(question, f)}
-                    assert index.equal_to(question, asked) == {
-                        m for m, f in within.items() if f == question}
+            if seal:
+                sealed.seal()
+            for index in (plain, sealed):
+                assert index.members() == list(live)
+                assert len(index) == len(live)
+                for asked in ("sub", "super", "nobody"):
+                    within = {m: f for m, (f, g) in live.items() if g == asked}
+                    for question in (query, {}):
+                        assert index.containing(question, asked) == {
+                            m for m, f in within.items() if contains(f, question)}
+                        assert index.contained_in(question, asked) == {
+                            m for m, f in within.items() if contains(question, f)}
+                        assert index.equal_to(question, asked) == {
+                            m for m, f in within.items() if f == question}
+
+    def test_a_member_readded_into_a_sealed_slot_is_not_dismissed(self):
+        index = ContainmentIndex()
+        for member in range(20):
+            index.add(member, {("A",): 1, ("B",): 1 + member % 2})
+        index.seal()  # both keys are common: every member holds them
+        assert index.contained_in({("A",): 1, ("B",): 1}) == set(range(0, 20, 2))
+        assert index.contained_in({("B",): 2}) == set()
+        index.remove(4)
+        index.add("new", {("B",): 1})  # into slot 4, which held ("A",)
+        assert index.contained_in({("B",): 1}) == {"new"}
+        index.seal()
+        assert index.contained_in({("B",): 1}) == {"new"}
+        assert index.contained_in({("A",): 1, ("B",): 1}) == (set(range(0, 20, 2)) - {4}) | {"new"}
 
     def test_empty_member_and_empty_query(self):
         index = ContainmentIndex()

@@ -46,6 +46,7 @@ from repro.graph.compiled import CompiledGraph
 from repro.graph.operations import extend_graph, random_connected_subgraph
 from repro.query_model import Query, QueryType
 from repro.runtime import GCConfig, GraphCacheSystem
+from repro.runtime.executor import QueryExecutor
 from repro.sharding import ShardSummary
 from repro.sharding.system import ShardedGraphCacheSystem
 from repro.workload import WorkloadGenerator, WorkloadMix, generate_trace
@@ -341,6 +342,9 @@ def _cache_trajectory(policy: str):
     config = GCConfig(cache_capacity=12, window_size=8, replacement_policy=policy)
     rows, screened = [], []
     with pytest.MonkeyPatch.context() as patch:
+        # HD and PINC credit seconds saved: a constant cost per dataset test
+        # makes those seconds, and so their choices, independent of timing
+        patch.setattr(QueryExecutor, "per_test_cost", lambda self, tests, seconds: 0.001)
         for name in ("sub_case_candidates", "super_case_candidates"):
             def spy(self, *args, _original=getattr(CacheStore, name), _name=name):
                 entries = _original(self, *args)
@@ -386,14 +390,19 @@ def _scatter_trajectory():
 
 class TestParentTrajectory:
     """Digests computed by running these very functions against an earlier
-    commit; they are stable across ``PYTHONHASHSEED``.  The cache digests come
-    from ``010a897``; the scatter digest from ``036d1ab``, with the
-    ``exact_shards`` plan key and the ``exact_routed_queries`` counter that
-    commit still had projected out."""
+    commit; they are stable across ``PYTHONHASHSEED``.  The LRU and PIN
+    digests come from ``010a897``; the HD and PINC digests from ``3de8004``
+    (the last commit that re-ranked the residents for every incoming entry),
+    with the same constant test cost patched in — under it PINC ranks as PIN
+    does, so their digests coincide.  The scatter digest comes from
+    ``036d1ab``, with the ``exact_shards`` plan key and the
+    ``exact_routed_queries`` counter that commit still had projected out."""
 
     @pytest.mark.parametrize("policy, parent_digest", [
         ("LRU", "0e3305a488aa9a2cda58a70dac5d5d1ecddc8a739d98e7d50629ee0afb7db1eb"),
         ("PIN", "90e693de3c66c6ce36e27f3549ef2963daa3d95d66dbbc4d3a98400139a80b25"),
+        ("HD", "e246d341bca4f243f9c7026201bf91862086d1ed8a769b4be8ed56ae6683928a"),
+        ("PINC", "90e693de3c66c6ce36e27f3549ef2963daa3d95d66dbbc4d3a98400139a80b25"),
     ])
     def test_cache_trajectory_is_the_parents(self, policy, parent_digest):
         rows, rounds = _cache_trajectory(policy)

@@ -1,8 +1,14 @@
-"""Tests for the replacement policies (LRU, POP, PIN, PINC, HD)."""
+"""Tests for the replacement policies (LRU, POP, PIN, PINC, HD), and the victim
+oracle: a round that ranks once per change of the resident set chooses what
+re-ranking for every incoming entry chose (``tests/oracles.py``)."""
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cache import (
     CacheEntry,
@@ -22,6 +28,7 @@ from repro.cache.policies.base import ReplacementPolicy
 from repro.errors import CacheError, UnknownPolicyError
 from repro.graph import molecule_graph
 from repro.query_model import QueryType
+from tests.oracles import reference_hd_ranking, reference_update_cache_items
 
 ALL_POLICIES = ["LRU", "POP", "PIN", "PINC", "HD"]
 
@@ -189,6 +196,104 @@ class TestUpdateCacheItems:
         if report.evicted:
             assert all(entry_id not in store for entry_id in report.evicted)
             assert newcomer.entry_id in store
+
+
+# --------------------------------------------------------------------------- #
+# the victim oracle: one ranking per change of the resident set chooses what
+# re-ranking for every incoming entry chose, and HD's arg-min is its three sorts
+# --------------------------------------------------------------------------- #
+RELAXED = settings(max_examples=80, deadline=None,
+                   suppress_health_check=[HealthCheck.too_slow])
+PATTERN = molecule_graph(4, rng=1)
+
+#: (tests saved, seconds saved, last used, admitted, hits) — few values, many ties
+stat_rows = st.tuples(
+    st.sampled_from([0, 0, 1, 3, 40]),
+    st.sampled_from([0.0, 0.0, 0.001, 0.25, 2.0]),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.integers(0, 3),
+)
+
+
+def stat_entry(tests: int, seconds: float, last_used: int, admitted: int,
+               hits: int) -> CacheEntry:
+    entry = CacheEntry(graph=PATTERN, query_type=QueryType.SUBGRAPH,
+                       answer=frozenset(), admitted_clock=admitted)
+    entry.stats.tests_saved = tests
+    entry.stats.seconds_saved = seconds
+    entry.stats.last_used_clock = last_used
+    entry.stats.hit_count = hits
+    return entry
+
+
+def counting(policy: ReplacementPolicy) -> list[int]:
+    """Count the policy's ``get_replaced_content`` calls from now on."""
+    calls = [0]
+    rank = policy.get_replaced_content
+
+    def counted(entries, count):
+        calls[0] += 1
+        return rank(entries, count)
+
+    policy.get_replaced_content = counted
+    return calls
+
+
+class TestVictimOracle:
+    @RELAXED
+    @given(rows=st.lists(stat_rows, min_size=1, max_size=60),
+           order=st.randoms(use_true_random=False))
+    def test_hd_ranking_is_the_three_sort_ranking(self, rows, order):
+        policy = HDPolicy()
+        for entries in ([stat_entry(*row) for row in rows],
+                        [stat_entry(0, 0.0, 0, 0, 0) for _ in rows]):
+            order.shuffle(entries)  # positions are not entry-id order
+            for count in range(1, len(entries) + 1):
+                assert (policy.get_replaced_content(entries, count)
+                        == reference_hd_ranking(policy, entries, count))
+
+    @RELAXED
+    @given(residents=st.lists(stat_rows, max_size=12),
+           incoming=st.lists(stat_rows, min_size=1, max_size=12),
+           capacity=st.integers(1, 12),
+           offer_a_resident=st.booleans(),
+           order=st.randoms(use_true_random=False))
+    def test_every_policy_evicts_what_reranking_evicts(
+            self, residents, incoming, capacity, offer_a_resident, order):
+        for name in available_policies():
+            resident_entries = [stat_entry(*row) for row in residents[:capacity]]
+            order.shuffle(resident_entries)
+            incoming_entries = [stat_entry(*row) for row in incoming]
+            if offer_a_resident and resident_entries:
+                incoming_entries.insert(1, resident_entries[0])
+            ours, reference = CacheStore(), CacheStore()
+            for entry in resident_entries:
+                ours.add(entry)
+                reference.add(entry)
+            oracle = make_policy(name)
+            rank = partial(reference_hd_ranking, oracle) if name == "HD" else None
+            expected = reference_update_cache_items(
+                oracle, reference, incoming_entries, capacity, rank)
+            policy = make_policy(name)
+            calls = counting(policy)
+            report = policy.update_cache_items(ours, incoming_entries, capacity)
+            assert report == expected, name
+            assert [e.entry_id for e in ours] == [e.entry_id for e in reference]
+            # a victim is picked at most once per change of the resident set
+            assert calls[0] <= 1 + len(report.admitted)
+
+    @pytest.mark.parametrize("name", ["LRU", "POP", "PIN", "PINC", "HD", "FIFO"])
+    def test_a_flush_that_rejects_everything_ranks_once(self, name):
+        policy = make_policy(name)
+        store = CacheStore()
+        for _ in range(5):
+            store.add(stat_entry(10, 1.0, 60, 50, 3))
+        calls = counting(policy)
+        incoming = [stat_entry(0, 0.0, 1, 1, 0) for _ in range(10)]
+        report = policy.update_cache_items(store, incoming, capacity=5)
+        assert report.admitted == report.evicted == []
+        assert calls[0] == 1
 
 
 class TestRegistry:

@@ -23,7 +23,7 @@ from repro.errors import CacheError
 from repro.graph import molecule_dataset, molecule_graph
 from repro.query_model import Query, QueryType
 from repro.runtime import GCConfig, GraphCacheSystem
-from repro.workload import Workload, run_workload
+from repro.workload import Workload, generate_trace, run_workload
 from tests.conftest import make_subgraph_queries
 
 
@@ -183,6 +183,31 @@ class TestPersistence:
         assert "not written for this dataset" in caplog.text
         with GraphCacheSystem(theirs, GCConfig(cache_enabled=False)) as reference:
             assert answers == [reference.run_query(q.graph.copy()).answer for q in queries]
+
+    @pytest.mark.parametrize("policy", ["HD", "LRU", "FIFO"])
+    def test_a_warm_restart_keeps_admitting(self, tmp_path, policy):
+        """Restored entries keep the clocks of the process that wrote them;
+        a restarted cache whose clock began at 0 again would rank every new
+        entry older than every restored one and admit nothing."""
+        dataset = molecule_dataset(30, min_vertices=8, max_vertices=14, rng=41)
+        config = GCConfig(cache_capacity=10, window_size=5, replacement_policy=policy)
+        path = tmp_path / "cache.json"
+        with GraphCacheSystem(dataset, config) as donor:
+            donor.run_queries(generate_trace(dataset, 160, seed=42))
+            assert donor.save_snapshot(path) == 10
+        fresh = list(generate_trace(dataset, 80, seed=43))
+        with GraphCacheSystem(dataset, config) as system:
+            assert system.restore_snapshot(path) == 10
+            restored = {entry.entry_id for entry in system.cache.entries()}
+            system.run_queries(fresh)
+            rounds = system.cache.eviction_reports()
+        with GraphCacheSystem(dataset, config) as cold:
+            cold.run_queries(fresh)
+            cold_admitted = sum(report.num_admitted for report in cold.cache.eviction_reports())
+        admitted = sum(report.num_admitted for report in rounds)
+        evicted = {entry_id for report in rounds for entry_id in report.evicted}
+        assert admitted >= cold_admitted // 2 > 0
+        assert evicted & restored
 
     def test_malformed_snapshot_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
