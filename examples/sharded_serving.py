@@ -3,7 +3,7 @@
 
 The sharding tour of the library:
 
-1. route a dataset across 4 size-balanced shards and inspect the routing;
+1. route a dataset across 4 shards by graph-id hash and inspect the routing;
 2. prove equivalence in-process: the sharded engine's answers are identical
    to a single unsharded system's on the same trace;
 3. serve the sharded system over HTTP through the GraphService SDK, replay
@@ -53,15 +53,14 @@ def main() -> None:
     trace = generate_trace(dataset, 120, skew="zipfian", query_type="mixed", seed=9)
 
     # 1. the router: every graph lands on exactly one shard
-    router = ShardRouter(dataset, NUM_SHARDS, "size-balanced")
+    router = ShardRouter(dataset, NUM_SHARDS)
     print(f"router: {router.describe()}")
 
     # 2. equivalence through one API: the sharded service's answers are
     #    identical to the unsharded service's on the same trace — whichever
     #    backend hosts the shards
     config = GCConfig(cache_capacity=30, window_size=5,
-                      num_shards=NUM_SHARDS, shard_policy="size-balanced",
-                      shard_backend=args.shard_backend)
+                      num_shards=NUM_SHARDS, shard_backend=args.shard_backend)
     with LocalGraphService(dataset, GCConfig(cache_capacity=30, window_size=5)) as single:
         reference = [r.answer for r in single.run_batch(clones(trace)).raise_first()]
     with LocalGraphService(dataset, config) as sharded:

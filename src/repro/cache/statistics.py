@@ -87,10 +87,6 @@ class StatisticsManager:
             raise ValueError("a statistics manager cannot be its own shard")
         self._shards[name] = manager
 
-    def shard_names(self) -> list[str]:
-        """Names of the attached per-shard managers, in attachment order."""
-        return list(self._shards)
-
     def record(self, report) -> None:
         """Fold one processed query's report into the running sums.
 

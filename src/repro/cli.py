@@ -38,6 +38,7 @@ from repro.dashboard import (
     format_table,
     policy_speedup_table,
 )
+from repro.errors import GraphCacheError
 from repro.graph import (
     load_dataset,
     load_sdf_file,
@@ -50,7 +51,7 @@ from repro.graph import (
 from repro.graph.operations import random_connected_subgraph
 from repro.methods.registry import available_methods
 from repro.runtime import GCConfig
-from repro.runtime.config import SCATTER_MODES, SHARD_BACKENDS, SHARD_POLICIES
+from repro.runtime.config import SCATTER_MODES, SHARD_BACKENDS
 from repro.server import QueryServer
 from repro.sharding import make_system
 from repro.workload import (
@@ -94,8 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--shards", type=int, default=1,
                         help="partition the dataset across N scatter-gather shards "
                              "(1 = single system)")
-    common.add_argument("--shard-policy", default="hash", choices=list(SHARD_POLICIES),
-                        help="how graphs are routed to shards")
     common.add_argument("--shard-backend", default="thread",
                         choices=list(SHARD_BACKENDS),
                         help="shard hosting: 'thread' runs shards in-process, the "
@@ -212,7 +211,6 @@ def _config_from_args(args, policy: str | None = None) -> GCConfig:
         method=args.method,
         method_options=options,
         num_shards=getattr(args, "shards", 1),
-        shard_policy=getattr(args, "shard_policy", "hash"),
         shard_backend=getattr(args, "shard_backend", "thread"),
         scatter_mode=getattr(args, "scatter", "full"),
         trace_sample_rate=getattr(args, "trace_sample_rate", 0.0),
@@ -321,8 +319,7 @@ def cmd_serve(args) -> int:
     )
     server.start()
     shard_note = (
-        f", shards={args.shards}/{args.shard_policy}"
-        f"/{args.shard_backend}" if args.shards > 1 else ""
+        f", shards={args.shards}/{args.shard_backend}" if args.shards > 1 else ""
     )
     print(f"serving {len(dataset)} graphs at {server.address} "
           f"(batch={args.batch_size}, queue={args.queue_depth}{shard_note})")
@@ -434,11 +431,21 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A library error or an I/O error (a malformed dataset file, an invalid
+    configuration, an unreachable server) is the user's to fix: it prints
+    one ``graphcache: error: ...`` line on stderr and exits 2, like a bad
+    argument does.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     handler = _COMMANDS[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except (GraphCacheError, OSError) as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via tests calling main()

@@ -1,9 +1,9 @@
 """Dashboard Manager: end-user scenarios, developer monitor and visualisation."""
 
-from repro.dashboard.ascii_viz import bar_chart, format_table, id_grid, render_adjacency, sparkline
+from repro.dashboard.ascii_viz import bar_chart, format_table, id_grid
 from repro.dashboard.developer import DeveloperMonitor
 from repro.dashboard.journey import JourneyStep, QueryJourney
-from repro.dashboard.svg import render_graph_svg, save_graph_svg
+from repro.dashboard.svg import render_graph_svg
 from repro.dashboard.workload_view import (
     WorkloadRunView,
     policy_speedup_table,
@@ -14,8 +14,6 @@ __all__ = [
     "bar_chart",
     "id_grid",
     "format_table",
-    "sparkline",
-    "render_adjacency",
     "QueryJourney",
     "JourneyStep",
     "WorkloadRunView",
@@ -23,5 +21,4 @@ __all__ = [
     "policy_speedup_table",
     "DeveloperMonitor",
     "render_graph_svg",
-    "save_graph_svg",
 ]

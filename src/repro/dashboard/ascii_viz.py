@@ -93,32 +93,3 @@ def _cell(value: object) -> str:
     if isinstance(value, float):
         return f"{value:.4g}"
     return str(value)
-
-
-def sparkline(values: Sequence[float], width: int | None = None) -> str:
-    """Compact single-line chart (used for per-query hit percentages)."""
-    if not values:
-        return ""
-    blocks = " ▁▂▃▄▅▆▇█"
-    chosen = list(values)
-    if width is not None and len(chosen) > width:
-        # down-sample by averaging buckets
-        bucket = len(chosen) / width
-        chosen = [
-            sum(chosen[int(i * bucket): max(int(i * bucket) + 1, int((i + 1) * bucket))])
-            / max(1, len(chosen[int(i * bucket): max(int(i * bucket) + 1, int((i + 1) * bucket))]))
-            for i in range(width)
-        ]
-    top = max(chosen)
-    if top <= 0:
-        return blocks[0] * len(chosen)
-    return "".join(blocks[min(8, int(round(8 * value / top)))] for value in chosen)
-
-
-def render_adjacency(graph) -> str:
-    """Small text rendering of a graph: one line per vertex with neighbours."""
-    lines = []
-    for vertex in graph.vertices():
-        neighbors = ", ".join(str(n) for n in sorted(graph.neighbors(vertex), key=repr))
-        lines.append(f"{vertex} ({graph.label(vertex)}): {neighbors}")
-    return "\n".join(lines) if lines else "(empty graph)"

@@ -9,7 +9,7 @@ numbers).
 
 from __future__ import annotations
 
-from repro.dashboard.ascii_viz import bar_chart, format_table
+from repro.dashboard.ascii_viz import format_table
 from repro.runtime.system import GraphCacheSystem
 
 
@@ -86,13 +86,6 @@ class DeveloperMonitor:
         columns = ["entry_id", "vertices", "edges", "answers", "hit_count",
                    "tests_saved", "seconds_saved", "utility"]
         return format_table(rows, columns=columns)
-
-    def render_utility_chart(self) -> str:
-        """Utility of every cached entry under the active policy."""
-        rows = self.cache_entries()
-        if not rows:
-            return "(cache is empty or disabled)"
-        return bar_chart([(f"e{row['entry_id']}", float(row["utility"])) for row in rows])
 
     def render_text(self) -> str:
         """Full developer dashboard as text."""

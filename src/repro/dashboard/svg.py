@@ -120,10 +120,3 @@ def render_graph_svg(
         )
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-def save_graph_svg(graph: Graph, path, **kwargs) -> None:
-    """Render a graph to an SVG file."""
-    from pathlib import Path
-
-    Path(path).write_text(render_graph_svg(graph, **kwargs), encoding="utf-8")

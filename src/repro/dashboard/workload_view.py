@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dashboard.ascii_viz import bar_chart, format_table, id_grid, sparkline
+from repro.dashboard.ascii_viz import bar_chart, format_table, id_grid
 from repro.workload.runner import WorkloadRunResult
 
 
@@ -29,10 +29,6 @@ class WorkloadRunView:
         if not values:
             return "(no queries)"
         return bar_chart(values, width=30)
-
-    def hit_sparkline(self) -> str:
-        """Compact single-line view of the hit percentages."""
-        return sparkline(self.result.hit_percentages)
 
     def summary_table(self) -> str:
         """Aggregate summary (hit ratio, speedups, test counts)."""

@@ -21,12 +21,7 @@ from repro.graph.generators import (
     synthetic_dataset,
 )
 from repro.graph.operations import (
-    average_degree,
-    dataset_statistics,
-    disjoint_union,
-    edge_induced_subgraph,
     extend_graph,
-    graph_density,
     random_connected_subgraph,
     shrink_graph,
 )
@@ -73,11 +68,6 @@ __all__ = [
     "random_connected_subgraph",
     "shrink_graph",
     "extend_graph",
-    "disjoint_union",
-    "edge_induced_subgraph",
-    "graph_density",
-    "average_degree",
-    "dataset_statistics",
     "canonical_code",
     "definitely_isomorphic",
     "quick_containment_screen",

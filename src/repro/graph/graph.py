@@ -7,13 +7,13 @@ into account by the matchers when present.
 
 :class:`Graph` is a small, dependency-free adjacency-set structure with the
 operations the rest of the system needs: mutation, queries, subgraph
-extraction, and conversion to/from :mod:`networkx` for cross-validation.
+extraction, copying and a JSON-friendly dictionary form.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Hashable, Iterable, Iterator, Mapping
 from typing import Any
 
@@ -113,11 +113,6 @@ class Graph:
             self._edge_labels[_edge_key(u, v)] = label
         self._compiled = None
 
-    def add_edges(self, edges: Iterable[tuple[VertexId, VertexId]]) -> None:
-        """Add many unlabelled edges at once."""
-        for u, v in edges:
-            self.add_edge(u, v)
-
     def remove_edge(self, u: VertexId, v: VertexId) -> None:
         """Remove the edge between ``u`` and ``v``; raise if absent."""
         if u not in self._adj or v not in self._adj[u]:
@@ -205,10 +200,6 @@ class Graph:
         """Return the degree of a vertex."""
         return len(self.neighbors(vertex))
 
-    def degree_sequence(self) -> list[int]:
-        """Return the sorted (descending) degree sequence."""
-        return sorted((len(adj) for adj in self._adj.values()), reverse=True)
-
     def labels(self) -> dict[VertexId, Label]:
         """Return a copy of the vertex → label mapping."""
         return dict(self._labels)
@@ -221,61 +212,9 @@ class Graph:
         """Return the set of distinct vertex labels."""
         return set(self._labels.values())
 
-    def edge_label_counts(self) -> Counter[tuple[Label, Label]]:
-        """Count edges by the (sorted) pair of endpoint labels."""
-        counts: Counter[tuple[Label, Label]] = Counter()
-        for u, v in self.edges():
-            a, b = sorted((self._labels[u], self._labels[v]))
-            counts[(a, b)] += 1
-        return counts
-
     # ------------------------------------------------------------------ #
-    # structure
+    # derived graphs
     # ------------------------------------------------------------------ #
-    def is_connected(self) -> bool:
-        """Return True for the empty graph or a single connected component."""
-        if not self._labels:
-            return True
-        return len(self._bfs_component(next(iter(self._labels)))) == self.num_vertices
-
-    def connected_components(self) -> list[set[VertexId]]:
-        """Return the vertex sets of the connected components."""
-        remaining = set(self._labels)
-        components: list[set[VertexId]] = []
-        while remaining:
-            start = next(iter(remaining))
-            component = self._bfs_component(start)
-            components.append(component)
-            remaining -= component
-        return components
-
-    def _bfs_component(self, start: VertexId) -> set[VertexId]:
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            current = queue.popleft()
-            for neighbor in self._adj[current]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    queue.append(neighbor)
-        return seen
-
-    def bfs_order(self, start: VertexId) -> list[VertexId]:
-        """Return vertices reachable from ``start`` in BFS order."""
-        if start not in self._labels:
-            raise VertexNotFoundError(start)
-        seen = {start}
-        order = [start]
-        queue = deque([start])
-        while queue:
-            current = queue.popleft()
-            for neighbor in sorted(self._adj[current], key=repr):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    order.append(neighbor)
-                    queue.append(neighbor)
-        return order
-
     def subgraph(self, vertices: Iterable[VertexId]) -> "Graph":
         """Return the induced subgraph on ``vertices`` (labels preserved)."""
         wanted = set(vertices)
@@ -348,34 +287,8 @@ class Graph:
         self._compiled = None
 
     # ------------------------------------------------------------------ #
-    # conversion
+    # serialisation
     # ------------------------------------------------------------------ #
-    def to_networkx(self):  # pragma: no cover - thin wrapper, exercised in tests
-        """Convert to a :class:`networkx.Graph` with ``label`` attributes."""
-        import networkx as nx
-
-        nx_graph = nx.Graph()
-        for vertex, label in self._labels.items():
-            nx_graph.add_node(vertex, label=label)
-        for u, v in self.edges():
-            attrs: dict[str, Any] = {}
-            edge_label = self._edge_labels.get(_edge_key(u, v))
-            if edge_label is not None:
-                attrs["label"] = edge_label
-            nx_graph.add_edge(u, v, **attrs)
-        return nx_graph
-
-    @classmethod
-    def from_networkx(cls, nx_graph, graph_id: int | str | None = None) -> "Graph":
-        """Build a :class:`Graph` from a networkx graph (``label`` attribute)."""
-        graph = cls(graph_id=graph_id)
-        for node, data in nx_graph.nodes(data=True):
-            graph.add_vertex(node, str(data.get("label", "")))
-        for u, v, data in nx_graph.edges(data=True):
-            label = data.get("label")
-            graph.add_edge(u, v, None if label is None else str(label))
-        return graph
-
     def to_dict(self) -> dict[str, Any]:
         """Serialise to a JSON friendly dictionary."""
         return {

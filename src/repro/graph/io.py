@@ -6,16 +6,18 @@ Two text formats are supported:
   of tools (``t # <id>`` / ``v <id> <label>`` / ``e <u> <v> [label]`` lines);
 * a JSON format (one dataset = a list of :meth:`Graph.to_dict` payloads).
 
-Both round-trip losslessly through :class:`repro.graph.Graph`.
+JSON round-trips every :class:`repro.graph.Graph` losslessly.  The text
+format renumbers vertices ``0..n-1`` and refuses, on write, any label or graph
+id it could not read back unchanged; whatever it writes reads back equal.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from pathlib import Path
 
-from repro.errors import GraphFormatError
+from repro.errors import GraphError, GraphFormatError
 from repro.graph.graph import Graph
 
 
@@ -42,14 +44,20 @@ def parse_transaction_text(text: str) -> list[Graph]:
                 raise GraphFormatError(f"line {line_number}: vertex before any 't' line")
             if len(parts) < 3:
                 raise GraphFormatError(f"line {line_number}: vertex line needs an id and a label")
-            current.add_vertex(_parse_scalar(parts[1]), parts[2])
+            try:
+                current.add_vertex(_parse_scalar(parts[1]), parts[2])
+            except GraphError as exc:
+                raise GraphFormatError(f"line {line_number}: {exc}") from None
         elif kind == "e":
             if current is None:
                 raise GraphFormatError(f"line {line_number}: edge before any 't' line")
             if len(parts) < 3:
                 raise GraphFormatError(f"line {line_number}: edge line needs two endpoints")
             label = parts[3] if len(parts) > 3 else None
-            current.add_edge(_parse_scalar(parts[1]), _parse_scalar(parts[2]), label)
+            try:
+                current.add_edge(_parse_scalar(parts[1]), _parse_scalar(parts[2]), label)
+            except GraphError as exc:
+                raise GraphFormatError(f"line {line_number}: {exc}") from None
         else:
             raise GraphFormatError(f"line {line_number}: unknown record type {kind!r}")
     return graphs
@@ -63,17 +71,42 @@ def _parse_scalar(token: str) -> int | str:
         return token
 
 
+def _is_token(text: object) -> bool:
+    """True when ``text`` is one non-empty whitespace-free token, read back as itself."""
+    return isinstance(text, str) and text.split() == [text]
+
+
 def format_transaction_text(graphs: Iterable[Graph]) -> str:
-    """Serialise graphs to the transaction text format."""
+    """Serialise graphs to the transaction text format.
+
+    Vertices are renumbered ``0..n-1`` in insertion order.  Raises
+    :class:`GraphFormatError` for anything the format cannot carry: an empty
+    label, or a label or graph id that would not read back as itself (one
+    containing whitespace, or a string id that parses as an int).
+    """
     lines: list[str] = []
     for index, graph in enumerate(graphs):
         graph_id = graph.graph_id if graph.graph_id is not None else index
+        token = str(graph_id)
+        if not _is_token(token) or token == "#" or _parse_scalar(token) != graph_id:
+            raise GraphFormatError(f"graph id {graph_id!r} cannot be written as one token")
         lines.append(f"t # {graph_id}")
         vertex_order = {vertex: position for position, vertex in enumerate(graph.vertices())}
         for vertex in graph.vertices():
-            lines.append(f"v {vertex_order[vertex]} {graph.label(vertex) or '_'}")
+            label = graph.label(vertex)
+            if not _is_token(label):
+                raise GraphFormatError(
+                    f"graph {graph_id!r}, vertex {vertex!r}: label {label!r} "
+                    "cannot be written as one token"
+                )
+            lines.append(f"v {vertex_order[vertex]} {label}")
         for u, v in graph.edges():
             label = graph.edge_label(u, v)
+            if label is not None and not _is_token(label):
+                raise GraphFormatError(
+                    f"graph {graph_id!r}, edge ({u!r}, {v!r}): label {label!r} "
+                    "cannot be written as one token"
+                )
             suffix = f" {label}" if label is not None else ""
             lines.append(f"e {vertex_order[u]} {vertex_order[v]}{suffix}")
     return "\n".join(lines) + ("\n" if lines else "")
@@ -111,20 +144,3 @@ def load_dataset(path: str | Path) -> list[Graph]:
         return load_json_file(path)
     return load_transaction_file(path)
 
-
-def iter_transaction_blocks(text: str) -> Iterator[str]:
-    """Yield the raw text block of each graph in a transaction file.
-
-    Useful for streaming very large files without materialising every graph.
-    """
-    block: list[str] = []
-    for raw_line in text.splitlines():
-        line = raw_line.strip()
-        if line.startswith("t"):
-            if block:
-                yield "\n".join(block)
-            block = [line]
-        elif line:
-            block.append(line)
-    if block:
-        yield "\n".join(block)

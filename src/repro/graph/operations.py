@@ -125,70 +125,3 @@ def extend_graph(
                 out.add_edge(u, v)
     return out
 
-
-def disjoint_union(first: Graph, second: Graph) -> Graph:
-    """Return the disjoint union of two graphs with vertices renumbered."""
-    out = Graph()
-    mapping_first = {vertex: index for index, vertex in enumerate(first.vertices())}
-    offset = len(mapping_first)
-    mapping_second = {vertex: offset + index for index, vertex in enumerate(second.vertices())}
-    for vertex, new_id in mapping_first.items():
-        out.add_vertex(new_id, first.label(vertex))
-    for vertex, new_id in mapping_second.items():
-        out.add_vertex(new_id, second.label(vertex))
-    for u, v in first.edges():
-        out.add_edge(mapping_first[u], mapping_first[v], first.edge_label(u, v))
-    for u, v in second.edges():
-        out.add_edge(mapping_second[u], mapping_second[v], second.edge_label(u, v))
-    return out
-
-
-def edge_induced_subgraph(graph: Graph, edges: Iterable[tuple[VertexId, VertexId]]) -> Graph:
-    """Return the subgraph made of exactly the given edges (plus endpoints)."""
-    out = Graph(graph_id=graph.graph_id)
-    for u, v in edges:
-        if not graph.has_edge(u, v):
-            raise GraphError(f"edge ({u!r}, {v!r}) is not present in the source graph")
-        for vertex in (u, v):
-            if vertex not in out:
-                out.add_vertex(vertex, graph.label(vertex))
-        out.add_edge(u, v, graph.edge_label(u, v))
-    return out
-
-
-def graph_density(graph: Graph) -> float:
-    """Return ``2|E| / (|V| (|V|-1))`` (0.0 for graphs with < 2 vertices)."""
-    n = graph.num_vertices
-    if n < 2:
-        return 0.0
-    return 2.0 * graph.num_edges / (n * (n - 1))
-
-
-def average_degree(graph: Graph) -> float:
-    """Return the average vertex degree (0.0 for the empty graph)."""
-    if graph.num_vertices == 0:
-        return 0.0
-    return 2.0 * graph.num_edges / graph.num_vertices
-
-
-def dataset_statistics(dataset: Iterable[Graph]) -> dict[str, float]:
-    """Summary statistics of a dataset (used by dashboards and reports)."""
-    graphs = list(dataset)
-    if not graphs:
-        return {
-            "num_graphs": 0,
-            "avg_vertices": 0.0,
-            "avg_edges": 0.0,
-            "avg_density": 0.0,
-            "num_labels": 0,
-        }
-    labels: set[str] = set()
-    for graph in graphs:
-        labels |= graph.label_set()
-    return {
-        "num_graphs": len(graphs),
-        "avg_vertices": sum(g.num_vertices for g in graphs) / len(graphs),
-        "avg_edges": sum(g.num_edges for g in graphs) / len(graphs),
-        "avg_density": sum(graph_density(g) for g in graphs) / len(graphs),
-        "num_labels": len(labels),
-    }

@@ -107,14 +107,6 @@ class MethodM:
         self._require_built()
         return list(self._graph_order)
 
-    def dataset_graph(self, graph_id: GraphId) -> Graph:
-        """Look up one dataset graph by id."""
-        self._require_built()
-        try:
-            return self._dataset[graph_id]
-        except KeyError:
-            raise MethodError(f"graph id {graph_id!r} is not part of the dataset") from None
-
     @property
     def dataset_size(self) -> int:
         """Number of dataset graphs."""

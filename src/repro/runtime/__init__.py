@@ -13,7 +13,6 @@ from repro.runtime.pipeline import (
     PruneStage,
     QueryPipeline,
     VerifyStage,
-    default_stages,
 )
 from repro.runtime.report import QueryReport
 from repro.runtime.system import GraphCacheSystem
@@ -34,5 +33,4 @@ __all__ = [
     "VerifyStage",
     "AssembleStage",
     "AdmitStage",
-    "default_stages",
 ]

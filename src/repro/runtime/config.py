@@ -12,10 +12,9 @@ from dataclasses import asdict, dataclass, field
 
 from repro.errors import ConfigurationError
 
-#: Valid shard routing policies (implemented in :mod:`repro.sharding.router`).
-#: Defined here — not in the sharding package — so validating a config never
-#: imports the sharding machinery (which itself depends on this module).
-SHARD_POLICIES = ("hash", "round-robin", "size-balanced")
+# The valid values of the sharding knobs are defined here — not in the
+# sharding package — so validating a config never imports the sharding
+# machinery (which itself depends on this module).
 
 #: How a sharded system scatters queries (:mod:`repro.sharding.planner`):
 #: ``full`` sends every query to every shard; ``short-circuit`` consults the
@@ -57,10 +56,6 @@ class GCConfig:
     #: and the CLI, which build a
     #: :class:`~repro.sharding.system.ShardedGraphCacheSystem`.
     num_shards: int = 1
-    #: How the :class:`~repro.sharding.router.ShardRouter` partitions the
-    #: dataset: ``hash`` (stable graph-id hash), ``round-robin`` (dataset
-    #: order) or ``size-balanced`` (greedy largest-first balancing).
-    shard_policy: str = "hash"
     #: Scatter strategy of a sharded system: ``full`` (every query to every
     #: shard) or ``short-circuit`` (the :class:`ScatterPlanner` skips shards
     #: whose :class:`ShardSummary` proves they cannot contribute answers).
@@ -69,10 +64,6 @@ class GCConfig:
     #: ``process`` (one spawned worker process per shard, v2 envelopes over
     #: loopback — CPU-bound verification scales past the GIL).
     shard_backend: str = "thread"
-    #: How many times a crashed shard worker process is replaced before the
-    #: coordinator surfaces a :class:`~repro.errors.ShardWorkerError`
-    #: (process backend only; 0 = never respawn).
-    shard_respawn_limit: int = 1
 
     # --- observability ----------------------------------------------------
     #: Fraction of served queries the server traces end to end (0.0 = off,
@@ -104,11 +95,6 @@ class GCConfig:
             )
         if self.num_shards < 1:
             raise ConfigurationError("num_shards must be at least 1")
-        if self.shard_policy not in SHARD_POLICIES:
-            raise ConfigurationError(
-                f"unknown shard_policy {self.shard_policy!r}; "
-                f"available: {', '.join(SHARD_POLICIES)}"
-            )
         if self.scatter_mode not in SCATTER_MODES:
             raise ConfigurationError(
                 f"unknown scatter_mode {self.scatter_mode!r}; "
@@ -119,8 +105,6 @@ class GCConfig:
                 f"unknown shard_backend {self.shard_backend!r}; "
                 f"available: {', '.join(SHARD_BACKENDS)}"
             )
-        if self.shard_respawn_limit < 0:
-            raise ConfigurationError("shard_respawn_limit must be non-negative")
         if not (0.0 <= self.trace_sample_rate <= 1.0):
             raise ConfigurationError("trace_sample_rate must be between 0 and 1")
         if self.slow_query_threshold_s <= 0:

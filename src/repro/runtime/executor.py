@@ -29,7 +29,7 @@ from repro.cache.statistics import StatisticsManager
 from repro.graph.graph import Graph
 from repro.methods.base import MethodM
 from repro.query_model import Query, QueryType
-from repro.runtime.pipeline import ExecutionContext, PipelineStage, QueryPipeline
+from repro.runtime.pipeline import ExecutionContext, QueryPipeline
 from repro.runtime.report import QueryReport
 
 
@@ -42,14 +42,13 @@ class QueryExecutor:
         cache: GraphCache | None,
         statistics: StatisticsManager | None = None,
         measure_baseline: bool = False,
-        stages: list[PipelineStage] | None = None,
     ) -> None:
         self.method = method
         self.cache = cache
         self.statistics = statistics or StatisticsManager()
         self.measure_baseline = measure_baseline
         self.pruner = CandidateSetPruner()
-        self.pipeline = QueryPipeline(stages)
+        self.pipeline = QueryPipeline()
         #: Running average cost of one dataset sub-iso test (seconds); used to
         #: convert saved tests into saved time when a query runs no tests.
         self._average_test_cost = 0.0

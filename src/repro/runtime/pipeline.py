@@ -4,10 +4,9 @@ The paper's Fig. 3 pipeline (filter → probe → prune → verify → assemble 
 admit) used to live inline in ``QueryExecutor.execute``.  Here each step is a
 first-class :class:`PipelineStage` operating on a shared
 :class:`ExecutionContext`, so stages are individually instrumentable (the
-pipeline records per-stage wall-clock latency into the query report),
-reorderable and pluggable (a deployment can insert, replace or drop stages).
+pipeline records per-stage wall-clock latency into the query report).
 
-The default stage order reproduces the executor's original semantics exactly:
+The stage list is fixed, in this order:
 
 ``FilterStage``   — Method M's filter produces the candidate set ``C_M``;
 ``ProbeStage``    — the cache is probed for exact/sub/super hits;
@@ -24,7 +23,6 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, field
-from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from repro.cache.graph_cache import CacheLookup
@@ -195,23 +193,18 @@ class AdmitStage(PipelineStage):
         )
 
 
-def default_stages() -> list[PipelineStage]:
-    """The canonical Fig. 3 stage order."""
-    return [
-        FilterStage(),
-        ProbeStage(),
-        PruneStage(),
-        VerifyStage(),
-        AssembleStage(),
-        AdmitStage(),
-    ]
-
-
 class QueryPipeline:
-    """An ordered sequence of stages with per-stage latency instrumentation."""
+    """The fixed Fig. 3 stage list with per-stage latency instrumentation."""
 
-    def __init__(self, stages: Sequence[PipelineStage] | None = None) -> None:
-        self.stages: list[PipelineStage] = list(stages) if stages is not None else default_stages()
+    def __init__(self) -> None:
+        self.stages: tuple[PipelineStage, ...] = (
+            FilterStage(),
+            ProbeStage(),
+            PruneStage(),
+            VerifyStage(),
+            AssembleStage(),
+            AdmitStage(),
+        )
 
     def stage_names(self) -> list[str]:
         """Names of the stages in execution order."""
@@ -242,34 +235,6 @@ class QueryPipeline:
                 ctx.report.spans += [scope.close(spans=stages), *stages]
         return ctx.report
 
-    # ------------------------------------------------------------------ #
-    # pluggability
-    # ------------------------------------------------------------------ #
-    def _index_of(self, name: str) -> int:
-        for position, stage in enumerate(self.stages):
-            if stage.name == name:
-                return position
-        raise KeyError(f"no stage named {name!r} in pipeline {self.stage_names()}")
-
-    def insert_before(self, name: str, stage: PipelineStage) -> None:
-        """Insert ``stage`` immediately before the stage called ``name``."""
-        self.stages.insert(self._index_of(name), stage)
-
-    def insert_after(self, name: str, stage: PipelineStage) -> None:
-        """Insert ``stage`` immediately after the stage called ``name``."""
-        self.stages.insert(self._index_of(name) + 1, stage)
-
-    def replace(self, name: str, stage: PipelineStage) -> PipelineStage:
-        """Swap out the stage called ``name``; returns the replaced stage."""
-        position = self._index_of(name)
-        replaced = self.stages[position]
-        self.stages[position] = stage
-        return replaced
-
-    def remove(self, name: str) -> PipelineStage:
-        """Remove and return the stage called ``name``."""
-        return self.stages.pop(self._index_of(name))
-
 
 __all__ = [
     "ExecutionContext",
@@ -281,5 +246,4 @@ __all__ = [
     "AssembleStage",
     "AdmitStage",
     "QueryPipeline",
-    "default_stages",
 ]

@@ -14,7 +14,7 @@ spawns one worker *process* per shard (:class:`ProcessShardBackend` +
 scatter-gather semantics, no shared GIL for CPU-bound verification.
 """
 
-from repro.runtime.config import SCATTER_MODES, SHARD_BACKENDS, SHARD_POLICIES
+from repro.runtime.config import SCATTER_MODES, SHARD_BACKENDS
 from repro.sharding.planner import PLAN_STAGE, ScatterPlan, ScatterPlanner, ScatterStats
 from repro.sharding.process_backend import ProcessShardBackend, ProcessShardClient
 from repro.sharding.router import ShardRouter, stable_graph_id_hash
@@ -29,7 +29,6 @@ from repro.sharding.system import (
 __all__ = [
     "SCATTER_MODES",
     "SHARD_BACKENDS",
-    "SHARD_POLICIES",
     "ProcessShardBackend",
     "ProcessShardClient",
     "ShardRouter",

@@ -37,7 +37,7 @@ unchanged.
 Worker lifecycle: spawn + ready-handshake at construction (startup errors
 travel back over the pipe), graceful drain (``/admin/shutdown`` → join →
 terminate) at close, and crash recovery in between — a request hitting a
-dead worker triggers a bounded respawn (``GCConfig.shard_respawn_limit``)
+dead worker triggers a bounded respawn (:data:`RESPAWN_LIMIT`)
 and re-issues *only the failed queries* against the cold replacement (sound:
 the cache only ever prunes guaranteed candidates, so answers are invariant
 under cache state).  A worker that stays down surfaces as a typed,
@@ -80,6 +80,10 @@ DEFAULT_STARTUP_TIMEOUT = 120.0
 #: same work an in-process shard would do, plus loopback framing).
 DEFAULT_REQUEST_TIMEOUT = 300.0
 
+#: How many times a crashed worker is replaced before the coordinator
+#: surfaces a :class:`~repro.errors.ShardWorkerError` for its shard.
+RESPAWN_LIMIT = 1
+
 
 class _WorkerHandle:
     """One live worker: its process, its port, its client."""
@@ -113,7 +117,6 @@ class ProcessShardBackend:
         self,
         partitions: Sequence[Sequence[Graph]],
         shard_config: GCConfig,
-        respawn_limit: int = 1,
         method_factory: Callable[[], MethodM] | None = None,
         startup_timeout: float = DEFAULT_STARTUP_TIMEOUT,
         request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
@@ -131,8 +134,7 @@ class ProcessShardBackend:
         self._method_factory = method_factory
         self._startup_timeout = startup_timeout
         self._request_timeout = request_timeout
-        self._respawn_limit = respawn_limit
-        self._respawns_left = [respawn_limit] * len(self._partitions)
+        self._respawns_left = [RESPAWN_LIMIT] * len(self._partitions)
         #: Workers successfully replaced after a crash (asserted by tests).
         self.respawns_performed = 0
         self._lock = threading.Lock()
@@ -259,7 +261,7 @@ class ProcessShardBackend:
                     cause=failure,
                 )
                 attempts += 1
-                if attempts > self._respawn_limit + 1:  # pragma: no cover - safety net
+                if attempts > RESPAWN_LIMIT + 1:  # pragma: no cover - safety net
                     raise ShardWorkerError(index, "worker kept failing after respawn",
                                            self.respawns_performed)
         return results
@@ -352,7 +354,7 @@ class ProcessShardBackend:
                 "alive": handle.process.is_alive(),
                 "pid": handle.process.pid,
                 "port": handle.port,
-                "respawns": self._respawn_limit - respawns_left[handle.index],
+                "respawns": RESPAWN_LIMIT - respawns_left[handle.index],
                 "respawns_left": respawns_left[handle.index],
             }
             for handle in handles

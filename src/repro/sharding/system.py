@@ -85,9 +85,7 @@ class ShardedGraphCacheSystem:
                 "a sharded system needs a method *factory* (each shard builds its "
                 "own Method M over its partition); pass a zero-argument callable"
             )
-        self.router = ShardRouter(
-            self.dataset, self.config.num_shards, self.config.shard_policy
-        )
+        self.router = ShardRouter(self.dataset, self.config.num_shards)
         shard_payload = self.config.to_dict()
         shard_payload["num_shards"] = 1  # each shard is itself unsharded
         shard_payload["shard_backend"] = "thread"  # workers host plain systems
@@ -102,7 +100,6 @@ class ShardedGraphCacheSystem:
             backend = ProcessShardBackend(
                 self.router.partitions(),
                 GCConfig.from_dict(shard_payload),
-                respawn_limit=self.config.shard_respawn_limit,
                 method_factory=method_factory,
             )
             self._process_backend = backend
@@ -450,11 +447,11 @@ class ShardedGraphCacheSystem:
     def save_snapshot(self, path: str | Path) -> int:
         """Persist every shard's cache; returns total entries written.
 
-        ``path`` receives a manifest (shard count, routing policy, file
-        names); each shard's entries land in ``<stem>-shard<i><suffix>``
-        next to it.  A restore with a different shard count or policy is
-        refused (cold start) — shard files only make sense for the exact
-        partitioning they were written under.
+        ``path`` receives a manifest (shard count, file names); each shard's
+        entries land in ``<stem>-shard<i><suffix>`` next to it.  A restore
+        with a different shard count is refused (cold start), and each shard
+        file carries its partition's dataset digest, so a file written for
+        another partition restores cold too.
         """
         base = Path(path)
         total = 0
@@ -471,7 +468,6 @@ class ShardedGraphCacheSystem:
             "format_version": SNAPSHOT_MANIFEST_VERSION,
             "sharded": True,
             "num_shards": self.num_shards,
-            "shard_policy": self.router.policy,
             "shard_files": shard_files,
             "entries": total,
         }
@@ -483,7 +479,7 @@ class ShardedGraphCacheSystem:
 
         Returns 0 (cold start) when the manifest is missing, is not a
         sharded manifest (e.g. a single-system snapshot), or was written
-        under a different shard count / routing policy.  A corrupt manifest
+        under a different shard count.  A corrupt manifest
         or shard file raises — warm-cache data is never silently dropped.
         """
         base = Path(path)
@@ -492,10 +488,7 @@ class ShardedGraphCacheSystem:
         manifest = json.loads(base.read_text(encoding="utf-8"))
         if not isinstance(manifest, dict) or not manifest.get("sharded"):
             return 0
-        if (
-            manifest.get("num_shards") != self.num_shards
-            or manifest.get("shard_policy") != self.router.policy
-        ):
+        if manifest.get("num_shards") != self.num_shards:
             return 0
         return sum(
             shard.restore_snapshot(shard_snapshot_path(base, index))

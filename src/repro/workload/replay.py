@@ -59,8 +59,8 @@ def parse_priority_mix(spec: str) -> list[tuple[int, float]]:
                 f"malformed priority mix entry {part!r}; "
                 "expected 'priority:weight' pairs like '0:0.8,10:0.2'"
             ) from None
-        if weight <= 0:
-            raise WorkloadError(f"priority mix weight must be positive: {part!r}")
+        if not 0 < weight < math.inf:  # NaN fails every comparison
+            raise WorkloadError(f"priority mix weight must be positive and finite: {part!r}")
         mix.append((priority, weight))
     if not mix:
         raise WorkloadError(f"empty priority mix {spec!r}")

@@ -11,6 +11,9 @@ kept as test oracles:
 * :class:`NetworkXMatcher` — a wrapper around networkx's ``GraphMatcher``;
   it compares vertex labels only and ignores edge labels.
 
+:func:`to_networkx` converts a :class:`Graph` for both networkx users: that
+matcher and the tests that check connectivity with ``networkx.is_connected``.
+
 The product enumerates label paths with one iterative walk that counts
 directed label sequences and canonicalises each distinct one once
 (:func:`repro.features.paths.enumerate_paths`).  :func:`reference_enumerate_paths`
@@ -186,6 +189,19 @@ class UllmannMatcher(SubgraphMatcher):
         return True
 
 
+def to_networkx(graph: Graph):
+    """A :class:`networkx.Graph` with ``label`` node (and edge) attributes."""
+    import networkx as nx
+
+    nx_graph = nx.Graph()
+    for vertex in graph.vertices():
+        nx_graph.add_node(vertex, label=graph.label(vertex))
+    for u, v in graph.edges():
+        label = graph.edge_label(u, v)
+        nx_graph.add_edge(u, v, **({} if label is None else {"label": label}))
+    return nx_graph
+
+
 class NetworkXMatcher(SubgraphMatcher):
     """Subgraph monomorphism via networkx's GraphMatcher."""
 
@@ -196,8 +212,8 @@ class NetworkXMatcher(SubgraphMatcher):
         import networkx.algorithms.isomorphism as iso
 
         return iso.GraphMatcher(
-            target.to_networkx(),
-            query.to_networkx(),
+            to_networkx(target),
+            to_networkx(query),
             node_match=iso.categorical_node_match("label", ""),
         )
 

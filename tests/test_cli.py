@@ -100,7 +100,7 @@ class TestRunCommands:
         code = main([
             "run-workload", "--dataset-size", "20", "--queries", "8",
             "--cache-capacity", "10", "--window-size", "2", "--seed", "3",
-            "--feature-size", "1", "--shards", "2", "--shard-policy", "round-robin",
+            "--feature-size", "1", "--shards", "2",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -109,9 +109,32 @@ class TestRunCommands:
         # scatter-gather merge time shows up in the stage latency table
         assert "merge" in out
 
-    def test_unknown_shard_policy_rejected(self):
+    def test_unknown_shard_policy_rejected(self, capsys):
+        # graphs are routed by graph-id hash alone: no policy to choose
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run-workload", "--shard-policy", "BOGUS"])
+            build_parser().parse_args(["run-workload", "--shard-policy", "hash"])
+        assert "unrecognized arguments: --shard-policy hash" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--cache-capacity", "0"], "cache_capacity must be at least 1"),
+            (["--shards", "0"], "num_shards must be at least 1"),
+            (["--dataset", "{bad}"], "line 3: vertex 0 already exists"),
+            (["--dataset", "{missing}"], "No such file"),
+        ],
+    )
+    def test_user_errors_print_one_line_and_exit_2(self, tmp_path, capsys, argv, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("t # 0\nv 0 C\nv 0 O\n", encoding="utf-8")
+        argv = [arg.format(bad=bad, missing=tmp_path / "missing.txt") for arg in argv]
+        code = main(["run-workload", "--dataset-size", "10", "--queries", "2", *argv])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("graphcache: error: ")
+        assert message in lines[0]
 
 
 class TestServeCommand:
@@ -165,7 +188,7 @@ class TestServeCommand:
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "shards=2/hash" in out
+        assert "shards=2/thread" in out
         assert snapshot.exists()  # the manifest
         assert (tmp_path / "snapshot-shard0.json").exists()
         assert (tmp_path / "snapshot-shard1.json").exists()
@@ -204,9 +227,10 @@ class TestLoadgenCommand:
         assert code == 0
         assert "served" in capsys.readouterr().out
 
-    def test_loadgen_fails_fast_without_server(self):
-        with pytest.raises(Exception):
-            main(["loadgen", "--port", "1", "--dataset-size", "10", "--queries", "2"])
+    def test_loadgen_fails_fast_without_server(self, capsys):
+        code = main(["loadgen", "--port", "1", "--dataset-size", "10", "--queries", "2"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("graphcache: error: ")
 
     def test_removed_loadgen_flags_are_rejected(self, capsys):
         # one client: a thread per connection, no pool to size

@@ -349,7 +349,8 @@ class TestRemovedKnobsFailLoudly:
                                        "trace_buffer_size", "min_tests_to_admit",
                                        "max_sub_hits", "max_super_hits",
                                        "cache_memory_budget_bytes", "enable_sub_case",
-                                       "enable_super_case"))
+                                       "enable_super_case", "shard_policy",
+                                       "shard_respawn_limit"))
     def test_config_rejects_the_removed_fields(self, field):
         with pytest.raises(TypeError, match=field):
             GCConfig(**{field: 2})

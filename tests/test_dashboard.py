@@ -12,11 +12,8 @@ from repro.dashboard import (
     format_table,
     id_grid,
     policy_speedup_table,
-    render_adjacency,
     render_graph_svg,
     replacement_comparison,
-    save_graph_svg,
-    sparkline,
 )
 from repro.graph import molecule_dataset, molecule_graph
 from repro.graph.operations import random_connected_subgraph
@@ -54,15 +51,6 @@ class TestAsciiPrimitives:
 
     def test_format_table_empty(self):
         assert format_table([]) == "(no rows)"
-
-    def test_sparkline_length(self):
-        assert len(sparkline([1, 2, 3, 4])) == 4
-        assert sparkline([]) == ""
-        assert len(sparkline(list(range(100)), width=20)) == 20
-
-    def test_render_adjacency(self, triangle):
-        text = render_adjacency(triangle)
-        assert "0 (C):" in text
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +109,7 @@ class TestWorkloadViews:
         text = view.render_text()
         assert "The Workload Run" in text
         assert "hit" in text.lower()
-        assert view.hit_sparkline() != ""
+        assert view.hit_percentage_chart() != "(no queries)"
 
     def test_policy_speedup_table(self, comparison):
         table = policy_speedup_table(comparison)
@@ -151,11 +139,6 @@ class TestDeveloperMonitor:
         monitor = DeveloperMonitor(system)
         assert monitor.cache_entries() == []
         assert "empty or disabled" in monitor.render_cache_table()
-        assert "empty or disabled" in monitor.render_utility_chart()
-
-    def test_utility_chart(self, demo_run):
-        _dataset, system, _report = demo_run
-        assert "e" in DeveloperMonitor(system).render_utility_chart()
 
 
 class TestSVG:
@@ -172,9 +155,3 @@ class TestSVG:
         graph = molecule_graph(5, rng=6)
         svg = render_graph_svg(graph, layout="circular")
         assert svg.count("<circle") == 5
-
-    def test_save_graph_svg(self, tmp_path):
-        graph = molecule_graph(6, rng=7)
-        path = tmp_path / "graph.svg"
-        save_graph_svg(graph, path)
-        assert path.read_text(encoding="utf-8").startswith("<svg")

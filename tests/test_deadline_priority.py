@@ -304,7 +304,7 @@ class TestServingWorkloadHelpers:
     def test_parse_priority_mix(self):
         assert parse_priority_mix("0:0.8,10:0.2") == [(0, 0.8), (10, 0.2)]
         assert parse_priority_mix("5") == [(5, 1.0)]  # weight defaults to 1
-        for bad in ("", "a:1", "1:zero", "3:-2", "2:0"):
+        for bad in ("", "a:1", "1:zero", "3:-2", "2:0", "0:nan", "0:inf", "0:-inf"):
             with pytest.raises(WorkloadError):
                 parse_priority_mix(bad)
 

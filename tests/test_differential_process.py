@@ -9,10 +9,11 @@ at one shard reproduces the cached engine's hit/miss accounting exactly (the
 full report really does survive the wire).
 
 Worker-crash fault injection lives here too: a shard worker killed
-mid-trace is respawned within ``shard_respawn_limit`` with zero dropped or
-duplicated answers, and with the budget at 0 the failure surfaces as the
-typed, retryable ``shard-worker`` error.  Partitions travel to workers as
-pickled graphs: a worker, first or respawned, holds exactly its partition.
+mid-trace is respawned (once: ``process_backend.RESPAWN_LIMIT``) with zero
+dropped or duplicated answers, and once that budget is spent the failure
+surfaces as the typed, retryable ``shard-worker`` error.  Partitions travel
+to workers as pickled graphs: a worker, first or respawned, holds exactly
+its partition.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class _DatasetEcho(DirectSIMethod):
 
     def describe(self) -> dict:
         description = super().describe()
-        description["dataset"] = [self.dataset_graph(graph_id).to_dict()
+        description["dataset"] = [self._dataset[graph_id].to_dict()
                                   for graph_id in self.graph_ids()]
         return description
 
@@ -180,8 +181,7 @@ class TestWorkerDataset:
             mixed.add_edge(u, v, label)
         partition = [*dataset[:4], mixed]
         partition[0].compiled().plan()  # a compiled form never travels
-        backend = ProcessShardBackend([partition], GCConfig(), respawn_limit=1,
-                                      method_factory=dataset_echo)
+        backend = ProcessShardBackend([partition], GCConfig(), method_factory=dataset_echo)
         try:
             self.assert_holds(backend, partition)
             victim = backend._handles[0].process
@@ -224,7 +224,7 @@ class TestWorkerCrashRecovery:
         respawn it within budget and the full answer list must still match
         direct execution — nothing dropped, nothing duplicated."""
         config = GCConfig(cache_capacity=25, window_size=5, num_shards=2,
-                          shard_backend="process", shard_respawn_limit=1)
+                          shard_backend="process")
         queries = clone_queries(workload)
         half = len(queries) // 2
         with ShardedGraphCacheSystem(dataset, config) as system:
@@ -244,7 +244,7 @@ class TestWorkerCrashRecovery:
         """A dead worker fails many in-flight envelopes at once; only one
         respawn may be spent and only the failed queries re-issued."""
         config = GCConfig(cache_capacity=25, window_size=5, num_shards=2,
-                          shard_backend="process", shard_respawn_limit=1)
+                          shard_backend="process")
         queries = clone_queries(workload)[:40]
         with ShardedGraphCacheSystem(dataset, config) as system:
             victim = system._process_backend._handles[1].process
@@ -258,12 +258,18 @@ class TestWorkerCrashRecovery:
     def test_exhausted_respawn_budget_surfaces_typed_retryable_error(self, dataset,
                                                                      workload):
         config = GCConfig(cache_capacity=25, window_size=5, num_shards=2,
-                          shard_backend="process", shard_respawn_limit=0)
+                          shard_backend="process")
         queries = clone_queries(workload)[:5]
         with ShardedGraphCacheSystem(dataset, config) as system:
-            victim = system._process_backend._handles[0].process
-            victim.terminate()
-            victim.join(timeout=10)
+            backend = system._process_backend
+            first = backend._handles[0].process
+            first.terminate()
+            first.join(timeout=10)
+            system.run_queries(queries)  # the first crash spends the one respawn
+            assert backend.respawns_performed == 1
+            replacement = backend._handles[0].process
+            replacement.terminate()
+            replacement.join(timeout=10)
             with pytest.raises(ShardWorkerError) as excinfo:
                 system.run_queries(queries)
         assert excinfo.value.shard == 0

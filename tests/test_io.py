@@ -5,10 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import GraphFormatError
-from repro.graph import molecule_dataset
+from repro.graph import Graph, molecule_dataset
 from repro.graph.io import (
     format_transaction_text,
-    iter_transaction_blocks,
     load_dataset,
     load_json_file,
     load_transaction_file,
@@ -117,9 +116,48 @@ class TestRoundTrips:
         assert parse_transaction_text("") == []
 
 
-class TestStreaming:
-    def test_iter_transaction_blocks(self):
-        blocks = list(iter_transaction_blocks(SAMPLE))
-        assert len(blocks) == 2
-        assert blocks[0].startswith("t # 0")
-        assert "e 0 1" in blocks[1]
+class TestTextFormatIsLossless:
+    """The text format writes only what reads back unchanged."""
+
+    @staticmethod
+    def graph(graph_id="g", vertex_label="C", edge_label=None):
+        graph = Graph(graph_id=graph_id)
+        graph.add_vertex("a", "C")
+        graph.add_vertex("b", vertex_label)
+        graph.add_edge("a", "b", edge_label)
+        return graph
+
+    def test_what_it_writes_reads_back_equal(self):
+        graphs = [self.graph("mol-1", "_", "double"), self.graph(7, "N"), self.graph("x")]
+        back = parse_transaction_text(format_transaction_text(graphs))
+        for original, restored in zip(graphs, back):
+            assert restored.graph_id == original.graph_id
+            assert restored.structural_equal(original.relabel_vertices())
+
+    @pytest.mark.parametrize(
+        "kwargs, fragment",
+        [
+            ({"vertex_label": ""}, "vertex 'b'"),  # was written as '_'
+            ({"vertex_label": "aromatic C"}, "vertex 'b'"),
+            ({"edge_label": ""}, "edge"),  # was read back unlabelled
+            ({"edge_label": "single bond"}, "edge"),
+            ({"graph_id": "mol 1"}, "'mol 1'"),
+            ({"graph_id": "7"}, "'7'"),  # would read back as the int 7
+        ],
+    )
+    def test_write_refuses_what_it_cannot_carry(self, kwargs, fragment):
+        with pytest.raises(GraphFormatError) as excinfo:
+            format_transaction_text([self.graph(**kwargs)])
+        assert fragment in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "t # 0\nv 0 C\nv 0 O\n",  # repeated vertex
+            "t # 0\nv 0 C\ne 0 1\n",  # edge to an undeclared vertex
+            "t # 0\nv 0 C\ne 0 0\n",  # self loop
+        ],
+    )
+    def test_bad_records_name_their_line(self, text):
+        with pytest.raises(GraphFormatError, match="^line 3: "):
+            parse_transaction_text(text)

@@ -32,7 +32,7 @@ from repro.graph.operations import random_connected_subgraph
 from repro.isomorphism import VF2Matcher
 from repro.isomorphism.base import MatchStats
 from repro.isomorphism.vf2 import _search
-from tests.oracles import UllmannMatcher
+from tests.oracles import UllmannMatcher, to_networkx
 
 LABELS = ["A", "B"]
 EDGE_LABELS = [None, None, "s", "d"]
@@ -100,7 +100,7 @@ def networkx_matcher(query: Graph, target: Graph) -> iso.GraphMatcher:
         return wanted is None or target_attrs.get("label") == wanted
 
     return iso.GraphMatcher(
-        target.to_networkx(), query.to_networkx(),
+        to_networkx(target), to_networkx(query),
         node_match=iso.categorical_node_match("label", ""), edge_match=edge_match,
     )
 

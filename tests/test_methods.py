@@ -156,13 +156,6 @@ class TestVerifierPluggability:
         method.execute(query, "subgraph")
         assert method.verifier.tally.tests == len(dataset)
 
-    def test_dataset_graph_lookup(self, dataset):
-        method = DirectSIMethod()
-        method.build(dataset)
-        assert method.dataset_graph(dataset[0].graph_id) is dataset[0]
-        with pytest.raises(MethodError):
-            method.dataset_graph("missing")
-
 
 class TestRegistry:
     def test_builtins_available(self):

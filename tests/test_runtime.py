@@ -34,7 +34,7 @@ class TestGCConfig:
             {"trace_sample_rate": 1.5},
             {"shard_backend": "fork"},
             {"shard_backend": "threads"},
-            {"shard_respawn_limit": -1},
+            {"scatter_mode": "sideways"},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -49,10 +49,10 @@ class TestGCConfig:
         assert "thread" in message and "process" in message
 
     def test_shard_backend_round_trips(self):
-        config = GCConfig(num_shards=2, shard_backend="process", shard_respawn_limit=3)
+        config = GCConfig(num_shards=2, shard_backend="process", scatter_mode="short-circuit")
         restored = GCConfig.from_dict(config.to_dict())
         assert restored.shard_backend == "process"
-        assert restored.shard_respawn_limit == 3
+        assert restored == config
         restored.validate()
 
 
