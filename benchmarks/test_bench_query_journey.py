@@ -87,7 +87,7 @@ def test_bench_query_journey(benchmark):
         f"cached queries          : {CACHE_SIZE}",
         f"sub-case hits (H)       : {len(report.sub_hit_entries)}",
         f"super-case hits (H')    : {len(report.super_hit_entries)}",
-        f"Method M candidates C_M : {len(report.method_candidates)}",
+        f"Method M candidates C_M : {report.baseline_tests}",
         f"guaranteed answers S    : {len(report.guaranteed_answers)}",
         f"guaranteed non-answers S': {len(report.guaranteed_non_answers)}",
         f"GC candidates C         : {len(report.verified_candidates)}",

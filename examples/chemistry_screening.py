@@ -61,7 +61,7 @@ def main() -> None:
             "pattern": name,
             "|V|": pattern.num_vertices,
             "hits in library": len(report.answer),
-            "C_M": len(report.method_candidates),
+            "C_M": report.baseline_tests,
             "verified": len(report.verified_candidates),
             "cache hits": report.num_hits,
         })

@@ -50,7 +50,7 @@ def main() -> None:
             {
                 "query": name,
                 "answers": len(report.answer),
-                "C_M": len(report.method_candidates),
+                "C_M": report.baseline_tests,
                 "verified": len(report.verified_candidates),
                 "sub hits": len(report.sub_hit_entries),
                 "super hits": len(report.super_hit_entries),

@@ -54,7 +54,7 @@ def main() -> None:
                 "step": f"refinement {step}" if step else "broad pattern",
                 "|V|": pattern.num_vertices,
                 "answers": len(report.answer),
-                "C_M": len(report.method_candidates),
+                "C_M": report.baseline_tests,
                 "verified": len(report.verified_candidates),
                 "super hits": len(report.super_hit_entries),
                 "tests saved": report.tests_saved,

@@ -67,6 +67,9 @@ class CacheEntry:
     #: query was originally executed; PINC uses it to translate saved tests
     #: into saved seconds for queries that were answered purely from cache.
     observed_test_cost: float = 0.0
+    #: ``|C_M|`` when this query was executed: the dataset tests an exact hit
+    #: on the entry saves, credited without running Method M's filter.
+    baseline_tests: int = 0
     stats: EntryStatistics = field(default_factory=EntryStatistics)
 
     def __post_init__(self) -> None:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.cache.entry import CacheEntry
@@ -45,7 +46,6 @@ from repro.cache.policies.registry import make_policy
 from repro.cache.store import CACHE_FEATURE_LENGTH, CacheStore
 from repro.errors import CacheCapacityError, ConfigurationError
 from repro.features.paths import path_features
-from repro.graph.canonical import definitely_isomorphic
 from repro.graph.graph import Graph
 from repro.index.base import GraphId
 from repro.isomorphism.vf2 import VF2Matcher
@@ -65,11 +65,6 @@ class CacheLookup:
     screened_sub_candidates: int = 0
     screened_super_candidates: int = 0
 
-    @property
-    def any_hit(self) -> bool:
-        """True when the lookup produced at least one usable hit."""
-        return bool(self.exact_entry or self.sub_hits or self.super_hits)
-
 
 def _smallest_first(entry: CacheEntry) -> tuple[int, int, int]:
     return entry.num_vertices, entry.num_edges, entry.entry_id
@@ -77,6 +72,11 @@ def _smallest_first(entry: CacheEntry) -> tuple[int, int, int]:
 
 def _largest_first(entry: CacheEntry) -> tuple[int, int, int]:
     return -entry.num_vertices, -entry.num_edges, entry.entry_id
+
+
+def _edge_label_counts(graph: Graph) -> Counter:
+    """The multiset of a graph's edge labels; unlabelled edges are not counted."""
+    return Counter((graph.compiled().edge_labels or {}).values())
 
 
 class GraphCache:
@@ -145,18 +145,23 @@ class GraphCache:
         graph = query.graph
         features = path_features(graph, CACHE_FEATURE_LENGTH)
 
-        # exact match first: a confirmed exact hit answers the query outright
+        # exact match first: a confirmed exact hit answers the query outright.
+        # Equal label-path multisets mean equal vertex and edge counts, so an
+        # embedding is a bijection on vertices and on edges.  The kernel reads
+        # an unlabelled pattern edge as a wildcard; with equal edge-label
+        # multisets too, each label's edges map onto that label's edges and
+        # the unlabelled ones onto the unlabelled ones, so the embedding is
+        # an isomorphism: one probe test decides each candidate.
+        start = time.perf_counter()
         for entry in self.store.exact_candidates(features, query.query_type):
-            decided = definitely_isomorphic(graph, entry.graph)
-            if decided is None:
-                # equal multisets mean equal sizes, so containment is isomorphism
-                lookup.probe_tests += 1
-                decided = self._matcher.is_subgraph(graph, entry.graph)
-            if decided:
+            lookup.probe_tests += 1
+            if (_edge_label_counts(entry.graph) == _edge_label_counts(graph)
+                    and self._matcher.is_subgraph(graph, entry.graph)):
                 lookup.exact_entry = entry
-                return lookup
+                break
+        lookup.probe_seconds = time.perf_counter() - start
 
-        if not self.semantic_hits:
+        if lookup.exact_entry is not None or not self.semantic_hits:
             return lookup
         sub_candidates = self.store.sub_case_candidates(graph, features, query.query_type)
         super_candidates = self.store.super_case_candidates(graph, features, query.query_type)
@@ -240,13 +245,15 @@ class GraphCache:
         answer: set[GraphId],
         observed_test_cost: float,
         clock: int | None = None,
+        baseline_tests: int = 0,
     ) -> EvictionReport | None:
         """Offer an executed query for admission through the window.
 
-        Returns the eviction report when this offer filled the window (i.e.
-        the replacement policy ran, on the calling thread), otherwise ``None``.
-        The entry keeps ``query.graph`` by reference: editing that graph
-        afterwards is unsupported.
+        ``baseline_tests`` is the query's ``|C_M|``, which an exact hit on
+        the entry will credit.  Returns the eviction report when this offer
+        filled the window (i.e. the replacement policy ran, on the calling
+        thread), otherwise ``None``.  The entry keeps ``query.graph`` by
+        reference: editing that graph afterwards is unsupported.
         """
         clock = self._clock if clock is None else clock
         entry = CacheEntry(
@@ -255,6 +262,7 @@ class GraphCache:
             answer=frozenset(answer),
             admitted_clock=clock,
             observed_test_cost=observed_test_cost,
+            baseline_tests=baseline_tests,
         )
         entry.stats.last_used_clock = clock
         return self.apply_offer(entry)

@@ -35,18 +35,12 @@ from repro.query_model import QueryType
 class PruningResult:
     """The Query Journey quantities for one query."""
 
-    method_candidates: set[GraphId] = field(default_factory=set)   # C_M
     guaranteed_answers: set[GraphId] = field(default_factory=set)  # S
     guaranteed_non_answers: set[GraphId] = field(default_factory=set)  # S'
     remaining_candidates: set[GraphId] = field(default_factory=set)    # C
     #: Per-hit individual contribution (entry_id → number of dataset tests
     #: that hit would save on its own); used to credit utilities.
     per_hit_savings: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def tests_saved(self) -> int:
-        """Dataset sub-iso tests avoided thanks to the cache."""
-        return len(self.method_candidates) - len(self.remaining_candidates)
 
 
 class CandidateSetPruner:
@@ -66,7 +60,7 @@ class CandidateSetPruner:
         else:
             guarantee_hits, prune_hits = super_hits, sub_hits
 
-        result = PruningResult(method_candidates=set(method_candidates))
+        result = PruningResult()
 
         # S: union of answer sets of the guarantee-direction hits
         for entry in guarantee_hits:
@@ -96,16 +90,16 @@ class CandidateSetPruner:
             )
         return result
 
-    def exact_hit_result(
-        self, method_candidates: set[GraphId], entry: CacheEntry
-    ) -> PruningResult:
-        """Pruning result for an exact-match hit: nothing is verified."""
-        answer = set(entry.answer)
-        result = PruningResult(
-            method_candidates=set(method_candidates),
-            guaranteed_answers=answer,
-            guaranteed_non_answers=set(method_candidates) - answer,
-            remaining_candidates=set(),
-        )
-        result.per_hit_savings[entry.entry_id] = len(method_candidates)
+    def exact_hit_result(self, entry: CacheEntry) -> PruningResult:
+        """Pruning result for an exact-match hit: the entry's answer is ``S``.
+
+        Method M's filter does not run, so there is no ``C_M`` and no ``S'``
+        and nothing is verified.  The hit saves the ``|C_M|`` the entry
+        recorded at admission (``baseline_tests``): the dataset is immutable
+        and isomorphic queries get equal candidate sets.  With no filter time
+        to add, the query's ``baseline_seconds`` estimate is that count times
+        the average test cost.
+        """
+        result = PruningResult(guaranteed_answers=set(entry.answer))
+        result.per_hit_savings[entry.entry_id] = entry.baseline_tests
         return result

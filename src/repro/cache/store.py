@@ -19,9 +19,10 @@ The multisets are read from the graphs' remembered analysis
 (:func:`~repro.features.paths.path_features`), a restriction of what the
 dataset filter already enumerated for the query.  Screening must never reject
 a true hit — the same no-false-dismissal contract as the dataset filter — and
-:meth:`GraphCache.lookup` confirms every candidate (canonical codes for exact
-candidates, a sub-iso probe test for the others).  An entry is removed by id,
-never re-derived from its graph.
+:meth:`GraphCache.lookup` confirms every candidate with one sub-iso probe
+test (for an exact candidate, of equal size and with equal edge labels, that
+test decides isomorphism).
+An entry is removed by id, never re-derived from its graph.
 """
 
 from __future__ import annotations
@@ -33,13 +34,20 @@ from repro.cache.entry import CacheEntry
 from repro.errors import CacheError
 from repro.features.base import FeatureKey
 from repro.features.paths import path_features
-from repro.graph.canonical import quick_containment_screen
 from repro.graph.graph import Graph
 from repro.index.containment import ContainmentIndex
 from repro.query_model import QueryType
 
 #: Longest label path (in edges) the cached queries are indexed by.
 CACHE_FEATURE_LENGTH = 2
+
+
+def _may_contain(pattern: Graph, host: Graph) -> bool:
+    """Cheap necessary conditions for ``pattern ⊆ host``: vertex and edge
+    counts, then per-label degrees (whose degree-0 row is the label multiset)."""
+    return (pattern.num_vertices <= host.num_vertices
+            and pattern.num_edges <= host.num_edges
+            and pattern.compiled().degree_profile_fits(host.compiled()))
 
 
 class CacheStore:
@@ -100,7 +108,7 @@ class CacheStore:
         screened = self._index.containing(features, group=query_type)
         return [
             entry for entry in self._oldest_first(screened)
-            if quick_containment_screen(query_graph, entry.graph)
+            if _may_contain(query_graph, entry.graph)
         ]
 
     def super_case_candidates(
@@ -110,7 +118,7 @@ class CacheStore:
         screened = self._index.contained_in(features, group=query_type)
         return [
             entry for entry in self._oldest_first(screened)
-            if quick_containment_screen(entry.graph, query_graph)
+            if _may_contain(entry.graph, query_graph)
         ]
 
     def _oldest_first(self, screened: set[int]) -> list[CacheEntry]:

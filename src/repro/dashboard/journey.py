@@ -66,6 +66,10 @@ class QueryJourney:
             if kind == "subgraph"
             else "Cached queries contained in the new query (super case; guaranteed answers)."
         )
+        method_desc = ("Data graphs Method M would verify with sub-iso tests "
+                       f"({report.baseline_tests} graphs)." if report.exact_hit_entry is None
+                       else "Exact hit: Method M's filter did not run; the cached query "
+                            f"counted {report.baseline_tests} candidates when it was admitted.")
         return [
             JourneyStep(
                 key="H",
@@ -77,10 +81,7 @@ class QueryJourney:
             JourneyStep(
                 key="C_M",
                 title="Candidate Set of Method M",
-                description=(
-                    "Data graphs Method M would verify with sub-iso tests "
-                    f"({len(report.method_candidates)} graphs)."
-                ),
+                description=method_desc,
                 highlighted=sorted(report.method_candidates, key=repr),
                 universe=self.dataset_ids,
             ),
@@ -116,7 +117,7 @@ class QueryJourney:
                 title="Candidate Set of GC",
                 description=(
                     f"Candidates GC still has to verify: {len(report.verified_candidates)} "
-                    f"instead of {len(report.method_candidates)}."
+                    f"instead of {report.baseline_tests}."
                 ),
                 highlighted=sorted(report.verified_candidates, key=repr),
                 universe=self.dataset_ids,
@@ -143,7 +144,7 @@ class QueryJourney:
     def speedup_summary(self) -> str:
         """The closing line of the journey (e.g. "75/43 = 1.74x")."""
         report = self.report
-        baseline = len(report.method_candidates)
+        baseline = report.baseline_tests
         reduced = len(report.verified_candidates)
         if reduced == 0:
             ratio = "∞" if baseline > 0 else "1.00"

@@ -13,8 +13,7 @@ occurrence by occurrence.  Enumeration is complete (all neighbour subsets up
 to ``max_leaves``), which keeps the multiset argument exact.
 
 Maximal-BFS-tree encodings (as used for graph *identity* hashing) are **not**
-monotone and are deliberately not offered here; see ``graph.canonical`` for
-those.
+monotone and are deliberately not offered here.
 """
 
 from __future__ import annotations

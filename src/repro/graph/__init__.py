@@ -1,4 +1,4 @@
-"""Graph substrate: labelled undirected graphs, generators, I/O and hashing."""
+"""Graph substrate: labelled undirected graphs, their compiled form, generators and I/O."""
 
 from repro.graph.graph import (
     Graph,
@@ -24,11 +24,6 @@ from repro.graph.operations import (
     extend_graph,
     random_connected_subgraph,
     shrink_graph,
-)
-from repro.graph.canonical import (
-    canonical_code,
-    definitely_isomorphic,
-    quick_containment_screen,
 )
 from repro.graph.io import (
     format_transaction_text,
@@ -68,9 +63,6 @@ __all__ = [
     "random_connected_subgraph",
     "shrink_graph",
     "extend_graph",
-    "canonical_code",
-    "definitely_isomorphic",
-    "quick_containment_screen",
     "parse_transaction_text",
     "format_transaction_text",
     "load_transaction_file",

@@ -12,8 +12,8 @@ bitset, so intersecting candidate sets is ``&`` and counting is
 The compiled form is derived data.  ``Graph.compiled()`` builds it on first
 use and every ``Graph`` mutator drops it; it is never copied, pickled or
 serialised.  It is immutable apart from its memo slots — everything else the
-system derives from a graph used as a *pattern*: the match plan, the
-canonical code and the label-path features.  Each is filled by one attribute
+system derives from a graph used as a *pattern*: the match plan and the
+label-path features.  Each is filled by one attribute
 store (the label paths: one item store per length) of a finished value that
 no reader mutates, so threads sharing a graph can at worst compute the same
 value twice.
@@ -48,9 +48,6 @@ class CompiledGraph:
     edge_labels:
         ``(i, j)`` with ``i < j`` → edge label, or ``None`` when the graph has
         no labelled edge.
-    canonical:
-        memo owned by ``repro.graph.canonical``; a 1-tuple, because the code
-        inside it may itself be ``None`` (graph too large).
     paths:
         ``max_length → multiset`` memo owned by ``repro.features.paths``:
         the label paths enumerated at the longest length asked for so far
@@ -59,7 +56,7 @@ class CompiledGraph:
 
     __slots__ = (
         "adj_bits", "label_bits", "degree_at_least", "edge_labels",
-        "canonical", "paths", "_plan",
+        "paths", "_plan",
     )
 
     def __init__(
@@ -94,7 +91,6 @@ class CompiledGraph:
             self.edge_labels = {
                 _dense_edge(index[u], index[v]): label for (u, v), label in edge_labels.items()
             }
-        self.canonical: tuple[str | None] | None = None
         self.paths: dict[int, Counter] | None = None
         self._plan: MatchPlan | None = None
 

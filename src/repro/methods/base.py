@@ -61,6 +61,8 @@ class MethodM:
     """
 
     name: str = "abstract"
+    #: Longest label path (in edges) the filter reads off a query (0: none).
+    path_length: int = 0
 
     def __init__(self, verifier: SubgraphMatcher | None = None) -> None:
         self.verifier = CountingMatcher(verifier or VF2Matcher())

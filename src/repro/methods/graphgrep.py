@@ -27,6 +27,10 @@ class GraphGrepSXMethod(MethodM):
         super().__init__(verifier=verifier)
         self.feature_size = feature_size
 
+    @property
+    def path_length(self) -> int:
+        return self.feature_size
+
     def _extractor(self) -> PathFeatureExtractor:
         return PathFeatureExtractor(max_length=self.feature_size)
 

@@ -3,8 +3,9 @@
 Each query flows through the staged pipeline of
 :mod:`repro.runtime.pipeline` (the paper's Fig. 3 dataflow):
 
-1. ``FilterStage``   — Method M's filter yields the candidate set ``C_M``;
-2. ``ProbeStage``    — the cache is probed (exact / sub case / super case);
+1. ``ProbeStage``    — the cache is probed (exact / sub case / super case);
+2. ``FilterStage``   — Method M's filter yields the candidate set ``C_M``
+   (skipped on an exact hit, which the cache answers outright);
 3. ``PruneStage``    — hits prune ``C_M`` into ``S``, ``S'`` and ``C``;
 4. ``VerifyStage``   — only ``C`` is verified with sub-iso tests → ``R``;
 5. ``AssembleStage`` — the answer ``A = R ∪ S`` is assembled;

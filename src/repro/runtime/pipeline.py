@@ -1,16 +1,17 @@
 """The staged query pipeline: GC's per-query dataflow as explicit stages.
 
-The paper's Fig. 3 pipeline (filter → probe → prune → verify → assemble →
-admit) used to live inline in ``QueryExecutor.execute``.  Here each step is a
-first-class :class:`PipelineStage` operating on a shared
+The paper's Fig. 3 pipeline is a fixed list of first-class
+:class:`PipelineStage` objects operating on a shared
 :class:`ExecutionContext`, so stages are individually instrumentable (the
 pipeline records per-stage wall-clock latency into the query report).
 
 The stage list is fixed, in this order:
 
-``FilterStage``   — Method M's filter produces the candidate set ``C_M``;
 ``ProbeStage``    — the cache is probed for exact/sub/super hits;
-``PruneStage``    — hits prune ``C_M`` into ``S``, ``S'`` and ``C``;
+``FilterStage``   — Method M's filter produces the candidate set ``C_M``,
+                    unless an exact hit already answers the query;
+``PruneStage``    — hits prune ``C_M`` into ``S``, ``S'`` and ``C`` (an
+                    exact hit's answer is ``S``, with nothing to verify);
 ``VerifyStage``   — the surviving candidates ``C`` are sub-iso tested;
 ``AssembleStage`` — the answer ``A = R ∪ S`` is assembled and timed;
 ``AdmitStage``    — contributing entries are credited and the executed query
@@ -27,6 +28,8 @@ from typing import TYPE_CHECKING
 
 from repro.cache.graph_cache import CacheLookup
 from repro.cache.pruner import PruningResult
+from repro.cache.store import CACHE_FEATURE_LENGTH
+from repro.features.paths import path_features
 from repro.index.base import graph_id_sort_key
 from repro.methods.base import VerificationOutcome
 from repro.obs.recorder import SpanScope
@@ -80,21 +83,13 @@ class PipelineStage(abc.ABC):
         """Advance the context through this stage."""
 
 
-class FilterStage(PipelineStage):
-    """Run Method M's filter to obtain the candidate set ``C_M``."""
-
-    name = "filter"
-
-    def run(self, ctx: ExecutionContext) -> None:
-        filter_start = time.perf_counter()
-        candidates = ctx.method.filter_candidates(ctx.query.graph, ctx.query.query_type)
-        ctx.report.filter_seconds = time.perf_counter() - filter_start
-        ctx.report.method_candidates = set(candidates)
-        ctx.report.baseline_tests = len(candidates)
-
-
 class ProbeStage(PipelineStage):
-    """Probe the cache for exact, sub-case and super-case hits."""
+    """Probe the cache for exact, sub-case and super-case hits.
+
+    The probe runs before the filter, so it enumerates the query's label
+    paths at the longest length either asks for: a miss's filter then reads
+    the remembered multiset instead of enumerating again.
+    """
 
     name = "probe"
 
@@ -102,6 +97,7 @@ class ProbeStage(PipelineStage):
         if ctx.cache is None:
             ctx.clock = 0
             return
+        path_features(ctx.query.graph, max(CACHE_FEATURE_LENGTH, ctx.method.path_length))
         ctx.report.cache_population = len(ctx.cache)
         ctx.clock = ctx.cache.tick()
         lookup = ctx.cache.lookup(ctx.query)
@@ -112,6 +108,26 @@ class ProbeStage(PipelineStage):
         ctx.report.super_hit_entries = [entry.entry_id for entry in lookup.super_hits]
         if lookup.exact_entry is not None:
             ctx.report.exact_hit_entry = lookup.exact_entry.entry_id
+            ctx.report.baseline_tests = lookup.exact_entry.baseline_tests
+
+
+class FilterStage(PipelineStage):
+    """Run Method M's filter to obtain the candidate set ``C_M``.
+
+    A confirmed exact hit skips it: the cache already holds the answer and
+    the entry's ``|C_M|`` (set by :class:`ProbeStage`).
+    """
+
+    name = "filter"
+
+    def run(self, ctx: ExecutionContext) -> None:
+        if ctx.lookup is not None and ctx.lookup.exact_entry is not None:
+            return
+        filter_start = time.perf_counter()
+        candidates = ctx.method.filter_candidates(ctx.query.graph, ctx.query.query_type)
+        ctx.report.filter_seconds = time.perf_counter() - filter_start
+        ctx.report.method_candidates = set(candidates)
+        ctx.report.baseline_tests = len(candidates)
 
 
 class PruneStage(PipelineStage):
@@ -121,21 +137,14 @@ class PruneStage(PipelineStage):
 
     def run(self, ctx: ExecutionContext) -> None:
         report, lookup = ctx.report, ctx.lookup
-        if lookup is None or not lookup.any_hit:
-            pruning = PruningResult(
-                method_candidates=set(report.method_candidates),
-                remaining_candidates=set(report.method_candidates),
-            )
-        elif lookup.exact_entry is not None:
-            pruning = ctx.executor.pruner.exact_hit_result(
-                report.method_candidates, lookup.exact_entry
-            )
+        if lookup is not None and lookup.exact_entry is not None:
+            pruning = ctx.executor.pruner.exact_hit_result(lookup.exact_entry)
         else:
             pruning = ctx.executor.pruner.prune(
                 ctx.query.query_type,
                 report.method_candidates,
-                lookup.sub_hits,
-                lookup.super_hits,
+                lookup.sub_hits if lookup else [],
+                lookup.super_hits if lookup else [],
             )
         ctx.pruning = pruning
         report.guaranteed_answers = pruning.guaranteed_answers
@@ -190,6 +199,7 @@ class AdmitStage(PipelineStage):
             ctx.report.answer,
             observed_test_cost=average_cost,
             clock=ctx.clock,
+            baseline_tests=ctx.report.baseline_tests,
         )
 
 
@@ -198,17 +208,13 @@ class QueryPipeline:
 
     def __init__(self) -> None:
         self.stages: tuple[PipelineStage, ...] = (
-            FilterStage(),
             ProbeStage(),
+            FilterStage(),
             PruneStage(),
             VerifyStage(),
             AssembleStage(),
             AdmitStage(),
         )
-
-    def stage_names(self) -> list[str]:
-        """Names of the stages in execution order."""
-        return [stage.name for stage in self.stages]
 
     def run(self, ctx: ExecutionContext) -> QueryReport:
         """Flow one context through every stage, timing each.
@@ -239,8 +245,8 @@ class QueryPipeline:
 __all__ = [
     "ExecutionContext",
     "PipelineStage",
-    "FilterStage",
     "ProbeStage",
+    "FilterStage",
     "PruneStage",
     "VerifyStage",
     "AssembleStage",

@@ -5,7 +5,8 @@ every quantity Fig. 3 of the paper visualises, so the dashboard scenarios and
 the benchmarks can reproduce the journey exactly:
 
 * ``H`` / ``H'`` — confirmed sub-case / super-case hits,
-* ``C_M``        — Method M's candidate set,
+* ``C_M``        — Method M's candidate set (empty on an exact hit, which
+  runs no filter: ``baseline_tests`` is then the entry's recorded ``|C_M|``),
 * ``S`` / ``S'`` — guaranteed answers / guaranteed non-answers,
 * ``C``          — candidates GC actually verified,
 * ``R``          — candidates that survived verification,
@@ -45,10 +46,13 @@ class QueryReport:
     probe_seconds: float = 0.0
     verify_seconds: float = 0.0
     total_seconds: float = 0.0
+    #: ``|C_M|``: the dataset tests Method M alone would run.
     baseline_tests: int = 0
+    #: Method M alone: measured, or estimated as filter seconds plus
+    #: ``baseline_tests`` × the average test cost (no filter ran on an exact hit).
     baseline_seconds: float | None = None
     #: Wall-clock seconds spent in each pipeline stage, in execution order
-    #: (filter → probe → prune → verify → assemble → admit by default).
+    #: (probe → filter → prune → verify → assemble → admit).
     stage_seconds: dict[str, float] = field(default_factory=dict)
     #: Finished :class:`~repro.obs.trace.Span` objects this execution emitted
     #: (empty unless the query carried a sampled trace context).  Worker

@@ -179,26 +179,26 @@ class GraphCacheSystem:
 
         Returns 0 (cold start) when the cache is disabled, the file is
         missing, the file is a *sharded* snapshot manifest — those only
-        make sense for the shard layout they were written under — or the
-        file was written for another dataset (a missing or different
-        dataset digest; logged as a warning).  A corrupt or malformed
-        snapshot raises (so a warm-cache file is never silently discarded
-        and overwritten at the next shutdown).
+        make sense for the shard layout they were written under — or
+        :func:`~repro.cache.persistence.cold_start_reason` gives a reason
+        (another dataset or another format version; logged as a warning).
+        A corrupt or malformed snapshot raises
+        :class:`~repro.errors.CacheError` (so a warm-cache file is never
+        silently discarded and overwritten at the next shutdown).
         """
-        import json
         from pathlib import Path
 
-        from repro.cache.persistence import entries_from_payload
+        from repro.cache.persistence import cold_start_reason, entries_from_payload, read_snapshot
 
         snapshot = Path(path)
         if self.cache is None or not snapshot.exists():
             return 0
-        payload = json.loads(snapshot.read_text(encoding="utf-8"))
+        payload = read_snapshot(snapshot)
         if isinstance(payload, dict) and payload.get("sharded"):
             return 0
-        if isinstance(payload, dict) and payload.get("dataset_digest") != self._dataset_digest:
-            logger.warning("snapshot %s was not written for this dataset: starting cold",
-                           snapshot)
+        reason = cold_start_reason(payload, self._dataset_digest)
+        if reason is not None:
+            logger.warning("snapshot %s %s: starting cold", snapshot, reason)
             return 0
         return self.cache.warm(entries_from_payload(payload))
 

@@ -33,6 +33,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
 
 from repro.cache.graph_cache import GraphCache
+from repro.cache.persistence import read_snapshot
 from repro.cache.statistics import AggregateStatistics, StatisticsManager
 from repro.errors import ConfigurationError
 from repro.features.paths import PathFeatureExtractor
@@ -485,7 +486,7 @@ class ShardedGraphCacheSystem:
         base = Path(path)
         if not base.exists():
             return 0
-        manifest = json.loads(base.read_text(encoding="utf-8"))
+        manifest = read_snapshot(base)
         if not isinstance(manifest, dict) or not manifest.get("sharded"):
             return 0
         if manifest.get("num_shards") != self.num_shards:

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro.cache import CacheEntry
+from repro.cache.persistence import FORMAT_VERSION, dataset_digest, entry_to_dict
 from repro.cli import build_parser, main
 from repro.graph import load_dataset, load_sdf_file, molecule_dataset
 from repro.runtime import GCConfig
@@ -177,6 +181,34 @@ class TestServeCommand:
         ])
         assert code == 0
         assert "warm-started" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("snapshot, message", [
+        ("{not json", "is not JSON"),
+        ("[]", "cache snapshot has no 'entries' list"),
+        ("corrupt entry", "entry 0: stats: None is not an object"),
+    ])
+    def test_a_malformed_snapshot_prints_one_line_and_exits_2(
+            self, tmp_path, capsys, snapshot, message):
+        path = tmp_path / "bad.json"
+        if snapshot == "corrupt entry":
+            # written for the dataset `--dataset-size 10 --seed 2018` builds
+            dataset = molecule_dataset(10, min_vertices=10, max_vertices=35, rng=2018)
+            entry = entry_to_dict(CacheEntry(graph=dataset[0].copy(), query_type="subgraph",
+                                             answer=frozenset({dataset[0].graph_id})))
+            entry["stats"] = None
+            snapshot = json.dumps({"format_version": FORMAT_VERSION, "entries": [entry],
+                                   "dataset_digest": dataset_digest(dataset)})
+        path.write_text(snapshot, encoding="utf-8")
+        code = main([
+            "serve", "--dataset-size", "10", "--port", "0", "--duration", "0.1",
+            "--seed", "2018", "--snapshot-path", str(path),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("graphcache: error: ")
+        assert message in lines[0]
 
     def test_serve_sharded_snapshot_fans_out(self, tmp_path, capsys):
         snapshot = tmp_path / "snapshot.json"

@@ -12,11 +12,16 @@ Three groups:
 (b) dataset side — for every indexed Method M, ``filter_candidates`` *is* the
     brute-force definition over its feature family (multiset containment for
     ``graphgrep-sx``, hashed-position containment with the hash
-    ``ct-index`` has always used), for subgraph and supergraph queries;
+    ``ct-index`` has always used), for subgraph and supergraph queries; and
+    every registered method gives a renumbered, reordered copy of a query
+    the same candidate set (what lets an exact hit credit the ``|C_M|`` its
+    entry recorded);
 (c) cache side — the entries the store screens for a lookup (exact, sub
     and super candidates) are those of a linear scan written here, in the
     same order, never across query types, and the store's index follows its
-    entries without a rescan.
+    entries without a rescan; the store's cheap containment screen rejects
+    what its three conditions reject; and an exact candidate is confirmed
+    exactly when networkx finds a labelled isomorphism.
 """
 
 from __future__ import annotations
@@ -40,13 +45,14 @@ from repro.features import (
     StarFeatureExtractor,
     path_features,
 )
-from repro.graph import graph_from_edges, molecule_dataset, molecule_graph
-from repro.graph.canonical import canonical_code, quick_containment_screen
+from repro.cache.store import _may_contain
+from repro.graph import Graph, graph_from_edges, molecule_dataset, molecule_graph, path_graph
 from repro.graph.operations import extend_graph, random_connected_subgraph
 from repro.index import ContainmentIndex
-from repro.methods import make_method
+from repro.methods import available_methods, make_method
 from repro.query_model import Query, QueryType
 from repro.runtime import GCConfig, GraphCacheSystem
+from tests.oracles import to_networkx
 
 RELAXED = settings(max_examples=80, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
@@ -226,6 +232,50 @@ def test_filter_candidates_equal_the_definition(name, options, oracle, seed):
             graph_id for graph_id, held in described.items() if holds(describe(sup), held)}
 
 
+def renumbered(graph: Graph, rng: random.Random) -> Graph:
+    """An isomorphic copy: fresh vertex ids, vertices and edges added in a
+    shuffled order, each edge with its endpoints in a random order."""
+    order = graph.vertices()
+    rng.shuffle(order)
+    names = dict(zip(order, rng.sample(range(10 * len(order) + 10), len(order))))
+    copy = Graph()
+    for vertex in order:
+        copy.add_vertex(names[vertex], graph.label(vertex))
+    edges = list(graph.edges())
+    rng.shuffle(edges)
+    for u, v in edges:
+        ends = [names[u], names[v]]
+        rng.shuffle(ends)
+        copy.add_edge(*ends, graph.edge_label(u, v))
+    return copy
+
+
+@pytest.fixture(scope="module")
+def built_methods():
+    dataset = molecule_dataset(40, min_vertices=5, max_vertices=18, rng=13)
+    methods = [make_method(name) for name in available_methods()]
+    for method in methods:
+        method.build(dataset)
+    return dataset, methods
+
+
+@RELAXED
+@given(seed=st.integers(0, 2**32), query_type=st.sampled_from(list(QueryType)))
+def test_isomorphic_queries_get_equal_candidate_sets(built_methods, seed, query_type):
+    dataset, methods = built_methods
+    assert {method.name for method in methods} == {"graphgrep-sx", "ct-index", "direct-si"}
+    rng = random.Random(seed)
+    source = dataset[rng.randrange(len(dataset))]
+    if query_type is QueryType.SUBGRAPH:
+        query = random_connected_subgraph(source, rng.randint(1, source.num_vertices), rng=rng)
+    else:
+        query = extend_graph(source, rng.randint(0, 4), labels=["C", "N", "O"], rng=rng)
+    copy = renumbered(query, rng)
+    for method in methods:
+        assert (method.filter_candidates(copy, query_type)
+                == method.filter_candidates(query, query_type)), method.name
+
+
 # ---------------------------------------------------------------------- #
 # (c) the cache's screen
 # ---------------------------------------------------------------------- #
@@ -257,11 +307,9 @@ def _linear_scan(cache: GraphCache, graph, query_type, direction: str) -> list[C
         if direction == "exact":
             fits = entry.features == features
         elif direction == "sub":
-            fits = (contains(entry.features, features)
-                    and quick_containment_screen(graph, entry.graph))
+            fits = contains(entry.features, features) and _may_contain(graph, entry.graph)
         else:
-            fits = (contains(features, entry.features)
-                    and quick_containment_screen(entry.graph, graph))
+            fits = contains(features, entry.features) and _may_contain(entry.graph, graph)
         if fits:
             screened.append(entry)
     return screened
@@ -279,6 +327,101 @@ def _all_carbon(edges, padding: int = 0):
         graph.add_vertex(vertex, "C")
         graph.add_edge(vertex - 1 if vertex > 6 else 0, vertex)
     return graph
+
+
+def _ladder(rungs: int, twisted: bool):
+    """The circular (or, twisted, Möbius) ladder on ``2 * rungs`` vertices, all
+    labels C: both are 3-regular, so their label-path multisets are equal."""
+    size = 2 * rungs
+    if twisted:
+        edges = [(i, (i + 1) % size) for i in range(size)] + [(i, i + rungs) for i in range(rungs)]
+    else:
+        edges = ([(i, (i + 1) % rungs) for i in range(rungs)]
+                 + [(rungs + i, rungs + (i + 1) % rungs) for i in range(rungs)]
+                 + [(i, rungs + i) for i in range(rungs)])
+    return graph_from_edges(edges, labels={vertex: "C" for vertex in range(size)})
+
+
+def _cycles(*lengths: int):
+    """Disjoint all-C cycles: any split of one length has equal multisets."""
+    edges, offset = [], 0
+    for length in lengths:
+        edges += [(offset + i, offset + (i + 1) % length) for i in range(length)]
+        offset += length
+    return graph_from_edges(edges, labels={vertex: "C" for vertex in range(offset)})
+
+
+def _and_renumbered(graph: Graph, rng: random.Random) -> tuple[Graph, Graph]:
+    return graph, renumbered(graph, rng)
+
+
+def _and_one_edge_labelled(graph: Graph) -> tuple[Graph, Graph]:
+    """``graph`` and a copy with one edge labelled: label paths read vertex
+    labels only, so the two have equal multisets."""
+    copy = graph.copy()
+    u, v = next(iter(copy.edges()))
+    copy.remove_edge(u, v)
+    copy.add_edge(u, v, "double")
+    return graph, copy
+
+
+def _bond_labelled_and_unlabelled(graph: Graph, rng: random.Random) -> tuple[Graph, Graph]:
+    """A copy of edge-unlabelled ``graph`` with a bond order ("1" or "2") on
+    every edge, as an SDF file gives it, and ``graph`` itself."""
+    labelled = graph.copy()
+    for u, v in graph.edges():
+        labelled.add_edge(u, v, rng.choice("12"))
+    return labelled, graph
+
+
+#: Pairs with equal length-2 label-path multisets: the exact-hit candidates
+#: the kernel must decide.  Several are highly symmetric and above 24 vertices.
+EXACT_PAIRS = {
+    "molecule-renumbered": lambda rng: _and_renumbered(molecule_graph(14, rng=rng), rng),
+    "molecule-edge-label": lambda rng: _and_one_edge_labelled(molecule_graph(12, rng=rng)),
+    "k33-prism": lambda rng: (_ladder(3, True), _ladder(3, False)),
+    "ladder-26-renumbered": lambda rng: _and_renumbered(_ladder(13, False), rng),
+    "moebius-26-renumbered": lambda rng: _and_renumbered(_ladder(13, True), rng),
+    "ladder-moebius-26": lambda rng: (_ladder(13, False), _ladder(13, True)),
+    "moebius-ladder-26": lambda rng: (_ladder(13, True), _ladder(13, False)),
+    "cycle-30-two-15": lambda rng: (_cycles(30), _cycles(15, 15)),
+    "two-15-cycle-30": lambda rng: (_cycles(15, 15), _cycles(30)),
+    "two-13-renumbered": lambda rng: _and_renumbered(_cycles(13, 13), rng),
+    "ladder-26-edge-label": lambda rng: _and_one_edge_labelled(_ladder(13, False)),
+    # the resident is labelled, the query not: the kernel reads the query's
+    # unlabelled edges as wildcards, so it embeds either way round
+    "molecule-edge-label-dropped": lambda rng: _and_one_edge_labelled(molecule_graph(12, rng=rng))[::-1],
+    "ladder-26-edge-label-dropped": lambda rng: _and_one_edge_labelled(_ladder(13, False))[::-1],
+    "molecule-bond-orders-dropped": lambda rng: _bond_labelled_and_unlabelled(
+        molecule_graph(12, rng=rng), rng),
+}
+
+
+class TestContainmentScreens:
+    """``_may_contain``: sizes, then per-label degrees (labels at degree 0)."""
+
+    def test_subgraph_passes_all_screens(self):
+        source = molecule_graph(20, rng=8)
+        sub = random_connected_subgraph(source, 8, rng=9)
+        assert _may_contain(sub, source)
+
+    def test_size_screen_rejects_larger_query(self):
+        small = molecule_graph(5, rng=10)
+        big = molecule_graph(10, rng=11)
+        assert not _may_contain(big, small)
+
+    def test_label_screen_rejects_missing_label(self, triangle):
+        query = path_graph(["C", "S"])
+        assert not _may_contain(query, triangle)
+
+    def test_degree_screen_rejects_high_degree_query(self):
+        hub = Graph()
+        hub.add_vertex(0, "C")
+        for leaf in range(1, 5):
+            hub.add_vertex(leaf, "C")
+            hub.add_edge(0, leaf)
+        target = path_graph(["C"] * 5)  # as many vertices and edges as the hub
+        assert not _may_contain(hub, target)
 
 
 class TestCacheScreen:
@@ -348,16 +491,37 @@ class TestCacheScreen:
         cache.flush_window()
         assert len(cache.store._index) == len(cache) > 24
 
+    @pytest.mark.parametrize("name", sorted(EXACT_PAIRS))
+    def test_exact_confirmation_is_labelled_isomorphism(self, name):
+        """One kernel test per exact candidate decides what networkx decides:
+        equal multisets mean equal sizes, where an embedding is a bijection."""
+        import networkx as nx
+
+        resident_graph, query_graph = EXACT_PAIRS[name](random.Random(name))
+        assert (path_features(resident_graph, CACHE_FEATURE_LENGTH)
+                == path_features(query_graph, CACHE_FEATURE_LENGTH))
+        isomorphic = nx.is_isomorphic(
+            to_networkx(resident_graph), to_networkx(query_graph),
+            node_match=lambda a, b: a["label"] == b["label"],
+            edge_match=lambda a, b: a.get("label") == b.get("label"))
+        assert isomorphic is name.endswith("renumbered")
+
+        cache = GraphCache(capacity=2, policy="LRU", semantic_hits=False)
+        resident = _entry(resident_graph, QueryType.SUBGRAPH)
+        cache.warm([resident])
+        lookup = cache.lookup(Query(query_graph, QueryType.SUBGRAPH))
+        assert (lookup.exact_entry is resident) is isomorphic
+        assert lookup.probe_tests == 1
+
     @pytest.mark.parametrize("padding", [0, 20])
     def test_equal_multisets_of_non_isomorphic_patterns_are_no_exact_hit(self, padding):
         """K3,3 and the triangular prism, all labels C, have equal label-path
         multisets (6 / 9 / 18 paths of 0 / 1 / 2 edges) but are not
-        isomorphic.  Padded past 24 vertices, canonical codes are undecided
-        and the kernel alone rejects the candidate."""
+        isomorphic: one kernel test rejects the candidate, padded past 24
+        vertices or not."""
         k33, prism = _all_carbon(K33_EDGES, padding), _all_carbon(PRISM_EDGES, padding)
         features = path_features(prism, CACHE_FEATURE_LENGTH)
         assert path_features(k33, CACHE_FEATURE_LENGTH) == features
-        assert (canonical_code(prism) is None) is (padding > 0)
 
         exact_only = GraphCache(capacity=4, policy="LRU", semantic_hits=False)
         resident = _entry(k33.copy(), QueryType.SUBGRAPH)
@@ -365,7 +529,7 @@ class TestCacheScreen:
         assert exact_only.store.exact_candidates(features, QueryType.SUBGRAPH) == [resident]
         lookup = exact_only.lookup(Query(prism.copy(), QueryType.SUBGRAPH))
         assert lookup.exact_entry is None
-        assert lookup.probe_tests == (1 if padding else 0)
+        assert lookup.probe_tests == 1
 
         dataset = ([k33.copy(), prism.copy()]
                    + molecule_dataset(10, min_vertices=6, max_vertices=14, rng=padding))

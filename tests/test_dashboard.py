@@ -95,6 +95,21 @@ class TestQueryJourney:
         assert "Candidate Set" in step.render()
 
 
+    def test_an_exact_hit_says_no_filter_ran(self, demo_run):
+        dataset = demo_run[0]
+        system = GraphCacheSystem(dataset, GCConfig(cache_capacity=4, window_size=1))
+        query = random_connected_subgraph(dataset[0], 5, rng=9)
+        report = system.run_query(query, "subgraph")
+        repeat = system.run_query(query.copy(), "subgraph")
+        assert repeat.exact_hit_entry is not None and repeat.method_candidates == set()
+        journey = QueryJourney(repeat, [g.graph_id for g in dataset], [])
+        step = {step.key: step for step in journey.steps()}["C_M"]
+        assert step.highlighted == []
+        assert "filter did not run" in step.description
+        assert f"counted {report.baseline_tests} candidates" in step.description
+        assert f"from {report.baseline_tests} to 0" in journey.speedup_summary()
+
+
 class TestWorkloadViews:
     @pytest.fixture(scope="class")
     def comparison(self):

@@ -63,7 +63,7 @@ class TestLookup:
     def test_empty_cache_no_hits(self):
         cache = GraphCache(capacity=5)
         lookup = cache.lookup(subgraph_query(molecule_graph(6, rng=1)))
-        assert not lookup.any_hit
+        assert lookup.exact_entry is None and lookup.sub_hits == lookup.super_hits == []
 
     def test_sub_case_hit_detected(self, warm_cache):
         cache, big, _small, big_entry, _ = warm_cache
@@ -98,7 +98,7 @@ class TestLookup:
             graph=random_connected_subgraph(big, 6, rng=7), query_type=QueryType.SUPERGRAPH
         )
         lookup = cache.lookup(query)
-        assert not lookup.any_hit
+        assert lookup.exact_entry is None and lookup.sub_hits == lookup.super_hits == []
 
     def test_clock_ticks(self):
         cache = GraphCache(capacity=3)

@@ -27,7 +27,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.graph import Graph, cycle_graph, molecule_dataset, path_graph
-from repro.graph.canonical import canonical_code
 from repro.graph.operations import random_connected_subgraph
 from repro.isomorphism import VF2Matcher
 from repro.isomorphism.base import MatchStats
@@ -278,19 +277,21 @@ class TestInvalidation:
             lambda g: g.remove_vertex(1),
         ]
         for mutate in mutations:
-            canonical_code(graph)
+            graph.compiled().plan()
             assert graph.compiled() is graph.compiled()
             mutate(graph)
             assert graph._compiled is None
             # a stale memo would still answer for the old shape
-            assert canonical_code(graph) == canonical_code(Graph.from_dict(graph.to_dict()))
+            plan = graph.compiled().plan()
+            rebuilt = Graph.from_dict(graph.to_dict()).compiled().plan()
+            assert all(getattr(plan, slot) == getattr(rebuilt, slot) for slot in plan.__slots__)
 
     def test_copies_and_serialised_forms_carry_no_compiled_form(self):
         graph = path_graph(["C", "O", "N"])
         graph.add_edge(0, 1, "double")
         assert VF2Matcher().is_subgraph(path_graph(["O", "N"]), graph)
-        canonical_code(graph)
-        assert graph._compiled is not None and graph._compiled.canonical is not None
+        graph.compiled().plan()
+        assert graph._compiled is not None and graph._compiled._plan is not None
 
         clone = graph.copy()
         assert clone._compiled is None

@@ -243,7 +243,7 @@ def _query(dataset, seed=3):
 #: Planned onto both shards under short-circuit scatter.
 BOTH_SHARDS = 4
 
-STAGES = ["filter", "probe", "prune", "verify", "assemble", "admit"]
+STAGES = ["probe", "filter", "prune", "verify", "assemble", "admit"]
 
 #: The attribute keys of every span of a sampled, sharded, served query.
 SPAN_KEYS = {

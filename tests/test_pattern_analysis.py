@@ -1,9 +1,8 @@
 """The pattern analysis: what a query graph remembers, and that it is enough.
 
 A pattern graph keeps — beside its compiled form, dropped with it — its
-match plan, its canonical code and its label paths: enumerated at the
-longest length asked for so far, restricted once to each shorter one asked
-for.  Five groups:
+match plan and its label paths: enumerated at the longest length asked for
+so far, restricted once to each shorter one asked for.  Five groups:
 
 (i)   property — the restriction of a remembered multiset equals direct
       enumeration at every shorter length, whichever length was asked first,
@@ -12,7 +11,7 @@ for.  Five groups:
       travels with ``pickle``, ``copy()`` or ``to_dict()``;
 (iii) enumeration counts — one enumeration per query graph on the unsharded
       pipeline (none on admission), at most two under thread shards, none
-      remembered by a dataset graph; a resident entry's code computed once;
+      remembered by a dataset graph;
 (iv)  no reader mutates what is shared — after a mixed run every remembered
       multiset still equals a fresh enumeration, also with threads sharing
       one query graph;
@@ -40,8 +39,6 @@ from repro.cache.store import CACHE_FEATURE_LENGTH
 from repro.features import paths as paths_module
 from repro.features.paths import PathFeatureExtractor, enumerate_paths, path_features
 from repro.graph import Graph, label_clustered_dataset, molecule_dataset, molecule_graph
-from repro.graph import canonical as canonical_module
-from repro.graph.canonical import canonical_code
 from repro.graph.compiled import CompiledGraph
 from repro.graph.operations import extend_graph, random_connected_subgraph
 from repro.query_model import Query, QueryType
@@ -53,7 +50,7 @@ from repro.workload import WorkloadGenerator, WorkloadMix, generate_trace
 from tests.differential import run_on_threads
 
 #: The memo slots of a compiled graph (everything that is not its bitset data).
-MEMO_SLOTS = ("canonical", "paths", "_plan")
+MEMO_SLOTS = ("paths", "_plan")
 
 
 @st.composite
@@ -71,11 +68,15 @@ def labelled_graphs(draw) -> Graph:
 
 
 def fill_every_slot(graph: Graph) -> CompiledGraph:
-    canonical_code(graph)
     path_features(graph, 3)
     compiled = graph.compiled()
     compiled.plan()
     return compiled
+
+
+def _plan_fields(graph: Graph) -> list:
+    plan = graph.compiled().plan()
+    return [getattr(plan, slot) for slot in plan.__slots__]
 
 
 @pytest.fixture()
@@ -167,7 +168,7 @@ class TestLifetime:
         assert graph._compiled is None
         # what is recomputed describes the new shape, not the old one
         rebuilt = Graph.from_dict(graph.to_dict())
-        assert canonical_code(graph) == canonical_code(rebuilt)
+        assert _plan_fields(graph) == _plan_fields(rebuilt)
         assert path_features(graph, 3) == enumerate_paths(rebuilt, 3)
 
     def test_copies_pickles_and_dicts_carry_no_slot(self, square_with_tail):
@@ -258,21 +259,6 @@ class TestEnumerationCounts:
         assert all(graph._compiled is None or graph._compiled.paths is None
                    for graph in dataset)
 
-    def test_a_resident_entry_pays_for_its_codes_once(self, monkeypatch):
-        canonical_calls = []
-        original = canonical_module._canonical_code
-        monkeypatch.setattr(canonical_module, "_canonical_code",
-                            lambda graph: canonical_calls.append(id(graph)) or original(graph))
-        cache = GraphCache(capacity=4, policy="LRU", window_size=1)
-        pattern = molecule_graph(8, rng=11)
-        resident = CacheEntry(graph=pattern, query_type=QueryType.SUBGRAPH, answer=frozenset({1}))
-        cache.warm([resident])
-        probes = [Query(pattern.copy(), QueryType.SUBGRAPH) for _ in range(5)]
-        for probe in probes:
-            assert cache.lookup(probe).exact_entry is resident
-        assert canonical_calls.count(id(pattern)) == 1
-        assert len(canonical_calls) == 1 + len(probes)
-
     def test_planner_reads_labels_from_the_compiled_form(self, monkeypatch):
         dataset = label_clustered_dataset(2, 6, rng=5)
         config = GCConfig(num_shards=2, scatter_mode="short-circuit")
@@ -357,7 +343,7 @@ def _cache_trajectory(policy: str):
             for query in trace:
                 screened.clear()
                 report = system.run_query(query)
-                rows.append({
+                row = {
                     "candidates": sorted(report.method_candidates),
                     "screened": [(n, [i - base for i in ids]) for n, ids in screened],
                     "exact": report.exact_hit_entry and report.exact_hit_entry - base,
@@ -366,7 +352,12 @@ def _cache_trajectory(policy: str):
                     "probe_tests": report.probe_tests,
                     "dataset_tests": report.dataset_tests,
                     "answer": sorted(report.answer),
-                })
+                }
+                if report.exact_hit_entry is not None:
+                    # an exact hit runs no filter and confirms by kernel test
+                    row["candidates"] = report.baseline_tests
+                    del row["probe_tests"]
+                rows.append(row)
             rounds = [([i - base for i in r.admitted], [i - base for i in r.evicted])
                       for r in system.cache.eviction_reports()]
     return rows, rounds
@@ -390,20 +381,23 @@ def _scatter_trajectory():
 
 class TestParentTrajectory:
     """Digests computed by running these very functions against an earlier
-    commit; they are stable across ``PYTHONHASHSEED``.  The LRU and PIN
-    digests come from ``010a897``; the HD and PINC digests from ``3de8004``
-    (the last commit that re-ranked the residents for every incoming entry),
-    with the same constant test cost patched in — under it PINC ranks as PIN
-    does, so their digests coincide.  The scatter digest comes from
-    ``036d1ab``, with the ``exact_shards`` plan key and the
-    ``exact_routed_queries`` counter that commit still had projected out."""
+    commit; they are stable across ``PYTHONHASHSEED``.  The four cache
+    digests come from ``b205888``, the last commit that ran Method M's filter
+    on an exact hit and confirmed it by canonical code, under one projection:
+    an exact row records ``baseline_tests`` in place of its candidate set and
+    omits ``probe_tests``, and every other field stays.  They run with a
+    constant test cost patched in, so that HD and PINC choose independently
+    of timing — under it PINC ranks as PIN does, so their digests coincide.
+    The scatter digest comes from ``036d1ab``, with the ``exact_shards`` plan
+    key and the ``exact_routed_queries`` counter that commit still had
+    projected out."""
 
     @pytest.mark.parametrize("policy, parent_digest", [
-        ("LRU", "0e3305a488aa9a2cda58a70dac5d5d1ecddc8a739d98e7d50629ee0afb7db1eb"),
-        ("PIN", "90e693de3c66c6ce36e27f3549ef2963daa3d95d66dbbc4d3a98400139a80b25"),
-        ("HD", "e246d341bca4f243f9c7026201bf91862086d1ed8a769b4be8ed56ae6683928a"),
-        ("PINC", "90e693de3c66c6ce36e27f3549ef2963daa3d95d66dbbc4d3a98400139a80b25"),
-    ])
+        ("LRU", "50d8958c489052af288da3400015812b0a547a3eafd1e9506aeb6db0acb4282a"),
+        ("PIN", "6556b53ec32b4fe9f9068df7b93fef0c3d908041e9d34de73260a4749d67f290"),
+        ("HD", "1330d81fd28b084ba2fd5b7605797c582ebdb761827f5eff5419ff7479baacaf"),
+        ("PINC", "6556b53ec32b4fe9f9068df7b93fef0c3d908041e9d34de73260a4749d67f290"),
+    ], ids=["LRU", "PIN", "HD", "PINC"])
     def test_cache_trajectory_is_the_parents(self, policy, parent_digest):
         rows, rounds = _cache_trajectory(policy)
         assert sum(1 for row in rows if row["exact"]) > 20

@@ -11,7 +11,7 @@ from repro.runtime import GCConfig, GraphCacheSystem
 from repro.runtime.pipeline import QueryPipeline
 from tests.conftest import make_subgraph_queries
 
-EXPECTED_ORDER = ["filter", "probe", "prune", "verify", "assemble", "admit"]
+EXPECTED_ORDER = ["probe", "filter", "prune", "verify", "assemble", "admit"]
 
 
 @pytest.fixture(scope="module")
@@ -21,11 +21,11 @@ def dataset():
 
 class TestPipelineShape:
     def test_default_stage_order(self):
-        assert QueryPipeline().stage_names() == EXPECTED_ORDER
+        assert [stage.name for stage in QueryPipeline().stages] == EXPECTED_ORDER
 
     def test_executor_uses_default_pipeline(self, dataset):
         system = GraphCacheSystem(dataset, GCConfig(window_size=2, cache_capacity=8))
-        assert system.executor.pipeline.stage_names() == EXPECTED_ORDER
+        assert [stage.name for stage in system.executor.pipeline.stages] == EXPECTED_ORDER
 
     def test_stages_are_stateless_singletons(self):
         # one stage list may serve many executors / concurrent queries

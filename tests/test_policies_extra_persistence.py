@@ -3,6 +3,8 @@ workload's result shows the cache warming up."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cache import (
@@ -18,11 +20,18 @@ from repro.cache import (
     restore_cache,
     save_cache,
 )
-from repro.cache.persistence import dataset_digest, entry_from_dict, entry_to_dict
+from repro.cache.persistence import (
+    FORMAT_VERSION,
+    dataset_digest,
+    entries_from_payload,
+    entry_from_dict,
+    entry_to_dict,
+)
 from repro.errors import CacheError
 from repro.graph import molecule_dataset, molecule_graph
 from repro.query_model import Query, QueryType
 from repro.runtime import GCConfig, GraphCacheSystem
+from repro.sharding.system import make_system
 from repro.workload import Workload, generate_trace, run_workload
 from tests.conftest import make_subgraph_queries
 
@@ -85,6 +94,24 @@ class TestExtraPolicies:
             assert report.answer == baseline.execute(query.graph, query.query_type).answer
 
 
+#: (where in entry 1, bad value, how the CacheError begins)
+MALFORMED_FIELDS = [
+    (("admitted_clock",), "x", "entry 1: admitted_clock: 'x'"),
+    (("observed_test_cost",), "slow", "entry 1: observed_test_cost: 'slow'"),
+    (("observed_test_cost",), float("nan"), "entry 1: observed_test_cost: nan"),
+    (("baseline_tests",), -3, "entry 1: baseline_tests: -3"),
+    (("baseline_tests",), "many", "entry 1: baseline_tests: 'many'"),
+    (("baseline_tests",), None, "entry 1: baseline_tests: None"),
+    (("stats", "hit_count"), "many", "entry 1: stats.hit_count: 'many'"),
+    (("stats",), None, "entry 1: stats: None"),
+    (("graph",), None, "entry 1: graph: None"),
+    (("graph", "vertices"), [[0]], "entry 1: graph:"),
+    (("query_type",), None, "entry 1: query_type:"),
+    (("answer",), None, "entry 1: answer: None"),
+    (("answer",), [[1]], "entry 1: answer:"),
+]
+
+
 class TestPersistence:
     def test_entry_round_trip(self):
         entry = make_entry(5, clock=7, answer={1, 2, 3})
@@ -92,6 +119,7 @@ class TestPersistence:
         entry.stats.tests_saved = 11
         entry.stats.seconds_saved = 0.5
         entry.observed_test_cost = 0.002
+        entry.baseline_tests = 9
         restored = entry_from_dict(entry_to_dict(entry))
         assert restored.graph.structural_equal(entry.graph)
         assert restored.answer == entry.answer
@@ -99,6 +127,7 @@ class TestPersistence:
         assert restored.stats.hit_count == 4
         assert restored.stats.tests_saved == 11
         assert restored.observed_test_cost == pytest.approx(0.002)
+        assert restored.baseline_tests == 9
         assert restored.entry_id != entry.entry_id  # fresh id on load
 
     def test_save_and_restore_cache(self, tmp_path):
@@ -220,6 +249,69 @@ class TestPersistence:
         path.write_text('{"entries": [{"graph": {}}]}', encoding="utf-8")
         with pytest.raises(CacheError):
             load_cache_entries(path)
+
+    @pytest.mark.parametrize("path, value, named", MALFORMED_FIELDS,
+                             ids=[f"{'.'.join(p)}={v!r}" for p, v, _ in MALFORMED_FIELDS])
+    def test_a_malformed_entry_is_a_cache_error_naming_its_field(self, path, value, named):
+        payload = {"format_version": FORMAT_VERSION,
+                   "entries": [entry_to_dict(make_entry(seed)) for seed in range(2)]}
+        target = payload["entries"][1]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(CacheError) as raised:
+            entries_from_payload(json.loads(json.dumps(payload)))
+        assert str(raised.value).startswith(named)
+
+    def test_a_missing_field_is_named(self):
+        payload = {"format_version": FORMAT_VERSION, "entries": [entry_to_dict(make_entry(1))]}
+        del payload["entries"][0]["baseline_tests"]
+        with pytest.raises(CacheError, match="^entry 0: baseline_tests: missing$"):
+            entries_from_payload(payload)
+
+    @pytest.mark.parametrize("payload", [
+        {"format_version": FORMAT_VERSION, "entries": None},
+        {"format_version": "2", "entries": []},
+        {"format_version": 1, "entries": []},
+        {"entries": []},
+        {"format_version": FORMAT_VERSION, "entries": [None]},
+    ])
+    def test_a_malformed_snapshot_is_a_cache_error(self, payload):
+        with pytest.raises(CacheError):
+            entries_from_payload(payload)
+
+    def test_a_snapshot_that_is_not_json_is_a_cache_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json", encoding="utf-8")
+        with pytest.raises(CacheError, match="is not JSON"):
+            load_cache_entries(path)
+        dataset = molecule_dataset(6, min_vertices=8, max_vertices=10, rng=33)
+        for num_shards in (1, 2):
+            config = GCConfig(cache_capacity=4, window_size=1, num_shards=num_shards)
+            with make_system(dataset, config) as system:
+                with pytest.raises(CacheError, match="is not JSON"):
+                    system.restore_snapshot(path)
+
+    def test_a_version_1_snapshot_restores_cold(self, tmp_path, caplog):
+        """Version 1 entries carry no ``|C_M|``, so they could not credit an
+        exact hit: the restore starts cold, with a warning naming the format."""
+        dataset = molecule_dataset(20, min_vertices=8, max_vertices=12, rng=34)
+        config = GCConfig(cache_capacity=10, window_size=1)
+        path = tmp_path / "cache.json"
+        with GraphCacheSystem(dataset, config) as system:
+            system.run_queries(make_subgraph_queries(dataset, 6, 5, seed=35))
+            assert system.save_snapshot(path) > 0
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert payload["format_version"] == FORMAT_VERSION == 2
+        payload["format_version"] = 1
+        for item in payload["entries"]:
+            del item["baseline_tests"]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with caplog.at_level("WARNING", logger="repro.runtime"):
+            with GraphCacheSystem(dataset, config) as system:
+                assert system.restore_snapshot(path) == 0
+                assert len(system.cache) == 0
+        assert "is format 1, not 2: starting cold" in caplog.text
 
 
 class TestStatisticsTimeline:

@@ -68,7 +68,7 @@ class TestSubgraphQuerySemantics:
         candidates = set(range(20))
         super_hit = entry(set(range(5)), seed=7)
         result = pruner.prune(QueryType.SUBGRAPH, candidates, [], [super_hit])
-        assert result.tests_saved == 15
+        assert len(candidates) - len(result.remaining_candidates) == 15
 
     def test_per_hit_savings_attribution(self, pruner):
         candidates = set(range(10))
@@ -82,7 +82,6 @@ class TestSubgraphQuerySemantics:
         candidates = {1, 2, 3}
         result = pruner.prune(QueryType.SUBGRAPH, candidates, [], [])
         assert result.remaining_candidates == candidates
-        assert result.tests_saved == 0
 
 
 class TestSupergraphQuerySemantics:
@@ -104,11 +103,11 @@ class TestSupergraphQuerySemantics:
 
 class TestExactHit:
     def test_exact_hit_answers_without_verification(self, pruner):
-        candidates = set(range(8))
+        # no filter ran: the hit saves the |C_M| its entry recorded
         exact = entry({2, 5}, seed=13)
-        result = pruner.exact_hit_result(candidates, exact)
+        exact.baseline_tests = 8
+        result = pruner.exact_hit_result(exact)
         assert result.guaranteed_answers == {2, 5}
         assert result.remaining_candidates == set()
-        assert result.guaranteed_non_answers == candidates - {2, 5}
-        assert result.per_hit_savings[exact.entry_id] == len(candidates)
-        assert result.tests_saved == len(candidates)
+        assert result.guaranteed_non_answers == set()
+        assert result.per_hit_savings == {exact.entry_id: 8}

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.graph import molecule_dataset, path_graph
+from repro.graph import graph_from_edges, molecule_dataset, path_graph
+from repro.graph.sdf import format_sdf_text, parse_sdf_text
+from repro.methods.base import MethodM
 from repro.query_model import Query, QueryType
 from repro.runtime import GCConfig, GraphCacheSystem
 from repro.runtime.report import QueryReport
+from repro.sharding.system import make_system
 from repro.workload import Workload, WorkloadGenerator, run_workload
 from repro.workload.runner import WorkloadRunResult
 from tests.conftest import make_subgraph_queries
@@ -81,20 +86,74 @@ class TestQueryReportDetails:
         assert report.test_speedup == 1.0
         assert report.tests_saved == 0
 
-    def test_exact_hit_report_shape_end_to_end(self, small_system):
-        dataset, system = small_system
-        pattern = make_subgraph_queries(dataset, 1, 6, seed=903)[0]
-        system.run_query(Query(graph=pattern.graph.copy(), query_type=QueryType.SUBGRAPH))
-        if system.cache is not None:
-            system.cache.flush_window()
-        repeat = system.run_query(Query(graph=pattern.graph.copy(),
-                                        query_type=QueryType.SUBGRAPH))
-        if repeat.exact_hit_entry is not None:
-            assert repeat.verified_candidates == set()
-            assert repeat.answer == repeat.guaranteed_answers
-            assert repeat.guaranteed_non_answers == (
-                repeat.method_candidates - repeat.answer
-            )
+    def test_exact_hit_report_shape_end_to_end(self, small_system, monkeypatch):
+        """A repeat of an admitted query is answered from the cache without
+        running Method M's filter: no ``C_M``, no ``S'``, nothing verified, and
+        it credits the ``|C_M|`` the first run had — on one engine and on
+        two thread shards, each of which answers from its own entry."""
+        dataset, _ = small_system
+        pattern = make_subgraph_queries(dataset, 1, 6, seed=903)[0].graph
+        filtered = []
+        original = MethodM.filter_candidates
+
+        def spy(self, query, query_type):
+            filtered.append(query)
+            return original(self, query, query_type)
+
+        monkeypatch.setattr(MethodM, "filter_candidates", spy)
+        for num_shards in (1, 2):
+            config = GCConfig(cache_capacity=8, window_size=1, num_shards=num_shards)
+            with make_system(dataset, config) as system:
+                first = system.run_query(Query(pattern.copy(), QueryType.SUBGRAPH))
+                assert first.exact_hit_entry is None and first.baseline_tests > 0
+                assert len(filtered) == num_shards
+                entries = [entry for cache in system.all_caches() for entry in cache.entries()]
+                saved_before = {entry.entry_id: entry.stats.tests_saved for entry in entries}
+                filtered.clear()
+                repeat = system.run_query(Query(pattern.copy(), QueryType.SUBGRAPH))
+                assert filtered == []
+                assert repeat.exact_hit_entry is not None
+                assert repeat.baseline_tests == first.baseline_tests
+                assert repeat.tests_saved == first.baseline_tests
+                assert repeat.dataset_tests == 0
+                assert repeat.method_candidates == set()
+                assert repeat.guaranteed_non_answers == set()
+                assert repeat.verified_candidates == set()
+                assert repeat.answer == repeat.guaranteed_answers == first.answer
+                grown = sum(entry.stats.tests_saved - saved_before[entry.entry_id]
+                            for entry in entries)
+                assert grown == first.baseline_tests
+
+    def test_an_unlabelled_query_is_no_exact_hit_of_its_bond_labelled_shape(self):
+        """On an SDF dataset every edge carries its bond order.  A query with
+        no edge labels has the label-path multisets of the same shape with
+        bonds, but its edges match any bond: it is no exact hit of the
+        labelled query, and its answer is Method M's alone — for a subgraph
+        query a superset of the labelled one's, for a supergraph query a
+        subset."""
+        rng = random.Random(904)
+        molecules = molecule_dataset(16, min_vertices=8, max_vertices=12, rng=904)
+        for graph in molecules:
+            for u, v in graph.edges():
+                graph.add_edge(u, v, rng.choice("1112"))
+        dataset = parse_sdf_text(format_sdf_text(molecules))
+        method_alone = GraphCacheSystem(dataset, GCConfig(cache_enabled=False))
+        patterns = {
+            QueryType.SUBGRAPH: [query.graph for query in make_subgraph_queries(dataset, 6, 5, seed=905)],
+            QueryType.SUPERGRAPH: [graph.copy() for graph in dataset[:6]],
+        }
+        for query_type, labelled_patterns in patterns.items():
+            differs = 0
+            for labelled in labelled_patterns:
+                unlabelled = graph_from_edges(
+                    labelled.edges(), labels={v: labelled.label(v) for v in labelled.vertices()})
+                system = GraphCacheSystem(dataset, GCConfig(cache_capacity=8, window_size=1))
+                first = system.run_query(Query(labelled, query_type))
+                repeat = system.run_query(Query(unlabelled, query_type))
+                assert repeat.exact_hit_entry is None
+                assert repeat.answer == method_alone.run_query(Query(unlabelled, query_type)).answer
+                differs += repeat.answer != first.answer
+            assert differs, query_type  # some dataset graph has another bond there
 
 
 class TestSystemPopulationTrace:

@@ -17,7 +17,7 @@ import time
 import pytest
 
 from repro.api import QueryRequest, RemoteGraphService, parse_request
-from repro.errors import AdmissionRejectedError, ServerClosedError
+from repro.errors import AdmissionRejectedError, CacheError, ServerClosedError
 from repro.graph import molecule_dataset
 from repro.graph.graph import Graph
 from repro.isomorphism.base import MatchResult, SubgraphMatcher
@@ -287,15 +287,13 @@ class TestSnapshotLifecycle:
 
     def test_corrupt_snapshot_fails_loudly(self, dataset, tmp_path):
         """A corrupt warm-cache file must raise at startup, not be silently
-        discarded (and then overwritten at shutdown)."""
-        import json as _json
-
+        discarded (and then overwritten at shutdown) — as a typed error."""
         snapshot = tmp_path / "corrupt.json"
         snapshot.write_text("{not json", encoding="utf-8")
-        with pytest.raises(_json.JSONDecodeError):
+        with pytest.raises(CacheError, match="is not JSON"):
             QueryServer(dataset, snapshot_path=snapshot)
         sharded = GCConfig(cache_capacity=10, window_size=5, num_shards=2)
-        with pytest.raises(_json.JSONDecodeError):
+        with pytest.raises(CacheError, match="is not JSON"):
             QueryServer(dataset, sharded, snapshot_path=snapshot)
         assert snapshot.read_text(encoding="utf-8") == "{not json"  # untouched
 
