@@ -4,12 +4,16 @@ The paper's headline number comes from favourable workloads: many queries
 that repeat, shrink or extend previously seen patterns over an expensive
 Method M.  We reproduce the *shape* — a distribution of per-query speedups
 whose tail is large (exact-match and strongly-pruned queries) and whose mean
-is comfortably above 1 — using a measured (not estimated) Method M baseline.
+is comfortably above 1.
 
+Every assertion compares counts, not clocks: Method M's cost is its ``|C_M|``
+tests (``baseline_tests``), GC's the dataset tests it ran plus the probe tests
+it paid to find its hits.  The query-time speedup in the table is an estimate
+(``QueryReport.baseline_seconds``); the measured time claim is gcbench's.
 Absolute numbers depend on the verifier and the dataset scale; the assertions
 check the qualitative claims only: GC is never wrong, saves a large fraction
-of the sub-iso tests, and its best per-query time speedups are an order of
-magnitude above 1.
+of the sub-iso tests, pays for its probes, and its best per-query test
+speedups are an order of magnitude above 1.
 """
 
 from __future__ import annotations
@@ -44,16 +48,11 @@ def test_bench_headline_speedup(benchmark, favourable_setting):
     """Regenerate the headline query-time / sub-iso-test speedup summary."""
     dataset, workload = favourable_setting
     config = GCConfig(cache_capacity=40, window_size=5, replacement_policy="HD",
-                      method="direct-si", measure_baseline=True)
+                      method="direct-si")
     system = GraphCacheSystem(dataset, config)
 
     result = benchmark.pedantic(lambda: run_workload(system, workload), rounds=1, iterations=1)
 
-    per_query_time_speedups = [
-        report.baseline_seconds / report.total_seconds
-        for report in result.reports
-        if report.baseline_seconds and report.total_seconds > 0
-    ]
     per_query_test_speedups = [report.test_speedup for report in result.reports
                                if report.baseline_tests > 0 and report.dataset_tests > 0]
     aggregate = result.aggregate
@@ -65,16 +64,20 @@ def test_bench_headline_speedup(benchmark, favourable_setting):
         },
         {"metric": "hit ratio", "value": round(aggregate.hit_ratio, 3)},
         {"metric": "workload sub-iso-test speedup", "value": round(aggregate.test_speedup, 2)},
-        {"metric": "workload query-time speedup", "value": round(aggregate.time_speedup, 2)},
+        {"metric": "workload query-time speedup (estimate)",
+         "value": round(aggregate.time_speedup, 2)},
+        {"metric": "baseline sub-iso tests", "value": aggregate.total_baseline_tests},
+        {"metric": "dataset sub-iso tests", "value": aggregate.total_dataset_tests},
+        {"metric": "probe tests", "value": aggregate.total_probe_tests},
         {
-            "metric": "max per-query time speedup",
-            "value": round(max(per_query_time_speedups), 2) if per_query_time_speedups else "n/a",
+            "metric": "max per-query test speedup",
+            "value": round(max(per_query_test_speedups), 2) if per_query_test_speedups else "n/a",
         },
         {
-            "metric": "mean per-query time speedup",
+            "metric": "mean per-query test speedup",
             "value": round(
-                sum(per_query_time_speedups) / len(per_query_time_speedups), 2
-            ) if per_query_time_speedups else "n/a",
+                sum(per_query_test_speedups) / len(per_query_test_speedups), 2
+            ) if per_query_test_speedups else "n/a",
         },
         {
             "metric": "queries answered with zero sub-iso tests",
@@ -93,12 +96,13 @@ def test_bench_headline_speedup(benchmark, favourable_setting):
     # qualitative claims
     assert aggregate.hit_ratio > 0.4
     assert aggregate.test_speedup > 1.5, "GC must save a large fraction of sub-iso tests"
-    assert aggregate.time_speedup > 1.0, "GC must be faster than the measured Method M baseline"
-    assert max(per_query_time_speedups) > 5.0, (
-        "favourable queries (exact/sub hits) should see order-of-magnitude time speedups"
+    assert aggregate.total_baseline_tests > (
+        aggregate.total_dataset_tests + aggregate.total_probe_tests
+    ), "GC's dataset and probe tests together must cost fewer tests than Method M's"
+    assert max(per_query_test_speedups) > 5.0, (
+        "favourable queries (exact/sub hits) should see order-of-magnitude test speedups"
     )
-    # correctness: measured baseline answers equal GC answers is already
-    # enforced inside the executor's baseline run; spot check a few reports
+    # correctness: spot check a few reports against Method M alone
     for report in result.reports[:5]:
-        baseline = system.executor.execute_baseline(report.query.graph, report.query.query_type)
+        baseline = system.method.execute(report.query.graph, report.query.query_type)
         assert baseline.answer == report.answer

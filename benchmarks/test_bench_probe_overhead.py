@@ -6,7 +6,8 @@ query index.  The paper argues these costs are negligible compared to the
 dataset sub-iso tests they save, because cached queries are tiny compared to
 dataset graphs.  This bench quantifies that claim: for a standard workload it
 reports the number and total time of probe tests versus the number and time
-of dataset tests avoided.
+of dataset tests avoided.  The assertions compare counts only: the times are
+reported, and the saved time is an estimate.
 """
 
 from __future__ import annotations
@@ -72,9 +73,7 @@ def test_bench_probe_overhead(benchmark, run):
     # probing stays bounded: fewer probe tests than the cache population
     # per query on average
     assert aggregate.total_probe_tests / aggregate.num_queries <= system.cache.capacity
-    # and the time spent probing is smaller than the estimated time saved
-    assert probe_seconds < max(saved_seconds_estimate, 1e-9) or tests_saved > (
-        aggregate.total_probe_tests
-    )
+    # and the cache saves more dataset tests than it spends probing
+    assert tests_saved > aggregate.total_probe_tests
 
     benchmark.pedantic(lambda: system.aggregate(), rounds=1, iterations=1)

@@ -109,5 +109,5 @@ def test_bench_query_journey(benchmark):
     assert report.answer == report.verified_answers | report.guaranteed_answers
     assert report.guaranteed_non_answers.isdisjoint(report.answer)
     # correctness against Method M alone
-    baseline = system.executor.execute_baseline(query.copy(), "subgraph")
+    baseline = system.method.execute(query.copy(), "subgraph")
     assert baseline.answer == report.answer

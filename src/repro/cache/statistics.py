@@ -9,6 +9,10 @@ queries a server or shard worker has answered.
 Speedup follows the paper's definition: *the ratio of the average performance
 (query time or number of sub-iso tests) of the base Method M over the average
 performance of GC deployed over Method M*; values above 1 are improvements.
+The test speedup is counted: Method M's ``|C_M|`` tests over the dataset
+tests GC ran.  The time speedup is an estimate: Method M is not run a second
+time, so its seconds are each query's ``baseline_seconds`` (filter seconds
+plus ``|C_M|`` × the running average test cost).
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ class AggregateStatistics:
     total_baseline_seconds: float = 0.0
     hit_ratio: float = 0.0
     test_speedup: float = 1.0
+    #: An estimate: Method M's seconds are each report's ``baseline_seconds``.
     time_speedup: float = 1.0
 
 
@@ -109,8 +114,7 @@ class StatisticsManager:
             sums.total_baseline_tests += report.baseline_tests
             sums.total_probe_tests += report.probe_tests
             sums.total_seconds += report.total_seconds
-            if report.baseline_seconds is not None:
-                sums.total_baseline_seconds += report.baseline_seconds
+            sums.total_baseline_seconds += report.baseline_seconds
             for stage, seconds in report.stage_seconds.items():
                 row = self._stages.setdefault(stage, [0.0, 0])
                 row[0] += seconds

@@ -2,19 +2,14 @@
 
 from repro.isomorphism.base import (
     MatchResult,
-    MatchStats,
     SubgraphMatcher,
     trivially_impossible,
 )
-from repro.isomorphism.instrumentation import CountingMatcher, VerifierTally
 from repro.isomorphism.vf2 import VF2Matcher
 
 __all__ = [
     "MatchResult",
-    "MatchStats",
     "SubgraphMatcher",
     "trivially_impossible",
     "VF2Matcher",
-    "CountingMatcher",
-    "VerifierTally",
 ]

@@ -3,7 +3,10 @@
 GC treats the sub-iso implementation as a pluggable component of Method M.
 The engine implements :class:`SubgraphMatcher`; the cache and the query
 runtime only depend on this interface, so a test or a benchmark can hand
-Method M another verifier (``MethodM(verifier=...)``).
+Method M another verifier (``MethodM(verifier=...)``).  A test returns
+whether an embedding exists and one mapping; it counts and times nothing.
+What a query's tests cost is counted once per query, by the pipeline
+(``QueryReport.dataset_tests`` / ``probe_tests`` / ``verify_seconds``).
 
 Matching semantics follow the paper: *non-induced* subgraph isomorphism on
 undirected graphs with vertex labels (edge labels are honoured when present
@@ -14,29 +17,9 @@ identical label; every query edge must map to a target edge.
 from __future__ import annotations
 
 import abc
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.graph.graph import Graph, VertexId
-
-
-@dataclass
-class MatchStats:
-    """Instrumentation collected during one sub-iso test.
-
-    The PIN/PINC replacement policies need per-test costs, and the
-    Demonstrator reports numbers of sub-iso tests — both come from here.
-    """
-
-    states_visited: int = 0
-    backtracks: int = 0
-    elapsed_seconds: float = 0.0
-
-    def merge(self, other: "MatchStats") -> None:
-        """Accumulate another test's counters into this one."""
-        self.states_visited += other.states_visited
-        self.backtracks += other.backtracks
-        self.elapsed_seconds += other.elapsed_seconds
 
 
 @dataclass
@@ -45,7 +28,6 @@ class MatchResult:
 
     found: bool
     mapping: dict[VertexId, VertexId] | None = None
-    stats: MatchStats = field(default_factory=MatchStats)
 
     def __bool__(self) -> bool:  # pragma: no cover - trivial
         return self.found
@@ -97,17 +79,3 @@ def trivially_impossible(query: Graph, target: Graph) -> bool:
     pattern, host = query.compiled(), target.compiled()
     return pattern.max_degree > host.max_degree or not pattern.labels_fit(host)
 
-
-class timed:
-    """Context manager measuring wall-clock time into a :class:`MatchStats`."""
-
-    def __init__(self, stats: MatchStats) -> None:
-        self._stats = stats
-        self._start = 0.0
-
-    def __enter__(self) -> "timed":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._stats.elapsed_seconds += time.perf_counter() - self._start

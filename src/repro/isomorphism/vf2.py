@@ -15,22 +15,17 @@ target vertices one at a time.  Both sides are compiled once per graph, so a
 query verified against its ~30 candidates — or a dataset graph verified for
 the life of the process — pays for order, labels and degrees once.
 
-The engine records :class:`~repro.isomorphism.base.MatchStats` (states
-visited, backtracks, wall-clock time); the PINC replacement policy and the
-Demonstrator's cost accounting are driven by these counters.
+A test returns ``found`` and one mapping and counts nothing: the pipeline
+counts a query's tests and times its verification once per query, and the
+PINC replacement policy reads that per-query ``verify_seconds``.  The kernel
+counts its search states only to honour ``node_budget``.
 """
 
 from __future__ import annotations
 
 from repro.errors import BudgetExceededError
 from repro.graph.graph import Graph, VertexId
-from repro.isomorphism.base import (
-    MatchResult,
-    MatchStats,
-    SubgraphMatcher,
-    timed,
-    trivially_impossible,
-)
+from repro.isomorphism.base import MatchResult, SubgraphMatcher, trivially_impossible
 
 
 class VF2Matcher(SubgraphMatcher):
@@ -54,17 +49,14 @@ class VF2Matcher(SubgraphMatcher):
     # ------------------------------------------------------------------ #
     def find_embedding(self, query: Graph, target: Graph) -> MatchResult:
         """Find one embedding of ``query`` into ``target`` (or report none)."""
-        stats = MatchStats()
-        with timed(stats):
-            found = _search(query, target, self.node_budget, 1, stats)
-        mapping = found[0] if found else None
-        return MatchResult(found=mapping is not None, mapping=mapping, stats=stats)
+        found = _search(query, target, self.node_budget, 1)
+        return MatchResult(found=bool(found), mapping=found[0] if found else None)
 
     def find_all_embeddings(
         self, query: Graph, target: Graph, limit: int | None = None
     ) -> list[dict[VertexId, VertexId]]:
         """Enumerate (up to ``limit``) embeddings of ``query`` into ``target``."""
-        return _search(query, target, self.node_budget, limit, MatchStats())
+        return _search(query, target, self.node_budget, limit)
 
 
 def _search(
@@ -72,7 +64,6 @@ def _search(
     target: Graph,
     node_budget: int | None,
     limit: int | None,
-    stats: MatchStats,
 ) -> list[dict[VertexId, VertexId]]:
     """The match kernel: depth-first placement along the pattern's plan.
 
@@ -98,65 +89,59 @@ def _search(
     found: list[dict[VertexId, VertexId]] = []
     used = 0
     depth = 0
-    states = backtracks = 0
+    states = 0
     candidates = label_bits.get(labels[0], 0) & at_least[min_degrees[0]]
-    try:
-        while True:
-            if not candidates:
-                if depth == 0:
-                    return found
-                depth -= 1
-                used ^= 1 << image[depth]
-                backtracks += 1
-                candidates = pending[depth]
-                continue
-            low = candidates & -candidates
-            candidates ^= low
-            vertex = low.bit_length() - 1
-            states += 1
-            if node_budget is not None and states > node_budget:
-                raise BudgetExceededError(node_budget)
+    while True:
+        if not candidates:
+            if depth == 0:
+                return found
+            depth -= 1
+            used ^= 1 << image[depth]
+            candidates = pending[depth]
+            continue
+        low = candidates & -candidates
+        candidates ^= low
+        vertex = low.bit_length() - 1
+        states += 1
+        if node_budget is not None and states > node_budget:
+            raise BudgetExceededError(node_budget)
 
-            # one-step look-ahead: enough free neighbours of each label the
-            # pattern vertex's unplaced neighbours carry
-            feasible = True
-            needs = forward_needs[depth]
-            if needs:
-                free = adj[vertex] & ~used
-                for label, count in needs:
-                    if (free & label_bits.get(label, 0)).bit_count() < count:
-                        feasible = False
-                        break
-            if feasible and back_edge_labels is not None:
-                for position, edge_label in back_edge_labels[depth]:
-                    other = image[position]
-                    edge = (vertex, other) if vertex < other else (other, vertex)
-                    if host_edge_labels.get(edge) != edge_label:
-                        feasible = False
-                        break
-            if not feasible:
-                continue
+        # one-step look-ahead: enough free neighbours of each label the
+        # pattern vertex's unplaced neighbours carry
+        feasible = True
+        needs = forward_needs[depth]
+        if needs:
+            free = adj[vertex] & ~used
+            for label, count in needs:
+                if (free & label_bits.get(label, 0)).bit_count() < count:
+                    feasible = False
+                    break
+        if feasible and back_edge_labels is not None:
+            for position, edge_label in back_edge_labels[depth]:
+                other = image[position]
+                edge = (vertex, other) if vertex < other else (other, vertex)
+                if host_edge_labels.get(edge) != edge_label:
+                    feasible = False
+                    break
+        if not feasible:
+            continue
 
-            image[depth] = vertex
-            pending[depth] = candidates
-            used |= low
-            depth += 1
-            if depth == size:
-                query_ids, target_ids = query.vertices(), target.vertices()
-                found.append({
-                    query_ids[plan.order[position]]: target_ids[image[position]]
-                    for position in range(size)
-                })
-                if limit is not None and len(found) >= limit:
-                    return found
-                depth -= 1
-                used ^= low
-                backtracks += 1
-                continue
+        image[depth] = vertex
+        pending[depth] = candidates
+        used |= low
+        depth += 1
+        if depth == size:
+            query_ids, target_ids = query.vertices(), target.vertices()
+            found.append({
+                query_ids[plan.order[position]]: target_ids[image[position]]
+                for position in range(size)
+            })
+            if limit is not None and len(found) >= limit:
+                return found
+            depth -= 1
+            used ^= low
+            continue
 
-            candidates = label_bits.get(labels[depth], 0) & at_least[min_degrees[depth]] & ~used
-            for position in back[depth]:
-                candidates &= adj[image[position]]
-    finally:
-        stats.states_visited += states
-        stats.backtracks += backtracks
+        candidates = label_bits.get(labels[depth], 0) & at_least[min_degrees[depth]] & ~used
+        for position in back[depth]:
+            candidates &= adj[image[position]]

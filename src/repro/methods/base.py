@@ -22,7 +22,6 @@ from repro.graph.graph import Graph
 from repro.index.base import GraphId, graph_id_sort_key
 from repro.index.containment import DatasetIndex
 from repro.isomorphism.base import SubgraphMatcher
-from repro.isomorphism.instrumentation import CountingMatcher
 from repro.isomorphism.vf2 import VF2Matcher
 from repro.query_model import QueryType
 
@@ -65,7 +64,7 @@ class MethodM:
     path_length: int = 0
 
     def __init__(self, verifier: SubgraphMatcher | None = None) -> None:
-        self.verifier = CountingMatcher(verifier or VF2Matcher())
+        self.verifier = verifier or VF2Matcher()
         #: The filter, built by :meth:`build` (``None``: no filtering).
         self.index: DatasetIndex | None = None
         self._dataset: dict[GraphId, Graph] = {}
@@ -173,7 +172,7 @@ class MethodM:
         """Describe the method and its filter for reports."""
         description: dict[str, object] = {
             "name": self.name,
-            "verifier": self.verifier.inner.name,
+            "verifier": self.verifier.name,
             "dataset_size": self.dataset_size,
         }
         if self.index is not None:

@@ -75,10 +75,7 @@ class GCConfig:
     #: exemplars (full span tree + scatter plan) and logged.
     slow_query_threshold_s: float = 1.0
 
-    # --- accounting ------------------------------------------------------
-    #: When True, each query is *also* executed by plain Method M so that the
-    #: reported time speedup is a measurement rather than an estimate.
-    measure_baseline: bool = False
+    # --- baseline --------------------------------------------------------
     #: Whether the cache is enabled at all (False = pass-through baseline).
     cache_enabled: bool = True
 

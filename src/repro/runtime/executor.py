@@ -42,12 +42,10 @@ class QueryExecutor:
         method: MethodM,
         cache: GraphCache | None,
         statistics: StatisticsManager | None = None,
-        measure_baseline: bool = False,
     ) -> None:
         self.method = method
         self.cache = cache
         self.statistics = statistics or StatisticsManager()
-        self.measure_baseline = measure_baseline
         self.pruner = CandidateSetPruner()
         self.pipeline = QueryPipeline()
         #: Running average cost of one dataset sub-iso test (seconds); used to
@@ -61,28 +59,17 @@ class QueryExecutor:
     # ------------------------------------------------------------------ #
     def execute(self, query: Query | Graph, query_type: QueryType | str | None = None) -> QueryReport:
         """Process one query through the pipeline and return its full report."""
-        query = self._coerce_query(query, query_type)
+        if not isinstance(query, Query):
+            query = Query(graph=query, query_type=QueryType.parse(query_type or QueryType.SUBGRAPH))
         ctx = ExecutionContext(query=query, executor=self, report=QueryReport(query=query))
         self.pipeline.run(ctx)
-
-        # optional measured baseline
-        if self.measure_baseline:
-            # on a copy: the pipeline left its compiled form and match plan on
-            # ``query.graph``, which Method M alone would have had to build
-            baseline = self.method.execute(query.graph.copy(), query.query_type)
-            ctx.report.baseline_seconds = baseline.total_seconds
-        else:
-            ctx.report.baseline_seconds = ctx.report.filter_seconds + (
-                ctx.report.baseline_tests * self._average_test_cost
-            )
-
+        # Method M is not run a second time: its seconds are estimated from
+        # its filter and its |C_M| tests at the running average test cost
+        ctx.report.baseline_seconds = ctx.report.filter_seconds + (
+            ctx.report.baseline_tests * self._average_test_cost
+        )
         self.statistics.record(ctx.report)
         return ctx.report
-
-    def execute_baseline(self, query: Query | Graph, query_type: QueryType | str | None = None):
-        """Run plain Method M (no cache) for one query — the comparison arm."""
-        query = self._coerce_query(query, query_type)
-        return self.method.execute(query.graph, query.query_type)
 
     # ------------------------------------------------------------------ #
     # test-cost accounting (shared with the pipeline stages)
@@ -101,12 +88,3 @@ class QueryExecutor:
             total = self._average_test_cost * self._observed_tests + seconds
             self._observed_tests += tests
             self._average_test_cost = total / self._observed_tests
-
-    # ------------------------------------------------------------------ #
-    # internals
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _coerce_query(query: Query | Graph, query_type: QueryType | str | None) -> Query:
-        if isinstance(query, Query):
-            return query
-        return Query(graph=query, query_type=QueryType.parse(query_type or QueryType.SUBGRAPH))

@@ -48,9 +48,10 @@ class QueryReport:
     total_seconds: float = 0.0
     #: ``|C_M|``: the dataset tests Method M alone would run.
     baseline_tests: int = 0
-    #: Method M alone: measured, or estimated as filter seconds plus
-    #: ``baseline_tests`` × the average test cost (no filter ran on an exact hit).
-    baseline_seconds: float | None = None
+    #: Method M alone, an estimate (Method M is never run twice): filter
+    #: seconds plus ``baseline_tests`` × the running average test cost (no
+    #: filter ran on an exact hit).
+    baseline_seconds: float = 0.0
     #: Wall-clock seconds spent in each pipeline stage, in execution order
     #: (probe → filter → prune → verify → assemble → admit).
     stage_seconds: dict[str, float] = field(default_factory=dict)

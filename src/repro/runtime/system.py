@@ -60,7 +60,6 @@ class GraphCacheSystem:
             method=self.method,
             cache=self.cache,
             statistics=self.statistics,
-            measure_baseline=self.config.measure_baseline,
         )
 
     # ------------------------------------------------------------------ #

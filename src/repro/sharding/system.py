@@ -386,10 +386,6 @@ class ShardedGraphCacheSystem:
         started = time.perf_counter()
         merged = QueryReport(query=query)
         stage_seconds: dict[str, float] = {}
-        baseline_seconds = 0.0
-        # a fully-pruned query has no shard reports and hence no measured
-        # baseline — it must record None, not a zero measurement
-        have_baseline = bool(shard_reports)
         slowest = 0.0
         for report in shard_reports:  # shard order: deterministic
             if merged.exact_hit_entry is None:
@@ -409,14 +405,10 @@ class ShardedGraphCacheSystem:
             merged.probe_seconds += report.probe_seconds
             merged.verify_seconds += report.verify_seconds
             merged.baseline_tests += report.baseline_tests
+            merged.baseline_seconds += report.baseline_seconds
             slowest = max(slowest, report.total_seconds)
-            if report.baseline_seconds is None:
-                have_baseline = False
-            else:
-                baseline_seconds += report.baseline_seconds
             for stage, seconds in report.stage_seconds.items():
                 stage_seconds[stage] = stage_seconds.get(stage, 0.0) + seconds
-        merged.baseline_seconds = baseline_seconds if have_baseline else None
         merge_seconds = time.perf_counter() - started
         plan_seconds = 0.0
         if self.planner.mode != "full":

@@ -116,7 +116,7 @@ def report_from_wire(query: Query, payload: dict) -> QueryReport:
         verify_seconds=float(payload.get("verify_seconds", 0.0)),
         total_seconds=float(payload.get("total_seconds", 0.0)),
         baseline_tests=int(payload.get("baseline_tests", 0)),
-        baseline_seconds=payload.get("baseline_seconds"),
+        baseline_seconds=float(payload.get("baseline_seconds", 0.0)),
         stage_seconds=dict(payload.get("stage_seconds", {})),
         spans=[Span.from_dict(span) for span in payload.get("spans", [])
                if isinstance(span, dict)],

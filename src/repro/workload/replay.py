@@ -112,6 +112,8 @@ class ReplayEvent:
 
     index: int
     status: int
+    #: Seconds to the reply: from when the request fell due (open loop) or
+    #: from when it was sent (closed loop).
     latency_seconds: float
     answer: frozenset | None = None
     batch_size: int | None = None
@@ -237,7 +239,10 @@ def replay_trace(
     soon as the previous answer returns); a positive value runs open-loop:
     query *i* is released at ``i / target_qps`` seconds after the start, so a
     server slower than the offered load accumulates queue delay (and 429s)
-    instead of silently throttling the generator.
+    instead of silently throttling the generator.  Open-loop latency runs
+    from that due time, not from the send: a request that waited for a free
+    client thread behind a stalled one reports the wait (no coordinated
+    omission).  Closed-loop latency runs from the send.
 
     ``deadline_seconds`` stamps a per-query deadline on every request (the
     server sheds work it cannot start in time: 504 lines show up under
@@ -264,17 +269,20 @@ def replay_trace(
                 client.close()
                 return
             if target_qps is not None:
-                release = start + index / target_qps
-                delay = release - time.perf_counter()
+                # open loop: a request's latency runs from when it fell due,
+                # so one sent late behind a stall is charged its wait too
+                due = start + index / target_qps
+                delay = due - time.perf_counter()
                 if delay > 0:
                     time.sleep(delay)
-            sent = time.perf_counter()
+            else:
+                due = time.perf_counter()
             try:
                 outcome = client.send(queries[index])
             except Exception as exc:
                 outcome = exc
             events[index] = ReplayEvent.observed(
-                index, queries[index], time.perf_counter() - sent, outcome)
+                index, queries[index], time.perf_counter() - due, outcome)
 
     threads = [
         threading.Thread(target=worker, name=f"gc-loadgen-{i}", daemon=True)

@@ -47,7 +47,7 @@ class WorkloadRunResult:
 
     @property
     def time_speedup(self) -> float:
-        """Workload-level speedup in query time."""
+        """Workload-level speedup in query time: an estimate (see ``statistics``)."""
         return self.aggregate.time_speedup
 
     def summary(self) -> dict[str, object]:
@@ -75,7 +75,8 @@ def run_workload(system: GraphCacheSystem, workload: Workload) -> WorkloadRunRes
 
     The statistics describe exactly this workload's queries: they are folded
     from its own reports, not read off the system, whose manager also holds
-    any query it ran before.  ``system`` may equally be a
+    any query it ran before; likewise the evicted ids are those this
+    workload's queries evicted.  ``system`` may equally be a
     :class:`~repro.sharding.system.ShardedGraphCacheSystem` — eviction and
     memory accounting then aggregate over every shard's cache — or a
     :class:`~repro.api.service.LocalGraphService` facade, which is unwrapped
@@ -86,14 +87,16 @@ def run_workload(system: GraphCacheSystem, workload: Workload) -> WorkloadRunRes
 
     if isinstance(system, LocalGraphService):
         system = system.system
+    caches = system.all_caches()
+    # the caches keep every eviction report they ever made: skip earlier runs'
+    reports_before = [len(cache.eviction_reports()) for cache in caches]
     reports = [system.run_query(query) for query in workload]
     statistics = StatisticsManager()
     for report in reports:
         statistics.record(report)
     evicted: list[int] = []
-    caches = system.all_caches()
-    for cache in caches:
-        for report in cache.eviction_reports():
+    for cache, before in zip(caches, reports_before):
+        for report in cache.eviction_reports()[before:]:
             evicted.extend(report.evicted)
     scatter_metrics = getattr(system, "scatter_metrics", None)
     return WorkloadRunResult(

@@ -31,8 +31,9 @@ every incoming entry; both must choose exactly what the product chooses
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from repro.cache.entry import CacheEntry
 from repro.cache.policies.base import EvictionReport, ReplacementPolicy
@@ -41,13 +42,7 @@ from repro.cache.store import CacheStore
 from repro.errors import BudgetExceededError
 from repro.features.base import FeatureKey
 from repro.graph.graph import Graph, VertexId
-from repro.isomorphism.base import (
-    MatchResult,
-    MatchStats,
-    SubgraphMatcher,
-    timed,
-    trivially_impossible,
-)
+from repro.isomorphism.base import MatchResult, SubgraphMatcher, trivially_impossible
 
 
 class UllmannMatcher(SubgraphMatcher):
@@ -60,24 +55,21 @@ class UllmannMatcher(SubgraphMatcher):
 
     def find_embedding(self, query: Graph, target: Graph) -> MatchResult:
         """Find one embedding of ``query`` into ``target`` (or report none)."""
-        stats = MatchStats()
-        with timed(stats):
-            if query.num_vertices == 0:
-                return MatchResult(found=True, mapping={}, stats=stats)
-            if trivially_impossible(query, target):
-                return MatchResult(found=False, mapping=None, stats=stats)
-            candidates = self._initial_candidates(query, target)
-            if candidates is None:
-                return MatchResult(found=False, mapping=None, stats=stats)
-            order = sorted(query.vertices(), key=lambda v: len(candidates[v]))
-            mapping = self._search(query, target, order, 0, candidates, {}, stats)
-        return MatchResult(found=mapping is not None, mapping=mapping, stats=stats)
+        if query.num_vertices == 0:
+            return MatchResult(found=True, mapping={})
+        if trivially_impossible(query, target):
+            return MatchResult(found=False)
+        candidates = self._initial_candidates(query, target)
+        if candidates is None:
+            return MatchResult(found=False)
+        order = sorted(query.vertices(), key=lambda v: len(candidates[v]))
+        mapping = self._search(query, target, order, 0, candidates, {}, itertools.count(1))
+        return MatchResult(found=mapping is not None, mapping=mapping)
 
     def find_all_embeddings(
         self, query: Graph, target: Graph, limit: int | None = None
     ) -> list[dict[VertexId, VertexId]]:
         """Enumerate (up to ``limit``) embeddings of ``query`` into ``target``."""
-        stats = MatchStats()
         if query.num_vertices == 0:
             return [{}]
         if trivially_impossible(query, target):
@@ -87,7 +79,7 @@ class UllmannMatcher(SubgraphMatcher):
             return []
         order = sorted(query.vertices(), key=lambda v: len(candidates[v]))
         results: list[dict[VertexId, VertexId]] = []
-        self._search(query, target, order, 0, candidates, {}, stats, results, limit)
+        self._search(query, target, order, 0, candidates, {}, itertools.count(1), results, limit)
         return results
 
     def _initial_candidates(
@@ -139,7 +131,7 @@ class UllmannMatcher(SubgraphMatcher):
         depth: int,
         candidates: dict[VertexId, set[VertexId]],
         mapping: dict[VertexId, VertexId],
-        stats: MatchStats,
+        states: Iterator[int],
         results: list[dict[VertexId, VertexId]] | None = None,
         limit: int | None = None,
     ) -> dict[VertexId, VertexId] | None:
@@ -151,8 +143,8 @@ class UllmannMatcher(SubgraphMatcher):
         q_vertex = order[depth]
         used = set(mapping.values())
         for t_vertex in sorted(candidates[q_vertex], key=repr):
-            stats.states_visited += 1
-            if self.node_budget is not None and stats.states_visited > self.node_budget:
+            state = next(states)  # numbers the search states, for ``node_budget``
+            if self.node_budget is not None and state > self.node_budget:
                 raise BudgetExceededError(self.node_budget)
             if t_vertex in used:
                 continue
@@ -160,12 +152,11 @@ class UllmannMatcher(SubgraphMatcher):
                 continue
             mapping[q_vertex] = t_vertex
             found = self._search(
-                query, target, order, depth + 1, candidates, mapping, stats, results, limit
+                query, target, order, depth + 1, candidates, mapping, states, results, limit
             )
             if results is None and found is not None:
                 return found
             del mapping[q_vertex]
-            stats.backtracks += 1
             if results is not None and limit is not None and len(results) >= limit:
                 return None
         return None
@@ -219,20 +210,18 @@ class NetworkXMatcher(SubgraphMatcher):
 
     def find_embedding(self, query: Graph, target: Graph) -> MatchResult:
         """Find one embedding of ``query`` into ``target`` using networkx."""
-        stats = MatchStats()
-        with timed(stats):
-            if query.num_vertices == 0:
-                return MatchResult(found=True, mapping={}, stats=stats)
-            if trivially_impossible(query, target):
-                return MatchResult(found=False, mapping=None, stats=stats)
-            matcher = self._matcher(query, target)
-            # networkx's "monomorphism" is the paper's non-induced semantics
-            found = matcher.subgraph_is_monomorphic()
-            mapping: dict[VertexId, VertexId] | None = None
-            if found:
-                # networkx maps target -> query; invert to query -> target
-                mapping = {q: t for t, q in matcher.mapping.items()}
-        return MatchResult(found=found, mapping=mapping, stats=stats)
+        if query.num_vertices == 0:
+            return MatchResult(found=True, mapping={})
+        if trivially_impossible(query, target):
+            return MatchResult(found=False)
+        matcher = self._matcher(query, target)
+        # networkx's "monomorphism" is the paper's non-induced semantics
+        found = matcher.subgraph_is_monomorphic()
+        mapping: dict[VertexId, VertexId] | None = None
+        if found:
+            # networkx maps target -> query; invert to query -> target
+            mapping = {q: t for t, q in matcher.mapping.items()}
+        return MatchResult(found=found, mapping=mapping)
 
     def find_all_embeddings(
         self, query: Graph, target: Graph, limit: int | None = None

@@ -1,5 +1,5 @@
-"""Tests for the semantic-vs-exact-only cache modes and the thread-safe
-verifier tally added on top of the base kernel."""
+"""Tests for the semantic-vs-exact-only cache modes and one method's
+verification shared by many caller threads."""
 
 from __future__ import annotations
 
@@ -81,8 +81,10 @@ class TestVerifierTally:
         method = DirectSIMethod()
         method.build(dataset)
         query = make_subgraph_queries(dataset, 1, 6, seed=9)[0]
+        results = []
         threads = [
-            threading.Thread(target=method.execute, args=(query.graph, "subgraph"))
+            threading.Thread(
+                target=lambda: results.append(method.execute(query.graph, "subgraph")))
             for _ in range(8)
         ]
         for thread in threads:
@@ -90,4 +92,5 @@ class TestVerifierTally:
         for thread in threads:
             thread.join(timeout=30)
         assert not any(thread.is_alive() for thread in threads)
-        assert method.verifier.tally.tests == 8 * len(dataset)
+        assert sum(result.num_subiso_tests for result in results) == 8 * len(dataset)
+        assert all(result.answer == results[0].answer for result in results)

@@ -350,7 +350,7 @@ class TestRemovedKnobsFailLoudly:
                                        "max_sub_hits", "max_super_hits",
                                        "cache_memory_budget_bytes", "enable_sub_case",
                                        "enable_super_case", "shard_policy",
-                                       "shard_respawn_limit"))
+                                       "shard_respawn_limit", "measure_baseline"))
     def test_config_rejects_the_removed_fields(self, field):
         with pytest.raises(TypeError, match=field):
             GCConfig(**{field: 2})

@@ -1,4 +1,4 @@
-"""Tests for the networkx oracle and the counting matcher."""
+"""Tests for the networkx oracle (VF2 ≡ networkx) and the removed verifier knob."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.graph import Graph, cycle_graph, molecule_graph, path_graph
 from repro.graph.operations import random_connected_subgraph
-from repro.isomorphism import CountingMatcher, VF2Matcher
+from repro.isomorphism import VF2Matcher
 from repro.runtime import GCConfig
 from tests.oracles import NetworkXMatcher
 
@@ -61,64 +61,3 @@ class TestRegistry:
                 GCConfig(verifier=name)
             with pytest.raises(TypeError, match="verifier"):
                 GCConfig.from_dict({**GCConfig().to_dict(), "verifier": name})
-
-
-class TestCountingMatcher:
-    def test_counts_tests(self, triangle):
-        counting = CountingMatcher(VF2Matcher())
-        counting.is_subgraph(path_graph(["C", "O"]), triangle)
-        counting.is_subgraph(path_graph(["S", "S"]), triangle)
-        assert counting.tally.tests == 2
-        assert counting.tally.positives == 1
-        assert counting.tally.negatives == 1
-        assert counting.tally.total_seconds >= 0.0
-
-    def test_average_seconds(self, triangle):
-        counting = CountingMatcher(VF2Matcher())
-        assert counting.tally.average_seconds == 0.0
-        counting.is_subgraph(path_graph(["C", "O"]), triangle)
-        assert counting.tally.average_seconds >= 0.0
-
-    def test_reset(self, triangle):
-        counting = CountingMatcher(VF2Matcher())
-        counting.is_subgraph(path_graph(["C", "O"]), triangle)
-        counting.reset()
-        assert counting.tally.tests == 0
-
-    def test_snapshot_keys(self, triangle):
-        counting = CountingMatcher(VF2Matcher())
-        counting.is_subgraph(path_graph(["C", "O"]), triangle)
-        snapshot = counting.tally.snapshot()
-        assert {"tests", "positives", "negatives", "total_seconds"} <= set(snapshot)
-
-    def test_enumeration_counted(self, triangle):
-        counting = CountingMatcher(VF2Matcher())
-        counting.find_all_embeddings(path_graph(["C", "O"]), triangle)
-        assert counting.tally.tests == 1
-        assert counting.tally.positives == 1
-
-    def test_tally_keeps_no_per_test_history(self, triangle):
-        # a long-lived server records millions of tests: the tally must stay
-        # a handful of scalars however many it has seen
-        counting = CountingMatcher(VF2Matcher())
-        for _ in range(50):
-            counting.is_subgraph(path_graph(["C", "O"]), triangle)
-        assert counting.tally.tests == 50
-        assert all(isinstance(value, (int, float)) for value in vars(counting.tally).values())
-
-    def test_enumeration_updates_the_tally_under_the_lock(self, triangle):
-        counting = CountingMatcher(VF2Matcher())
-
-        class SpyLock:
-            entered = 0
-
-            def __enter__(self):
-                SpyLock.entered += 1
-
-            def __exit__(self, *exc_info):
-                return False
-
-        counting._lock = SpyLock()
-        counting.find_all_embeddings(path_graph(["C", "O"]), triangle)
-        assert SpyLock.entered == 1
-        assert counting.tally.tests == 1

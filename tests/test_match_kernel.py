@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 from repro.graph import Graph, cycle_graph, molecule_dataset, path_graph
 from repro.graph.operations import random_connected_subgraph
 from repro.isomorphism import VF2Matcher
-from repro.isomorphism.base import MatchStats
 from repro.isomorphism.vf2 import _search
 from tests.oracles import UllmannMatcher, to_networkx
 
@@ -200,8 +199,8 @@ class TestDifferential:
         for leaf in (1, 2, 3):
             star.add_edge(0, leaf)
         thin = path_graph(["C", "C", "C", "C"])
-        assert _search(star, thin, None, None, MatchStats()) == []
-        assert _search(Graph(), thin, None, None, MatchStats()) == [{}]
+        assert _search(star, thin, None, None) == []
+        assert _search(Graph(), thin, None, None) == [{}]
 
 
 # ---------------------------------------------------------------------- #

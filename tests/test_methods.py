@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
@@ -20,6 +21,9 @@ from repro.methods import (
 )
 from tests.oracles import UllmannMatcher
 from repro.query_model import QueryType
+from repro.runtime import GCConfig
+from repro.sharding import make_system
+from repro.workload import generate_trace
 
 ALL_METHOD_NAMES = ["direct-si", "graphgrep-sx", "ct-index"]
 
@@ -149,12 +153,39 @@ class TestVerifierPluggability:
             query, "subgraph"
         ).answer
 
-    def test_verifier_tally_accumulates(self, dataset):
-        method = DirectSIMethod()
-        method.build(dataset)
-        query = random_connected_subgraph(dataset[6], 5, rng=4)
-        method.execute(query, "subgraph")
-        assert method.verifier.tally.tests == len(dataset)
+
+class TestVerifierSeam:
+    """``find_embedding`` is the one entry of every dataset test.
+
+    gcbench counts tests and their busy time by wrapping ``find_embedding``
+    on every matcher class, so a verification path that bypassed it would
+    silently read zero there.
+    """
+
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_one_find_embedding_call_per_dataset_test(self, dataset, monkeypatch, num_shards):
+        trace = generate_trace(dataset, 40, query_type="mixed", seed=3)
+        calls = []
+        lock = threading.Lock()
+
+        def spy(matcher):
+            find = matcher.find_embedding
+
+            def counted(query, target):
+                with lock:
+                    calls.append(None)
+                return find(query, target)
+            return counted
+
+        config = GCConfig(cache_capacity=10, window_size=2, num_shards=num_shards)
+        with make_system(dataset, config) as system:
+            engines = system.shards if num_shards > 1 else [system]
+            for engine in engines:
+                verifier = engine.method.verifier
+                monkeypatch.setattr(verifier, "find_embedding", spy(verifier))
+            reports = [system.run_query(query) for query in trace]
+        assert {report.query.query_type for report in reports} == set(QueryType)
+        assert len(calls) == sum(report.dataset_tests for report in reports) > 0
 
 
 class TestRegistry:

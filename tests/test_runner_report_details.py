@@ -61,6 +61,22 @@ class TestWorkloadRunResult:
         # the system's own manager still covers everything it ran
         assert system.aggregate().num_queries == 4 + 5 + 7
 
+    def test_a_run_reports_only_the_evictions_it_caused(self, small_system):
+        dataset, _ = small_system
+        system = GraphCacheSystem(dataset, GCConfig(cache_capacity=8, window_size=2,
+                                                    replacement_policy="LRU",
+                                                    method="direct-si"))
+        generator = WorkloadGenerator(dataset, rng=907)
+        first = run_workload(system, generator.generate(40, mix="uniform", name="first"))
+        assert first.evicted_entry_ids
+        before = len(system.cache.eviction_reports())
+        second = run_workload(system, generator.generate(5, mix="uniform", name="second"))
+        assert second.evicted_entry_ids == [
+            entry_id for report in system.cache.eviction_reports()[before:]
+            for entry_id in report.evicted
+        ]
+        assert set(second.evicted_entry_ids).isdisjoint(first.evicted_entry_ids)
+
     def test_empty_result_defaults(self):
         result = WorkloadRunResult(workload_name="x", policy="HD", method="direct-si")
         assert result.test_speedup == 1.0

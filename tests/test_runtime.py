@@ -133,32 +133,70 @@ class TestGraphCacheSystem:
         assert system.aggregate().num_queries == 0
         assert len(system.cache) > 0
 
-    def test_measure_baseline_records_time(self, dataset):
-        system = GraphCacheSystem(
-            dataset, GCConfig(measure_baseline=True, cache_capacity=8, window_size=2)
-        )
+    def test_a_first_miss_estimates_its_own_filter_and_tests(self, dataset):
+        # empty cache: C = C_M, and the running average is this query's own
+        # cost per test, so the estimate is the filter plus the verification
+        system = GraphCacheSystem(dataset, GCConfig(cache_capacity=8, window_size=2))
         report = system.run_query(random_connected_subgraph(dataset[2], 5, rng=9), "subgraph")
-        assert report.baseline_seconds is not None
-        assert report.baseline_seconds > 0.0
+        assert report.dataset_tests == report.baseline_tests > 0
+        assert isinstance(report.baseline_seconds, float)
+        assert report.baseline_seconds == pytest.approx(
+            report.filter_seconds + report.verify_seconds
+        )
 
-    def test_measured_baseline_does_not_inherit_the_pipelines_graph(self, dataset, monkeypatch):
-        # the pipeline leaves a compiled form and a match plan on the query
-        # graph; the "no cache" arm must pay for its own
-        system = GraphCacheSystem(
-            dataset, GCConfig(measure_baseline=True, cache_capacity=8, window_size=2)
+    def test_an_exact_hit_prices_its_recorded_tests_at_the_average_cost(self, dataset):
+        system = GraphCacheSystem(dataset, GCConfig(cache_capacity=10, window_size=1))
+        query_graph = random_connected_subgraph(dataset[0], 6, rng=5)
+        first = system.run_query(query_graph.copy(), "subgraph")
+        second = system.run_query(query_graph.copy(), "subgraph")
+        assert second.exact_hit_entry is not None
+        assert second.filter_seconds == 0.0
+        assert second.baseline_tests == first.baseline_tests > 0
+        assert second.baseline_seconds == pytest.approx(
+            second.baseline_tests * first.verify_seconds / first.dataset_tests
         )
-        baseline_graphs = []
-        execute = system.method.execute
-        monkeypatch.setattr(
-            system.method, "execute",
-            lambda graph, query_type: baseline_graphs.append(graph) or execute(graph, query_type),
+
+    def test_method_m_is_not_run_a_second_time(self, dataset, monkeypatch):
+        # Method M's cost is estimated, never measured by running it alone
+        system = GraphCacheSystem(dataset, GCConfig(cache_capacity=8, window_size=2))
+        calls = {"execute": 0, "filter": 0}
+        filter_candidates = system.method.filter_candidates
+
+        def counted_filter(graph, query_type):
+            calls["filter"] += 1
+            return filter_candidates(graph, query_type)
+
+        def forbidden_execute(graph, query_type):
+            calls["execute"] += 1
+            raise AssertionError("the pipeline ran Method M alone")
+
+        monkeypatch.setattr(system.method, "filter_candidates", counted_filter)
+        monkeypatch.setattr(system.method, "execute", forbidden_execute)
+        queries = make_subgraph_queries(dataset, 6, 5, seed=7)
+        reports = system.run_queries(queries)
+        assert calls["execute"] == 0
+        assert calls["filter"] == sum(report.exact_hit_entry is None for report in reports)
+
+    def test_time_speedup_is_the_estimate_over_gc_seconds(self, dataset):
+        system = GraphCacheSystem(dataset, GCConfig(window_size=2, cache_capacity=8))
+        reports = system.run_queries(make_subgraph_queries(dataset, 6, 5, seed=7))
+        aggregate = system.aggregate()
+        assert aggregate.total_baseline_seconds == pytest.approx(
+            sum(report.baseline_seconds for report in reports)
         )
-        query = random_connected_subgraph(dataset[2], 5, rng=9)
-        report = system.run_query(query, "subgraph")
-        assert len(baseline_graphs) == 1
-        assert baseline_graphs[0] is not query
-        assert baseline_graphs[0].edges() == query.edges()
-        assert report.answer == execute(query, "subgraph").answer
+        assert aggregate.time_speedup == pytest.approx(
+            aggregate.total_baseline_seconds / aggregate.total_seconds
+        )
+
+    def test_average_test_cost_weights_each_query_by_its_tests(self, dataset):
+        executor = GraphCacheSystem(dataset, GCConfig()).executor
+        assert executor.per_test_cost(0, 0.0) == 0.0
+        executor.observe_test_cost(2, 0.002)
+        executor.observe_test_cost(6, 0.002)
+        executor.observe_test_cost(0, 5.0)  # a query with no tests is no sample
+        assert executor.per_test_cost(0, 0.0) == pytest.approx(0.004 / 8)
+        # a query that ran tests is priced at its own cost, not the average
+        assert executor.per_test_cost(4, 0.02) == pytest.approx(0.005)
 
     def test_memory_overhead_ratio(self, dataset):
         system = GraphCacheSystem(

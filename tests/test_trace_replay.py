@@ -1,4 +1,5 @@
-"""Trace generation and replay: determinism, round-trips, a thousand connections.
+"""Trace generation and replay: determinism, round-trips, open-loop latency
+timed from the due time, a thousand connections.
 
 The load generator's value for benchmarking depends on traces being exactly
 reproducible: the same seed must yield the same trace (per skew, including
@@ -11,8 +12,11 @@ as an 8-thread replay does.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
+from repro.api.envelopes import QueryResponse
 from repro.api.remote import RemoteGraphService
 from repro.errors import WorkloadError
 from repro.graph import molecule_dataset
@@ -109,6 +113,38 @@ class TestRoundTrip:
                 return [frozenset(r.answer) for r in system.run_queries(list(workload))]
 
         assert answers(trace) == answers(loaded)
+
+
+class StallingService:
+    """Answers every request at once, except one that takes ``stall`` seconds."""
+
+    def __init__(self, stall_at: int, stall: float) -> None:
+        self.stall_at, self.stall = stall_at, stall
+        self.sent = 0
+
+    def send(self, request):
+        if self.sent == self.stall_at:
+            time.sleep(self.stall)
+        self.sent += 1
+        return 200, QueryResponse(answer=frozenset()).to_wire()
+
+    def close(self) -> None:
+        pass
+
+
+class TestOpenLoopLatency:
+    def test_a_stall_is_charged_to_every_request_due_during_it(self, dataset):
+        """No coordinated omission: latency runs from the due time, not the send."""
+        qps, stall_at, stall = 100.0, 4, 0.2
+        trace = generate_trace(dataset, 30, seed=5)
+        result = replay_trace(StallingService(stall_at, stall), trace,
+                              target_qps=qps, num_threads=1)
+        assert result.served == len(trace)
+        stall_ends = stall_at / qps + stall  # at the earliest, after the start
+        # requests 5-23 fall due while request 4 stalls
+        for event in result.events[stall_at + 1:stall_at + round(stall * qps)]:
+            # it could not be sent before the stall ended
+            assert event.latency_seconds >= stall_ends - event.index / qps - 1e-3
 
 
 class TestThousandConnections:

@@ -55,7 +55,7 @@ def record(
     super_hits: int = 0,
     exact: bool = False,
     total_seconds: float = 0.01,
-    baseline_seconds: float | None = 0.02,
+    baseline_seconds: float = 0.02,
     cache_population: int = 0,
     stage_seconds: dict[str, float] | None = None,
 ) -> QueryReport:
@@ -110,7 +110,7 @@ class TestStatisticsManager:
     def test_time_speedup(self):
         manager = StatisticsManager()
         manager.record(record(1, total_seconds=0.01, baseline_seconds=0.04))
-        manager.record(record(2, total_seconds=0.01, baseline_seconds=None))
+        manager.record(record(2, total_seconds=0.01, baseline_seconds=0.0))
         assert manager.aggregate().time_speedup == pytest.approx(2.0)
 
     def test_tests_saved_property(self):

@@ -16,6 +16,8 @@ the process-backend spawn-failure cleanup.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import multiprocessing
 import socket
 import threading
@@ -26,12 +28,13 @@ from repro.api.envelopes import QueryRequest
 from repro.api.remote import RemoteGraphService
 from repro.errors import ConfigurationError, ProtocolError
 from repro.graph import molecule_dataset
+from repro.graph.operations import random_connected_subgraph
 from repro.query_model import QueryType
 from repro.runtime import GCConfig, GraphCacheSystem
 from repro.server import QueryServer
 from repro.server.adapter import respond
 from repro.sharding.process_backend import ProcessShardBackend
-from repro.sharding.worker import ShardWorkerApp
+from repro.sharding.worker import ShardWorkerApp, report_from_wire, report_to_wire
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +203,21 @@ def assert_nothing_left_running():
                 if child.name.startswith("gc-shard-worker-")]
     assert not [thread.name for thread in threading.enumerate()
                 if "procshard" in thread.name]  # the backend owns no thread
+
+
+class TestReportWire:
+    def test_a_report_survives_the_wire_unchanged(self, dataset):
+        # a process shard's report crosses as JSON; the merge reads every
+        # field back, and ``baseline_seconds`` is always a float estimate
+        query_graph = random_connected_subgraph(dataset[0], 5, rng=5)
+        with GraphCacheSystem(dataset, GCConfig(cache_capacity=8, window_size=1)) as system:
+            reports = [system.run_query(query_graph.copy(), "subgraph") for _ in range(2)]
+        assert reports[1].exact_hit_entry is not None
+        for report in reports:
+            back = report_from_wire(report.query, json.loads(json.dumps(report_to_wire(report))))
+            for field in dataclasses.fields(report):
+                assert getattr(back, field.name) == getattr(report, field.name), field.name
+            assert isinstance(back.baseline_seconds, float)
 
 
 class TestSpawnFailure:
