@@ -15,9 +15,11 @@ text.  A payload that declares no version, or any other version, is malformed
 outside input: :func:`require_version` raises :class:`ProtocolError`, which
 the serving apps answer as a typed 400 naming the version they speak.
 
-Everything is JSON-safe (infinities map to ``None`` via
-:func:`repro.cache.statistics.json_safe`); every envelope round-trips
-``to_wire`` → ``from_wire`` losslessly, property-tested in
+Everything is JSON-safe.  A query response is JSON-native by construction
+(ids, counts, flags and finite clock differences); error and metrics
+envelopes, which carry arbitrary details and statistics, map infinities to
+``None`` via :func:`repro.cache.statistics.json_safe`.  Every envelope
+round-trips ``to_wire`` → ``from_wire`` losslessly, property-tested in
 ``tests/test_api_envelopes.py``.
 """
 
@@ -256,7 +258,7 @@ class QueryResponse:
             server["batch_size"] = self.batch_size
         if server:
             payload["server"] = server
-        return json_safe(payload)
+        return payload
 
     def to_wire(self) -> dict:
         payload: dict = {"version": PROTOCOL_VERSION, "result": self._body()}

@@ -248,8 +248,7 @@ def cmd_run_workload(args) -> int:
             print()
             print(f"Scatter ({result.scatter['mode']}): "
                   f"mean fan-out {stats['mean_fanout']:.2f} of {args.shards} shards, "
-                  f"skip rate {stats['skip_rate']:.1%}, "
-                  f"summary fallbacks {stats['summary_fallbacks']}")
+                  f"skip rate {stats['skip_rate']:.1%}")
         if result.stage_breakdown:
             print()
             print("Pipeline stage latency")

@@ -9,7 +9,7 @@ table of ``(method, path)`` → endpoint behind one
 (Prometheus text); either goes out framed by ``Content-Length``.  Endpoints
 never see a socket, so they are testable without one.
 
-Three layers, each usable alone:
+Three layers, each callable on its own:
 
 * :meth:`RoutedApp.handle` — route an already-parsed request;
 * :func:`respond` — bytes in, reply value out (JSON decoding and its 400);

@@ -10,10 +10,10 @@ Safety invariants, locked by the differential + property suites:
 
 * every skip is backed by a sound summary screen — a skipped shard
   contributes **zero** answers under full scatter;
-* a shard whose summary is unusable (stale flag, broken integrity seal) is
-  **always scattered to** — degraded coverage, never dropped answers — and
-  the fallback is counted so ``/metrics`` surfaces the event;
 * ``full`` mode never consults summaries at all (the PR 3 behaviour).
+
+Partitions are fixed at construction, so the summaries built then are
+trusted as they stand: planning costs only the screens.
 
 Planning time is booked as its own ``plan`` pipeline stage on merged
 reports (:data:`PLAN_STAGE`), next to the existing ``merge`` stage.
@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigurationError
 from repro.features.base import FeatureExtractor
 from repro.query_model import Query
-from repro.runtime.config import SCATTER_MODES
 from repro.sharding.summary import ShardSummary
 
 #: Stage name under which per-query scatter planning time is accounted.
@@ -44,8 +43,6 @@ class ScatterPlan:
     targets: list[int] = field(default_factory=list)
     #: Pruned shards → the sound reason each cannot contribute.
     skipped: dict[int, str] = field(default_factory=dict)
-    #: Shards scattered to *despite* an unusable summary (degraded mode).
-    fallbacks: list[int] = field(default_factory=list)
     plan_seconds: float = 0.0
 
     @property
@@ -58,7 +55,6 @@ class ScatterPlan:
         return {
             "targets": list(self.targets),
             "skipped": dict(self.skipped),
-            "fallbacks": list(self.fallbacks),
             "fanout": self.fanout,
         }
 
@@ -72,7 +68,6 @@ class ScatterStats:
         self.queries = 0
         self.scattered_total = 0
         self.skipped_total = 0
-        self.fallbacks = 0
         self.zero_target_queries = 0
         self.skip_reasons: dict[str, int] = {}
         self.per_shard_scattered = [0] * num_shards
@@ -83,7 +78,6 @@ class ScatterStats:
             self.queries += 1
             self.scattered_total += len(plan.targets)
             self.skipped_total += len(plan.skipped)
-            self.fallbacks += len(plan.fallbacks)
             if not plan.targets:
                 self.zero_target_queries += 1
             for reason in plan.skipped.values():
@@ -112,7 +106,6 @@ class ScatterStats:
                 "skip_rate": round(self.skip_rate, 4),
                 "scattered_total": self.scattered_total,
                 "skipped_total": self.skipped_total,
-                "summary_fallbacks": self.fallbacks,
                 "zero_target_queries": self.zero_target_queries,
                 "skip_reasons": dict(self.skip_reasons),
                 "per_shard_scattered": list(self.per_shard_scattered),
@@ -135,9 +128,6 @@ class ScatterStats:
                      help="Mean shards scattered to per query")
         yield Sample("gc_scatter_skip_rate", GAUGE, float(stats["skip_rate"]),
                      help="Fraction of shard sub-queries pruned by summaries")
-        yield Sample("gc_scatter_summary_fallbacks_total", COUNTER,
-                     float(stats["summary_fallbacks"]),
-                     help="Plans that fell back to full scatter on an unusable summary")
         for shard, scattered in enumerate(stats["per_shard_scattered"]):
             yield Sample("gc_scatter_shard_scattered_total", COUNTER,
                          float(scattered),
@@ -156,13 +146,9 @@ class ScatterPlanner:
     def __init__(
         self,
         summaries: list[ShardSummary],
-        mode: str = "full",
-        extractor: FeatureExtractor | None = None,
+        mode: str,
+        extractor: FeatureExtractor,
     ) -> None:
-        if mode not in SCATTER_MODES:
-            raise ConfigurationError(
-                f"unknown scatter mode {mode!r}; available: {', '.join(SCATTER_MODES)}"
-            )
         if not summaries:
             raise ConfigurationError("the planner needs at least one shard summary")
         self.mode = mode
@@ -180,17 +166,11 @@ class ScatterPlanner:
         """Plan one query and count the plan in :attr:`stats`."""
         started = time.perf_counter()
         plan = ScatterPlan(query_id=query.query_id)
-        if self.mode == "full" or self.extractor is None:
+        if self.mode == "full":
             plan.targets = list(range(self.num_shards))
         else:
             features = self.extractor.extract_pattern(query.graph)
             for summary in self.summaries:
-                if not summary.usable():
-                    # stale/corrupt summary: never trust it to prune — scatter
-                    # to the shard and surface the degradation in the stats
-                    plan.targets.append(summary.shard)
-                    plan.fallbacks.append(summary.shard)
-                    continue
                 reason = summary.prune_reason(query, features)
                 if reason is not None:
                     plan.skipped[summary.shard] = reason

@@ -16,17 +16,15 @@ answers.  The GC equivalent: every shard publishes
   the partition's size range in the relevant direction, is unanswerable).
 
 Summaries are *advisory only in the safe direction*: every screen is a
-proof of non-contribution, never of contribution, so pruning with a correct
-summary can never drop answers.  Against an *incorrect* summary the planner
-defends with a seal: every legitimate mutation re-seals the summary
-(:meth:`_reseal`), :meth:`usable` re-checks the seal, and a corrupted or
-explicitly stale summary makes the planner fall back to full scatter for
-that shard (visible in ``/metrics``) instead of trusting it.
+proof of non-contribution, never of contribution, so pruning can never drop
+answers.  A summary is a plain value that :meth:`ShardSummary.build` fills
+once: the router assigns every partition at construction and never moves a
+graph, so the summary stays exact for the life of the system and the planner
+trusts it without re-checking.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -54,23 +52,9 @@ class ShardSummary:
     max_vertices: int = 0
     min_edges: int = 0
     max_edges: int = 0
-    #: Explicit staleness flag (set by operators/tests, or by a failed
-    #: refresh); a stale summary is never trusted for pruning.
-    stale: bool = False
-    #: Integrity seal over the pruning-relevant partition content; *only*
-    #: :meth:`build`/:meth:`refresh` re-seal it, so out-of-band mutation
-    #: (corruption) stays detected.  Seals are process-local (built on
-    #: Python ``hash``) — they are never persisted.
-    partition_seal: int = 0
-    #: Serialises every *legitimate* mutation against :meth:`usable`, so a
-    #: seal check never observes new content with an old seal (which would
-    #: misreport a refresh as corruption).  Out-of-band corruption, by
-    #: definition, bypasses it — and stays detected.
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
-    # construction / maintenance
+    # construction
     # ------------------------------------------------------------------ #
     @classmethod
     def build(
@@ -81,7 +65,7 @@ class ShardSummary:
         labels: set[str] = set()
         for graph in partition:
             labels.update(graph.label_counts())
-        summary = cls(
+        return cls(
             shard=shard,
             num_graphs=len(partition),
             union_features=FeatureExtractor.multiset_union(multisets),
@@ -92,55 +76,6 @@ class ShardSummary:
             min_edges=min((g.num_edges for g in partition), default=0),
             max_edges=max((g.num_edges for g in partition), default=0),
         )
-        summary._reseal()
-        return summary
-
-    def mark_stale(self) -> None:
-        """Flag the summary as untrustworthy until the next rebuild."""
-        self.stale = True
-
-    def refresh(self, partition: list[Graph], extractor: FeatureExtractor) -> None:
-        """Rebuild the partition-level vectors in place (clears staleness)."""
-        rebuilt = ShardSummary.build(self.shard, partition, extractor)
-        with self._lock:
-            self.num_graphs = rebuilt.num_graphs
-            self.union_features = rebuilt.union_features
-            self.common_features = rebuilt.common_features
-            self.label_set = rebuilt.label_set
-            self.min_vertices = rebuilt.min_vertices
-            self.max_vertices = rebuilt.max_vertices
-            self.min_edges = rebuilt.min_edges
-            self.max_edges = rebuilt.max_edges
-            self.stale = False
-            self.partition_seal = self._fingerprint_partition()
-
-    def _fingerprint_partition(self) -> int:
-        # order-independent XOR over the vector items: O(n) with no sorting
-        # or string building — usable() runs this per shard per planned query
-        token = 0
-        for item in self.union_features.items():
-            token ^= hash(("union", item))
-        for item in self.common_features.items():
-            token ^= hash(("common", item))
-        return hash((
-            self.shard,
-            self.num_graphs,
-            token,
-            self.label_set,  # frozenset: hash computed once, then cached
-            self.min_vertices, self.max_vertices,
-            self.min_edges, self.max_edges,
-        ))
-
-    def _reseal(self) -> None:
-        with self._lock:
-            self.partition_seal = self._fingerprint_partition()
-
-    def usable(self) -> bool:
-        """True when the summary may be trusted to *prune* this shard."""
-        if self.stale:
-            return False
-        with self._lock:
-            return self.partition_seal == self._fingerprint_partition()
 
     # ------------------------------------------------------------------ #
     # screens
@@ -150,9 +85,7 @@ class ShardSummary:
     ) -> str | None:
         """Why this shard provably cannot contribute answers (None = it may).
 
-        Every returned reason is a *sound* proof of non-contribution;
-        callers must have checked :meth:`usable` first — a stale or corrupt
-        summary proves nothing.
+        Every returned reason is a *sound* proof of non-contribution.
         """
         graph = query.graph
         if query.query_type is QueryType.SUBGRAPH:
@@ -191,6 +124,4 @@ class ShardSummary:
                 "min_edges": self.min_edges,
                 "max_edges": self.max_edges,
             },
-            "stale": self.stale,
-            "usable": self.usable(),
         }

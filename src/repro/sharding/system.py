@@ -122,19 +122,17 @@ class ShardedGraphCacheSystem:
         self.statistics = StatisticsManager()
         for index, shard in enumerate(self.shards):
             self.statistics.attach_shard(f"shard{index}", shard.statistics)
-        #: Per-shard partition summaries + the scatter planner that consults
-        #: them.  The summary feature family (vertex labels + single edges)
-        #: is deliberately independent of Method M's own index, so every
-        #: screen is sound for any method, including index-free direct SI.
-        self._summary_extractor = PathFeatureExtractor(max_length=1)
-        self.summaries = [
-            ShardSummary.build(index, partition, self._summary_extractor)
-            for index, partition in enumerate(self.router.partitions())
-        ]
+        #: Per-shard partition summaries, built once, + the scatter planner
+        #: that consults them.  The summary feature family (vertex labels +
+        #: single edges) is deliberately independent of Method M's own index,
+        #: so every screen is sound for any method, including index-free
+        #: direct SI.
+        extractor = PathFeatureExtractor(max_length=1)
         self.planner = ScatterPlanner(
-            self.summaries,
+            [ShardSummary.build(index, partition, extractor)
+             for index, partition in enumerate(self.router.partitions())],
             mode=self.config.scatter_mode,
-            extractor=self._summary_extractor,
+            extractor=extractor,
         )
         #: Scatter pool: one slot per shard, so every shard of a query (or of
         #: a batch) executes concurrently with its siblings.
@@ -184,12 +182,6 @@ class ShardedGraphCacheSystem:
     # ------------------------------------------------------------------ #
     # scatter planning (shard summaries)
     # ------------------------------------------------------------------ #
-    def refresh_summaries(self) -> None:
-        """Rebuild every shard summary from its partition (clears staleness)."""
-        partitions = self.router.partitions()
-        for index, summary in enumerate(self.summaries):
-            summary.refresh(partitions[index], self._summary_extractor)
-
     def plan_query(
         self, query: Query | Graph, query_type: QueryType | str = QueryType.SUBGRAPH
     ) -> ScatterPlan:
@@ -197,12 +189,12 @@ class ShardedGraphCacheSystem:
         return self.planner.plan(_as_query(query, query_type))
 
     def scatter_metrics(self) -> dict:
-        """Skip rates, fan-out and summary health (for ``/metrics``)."""
+        """Skip rates, fan-out and summary sizes (for ``/metrics``)."""
         return {
             "mode": self.planner.mode,
             "num_shards": self.num_shards,
             "stats": self.planner.stats.to_dict(),
-            "summaries": [summary.to_dict() for summary in self.summaries],
+            "summaries": [summary.to_dict() for summary in self.planner.summaries],
             # read by benchmarks/gcbench/sut.py::engine_counters
             "hedging": {"hedges_issued": 0},
         }

@@ -37,7 +37,6 @@ from repro import __version__
 from repro.api.envelopes import (
     PROTOCOL_VERSION,
     ErrorEnvelope,
-    MetricsSnapshot,
     parse_request,
 )
 from repro.cache.statistics import json_safe
@@ -142,11 +141,7 @@ class ShardWorkerApp(RoutedApp):
             self.snapshot(self.system.restore_snapshot, payload)),
         ("POST", "/admin/logs/drain"): lambda self, params, payload: self.drain_logs(),
         ("POST", "/admin/shutdown"): lambda self, params, payload: self.shutdown(),
-        ("GET", "/health"): lambda self, params, payload: (
-            200, {"status": "ok", "shard": self.shard_index}),
         ("GET", "/describe"): lambda self, params, payload: (200, self.describe()),
-        ("GET", "/metrics"): lambda self, params, payload: (
-            200, MetricsSnapshot.from_system(self.system).to_wire()),
         ("GET", "/obs/registry"): lambda self, params, payload: (
             200, self.registry.snapshot()),
     }

@@ -74,7 +74,6 @@ class TestShortCircuitEquivalence:
         assert stats is not None and stats["queries"] == len(workload)
         assert 0.0 < short.mean_fanout < num_shards
         assert stats["skipped_total"] > 0
-        assert stats["summary_fallbacks"] == 0
         assert sum(stats["skip_reasons"].values()) == stats["skipped_total"]
         # every plan is consistent: targets + skipped partition the shards
         for plan in short.plans:

@@ -11,8 +11,11 @@ as well, not just the answers.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro.api.envelopes import QueryResponse
 from repro.graph import molecule_dataset
 from repro.workload import generate_trace
 
@@ -104,6 +107,26 @@ class TestServedEquivalence:
         served = run_served(dataset, workload, num_shards=num_shards,
                             num_threads=4, max_batch_size=4)
         assert_answers_equal(direct, served)
+
+    def test_every_served_response_is_strict_json(self, dataset, workload,
+                                                  direct, monkeypatch):
+        """A response body is JSON-native by construction (no ``json_safe``
+        walk): every one the server sends encodes with ``allow_nan=False``."""
+        sent: list[dict] = []
+        to_wire = QueryResponse.to_wire
+
+        def recording_to_wire(response):
+            sent.append(to_wire(response))
+            return sent[-1]
+
+        monkeypatch.setattr(QueryResponse, "to_wire", recording_to_wire)
+        served = run_served(dataset, workload, num_shards=2,
+                            num_threads=4, max_batch_size=4)
+        assert_answers_equal(direct, served)
+        assert len(sent) == len(workload)
+        for payload in sent:
+            json.dumps(payload, allow_nan=False)
+            assert payload["result"]["server"]["batch_size"] >= 1
 
 
 class TestShardedFacadeConsistency:

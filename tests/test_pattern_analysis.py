@@ -390,7 +390,9 @@ class TestParentTrajectory:
     of timing — under it PINC ranks as PIN does, so their digests coincide.
     The scatter digest comes from ``036d1ab``, with the ``exact_shards`` plan
     key and the ``exact_routed_queries`` counter that commit still had
-    projected out."""
+    projected out, and the ``fallbacks`` plan key and ``summary_fallbacks``
+    counter of the deleted summary seal projected out as well (``75f68d6``,
+    which still had them, gives the same digest under that projection)."""
 
     @pytest.mark.parametrize("policy, parent_digest", [
         ("LRU", "50d8958c489052af288da3400015812b0a547a3eafd1e9506aeb6db0acb4282a"),
@@ -409,4 +411,4 @@ class TestParentTrajectory:
         plans, stats = _scatter_trajectory()
         assert set(stats["skip_reasons"]) == {"feature-gap", "size-envelope", "label-gap"}
         assert _digest([plans, stats]) == (
-            "b9553d8cf1d8ba66c7a56c5ce0d3d69536a529dda4151a0695de9306369d691d")
+            "02ad8e062b84fa7a7cdd42d29bb66a9c2fd81ffd66cb077068bc77c0fcf6a0e2")

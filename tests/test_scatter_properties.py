@@ -9,18 +9,25 @@ Two families of properties lock the planner down:
 * **Summary consistency** — the partition-level vectors (union/common
   features, size envelope) bound every member graph of a hash-routed
   partition.
+
+A summary is built once and trusted, so planning a subgraph query reads the
+union vector only at the query's own feature keys.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.features.base import FeatureExtractor
 from repro.features.paths import PathFeatureExtractor
-from repro.graph import molecule_dataset
+from repro.graph import label_clustered_dataset, molecule_dataset
+from repro.graph.graph import Graph
 from repro.isomorphism.vf2 import VF2Matcher
-from repro.query_model import QueryType
+from repro.query_model import Query, QueryType
 from repro.runtime.config import GCConfig
 from repro.sharding import ShardRouter, ShardSummary
 from repro.sharding.system import ShardedGraphCacheSystem
@@ -89,7 +96,48 @@ class TestPruningSoundness:
                 targets, skipped = set(plan.targets), set(plan.skipped)
                 assert not (targets & skipped)
                 assert targets | skipped == set(range(num_shards))
-                assert set(plan.fallbacks) <= targets
+
+    def test_all_shards_pruned_yields_sound_empty_answer(self):
+        """A query no shard can answer (unknown label) short-circuits to an
+        empty answer without scattering anywhere — matching ground truth."""
+        dataset = molecule_dataset(12, min_vertices=6, max_vertices=12, rng=41)
+        config = GCConfig(num_shards=2, scatter_mode="short-circuit")
+        alien = Graph()
+        alien.add_vertex(0, "Zz")
+        alien.add_vertex(1, "Zz")
+        alien.add_edge(0, 1)
+        with ShardedGraphCacheSystem(dataset, config) as system:
+            query = Query(graph=alien, query_type=QueryType.SUBGRAPH)
+            report = system.run_query(query)
+            assert report.answer == set()
+            assert query.metadata["scatter"]["fanout"] == 0
+            stats = system.planner.stats.to_dict()
+            assert stats["zero_target_queries"] == 1
+        config_full = GCConfig(num_shards=2, cache_enabled=False)
+        with ShardedGraphCacheSystem(dataset, config_full) as system:
+            ground_truth = system.run_query(
+                Query(graph=alien.copy(), query_type=QueryType.SUBGRAPH))
+            assert ground_truth.answer == set()
+
+
+class UnionWalkForbidden(Counter):
+    """A union vector that fails the test if anything walks all its items."""
+
+    def items(self):
+        pytest.fail("planning walked a shard's whole union vector")
+
+
+class TestPlanningCost:
+    def test_planner_reads_the_union_only_at_the_query_keys(self):
+        dataset = label_clustered_dataset(2, 6, rng=5)
+        config = GCConfig(num_shards=2, scatter_mode="short-circuit")
+        with ShardedGraphCacheSystem(dataset, config) as system:
+            for summary in system.planner.summaries:
+                summary.union_features = UnionWalkForbidden(summary.union_features)
+            plans = [system.planner.plan(Query(graph.copy(), QueryType.SUBGRAPH))
+                     for graph in dataset]
+        # every subgraph target passed the union screen
+        assert any(plan.skipped for plan in plans) and any(plan.targets for plan in plans)
 
 
 class TestSummaryConsistency:
@@ -102,7 +150,6 @@ class TestSummaryConsistency:
         extractor = PathFeatureExtractor(max_length=1)
         for index, partition in enumerate(router.partitions()):
             summary = ShardSummary.build(index, partition, extractor)
-            assert summary.usable()
             assert summary.num_graphs == len(partition)
             for graph in partition:
                 features = extractor.extract(graph)
