@@ -1,6 +1,6 @@
 """Property-based tests: short-circuit scatter soundness.
 
-Two families of properties lock the planner down:
+Three families of properties lock the planner down:
 
 * **Pruning soundness** — a shard the :class:`ScatterPlanner` skips must
   contribute *zero* answers under full scatter.  Checked against ground
@@ -8,7 +8,10 @@ Two families of properties lock the planner down:
   (no summaries, no filter index involved) and must contain no answer.
 * **Summary consistency** — the partition-level vectors (union/common
   features, size envelope) bound every member graph of a hash-routed
-  partition.
+  partition, and the summaries a system serves with stay exactly the build of
+  its partitions after queries have run.
+* **Visibility** — the served ``/metrics`` scatter section reports the
+  planner's counts and summaries.
 
 A summary is built once and trusted, so planning a subgraph query reads the
 union vector only at the query's own feature keys.
@@ -22,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import RemoteGraphService
 from repro.features.base import FeatureExtractor
 from repro.features.paths import PathFeatureExtractor
 from repro.graph import label_clustered_dataset, molecule_dataset
@@ -29,9 +33,10 @@ from repro.graph.graph import Graph
 from repro.isomorphism.vf2 import VF2Matcher
 from repro.query_model import Query, QueryType
 from repro.runtime.config import GCConfig
+from repro.server import QueryServer
 from repro.sharding import ShardRouter, ShardSummary
 from repro.sharding.system import ShardedGraphCacheSystem
-from repro.workload import generate_trace
+from repro.workload import generate_trace, replay_trace
 
 COMMON_SETTINGS = settings(
     max_examples=15, deadline=None,
@@ -140,7 +145,47 @@ class TestPlanningCost:
         assert any(plan.skipped for plan in plans) and any(plan.targets for plan in plans)
 
 
+class TestServedScatterMetrics:
+    def test_plan_counts_are_visible_in_server_metrics(self):
+        dataset = molecule_dataset(12, min_vertices=6, max_vertices=12, rng=41)
+        config = GCConfig(cache_capacity=10, window_size=3,
+                          num_shards=2, scatter_mode="short-circuit")
+        with QueryServer(dataset, config, max_batch_size=2,
+                         max_queue_depth=256) as server:
+            client = RemoteGraphService.for_server(server)
+            result = replay_trace(client, generate_trace(
+                dataset, 10, skew="uniform", query_type="mixed", seed=3),
+                num_threads=2)
+            assert result.served == 10
+            scatter = client.metrics().scatter
+            planned = [summary.to_dict() for summary in server.system.planner.summaries]
+        stats = scatter["stats"]
+        assert scatter["mode"] == "short-circuit"
+        assert scatter["hedging"] == {"hedges_issued": 0}
+        assert stats["queries"] == 10
+        assert stats["scattered_total"] + stats["skipped_total"] == 10 * 2
+        assert sum(stats["skip_reasons"].values()) == stats["skipped_total"]
+        assert scatter["summaries"] == planned
+        assert sum(summary["num_graphs"] for summary in planned) == len(dataset)
+
+
 class TestSummaryConsistency:
+    def test_served_summaries_stay_the_build_of_their_partitions(self):
+        dataset = make_dataset(17, 12)
+        config = GCConfig(cache_capacity=6, window_size=3,
+                          num_shards=3, scatter_mode="short-circuit")
+        trace = generate_trace(dataset, 20, skew="zipfian",
+                               query_type="mixed", seed=9)
+        with ShardedGraphCacheSystem(dataset, config) as system:
+            system.run_queries(trace)
+            partitions = system.router.partitions()
+            extractor = system.planner.extractor
+            assert system.planner.summaries == [
+                ShardSummary.build(index, partition, extractor)
+                for index, partition in enumerate(partitions)
+            ]
+
+
     @COMMON_SETTINGS
     @given(seed=st.integers(0, 2**16), num_shards=st.integers(2, 4))
     def test_partition_vectors_bound_every_member_after_rebalance(self, seed, num_shards):
