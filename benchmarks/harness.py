@@ -33,6 +33,19 @@ def standard_workload(dataset: list[Graph], num_queries: int, mix: str | Workloa
     return generator.generate(num_queries, mix=mix, name=name)
 
 
+def warm_counting_repeats(system, queries: list) -> int:
+    """Warm ``system``'s cache with ``queries``; return how many were repeats.
+
+    A repeat is answered by the entry of its earlier run (an exact hit) and
+    adds no copy, so while capacity allows the cache then holds
+    ``len(queries) - repeats`` entries: one per distinct warm-up query.
+    """
+    system.warm_cache(queries, reset_statistics=False)
+    repeats = system.statistics.aggregate().num_exact_hits
+    system.statistics.reset()
+    return repeats
+
+
 def write_report(experiment: str, title: str, body: str) -> Path:
     """Write one experiment's regenerated table to benchmarks/results/."""
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)

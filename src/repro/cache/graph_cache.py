@@ -16,12 +16,13 @@ The public operations, in the order the runtime calls them per query:
    fills up the replacement policy runs (``update_cache_items``).
 
 GC does not insert every executed query into the cache immediately.  Executed
-queries accumulate in a *window*; when the window fills up, the whole batch
-is handed to the replacement policy, which decides which of the incoming
-queries displace which resident cached graphs (this batched behaviour is what
-the demo's Workload Run visualises: "each graph cache is full of 50
-previously executed queries, 10 of which are replaced by the newly coming
-queries in the workload").
+queries accumulate in a *window*; when it has counted ``window_size`` of them,
+the whole batch is handed to the replacement policy, which decides which of
+the incoming queries displace which resident cached graphs (this batched
+behaviour is what the demo's Workload Run visualises: "each graph cache is
+full of 50 previously executed queries, 10 of which are replaced by the newly
+coming queries in the workload").  A query answered by an exact hit counts
+toward the window but adds no entry: the cache holds one copy per query.
 
 All three run on the thread that submitted the query; the window already
 batches replacement.  The reader-writer lock exists for concurrent callers.
@@ -49,7 +50,7 @@ from repro.features.paths import path_features
 from repro.graph.graph import Graph
 from repro.index.base import GraphId
 from repro.isomorphism.vf2 import VF2Matcher
-from repro.query_model import Query
+from repro.query_model import Query, QueryType
 
 
 @dataclass
@@ -101,8 +102,10 @@ class GraphCache:
         self.policy = policy if isinstance(policy, ReplacementPolicy) else make_policy(policy)
         self.store = CacheStore()
         self._matcher = VF2Matcher()
-        #: Executed queries waiting for the window to fill.
+        #: Entries of the executed queries waiting for the window to fill,
+        #: and how many executed queries (exact hits too) it has counted.
         self._pending: list[CacheEntry] = []
+        self._window_count = 0
         self._clock = 0
         self._eviction_reports: list[EvictionReport] = []
         #: Reader-writer lock guarding every cache structure: lookups share
@@ -167,36 +170,66 @@ class GraphCache:
         super_candidates = self.store.super_case_candidates(graph, features, query.query_type)
         lookup.screened_sub_candidates = len(sub_candidates)
         lookup.screened_super_candidates = len(super_candidates)
-        self._probe(graph, sub_candidates, super_candidates, lookup)
+        self._probe(query, sub_candidates, super_candidates, lookup)
         return lookup
 
     def _probe(
         self,
-        graph: Graph,
+        query: Query,
         sub_candidates: list[CacheEntry],
         super_candidates: list[CacheEntry],
         lookup: CacheLookup,
     ) -> None:
-        """Confirm screened candidates with one sub-iso probe test each.
+        """Confirm, one probe test each, the candidates that can still prune.
 
         A sub-case hit is a cached query containing the new one
         (``graph ⊆ cached``); a super-case hit is one contained in it
-        (``cached ⊆ graph``).  Sub candidates are probed smallest first (a
-        smaller container is cheaper to test and its answer set is the
-        tighter guarantee), super candidates largest first (a larger
+        (``cached ⊆ graph``).  What a hit does to the pruning depends on the
+        query type (see :mod:`repro.cache.pruner`): a *guarantee* hit adds
+        its answer to the union ``S``, a *prune* hit cuts the candidates to
+        the intersection of the prune hits' answers.  For a subgraph query
+        the sub candidates guarantee and the super candidates prune; a
+        supergraph query swaps the two.  A candidate that could not change
+        that outcome even if it hit is skipped without a test: a guarantee
+        candidate whose answer is inside the union of the earlier guarantee
+        hits, a prune candidate whose answer contains the intersection of the
+        earlier prune hits.  A skipped candidate is not a hit and earns no
+        credit.
+
+        Sub candidates are probed smallest first (a smaller container is
+        cheaper to test and, for a subgraph query, its answer set is the
+        larger guarantee), super candidates largest first (a larger
         contained query prunes harder); ties go to the older entry.  The
         probing cost is GC's own overhead, which the statistics keep apart
         from the dataset verification cost it saves.
         """
         start = time.perf_counter()
-        is_subgraph = self._matcher.is_subgraph
-        for entry in sorted(sub_candidates, key=_smallest_first):
-            if is_subgraph(graph, entry.graph):
-                lookup.sub_hits.append(entry)
-        for entry in sorted(super_candidates, key=_largest_first):
-            if is_subgraph(entry.graph, graph):
-                lookup.super_hits.append(entry)
-        lookup.probe_tests += len(sub_candidates) + len(super_candidates)
+        graph, is_subgraph = query.graph, self._matcher.is_subgraph
+        subs = (sorted(sub_candidates, key=_smallest_first), lookup.sub_hits,
+                lambda entry: is_subgraph(graph, entry.graph))
+        supers = (sorted(super_candidates, key=_largest_first), lookup.super_hits,
+                  lambda entry: is_subgraph(entry.graph, graph))
+        subgraph_query = query.query_type is QueryType.SUBGRAPH
+        guarantee, prune = (subs, supers) if subgraph_query else (supers, subs)
+
+        covered: set[GraphId] = set()  # S so far
+        candidates, hits, confirm = guarantee
+        for entry in candidates:
+            if entry.answer <= covered:
+                continue
+            lookup.probe_tests += 1
+            if confirm(entry):
+                hits.append(entry)
+                covered |= entry.answer
+        allowed: frozenset[GraphId] | None = None  # None: nothing pruned yet
+        candidates, hits, confirm = prune
+        for entry in candidates:
+            if allowed is not None and allowed <= entry.answer:
+                continue
+            lookup.probe_tests += 1
+            if confirm(entry):
+                hits.append(entry)
+                allowed = entry.answer if allowed is None else allowed & entry.answer
         lookup.probe_seconds += time.perf_counter() - start
 
     # ------------------------------------------------------------------ #
@@ -246,15 +279,23 @@ class GraphCache:
         observed_test_cost: float,
         clock: int | None = None,
         baseline_tests: int = 0,
+        exact_hit: bool = False,
     ) -> EvictionReport | None:
         """Offer an executed query for admission through the window.
 
-        ``baseline_tests`` is the query's ``|C_M|``, which an exact hit on
-        the entry will credit.  Returns the eviction report when this offer
-        filled the window (i.e. the replacement policy ran, on the calling
-        thread), otherwise ``None``.  The entry keeps ``query.graph`` by
-        reference: editing that graph afterwards is unsupported.
+        Every executed query advances the window by one; the window flushes
+        once it has counted ``window_size`` of them.  A query answered by an
+        ``exact_hit`` adds no entry (its entry is already resident), so it
+        only advances the window.  ``baseline_tests`` is the query's
+        ``|C_M|``, which an exact hit on the new entry will credit.  Returns
+        the eviction report when this offer flushed a window holding entries
+        (i.e. the replacement policy ran, on the calling thread), otherwise
+        ``None``.  The entry keeps ``query.graph`` by reference: editing that
+        graph afterwards is unsupported.
         """
+        if exact_hit:
+            with self._lock.write_locked():
+                return self._count_unlocked()
         clock = self._clock if clock is None else clock
         entry = CacheEntry(
             graph=query.graph,
@@ -275,17 +316,25 @@ class GraphCache:
         """
         with self._lock.write_locked():
             self._pending.append(entry)
-            if len(self._pending) < self.window_size:
-                return None
-            return self._flush_unlocked()
+            return self._count_unlocked()
+
+    def _count_unlocked(self) -> EvictionReport | None:
+        """Count one executed query; flush the window once it is full."""
+        self._window_count += 1
+        if self._window_count < self.window_size:
+            return None
+        return self._flush_unlocked()
 
     def flush_window(self) -> EvictionReport | None:
         """Force the pending window into the cache (end of a workload)."""
         with self._lock.write_locked():
-            return self._flush_unlocked() if self._pending else None
+            return self._flush_unlocked()
 
-    def _flush_unlocked(self) -> EvictionReport:
-        batch, self._pending = self._pending, []
+    def _flush_unlocked(self) -> EvictionReport | None:
+        """Close the window; an empty one runs no replacement round."""
+        batch, self._pending, self._window_count = self._pending, [], 0
+        if not batch:
+            return None
         report = self.policy.update_cache_items(self.store, batch, self.capacity)
         self._eviction_reports.append(report)
         return report
@@ -325,10 +374,15 @@ class GraphCache:
         with self._lock.read_locked():
             return self.store.entries()
 
-    def eviction_reports(self) -> list[EvictionReport]:
-        """Every replacement round performed so far."""
+    def eviction_rounds(self) -> int:
+        """How many replacement rounds have run so far."""
         with self._lock.read_locked():
-            return list(self._eviction_reports)
+            return len(self._eviction_reports)
+
+    def eviction_reports(self, since: int = 0) -> list[EvictionReport]:
+        """The replacement rounds performed so far, from round ``since`` on."""
+        with self._lock.read_locked():
+            return self._eviction_reports[since:]
 
     def memory_bytes(self) -> int:
         """Approximate footprint of the cache (entries + their index)."""

@@ -60,19 +60,19 @@ class CandidateSetPruner:
         else:
             guarantee_hits, prune_hits = super_hits, sub_hits
 
+        candidates = set(method_candidates)
         result = PruningResult()
 
         # S: union of answer sets of the guarantee-direction hits
         for entry in guarantee_hits:
-            result.guaranteed_answers |= set(entry.answer)
+            result.guaranteed_answers |= entry.answer
 
         # allowed: intersection of answer sets of the prune-direction hits
-        allowed: set[GraphId] | None = None
+        allowed: frozenset[GraphId] | None = None
         for entry in prune_hits:
-            answer = set(entry.answer)
-            allowed = answer if allowed is None else (allowed & answer)
+            allowed = entry.answer if allowed is None else (allowed & entry.answer)
 
-        remaining = set(method_candidates) - result.guaranteed_answers
+        remaining = candidates - result.guaranteed_answers
         if allowed is not None:
             excluded = remaining - allowed
             result.guaranteed_non_answers = excluded
@@ -81,13 +81,9 @@ class CandidateSetPruner:
 
         # individual contribution of every hit (independent of the others)
         for entry in guarantee_hits:
-            result.per_hit_savings[entry.entry_id] = len(
-                set(entry.answer) & set(method_candidates)
-            )
+            result.per_hit_savings[entry.entry_id] = len(entry.answer & candidates)
         for entry in prune_hits:
-            result.per_hit_savings[entry.entry_id] = len(
-                set(method_candidates) - set(entry.answer)
-            )
+            result.per_hit_savings[entry.entry_id] = len(candidates - entry.answer)
         return result
 
     def exact_hit_result(self, entry: CacheEntry) -> PruningResult:

@@ -19,9 +19,10 @@ The multisets are read from the graphs' remembered analysis
 (:func:`~repro.features.paths.path_features`), a restriction of what the
 dataset filter already enumerated for the query.  Screening must never reject
 a true hit — the same no-false-dismissal contract as the dataset filter — and
-:meth:`GraphCache.lookup` confirms every candidate with one sub-iso probe
-test (for an exact candidate, of equal size and with equal edge labels, that
-test decides isomorphism).
+:meth:`GraphCache.lookup` confirms each candidate it probes with one sub-iso
+probe test (for an exact candidate, of equal size and with equal edge labels,
+that test decides isomorphism; a sub or super candidate whose answer can no
+longer change the pruning is not probed).
 An entry is removed by id, never re-derived from its graph.
 """
 

@@ -17,20 +17,43 @@ identical label; every query edge must map to a target edge.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from collections.abc import Callable
 
 from repro.graph.graph import Graph, VertexId
 
 
-@dataclass
 class MatchResult:
-    """Outcome of one subgraph isomorphism test."""
+    """Outcome of one subgraph isomorphism test.
 
-    found: bool
-    mapping: dict[VertexId, VertexId] | None = None
+    ``mapping`` (query vertex → target vertex) is ``None`` when no embedding
+    was found.  An engine may pass ``decode``, a function building the
+    mapping, in its place: it runs on the first read of ``mapping``, from the
+    graphs as they are then, so read it before editing either graph.
+    """
+
+    __slots__ = ("found", "_mapping", "_decode")
+
+    def __init__(
+        self,
+        found: bool,
+        mapping: dict[VertexId, VertexId] | None = None,
+        decode: Callable[[], dict[VertexId, VertexId]] | None = None,
+    ) -> None:
+        self.found = found
+        self._mapping = mapping
+        self._decode = decode
+
+    @property
+    def mapping(self) -> dict[VertexId, VertexId] | None:
+        if self._decode is not None:
+            self._mapping, self._decode = self._decode(), None
+        return self._mapping
 
     def __bool__(self) -> bool:  # pragma: no cover - trivial
         return self.found
+
+    def __repr__(self) -> str:
+        return f"MatchResult(found={self.found}, mapping={self.mapping!r})"
 
 
 class SubgraphMatcher(abc.ABC):

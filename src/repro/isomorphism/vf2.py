@@ -18,7 +18,10 @@ the life of the process — pays for order, labels and degrees once.
 A test returns ``found`` and one mapping and counts nothing: the pipeline
 counts a query's tests and times its verification once per query, and the
 PINC replacement policy reads that per-query ``verify_seconds``.  The kernel
-counts its search states only to honour ``node_budget``.
+records an embedding as the target positions it placed, and decodes them into
+a vertex-id mapping only when the mapping is read (every cache probe and
+dataset test reads ``found`` alone).  It counts its search states only to
+honour ``node_budget``.
 """
 
 from __future__ import annotations
@@ -48,9 +51,14 @@ class VF2Matcher(SubgraphMatcher):
     # public API
     # ------------------------------------------------------------------ #
     def find_embedding(self, query: Graph, target: Graph) -> MatchResult:
-        """Find one embedding of ``query`` into ``target`` (or report none)."""
-        found = _search(query, target, self.node_budget, 1)
-        return MatchResult(found=bool(found), mapping=found[0] if found else None)
+        """Find one embedding of ``query`` into ``target`` (or report none).
+
+        The mapping is built only if the result's ``mapping`` is read.
+        """
+        images = _images(query, target, self.node_budget, 1)
+        if not images:
+            return MatchResult(found=False)
+        return MatchResult(found=True, decode=lambda: _mapping(query, target, images[0]))
 
     def find_all_embeddings(
         self, query: Graph, target: Graph, limit: int | None = None
@@ -65,14 +73,35 @@ def _search(
     node_budget: int | None,
     limit: int | None,
 ) -> list[dict[VertexId, VertexId]]:
+    """Up to ``limit`` embeddings, each a query → target vertex id mapping."""
+    return [_mapping(query, target, image)
+            for image in _images(query, target, node_budget, limit)]
+
+
+def _mapping(query: Graph, target: Graph, image: tuple[int, ...]) -> dict[VertexId, VertexId]:
+    """Decode one embedding the kernel found into vertex ids."""
+    order = query.compiled().plan().order
+    query_ids, target_ids = query.vertices(), target.vertices()
+    return {query_ids[order[position]]: target_ids[vertex]
+            for position, vertex in enumerate(image)}
+
+
+def _images(
+    query: Graph,
+    target: Graph,
+    node_budget: int | None,
+    limit: int | None,
+) -> list[tuple[int, ...]]:
     """The match kernel: depth-first placement along the pattern's plan.
 
+    Each embedding found is its *image*: the target vertex (dense position)
+    placed at each plan position, which :func:`_mapping` decodes into ids.
     A *state* is one candidate target vertex tried at one plan position.
     ``pending[depth]`` holds the not-yet-tried candidates of each open
     position, so backtracking is popping an int.
     """
     if query.num_vertices == 0:
-        return [{}]
+        return [()]
     # also what keeps the pattern's degrees inside ``degree_at_least``
     if trivially_impossible(query, target):
         return []
@@ -86,7 +115,7 @@ def _search(
     size = len(labels)
     image = [0] * size
     pending = [0] * size
-    found: list[dict[VertexId, VertexId]] = []
+    found: list[tuple[int, ...]] = []
     used = 0
     depth = 0
     states = 0
@@ -131,11 +160,7 @@ def _search(
         used |= low
         depth += 1
         if depth == size:
-            query_ids, target_ids = query.vertices(), target.vertices()
-            found.append({
-                query_ids[plan.order[position]]: target_ids[image[position]]
-                for position in range(size)
-            })
+            found.append(tuple(image))
             if limit is not None and len(found) >= limit:
                 return found
             depth -= 1

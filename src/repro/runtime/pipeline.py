@@ -15,8 +15,9 @@ The stage list is fixed, in this order:
 ``VerifyStage``   — the surviving candidates ``C`` are sub-iso tested;
 ``AssembleStage`` — the answer ``A = R ∪ S`` is assembled and timed;
 ``AdmitStage``    — contributing entries are credited and the executed query
-                    is offered for admission; when it fills the window,
-                    replacement runs here too, on the query's own thread.
+                    is offered for admission (an exact hit only advances the
+                    window); when it fills the window, replacement runs here
+                    too, on the query's own thread.
 """
 
 from __future__ import annotations
@@ -200,6 +201,7 @@ class AdmitStage(PipelineStage):
             observed_test_cost=average_cost,
             clock=ctx.clock,
             baseline_tests=ctx.report.baseline_tests,
+            exact_hit=ctx.lookup.exact_entry is not None,
         )
 
 

@@ -89,14 +89,14 @@ def run_workload(system: GraphCacheSystem, workload: Workload) -> WorkloadRunRes
         system = system.system
     caches = system.all_caches()
     # the caches keep every eviction report they ever made: skip earlier runs'
-    reports_before = [len(cache.eviction_reports()) for cache in caches]
+    rounds_before = [cache.eviction_rounds() for cache in caches]
     reports = [system.run_query(query) for query in workload]
     statistics = StatisticsManager()
     for report in reports:
         statistics.record(report)
     evicted: list[int] = []
-    for cache, before in zip(caches, reports_before):
-        for report in cache.eviction_reports()[before:]:
+    for cache, before in zip(caches, rounds_before):
+        for report in cache.eviction_reports(since=before):
             evicted.extend(report.evicted)
     scatter_metrics = getattr(system, "scatter_metrics", None)
     return WorkloadRunResult(

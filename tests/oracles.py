@@ -21,6 +21,11 @@ is the recursive enumerator it replaced, which canonicalises every path it
 finds; the two must agree key for key and count for count
 (``tests/test_path_oracle.py``).
 
+The cache probe skips a screened candidate whose answer can no longer change
+the pruning. :func:`reference_probe` confirms every screened candidate with
+:class:`UllmannMatcher` instead; pruning with its hits must give the same
+``S``, ``S'`` and ``C`` (``tests/test_probe_skip.py``).
+
 A replacement round picks its victim once per change of the resident set, and
 HD takes the least coalesced score without sorting by it.
 :func:`reference_hd_ranking` is HD's three-sort ranking and
@@ -38,11 +43,14 @@ from collections.abc import Callable, Iterator, Sequence
 from repro.cache.entry import CacheEntry
 from repro.cache.policies.base import EvictionReport, ReplacementPolicy
 from repro.cache.policies.hd import HDPolicy
-from repro.cache.store import CacheStore
+from repro.cache.graph_cache import GraphCache
+from repro.cache.store import CACHE_FEATURE_LENGTH, CacheStore
 from repro.errors import BudgetExceededError
 from repro.features.base import FeatureKey
+from repro.features.paths import path_features
 from repro.graph.graph import Graph, VertexId
 from repro.isomorphism.base import MatchResult, SubgraphMatcher, trivially_impossible
+from repro.query_model import Query
 
 
 class UllmannMatcher(SubgraphMatcher):
@@ -353,3 +361,17 @@ def reference_update_cache_items(
             report.evicted.append(victim.entry_id)
             report.admitted.append(entry.entry_id)
     return report
+
+
+# --------------------------------------------------------------------------- #
+# the cache probe: every screened candidate confirmed
+# --------------------------------------------------------------------------- #
+def reference_probe(cache: GraphCache, query: Query) -> tuple[list[CacheEntry], list[CacheEntry]]:
+    """The sub-case and super-case hits among *all* of ``cache``'s screened
+    candidates for ``query``, each confirmed by its own Ullmann test."""
+    graph, matcher = query.graph, UllmannMatcher()
+    features = path_features(graph, CACHE_FEATURE_LENGTH)
+    subs = cache.store.sub_case_candidates(graph, features, query.query_type)
+    supers = cache.store.super_case_candidates(graph, features, query.query_type)
+    return ([entry for entry in subs if matcher.is_subgraph(graph, entry.graph)],
+            [entry for entry in supers if matcher.is_subgraph(entry.graph, graph)])

@@ -124,6 +124,23 @@ class TestEnumerationAndStats:
         assert not result.found
         assert result.mapping is None
 
+    def test_a_test_that_only_asks_whether_builds_no_mapping(self, monkeypatch):
+        import repro.isomorphism.vf2 as vf2
+
+        built = []
+        mapping = vf2._mapping
+        monkeypatch.setattr(vf2, "_mapping",
+                            lambda *args: built.append(args) or mapping(*args))
+        query, target = path_graph(["C", "O"]), cycle_graph(["C", "C", "O"])
+        assert VF2Matcher().is_subgraph(query, target)
+        assert built == []
+        # the mapping is built once, when it is first read
+        result = VF2Matcher().find_embedding(query, target)
+        assert built == []
+        verify_mapping(query, target, result.mapping)
+        assert result.mapping is result.mapping
+        assert len(built) == 1
+
     def test_budget_enforced(self):
         query = complete_graph(["C"] * 6)
         target = complete_graph(["C"] * 10)

@@ -99,12 +99,18 @@ class TestCachedQueryIndex:
 
 class TestCaseProcessors:
     """The paper's Sub and Super Case Processors: the probe loop that
-    :meth:`GraphCache.lookup` runs over the screened candidates."""
+    :meth:`GraphCache.lookup` runs over the screened candidates.
+
+    A candidate is probed only while its answer can still change the
+    pruning, so unless a test says otherwise every entry gets an answer of
+    its own (entry ``i`` answers ``{i}``, which no other answer covers) and
+    every screened candidate is probed."""
 
     @staticmethod
-    def cache_of(*graphs) -> tuple[GraphCache, list[CacheEntry]]:
+    def cache_of(*graphs, answers=None) -> tuple[GraphCache, list[CacheEntry]]:
         cache = GraphCache(capacity=10, policy="LRU")
-        entries = [entry_for(graph) for graph in graphs]
+        answers = answers or [{position} for position in range(len(graphs))]
+        entries = [entry_for(graph, answer) for graph, answer in zip(graphs, answers)]
         cache.warm(entries)
         return cache, entries
 
@@ -152,9 +158,57 @@ class TestCaseProcessors:
         medium = molecule_graph(10, rng=rng)
         small = random_connected_subgraph(medium, 5, rng=rng)
         query = extend_graph(medium, 4, labels=["C", "N"], rng=rng)
-        cache, (small_entry, medium_entry, twin_entry) = self.cache_of(small, medium, small.copy())
+        # prune hits intersect: each answer leaves the intersection so far
+        # non-empty and is no superset of it, so each is probed
+        cache, (small_entry, medium_entry, twin_entry) = self.cache_of(
+            small, medium, small.copy(), answers=[{1, 2, 4}, {1, 2, 3}, {1, 3, 4}])
         lookup = cache.lookup(Query(query, QueryType.SUBGRAPH))
         assert lookup.super_hits == [medium_entry, small_entry, twin_entry]
+
+    def test_a_guarantee_candidate_inside_the_union_is_not_probed(self):
+        # subgraph query: containers guarantee, and a bigger container's
+        # answers are inside a smaller one's, which is probed first
+        rng = random.Random(13)
+        big = molecule_graph(18, rng=rng)
+        medium = random_connected_subgraph(big, 12, rng=rng)
+        query = random_connected_subgraph(medium, 5, rng=rng)
+        cache, (big_entry, medium_entry) = self.cache_of(big, medium,
+                                                         answers=[{2, 3}, {1, 2, 3}])
+        lookup = cache.lookup(Query(query, QueryType.SUBGRAPH))
+        assert lookup.screened_sub_candidates == 2
+        assert lookup.sub_hits == [medium_entry]
+        assert lookup.probe_tests == 1
+
+    def test_a_prune_candidate_containing_the_intersection_is_not_probed(self):
+        # subgraph query: contained queries prune, and a smaller one's
+        # answers contain a larger one's, which is probed first
+        rng = random.Random(15)
+        medium = molecule_graph(10, rng=rng)
+        small = random_connected_subgraph(medium, 5, rng=rng)
+        query = extend_graph(medium, 4, labels=["C", "N"], rng=rng)
+        cache, (small_entry, medium_entry) = self.cache_of(small, medium,
+                                                           answers=[{1, 2, 3}, {1, 2}])
+        lookup = cache.lookup(Query(query, QueryType.SUBGRAPH))
+        assert lookup.screened_super_candidates == 2
+        assert lookup.super_hits == [medium_entry]
+        assert lookup.probe_tests == 1
+
+    def test_a_supergraph_query_swaps_the_roles(self):
+        # supergraph query: containers prune, contained queries guarantee
+        paths = {length: path_graph("C" * length) for length in (2, 3, 5, 6)}
+        answers = {5: {1, 2}, 6: {1, 2, 3}, 3: {4, 5}, 2: {5}}
+        entries = {length: CacheEntry(graph=graph, query_type=QueryType.SUPERGRAPH,
+                                      answer=frozenset(answers[length]))
+                   for length, graph in paths.items()}
+        cache = GraphCache(capacity=10, policy="LRU")
+        cache.warm(list(entries.values()))
+        lookup = cache.lookup(Query(path_graph("CCCC"), QueryType.SUPERGRAPH))
+        assert lookup.screened_sub_candidates == lookup.screened_super_candidates == 2
+        # the 5-path is probed first; the 6-path's answers contain what it allows
+        assert lookup.sub_hits == [entries[5]]
+        # the 3-path is probed first; the 2-path's answers are inside its own
+        assert lookup.super_hits == [entries[3]]
+        assert lookup.probe_tests == 2
 
     def test_no_candidates_no_probes(self):
         cache, _ = self.cache_of(molecule_graph(8, rng=14))
