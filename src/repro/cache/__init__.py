@@ -2,7 +2,6 @@
 
 from repro.cache.entry import CacheEntry, EntryStatistics
 from repro.cache.graph_cache import CacheLookup, GraphCache
-from repro.cache.locks import ReadWriteLock
 from repro.cache.policies import (
     EvictionReport,
     FIFOPolicy,
@@ -37,7 +36,6 @@ __all__ = [
     "CacheStore",
     "GraphCache",
     "CacheLookup",
-    "ReadWriteLock",
     "CandidateSetPruner",
     "PruningResult",
     "StatisticsManager",

@@ -91,7 +91,7 @@ class CacheEntry:
         for vertex in self.graph.vertices():
             graph_bytes += 56 + len(str(self.graph.label(vertex)))
         graph_bytes += 32 * self.graph.num_edges
-        answer_bytes = estimate_object_bytes(set(self.answer))
+        answer_bytes = estimate_object_bytes(self.answer)
         feature_bytes = estimate_object_bytes(dict(self.features))
         return graph_bytes + answer_bytes + feature_bytes + 200
 

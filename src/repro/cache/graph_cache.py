@@ -25,7 +25,13 @@ coming queries in the workload").  A query answered by an exact hit counts
 toward the window but adds no entry: the cache holds one copy per query.
 
 All three run on the thread that submitted the query; the window already
-batches replacement.  The reader-writer lock exists for concurrent callers.
+batches replacement, and a round applies only its net change to the store.
+One mutex guards every structure, the clock included, for concurrent callers
+(library threads, a server's handler threads).  A reader-writer lock would
+buy nothing: under the GIL two lookups never execute at once, and one
+(≈ 0.1 ms) is seldom even interleaved with another, since the interpreter
+switches threads every 5 ms; each of its round trips costs several times a
+mutex's.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.cache.entry import CacheEntry
-from repro.cache.locks import ReadWriteLock
 from repro.cache.policies.base import (
     EvictionReport,
     HitContribution,
@@ -65,6 +70,8 @@ class CacheLookup:
     probe_seconds: float = 0.0
     screened_sub_candidates: int = 0
     screened_super_candidates: int = 0
+    #: Resident entries when the lookup ran, read under the cache's mutex.
+    cache_population: int = 0
 
 
 def _smallest_first(entry: CacheEntry) -> tuple[int, int, int]:
@@ -108,10 +115,8 @@ class GraphCache:
         self._window_count = 0
         self._clock = 0
         self._eviction_reports: list[EvictionReport] = []
-        #: Reader-writer lock guarding every cache structure: lookups share
-        #: it, crediting/admission/replacement take it exclusively.
-        self._lock = ReadWriteLock()
-        self._clock_lock = threading.Lock()
+        #: The one mutex guarding every cache structure and the clock.
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # clock
@@ -123,7 +128,7 @@ class GraphCache:
 
     def tick(self) -> int:
         """Advance the logical clock (one tick per processed query)."""
-        with self._clock_lock:
+        with self._lock:
             self._clock += 1
             return self._clock
 
@@ -135,15 +140,15 @@ class GraphCache:
 
         Only cached entries with the *same query semantics* are considered:
         a cached subgraph query's answer set says nothing directly about a
-        supergraph query, and vice versa.  Lookups hold the read lock, so
-        any number of concurrent queries can probe the cache at once.
+        supergraph query, and vice versa.  A lookup holds the cache's mutex
+        throughout; it also reads the population the query saw.
         """
-        with self._lock.read_locked():
+        with self._lock:
             return self._lookup_unlocked(query)
 
     def _lookup_unlocked(self, query: Query) -> CacheLookup:
-        lookup = CacheLookup(query_id=query.query_id)
-        if len(self.store) == 0:
+        lookup = CacheLookup(query_id=query.query_id, cache_population=len(self.store))
+        if lookup.cache_population == 0:
             return lookup
         graph = query.graph
         features = path_features(graph, CACHE_FEATURE_LENGTH)
@@ -257,7 +262,7 @@ class GraphCache:
         contributions.extend((entry, HitKind.SUPER) for entry in lookup.super_hits)
         if not contributions:
             return
-        with self._lock.write_locked():
+        with self._lock:
             for entry, kind in contributions:
                 tests_saved = per_hit_savings.get(entry.entry_id, 0)
                 per_test_cost = average_test_seconds or entry.observed_test_cost
@@ -294,7 +299,7 @@ class GraphCache:
         graph afterwards is unsupported.
         """
         if exact_hit:
-            with self._lock.write_locked():
+            with self._lock:
                 return self._count_unlocked()
         clock = self._clock if clock is None else clock
         entry = CacheEntry(
@@ -309,12 +314,12 @@ class GraphCache:
         return self.apply_offer(entry)
 
     def apply_offer(self, entry: CacheEntry) -> EvictionReport | None:
-        """Admit one built entry (window + replacement) under the write lock.
+        """Admit one built entry (window + replacement) under the mutex.
 
         The second half of :meth:`offer`, kept by name because the gcbench
         tracer wraps it.
         """
-        with self._lock.write_locked():
+        with self._lock:
             self._pending.append(entry)
             return self._count_unlocked()
 
@@ -327,7 +332,7 @@ class GraphCache:
 
     def flush_window(self) -> EvictionReport | None:
         """Force the pending window into the cache (end of a workload)."""
-        with self._lock.write_locked():
+        with self._lock:
             return self._flush_unlocked()
 
     def _flush_unlocked(self) -> EvictionReport | None:
@@ -349,7 +354,7 @@ class GraphCache:
         the number of entries inserted.
         """
         inserted = 0
-        with self._lock.write_locked():
+        with self._lock:
             for entry in entries:
                 if len(self.store) >= self.capacity:
                     break
@@ -357,41 +362,40 @@ class GraphCache:
                     continue
                 self.store.add(entry)
                 inserted += 1
-                with self._clock_lock:
-                    self._clock = max(self._clock, entry.admitted_clock,
-                                      entry.stats.last_used_clock)
+                self._clock = max(self._clock, entry.admitted_clock,
+                                  entry.stats.last_used_clock)
         return inserted
 
     # ------------------------------------------------------------------ #
     # introspection
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        with self._lock.read_locked():
+        with self._lock:
             return len(self.store)
 
     def entries(self) -> list[CacheEntry]:
         """All cached entries in insertion order."""
-        with self._lock.read_locked():
+        with self._lock:
             return self.store.entries()
 
     def eviction_rounds(self) -> int:
         """How many replacement rounds have run so far."""
-        with self._lock.read_locked():
+        with self._lock:
             return len(self._eviction_reports)
 
     def eviction_reports(self, since: int = 0) -> list[EvictionReport]:
         """The replacement rounds performed so far, from round ``since`` on."""
-        with self._lock.read_locked():
+        with self._lock:
             return self._eviction_reports[since:]
 
     def memory_bytes(self) -> int:
         """Approximate footprint of the cache (entries + their index)."""
-        with self._lock.read_locked():
+        with self._lock:
             return self.store.memory_bytes()
 
     def describe(self) -> dict[str, object]:
         """Configuration and population summary."""
-        with self._lock.read_locked():
+        with self._lock:
             return {
                 "capacity": self.capacity,
                 "policy": self.policy.name,

@@ -18,6 +18,8 @@ given (their order aside, since ties break on entry ids).  A replacement round
 relies on it to pick a victim once per change of the resident set instead of
 once per incoming entry: a rejected entry changes neither the residents nor
 their statistics (crediting runs outside the round), so the victim stands.
+A round applies only its net change to the :class:`CacheStore`: an entry
+admitted and evicted within one round is never indexed.
 """
 
 from __future__ import annotations
@@ -135,21 +137,30 @@ class ReplacementPolicy(abc.ABC):
         built-in policies that makes new entries win against never-hit
         residents via recency tie-breaks.)  The victim is picked when first
         needed and again only after the resident set changes.
+
+        Only the round's net change reaches the store: an evicted original
+        resident leaves it at once, but a newcomer joins it only at the end
+        of the round, in admission order, and only if no later newcomer
+        evicted it.  That leaves the store in the order admitting and
+        evicting one by one would have, without indexing an entry that no
+        lookup could ever see.  The report still lists every admission and
+        eviction in order.
         """
         if capacity <= 0:
             raise CacheError("cache capacity must be positive")
         report = EvictionReport(capacity=capacity)
+        newcomers: dict[int, CacheEntry] = {}  # admission order
         victim: CacheEntry | None = None
         for entry in incoming:
-            if entry.entry_id in store:
+            if entry.entry_id in store or entry.entry_id in newcomers:
                 continue
-            if len(store) < capacity:
-                store.add(entry)
+            if len(store) + len(newcomers) < capacity:
+                newcomers[entry.entry_id] = entry
                 report.admitted.append(entry.entry_id)
                 victim = None
                 continue
             if victim is None:
-                residents = store.entries()
+                residents = store.entries() + list(newcomers.values())
                 victim_positions = self.get_replaced_content(residents, 1)
                 if not victim_positions:
                     continue
@@ -161,11 +172,14 @@ class ReplacementPolicy(abc.ABC):
                 and entry.admitted_clock >= victim.admitted_clock
             )
             if should_replace:
-                store.remove(victim.entry_id)
-                store.add(entry)
+                if newcomers.pop(victim.entry_id, None) is None:
+                    store.remove(victim.entry_id)
+                newcomers[entry.entry_id] = entry
                 report.evicted.append(victim.entry_id)
                 report.admitted.append(entry.entry_id)
                 victim = None
+        for entry in newcomers.values():
+            store.add(entry)
         return report
 
     def describe(self) -> dict[str, object]:

@@ -13,15 +13,18 @@ which is exactly the "workload adaptive" behaviour the paper advertises.
 
 The ranking is a function of the residents it is given and nothing else (the
 contract replacement rounds rely on to pick a victim once per change of the
-resident set).  It sorts twice, once per signal, and takes the least
-coalesced score with ``heapq.nsmallest`` — a plain ``min`` for the one victim
-a round asks for — with entry ids breaking every tie.
+resident set), with entry ids breaking every tie.  It sorts once per signal
+and then walks the two orders from the bottom, scoring only the entries it
+meets: after depth ``d`` an entry not yet met ranks deeper than ``d`` in both
+orders, so its score is at least ``2·(d+1)``, and the walk stops once the
+``count``-th best score met is below that (Fagin's threshold rule).  A
+victim is usually settled within the first few depths.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Sequence
+from heapq import heappush, heapreplace
 
 from repro.cache.entry import CacheEntry
 from repro.cache.policies.base import ReplacementPolicy
@@ -49,19 +52,40 @@ class HDPolicy(ReplacementPolicy):
         )
 
     def get_replaced_content(self, entries: Sequence[CacheEntry], count: int) -> list[int]:
-        """Rank-coalesce PIN and PINC over the resident population."""
+        """The ``count`` least coalesced entries, by a threshold walk of the
+        PIN and PINC orders."""
         if count <= 0 or not entries:
             return []
         n = len(entries)
+        count = min(count, n)
         ids = [entry.entry_id for entry in entries]
-        by_pin = [(entry.stats.tests_saved, entry.entry_id) for entry in entries]
-        by_pinc = [(entry.stats.seconds_saved, entry.entry_id) for entry in entries]
-        clocks = [entry.stats.last_used_clock for entry in entries]
+        stats = [entry.stats for entry in entries]
+        # stable sorts of the id order: ties on a signal go to the smaller id
+        by_id = sorted(range(n), key=ids.__getitem__)
+        by_pin = sorted(by_id, key=[stat.tests_saved for stat in stats].__getitem__)
+        by_pinc = sorted(by_id, key=[stat.seconds_saved for stat in stats].__getitem__)
         ranks = [0] * n
-        for keys in (by_pin, by_pinc):
-            for rank, position in enumerate(sorted(range(n), key=keys.__getitem__)):
+        for order in (by_pin, by_pinc):
+            for rank, position in enumerate(order):
                 ranks[position] += rank
-        max_clock = max(clocks) or 1
+        max_clock = max([stat.last_used_clock for stat in stats]) or 1
         weight = self.recency_weight
-        scores = [(ranks[p] + weight * (clocks[p] / max_clock), ids[p]) for p in range(n)]
-        return heapq.nsmallest(count, range(n), key=scores.__getitem__)
+        # a max-heap of the ``count`` best (score, id) met so far, negated
+        best: list[tuple[float, int, int]] = []
+        met: set[int] = set()
+        for depth in range(n):
+            for position in (by_pin[depth], by_pinc[depth]):
+                if position in met:
+                    continue
+                met.add(position)
+                clock = stats[position].last_used_clock
+                score = ranks[position] + weight * (clock / max_clock)
+                key = (-score, -ids[position], position)
+                if len(best) < count:
+                    heappush(best, key)
+                elif key > best[0]:
+                    heapreplace(best, key)
+            # an entry not met yet ranks deeper than ``depth`` in both orders
+            if len(best) == count and -best[0][0] < 2 * (depth + 1):
+                break
+        return [position for _, _, position in sorted(best, reverse=True)]

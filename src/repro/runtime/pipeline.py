@@ -99,10 +99,10 @@ class ProbeStage(PipelineStage):
             ctx.clock = 0
             return
         path_features(ctx.query.graph, max(CACHE_FEATURE_LENGTH, ctx.method.path_length))
-        ctx.report.cache_population = len(ctx.cache)
         ctx.clock = ctx.cache.tick()
         lookup = ctx.cache.lookup(ctx.query)
         ctx.lookup = lookup
+        ctx.report.cache_population = lookup.cache_population
         ctx.report.probe_tests = lookup.probe_tests
         ctx.report.probe_seconds = lookup.probe_seconds
         ctx.report.sub_hit_entries = [entry.entry_id for entry in lookup.sub_hits]

@@ -26,8 +26,9 @@ the pruning. :func:`reference_probe` confirms every screened candidate with
 :class:`UllmannMatcher` instead; pruning with its hits must give the same
 ``S``, ``S'`` and ``C`` (``tests/test_probe_skip.py``).
 
-A replacement round picks its victim once per change of the resident set, and
-HD takes the least coalesced score without sorting by it.
+A replacement round picks its victim once per change of the resident set and
+applies only its net change to the store, and HD walks its PIN and PINC orders
+to a threshold instead of scoring every resident.
 :func:`reference_hd_ranking` is HD's three-sort ranking and
 :func:`reference_update_cache_items` the round that re-ranks the residents for
 every incoming entry; both must choose exactly what the product chooses
@@ -336,7 +337,8 @@ def reference_update_cache_items(
     rank: Callable[[Sequence[CacheEntry], int], list[int]] | None = None,
 ) -> EvictionReport:
     """A replacement round that ranks the residents afresh for every incoming
-    entry (``rank`` defaults to the policy's own ``get_replaced_content``)."""
+    entry and admits and evicts through the store one entry at a time
+    (``rank`` defaults to the policy's own ``get_replaced_content``)."""
     rank = rank or policy.get_replaced_content
     report = EvictionReport(capacity=capacity)
     for entry in incoming:

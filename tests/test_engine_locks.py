@@ -1,4 +1,4 @@
-"""The engine's locks: the cache's RW lock, the statistics lock, and a cache
+"""The engine's locks: the cache's one mutex, the statistics lock, and a cache
 hammered by concurrent callers.
 
 A query runs start to finish on the thread that submitted it, admission and
@@ -8,74 +8,16 @@ and a server's handler threads safe on one shared engine.
 
 from __future__ import annotations
 
+import sys
 import threading
-import time
 
 import pytest
 
 from repro.cache import StatisticsManager
-from repro.cache.locks import ReadWriteLock
 from repro.graph import molecule_dataset
 from repro.runtime import GCConfig, GraphCacheSystem
 from tests.conftest import make_subgraph_queries
 from tests.differential import run_on_threads
-
-
-class TestReadWriteLock:
-    def test_readers_share(self):
-        lock = ReadWriteLock()
-        inside = threading.Barrier(3, timeout=5)
-
-        def reader():
-            with lock.read_locked():
-                inside.wait()  # only passes if all 3 readers are in together
-
-        threads = [threading.Thread(target=reader) for _ in range(3)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=5)
-        assert not any(thread.is_alive() for thread in threads)
-
-    def test_writer_excludes_readers(self):
-        lock = ReadWriteLock()
-        order: list[str] = []
-        writer_in = threading.Event()
-
-        def writer():
-            with lock.write_locked():
-                writer_in.set()
-                time.sleep(0.05)
-                order.append("writer")
-
-        def reader():
-            writer_in.wait(timeout=5)
-            with lock.read_locked():
-                order.append("reader")
-
-        threads = [threading.Thread(target=writer), threading.Thread(target=reader)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=5)
-        assert order == ["writer", "reader"]
-
-    def test_write_lock_is_exclusive(self):
-        lock = ReadWriteLock()
-        counter = {"value": 0}
-
-        def bump():
-            for _ in range(200):
-                with lock.write_locked():
-                    current = counter["value"]
-                    counter["value"] = current + 1
-
-        threads = [threading.Thread(target=bump) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-        assert counter["value"] == 800
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +39,26 @@ class TestConcurrentCallers:
             store = system.cache.store
             assert store._index.members() == [entry.entry_id for entry in store.entries()]
 
+    def test_hammer_closes_a_round_per_query(self, dataset):
+        """With a one-query window every caller closes a replacement round
+        while the others look up; each round's net change reaches the store."""
+        queries = make_subgraph_queries(dataset, 96, 6, seed=11)
+        with GraphCacheSystem(dataset, GCConfig(window_size=1, cache_capacity=4)) as system:
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # switch often: rounds interleave with lookups
+            try:
+                reports = run_on_threads(system, queries, threads=8)
+            finally:
+                sys.setswitchinterval(interval)
+            assert all(report.answer is not None for report in reports)
+            cache, store = system.cache, system.cache.store
+            assert len(cache) <= cache.capacity
+            assert store._index.members() == [entry.entry_id for entry in store.entries()]
+            rounds = cache.eviction_reports()
+            assert any(report.evicted for report in rounds)
+            assert sum(report.num_admitted - report.num_evicted for report in rounds) \
+                == len(cache)
+
 
 class TestStatisticsManager:
     def test_empty_manager_is_truthy(self):
@@ -105,8 +67,6 @@ class TestStatisticsManager:
         assert manager.aggregate().num_queries == 0
 
     def test_concurrent_records(self):
-        import sys
-
         from repro.graph import path_graph
         from repro.query_model import Query
         from repro.runtime.report import QueryReport

@@ -4,10 +4,12 @@ re-ranking for every incoming entry chose (``tests/oracles.py``)."""
 
 from __future__ import annotations
 
+import random
 from functools import partial
+from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache import (
@@ -200,7 +202,7 @@ class TestUpdateCacheItems:
 
 # --------------------------------------------------------------------------- #
 # the victim oracle: one ranking per change of the resident set chooses what
-# re-ranking for every incoming entry chose, and HD's arg-min is its three sorts
+# re-ranking for every incoming entry chose, and HD's threshold walk is its three sorts
 # --------------------------------------------------------------------------- #
 RELAXED = settings(max_examples=80, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
@@ -244,6 +246,9 @@ class TestVictimOracle:
     @RELAXED
     @given(rows=st.lists(stat_rows, min_size=1, max_size=60),
            order=st.randoms(use_true_random=False))
+    # a three-way tie at the walk's threshold, won by an entry met at depth 1
+    @example(rows=[(1, 0.25, 0, 0, 0), (0, 2.0, 0, 0, 0), (3, 0.0, 0, 0, 0)],
+             order=random.Random(0))
     def test_hd_ranking_is_the_three_sort_ranking(self, rows, order):
         policy = HDPolicy()
         for entries in ([stat_entry(*row) for row in rows],
@@ -280,6 +285,7 @@ class TestVictimOracle:
             report = policy.update_cache_items(ours, incoming_entries, capacity)
             assert report == expected, name
             assert [e.entry_id for e in ours] == [e.entry_id for e in reference]
+            assert ours._index.members() == [e.entry_id for e in ours]
             # a victim is picked at most once per change of the resident set
             assert calls[0] <= 1 + len(report.admitted)
 
@@ -294,6 +300,35 @@ class TestVictimOracle:
         report = policy.update_cache_items(store, incoming, capacity=5)
         assert report.admitted == report.evicted == []
         assert calls[0] == 1
+
+
+class TestNetChangeRound:
+    @pytest.mark.parametrize("name", ALL_POLICIES)
+    def test_newcomers_that_evict_each_other_never_reach_the_index(self, name):
+        """A window of fresh entries over zero-savings residents: the later
+        newcomers evict the earlier ones within the round, and the store's
+        index sees only the net change."""
+        residents = [stat_entry(0, 0.0, 0, 0, 0) for _ in range(3)]
+        incoming = [stat_entry(0, 0.0, clock, clock, 0) for clock in range(1, 8)]
+        ours, reference = CacheStore(), CacheStore()
+        for entry in residents:
+            ours.add(entry)
+            reference.add(entry)
+        index = ours._index
+        with mock.patch.object(index, "add", wraps=index.add) as add, \
+                mock.patch.object(index, "remove", wraps=index.remove) as remove:
+            report = make_policy(name).update_cache_items(ours, incoming, capacity=3)
+
+        assert report == reference_update_cache_items(make_policy(name), reference,
+                                                      incoming, capacity=3)
+        newcomers = {entry.entry_id for entry in incoming}
+        assert newcomers & set(report.evicted)  # they did evict each other
+        survivors = [entry_id for entry_id in report.admitted
+                     if entry_id not in report.evicted]
+        departed = [entry.entry_id for entry in residents
+                    if entry.entry_id in report.evicted]
+        assert (add.call_count, remove.call_count) == (len(survivors), len(departed))
+        assert [e.entry_id for e in ours] == survivors == index.members()
 
 
 class TestRegistry:
