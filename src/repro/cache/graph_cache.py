@@ -159,12 +159,14 @@ class GraphCache:
         # an unlabelled pattern edge as a wildcard; with equal edge-label
         # multisets too, each label's edges map onto that label's edges and
         # the unlabelled ones onto the unlabelled ones, so the embedding is
-        # an isomorphism: one probe test decides each candidate.
+        # an isomorphism: one probe test decides each candidate.  Equal
+        # multisets also prove sizes and labels, so the probe skips that
+        # screen (``screened``), as do the sub/super probes below.
         start = time.perf_counter()
         for entry in self.store.exact_candidates(features, query.query_type):
             lookup.probe_tests += 1
             if (_edge_label_counts(entry.graph) == _edge_label_counts(graph)
-                    and self._matcher.is_subgraph(graph, entry.graph)):
+                    and self._matcher.matches(graph, [entry.graph], True, True)[0]):
                 lookup.exact_entry = entry
                 break
         lookup.probe_seconds = time.perf_counter() - start
@@ -204,16 +206,19 @@ class GraphCache:
         Sub candidates are probed smallest first (a smaller container is
         cheaper to test and, for a subgraph query, its answer set is the
         larger guarantee), super candidates largest first (a larger
-        contained query prunes harder); ties go to the older entry.  The
+        contained query prunes harder); ties go to the older entry.  Each
+        probe is one ``matches`` call, since whether the next candidate is
+        tested depends on this one's answer; the store's ``_may_contain``
+        screen has proved sizes and labels (``screened``).  The
         probing cost is GC's own overhead, which the statistics keep apart
         from the dataset verification cost it saves.
         """
         start = time.perf_counter()
-        graph, is_subgraph = query.graph, self._matcher.is_subgraph
+        graph, matches = query.graph, self._matcher.matches
         subs = (sorted(sub_candidates, key=_smallest_first), lookup.sub_hits,
-                lambda entry: is_subgraph(graph, entry.graph))
+                lambda entry: matches(graph, [entry.graph], True, True)[0])
         supers = (sorted(super_candidates, key=_largest_first), lookup.super_hits,
-                  lambda entry: is_subgraph(entry.graph, graph))
+                  lambda entry: matches(graph, [entry.graph], False, True)[0])
         subgraph_query = query.query_type is QueryType.SUBGRAPH
         guarantee, prune = (subs, supers) if subgraph_query else (supers, subs)
 

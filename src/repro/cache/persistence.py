@@ -22,6 +22,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import tempfile
 from collections.abc import Callable, Iterable
 from dataclasses import fields
 from pathlib import Path
@@ -121,8 +123,8 @@ def save_cache(cache: GraphCache, path: str | Path, digest: str | None = None) -
     """Write every resident entry of ``cache`` to ``path`` (JSON).
 
     ``digest`` is the :func:`dataset_digest` of the dataset the answers were
-    computed on, when the caller knows it.  Returns the number of entries
-    written.
+    computed on, when the caller knows it.  The file is replaced atomically
+    (:func:`write_atomically`).  Returns the number of entries written.
     """
     entries = cache.entries()
     payload = {
@@ -132,8 +134,30 @@ def save_cache(cache: GraphCache, path: str | Path, digest: str | None = None) -
         "dataset_digest": digest,
         "entries": [entry_to_dict(entry) for entry in entries],
     }
-    Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
+    write_atomically(path, json.dumps(payload, indent=2))
     return len(entries)
+
+
+def write_atomically(path: str | Path, text: str) -> None:
+    """Replace ``path`` with ``text`` all at once: a crash mid-write leaves
+    the previous file intact.
+
+    The text goes to a temporary file in the same directory, which is flushed
+    and fsynced, then renamed over ``path`` (``os.replace`` is atomic on one
+    file system).
+    """
+    path = Path(path)
+    handle, temporary = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
+                                         suffix=".tmp")
+    try:
+        with os.fdopen(handle, "w", encoding="utf-8") as stream:
+            stream.write(text)
+            stream.flush()
+            os.fsync(stream.fileno())
+        os.replace(temporary, path)
+    except BaseException:
+        Path(temporary).unlink(missing_ok=True)
+        raise
 
 
 def read_snapshot(path: str | Path) -> object:

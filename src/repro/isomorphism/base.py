@@ -3,9 +3,13 @@
 GC treats the sub-iso implementation as a pluggable component of Method M.
 The engine implements :class:`SubgraphMatcher`; the cache and the query
 runtime only depend on this interface, so a test or a benchmark can hand
-Method M another verifier (``MethodM(verifier=...)``).  A test returns
-whether an embedding exists and one mapping; it counts and times nothing.
-What a query's tests cost is counted once per query, by the pipeline
+Method M another verifier (``MethodM(verifier=...)``).  Every dataset test
+and every cache probe goes through one set-level entry,
+:meth:`SubgraphMatcher.matches`: one side of the tests is fixed and the
+other sweeps a candidate set, one flag per candidate.  The base class loops
+:meth:`~SubgraphMatcher.is_subgraph`; an engine overrides it to read the
+fixed side once.  A test counts and times nothing: what a query's tests
+cost is counted once per query, by the pipeline
 (``QueryReport.dataset_tests`` / ``probe_tests`` / ``verify_seconds``).
 
 Matching semantics follow the paper: *non-induced* subgraph isomorphism on
@@ -17,7 +21,7 @@ identical label; every query edge must map to a target edge.
 from __future__ import annotations
 
 import abc
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from repro.graph.graph import Graph, VertexId
 
@@ -59,8 +63,8 @@ class MatchResult:
 class SubgraphMatcher(abc.ABC):
     """Abstract subgraph isomorphism engine.
 
-    Subclasses implement :meth:`find_embedding`; the convenience methods
-    :meth:`is_subgraph` and :meth:`count_embeddings` are derived from it.
+    Subclasses implement :meth:`find_embedding`; :meth:`is_subgraph`,
+    :meth:`matches` and :meth:`count_embeddings` are derived from it.
     """
 
     #: Human readable engine name (used in registries and reports).
@@ -73,6 +77,19 @@ class SubgraphMatcher(abc.ABC):
     def is_subgraph(self, query: Graph, target: Graph) -> bool:
         """Return True iff ``query`` is subgraph-isomorphic to ``target``."""
         return self.find_embedding(query, target).found
+
+    def matches(self, graph: Graph, others: Sequence[Graph], graph_is_pattern: bool,
+                screened: bool = False) -> list[bool]:
+        """One flag per graph of ``others``, in order: ``graph ⊆ other`` when
+        ``graph_is_pattern``, else ``other ⊆ graph``.
+
+        ``screened`` promises that each pattern's size and vertex-label
+        multiset already fit its host, so an engine may skip that screen; it
+        changes what a test costs, never its answer.
+        """
+        if graph_is_pattern:
+            return [self.is_subgraph(graph, other) for other in others]
+        return [self.is_subgraph(other, graph) for other in others]
 
     def find_all_embeddings(
         self, query: Graph, target: Graph, limit: int | None = None
@@ -90,12 +107,12 @@ class SubgraphMatcher(abc.ABC):
 
 
 def trivially_impossible(query: Graph, target: Graph) -> bool:
-    """Cheap necessary-condition screen run before every search.
+    """Cheap necessary-condition screen for one test.
 
     Returns True when the query certainly cannot embed into the target
     (size, label multiset, or degree bounds are violated).  Reads the graphs'
-    compiled invariants, so a query screened against many targets pays for
-    its own side once.
+    compiled invariants.  :meth:`SubgraphMatcher.matches` skips the size and
+    label part when its caller has already proved it (``screened``).
     """
     if query.num_vertices > target.num_vertices or query.num_edges > target.num_edges:
         return True

@@ -15,18 +15,26 @@ target vertices one at a time.  Both sides are compiled once per graph, so a
 query verified against its ~30 candidates — or a dataset graph verified for
 the life of the process — pays for order, labels and degrees once.
 
-A test returns ``found`` and one mapping and counts nothing: the pipeline
-counts a query's tests and times its verification once per query, and the
-PINC replacement policy reads that per-query ``verify_seconds``.  The kernel
-records an embedding as the target positions it placed, and decodes them into
-a vertex-id mapping only when the mapping is read (every cache probe and
-dataset test reads ``found`` alone).  It counts its search states only to
-honour ``node_budget``.
+Every dataset test and cache probe arrives through :meth:`VF2Matcher.matches`,
+which reads the fixed side's compiled form once per candidate set and runs
+the kernel to its first embedding; it builds no
+:class:`~repro.isomorphism.base.MatchResult` and no mapping.  When the
+caller has proved sizes and labels (``screened``), only the degree guard the
+kernel's indexing needs runs before the search.  :meth:`~VF2Matcher.find_embedding`
+and :meth:`~VF2Matcher.find_all_embeddings` wrap the same search loop,
+:func:`_images`; they screen each pair themselves and decode an embedding
+into a vertex-id mapping only when it is read.  A test counts nothing: the
+pipeline counts a query's tests and times its verification once per query,
+and the PINC replacement policy reads that per-query ``verify_seconds``.  The
+kernel counts its search states only to honour ``node_budget``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.errors import BudgetExceededError
+from repro.graph.compiled import CompiledGraph, MatchPlan
 from repro.graph.graph import Graph, VertexId
 from repro.isomorphism.base import MatchResult, SubgraphMatcher, trivially_impossible
 
@@ -55,7 +63,7 @@ class VF2Matcher(SubgraphMatcher):
 
         The mapping is built only if the result's ``mapping`` is read.
         """
-        images = _images(query, target, self.node_budget, 1)
+        images = _screened_images(query, target, self.node_budget, 1)
         if not images:
             return MatchResult(found=False)
         return MatchResult(found=True, decode=lambda: _mapping(query, target, images[0]))
@@ -66,6 +74,26 @@ class VF2Matcher(SubgraphMatcher):
         """Enumerate (up to ``limit``) embeddings of ``query`` into ``target``."""
         return _search(query, target, self.node_budget, limit)
 
+    def matches(self, graph: Graph, others: Sequence[Graph], graph_is_pattern: bool,
+                screened: bool = False) -> list[bool]:
+        """One flag per graph of ``others`` (see :meth:`SubgraphMatcher.matches`).
+
+        The fixed side's compiled form is read once.  A pattern's plan is
+        built (and memoised) only when one of its tests reaches the kernel,
+        and each test stops at its first embedding.
+        """
+        fixed, budget, flags = graph.compiled(), self.node_budget, []
+        for other in others:
+            if graph_is_pattern:
+                pattern, host, pair = fixed, other.compiled(), (graph, other)
+            else:
+                pattern, host, pair = other.compiled(), fixed, (other, graph)
+            # the degree guard is what keeps the plan inside ``degree_at_least``
+            flags.append(pattern.max_degree <= host.max_degree
+                         and (screened or not trivially_impossible(*pair))
+                         and bool(_images(pattern.plan(), host, budget, 1)))
+        return flags
+
 
 def _search(
     query: Graph,
@@ -75,7 +103,15 @@ def _search(
 ) -> list[dict[VertexId, VertexId]]:
     """Up to ``limit`` embeddings, each a query → target vertex id mapping."""
     return [_mapping(query, target, image)
-            for image in _images(query, target, node_budget, limit)]
+            for image in _screened_images(query, target, node_budget, limit)]
+
+
+def _screened_images(query: Graph, target: Graph, node_budget: int | None,
+                     limit: int | None) -> list[tuple[int, ...]]:
+    """:func:`_images` of one pair, behind its size, label and degree screen."""
+    if trivially_impossible(query, target):
+        return []
+    return _images(query.compiled().plan(), target.compiled(), node_budget, limit)
 
 
 def _mapping(query: Graph, target: Graph, image: tuple[int, ...]) -> dict[VertexId, VertexId]:
@@ -86,29 +122,23 @@ def _mapping(query: Graph, target: Graph, image: tuple[int, ...]) -> dict[Vertex
             for position, vertex in enumerate(image)}
 
 
-def _images(
-    query: Graph,
-    target: Graph,
-    node_budget: int | None,
-    limit: int | None,
-) -> list[tuple[int, ...]]:
+def _images(plan: MatchPlan, host: CompiledGraph, node_budget: int | None,
+            limit: int | None) -> list[tuple[int, ...]]:
     """The match kernel: depth-first placement along the pattern's plan.
 
-    Each embedding found is its *image*: the target vertex (dense position)
-    placed at each plan position, which :func:`_mapping` decodes into ids.
-    A *state* is one candidate target vertex tried at one plan position.
-    ``pending[depth]`` holds the not-yet-tried candidates of each open
-    position, so backtracking is popping an int.
+    The one search loop of this module.  ``host`` must have a vertex of at
+    least the pattern's largest degree (the plan's degrees index
+    ``degree_at_least``).  Each embedding found is its *image*: the target
+    vertex (dense position) placed at each plan position, which
+    :func:`_mapping` decodes into ids.  A *state* is one candidate target
+    vertex tried at one plan position.  ``pending[depth]`` holds the
+    not-yet-tried candidates of each open position, so backtracking is
+    popping an int.
     """
-    if query.num_vertices == 0:
-        return [()]
-    # also what keeps the pattern's degrees inside ``degree_at_least``
-    if trivially_impossible(query, target):
-        return []
-    plan = query.compiled().plan()
     labels, min_degrees, back = plan.labels, plan.min_degrees, plan.back
+    if not labels:
+        return [()]
     forward_needs, back_edge_labels = plan.forward_needs, plan.back_edge_labels
-    host = target.compiled()
     adj, label_bits, at_least = host.adj_bits, host.label_bits, host.degree_at_least
     host_edge_labels = host.edge_labels or {}
 

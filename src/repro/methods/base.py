@@ -62,6 +62,10 @@ class MethodM:
     name: str = "abstract"
     #: Longest label path (in edges) the filter reads off a query (0: none).
     path_length: int = 0
+    #: Does the filter count exact vertex-label multisets?  Then every
+    #: candidate's size and labels already fit the query, and the verifier
+    #: skips that screen (``SubgraphMatcher.matches(..., screened=True)``).
+    filter_proves_labels: bool = False
 
     def __init__(self, verifier: SubgraphMatcher | None = None) -> None:
         self.verifier = verifier or VF2Matcher()
@@ -127,21 +131,22 @@ class MethodM:
         """Verify every candidate, in order, on the calling thread.
 
         One sub-iso test per candidate: ``query ⊆ G`` for subgraph queries,
-        ``G ⊆ query`` for supergraph queries.
+        ``G ⊆ query`` for supergraph queries, all in one
+        :meth:`~repro.isomorphism.base.SubgraphMatcher.matches` call.
         """
         self._require_built()
         subgraph = QueryType.parse(query_type) is QueryType.SUBGRAPH
-        is_subgraph = self.verifier.is_subgraph
-        dataset = self._dataset
-        outcome = VerificationOutcome()
+        graph_ids = list(candidates)
         start = time.perf_counter()
-        for graph_id in candidates:
-            target = dataset.get(graph_id)
-            if target is None:
-                raise MethodError(f"graph id {graph_id!r} is not part of the dataset")
-            if is_subgraph(query, target) if subgraph else is_subgraph(target, query):
-                outcome.answers.add(graph_id)
-            outcome.num_tests += 1
+        try:
+            targets = [self._dataset[graph_id] for graph_id in graph_ids]
+        except KeyError as exc:
+            raise MethodError(f"graph id {exc.args[0]!r} is not part of the dataset") from None
+        found = self.verifier.matches(query, targets, subgraph, self.filter_proves_labels)
+        outcome = VerificationOutcome(
+            answers={graph_id for graph_id, hit in zip(graph_ids, found) if hit},
+            num_tests=len(graph_ids),
+        )
         outcome.verify_seconds = time.perf_counter() - start
         return outcome
 

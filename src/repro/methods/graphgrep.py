@@ -18,6 +18,8 @@ class GraphGrepSXMethod(MethodM):
     """FTV method over label paths (the demo's Method M)."""
 
     name = "graphgrep-sx"
+    #: The length-0 label paths are the vertex-label multiset, unhashed.
+    filter_proves_labels = True
 
     def __init__(
         self, feature_size: int = 3, verifier: SubgraphMatcher | None = None

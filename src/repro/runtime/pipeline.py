@@ -225,7 +225,9 @@ class QueryPipeline:
         (:data:`~repro.obs.trace.TRACE_KEY`), a ``pipeline`` scope lays out
         one child span per stage; the spans are recorded and attached to the
         report — the leaf subtree of the end-to-end distributed trace, which
-        the scatter stamps with the shard that ran it.
+        the scatter stamps with the shard that ran it.  The ``probe`` span
+        carries the query's probe ``tests``, the ``verify`` span its dataset
+        ``tests`` and how many of them ``matches``.
         """
         ctx.started_at = time.perf_counter()
         for stage in self.stages:
@@ -235,12 +237,16 @@ class QueryPipeline:
         if ctx.query.metadata.get(TRACE_KEY) is not None:
             context = context_from_carrier(ctx.query.metadata)
             if context is not None:
+                report = ctx.report
+                counts = {"probe": {"tests": report.probe_tests},
+                          "verify": {"tests": report.dataset_tests,
+                                     "matches": len(report.verified_answers)}}
                 scope = SpanScope("pipeline", context, started=ctx.started_at)
                 stages, offset = [], 0.0
-                for stage, seconds in ctx.report.stage_seconds.items():
-                    stages.append(scope.span(stage, offset, seconds))
+                for stage, seconds in report.stage_seconds.items():
+                    stages.append(scope.span(stage, offset, seconds, counts.get(stage)))
                     offset += seconds
-                ctx.report.spans += [scope.close(spans=stages), *stages]
+                report.spans += [scope.close(spans=stages), *stages]
         return ctx.report
 
 

@@ -33,7 +33,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
 
 from repro.cache.graph_cache import GraphCache
-from repro.cache.persistence import read_snapshot
+from repro.cache.persistence import read_snapshot, write_atomically
 from repro.cache.statistics import AggregateStatistics, StatisticsManager
 from repro.errors import ConfigurationError
 from repro.features.paths import PathFeatureExtractor
@@ -436,7 +436,8 @@ class ShardedGraphCacheSystem:
         entries land in ``<stem>-shard<i><suffix>`` next to it.  A restore
         with a different shard count is refused (cold start), and each shard
         file carries its partition's dataset digest, so a file written for
-        another partition restores cold too.
+        another partition restores cold too.  Every file is replaced
+        atomically, the shard files first and the manifest last.
         """
         base = Path(path)
         total = 0
@@ -456,7 +457,7 @@ class ShardedGraphCacheSystem:
             "shard_files": shard_files,
             "entries": total,
         }
-        base.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
+        write_atomically(base, json.dumps(manifest, indent=2))
         return total
 
     def restore_snapshot(self, path: str | Path) -> int:

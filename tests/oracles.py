@@ -8,8 +8,9 @@ kept as test oracles:
 * :class:`UllmannMatcher` — the textbook matrix-refinement backtracking
   algorithm: a candidate assignment ``q → t`` survives only if every
   neighbour of ``q`` still has a candidate among the neighbours of ``t``;
-* :class:`NetworkXMatcher` — a wrapper around networkx's ``GraphMatcher``;
-  it compares vertex labels only and ignores edge labels.
+* :class:`NetworkXMatcher` — a wrapper around networkx's ``GraphMatcher``
+  that compares vertex labels and honours a query edge's label; the repo's
+  one networkx oracle, which reads only the graphs' dicts.
 
 :func:`to_networkx` converts a :class:`Graph` for both networkx users: that
 matcher and the tests that check connectivity with ``networkx.is_connected``.
@@ -202,8 +203,16 @@ def to_networkx(graph: Graph):
     return nx_graph
 
 
+def _too_big(query: Graph, target: Graph) -> bool:
+    """More vertices or edges than the target: read off the graphs' dicts, so
+    the networkx oracle never consults a compiled form."""
+    return query.num_vertices > target.num_vertices or query.num_edges > target.num_edges
+
+
 class NetworkXMatcher(SubgraphMatcher):
-    """Subgraph monomorphism via networkx's GraphMatcher."""
+    """Subgraph monomorphism via networkx's GraphMatcher, with this repo's
+    semantics: vertex labels must be equal, and a query edge label is
+    honoured only when present."""
 
     name = "networkx"
 
@@ -211,17 +220,22 @@ class NetworkXMatcher(SubgraphMatcher):
     def _matcher(query: Graph, target: Graph):
         import networkx.algorithms.isomorphism as iso
 
+        def edge_match(target_attrs, query_attrs):
+            wanted = query_attrs.get("label")
+            return wanted is None or target_attrs.get("label") == wanted
+
         return iso.GraphMatcher(
             to_networkx(target),
             to_networkx(query),
             node_match=iso.categorical_node_match("label", ""),
+            edge_match=edge_match,
         )
 
     def find_embedding(self, query: Graph, target: Graph) -> MatchResult:
         """Find one embedding of ``query`` into ``target`` using networkx."""
         if query.num_vertices == 0:
             return MatchResult(found=True, mapping={})
-        if trivially_impossible(query, target):
+        if _too_big(query, target):
             return MatchResult(found=False)
         matcher = self._matcher(query, target)
         # networkx's "monomorphism" is the paper's non-induced semantics
@@ -238,7 +252,7 @@ class NetworkXMatcher(SubgraphMatcher):
         """Enumerate embeddings via networkx."""
         if query.num_vertices == 0:
             return [{}]
-        if trivially_impossible(query, target):
+        if _too_big(query, target):
             return []
         results: list[dict[VertexId, VertexId]] = []
         for mapping in self._matcher(query, target).subgraph_monomorphisms_iter():

@@ -81,6 +81,10 @@ class WhereMatcher(VF2Matcher):
         self.threads.add(threading.current_thread().name)
         return super().find_embedding(query, target)
 
+    def matches(self, graph, others, graph_is_pattern, screened=False):
+        self.threads.add(threading.current_thread().name)
+        return super().matches(graph, others, graph_is_pattern, screened)
+
 
 def live_threads(prefixes) -> list[str]:
     return sorted(thread.name for thread in threading.enumerate()

@@ -2,8 +2,9 @@
 
 Three groups:
 
-(a) differential — the kernel behind :class:`VF2Matcher` agrees with networkx
-    (an independent oracle, here with edge-label semantics too) and with
+(a) differential — the kernel behind :class:`VF2Matcher` agrees with
+    :class:`tests.oracles.NetworkXMatcher` (an independent oracle that honours
+    edge labels) and with
     :class:`tests.oracles.UllmannMatcher` on random pairs that include edge-labelled
     patterns, disconnected patterns, non-integer and mixed vertex ids and
     targets wider than a machine word, and every mapping it returns really is
@@ -16,13 +17,11 @@ Three groups:
 
 from __future__ import annotations
 
-import itertools
 import pickle
 import random
 import sys
 import threading
 
-import networkx.algorithms.isomorphism as iso
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +29,7 @@ from repro.graph import Graph, cycle_graph, molecule_dataset, path_graph
 from repro.graph.operations import random_connected_subgraph
 from repro.isomorphism import VF2Matcher
 from repro.isomorphism.vf2 import _search
-from tests.oracles import UllmannMatcher, to_networkx
+from tests.oracles import NetworkXMatcher, UllmannMatcher
 
 LABELS = ["A", "B"]
 EDGE_LABELS = [None, None, "s", "d"]
@@ -89,20 +88,6 @@ def graph_pairs(draw, max_query=5, max_target=8, edge_labels=True):
     return query, target
 
 
-def networkx_matcher(query: Graph, target: Graph) -> iso.GraphMatcher:
-    """networkx with this repo's semantics: vertex labels must be equal, a
-    query edge label is honoured only when present."""
-
-    def edge_match(target_attrs, query_attrs):
-        wanted = query_attrs.get("label")
-        return wanted is None or target_attrs.get("label") == wanted
-
-    return iso.GraphMatcher(
-        to_networkx(target), to_networkx(query),
-        node_match=iso.categorical_node_match("label", ""), edge_match=edge_match,
-    )
-
-
 def assert_embedding(query: Graph, target: Graph, mapping: dict) -> None:
     """``mapping`` is a label- and edge-preserving injection query → target."""
     assert set(mapping) == set(query.vertices())
@@ -126,7 +111,7 @@ class TestDifferential:
     def test_find_one_agrees_with_networkx_and_ullmann(self, pair):
         query, target = pair
         result = VF2Matcher().find_embedding(query, target)
-        assert result.found == networkx_matcher(query, target).subgraph_is_monomorphic()
+        assert result.found == NetworkXMatcher().is_subgraph(query, target)
         assert result.found == UllmannMatcher().is_subgraph(query, target)
         if result.found:
             assert_embedding(query, target, result.mapping)
@@ -138,7 +123,7 @@ class TestDifferential:
     def test_enumeration_counts_and_limit(self, pair, limit):
         query, target = pair
         embeddings = VF2Matcher().find_all_embeddings(query, target)
-        expected = sum(1 for _ in networkx_matcher(query, target).subgraph_monomorphisms_iter())
+        expected = NetworkXMatcher().count_embeddings(query, target)
         assert len(embeddings) == expected
         assert len(UllmannMatcher().find_all_embeddings(query, target)) == expected
         assert len({frozenset(m.items()) for m in embeddings}) == expected  # all distinct
@@ -159,15 +144,14 @@ class TestDifferential:
         else:
             query = sparse_connected_graph(rng, 4, style)
         result = VF2Matcher().find_embedding(query, target)
-        assert result.found == networkx_matcher(query, target).subgraph_is_monomorphic()
+        assert result.found == NetworkXMatcher().is_subgraph(query, target)
         assert result.found == UllmannMatcher().is_subgraph(query, target)
         if planted:
             assert result.found
         if result.found:
             assert_embedding(query, target, result.mapping)
         cap = 500  # connected patterns in a sparse target: rarely reached
-        expected = sum(1 for _ in itertools.islice(
-            networkx_matcher(query, target).subgraph_monomorphisms_iter(), cap))
+        expected = NetworkXMatcher().count_embeddings(query, target, limit=cap)
         embeddings = VF2Matcher().find_all_embeddings(query, target, limit=cap)
         assert len(embeddings) == expected
         for mapping in embeddings:
@@ -211,7 +195,7 @@ class TestInvalidation:
     def matches(query: Graph, target: Graph) -> bool:
         found = VF2Matcher().is_subgraph(query, target)
         # the oracle sees the graphs' dicts, never a compiled form
-        assert found == networkx_matcher(query, target).subgraph_is_monomorphic()
+        assert found == NetworkXMatcher().is_subgraph(query, target)
         return found
 
     def test_add_vertex_then_add_edge_on_the_target(self):

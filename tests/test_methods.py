@@ -155,26 +155,23 @@ class TestVerifierPluggability:
 
 
 class TestVerifierSeam:
-    """``find_embedding`` is the one entry of every dataset test.
-
-    gcbench counts tests and their busy time by wrapping ``find_embedding``
-    on every matcher class, so a verification path that bypassed it would
-    silently read zero there.
-    """
+    """``matches`` is the one entry of every dataset test: verification hands
+    it each query's whole candidate set."""
 
     @pytest.mark.parametrize("num_shards", [1, 2])
-    def test_one_find_embedding_call_per_dataset_test(self, dataset, monkeypatch, num_shards):
+    def test_verification_matches_add_up_to_dataset_tests(self, dataset, monkeypatch,
+                                                          num_shards):
         trace = generate_trace(dataset, 40, query_type="mixed", seed=3)
         calls = []
         lock = threading.Lock()
 
         def spy(matcher):
-            find = matcher.find_embedding
+            matches = matcher.matches
 
-            def counted(query, target):
+            def counted(graph, others, graph_is_pattern, screened=False):
                 with lock:
-                    calls.append(None)
-                return find(query, target)
+                    calls.append(len(others))
+                return matches(graph, others, graph_is_pattern, screened)
             return counted
 
         config = GCConfig(cache_capacity=10, window_size=2, num_shards=num_shards)
@@ -182,10 +179,10 @@ class TestVerifierSeam:
             engines = system.shards if num_shards > 1 else [system]
             for engine in engines:
                 verifier = engine.method.verifier
-                monkeypatch.setattr(verifier, "find_embedding", spy(verifier))
+                monkeypatch.setattr(verifier, "matches", spy(verifier))
             reports = [system.run_query(query) for query in trace]
         assert {report.query.query_type for report in reports} == set(QueryType)
-        assert len(calls) == sum(report.dataset_tests for report in reports) > 0
+        assert sum(calls) == sum(report.dataset_tests for report in reports) > 0
 
 
 class TestRegistry:

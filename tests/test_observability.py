@@ -39,7 +39,7 @@ from repro.obs.trace import (
     new_trace_id,
 )
 from repro.query_model import Query
-from repro.runtime import GCConfig
+from repro.runtime import GCConfig, GraphCacheSystem
 from repro.server import QueryServer
 from repro.sharding import ShardedGraphCacheSystem
 from repro.workload import generate_trace
@@ -256,6 +256,8 @@ SPAN_KEYS = {
     "merge": set(),
     "pipeline": {"shard"},
     **{stage: {"shard"} for stage in STAGES},
+    "probe": {"shard", "tests"},
+    "verify": {"shard", "tests", "matches"},
 }
 
 
@@ -431,6 +433,25 @@ class TestProcessWorkerTracing:
         series = parse_prometheus_text(text)
         assert series['worker_requests_total{shard="0"}'] >= 1
         assert series['worker_requests_total{shard="1"}'] >= 1
+
+
+class TestStageSpanCounts:
+    def test_probe_and_verify_spans_carry_the_reports_counts(self, dataset, trace_queries):
+        reports = []
+        with GraphCacheSystem(dataset, config()) as system:
+            for query in [*trace_queries, *trace_queries]:
+                context = TraceContext(trace_id=new_trace_id(), span_id=new_span_id())
+                reports.append(system.run_query(Query(
+                    graph=query.graph, query_type=query.query_type,
+                    metadata={TRACE_KEY: context.to_carrier()})))
+        for report in reports:
+            spans = {span.name: span for span in report.spans}
+            assert spans["probe"].attributes == {"tests": report.probe_tests}
+            assert spans["verify"].attributes == {
+                "tests": report.dataset_tests, "matches": len(report.verified_answers)}
+        # the replayed half probes a warm cache, and some verification matches
+        assert sum(report.probe_tests for report in reports) > 0
+        assert sum(len(report.verified_answers) for report in reports) > 0
 
 
 # ---------------------------------------------------------------------- #

@@ -20,6 +20,7 @@ from repro.cache import (
     restore_cache,
     save_cache,
 )
+from repro.cache import persistence
 from repro.cache.persistence import (
     FORMAT_VERSION,
     dataset_digest,
@@ -312,6 +313,36 @@ class TestPersistence:
                 assert system.restore_snapshot(path) == 0
                 assert len(system.cache) == 0
         assert "is format 1, not 2: starting cold" in caplog.text
+
+
+class TestAtomicSnapshots:
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    @pytest.mark.parametrize("failing", ["fsync", "replace"])
+    def test_a_save_that_fails_midway_leaves_the_previous_snapshot(
+            self, tmp_path, monkeypatch, num_shards, failing):
+        """The new text reaches a temporary file and then the write fails:
+        the files on disk are the previous save's, byte for byte, and they
+        restore every entry that save wrote."""
+        dataset = molecule_dataset(20, min_vertices=8, max_vertices=12, rng=36)
+        config = GCConfig(cache_capacity=10, window_size=1, num_shards=num_shards)
+        path = tmp_path / "cache.json"
+        with make_system(dataset, config) as system:
+            system.run_queries(make_subgraph_queries(dataset, 6, 5, seed=37))
+            saved = system.save_snapshot(path)
+            before = {file.name: file.read_bytes() for file in tmp_path.iterdir()}
+            system.run_queries(make_subgraph_queries(dataset, 6, 5, seed=38))
+
+            def crash(*args):
+                raise OSError(f"{failing} failed")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(persistence.os, failing, crash)
+                with pytest.raises(OSError, match="failed"):
+                    system.save_snapshot(path)
+        assert saved > 0
+        assert {file.name: file.read_bytes() for file in tmp_path.iterdir()} == before
+        with make_system(dataset, config) as system:
+            assert system.restore_snapshot(path) == saved
 
 
 class TestStatisticsTimeline:
