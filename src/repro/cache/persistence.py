@@ -23,7 +23,8 @@ import hashlib
 import json
 import math
 import os
-import tempfile
+import stat
+import uuid
 from collections.abc import Callable, Iterable
 from dataclasses import fields
 from pathlib import Path
@@ -144,20 +145,29 @@ def write_atomically(path: str | Path, text: str) -> None:
 
     The text goes to a temporary file in the same directory, which is flushed
     and fsynced, then renamed over ``path`` (``os.replace`` is atomic on one
-    file system).
+    file system) and the directory fsynced, so the rename is durable too.
+    The file gets the mode a plain ``open(path, "w")`` would give it: an
+    existing file keeps its mode, a new one is ``0o666`` less the umask.
     """
     path = Path(path)
-    handle, temporary = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
-                                         suffix=".tmp")
+    temporary = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    handle = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(handle, "w", encoding="utf-8") as stream:
+            if path.exists():
+                os.fchmod(stream.fileno(), stat.S_IMODE(path.stat().st_mode))
             stream.write(text)
             stream.flush()
             os.fsync(stream.fileno())
         os.replace(temporary, path)
     except BaseException:
-        Path(temporary).unlink(missing_ok=True)
+        temporary.unlink(missing_ok=True)
         raise
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def read_snapshot(path: str | Path) -> object:

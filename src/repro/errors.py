@@ -121,11 +121,13 @@ class AdmissionRejectedError(ServerError):
 
 
 class ShardWorkerError(ServerError):
-    """A shard worker process died (or went unreachable) and stayed down.
+    """A shard worker process died and stayed down, or failed while alive.
 
-    Raised by the process shard backend once a worker cannot be reached *and*
+    Raised by a process shard client once a worker cannot be reached *and*
     the bounded respawn budget is exhausted (or the replacement failed to
-    start).  Retryable on the wire: a fresh request may land after an
+    start), and when a live worker times out or sends a malformed reply (no
+    respawn is spent and the query is not re-sent; the cause is chained).
+    Retryable on the wire: a fresh request may land after an
     operator restores capacity, and the answers already returned are
     unaffected — a respawned worker re-executes only the failed queries.
     """

@@ -14,13 +14,8 @@ import random as _random
 from collections.abc import Iterable
 
 from repro.errors import GraphError
+from repro.graph.generators import _resolve_rng
 from repro.graph.graph import Graph, VertexId
-
-
-def _resolve_rng(rng: _random.Random | int | None) -> _random.Random:
-    if isinstance(rng, _random.Random):
-        return rng
-    return _random.Random(rng)
 
 
 def random_connected_subgraph(

@@ -66,3 +66,11 @@ class Query:
             f"<Query id={self.query_id} type={self.query_type.value}"
             f" |V|={self.num_vertices} |E|={self.num_edges}>"
         )
+
+
+def as_query(query: Query | Graph, query_type: QueryType | str | None = None) -> Query:
+    """``query`` itself, or a bare pattern graph wrapped as a :class:`Query`
+    (a subgraph query unless ``query_type`` says otherwise)."""
+    if isinstance(query, Query):
+        return query
+    return Query(graph=query, query_type=QueryType.parse(query_type or QueryType.SUBGRAPH))

@@ -1,8 +1,8 @@
-"""Query Processing Runtime: configuration, pipeline, executor and the facade."""
+"""Query Processing Runtime: configuration, the staged pipeline and the
+:class:`GraphCacheSystem` facade that runs it."""
 
 from repro.query_model import Query, QueryType
 from repro.runtime.config import GCConfig
-from repro.runtime.executor import QueryExecutor
 from repro.runtime.pipeline import (
     AdmitStage,
     AssembleStage,
@@ -21,7 +21,6 @@ __all__ = [
     "Query",
     "QueryType",
     "GCConfig",
-    "QueryExecutor",
     "QueryReport",
     "GraphCacheSystem",
     "ExecutionContext",

@@ -39,7 +39,7 @@ from repro.query_model import Query
 from repro.runtime.report import QueryReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.executor import QueryExecutor
+    from repro.runtime.system import GraphCacheSystem
 
 
 @dataclass
@@ -47,7 +47,7 @@ class ExecutionContext:
     """Everything one query accumulates while flowing through the pipeline."""
 
     query: Query
-    executor: "QueryExecutor"
+    system: "GraphCacheSystem"
     report: QueryReport
     #: ``time.perf_counter()`` at pipeline entry (set by the pipeline).
     started_at: float = 0.0
@@ -60,12 +60,12 @@ class ExecutionContext:
     @property
     def cache(self):
         """The cache the executing system runs with (may be ``None``)."""
-        return self.executor.cache
+        return self.system.cache
 
     @property
     def method(self):
         """The Method M the executing system wraps."""
-        return self.executor.method
+        return self.system.method
 
 
 class PipelineStage(abc.ABC):
@@ -139,9 +139,9 @@ class PruneStage(PipelineStage):
     def run(self, ctx: ExecutionContext) -> None:
         report, lookup = ctx.report, ctx.lookup
         if lookup is not None and lookup.exact_entry is not None:
-            pruning = ctx.executor.pruner.exact_hit_result(lookup.exact_entry)
+            pruning = ctx.system.pruner.exact_hit_result(lookup.exact_entry)
         else:
-            pruning = ctx.executor.pruner.prune(
+            pruning = ctx.system.pruner.prune(
                 ctx.query.query_type,
                 report.method_candidates,
                 lookup.sub_hits if lookup else [],
@@ -180,7 +180,7 @@ class AssembleStage(PipelineStage):
         assert ctx.pruning is not None, "AssembleStage requires PruneStage output"
         ctx.report.answer = set(ctx.outcome.answers) | set(ctx.pruning.guaranteed_answers)
         ctx.report.total_seconds = time.perf_counter() - ctx.started_at
-        ctx.executor.observe_test_cost(ctx.outcome.num_tests, ctx.outcome.verify_seconds)
+        ctx.system.observe_test_cost(ctx.outcome.num_tests, ctx.outcome.verify_seconds)
 
 
 class AdmitStage(PipelineStage):
@@ -191,7 +191,7 @@ class AdmitStage(PipelineStage):
     def run(self, ctx: ExecutionContext) -> None:
         if ctx.cache is None or ctx.lookup is None or ctx.pruning is None:
             return
-        average_cost = ctx.executor.per_test_cost(
+        average_cost = ctx.system.per_test_cost(
             ctx.outcome.num_tests, ctx.outcome.verify_seconds
         )
         ctx.cache.credit(ctx.lookup, ctx.pruning.per_hit_savings, average_cost, clock=ctx.clock)

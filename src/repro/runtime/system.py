@@ -1,26 +1,37 @@
 """GraphCacheSystem: the public facade of the GC reproduction.
 
 This is the class a downstream application embeds ("GC per se could be
-plugged into general graph systems as a library").  It wires up Method M, the
-graph cache and the query executor from a :class:`GCConfig` and exposes a
-small API: run queries, inspect statistics, measure memory overheads.
+plugged into general graph systems as a library").  It wires up Method M and
+the graph cache from a :class:`GCConfig`, runs each query through the staged
+pipeline of :mod:`repro.runtime.pipeline` (the paper's Fig. 3 dataflow), and
+exposes a small API: run queries, inspect statistics, measure memory
+overheads.
+
+When the cache is disabled (or empty) the probe and prune stages contribute
+nothing and the system behaves exactly like Method M: the answers are
+identical in both modes, which is the property the test suite leans on.
+Many queries may run through :meth:`GraphCacheSystem.run_query` at once: the
+cache serialises its own mutations and a lock guards the running per-test
+cost.
 """
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterable, Sequence
 from functools import cached_property
 
 from repro.cache.graph_cache import GraphCache
+from repro.cache.pruner import CandidateSetPruner
 from repro.cache.statistics import AggregateStatistics, StatisticsManager
 from repro.errors import ConfigurationError
 from repro.graph.graph import Graph
 from repro.methods.base import MethodM
 from repro.methods.registry import make_method
 from repro.obs.logs import get_logger
-from repro.query_model import Query, QueryType
+from repro.query_model import Query, QueryType, as_query
 from repro.runtime.config import GCConfig
-from repro.runtime.executor import QueryExecutor
+from repro.runtime.pipeline import ExecutionContext, QueryPipeline
 from repro.runtime.report import QueryReport
 
 logger = get_logger("runtime")
@@ -56,11 +67,13 @@ class GraphCacheSystem:
             )
 
         self.statistics = StatisticsManager()
-        self.executor = QueryExecutor(
-            method=self.method,
-            cache=self.cache,
-            statistics=self.statistics,
-        )
+        self.pruner = CandidateSetPruner()
+        self.pipeline = QueryPipeline()
+        #: Running average cost of one dataset sub-iso test (seconds); used to
+        #: convert saved tests into saved time when a query runs no tests.
+        self._average_test_cost = 0.0
+        self._observed_tests = 0
+        self._cost_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -98,7 +111,16 @@ class GraphCacheSystem:
         The cache may keep the pattern graph by reference, so editing it
         after the call is unsupported; query a copy instead.
         """
-        return self.executor.execute(query, query_type)
+        query = as_query(query, query_type)
+        ctx = ExecutionContext(query=query, system=self, report=QueryReport(query=query))
+        self.pipeline.run(ctx)
+        # Method M is not run a second time: its seconds are estimated from
+        # its filter and its |C_M| tests at the running average test cost
+        ctx.report.baseline_seconds = ctx.report.filter_seconds + (
+            ctx.report.baseline_tests * self._average_test_cost
+        )
+        self.statistics.record(ctx.report)
+        return ctx.report
 
     def run_queries(
         self,
@@ -120,6 +142,24 @@ class GraphCacheSystem:
         :meth:`run_queries`.
         """
         return self.run_queries(queries, query_type)
+
+    # ------------------------------------------------------------------ #
+    # test-cost accounting (read by the pipeline stages)
+    # ------------------------------------------------------------------ #
+    def per_test_cost(self, tests: int, seconds: float) -> float:
+        """Cost of one sub-iso test for this query (falls back to the average)."""
+        if tests > 0:
+            return seconds / tests
+        return self._average_test_cost
+
+    def observe_test_cost(self, tests: int, seconds: float) -> None:
+        """Fold one query's verification cost into the running average."""
+        if tests <= 0:
+            return
+        with self._cost_lock:
+            total = self._average_test_cost * self._observed_tests + seconds
+            self._observed_tests += tests
+            self._average_test_cost = total / self._observed_tests
 
     def warm_cache(
         self,

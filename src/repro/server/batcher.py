@@ -34,7 +34,6 @@ inside ``run_batch``, on the dispatcher thread, like the rest of the query.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import queue
@@ -64,7 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _STOP = object()
 
-#: Heap key of the stop marker: sorts after every real entry (priorities are
+#: Queue key of the stop marker: sorts after every real entry (priorities are
 #: finite ints, so ``-priority`` can never reach ``inf``), which is exactly
 #: the drain semantics the FIFO queue had — everything admitted before
 #: ``close()`` is processed first, then the dispatcher sees the marker.
@@ -107,65 +106,6 @@ class _Pending:
     #: Set by :meth:`RequestBatcher.abandon`: the waiter gave up, skip this
     #: entry at batch-build time instead of executing dead work.
     abandoned: bool = False
-
-
-class _PendingQueue:
-    """Bounded priority queue of :class:`_Pending` entries (plus ``_STOP``).
-
-    Ordering: priority band descending, earliest deadline first within a
-    band (no deadline sorts last), submission order among peers.  The stop
-    marker is exempt from the bound and sorts after everything, preserving
-    the drain-first shutdown contract of the FIFO queue this replaces.
-    Raises the :mod:`queue` module's ``Full``/``Empty`` so call sites keep
-    their stdlib error handling.
-    """
-
-    def __init__(self, maxsize: int) -> None:
-        self.maxsize = maxsize
-        self._heap: list[tuple[tuple, object]] = []
-        self._size = 0  # real entries only; _STOP is not counted
-        self._seq = itertools.count()
-        self._mutex = threading.Lock()
-        self._not_empty = threading.Condition(self._mutex)
-
-    def _key(self, item) -> tuple:
-        if item is _STOP:
-            return _STOP_KEY
-        deadline = item.deadline if item.deadline is not None else math.inf
-        return (-item.priority, deadline, next(self._seq))
-
-    def put_nowait(self, item) -> None:
-        with self._mutex:
-            if item is not _STOP and self._size >= self.maxsize:
-                raise queue.Full
-            heapq.heappush(self._heap, (self._key(item), item))
-            if item is not _STOP:
-                self._size += 1
-            self._not_empty.notify()
-
-    put = put_nowait  # close() never blocks: the stop marker is unbounded
-
-    def _pop(self):
-        _, item = heapq.heappop(self._heap)
-        if item is not _STOP:
-            self._size -= 1
-        return item
-
-    def get(self):
-        with self._not_empty:
-            while not self._heap:
-                self._not_empty.wait()
-            return self._pop()
-
-    def get_nowait(self):
-        with self._mutex:
-            if not self._heap:
-                raise queue.Empty
-            return self._pop()
-
-    def qsize(self) -> int:
-        with self._mutex:
-            return self._size
 
 
 @dataclass
@@ -232,7 +172,13 @@ class RequestBatcher:
             raise ConfigurationError("max_queue_depth must be at least 1")
         self.system = system
         self.max_batch_size = max_batch_size
-        self._queue = _PendingQueue(maxsize=max_queue_depth)
+        self.max_queue_depth = max_queue_depth
+        #: ``(key, entry)`` pairs, key ``(-priority, deadline or inf, seq)``:
+        #: priority band descending, earliest deadline first within a band,
+        #: submission order among peers.  Unbounded — :meth:`submit` holds the
+        #: depth bound, so the stop marker can always be queued.
+        self._queue: queue.PriorityQueue = queue.PriorityQueue()
+        self._seq = itertools.count()
         self._stats = BatcherStats()
         self._stats_lock = threading.Lock()
         #: Serialises the closed-check + enqueue in :meth:`submit` against
@@ -287,15 +233,15 @@ class RequestBatcher:
         )
         # lets abandon() find the queue entry behind the future it hands out
         pending.future._gc_pending = pending
+        deadline = pending.deadline if pending.deadline is not None else math.inf
         with self._admission_lock:
             if self._closed:
                 raise ServerClosedError("batcher is shut down; no new queries accepted")
-            try:
-                self._queue.put_nowait(pending)
-            except queue.Full:
+            if self._queue.qsize() >= self.max_queue_depth:
                 with self._stats_lock:
                     self._stats.rejected += 1
-                raise AdmissionRejectedError(self._queue.maxsize) from None
+                raise AdmissionRejectedError(self.max_queue_depth)
+            self._queue.put_nowait(((-pending.priority, deadline, next(self._seq)), pending))
         with self._stats_lock:
             self._stats.submitted += 1
         return pending.future
@@ -373,7 +319,7 @@ class RequestBatcher:
                 return
             self._closed = True
             self._drain_on_close = drain
-            self._queue.put(_STOP)  # unblocks the dispatcher even when idle
+            self._queue.put_nowait((_STOP_KEY, _STOP))  # unblocks an idle dispatcher
         self._thread.join()
 
     @property
@@ -386,7 +332,7 @@ class RequestBatcher:
     def _run(self) -> None:
         stopping = False
         while not stopping:
-            head = self._queue.get()
+            _, head = self._queue.get()
             if head is _STOP:
                 break
             if self._closed and not self._drain_on_close:
@@ -402,7 +348,7 @@ class RequestBatcher:
             batch = [head]
             while len(batch) < self.max_batch_size:
                 try:
-                    item = self._queue.get_nowait()
+                    _, item = self._queue.get_nowait()
                 except queue.Empty:
                     break
                 if item is _STOP:

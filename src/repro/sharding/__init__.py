@@ -9,8 +9,9 @@ agnostic of whether they hold a sharded or an unsharded engine.
 
 Shards run on one of two execution backends (``GCConfig.shard_backend``):
 ``"thread"`` hosts each shard in-process on the scatter pool, ``"process"``
-spawns one worker *process* per shard (:class:`ProcessShardBackend` +
-:mod:`repro.sharding.worker`) speaking v2 envelopes over loopback — same
+spawns one worker *process* per shard (:class:`ProcessShardBackend` spawns
+them, a :class:`ProcessShardClient` per shard owns one, and
+:mod:`repro.sharding.worker` runs in it) speaking v2 envelopes over loopback — same
 scatter-gather semantics, no shared GIL for CPU-bound verification.
 """
 

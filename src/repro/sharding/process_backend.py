@@ -25,14 +25,18 @@ again.  Every transport failure the client raises is an :class:`OSError`.  A
 respawn or :meth:`ProcessShardBackend.close` closes every connection to the
 worker it retires.
 
-:class:`ProcessShardClient` implements the same shard surface
+One :class:`ProcessShardClient` per shard owns that shard's worker — its
+process, port and client, its respawn count — and the request loop with
+crash recovery.  It implements the same shard surface
 :class:`~repro.sharding.system.ShardedGraphCacheSystem` already scatters to
 (``run_query``/``run_batch``/``statistics``/``dataset``/
 snapshots/memory accessors), so the sharded system treats thread shards and
-process shards identically.  Each proxy keeps a coordinator-side
+process shards identically.  Each client keeps a coordinator-side
 :class:`StatisticsManager` mirror fed from the full per-query reports the
 worker returns, which is what keeps ``attach_shard`` fan-in working
-unchanged.
+unchanged.  :class:`ProcessShardBackend` spawns the workers (all of them
+first, then every handshake, so their start-up overlaps), replaces one on
+request, reports liveness and closes them all.
 
 Worker lifecycle: spawn + ready-handshake at construction (startup errors
 travel back over the pipe), graceful drain (``/admin/shutdown`` → join →
@@ -40,9 +44,11 @@ terminate) at close, and crash recovery in between — a request hitting a
 dead worker triggers a bounded respawn (:data:`RESPAWN_LIMIT`)
 and re-issues *only the failed queries* against the cold replacement (sound:
 the cache only ever prunes guaranteed candidates, so answers are invariant
-under cache state).  A worker that stays down surfaces as a typed,
-retryable :class:`~repro.errors.ShardWorkerError` (wire code
-``shard-worker``, HTTP 503).
+under cache state).  A worker that stays down, or a live worker that times
+out or sends a malformed reply, surfaces as a typed, retryable
+:class:`~repro.errors.ShardWorkerError` (wire code ``shard-worker``, HTTP
+503) naming the shard; a live worker's failure spends no respawn and
+re-sends nothing, since the query may still be running there.
 """
 
 from __future__ import annotations
@@ -65,8 +71,7 @@ from repro.graph.graph import Graph
 from repro.methods.base import MethodM
 from repro.obs.logs import get_logger
 from repro.obs.recorder import get_recorder
-from repro.obs.trace import TRACE_KEY, TraceContext
-from repro.query_model import Query, QueryType
+from repro.query_model import Query, QueryType, as_query
 from repro.runtime.config import GCConfig
 from repro.runtime.report import QueryReport
 from repro.sharding.worker import report_from_wire, worker_main
@@ -85,20 +90,6 @@ DEFAULT_REQUEST_TIMEOUT = 300.0
 RESPAWN_LIMIT = 1
 
 
-class _WorkerHandle:
-    """One live worker: its process, its port, its client."""
-
-    __slots__ = ("index", "process", "port", "service", "describe")
-
-    def __init__(self, index: int, process, port: int,
-                 service: RemoteGraphService, describe: dict) -> None:
-        self.index = index
-        self.process = process
-        self.port = port
-        self.service = service
-        self.describe = describe
-
-
 class _RemoteMethodInfo:
     """Read-only stand-in for a worker-resident Method M (name + describe)."""
 
@@ -111,7 +102,7 @@ class _RemoteMethodInfo:
 
 
 class ProcessShardBackend:
-    """Spawns, supervises and speaks to one worker process per shard."""
+    """Spawns every shard's worker process, replaces one, and closes them all."""
 
     def __init__(
         self,
@@ -134,13 +125,9 @@ class ProcessShardBackend:
         self._method_factory = method_factory
         self._startup_timeout = startup_timeout
         self._request_timeout = request_timeout
-        self._respawns_left = [RESPAWN_LIMIT] * len(self._partitions)
-        #: Workers successfully replaced after a crash (asserted by tests).
-        self.respawns_performed = 0
-        self._lock = threading.Lock()
         self._closed = False
 
-        self._handles: list[_WorkerHandle] = []
+        self.clients: list[ProcessShardClient] = []
         started: list[tuple] = []
         try:
             # start every worker first, then collect handshakes: startup
@@ -149,15 +136,16 @@ class ProcessShardBackend:
                 started.append(self._start_process(index))
             for index, (process, ready) in enumerate(started):
                 port, describe = self._await_ready(index, process, ready)
-                self._handles.append(self._make_handle(index, process, port, describe))
+                self.clients.append(ProcessShardClient(
+                    self, index, partitions[index], shard_config, process, port, describe))
         except Exception:
             self._teardown(started)
             raise
 
-        self.clients = [
-            ProcessShardClient(self, index, partition, shard_config)
-            for index, partition in enumerate(partitions)
-        ]
+    @property
+    def respawns_performed(self) -> int:
+        """Workers successfully replaced after a crash, over every shard."""
+        return sum(client.respawns for client in self.clients)
 
     # ------------------------------------------------------------------ #
     # worker lifecycle
@@ -204,161 +192,35 @@ class ProcessShardBackend:
             raise ShardWorkerError(index, f"worker failed to start: {reason}")
         return int(payload["port"]), dict(payload.get("describe") or {})
 
-    def _make_handle(self, index: int, process, port: int, describe: dict) -> _WorkerHandle:
-        service = RemoteGraphService("127.0.0.1", port, timeout=self._request_timeout)
-        return _WorkerHandle(index, process, port, service, describe)
-
-    def describe_payload(self, index: int) -> dict:
-        """The handshake describe payload of shard ``index``'s worker."""
-        return dict(self._handles[index].describe)
-
-    # ------------------------------------------------------------------ #
-    # transport (the calling thread → its connection → the worker)
-    # ------------------------------------------------------------------ #
-    def call(self, index: int, method: str, path: str,
-             body: dict | None = None) -> tuple[int, dict]:
-        """One admin or observability request to shard ``index``'s worker.
-
-        These arrive on whatever thread asks — an HTTP handler scraping
-        ``/metrics``, the caller of ``warm_cache`` — so the connection is
-        closed again instead of staying parked on a thread that may never
-        come back.
-        """
+    def respawn(self, index: int) -> tuple:
+        """A cold replacement for shard ``index``'s worker: ``(process, port, describe)``."""
+        process, ready = self._start_process(index)
         try:
-            return self._call_many(index, [(method, path, body)])[0]
-        finally:
-            self._handles[index].service.close()
-
-    def _call_many(self, index: int, requests: list[tuple]) -> list[tuple[int, dict]]:
-        """``(method, path, body)`` requests to one worker, with crash recovery.
-
-        The requests go out one after the other over the calling thread's
-        keep-alive connection; outcomes return in submission order.  A
-        transport failure against a *dead* worker spends respawn budget,
-        brings up a cold replacement and carries on from the failed position
-        there (every endpoint driven through here is answer-safe to
-        re-execute) — completed answers are kept exactly once, so a crash
-        can neither drop nor duplicate an answer.  A transport failure
-        against a live worker propagates — the client already retried a
-        stale keep-alive connection once, and a timeout must never re-run a
-        query that may still be executing.
-        """
-        results: list[tuple[int, dict]] = []
-        attempts = 0
-        while len(results) < len(requests):
-            handle = self._handle(index)
-            try:
-                for request in requests[len(results):]:
-                    results.append(handle.service.request(*request))
-            except OSError as failure:  # every transport failure the client raises
-                # NB: TimeoutError subclasses OSError — classify it first
-                if isinstance(failure, TimeoutError) and handle.process.is_alive():
-                    raise
-                self._recover(
-                    index, handle,
-                    f"worker lost an in-flight request "
-                    f"({type(failure).__name__}: {failure})",
-                    cause=failure,
-                )
-                attempts += 1
-                if attempts > RESPAWN_LIMIT + 1:  # pragma: no cover - safety net
-                    raise ShardWorkerError(index, "worker kept failing after respawn",
-                                           self.respawns_performed)
-        return results
-
-    def expect(self, index: int, method: str, path: str,
-               body: dict | None = None) -> dict:
-        """:meth:`call`, insisting on a 200 payload."""
-        return expect_ok(f"shard {index} {path}",
-                         *self.call(index, method, path, body))
-
-    def admin(self, index: int, path: str, body: dict | None = None) -> dict:
-        """POST an admin endpoint and insist on a 200 payload."""
-        return self.expect(index, "POST", path, body or {})
-
-    def describe(self, index: int) -> dict:
-        """A *live* describe of shard ``index``'s worker (memory, cache)."""
-        return self.expect(index, "GET", "/describe")
-
-    def query(self, index: int, body: dict) -> tuple[int, dict]:
-        """POST one query envelope to shard ``index`` (keep-alive)."""
-        return self.query_batch(index, [body])[0]
-
-    def query_batch(self, index: int, bodies: list[dict]) -> list[tuple[int, dict]]:
-        """POST a share of a batch, one envelope after the other (in order)."""
-        return self._call_many(index, [("POST", "/query", body) for body in bodies])
-
-    # ------------------------------------------------------------------ #
-    # crash recovery
-    # ------------------------------------------------------------------ #
-    def _handle(self, index: int) -> _WorkerHandle:
-        if self._closed:
-            raise ServerError("process shard backend is closed")
-        with self._lock:
-            return self._handles[index]
-
-    def _recover(self, index: int, failed_handle: _WorkerHandle,
-                 reason: str, cause: BaseException | None = None) -> None:
-        """Replace a dead worker under budget; generation-safe across threads.
-
-        Many in-flight requests can fail together when one worker dies; only
-        the first caller spends budget and respawns, the rest observe the
-        swapped handle and simply retry.  A transport error against a worker
-        that is demonstrably alive is not a crash — it propagates.
-        """
-        with self._lock:
-            current = self._handles[index]
-            if current is not failed_handle:
-                return  # a sibling thread already replaced this worker
-            process = failed_handle.process
-            if process.is_alive():
-                process.join(timeout=0.5)  # a dying worker needs a beat to reap
-            if process.is_alive():
-                raise cause if cause is not None else ShardWorkerError(
-                    index, reason, self.respawns_performed)
-            if self._respawns_left[index] <= 0:
-                logger.error("shard %d worker down (%s); respawn budget exhausted",
-                             index, reason)
-                raise ShardWorkerError(
-                    index, f"{reason}; respawn budget exhausted",
-                    self.respawns_performed,
-                ) from cause
-            self._respawns_left[index] -= 1
-            failed_handle.service.close_all()
-            replacement, ready = self._start_process(index)
-            try:
-                port, describe = self._await_ready(index, replacement, ready)
-            except ShardWorkerError:
-                replacement.terminate()
-                raise
-            self._handles[index] = self._make_handle(index, replacement, port, describe)
-            self.respawns_performed += 1
-            logger.warning(
-                "shard %d worker respawned after crash (%s); "
-                "%d respawn(s) left for this shard",
-                index, reason, self._respawns_left[index],
-            )
+            port, describe = self._await_ready(index, process, ready)
+        except ShardWorkerError:
+            process.terminate()
+            raise
+        return process, port, describe
 
     # ------------------------------------------------------------------ #
     # observability
     # ------------------------------------------------------------------ #
     def liveness(self) -> list[dict]:
         """One row per worker: alive/pid/port plus respawn accounting."""
-        with self._lock:
-            handles = list(self._handles)
-            respawns_left = list(self._respawns_left)
-        return [
-            {
-                "shard": handle.index,
+        rows = []
+        for client in self.clients:
+            with client._lock:
+                process, port, respawns = client.process, client.port, client.respawns
+            rows.append({
+                "shard": client.index,
                 "backend": "process",
-                "alive": handle.process.is_alive(),
-                "pid": handle.process.pid,
-                "port": handle.port,
-                "respawns": RESPAWN_LIMIT - respawns_left[handle.index],
-                "respawns_left": respawns_left[handle.index],
-            }
-            for handle in handles
-        ]
+                "alive": process.is_alive(),
+                "pid": process.pid,
+                "port": port,
+                "respawns": respawns,
+                "respawns_left": RESPAWN_LIMIT - respawns,
+            })
+        return rows
 
     # ------------------------------------------------------------------ #
     # shutdown
@@ -374,30 +236,34 @@ class ProcessShardBackend:
 
     def close(self) -> None:
         """Drain and join every worker: shutdown → join → terminate."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            handles = list(self._handles)
-        for handle in handles:
+        if self._closed:
+            return
+        self._closed = True
+        workers = []
+        for client in self.clients:
+            with client._lock:  # waits out a respawn in progress
+                workers.append((client.process, client.port, client.service))
+        for _, port, _ in workers:
             try:
                 # its own short-timeout client: a hung worker must not hold
                 # close() for the length of a query timeout
-                with RemoteGraphService("127.0.0.1", handle.port, timeout=5.0) as farewell:
+                with RemoteGraphService("127.0.0.1", port, timeout=5.0) as farewell:
                     farewell.request("POST", "/admin/shutdown", {})
             except Exception:
                 pass  # a dead worker cannot drain; terminate below
-        for handle in handles:
-            handle.process.join(timeout=5.0)
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(timeout=2.0)
-            handle.service.close_all()
+        for process, _, service in workers:
+            process.join(timeout=5.0)
+            if process.is_alive():
+                process.terminate()
+                process.join(timeout=2.0)
+            service.close_all()
 
 
 class ProcessShardClient:
-    """One shard's proxy: the GraphCacheSystem shard surface over a worker.
+    """One shard's proxy: the GraphCacheSystem shard surface over its worker.
 
+    It owns the worker — process, port, :class:`RemoteGraphService`, respawn
+    count — and replaces it (through its backend) when it dies.
     ``cache`` is ``None`` (the real cache lives in the worker).
     ``statistics`` is a coordinator-side mirror recording the full
     per-query reports the worker returns, so ``/metrics`` fan-in reads
@@ -407,32 +273,111 @@ class ProcessShardClient:
     cache = None
 
     def __init__(self, backend: ProcessShardBackend, index: int,
-                 partition: Sequence[Graph], config: GCConfig) -> None:
+                 partition: Sequence[Graph], config: GCConfig,
+                 process, port: int, describe: dict) -> None:
         self._backend = backend
         self.index = index
         self.dataset = list(partition)
         self.config = config
         self.statistics = StatisticsManager()
-        self.method = _RemoteMethodInfo(backend.describe_payload(index))
+        #: Workers of this shard replaced after a crash (at most RESPAWN_LIMIT).
+        self.respawns = 0
+        #: Guards the worker fields while a respawn swaps them.
+        self._lock = threading.Lock()
+        self._attach(process, port, describe)
+
+    def _attach(self, process, port: int, describe: dict) -> None:
+        self.process = process
+        self.port = port
+        self.service = RemoteGraphService("127.0.0.1", port,
+                                          timeout=self._backend._request_timeout)
+        #: Name and description of the worker's Method M, from its handshake.
+        self.method = _RemoteMethodInfo(describe)
+
+    # -- transport (the calling thread → its connection → the worker) --- #
+    def _call_many(self, requests: list[tuple]) -> list[tuple[int, dict]]:
+        """``(method, path, body)`` requests to the worker, with crash recovery.
+
+        The requests go out one after the other over the calling thread's
+        keep-alive connection; outcomes return in submission order.  A
+        transport failure against a *dead* worker spends respawn budget,
+        brings up a cold replacement and carries on from the failed position
+        there (every endpoint driven through here is answer-safe to
+        re-execute) — completed answers are kept exactly once, so a crash
+        can neither drop nor duplicate an answer.  A transport failure
+        against a live worker is a :class:`ShardWorkerError` — the client
+        already retried a stale keep-alive connection once, and a timeout
+        must never re-run a query that may still be executing.
+        """
+        results: list[tuple[int, dict]] = []
+        attempts = 0
+        while len(results) < len(requests):
+            if self._backend._closed:
+                raise ServerError("process shard backend is closed")
+            service = self.service
+            try:
+                for request in requests[len(results):]:
+                    results.append(service.request(*request))
+            except OSError as failure:  # every transport failure the client raises
+                self._recover(service, failure)
+                attempts += 1
+                if attempts > RESPAWN_LIMIT + 1:  # pragma: no cover - safety net
+                    raise ShardWorkerError(self.index, "worker kept failing after respawn",
+                                           self.respawns)
+        return results
+
+    def _recover(self, failed: RemoteGraphService, failure: OSError) -> None:
+        """Replace a dead worker under budget; generation-safe across threads.
+
+        Many in-flight requests can fail together when one worker dies; only
+        the first caller spends budget and respawns, the rest observe the
+        swapped client and simply retry.  A failure against a worker that
+        is demonstrably alive is not a crash: it raises, re-sending nothing.
+        """
+        reason = f"{type(failure).__name__}: {failure}"
+        with self._lock:
+            if self.service is not failed:
+                return  # a sibling thread already replaced this worker
+            # NB: TimeoutError subclasses OSError — a timed-out worker is busy,
+            # not dying; any other failure gives a dying worker a beat to reap
+            if not isinstance(failure, TimeoutError):
+                self.process.join(timeout=0.5)
+            if self.process.is_alive():
+                raise ShardWorkerError(self.index, f"live worker failed a request ({reason})",
+                                       self.respawns) from failure
+            reason = f"worker lost an in-flight request ({reason})"
+            if self.respawns >= RESPAWN_LIMIT:
+                logger.error("shard %d worker down (%s); respawn budget exhausted",
+                             self.index, reason)
+                raise ShardWorkerError(self.index, f"{reason}; respawn budget exhausted",
+                                       self.respawns) from failure
+            failed.close_all()
+            self._attach(*self._backend.respawn(self.index))
+            self.respawns += 1
+            logger.warning(
+                "shard %d worker respawned after crash (%s); "
+                "%d respawn(s) left for this shard",
+                self.index, reason, RESPAWN_LIMIT - self.respawns,
+            )
+
+    def _expect(self, method: str, path: str, body: dict | None = None) -> dict:
+        """One admin or observability request, insisting on a 200 payload.
+
+        These arrive on whatever thread asks — an HTTP handler scraping
+        ``/metrics``, the caller of ``warm_cache`` — so the connection is
+        closed again instead of staying parked on a thread that may never
+        come back.
+        """
+        try:
+            status, payload = self._call_many([(method, path, body)])[0]
+        finally:
+            self.service.close()
+        return expect_ok(f"shard {self.index} {path}", status, payload)
+
+    def _admin(self, path: str, body: dict | None = None) -> dict:
+        return self._expect("POST", path, body or {})
 
     # -- query execution ------------------------------------------------ #
-    @staticmethod
-    def _as_query(query: Query | Graph, query_type: QueryType | str) -> Query:
-        if isinstance(query, Query):
-            return query
-        return Query(graph=query, query_type=QueryType.parse(query_type))
-
-    def _wire(self, query: Query) -> dict:
-        # the trace carrier is lifted onto the envelope's own "trace"
-        # section — this is the loopback hop the trace context must survive
-        metadata = {key: value for key, value in query.metadata.items()
-                    if key != TRACE_KEY}
-        trace = TraceContext.from_wire(query.metadata.get(TRACE_KEY))
-        request = QueryRequest(graph=query.graph, query_type=query.query_type,
-                               metadata=metadata, request_id=query.query_id,
-                               trace=trace)
-        return request.to_wire()
-
     def _report_from(self, query: Query, status: int, payload: dict) -> QueryReport:
         if "error" in payload:
             raise ErrorEnvelope.from_wire(payload, http_status=status).to_exception()
@@ -450,22 +395,21 @@ class ProcessShardClient:
 
     def run_query(self, query: Query | Graph,
                   query_type: QueryType | str = QueryType.SUBGRAPH) -> QueryReport:
-        query = self._as_query(query, query_type)
-        status, payload = self._backend.query(self.index, self._wire(query))
-        report = self._report_from(query, status, payload)
-        self.statistics.record(report)
-        return report
+        return self.run_batch([query], query_type)[0]
 
     def run_queries(self, queries, query_type: QueryType | str = QueryType.SUBGRAPH):
         return [self.run_query(query, query_type) for query in queries]
 
     def run_batch(self, queries, query_type: QueryType | str = QueryType.SUBGRAPH):
-        query_list = [self._as_query(query, query_type) for query in queries]
-        if not query_list:
-            return []
-        outcomes = self._backend.query_batch(
-            self.index, [self._wire(query) for query in query_list]
-        )
+        """POST a share of a batch, one envelope after the other (in order)."""
+        query_list = [as_query(query, query_type) for query in queries]
+        # the request envelope lifts the trace carrier onto its own "trace"
+        # section — this is the loopback hop the trace context must survive
+        outcomes = self._call_many([
+            ("POST", "/query",
+             QueryRequest.from_query(query, request_id=query.query_id).to_wire())
+            for query in query_list
+        ])
         reports = [
             self._report_from(query, status, payload)
             for query, (status, payload) in zip(query_list, outcomes)
@@ -476,10 +420,10 @@ class ProcessShardClient:
 
     # -- shard lifecycle hooks ------------------------------------------ #
     def flush_window(self) -> None:
-        self._backend.admin(self.index, "/admin/flush-window")
+        self._admin("/admin/flush-window")
 
     def reset_remote_statistics(self) -> None:
-        self._backend.admin(self.index, "/admin/reset-statistics")
+        self._admin("/admin/reset-statistics")
 
     def save_snapshot(self, path) -> int:
         return self._snapshot("save", path)
@@ -488,22 +432,21 @@ class ProcessShardClient:
         return self._snapshot("restore", path)
 
     def _snapshot(self, action: str, path) -> int:
-        payload = self._backend.admin(self.index, f"/admin/snapshot/{action}",
-                                      {"path": str(path)})
+        payload = self._admin(f"/admin/snapshot/{action}", {"path": str(path)})
         return int(payload.get("entries", 0))
 
     # -- observability --------------------------------------------------- #
     def remote_describe(self) -> dict:
         """A live ``/describe`` of the worker (cache population, memory)."""
-        return self._backend.describe(self.index)
+        return self._expect("GET", "/describe")
 
     def registry_snapshot(self) -> dict:
         """The worker's own :class:`MetricsRegistry` snapshot (for fan-in)."""
-        return self._backend.expect(self.index, "GET", "/obs/registry")
+        return self._expect("GET", "/obs/registry")
 
     def drain_logs(self) -> dict:
         """Pop the worker's buffered warning/error log entries."""
-        return self._backend.admin(self.index, "/admin/logs/drain")
+        return self._admin("/admin/logs/drain")
 
     def cache_memory_bytes(self) -> int:
         return self._described_bytes("cache_memory_bytes")

@@ -42,7 +42,7 @@ from repro.methods.base import MethodM
 from repro.obs.logs import replay_entries
 from repro.obs.recorder import SpanScope
 from repro.obs.trace import TRACE_KEY, context_from_carrier
-from repro.query_model import Query, QueryType
+from repro.query_model import Query, QueryType, as_query
 from repro.runtime.config import GCConfig
 from repro.runtime.report import QueryReport
 from repro.runtime.system import GraphCacheSystem
@@ -54,11 +54,6 @@ from repro.sharding.summary import ShardSummary
 MERGE_STAGE = "merge"
 
 SNAPSHOT_MANIFEST_VERSION = 1
-
-def _as_query(query: Query | Graph, query_type: QueryType | str) -> Query:
-    if isinstance(query, Query):
-        return query
-    return Query(graph=query, query_type=QueryType.parse(query_type))
 
 
 def shard_snapshot_path(path: str | Path, shard: int) -> Path:
@@ -186,7 +181,7 @@ class ShardedGraphCacheSystem:
         self, query: Query | Graph, query_type: QueryType | str = QueryType.SUBGRAPH
     ) -> ScatterPlan:
         """The scatter plan for one query under the configured mode."""
-        return self.planner.plan(_as_query(query, query_type))
+        return self.planner.plan(as_query(query, query_type))
 
     def scatter_metrics(self) -> dict:
         """Skip rates, fan-out and summary sizes (for ``/metrics``)."""
@@ -206,7 +201,7 @@ class ShardedGraphCacheSystem:
         self, query: Query | Graph, query_type: QueryType | str = QueryType.SUBGRAPH
     ) -> QueryReport:
         """Scatter one query to every shard and merge the answers."""
-        query = _as_query(query, query_type)
+        query = as_query(query, query_type)
         return self._scatter(
             [query],
             lambda shard, queries: [self.shards[shard].run_query(
@@ -238,7 +233,7 @@ class ShardedGraphCacheSystem:
         connection), all shards running concurrently on the scatter pool.
         Merged reports are returned in submission order.
         """
-        query_list = [_as_query(query, query_type) for query in queries]
+        query_list = [as_query(query, query_type) for query in queries]
         if not query_list:
             return []
         return self._scatter(

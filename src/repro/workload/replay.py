@@ -25,18 +25,20 @@ import math
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.api.envelopes import ErrorEnvelope, as_request, parse_response
 from repro.api.remote import RemoteGraphService
 from repro.errors import WorkloadError
 from repro.graph.graph import Graph
 from repro.query_model import Query, QueryType
-from repro.workload.generator import WorkloadGenerator, WorkloadMix
+from repro.workload.generator import STANDARD_MIXES, WorkloadGenerator, WorkloadMix
 from repro.workload.workload import Workload
 
-#: The skew names ``generate_trace`` accepts, mapped to mix settings.
-TRACE_SKEWS = ("uniform", "zipfian", "drifting")
+#: The skew names ``generate_trace`` accepts, mapped to the standard mix each
+#: draws from (with the trace's query type).
+_SKEW_MIXES = {"uniform": "uniform", "zipfian": "popular", "drifting": "drift"}
+TRACE_SKEWS = tuple(_SKEW_MIXES)
 
 
 def parse_priority_mix(spec: str) -> list[tuple[int, float]]:
@@ -305,19 +307,11 @@ def replay_trace(
 # trace generation
 # ---------------------------------------------------------------------- #
 def _skew_mix(skew: str, query_type: QueryType) -> WorkloadMix:
-    if skew == "uniform":
-        return WorkloadMix(zipf_alpha=0.0, query_type=query_type)
-    if skew == "zipfian":
-        return WorkloadMix(zipf_alpha=1.2, repeat_fraction=0.4, fresh_fraction=0.1,
-                           shrink_fraction=0.25, extend_fraction=0.25,
-                           query_type=query_type)
-    if skew == "drifting":
-        return WorkloadMix(zipf_alpha=1.2, drift=True, repeat_fraction=0.35,
-                           shrink_fraction=0.25, extend_fraction=0.25,
-                           fresh_fraction=0.15, query_type=query_type)
-    raise WorkloadError(
-        f"unknown trace skew {skew!r}; available: {', '.join(TRACE_SKEWS)}"
-    )
+    if skew not in _SKEW_MIXES:
+        raise WorkloadError(
+            f"unknown trace skew {skew!r}; available: {', '.join(TRACE_SKEWS)}"
+        )
+    return replace(STANDARD_MIXES[_SKEW_MIXES[skew]], query_type=query_type)
 
 
 def generate_trace(

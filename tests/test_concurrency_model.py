@@ -310,10 +310,11 @@ class TestProcessShardCoordinatorCensus:
             assert 1 <= len(started) <= system.num_shards
             assert all(name.startswith("gc-shard") for name in started), started
 
-            backend = system._process_backend
             calls = []
-            describe = backend.describe
-            backend.describe = lambda index: (calls.append(index), describe(index))[1]
+            for shard in system.shards:
+                describe, index = shard.remote_describe, shard.index
+                shard.remote_describe = (lambda describe=describe, index=index:
+                                         (calls.append(index), describe())[1])
             rows = system.describe_shards()
             assert sorted(calls) == [0, 1]  # one round trip per shard, not three
             assert all(row["index_memory_bytes"] > 0 and row["cache"]["population"] > 0
@@ -331,18 +332,21 @@ class TestProcessShardCoordinatorCensus:
             run_on_threads(system, clones(trace)[:30], threads=2)
             system.describe_shards()  # an observability call from a non-pool thread
             backend = system._process_backend
-            retired = backend._handles[0]
+            client = backend.clients[0]
+            # the client outlives a respawn: read the retired worker's port now
+            retired_port = client.port
             # ≤ one per scatter slot
-            assert 1 <= sockets_to(retired.port) <= system.num_shards
-            assert sockets_to(retired.port) + sockets_to(backend._handles[1].port) \
+            assert 1 <= sockets_to(retired_port) <= system.num_shards
+            assert sockets_to(retired_port) + sockets_to(backend.clients[1].port) \
                 == len(socket_inodes()) - baseline
-            retired.process.terminate()
-            retired.process.join(timeout=10)
+            client.process.terminate()
+            client.process.join(timeout=10)
             reports = system.run_batch(clones(trace)[30:])
             assert len(reports) == len(trace) - 30
             assert backend.respawns_performed == 1
-            assert sockets_to(retired.port) == 0
-            assert sockets_to(backend._handles[0].port) >= 1
+            assert client.port != retired_port
+            assert sockets_to(retired_port) == 0
+            assert sockets_to(client.port) >= 1
         assert len(socket_inodes()) <= baseline
 
 

@@ -11,7 +11,8 @@ full report really does survive the wire).
 Worker-crash fault injection lives here too: a shard worker killed
 mid-trace is respawned (once: ``process_backend.RESPAWN_LIMIT``) with zero
 dropped or duplicated answers, and once that budget is spent the failure
-surfaces as the typed, retryable ``shard-worker`` error.  Partitions travel
+surfaces as the typed, retryable ``shard-worker`` error — as does a live
+worker's malformed reply, which spends no respawn.  Partitions travel
 to workers as pickled graphs: a worker, first or respawned, holds exactly
 its partition.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api.envelopes import ErrorEnvelope
+from repro.api.remote import WireError
 from repro.errors import ShardWorkerError
 from repro.graph import Graph, molecule_dataset
 from repro.methods import DirectSIMethod
@@ -168,7 +170,7 @@ class TestWorkerDataset:
     @staticmethod
     def assert_holds(backend: ProcessShardBackend, partition: list[Graph]) -> None:
         shipped = [Graph.from_dict(payload)
-                   for payload in backend.describe_payload(0)["method"]["dataset"]]
+                   for payload in backend.clients[0].method.describe()["dataset"]]
         assert [(g.graph_id, g.name) for g in shipped] == [
             (g.graph_id, g.name) for g in partition]
         for received, sent in zip(shipped, partition):  # ids, labels, edge labels
@@ -184,10 +186,10 @@ class TestWorkerDataset:
         backend = ProcessShardBackend([partition], GCConfig(), method_factory=dataset_echo)
         try:
             self.assert_holds(backend, partition)
-            victim = backend._handles[0].process
+            victim = backend.clients[0].process
             victim.terminate()
             victim.join(timeout=10)
-            backend.describe(0)  # hits the dead worker: respawn
+            backend.clients[0].remote_describe()  # hits the dead worker: respawn
             assert backend.respawns_performed == 1
             self.assert_holds(backend, partition)
         finally:
@@ -230,7 +232,7 @@ class TestWorkerCrashRecovery:
         with ShardedGraphCacheSystem(dataset, config) as system:
             answers = [frozenset(r.answer)
                        for r in system.run_queries(queries[:half])]
-            victim = system._process_backend._handles[0].process
+            victim = system._process_backend.clients[0].process
             victim.terminate()
             victim.join(timeout=10)
             answers += [frozenset(r.answer)
@@ -247,7 +249,7 @@ class TestWorkerCrashRecovery:
                           shard_backend="process")
         queries = clone_queries(workload)[:40]
         with ShardedGraphCacheSystem(dataset, config) as system:
-            victim = system._process_backend._handles[1].process
+            victim = system._process_backend.clients[1].process
             victim.terminate()
             victim.join(timeout=10)
             reports = system.run_batch(queries)
@@ -262,12 +264,12 @@ class TestWorkerCrashRecovery:
         queries = clone_queries(workload)[:5]
         with ShardedGraphCacheSystem(dataset, config) as system:
             backend = system._process_backend
-            first = backend._handles[0].process
+            first = backend.clients[0].process
             first.terminate()
             first.join(timeout=10)
             system.run_queries(queries)  # the first crash spends the one respawn
             assert backend.respawns_performed == 1
-            replacement = backend._handles[0].process
+            replacement = backend.clients[0].process
             replacement.terminate()
             replacement.join(timeout=10)
             with pytest.raises(ShardWorkerError) as excinfo:
@@ -278,6 +280,35 @@ class TestWorkerCrashRecovery:
         assert envelope.code == "shard-worker"
         assert envelope.http_status == 503
         assert envelope.retryable is True
+        assert envelope.details.get("shard") == 0
+
+
+class TestLiveWorkerFailure:
+    def test_a_live_worker_failure_is_typed_and_blames_its_shard(self, dataset, workload,
+                                                                   monkeypatch):
+        """A malformed reply from a worker that is still alive fails the query
+        with the typed error naming the shard, the transport failure as its
+        cause: no respawn is spent and the query is not sent again."""
+        config = GCConfig(cache_capacity=25, window_size=5, num_shards=2,
+                          shard_backend="process")
+        with ShardedGraphCacheSystem(dataset, config) as system:
+            client = system._process_backend.clients[0]
+            sent = []
+
+            def malformed(*request):
+                sent.append(request)
+                raise WireError("reply truncated: 3 of 90 bytes")
+
+            monkeypatch.setattr(client.service, "request", malformed)
+            with pytest.raises(ShardWorkerError) as excinfo:
+                system.run_queries(clone_queries(workload)[:5])
+            assert client.process.is_alive()
+            assert system._process_backend.respawns_performed == 0
+            assert len(sent) == 1
+        assert excinfo.value.shard == 0
+        assert isinstance(excinfo.value.__cause__, WireError)
+        envelope = ErrorEnvelope.from_exception(excinfo.value)
+        assert envelope.code == "shard-worker"
         assert envelope.details.get("shard") == 0
 
 

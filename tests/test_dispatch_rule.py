@@ -10,6 +10,8 @@ backlog is built behind a gated dispatcher (:mod:`tests.gated`).
 
 from __future__ import annotations
 
+import queue
+
 import pytest
 
 from repro.api.envelopes import QueryRequest
@@ -17,7 +19,6 @@ from repro.graph import molecule_dataset
 from repro.query_model import Query
 from repro.runtime import GCConfig, GraphCacheSystem
 from repro.server import QueryServer, RequestBatcher
-from repro.server.batcher import _PendingQueue
 from tests.gated import GatedDispatcher
 
 
@@ -32,16 +33,17 @@ def config() -> GCConfig:
 
 class TestServeOnArrival:
     def test_lone_query_on_an_idle_batcher_is_not_held(self, dataset, monkeypatch):
-        """The dispatcher never waits with a timeout, and an idle batcher runs
-        a lone query without the old 5 ms coalescing wait."""
+        """The dispatcher never waits with a timeout (``get_nowait`` is
+        ``get(block=False)``), and an idle batcher runs a lone query without
+        the old 5 ms coalescing wait."""
         calls = []
-        get = _PendingQueue.get
+        get = queue.PriorityQueue.get
 
         def spy(self, *args, **kwargs):
             calls.append((args, kwargs))
             return get(self, *args, **kwargs)
 
-        monkeypatch.setattr(_PendingQueue, "get", spy)
+        monkeypatch.setattr(queue.PriorityQueue, "get", spy)
         with GraphCacheSystem(dataset, config()) as system:
             batcher = RequestBatcher(system)
             try:
@@ -51,7 +53,8 @@ class TestServeOnArrival:
                 batcher.close()
         assert [item.batch_size for item in served] == [1] * 5
         assert min(item.queue_seconds for item in served) < 0.005
-        assert calls and all(call == ((), {}) for call in calls)
+        assert calls and all(len(args) < 2 and kwargs.get("timeout") is None
+                             for args, kwargs in calls)
 
     def test_a_batch_is_the_backlog_in_priority_order(self, dataset):
         """What queued behind a busy dispatcher leaves in one batch, most

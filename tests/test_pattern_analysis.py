@@ -43,7 +43,6 @@ from repro.graph.compiled import CompiledGraph
 from repro.graph.operations import extend_graph, random_connected_subgraph
 from repro.query_model import Query, QueryType
 from repro.runtime import GCConfig, GraphCacheSystem
-from repro.runtime.executor import QueryExecutor
 from repro.sharding import ShardSummary
 from repro.sharding.system import ShardedGraphCacheSystem
 from repro.workload import WorkloadGenerator, WorkloadMix, generate_trace
@@ -332,7 +331,7 @@ def _cache_trajectory(policy: str):
     with pytest.MonkeyPatch.context() as patch:
         # HD and PINC credit seconds saved: a constant cost per dataset test
         # makes those seconds, and so their choices, independent of timing
-        patch.setattr(QueryExecutor, "per_test_cost", lambda self, tests, seconds: 0.001)
+        patch.setattr(GraphCacheSystem, "per_test_cost", lambda self, tests, seconds: 0.001)
         for name in ("sub_case_candidates", "super_case_candidates"):
             def spy(self, *args, _original=getattr(CacheStore, name), _name=name):
                 entries = _original(self, *args)

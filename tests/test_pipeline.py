@@ -23,12 +23,12 @@ class TestPipelineShape:
     def test_default_stage_order(self):
         assert [stage.name for stage in QueryPipeline().stages] == EXPECTED_ORDER
 
-    def test_executor_uses_default_pipeline(self, dataset):
+    def test_system_uses_default_pipeline(self, dataset):
         system = GraphCacheSystem(dataset, GCConfig(window_size=2, cache_capacity=8))
-        assert [stage.name for stage in system.executor.pipeline.stages] == EXPECTED_ORDER
+        assert [stage.name for stage in system.pipeline.stages] == EXPECTED_ORDER
 
     def test_stages_are_stateless_singletons(self):
-        # one stage list may serve many executors / concurrent queries
+        # one stage list may serve many systems / concurrent queries
         stages = QueryPipeline().stages
         assert [stage.name for stage in stages] == EXPECTED_ORDER
         for stage in stages:

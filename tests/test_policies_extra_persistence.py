@@ -4,6 +4,8 @@ workload's result shows the cache warming up."""
 from __future__ import annotations
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -343,6 +345,32 @@ class TestAtomicSnapshots:
         assert {file.name: file.read_bytes() for file in tmp_path.iterdir()} == before
         with make_system(dataset, config) as system:
             assert system.restore_snapshot(path) == saved
+
+
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_a_snapshot_gets_the_mode_open_would_give_it(self, tmp_path, num_shards):
+        """A new file is 0o666 less the umask; a file replaced by the next
+        save keeps the mode it had, as ``open(path, "w")`` would leave them."""
+        dataset = molecule_dataset(20, min_vertices=8, max_vertices=12, rng=36)
+        config = GCConfig(cache_capacity=10, window_size=1, num_shards=num_shards)
+        path = tmp_path / "cache.json"
+
+        def modes() -> set[int]:
+            return {stat.S_IMODE(file.stat().st_mode) for file in tmp_path.iterdir()}
+
+        umask = os.umask(0o027)
+        try:
+            with make_system(dataset, config) as system:
+                system.run_queries(make_subgraph_queries(dataset, 6, 5, seed=37))
+                system.save_snapshot(path)
+                assert len(list(tmp_path.iterdir())) == 1 + (num_shards > 1) * num_shards
+                assert modes() == {0o640}
+                for file in tmp_path.iterdir():
+                    file.chmod(0o604)
+                system.save_snapshot(path)
+        finally:
+            os.umask(umask)
+        assert modes() == {0o604}
 
 
 class TestStatisticsTimeline:

@@ -29,7 +29,6 @@ from repro.index.base import graph_id_sort_key
 from repro.methods import make_method
 from repro.query_model import Query, QueryType
 from repro.runtime import GCConfig, GraphCacheSystem
-from repro.runtime.executor import QueryExecutor
 from tests.oracles import reference_probe, to_networkx
 
 DATASET = molecule_dataset(24, min_vertices=3, max_vertices=14, rng=44)
@@ -146,7 +145,7 @@ class TestOneCopyPerQuery:
     def test_engine_hot_holds_at_most_one_copy(self, monkeypatch):
         # HD credits seconds saved: a constant test cost makes its choices,
         # and so this count, independent of timing
-        monkeypatch.setattr(QueryExecutor, "per_test_cost",
+        monkeypatch.setattr(GraphCacheSystem, "per_test_cost",
                             lambda self, tests, seconds: 0.001)
         spec = workloads.WORKLOADS["engine_hot"]
         data = workloads.dataset(spec.dataset)

@@ -1,4 +1,4 @@
-"""Tests for the runtime: configuration, executor, reports and the facade."""
+"""Tests for the runtime: configuration, reports and the facade that runs the pipeline."""
 
 from __future__ import annotations
 
@@ -189,14 +189,14 @@ class TestGraphCacheSystem:
         )
 
     def test_average_test_cost_weights_each_query_by_its_tests(self, dataset):
-        executor = GraphCacheSystem(dataset, GCConfig()).executor
-        assert executor.per_test_cost(0, 0.0) == 0.0
-        executor.observe_test_cost(2, 0.002)
-        executor.observe_test_cost(6, 0.002)
-        executor.observe_test_cost(0, 5.0)  # a query with no tests is no sample
-        assert executor.per_test_cost(0, 0.0) == pytest.approx(0.004 / 8)
+        system = GraphCacheSystem(dataset, GCConfig())
+        assert system.per_test_cost(0, 0.0) == 0.0
+        system.observe_test_cost(2, 0.002)
+        system.observe_test_cost(6, 0.002)
+        system.observe_test_cost(0, 5.0)  # a query with no tests is no sample
+        assert system.per_test_cost(0, 0.0) == pytest.approx(0.004 / 8)
         # a query that ran tests is priced at its own cost, not the average
-        assert executor.per_test_cost(4, 0.02) == pytest.approx(0.005)
+        assert system.per_test_cost(4, 0.02) == pytest.approx(0.005)
 
     def test_memory_overhead_ratio(self, dataset):
         system = GraphCacheSystem(

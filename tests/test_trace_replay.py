@@ -12,6 +12,7 @@ as an 8-thread replay does.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import pytest
@@ -23,7 +24,8 @@ from repro.graph import molecule_dataset
 from repro.query_model import QueryType
 from repro.runtime import GCConfig
 from repro.server import QueryServer
-from repro.workload import TRACE_SKEWS, generate_trace, replay_trace
+from repro.workload import STANDARD_MIXES, TRACE_SKEWS, generate_trace, replay_trace
+from repro.workload.replay import _skew_mix
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +63,20 @@ class TestDeterminism:
         assert types[0] is QueryType.SUBGRAPH and types[1] is QueryType.SUPERGRAPH
         assert {t for t in types} == {QueryType.SUBGRAPH, QueryType.SUPERGRAPH}
         assert len(first) == 50
+
+
+class TestSkewMixes:
+    @pytest.mark.parametrize("query_type", list(QueryType))
+    @pytest.mark.parametrize("skew, standard", [("uniform", "uniform"),
+                                                ("zipfian", "popular"),
+                                                ("drifting", "drift")])
+    def test_each_skew_is_its_standard_mix(self, skew, standard, query_type):
+        assert _skew_mix(skew, query_type) == dataclasses.replace(
+            STANDARD_MIXES[standard], query_type=query_type)
+
+    def test_an_unknown_skew_is_refused(self, dataset):
+        with pytest.raises(WorkloadError, match="unknown trace skew 'popular'"):
+            generate_trace(dataset, 10, skew="popular")
 
 
 class TestSkewShape:
