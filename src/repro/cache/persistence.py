@@ -147,15 +147,19 @@ def write_atomically(path: str | Path, text: str) -> None:
     and fsynced, then renamed over ``path`` (``os.replace`` is atomic on one
     file system) and the directory fsynced, so the rename is durable too.
     The file gets the mode a plain ``open(path, "w")`` would give it: an
-    existing file keeps its mode, a new one is ``0o666`` less the umask.
+    existing file keeps its mode, a new one is ``0o666`` less the umask.  The
+    temporary file is created with that mode (the umask can only narrow it),
+    so it is never readable by more users than the file it replaces.
     """
     path = Path(path)
+    existing = stat.S_IMODE(path.stat().st_mode) if path.exists() else None
     temporary = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
-    handle = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    handle = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
+                     0o666 if existing is None else existing)
     try:
         with os.fdopen(handle, "w", encoding="utf-8") as stream:
-            if path.exists():
-                os.fchmod(stream.fileno(), stat.S_IMODE(path.stat().st_mode))
+            if existing is not None:
+                os.fchmod(stream.fileno(), existing)  # bits the umask took away
             stream.write(text)
             stream.flush()
             os.fsync(stream.fileno())

@@ -210,15 +210,15 @@ class ProcessShardBackend:
         rows = []
         for client in self.clients:
             with client._lock:
-                process, port, respawns = client.process, client.port, client.respawns
+                process, port, attempts = client.process, client.port, client.respawn_attempts
             rows.append({
                 "shard": client.index,
                 "backend": "process",
                 "alive": process.is_alive(),
                 "pid": process.pid,
                 "port": port,
-                "respawns": respawns,
-                "respawns_left": RESPAWN_LIMIT - respawns,
+                "respawns": attempts,
+                "respawns_left": RESPAWN_LIMIT - attempts,
             })
         return rows
 
@@ -280,7 +280,10 @@ class ProcessShardClient:
         self.dataset = list(partition)
         self.config = config
         self.statistics = StatisticsManager()
-        #: Workers of this shard replaced after a crash (at most RESPAWN_LIMIT).
+        #: Replacements of this shard's worker begun, successful or not: the
+        #: budget spent (at most RESPAWN_LIMIT).
+        self.respawn_attempts = 0
+        #: Replacements that came up and answer in the crashed worker's place.
         self.respawns = 0
         #: Guards the worker fields while a respawn swaps them.
         self._lock = threading.Lock()
@@ -323,7 +326,7 @@ class ProcessShardClient:
                 attempts += 1
                 if attempts > RESPAWN_LIMIT + 1:  # pragma: no cover - safety net
                     raise ShardWorkerError(self.index, "worker kept failing after respawn",
-                                           self.respawns)
+                                           self.respawn_attempts)
         return results
 
     def _recover(self, failed: RemoteGraphService, failure: OSError) -> None:
@@ -344,20 +347,23 @@ class ProcessShardClient:
                 self.process.join(timeout=0.5)
             if self.process.is_alive():
                 raise ShardWorkerError(self.index, f"live worker failed a request ({reason})",
-                                       self.respawns) from failure
+                                       self.respawn_attempts) from failure
             reason = f"worker lost an in-flight request ({reason})"
-            if self.respawns >= RESPAWN_LIMIT:
+            if self.respawn_attempts >= RESPAWN_LIMIT:
                 logger.error("shard %d worker down (%s); respawn budget exhausted",
                              self.index, reason)
                 raise ShardWorkerError(self.index, f"{reason}; respawn budget exhausted",
-                                       self.respawns) from failure
+                                       self.respawn_attempts) from failure
             failed.close_all()
+            # the attempt spends budget before the spawn, so a replacement
+            # that fails to start is not retried by every later request
+            self.respawn_attempts += 1
             self._attach(*self._backend.respawn(self.index))
             self.respawns += 1
             logger.warning(
                 "shard %d worker respawned after crash (%s); "
                 "%d respawn(s) left for this shard",
-                self.index, reason, RESPAWN_LIMIT - self.respawns,
+                self.index, reason, RESPAWN_LIMIT - self.respawn_attempts,
             )
 
     def _expect(self, method: str, path: str, body: dict | None = None) -> dict:

@@ -282,6 +282,40 @@ class TestWorkerCrashRecovery:
         assert envelope.retryable is True
         assert envelope.details.get("shard") == 0
 
+    def test_a_replacement_that_fails_to_start_spends_the_budget(self, dataset, workload,
+                                                                 monkeypatch):
+        """A respawn whose handshake fails uses up the shard's budget: the
+        next query gets the exhausted-budget error without a second spawn."""
+        config = GCConfig(cache_capacity=25, window_size=5, num_shards=2,
+                          shard_backend="process")
+        queries = clone_queries(workload)[:5]
+        with ShardedGraphCacheSystem(dataset, config) as system:
+            backend = system._process_backend
+            spawned = []
+            start_process = backend._start_process
+
+            def counted_start(index):
+                spawned.append(index)
+                return start_process(index)
+
+            def failed_handshake(index, process, ready):
+                ready.close()
+                raise ShardWorkerError(index, "startup handshake timed out after 0s")
+
+            monkeypatch.setattr(backend, "_start_process", counted_start)
+            monkeypatch.setattr(backend, "_await_ready", failed_handshake)
+            victim = backend.clients[0].process
+            victim.terminate()
+            victim.join(timeout=10)
+            with pytest.raises(ShardWorkerError, match="handshake timed out"):
+                system.run_queries(queries)
+            with pytest.raises(ShardWorkerError, match="respawn budget exhausted"):
+                system.run_queries(queries)
+            assert spawned == [0]
+            assert backend.respawns_performed == 0
+            row = backend.liveness()[0]
+            assert (row["respawns"], row["respawns_left"]) == (1, 0)
+
 
 class TestLiveWorkerFailure:
     def test_a_live_worker_failure_is_typed_and_blames_its_shard(self, dataset, workload,

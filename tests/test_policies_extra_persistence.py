@@ -372,6 +372,37 @@ class TestAtomicSnapshots:
             os.umask(umask)
         assert modes() == {0o604}
 
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_the_temporary_file_is_never_wider_than_the_snapshot(
+            self, tmp_path, num_shards, monkeypatch):
+        """Replacing a 0600 snapshot under umask 022 never creates a
+        temporary file that others may open."""
+        dataset = molecule_dataset(20, min_vertices=8, max_vertices=12, rng=36)
+        config = GCConfig(cache_capacity=10, window_size=1, num_shards=num_shards)
+        path = tmp_path / "cache.json"
+        created = []
+        real_open = os.open
+
+        def recording_open(file, flags, *args, **kwargs):
+            handle = real_open(file, flags, *args, **kwargs)
+            if str(file).endswith(".tmp"):
+                created.append(stat.S_IMODE(os.fstat(handle).st_mode))
+            return handle
+
+        umask = os.umask(0o022)
+        try:
+            with make_system(dataset, config) as system:
+                system.run_queries(make_subgraph_queries(dataset, 6, 5, seed=37))
+                system.save_snapshot(path)
+                for file in tmp_path.iterdir():
+                    file.chmod(0o600)
+                monkeypatch.setattr(os, "open", recording_open)
+                system.save_snapshot(path)
+        finally:
+            os.umask(umask)
+        assert len(created) == 1 + (num_shards > 1) * num_shards
+        assert set(created) == {0o600}
+
 
 class TestStatisticsTimeline:
     def test_workload_shows_cache_warming(self):

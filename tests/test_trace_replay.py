@@ -74,10 +74,6 @@ class TestSkewMixes:
         assert _skew_mix(skew, query_type) == dataclasses.replace(
             STANDARD_MIXES[standard], query_type=query_type)
 
-    def test_an_unknown_skew_is_refused(self, dataset):
-        with pytest.raises(WorkloadError, match="unknown trace skew 'popular'"):
-            generate_trace(dataset, 10, skew="popular")
-
 
 class TestSkewShape:
     def test_zipfian_concentrates_popular_patterns(self, dataset):
@@ -96,9 +92,10 @@ class TestSkewShape:
         assert sum(first) / len(first) < sum(second) / len(second)
         assert any(index > pool_size // 2 for index in second)
 
-    def test_unknown_skew_rejected(self, dataset):
-        with pytest.raises(WorkloadError, match="unknown trace skew"):
-            generate_trace(dataset, 10, skew="bimodal")
+    @pytest.mark.parametrize("skew", ["bimodal", "popular"])  # a mix name is no skew
+    def test_unknown_skew_rejected(self, dataset, skew):
+        with pytest.raises(WorkloadError, match=f"unknown trace skew '{skew}'"):
+            generate_trace(dataset, 10, skew=skew)
 
 
 class TestRoundTrip:
